@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .errors import GroupMismatch, NotSolvable, TorsionUnsupported
+from .errors import GroupMismatch, IndexOutOfRange, NotSolvable, TorsionUnsupported
 from .functions import (
     SupportedFunction,
     add,
@@ -63,6 +63,8 @@ def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     function; ``heat_kernel_binomial`` computes it literally for
     cross-checking.
     """
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
     A = inverse_symbol_a(G, S)
     base = add(delta(G), scale(A, -1))
     return Kernel(convolve_power(base, n), KernelRole.HEAT, n)
@@ -70,6 +72,8 @@ def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
 
 def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     """K_n via the literal alternating binomial sum of convolution powers."""
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
     A = inverse_symbol_a(G, S)
     total = delta(G)
     power = delta(G)
@@ -81,6 +85,8 @@ def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
 
 def wave_kernels(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]:
     """Wave propagators (F_n, G_n): even/odd binomial sums of symbol powers."""
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
     A = inverse_symbol_a(G, S)
     f_total = zero(G)
     g_total = zero(G)

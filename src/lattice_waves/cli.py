@@ -13,15 +13,19 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import cayley, cosets, oracles, tree, verify
-from .errors import LatticeWavesError, NotSolvable, ShapeMismatch
+from .errors import IndexOutOfRange, LatticeWavesError, NotSolvable, ShapeMismatch
 from .functions import SupportedFunction
 from .groups import make_element
 from .serialize import (
     element_from_json,
+    function_from_rows,
     function_to_csv,
     group_from_json,
+    quotient_function_from_rows,
+    tree_function_from_rows,
     tree_function_to_csv,
 )
 
@@ -38,32 +42,13 @@ def _load_problem(path: str) -> dict:
         return json.load(fh)
 
 
-def _values_to_function(G, values) -> SupportedFunction:
-    entries = {}
-    for row in values or []:
-        x = element_from_json(G, row["elem"])
-        entries[x] = entries.get(x, Fraction(0)) + Fraction(int(row["num"]), int(row["den"]))
-    return SupportedFunction(G, entries)
-
-
-def _values_to_tree_function(k, values) -> tree.TreeFunction:
-    entries = {}
-    for row in values or []:
-        x = tree.make_vertex(row["elem"], k)
-        entries[x] = entries.get(x, Fraction(0)) + Fraction(int(row["num"]), int(row["den"]))
-    return tree.TreeFunction(k, entries)
+_values_to_function = function_from_rows
+_values_to_tree_function = tree_function_from_rows
 
 
 def _project_initial(P: cosets.CosetProblem, values) -> SupportedFunction:
     """Coset initial data is given on base-group representatives; push it down."""
-    entries = {}
-    for row in values or []:
-        x = element_from_json(P.base_group, row["elem"])
-        q = P.quot.project(x)
-        if q in entries:
-            raise ShapeMismatch(f"two representatives of the same coset given: {row['elem']}")
-        entries[q] = Fraction(int(row["num"]), int(row["den"]))
-    return SupportedFunction(P.quotient_group, entries)
+    return quotient_function_from_rows(P.quot, values)
 
 
 def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
@@ -75,6 +60,8 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
     if spec and "ball" in spec:
         ball = spec["ball"]
         radius = int(ball.get("radius"))
+        if radius < 0:
+            raise IndexOutOfRange(f"eval ball radius must be non-negative, got {radius}")
         center = tree.make_vertex(ball.get("center", []), k)
     if radius is None:
         # Default window: the whole region where the solution can be nonzero.
@@ -160,68 +147,33 @@ def _emit(result, header, out_path):
 def _oracle_solution(instance: dict, n: int):
     """Independent brute-force solution for a solver-kind instance."""
     kind = instance["kind"]
+    wave = kind.endswith("wave")
     if kind in ("heat", "wave"):
         G = group_from_json(instance["group"])
         S = cayley_generators(instance, G)
         f = _values_to_function(G, instance.get("f"))
-        if kind == "heat":
-            u = f
-            for _ in range(n):
-                u = oracles.cayley_heat_step(u, S)
-            return u
-        g = _values_to_function(G, instance.get("g"))
-        return oracles.cayley_wave_trajectory(f, g, S, n)[n]
+        g = _values_to_function(G, instance.get("g")) if wave else None
+        step = oracles.cayley_wave_step if wave else oracles.cayley_heat_step
+        return next(islice(oracles.trajectory(step, f, g, S), n, None))
     if kind in ("coset-heat", "coset-wave"):
         P = build_coset(instance)
-        f = _project_initial(P, instance.get("f"))
-        if kind == "coset-heat":
-            u = cosets.lift(f, P)
-            for _ in range(n):
-                u = oracles.lifted_coset_heat_step(u, P)
-            return cosets.restrict(u, P)
-        g = _project_initial(P, instance.get("g"))
-        u_prev = cosets.lift(f, P)
-        if n == 0:
-            return cosets.restrict(u_prev, P)
-        from .functions import add
-
-        u_curr = add(u_prev, cosets.lift(g, P))
-        for _ in range(n - 1):
-            u_prev, u_curr = u_curr, oracles.lifted_coset_wave_step(u_prev, u_curr, P)
-        return cosets.restrict(u_curr, P)
+        f = cosets.lift(_project_initial(P, instance.get("f")), P)
+        g = cosets.lift(_project_initial(P, instance.get("g")), P) if wave else None
+        step = oracles.lifted_coset_wave_step if wave else oracles.lifted_coset_heat_step
+        return cosets.restrict(next(islice(oracles.trajectory(step, f, g, P), n, None)), P)
     if kind in ("tree-heat", "tree-wave"):
         k = int(instance["k"])
         f = _values_to_tree_function(k, instance.get("f"))
-        if kind == "tree-heat":
-            u = f
-            for _ in range(n):
-                u = oracles.tree_step_heat(u)
-            return u
-        g = _values_to_tree_function(k, instance.get("g"))
-        u_prev = f
-        if n == 0:
-            return u_prev
-        u_curr = tree.TreeFunction(
-            k,
-            {
-                x: f(x) + g(x)
-                for x in f.support() | g.support()
-            },
-        )
-        for _ in range(n - 1):
-            u_prev, u_curr = u_curr, oracles.tree_step_wave(u_prev, u_curr)
-        return u_curr
+        g = _values_to_tree_function(k, instance.get("g")) if wave else None
+        step = oracles.tree_step_wave if wave else oracles.tree_step_heat
+        return next(islice(oracles.trajectory(step, f, g), n, None))
     raise ShapeMismatch(f"kind {kind!r} has no oracle")
 
 
 def _diff_report(closed, oracle):
     """Exact max absolute difference and per-vertex mismatches."""
-    if isinstance(closed, tree.TreeFunction):
-        keys = closed.support() | oracle.support()
-        diffs = {x: closed(x) - oracle(x) for x in keys}
-    else:
-        keys = closed.support() | oracle.support()
-        diffs = {x: closed(x) - oracle(x) for x in keys}
+    keys = closed.support() | oracle.support()
+    diffs = {x: closed(x) - oracle(x) for x in keys}
     diffs = {x: d for x, d in diffs.items() if d != 0}
     max_diff = max((abs(d) for d in diffs.values()), default=Fraction(0))
     return max_diff, diffs
@@ -236,8 +188,6 @@ def cmd_run(args) -> int:
         )
     instance["kind"] = kind
     n = args.n if args.n is not None else int(instance.get("n", 0))
-    if n < 0:
-        raise ShapeMismatch("time index n must be non-negative")
 
     if kind == "kernel":
         G = group_from_json(instance["group"])

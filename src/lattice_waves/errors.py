@@ -19,6 +19,12 @@ class ShapeMismatch(LatticeWavesError):
     code = "SHAPE_MISMATCH"
 
 
+class ZeroDenominator(LatticeWavesError):
+    """A rational value arrived with denominator zero."""
+
+    code = "ZERO_DENOMINATOR"
+
+
 class GroupMismatch(LatticeWavesError):
     """Two functions or elements belong to different groups."""
 
@@ -82,6 +88,6 @@ class CosetInconstant(LatticeWavesError):
 
 
 class IndexOutOfRange(LatticeWavesError):
-    """A coefficient index lies outside the valid range."""
+    """An index lies outside its valid range: a coefficient index, a time index or a radius."""
 
     code = "INDEX_OUT_OF_RANGE"

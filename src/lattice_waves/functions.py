@@ -15,8 +15,6 @@ from typing import Iterable, Mapping
 from .errors import GroupMismatch
 from .groups import GroupElement, GroupSpec, adder, conforms, elem_neg, identity, make_element
 
-Rat = Fraction
-
 
 @dataclass
 class SupportedFunction:

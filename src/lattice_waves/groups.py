@@ -12,16 +12,9 @@ already known to conform.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import add as _int_add, mod as _int_mod
 from typing import Callable, Iterable, NamedTuple, Sequence
-
-from sympy import Matrix
-from sympy.matrices.normalforms import invariant_factors
-from sympy.polys.domains import ZZ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from .errors import (
     ContainsIdentity,
@@ -39,10 +32,6 @@ class GroupSpec:
 
     rank: int
     moduli: tuple[int, ...]
-
-    @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
 
 
 class GroupElement(NamedTuple):
@@ -151,6 +140,114 @@ def _relation_rows(G: GroupSpec) -> list[list[int]]:
     return rows
 
 
+_Matrix = tuple[tuple[int, ...], ...]
+
+
+def _gcdex(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, g) with x*a + y*b = g = gcd(a, b) >= 0.
+
+    The signs of x and y are those of this extended Euclid, with a zero
+    argument handled first; ``_smith`` depends on them.
+    """
+    if not a or not b:
+        g = abs(a) or abs(b)
+        return (a // g, b // g, g) if g else (0, 0, 0)
+    x_sign, y_sign = (-1 if a < 0 else 1), (-1 if b < 0 else 1)
+    a, b = abs(a), abs(b)
+    x, r, y, s = 1, 0, 0, 1
+    while b:
+        q, c = divmod(a, b)
+        a, b = b, c
+        x, r = r, x - q * r
+        y, s = s, y - q * s
+    return x * x_sign, y * y_sign, a
+
+
+def _smith(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], _Matrix, _Matrix]:
+    """Smith normal form of a non-empty integer matrix M.
+
+    Returns (factors, T, T^-1): the invariant factors d_1 | d_2 | ... of M,
+    min(rows, columns) of them with any zeros last, and a unimodular T with
+    U M T = diag(factors) for some unimodular U, which is not kept.
+
+    T sets the coordinates of every quotient group, and those are part of
+    the CLI's output, so the order of the elimination steps and the signs
+    of ``_gcdex`` are fixed: they reproduce, step for step, the reference
+    decomposition that tests/test_groups.py compares against.  See Kannan
+    & Bachem, SIAM J. Comput. 8 (1979) for the theory.  Every column step
+    has determinant +-1, so T^-1 stays integral; it is kept by applying the
+    inverse row step to it.
+    """
+    m = [list(row) for row in matrix]
+    n_rows, n_cols = len(m), len(m[0])
+    t = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
+    t_inv = [row[:] for row in t]
+
+    def rows_op(i, j, a, b, c, d):
+        # Row i <- a row i + b row j and row j <- c row i + d row j.
+        mi, mj = m[i], m[j]
+        m[i] = [a * x + b * y for x, y in zip(mi, mj)]
+        m[j] = [c * x + d * y for x, y in zip(mi, mj)]
+
+    def cols_op(i, j, a, b, c, d, mats):
+        # Column i <- a col i + b col j and column j <- c col i + d col j in
+        # each of mats; then the inverse row step on T^-1.
+        for row in (row for mat in mats for row in mat):
+            x, y = row[i], row[j]
+            row[i], row[j] = a * x + b * y, c * x + d * y
+        det = a * d - b * c
+        ri, rj = t_inv[i], t_inv[j]
+        t_inv[i] = [det * (d * x - c * y) for x, y in zip(ri, rj)]
+        t_inv[j] = [det * (a * y - b * x) for x, y in zip(ri, rj)]
+
+    def eliminate(k: int) -> list[int]:
+        # Diagonalise the block of rows and columns k.. and return its factors.
+        i = next((i for i in range(k, n_rows) if m[i][k]), k)
+        j = next((j for j in range(k, n_cols) if m[k][j]), k)
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+        elif j != k:
+            cols_op(k, j, 0, 1, 1, 0, (m, t))
+        while any(m[k][k + 1:]) or any(m[i][k] for i in range(k + 1, n_rows)):
+            pivot = m[k][k]
+            for i in range(k + 1, n_rows):
+                if m[i][k] % pivot == 0:
+                    rows_op(k, i, 1, 0, -(m[i][k] // pivot), 1)
+                else:
+                    x, y, g = _gcdex(pivot, m[i][k])
+                    rows_op(k, i, x, y, m[i][k] // g, -(pivot // g))
+                    pivot = g
+            pivot = m[k][k]
+            for j in range(k + 1, n_cols):
+                if m[k][j] % pivot == 0:
+                    cols_op(k, j, 1, 0, -(m[k][j] // pivot), 1, (m, t))
+                else:
+                    x, y, g = _gcdex(pivot, m[k][j])
+                    cols_op(k, j, x, y, m[k][j] // g, -(pivot // g), (m, t))
+                    pivot = g
+        inner = eliminate(k + 1) if k + 1 < min(n_rows, n_cols) else []
+        if not m[k][k]:
+            # A zero pivot moves last, and column k of T with it.
+            for row in t:
+                row[k:] = row[k + 1:] + row[k:k + 1]
+            t_inv[k:] = t_inv[k + 1:] + t_inv[k:k + 1]
+            return inner + [0]
+        factors = [abs(m[k][k])] + inner
+        # Restore d_i | d_{i+1} where the new pivot breaks it.
+        for i in range(len(factors) - 1):
+            a, b = factors[i], factors[i + 1]
+            if not b or b % a == 0:
+                break
+            _, y, g = _gcdex(a, b)
+            cols_op(k + i, k + i + 1, 1, y, 0, 1, (t,))
+            cols_op(k + i, k + i + 1, 1, 0, -(b // g), 1, (t,))
+            factors[i], factors[i + 1] = g, b * (a // g)
+        return factors
+
+    factors = eliminate(0)
+    return tuple(factors), tuple(map(tuple, t)), tuple(map(tuple, t_inv))
+
+
 def validate_generators(G: GroupSpec, S: Sequence[GroupElement]) -> GeneratorSet:
     """Check that S is a symmetric generating set excluding the identity.
 
@@ -174,9 +271,8 @@ def validate_generators(G: GroupSpec, S: Sequence[GroupElement]) -> GeneratorSet
     if dim > 0:
         rows = [list(s.free) + list(s.torsion) for s in elems]
         rows += _relation_rows(G)
-        factors = invariant_factors(Matrix(rows))
-        nonzero = [abs(int(d)) for d in factors if d != 0]
-        if len(nonzero) < dim or any(d != 1 for d in nonzero):
+        factors, _, _ = _smith(rows)
+        if len(factors) < dim or any(d != 1 for d in factors):
             raise DoesNotGenerate(
                 f"generators span a proper subgroup (invariant factors {factors})"
             )
@@ -244,15 +340,8 @@ def quotient(G: GroupSpec, H_gens: Sequence[GroupElement]) -> Quotient:
     if t == 0:
         return Quotient(G, G, 1, (identity(G),), (), (), (), ())
 
-    rows = [[0] * t for _ in range(t)]
-    for i, m in enumerate(G.moduli):
-        rows[i][i] = m
-    rows += [list(h.torsion) for h in gens]
-    dM = DomainMatrix.from_Matrix(Matrix(rows)).convert_to(ZZ)
-    S, _U, V = smith_normal_decomp(dM)
-    Smat = S.to_Matrix()
-    Vmat = V.to_Matrix()
-    divisors = tuple(abs(int(Smat[i, i])) for i in range(t))
+    rows = _relation_rows(GroupSpec(0, G.moduli)) + [list(h.torsion) for h in gens]
+    divisors, transform, inverse = _smith(rows)
     kept = tuple(i for i, d in enumerate(divisors) if d >= 2)
     qspec = GroupSpec(G.rank, tuple(divisors[i] for i in kept))
     order = 1
@@ -265,31 +354,20 @@ def quotient(G: GroupSpec, H_gens: Sequence[GroupElement]) -> Quotient:
         ident = tuple(tuple(int(i == j) for j in range(t)) for i in range(t))
         return Quotient(G, G, 1, (identity(G),), ident, ident, G.moduli, tuple(range(t)))
 
-    Vinv = Vmat.inv()
-    transform = tuple(tuple(int(Vmat[i, j]) for j in range(t)) for i in range(t))
-    inverse = tuple(tuple(int(Vinv[i, j]) for j in range(t)) for i in range(t))
-
-    quot = Quotient(G, qspec, order, (), transform, inverse, divisors, kept)
-    zero_free = (0,) * G.rank
-    q_id = identity(qspec)
-    subgroup = tuple(
-        GroupElement(zero_free, tor)
-        for tor in itertools.product(*(range(m) for m in G.moduli))
-        if quot.project(GroupElement(zero_free, tor)) == q_id
-    )
-    if len(subgroup) != order:
+    # H is the closure of its generators; sorted, it lists H in coordinate order.
+    step = adder(G)
+    frontier = [identity(G)]
+    closure = set(frontier)
+    while frontier:
+        x = frontier.pop()
+        for h in gens:
+            y = step(x, h)
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    if len(closure) != order:
         raise AssertionError(
-            f"subgroup enumeration found {len(subgroup)} elements, expected {order}"
+            f"subgroup closure found {len(closure)} elements, expected {order}"
         )
-    return Quotient(G, qspec, order, subgroup, transform, inverse, divisors, kept)
+    return Quotient(G, qspec, order, tuple(sorted(closure)), transform, inverse, divisors, kept)
 
-
-def group_elements(G: GroupSpec) -> Iterable[GroupElement]:
-    """All elements of a finite group (rank must be 0)."""
-    if G.rank != 0:
-        raise ShapeMismatch("cannot enumerate an infinite group")
-    for tor in itertools.product(*(range(m) for m in G.moduli)):
-        yield GroupElement((), tor)
-
-
-Projection = Callable[[GroupElement], GroupElement]

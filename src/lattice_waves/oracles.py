@@ -12,11 +12,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, zip_longest
 from math import lcm, pi
+from typing import Callable, Iterator
 
 from .cosets import CosetProblem
 from .errors import CosetInconstant, GroupMismatch, TorsionUnsupported
-from .functions import SupportedFunction
+from .functions import SupportedFunction, add
 from .groups import GeneratorSet, GroupElement, adder
 from .tree import TreeFunction, neighbors
 
@@ -89,14 +91,34 @@ def cayley_wave_trajectory(
     f: SupportedFunction, g: SupportedFunction, S: GeneratorSet, n: int
 ) -> list[SupportedFunction]:
     """u(.,0) .. u(.,n) by direct stepping, seeded by u0 = f, u1 = f + g."""
-    from .functions import add
+    return list(islice(trajectory(cayley_wave_step, f, g, S), n + 1))
 
-    traj = [f]
-    if n >= 1:
-        traj.append(add(f, g))
-    while len(traj) <= n:
-        traj.append(cayley_wave_step(traj[-2], traj[-1], S))
-    return traj[: n + 1]
+
+def trajectory(step: Callable, f, g, *args) -> Iterator:
+    """The states u(., 0), u(., 1), ... of one recurrence, each stepped when read.
+
+    With g None, ``step`` is a heat stepper: u(., n+1) = step(u(., n), *args)
+    from u(., 0) = f.  Otherwise it is a wave stepper: u(., 0) = f,
+    u(., 1) = f + g and u(., n+2) = step(u(., n), u(., n+1), *args).  f and g
+    are both group functions, tree functions or radial profiles (lists).
+    """
+    if g is None:
+        while True:
+            yield f
+            f = step(f, *args)
+    yield f
+    prev, curr = f, _plus(f, g)
+    while True:
+        yield curr
+        prev, curr = curr, step(prev, curr, *args)
+
+
+def _plus(f, g):
+    if isinstance(f, list):
+        return [a + b for a, b in zip_longest(f, g, fillvalue=Fraction(0))]
+    if isinstance(f, TreeFunction):
+        return TreeFunction(f.k, {x: f(x) + g(x) for x in f.support() | g.support()})
+    return add(f, g)
 
 
 def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
@@ -228,18 +250,6 @@ def path_step_heat(u: PathProfile, k: int) -> PathProfile:
     for r, v in u.values.items():
         out[r] = out.get(r, Fraction(0)) - (k - 1) * v
         # v at r feeds (k-1)*v to r-1 (as u(r+1) seen from r-1) and v to r+1.
-        out[r - 1] = out.get(r - 1, Fraction(0)) + (k - 1) * v
-        out[r + 1] = out.get(r + 1, Fraction(0)) + v
-    return PathProfile(out)
-
-
-def path_step_wave(u_prev: PathProfile, u_curr: PathProfile, k: int) -> PathProfile:
-    """u(r, n+2) = 2 u(r, n+1) - (k+1) u(r, n) + (k-1) u(r+1, n) + u(r-1, n)."""
-    out: dict[int, Fraction] = {}
-    for r, v in u_curr.values.items():
-        out[r] = out.get(r, Fraction(0)) + 2 * v
-    for r, v in u_prev.values.items():
-        out[r] = out.get(r, Fraction(0)) - (k + 1) * v
         out[r - 1] = out.get(r - 1, Fraction(0)) + (k - 1) * v
         out[r + 1] = out.get(r + 1, Fraction(0)) + v
     return PathProfile(out)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Iterable
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, ZeroDenominator
 from .functions import SupportedFunction
-from .groups import GroupElement, GroupSpec, make_element, make_group
+from .groups import GroupElement, GroupSpec, Quotient, make_element, make_group
 from .tree import TreeFunction, TreeVertex, make_vertex
 
 
@@ -42,8 +42,37 @@ def _rat_to_json(v: Fraction) -> dict:
     return {"num": str(v.numerator), "den": str(v.denominator)}
 
 
-def _rat_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
+def _rational(num, den) -> Fraction:
+    """The rational num/den from decimal strings or ints; a zero den is rejected."""
+    den = int(den)
+    if den == 0:
+        raise ZeroDenominator(f"zero denominator in the rational {num}/{den}")
+    return Fraction(int(num), den)
+
+
+def _summed_rows(rows: Iterable[dict] | None, parse: Callable) -> dict:
+    """Value rows {"elem", "num", "den"} keyed by parse(elem); rows at one key add up."""
+    entries: dict = {}
+    for row in rows or ():
+        x = parse(row["elem"])
+        entries[x] = entries.get(x, Fraction(0)) + _rational(row["num"], row["den"])
+    return entries
+
+
+def function_from_rows(G: GroupSpec, rows: Iterable[dict] | None) -> SupportedFunction:
+    return SupportedFunction(G, _summed_rows(rows, lambda e: element_from_json(G, e)))
+
+
+def tree_function_from_rows(k: int, rows: Iterable[dict] | None) -> TreeFunction:
+    return TreeFunction(k, _summed_rows(rows, lambda e: make_vertex(e, k)))
+
+
+def quotient_function_from_rows(quot: Quotient, rows: Iterable[dict] | None) -> SupportedFunction:
+    """A function on the quotient from rows at base-group representatives, one per coset."""
+    entries = _summed_rows(rows, lambda e: quot.project(element_from_json(quot.base, e)))
+    if len(entries) != len(rows or ()):
+        raise ShapeMismatch("two representatives of the same coset given")
+    return SupportedFunction(quot.group, entries)
 
 
 def function_to_json(f: SupportedFunction) -> dict:
@@ -59,11 +88,7 @@ def function_to_json(f: SupportedFunction) -> dict:
 def function_from_json(obj: dict, G: GroupSpec | None = None) -> SupportedFunction:
     if G is None:
         G = group_from_json(obj["group"])
-    entries = {}
-    for row in obj.get("values", []):
-        x = element_from_json(G, row["elem"])
-        entries[x] = entries.get(x, Fraction(0)) + _rat_from_json(row)
-    return SupportedFunction(G, entries)
+    return function_from_rows(G, obj.get("values"))
 
 
 def tree_function_to_json(f: TreeFunction) -> dict:
@@ -79,11 +104,7 @@ def tree_function_to_json(f: TreeFunction) -> dict:
 def tree_function_from_json(obj: dict, k: int | None = None) -> TreeFunction:
     if k is None:
         k = int(obj["k"])
-    entries = {}
-    for row in obj.get("values", []):
-        x = make_vertex(row["elem"], k)
-        entries[x] = entries.get(x, Fraction(0)) + _rat_from_json(row)
-    return TreeFunction(k, entries)
+    return tree_function_from_rows(k, obj.get("values"))
 
 
 def element_label(a: GroupElement) -> str:
@@ -106,46 +127,37 @@ def vertex_from_label(k: int, label: str) -> TreeVertex:
     return make_vertex([int(v) for v in label.split(";")] if label else [], k)
 
 
-def function_to_csv(f: SupportedFunction, header: dict[str, Any]) -> str:
-    """CSV with a leading comment line recording the run parameters."""
+def _to_csv(entries: dict, label: Callable, header: dict[str, Any]) -> str:
+    """CSV with a leading comment line recording the run parameters, rows in key order."""
     buf = io.StringIO()
     buf.write("# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n")
     writer = csv.writer(buf)
     writer.writerow(["vertex", "num", "den"])
-    for x, v in sorted(f.entries.items(), key=lambda kv: (kv[0].free, kv[0].torsion)):
-        writer.writerow([element_label(x), v.numerator, v.denominator])
+    for x, v in sorted(entries.items()):
+        writer.writerow([label(x), v.numerator, v.denominator])
     return buf.getvalue()
+
+
+def _from_csv(text: str, parse_label: Callable) -> dict:
+    rows = [line for line in text.splitlines() if line and not line.startswith("#")]
+    reader = csv.reader(rows)
+    header = next(reader)
+    if header != ["vertex", "num", "den"]:
+        raise ShapeMismatch(f"unexpected CSV header {header}")
+    return {parse_label(label): _rational(num, den) for label, num, den in reader}
+
+
+def function_to_csv(f: SupportedFunction, header: dict[str, Any]) -> str:
+    return _to_csv(f.entries, element_label, header)
 
 
 def function_from_csv(text: str, G: GroupSpec) -> SupportedFunction:
-    entries = {}
-    rows = [line for line in text.splitlines() if line and not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header != ["vertex", "num", "den"]:
-        raise ShapeMismatch(f"unexpected CSV header {header}")
-    for label, num, den in reader:
-        entries[element_from_label(G, label)] = Fraction(int(num), int(den))
-    return SupportedFunction(G, entries)
+    return SupportedFunction(G, _from_csv(text, lambda label: element_from_label(G, label)))
 
 
 def tree_function_to_csv(f: TreeFunction, header: dict[str, Any]) -> str:
-    buf = io.StringIO()
-    buf.write("# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n")
-    writer = csv.writer(buf)
-    writer.writerow(["vertex", "num", "den"])
-    for x, v in sorted(f.entries.items()):
-        writer.writerow([vertex_label(x), v.numerator, v.denominator])
-    return buf.getvalue()
+    return _to_csv(f.entries, vertex_label, header)
 
 
 def tree_function_from_csv(text: str, k: int) -> TreeFunction:
-    entries = {}
-    rows = [line for line in text.splitlines() if line and not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header != ["vertex", "num", "den"]:
-        raise ShapeMismatch(f"unexpected CSV header {header}")
-    for label, num, den in reader:
-        entries[vertex_from_label(k, label)] = Fraction(int(num), int(den))
-    return TreeFunction(k, entries)
+    return TreeFunction(k, _from_csv(text, lambda label: vertex_from_label(k, label)))

@@ -214,6 +214,8 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     vertex at distance s.  For k = 2 the table reproduces the kernel on Z
     grouped as K_n(s) + K_n(-s).
     """
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
     row = [Fraction(1)]
     for _ in range(n):
         row = _advance_row(row, k)
@@ -229,6 +231,8 @@ def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
     floor(n/2) (resp. floor((n-1)/2)) in the Laplacian applied to f (resp.
     g), and the radialized Laplacian moves mass one radius per application.
     """
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
     if n == 0:
         return WeightTable(k, 0, [Fraction(1)]), WeightTable(k, 0, [])
     f_prev, f_curr = [Fraction(1)], [Fraction(1)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice
 
 from . import cayley, cosets, oracles, randgen, tree
 from .functions import trivial_character_sum
@@ -38,11 +38,10 @@ def check_cayley_heat(rng: random.Random, instances: int, max_n: int) -> CheckRe
         _, G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
         S = randgen.random_symmetric_generators(rng, G)
         f = randgen.random_function(rng, G)
-        u = f
-        for n in range(max_n + 1):
+        traj = oracles.trajectory(oracles.cayley_heat_step, f, None, S)
+        for n, u in enumerate(islice(traj, max_n + 1)):
             if cayley.heat_solve(f, S, n) != u:
                 return CheckResult("cayley-heat-oracle", False, cases, f"mismatch at n={n}")
-            u = oracles.cayley_heat_step(u, S)
             cases += 1
     return CheckResult("cayley-heat-oracle", True, cases)
 
@@ -54,8 +53,8 @@ def check_cayley_wave(rng: random.Random, instances: int, max_n: int) -> CheckRe
         S = randgen.random_symmetric_generators(rng, G)
         f = randgen.random_function(rng, G)
         g = randgen.random_zero_mean_function(rng, G)
-        traj = oracles.cayley_wave_trajectory(f, g, S, max_n)
-        for n, expected in enumerate(traj):
+        traj = oracles.trajectory(oracles.cayley_wave_step, f, g, S)
+        for n, expected in enumerate(islice(traj, max_n + 1)):
             if cayley.wave_solve(f, g, S, n) != expected:
                 return CheckResult("cayley-wave-oracle", False, cases, f"mismatch at n={n}")
             cases += 1
@@ -108,12 +107,11 @@ def check_coset_equivalence(rng: random.Random, instances: int, max_n: int) -> C
     for i in range(instances):
         P = _coset_fixture(i % 3)
         f = randgen.random_function(rng, P.quotient_group, max_points=4)
-        lifted = cosets.lift(f, P)
-        for n in range(max_n + 1):
+        traj = oracles.trajectory(oracles.lifted_coset_heat_step, cosets.lift(f, P), None, P)
+        for n, lifted in enumerate(islice(traj, max_n + 1)):
             u = cosets.coset_heat_solve(f, P, n)
             if cosets.lift(u, P) != lifted:
                 return CheckResult("coset-heat-lift", False, cases, f"mismatch at n={n}")
-            lifted = oracles.lifted_coset_heat_step(lifted, P)
             cases += 1
     return CheckResult("coset-heat-lift", True, cases)
 
@@ -129,21 +127,20 @@ def check_tree_heat(rng: random.Random, instances: int, max_n: int) -> CheckResu
         k = (2, 3, 4, 5)[i % 4]
         f = randgen.random_tree_function(rng, k)
         eval_at = [tree.ROOT] + sorted(f.support())[:2]
-        profiles = {x: tree.path_reduce(f, x) or [Fraction(0)] for x in eval_at}
-        u = f
-        for n in range(min(max_n, _TREE_N_CAP[k]) + 1):
+        starts = [tree.path_reduce(f, x) or [Fraction(0)] for x in eval_at]
+        radial = [oracles.trajectory(oracles.radial_step_heat, p, None, k) for p in starts]
+        traj = zip(oracles.trajectory(oracles.tree_step_heat, f, None), *radial)
+        for n, (u, *profiles) in enumerate(islice(traj, min(max_n, _TREE_N_CAP[k]) + 1)):
             closed = tree.tree_heat_solve(f, n, eval_at)
-            for x in eval_at:
+            for x, profile in zip(eval_at, profiles):
                 if closed(x) != u(x):
                     return CheckResult(
                         "tree-heat-triple", False, cases, f"stepping mismatch n={n}"
                     )
-                if profiles[x][0] != u(x):
+                if profile[0] != u(x):
                     return CheckResult(
                         "tree-heat-triple", False, cases, f"radial mismatch n={n}"
                     )
-            u = oracles.tree_step_heat(u)
-            profiles = {x: oracles.radial_step_heat(p, k) for x, p in profiles.items()}
             cases += 1
     return CheckResult("tree-heat-triple", True, cases)
 
@@ -161,21 +158,11 @@ def check_tree_wave(rng: random.Random, instances: int, max_n: int) -> CheckResu
         horizon = min(max_n, _TREE_N_CAP[k])
         pf = tree.path_reduce(f, x) or [Fraction(0)]
         pg = tree.path_reduce(g, x) or [Fraction(0)]
-        prev_p = pf
-        curr_p = [
-            a + b for a, b in zip_longest(pf, pg, fillvalue=Fraction(0))
-        ]
-        u_prev = f
-        u_curr = tree.TreeFunction(k, {y: f(y) + g(y) for y in f.support() | g.support()})
-        for n in range(horizon + 1):
-            if n == 0:
-                want, prof = u_prev, prev_p
-            elif n == 1:
-                want, prof = u_curr, curr_p
-            else:
-                u_prev, u_curr = u_curr, oracles.tree_step_wave(u_prev, u_curr)
-                prev_p, curr_p = curr_p, oracles.radial_step_wave(prev_p, curr_p, k)
-                want, prof = u_curr, curr_p
+        traj = zip(
+            oracles.trajectory(oracles.tree_step_wave, f, g),
+            oracles.trajectory(oracles.radial_step_wave, pf, pg, k),
+        )
+        for n, (want, prof) in enumerate(islice(traj, horizon + 1)):
             closed = tree.tree_wave_solve(f, g, n, [x])
             if closed(x) != want(x):
                 return CheckResult(

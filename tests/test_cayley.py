@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lattice_waves import cayley, oracles, randgen
-from lattice_waves.errors import NotSolvable, TorsionUnsupported
+from lattice_waves import cayley, oracles, randgen, tree
+from lattice_waves.errors import IndexOutOfRange, NotSolvable, TorsionUnsupported
 from lattice_waves.functions import (
     delta,
     make_function,
@@ -136,3 +136,30 @@ class TestSymbol:
 def test_ball_word_metric():
     B = cayley.ball(Z, z_gens(), 3)
     assert sorted(x.free[0] for x in B) == list(range(-3, 4))
+
+
+_DELTA_TREE = tree.TreeFunction(3, {(): 1})
+_NEGATIVE_N_CALLS = {
+    "heat_kernel": lambda n: cayley.heat_kernel(Z, z_gens(), n),
+    "heat_kernel_binomial": lambda n: cayley.heat_kernel_binomial(Z, z_gens(), n),
+    "wave_kernels": lambda n: cayley.wave_kernels(Z, z_gens(), n),
+    "heat_solve": lambda n: cayley.heat_solve(delta(Z, identity(Z)), z_gens(), n),
+    "wave_solve": lambda n: cayley.wave_solve(
+        delta(Z, identity(Z)), make_function(Z, {}), z_gens(), n
+    ),
+    "tree_heat_weights": lambda n: tree.tree_heat_weights(3, n),
+    "tree_wave_weights": lambda n: tree.tree_wave_weights(3, n),
+    "tree_heat_solve": lambda n: tree.tree_heat_solve(_DELTA_TREE, n, [()]),
+    "tree_wave_solve": lambda n: tree.tree_wave_solve(
+        _DELTA_TREE, tree.TreeFunction(3, {}), n, [()]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEGATIVE_N_CALLS))
+def test_negative_time_index_rejected(name):
+    call = _NEGATIVE_N_CALLS[name]
+    call(0)
+    for n in (-1, -2):
+        with pytest.raises(IndexOutOfRange):
+            call(n)

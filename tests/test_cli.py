@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lattice_waves import cli, serialize
 from lattice_waves.groups import make_group
 
@@ -32,6 +34,21 @@ def tree_problem(kind="tree-heat", n=2):
     if kind == "tree-wave":
         obj["g"] = []
     return obj
+
+
+COSET_PROBLEM = {
+    "kind": "coset-heat",
+    "group": {"rank": 1, "moduli": [4]},
+    "subgroup_gens": [{"free": [0], "torsion": [2]}],
+    "S": [
+        {"free": [1], "torsion": [0]},
+        {"free": [-1], "torsion": [0]},
+        {"free": [0], "torsion": [1]},
+        {"free": [0], "torsion": [3]},
+    ],
+    "f": [{"elem": {"free": [0], "torsion": [0]}, "num": "1", "den": "1"}],
+    "n": 3,
+}
 
 
 class TestRun:
@@ -80,20 +97,7 @@ class TestRun:
         assert f(()) == 7 and f((1,)) == -4
 
     def test_coset_heat_runs(self, tmp_path, capsys):
-        obj = {
-            "kind": "coset-heat",
-            "group": {"rank": 1, "moduli": [4]},
-            "subgroup_gens": [{"free": [0], "torsion": [2]}],
-            "S": [
-                {"free": [1], "torsion": [0]},
-                {"free": [-1], "torsion": [0]},
-                {"free": [0], "torsion": [1]},
-                {"free": [0], "torsion": [3]},
-            ],
-            "f": [{"elem": {"free": [0], "torsion": [0]}, "num": "1", "den": "1"}],
-            "n": 3,
-        }
-        problem = write_problem(tmp_path, obj)
+        problem = write_problem(tmp_path, COSET_PROBLEM)
         assert cli.main(["coset-heat", "--problem", problem]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "H_order=2" in header
@@ -182,6 +186,39 @@ class TestErrors:
     def test_negative_n_rejected(self, tmp_path):
         problem = write_problem(tmp_path, heat_problem())
         assert cli.main(["heat", "--problem", problem, "--n", "-1"]) == 1
+
+    def test_zero_denominator_exit_1(self, tmp_path, capsys):
+        obj = heat_problem()
+        obj["f"][0]["den"] = "0"
+        problem = write_problem(tmp_path, obj)
+        assert cli.main(["heat", "--problem", problem]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ZERO_DENOMINATOR"
+
+    @pytest.mark.parametrize(
+        "obj, argv",
+        [
+            (heat_problem(), ["compare", "--n", "-3"]),
+            (dict(heat_problem(), kind="kernel", role="wave-f"), ["kernel", "--n", "-1"]),
+            (dict(heat_problem(), kind="kernel"), ["compare", "--n", "-1"]),
+            (dict(heat_problem(), kind="wave", g=[]), ["wave", "--n", "-1"]),
+            (COSET_PROBLEM, ["coset-heat", "--n", "-1"]),
+            (tree_problem(), ["tree-heat", "--n", "-1"]),
+            (tree_problem("tree-wave"), ["compare", "--n", "-2"]),
+            (tree_problem("tree-wave"), ["tree-wave", "--n", "-2"]),
+            ({"kind": "weights", "k": 3, "which": "wave", "n": 2}, ["weights", "--n", "-1"]),
+            (
+                dict(tree_problem(), eval={"ball": {"center": [], "radius": -1}}),
+                ["tree-heat"],
+            ),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_negative_time_or_radius_exit_1(self, tmp_path, capsys, obj, argv):
+        problem = write_problem(tmp_path, obj)
+        assert cli.main([argv[0], "--problem", problem, *argv[1:]]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "INDEX_OUT_OF_RANGE"
 
     def test_threads_env_validated(self, tmp_path, monkeypatch, capsys):
         problem = write_problem(tmp_path, heat_problem())

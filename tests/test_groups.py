@@ -1,5 +1,11 @@
 """Group model: elements, generating sets, quotients."""
 
+import itertools
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +17,11 @@ from lattice_waves.errors import (
     NotSymmetric,
     ShapeMismatch,
 )
+import lattice_waves
 from lattice_waves.groups import (
+    GroupElement,
+    Quotient,
+    _smith,
     adder,
     elem_add,
     elem_neg,
@@ -186,3 +196,124 @@ class TestQuotient:
             assert Q.order == 2
             assert Q.group.rank == 1
             assert tuple(Q.group.moduli) == (2,)
+
+
+def _random_generator_rows(rng, G):
+    """Rows of the generation test: random elements of G, then the torsion relations."""
+    rows = [
+        [rng.randint(-6, 6) for _ in range(G.rank)] + [rng.randrange(m) for m in G.moduli]
+        for _ in range(rng.randint(1, 4))
+    ]
+    for i, m in enumerate(G.moduli):
+        rows.append([0] * G.rank + [m * (i == j) for j in range(len(G.moduli))])
+    return rows
+
+
+def _random_torsion_group(rng):
+    moduli = [rng.choice([2, 3, 4, 6, 8, 9, 12, 16]) for _ in range(rng.randint(1, 3))]
+    return make_group(rng.randint(0, 2), moduli)
+
+
+class TestSmithNormalForm:
+    """The built-in Smith normal form against the reference implementation.
+
+    Quotient coordinates are part of the CLI output, so the transform must
+    equal the reference's step for step, not merely be some valid one.
+    """
+
+    def test_invariant_factors_match_reference(self):
+        pytest.importorskip("sympy")
+        from sympy import Matrix
+        from sympy.matrices.normalforms import invariant_factors
+        from sympy.polys.domains import ZZ
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.matrices.normalforms import smith_normal_decomp
+
+        rng = random.Random(20261018)
+        zeros = 0
+        for _ in range(400):
+            G = _random_torsion_group(rng) if rng.random() < 0.7 else make_group(3, [])
+            rows = _random_generator_rows(rng, G)
+            if G.rank and rng.random() < 0.3:
+                # A free coordinate no generator moves: rank deficient.
+                j = rng.randrange(G.rank)
+                for row in rows:
+                    row[j] = 0
+            if rng.random() < 0.2:
+                rows.insert(0, [0] * len(rows[0]))
+            factors, T, T_inv = _smith(rows)
+            assert factors == tuple(int(d) for d in invariant_factors(Matrix(rows)))
+            zeros += 0 in factors
+            # Zero pivots and row swaps occur only in these shapes, so check T here too.
+            V = smith_normal_decomp(DomainMatrix.from_Matrix(Matrix(rows)).convert_to(ZZ))[2]
+            assert Matrix(T) == V.to_Matrix()
+            assert Matrix(T) * Matrix(T_inv) == Matrix.eye(len(T))
+        assert zeros > 20
+
+    def test_quotient_fields_match_reference(self):
+        pytest.importorskip("sympy")
+        from sympy import Matrix
+        from sympy.polys.domains import ZZ
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.matrices.normalforms import smith_normal_decomp
+
+        rng = random.Random(4)
+        for _ in range(300):
+            G = _random_torsion_group(rng)
+            t = len(G.moduli)
+            gens = [
+                make_element(G, [0] * G.rank, [rng.randrange(m) for m in G.moduli])
+                for _ in range(rng.randint(0, 3))
+            ]
+            rows = [[m * (i == j) for j in range(t)] for i, m in enumerate(G.moduli)]
+            rows += [list(h.torsion) for h in gens]
+            S, _U, V = smith_normal_decomp(DomainMatrix.from_Matrix(Matrix(rows)).convert_to(ZZ))
+            S, V = S.to_Matrix(), V.to_Matrix()
+            divisors = tuple(abs(int(S[i, i])) for i in range(t))
+            transform = tuple(tuple(int(V[i, j]) for j in range(t)) for i in range(t))
+
+            factors, T, T_inv = _smith(rows)
+            assert (factors, T) == (divisors, transform)
+            assert Matrix(T) * Matrix(T_inv) == Matrix.eye(t)
+
+            Q = quotient(G, gens)
+            order = 1
+            for m in G.moduli:
+                order *= m
+            for d in divisors:
+                order //= d
+            assert Q.order == order
+            if order == 1:
+                continue
+            V_inv = V.inv()
+            kept = tuple(i for i, d in enumerate(divisors) if d >= 2)
+            assert Q.group == make_group(G.rank, [divisors[i] for i in kept])
+            assert (Q._divisors, Q._kept, Q._transform) == (divisors, kept, transform)
+            assert Q._inverse_transform == tuple(
+                tuple(int(V_inv[i, j]) for j in range(t)) for i in range(t)
+            )
+            # H is the kernel of the projection, listed in coordinate order.
+            zero = (0,) * G.rank
+            assert Q.subgroup == tuple(
+                GroupElement(zero, tor)
+                for tor in itertools.product(*(range(m) for m in G.moduli))
+                if Q.project(GroupElement(zero, tor)) == identity(Q.group)
+            )
+
+    def test_quotient_builds_h_without_enumerating_the_group(self, monkeypatch):
+        calls = []
+        project = Quotient.project
+        monkeypatch.setattr(
+            Quotient, "project", lambda self, a: calls.append(a) or project(self, a)
+        )
+        G = make_group(0, [400, 400])
+        Q = quotient(G, [make_element(G, [], [200, 0])])
+        assert Q.order == 2
+        assert Q.subgroup == (make_element(G, [], [0, 0]), make_element(G, [], [200, 0]))
+        assert len(calls) < 10
+
+    def test_cli_import_does_not_load_sympy(self):
+        src = os.path.dirname(os.path.dirname(lattice_waves.__file__))
+        code = "import sys, lattice_waves.cli; assert 'sympy' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

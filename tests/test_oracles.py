@@ -4,6 +4,7 @@ import ast
 import inspect
 import random
 from fractions import Fraction
+from itertools import islice, zip_longest
 
 from lattice_waves import cayley, oracles, randgen, tree
 from lattice_waves.functions import add, scale
@@ -119,6 +120,24 @@ class TestPathSteppers:
                 assert prof[0] == u(tree.ROOT)
                 prof = oracles.radial_step_heat(prof, k)
                 u = oracles.tree_step_heat(u)
+
+    def test_trajectory_steps_each_state_type(self):
+        rng = random.Random(23)
+        k = 3
+        f = randgen.random_tree_function(rng, k, max_radius=2, max_points=4)
+        g = randgen.random_tree_function(rng, k, max_radius=2, max_points=4)
+        pf, pg = tree.path_reduce(f, tree.ROOT), tree.path_reduce(g, tree.ROOT)
+        heat = list(islice(oracles.trajectory(oracles.tree_step_heat, f, None), 4))
+        assert heat[0] == f and heat[3] == oracles.tree_step_heat(
+            oracles.tree_step_heat(oracles.tree_step_heat(f))
+        )
+        u1 = tree.TreeFunction(k, {x: f(x) + g(x) for x in f.support() | g.support()})
+        wave = list(islice(oracles.trajectory(oracles.tree_step_wave, f, g), 4))
+        assert wave[:2] == [f, u1]
+        assert wave[3] == oracles.tree_step_wave(u1, oracles.tree_step_wave(f, u1))
+        p1 = [a + b for a, b in zip_longest(pf, pg, fillvalue=Fraction(0))]
+        radial = list(islice(oracles.trajectory(oracles.radial_step_wave, pf, pg, k), 3))
+        assert radial == [pf, p1, oracles.radial_step_wave(pf, p1, k)]
 
     def test_free_and_radial_differ_beyond_n1_for_k3(self):
         # The free full-line recurrence does not preserve evenness, so its

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_waves import randgen, serialize
-from lattice_waves.errors import ShapeMismatch
+from lattice_waves.errors import ShapeMismatch, ZeroDenominator
 from lattice_waves.functions import SupportedFunction
 from lattice_waves.groups import make_element, make_group
 from lattice_waves.tree import TreeFunction
@@ -54,6 +54,15 @@ class TestFunctionRoundTrips:
     def test_csv_header_validated(self):
         with pytest.raises(ShapeMismatch):
             serialize.function_from_csv("a,b\n1,2\n", Z)
+
+    def test_zero_denominator_rejected(self):
+        row = {"elem": {"free": [0], "torsion": []}, "num": "1", "den": "0"}
+        with pytest.raises(ZeroDenominator):
+            serialize.function_from_json({"values": [row]}, Z)
+        with pytest.raises(ZeroDenominator):
+            serialize.tree_function_from_json({"k": 3, "values": [{**row, "elem": []}]})
+        with pytest.raises(ZeroDenominator):
+            serialize.function_from_csv("vertex,num,den\n0,1,0\n", Z)
 
     def test_tree_json_round_trip(self):
         rng = random.Random(1)
