@@ -24,7 +24,7 @@ from .functions import (
     delta,
     scale,
     trivial_character_sum,
-    zero,
+    unit,
 )
 from .groups import GeneratorSet, GroupElement, GroupSpec, adder, identity
 
@@ -44,16 +44,21 @@ class Kernel:
     n: int
 
 
+def _symbol(G: GroupSpec, S: GeneratorSet, center: int, each: int) -> SupportedFunction:
+    """The integer function center*delta_e + each*sum_{s in S} delta_s, zeros dropped."""
+    out = {identity(G): center}
+    for s in S.elements:
+        out[s] = out.get(s, 0) + each
+    return SupportedFunction.trusted(G, {x: v for x, v in out.items() if v})
+
+
 def inverse_symbol_a(G: GroupSpec, S: GeneratorSet) -> SupportedFunction:
     """The Laplacian symbol pulled back to the group: k*delta_e - sum_{s in S} delta_s.
 
     Its total mass is 0, reflecting that the symbol vanishes at the
     trivial character.
     """
-    out = {identity(G): Fraction(S.degree)}
-    for s in S.elements:
-        out[s] = out.get(s, Fraction(0)) - 1
-    return SupportedFunction(G, out)
+    return _symbol(G, S, S.degree, -1)
 
 
 def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
@@ -61,13 +66,12 @@ def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
 
     The binomial-sum construction sum_j (-1)^j C(n,j) A^{*j} is the same
     function; ``heat_kernel_binomial`` computes it literally for
-    cross-checking.
+    cross-checking.  delta_e - A is the one heat step
+    (1-k)*delta_e + sum_s delta_s, so the kernel is built in ``int``.
     """
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    A = inverse_symbol_a(G, S)
-    base = add(delta(G), scale(A, -1))
-    return Kernel(convolve_power(base, n), KernelRole.HEAT, n)
+    return Kernel(convolve_power(_symbol(G, S, 1 - S.degree, 1), n), KernelRole.HEAT, n)
 
 
 def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
@@ -84,29 +88,24 @@ def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
 
 
 def wave_kernels(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]:
-    """Wave propagators (F_n, G_n): even/odd binomial sums of symbol powers."""
+    """Wave propagators F_n = sum_i (-1)^i C(n,2i) A^{*i} and G_n = sum_i (-1)^i C(n,2i+1) A^{*i}."""
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
     A = inverse_symbol_a(G, S)
-    f_total = zero(G)
-    g_total = zero(G)
-    power = delta(G)
-    i = 0
-    while 2 * i <= n:
-        c_even = comb(n, 2 * i)
-        c_odd = comb(n, 2 * i + 1)
-        sign = (-1) ** i
-        if c_even:
-            f_total = add(f_total, scale(power, Fraction(sign * c_even)))
-        if c_odd:
-            g_total = add(g_total, scale(power, Fraction(sign * c_odd)))
-        i += 1
-        if 2 * i <= n:
+    f_total: dict[GroupElement, int] = {}
+    g_total: dict[GroupElement, int] = {}
+    power = unit(G)
+    for i in range(n // 2 + 1):
+        if i:
             power = convolve(power, A)
-    return (
-        Kernel(f_total, KernelRole.WAVE_F, n),
-        Kernel(g_total, KernelRole.WAVE_G, n),
-    )
+        sign = (-1) ** i
+        for total, c in ((f_total, comb(n, 2 * i)), (g_total, comb(n, 2 * i + 1))):
+            if c:
+                for x, v in power.entries.items():
+                    total[x] = total.get(x, 0) + sign * c * v
+    F = SupportedFunction.trusted(G, {x: v for x, v in f_total.items() if v})
+    Gk = SupportedFunction.trusted(G, {x: v for x, v in g_total.items() if v})
+    return Kernel(F, KernelRole.WAVE_F, n), Kernel(Gk, KernelRole.WAVE_G, n)
 
 
 def heat_solve(f: SupportedFunction, S: GeneratorSet, n: int) -> SupportedFunction:
@@ -120,13 +119,14 @@ def wave_solve(
     """Solution of the wave equation at time n; requires g to have zero total mass."""
     if f.group != g.group:
         raise GroupMismatch("initial value and initial velocity live on different groups")
+    # Kernels first: they reject a negative n before g's mass is looked at.
+    Fn, Gn = wave_kernels(f.group, S, n)
     mass = trivial_character_sum(g)
     if mass != 0:
         raise NotSolvable(
             f"wave equation unsolvable: initial velocity has total mass {mass}",
             detail=mass,
         )
-    Fn, Gn = wave_kernels(f.group, S, n)
     return add(convolve(Fn.data, f), convolve(Gn.data, g))
 
 

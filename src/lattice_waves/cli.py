@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -83,7 +82,7 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
 def _solve(instance: dict, n: int):
     """Run the closed-form solver for a solver-kind instance.
 
-    Returns (result, header, kind_tag); result is a SupportedFunction or
+    Returns (result, header); result is a SupportedFunction or
     TreeFunction.
     """
     kind = instance["kind"]
@@ -132,16 +131,17 @@ def build_coset(instance: dict) -> cosets.CosetProblem:
     return cosets.build_coset_problem(G, H, S)
 
 
-def _emit(result, header, out_path):
-    if isinstance(result, tree.TreeFunction):
-        text = tree_function_to_csv(result, header)
-    else:
-        text = function_to_csv(result, header)
+def _write(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(result, header, out_path):
+    to_csv = tree_function_to_csv if isinstance(result, tree.TreeFunction) else function_to_csv
+    _write(to_csv(result, header), out_path)
 
 
 def _oracle_solution(instance: dict, n: int):
@@ -217,12 +217,7 @@ def cmd_run(args) -> int:
         for tag, table in tables:
             for s, w in enumerate(table.weights):
                 lines.append(f"{tag},{s},{w.numerator},{w.denominator}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
         return EXIT_OK
 
     if kind not in SOLVER_KINDS:
@@ -252,14 +247,6 @@ def cmd_compare(args) -> int:
     if kind not in SOLVER_KINDS:
         raise ShapeMismatch(f"kind {kind!r} cannot be compared")
     closed, _header = _solve(instance, n)
-    if os.environ.get("LATTICE_WAVES_FAULT"):
-        # Self-test hook: corrupt one value so the harness must report a diff.
-        entries = dict(closed.entries)
-        if entries:
-            x = next(iter(entries))
-            entries[x] = -entries[x]
-        closed = type(closed)(closed.k, entries) if isinstance(closed, tree.TreeFunction) \
-            else SupportedFunction(closed.group, entries)
     oracle = _oracle_solution(instance, n)
     if kind in ("tree-heat", "tree-wave"):
         # The closed form is only evaluated on the requested window;
@@ -321,11 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("LATTICE_WAVES_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print(json.dumps({"error": "VALIDATION", "detail": "LATTICE_WAVES_THREADS must be a positive integer"}), file=sys.stderr)
-        return EXIT_VALIDATION
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

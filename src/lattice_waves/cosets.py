@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cayley import heat_solve, wave_solve
-from .errors import NotSolvable, SInsideH
-from .functions import SupportedFunction, trivial_character_sum
+from .errors import SInsideH
+from .functions import SupportedFunction
 from .groups import (
     GeneratorSet,
     GroupElement,
@@ -102,12 +102,6 @@ def coset_wave_solve(
     """Wave solution on the coset graph; the lifted velocity must have zero mass.
 
     The lift multiplies the total mass by |H|, so the condition on the
-    quotient is simply that g sums to zero.
+    quotient is simply that g sums to zero, which ``wave_solve`` checks.
     """
-    mass = trivial_character_sum(g)
-    if mass != 0:
-        raise NotSolvable(
-            f"coset wave equation unsolvable: initial velocity has total mass {mass}",
-            detail=mass,
-        )
     return wave_solve(f, g, P.S_tilde, n)

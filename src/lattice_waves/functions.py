@@ -18,10 +18,15 @@ from .groups import GroupElement, GroupSpec, adder, conforms, elem_neg, identity
 
 @dataclass
 class SupportedFunction:
-    """A finite map GroupElement -> Fraction over a fixed group."""
+    """A finite map GroupElement -> rational over a fixed group.
+
+    Values are non-zero ``int`` or ``Fraction``.  The public constructor
+    normalises every value to ``Fraction``; ``trusted`` keeps what it is
+    given, which lets integer kernels skip ``Fraction`` arithmetic.
+    """
 
     group: GroupSpec
-    entries: dict[GroupElement, Fraction] = field(default_factory=dict)
+    entries: dict[GroupElement, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
@@ -34,11 +39,12 @@ class SupportedFunction:
         self.entries = {x: v for x, v in clean.items() if v != 0}
 
     @classmethod
-    def trusted(cls, group: GroupSpec, entries: dict[GroupElement, Fraction]) -> SupportedFunction:
+    def trusted(cls, group: GroupSpec, entries: dict[GroupElement, int | Fraction]) -> SupportedFunction:
         """Wrap entries the program built itself, skipping the normalisation.
 
         Every key must already conform to ``group`` and every value must be
-        a non-zero ``Fraction``; the dict is taken over, not copied.
+        a non-zero ``int`` or ``Fraction``; the dict is taken over, not
+        copied.
         """
         f = object.__new__(cls)
         f.group = group
@@ -79,6 +85,11 @@ def delta(G: GroupSpec, x: GroupElement | None = None, value=1) -> SupportedFunc
     return SupportedFunction(G, {x: Fraction(value)})
 
 
+def unit(G: GroupSpec) -> SupportedFunction:
+    """The convolution unit delta_e, with the integer value 1."""
+    return SupportedFunction.trusted(G, {identity(G): 1})
+
+
 def _require_same_group(f: SupportedFunction, g: SupportedFunction) -> None:
     if f.group != g.group:
         raise GroupMismatch("functions live on different groups")
@@ -114,7 +125,8 @@ def convolve(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
 
     Direct sparse double loop over the two supports with hash
     accumulation.  Each operand is scaled by the lcm of its denominators,
-    so the loop adds plain integers and the result is divided once.
+    so the loop adds plain integers and the result is divided once; the
+    product of two integral functions keeps ``int`` values.
     """
     _require_same_group(f, g)
     G = f.group
@@ -128,12 +140,14 @@ def convolve(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
             x = elem_sum(y, z)
             out[x] = get(x, 0) + a * b
     d = df * dg
+    if d == 1:
+        return SupportedFunction.trusted(G, {x: v for x, v in out.items() if v})
     return SupportedFunction.trusted(G, {x: Fraction(v, d) for x, v in out.items() if v})
 
 
 def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:
     """n-fold convolution power by repeated squaring; n=0 gives delta_e."""
-    result = delta(f.group)
+    result = unit(f.group)
     base = f
     while n > 0:
         if n & 1:

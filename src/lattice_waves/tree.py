@@ -119,11 +119,7 @@ def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
 def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
     """Average of f over the sphere of radius |r| around x (even in r)."""
     r = abs(r)
-    total = Fraction(0)
-    for y, v in f.entries.items():
-        if tree_distance(x, y) == r:
-            total += v
-    return total / sphere_size(f.k, r)
+    return sphere_sums(f, x).get(r, Fraction(0)) / sphere_size(f.k, r)
 
 
 def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
@@ -164,7 +160,7 @@ class WeightTable:
         )
 
 
-def _advance_row(row: list[Fraction], k: int) -> list[Fraction]:
+def _advance_row(row: list[int], k: int) -> list[int]:
     """Advance the evaluation functional of the radialized heat step by one step.
 
     Radializing one tree heat step around the evaluation vertex gives the
@@ -172,9 +168,9 @@ def _advance_row(row: list[Fraction], k: int) -> list[Fraction]:
     profiles, where |r-1| encodes the even boundary M(-1) = M(1) that the
     spherical-mean reduction imposes at the center.  The value at the center
     after n steps is a linear functional of the initial profile; this
-    right-multiplies its coefficient row by the update matrix.
+    right-multiplies its integer coefficient row by the update matrix.
     """
-    out = [Fraction(0)] * (len(row) + 1)
+    out = [0] * (len(row) + 1)
     for r, c in enumerate(row):
         if not c:
             continue
@@ -187,22 +183,16 @@ def _advance_row(row: list[Fraction], k: int) -> list[Fraction]:
     return out
 
 
-def _wave_row_next(prev: list[Fraction], curr: list[Fraction], k: int) -> list[Fraction]:
-    # Dual form of u(n+2) = 2u(n+1) - u(n) - (Laplacian u)(n); the Laplacian
-    # row is prev minus the advanced prev, so the update is 2*curr - 2*prev
-    # plus the advanced prev.
-    out = _advance_row(prev, k)
-    for r, c in enumerate(prev):
-        out[r] -= 2 * c
-    for r, c in enumerate(curr):
-        out[r] += 2 * c
-    return out
+def _check_table_args(k: int, n: int) -> None:
+    if k < 2:
+        raise ShapeMismatch(f"tree degree k must be at least 2, got {k}")
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
 
 
-def _trim_row(row: list[Fraction], radius: int) -> list[Fraction]:
-    if any(row[radius + 1 :]):
-        raise AssertionError("weight row exceeds its guaranteed support radius")
-    return row[: radius + 1] + [Fraction(0)] * (radius + 1 - len(row))
+def _weights(row: list[int], k: int) -> list[Fraction]:
+    """Sphere weights from a coefficient row: entry s divided by the sphere size S(s)."""
+    return [Fraction(c, sphere_size(k, s)) for s, c in enumerate(row)]
 
 
 def tree_heat_weights(k: int, n: int) -> WeightTable:
@@ -214,37 +204,37 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     vertex at distance s.  For k = 2 the table reproduces the kernel on Z
     grouped as K_n(s) + K_n(-s).
     """
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    row = [Fraction(1)]
+    _check_table_args(k, n)
+    row = [1]
     for _ in range(n):
         row = _advance_row(row, k)
-    weights = [row[s] / sphere_size(k, s) for s in range(n + 1)]
-    return WeightTable(k, n, weights)
+    return WeightTable(k, n, _weights(row, k))
 
 
 def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
     """Wave sphere weights: the pair (initial-value table, initial-velocity table).
 
-    The first covers radii 0..floor(n/2), the second 0..floor((n-1)/2)
-    (empty for n = 0): the wave solution at time n is a polynomial of degree
-    floor(n/2) (resp. floor((n-1)/2)) in the Laplacian applied to f (resp.
-    g), and the radialized Laplacian moves mass one radius per application.
+    The propagators are the binomial sums of ``cayley.wave_kernels`` in the
+    radialized Laplacian L:  F_n = sum_i (-1)^i C(n,2i) L^i  and
+    G_n = sum_i (-1)^i C(n,2i+1) L^i.  L is the identity minus the heat
+    step, so the row of L^(i+1) is the row of L^i minus its advance, and
+    each power moves mass one radius out.  The first table therefore
+    covers radii 0..floor(n/2), the second 0..floor((n-1)/2) (empty for
+    n = 0).
     """
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    if n == 0:
-        return WeightTable(k, 0, [Fraction(1)]), WeightTable(k, 0, [])
-    f_prev, f_curr = [Fraction(1)], [Fraction(1)]
-    g_prev, g_curr = [Fraction(0)], [Fraction(1)]
-    for _ in range(n - 1):
-        f_prev, f_curr = f_curr, _wave_row_next(f_prev, f_curr, k)
-        g_prev, g_curr = g_curr, _wave_row_next(g_prev, g_curr, k)
-    f_row = _trim_row(f_curr, n // 2)
-    g_row = _trim_row(g_curr, (n - 1) // 2)
-    f_weights = [w / sphere_size(k, s) for s, w in enumerate(f_row)]
-    g_weights = [w / sphere_size(k, s) for s, w in enumerate(g_row)]
-    return WeightTable(k, n, f_weights), WeightTable(k, n, g_weights)
+    _check_table_args(k, n)
+    f_row = [0] * (n // 2 + 1)
+    g_row = [0] * ((n + 1) // 2)
+    power = [1]
+    for i in range(n // 2 + 1):
+        if i:
+            power = [c - a for c, a in zip(power + [0], _advance_row(power, k))]
+        sign = (-1) ** i
+        for row, c in ((f_row, comb(n, 2 * i)), (g_row, comb(n, 2 * i + 1))):
+            if c:
+                for s, p in enumerate(power):
+                    row[s] += sign * c * p
+    return WeightTable(k, n, _weights(f_row, k)), WeightTable(k, n, _weights(g_row, k))
 
 
 def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> TreeFunction:

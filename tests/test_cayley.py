@@ -8,6 +8,7 @@ import pytest
 from lattice_waves import cayley, oracles, randgen, tree
 from lattice_waves.errors import IndexOutOfRange, NotSolvable, TorsionUnsupported
 from lattice_waves.functions import (
+    convolve,
     delta,
     make_function,
     reflect,
@@ -17,6 +18,7 @@ from lattice_waves.groups import identity, make_element, make_group, validate_ge
 
 Z = make_group(1, [])
 ZxZ4 = make_group(1, [4])
+Z2 = make_group(0, [2])
 
 
 def z_gens():
@@ -25,6 +27,23 @@ def z_gens():
 
 def z_elem(r):
     return make_element(Z, [r], [])
+
+
+def zxz4_gens():
+    return validate_generators(
+        ZxZ4,
+        [
+            make_element(ZxZ4, [1], [0]),
+            make_element(ZxZ4, [-1], [0]),
+            make_element(ZxZ4, [0], [1]),
+            make_element(ZxZ4, [0], [3]),
+        ],
+    )
+
+
+def z2_gens():
+    # S = {1} is its own inverse: degree 1, so delta_e - A has no mass at e.
+    return validate_generators(Z2, [make_element(Z2, [], [1])])
 
 
 class TestHeatKernel:
@@ -51,6 +70,34 @@ class TestHeatKernel:
     def test_support_radius(self):
         K = cayley.heat_kernel(Z, z_gens(), 6).data
         assert max(abs(x.free[0]) for x in K.support()) <= 6
+
+
+@pytest.mark.parametrize(
+    "G, gens", [(Z, z_gens), (ZxZ4, zxz4_gens), (Z2, z2_gens)], ids=["Z", "ZxZ4", "Z2"]
+)
+def test_kernels_are_int_valued(G, gens):
+    S = gens()
+    assert all(type(v) is int for v in cayley.inverse_symbol_a(G, S).entries.values())
+    for n in range(13):
+        for K in (cayley.heat_kernel(G, S, n), *cayley.wave_kernels(G, S, n)):
+            assert all(type(v) is int and v != 0 for v in K.data.entries.values())
+
+
+def test_degree_1_heat_kernel_is_a_shift():
+    S = z2_gens()
+    # The heat step delta_e - A has coefficient 1 - k = 0 at e, which is not stored.
+    assert cayley._symbol(Z2, S, 1 - S.degree, 1).entries == {make_element(Z2, [], [1]): 1}
+    for n in range(4):
+        assert cayley.heat_kernel(Z2, S, n).data.entries == {make_element(Z2, [], [n % 2]): 1}
+
+
+def test_convolve_of_integral_functions_is_int_valued():
+    K = cayley.heat_kernel(ZxZ4, zxz4_gens(), 3).data
+    f = make_function(ZxZ4, {make_element(ZxZ4, [2], [1]): 2, make_element(ZxZ4, [0], [3]): -3})
+    for u in (convolve(K, K), convolve(K, f), convolve(f, f)):
+        assert u.entries and all(type(v) is int for v in u.entries.values())
+    half = make_function(ZxZ4, {make_element(ZxZ4, [0], [0]): Fraction(1, 2)})
+    assert all(type(v) is Fraction for v in convolve(K, half).entries.values())
 
 
 class TestWaveKernels:
@@ -119,18 +166,8 @@ class TestSymbol:
         assert abs(cayley.symbol_eval(z_gens(), [0.0])) < 1e-12
 
     def test_symbol_rejects_torsion(self):
-        G = ZxZ4
-        S = validate_generators(
-            G,
-            [
-                make_element(G, [1], [0]),
-                make_element(G, [-1], [0]),
-                make_element(G, [0], [1]),
-                make_element(G, [0], [3]),
-            ],
-        )
         with pytest.raises(TorsionUnsupported):
-            cayley.symbol_eval(S, [0.5])
+            cayley.symbol_eval(zxz4_gens(), [0.5])
 
 
 def test_ball_word_metric():

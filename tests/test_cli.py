@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lattice_waves import cli, serialize
+from lattice_waves.functions import SupportedFunction
 from lattice_waves.groups import make_group
 
 
@@ -50,6 +51,9 @@ COSET_PROBLEM = {
     "n": 3,
 }
 
+UNIT_VELOCITY = [{"elem": {"free": [1], "torsion": []}, "num": "1", "den": "1"}]
+COSET_UNIT_VELOCITY = [{"elem": {"free": [0], "torsion": [1]}, "num": "1", "den": "1"}]
+
 
 class TestRun:
     def test_heat_writes_kernel_csv(self, tmp_path):
@@ -72,9 +76,7 @@ class TestRun:
         assert cli.main(["wave", "--problem", problem]) == 1
 
     def test_wave_not_solvable_exit_2(self, tmp_path):
-        obj = heat_problem()
-        obj["kind"] = "wave"
-        obj["g"] = [{"elem": {"free": [1], "torsion": []}, "num": "1", "den": "1"}]
+        obj = dict(heat_problem(), kind="wave", g=UNIT_VELOCITY)
         problem = write_problem(tmp_path, obj)
         code = cli.main(["wave", "--problem", problem])
         assert code == 2
@@ -141,7 +143,16 @@ class TestCompare:
 
     def test_injected_fault_detected(self, tmp_path, monkeypatch, capsys):
         problem = write_problem(tmp_path, heat_problem())
-        monkeypatch.setenv("LATTICE_WAVES_FAULT", "1")
+        solve = cli._solve
+
+        def solve_with_one_value_negated(instance, n):
+            u, header = solve(instance, n)
+            entries = dict(u.entries)
+            x = next(iter(entries))
+            entries[x] = -entries[x]
+            return SupportedFunction.trusted(u.group, entries), header
+
+        monkeypatch.setattr(cli, "_solve", solve_with_one_value_negated)
         assert cli.main(["compare", "--problem", problem]) == 3
         assert "mismatch" in capsys.readouterr().out
 
@@ -211,6 +222,12 @@ class TestErrors:
                 dict(tree_problem(), eval={"ball": {"center": [], "radius": -1}}),
                 ["tree-heat"],
             ),
+            # The velocity has non-zero mass: the time index is checked first.
+            (dict(heat_problem(), kind="wave", g=UNIT_VELOCITY), ["wave", "--n", "-1"]),
+            (
+                dict(COSET_PROBLEM, kind="coset-wave", g=COSET_UNIT_VELOCITY),
+                ["coset-wave", "--n", "-1"],
+            ),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -220,9 +237,14 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "INDEX_OUT_OF_RANGE"
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch, capsys):
-        problem = write_problem(tmp_path, heat_problem())
-        monkeypatch.setenv("LATTICE_WAVES_THREADS", "zero")
-        assert cli.main(["heat", "--problem", problem]) == 1
-        monkeypatch.setenv("LATTICE_WAVES_THREADS", "2")
-        assert cli.main(["heat", "--problem", problem]) == 0
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    @pytest.mark.parametrize(
+        "obj",
+        [tree_problem(), tree_problem("tree-wave"), {"kind": "weights", "which": "wave", "n": 2}],
+        ids=lambda obj: obj["kind"],
+    )
+    def test_tree_degree_below_2_exit_1(self, tmp_path, capsys, obj, k):
+        problem = write_problem(tmp_path, dict(obj, k=k))
+        assert cli.main([obj["kind"], "--problem", problem]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SHAPE_MISMATCH"

@@ -143,6 +143,33 @@ class TestWeights:
         assert wf.weights == [Fraction(-3), Fraction(1)]
         assert wg.weights == [Fraction(2)]
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_wave_entries_match_radial_stepping(self, k):
+        # Entry s of a table is the center value, after n radial wave steps,
+        # of the indicator profile of radius s, divided by S(s).  Beyond the
+        # table the radial oracle reads 0.
+        horizon = 25
+        tables = [tree.tree_wave_weights(k, n) for n in range(horizon + 1)]
+        for s in range(horizon + 2):
+            indicator, zeros = [0] * s + [1], [0] * (s + 1)
+            for which, (f, g) in enumerate(((indicator, zeros), (zeros, indicator))):
+                states = oracles.trajectory(oracles.radial_step_wave, f, g, k)
+                for n, state in zip(range(horizon + 1), states):
+                    weights = tables[n][which].weights
+                    if s < len(weights):
+                        assert weights[s] == Fraction(state[0], tree.sphere_size(k, s))
+                    else:
+                        assert state[0] == 0
+
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_degree_below_2_rejected(self, k):
+        with pytest.raises(ShapeMismatch):
+            tree.tree_heat_weights(k, 2)
+        with pytest.raises(ShapeMismatch):
+            tree.tree_wave_weights(k, 2)
+        with pytest.raises(ShapeMismatch):
+            tree.tree_heat_solve(tree.TreeFunction(k, {(): 1}), 2, [()])
+
     def test_normalizations(self):
         for k in (2, 3, 5):
             for n in range(9):
