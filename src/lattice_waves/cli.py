@@ -270,7 +270,7 @@ def cmd_verify(args) -> int:
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        line = f"{r.name:<{width}}  {status}  cases={r.cases}"
+        line = f"{r.name:<{width}}  {status}  cases={r.cases}  seconds={r.seconds:.3f}"
         if r.detail:
             line += f"  {r.detail}"
         print(line)

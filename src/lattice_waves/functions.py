@@ -114,8 +114,12 @@ def scale(f: SupportedFunction, c) -> SupportedFunction:
     return SupportedFunction.trusted(f.group, {x: c * v for x, v in f.entries.items()})
 
 
-def _integer_form(f: SupportedFunction) -> tuple[dict[GroupElement, int], int]:
-    """(numerators, d) with f = numerators / d, d the lcm of f's denominators."""
+def _integer_form(f) -> tuple[dict, int]:
+    """(numerators, d) with f = numerators / d, d the lcm of f's denominators.
+
+    Reads only ``f.entries``, so it serves ``SupportedFunction`` and
+    ``tree.TreeFunction`` alike.
+    """
     d = lcm(*(v.denominator for v in f.entries.values()))
     return {x: v.numerator * (d // v.denominator) for x, v in f.entries.items()}, d
 

@@ -5,17 +5,20 @@ letters equal; the empty word is the root).  Radializing around an
 evaluation vertex turns the tree Laplacian into a drifted path operator,
 and the closed-form solutions become weighted sums of sphere sums of the
 initial data.  All sphere sums iterate over the (finite) support of the
-data, never over the exponentially large spheres themselves.
+data, never over the exponentially large spheres themselves, and add the
+data's integer numerators: each output value is one ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
+from .functions import _integer_form
 
 TreeVertex = tuple[int, ...]
 
@@ -57,7 +60,11 @@ def neighbors(x: TreeVertex, k: int) -> list[TreeVertex]:
 
 @dataclass
 class TreeFunction:
-    """A finitely supported map from reduced words to rationals."""
+    """A finitely supported map from reduced words to rationals.
+
+    ``entries`` is never mutated after construction: ``integer_form`` is
+    derived from it once and cached, so a changed entry would go unseen.
+    """
 
     k: int
     entries: dict[TreeVertex, Fraction] = field(default_factory=dict)
@@ -66,10 +73,8 @@ class TreeFunction:
         clean = {}
         for x, v in self.entries.items():
             x = make_vertex(x, self.k)
-            v = Fraction(v)
-            if v != 0:
-                clean[x] = v
-        self.entries = clean
+            clean[x] = clean.get(x, Fraction(0)) + Fraction(v)
+        self.entries = {x: v for x, v in clean.items() if v != 0}
 
     @classmethod
     def trusted(cls, k: int, entries: dict[TreeVertex, Fraction]) -> TreeFunction:
@@ -83,6 +88,11 @@ class TreeFunction:
         f.k = k
         f.entries = entries
         return f
+
+    @cached_property
+    def integer_form(self) -> tuple[dict[TreeVertex, int], int]:
+        """(numerators, d) with entries = numerators / d, d the lcm of the denominators."""
+        return _integer_form(self)
 
     def __call__(self, x: TreeVertex) -> Fraction:
         return self.entries.get(tuple(x), Fraction(0))
@@ -107,28 +117,37 @@ def sphere_size(k: int, r: int) -> int:
     return k * (k - 1) ** (r - 1)
 
 
-def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
-    """Sum of f over each sphere around x, bucketing the support by distance."""
-    out: dict[int, Fraction] = {}
-    for y, v in f.entries.items():
+def _radius_sums(f: TreeFunction, x: TreeVertex) -> dict[int, int]:
+    """Sums of f's numerators over each sphere around x that its support meets."""
+    out: dict[int, int] = {}
+    get = out.get
+    for y, v in f.integer_form[0].items():
         r = tree_distance(x, y)
-        out[r] = out.get(r, Fraction(0)) + v
+        out[r] = get(r, 0) + v
     return out
+
+
+def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
+    """Sum of f over each sphere around x that its support meets."""
+    d = f.integer_form[1]
+    return {r: Fraction(v, d) for r, v in _radius_sums(f, x).items()}
 
 
 def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
     """Average of f over the sphere of radius |r| around x (even in r)."""
     r = abs(r)
-    return sphere_sums(f, x).get(r, Fraction(0)) / sphere_size(f.k, r)
+    num, d = f.integer_form
+    total = sum(v for y, v in num.items() if tree_distance(x, y) == r)
+    return Fraction(total, d * sphere_size(f.k, r))
 
 
 def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
     """The radial profile r -> M_f(x,r) for r >= 0, up to the support radius."""
-    sums = sphere_sums(f, x)
+    sums = _radius_sums(f, x)
     if not sums:
         return []
-    rmax = max(sums)
-    return [sums.get(r, Fraction(0)) / sphere_size(f.k, r) for r in range(rmax + 1)]
+    d = f.integer_form[1]
+    return [Fraction(sums.get(r, 0), d * sphere_size(f.k, r)) for r in range(max(sums) + 1)]
 
 
 def alpha_coeff(j: int, s: int, k: int) -> int:
@@ -146,18 +165,39 @@ def alpha_coeff(j: int, s: int, k: int) -> int:
 
 @dataclass
 class WeightTable:
-    """Closed-form sphere weights: value at x is sum_s weights[s] * (sphere sum at radius s)."""
+    """Closed-form sphere weights: value at x is sum_s weights[s] * (sphere sum at radius s).
+
+    The table holds the integer row; weight s is row[s] / S(s).  ``apply``
+    works over the one denominator S(top), top = len(row) - 1, with the
+    scaled row W[s] = row[s] * (S(top) / S(s)): S(s) divides S(top) for
+    s <= top and k >= 2.
+    """
 
     k: int
     n: int
-    weights: list[Fraction]
+    row: list[int]
+    scaled: list[int] = field(init=False, repr=False)
+    denominator: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.denominator = sphere_size(self.k, len(self.row) - 1) if self.row else 1
+        self.scaled = [
+            c * (self.denominator // sphere_size(self.k, s)) for s, c in enumerate(self.row)
+        ]
+
+    @property
+    def weights(self) -> list[Fraction]:
+        """The weights row[s] / S(s) as ``Fraction``s, built on each read."""
+        return [Fraction(c, sphere_size(self.k, s)) for s, c in enumerate(self.row)]
 
     def apply(self, f: TreeFunction, x: TreeVertex) -> Fraction:
-        sums = sphere_sums(f, x)
-        return sum(
-            (w * sums[s] for s, w in enumerate(self.weights) if s in sums),
-            Fraction(0),
-        )
+        """sum_s weights[s] * (sphere sum of f at radius s around x).
+
+        Data beyond the table's top radius has weight 0 and is skipped.
+        """
+        scaled = self.scaled
+        total = sum(scaled[s] * v for s, v in _radius_sums(f, x).items() if s < len(scaled))
+        return Fraction(total, self.denominator * f.integer_form[1])
 
 
 def _advance_row(row: list[int], k: int) -> list[int]:
@@ -190,11 +230,6 @@ def _check_table_args(k: int, n: int) -> None:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
 
 
-def _weights(row: list[int], k: int) -> list[Fraction]:
-    """Sphere weights from a coefficient row: entry s divided by the sphere size S(s)."""
-    return [Fraction(c, sphere_size(k, s)) for s, c in enumerate(row)]
-
-
 def tree_heat_weights(k: int, n: int) -> WeightTable:
     """Heat sphere weights for radii 0..n.
 
@@ -208,7 +243,7 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     row = [1]
     for _ in range(n):
         row = _advance_row(row, k)
-    return WeightTable(k, n, _weights(row, k))
+    return WeightTable(k, n, row)
 
 
 def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
@@ -234,7 +269,7 @@ def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
             if c:
                 for s, p in enumerate(power):
                     row[s] += sign * c * p
-    return WeightTable(k, n, _weights(f_row, k)), WeightTable(k, n, _weights(g_row, k))
+    return WeightTable(k, n, f_row), WeightTable(k, n, g_row)
 
 
 def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> TreeFunction:
@@ -243,16 +278,26 @@ def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> T
     out = {}
     for x in eval_at:
         x = make_vertex(x, f.k)
-        out[x] = table.apply(f, x)
-    return TreeFunction(f.k, out)
+        v = table.apply(f, x)
+        if v:
+            out[x] = v
+    return TreeFunction.trusted(f.k, out)
 
 
 def radial_mass(g: TreeFunction, x: TreeVertex) -> Fraction:
-    """Total mass of the radialization of g around x: M_g(x,0) + 2*sum_{r>=1} M_g(x,r)."""
-    profile = path_reduce(g, x)
-    if not profile:
+    """Total mass of the radialization of g around x: M_g(x,0) + 2*sum_{r>=1} M_g(x,r).
+
+    The sphere sums carry weight 1 at r = 0 and 2/S(r) beyond, added over
+    the one denominator S(rmax), rmax the farthest radius of g's support.
+    """
+    sums = _radius_sums(g, x)
+    if not sums:
         return Fraction(0)
-    return profile[0] + 2 * sum(profile[1:], Fraction(0))
+    size = sphere_size(g.k, max(sums))
+    total = sum(
+        v * (size if r == 0 else 2 * (size // sphere_size(g.k, r))) for r, v in sums.items()
+    )
+    return Fraction(total, size * g.integer_form[1])
 
 
 def tree_wave_solve(
@@ -276,5 +321,7 @@ def tree_wave_solve(
                 f"radialized velocity has total mass {mass}",
                 detail=(x, mass),
             )
-        out[x] = ftable.apply(f, x) + gtable.apply(g, x)
-    return TreeFunction(f.k, out)
+        v = ftable.apply(f, x) + gtable.apply(g, x)
+        if v:
+            out[x] = v
+    return TreeFunction.trusted(f.k, out)

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from time import perf_counter
 
 from . import cayley, cosets, oracles, randgen, tree
 from .functions import trivial_character_sum
@@ -23,6 +24,7 @@ class CheckResult:
     passed: bool
     cases: int
     detail: str = ""
+    seconds: float = 0.0
 
 
 STANDARD_GROUPS = [
@@ -247,28 +249,26 @@ SUITES["all"] = [name for group in SUITES.values() for name in group]
 
 
 def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
+    """Run the checks of ``suite`` in order, each timed into its ``seconds``."""
     names = SUITES.get(suite)
     if names is None:
         raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    rng = random.Random(seed)
+    checks = {
+        "cayley-heat": lambda: check_cayley_heat(rng, 12, max_n),
+        "cayley-wave": lambda: check_cayley_wave(rng, 12, max_n),
+        "kernels": lambda: check_kernel_identities(rng, 6, max_n),
+        "coset": lambda: check_coset_equivalence(rng, 9, min(max_n, 15)),
+        "tree-heat": lambda: check_tree_heat(rng, 8, min(max_n, 10)),
+        "tree-wave": lambda: check_tree_wave(rng, 8, min(max_n, 10)),
+        "alpha": check_alpha,
+        "weights": lambda: check_weight_normalization(max_n),
+        "quadrature": check_quadrature,
+    }
+    results = []
     for name in names:
-        if name == "cayley-heat":
-            results.append(check_cayley_heat(rng, 12, max_n))
-        elif name == "cayley-wave":
-            results.append(check_cayley_wave(rng, 12, max_n))
-        elif name == "kernels":
-            results.append(check_kernel_identities(rng, 6, max_n))
-        elif name == "coset":
-            results.append(check_coset_equivalence(rng, 9, min(max_n, 15)))
-        elif name == "tree-heat":
-            results.append(check_tree_heat(rng, 8, min(max_n, 10)))
-        elif name == "tree-wave":
-            results.append(check_tree_wave(rng, 8, min(max_n, 10)))
-        elif name == "alpha":
-            results.append(check_alpha())
-        elif name == "weights":
-            results.append(check_weight_normalization(max_n))
-        elif name == "quadrature":
-            results.append(check_quadrature())
+        start = perf_counter()
+        result = checks[name]()
+        result.seconds = perf_counter() - start
+        results.append(result)
     return results

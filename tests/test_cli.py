@@ -174,6 +174,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "quadrature" in out and "PASS" in out
 
+    def test_every_check_line_carries_seconds(self, capsys):
+        assert cli.main(["verify", "--suite", "tree", "--max-n", "3"]) == 0
+        *checks, summary = capsys.readouterr().out.splitlines()
+        assert len(checks) == 4 and summary == "4/4 checks passed"
+        for line in checks:
+            fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
+            assert float(fields["seconds"]) >= 0
+
 
 class TestErrors:
     def test_missing_file_exit_1(self, capsys):

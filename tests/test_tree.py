@@ -25,6 +25,12 @@ class TestGeometry:
         f = tree.TreeFunction(3, {(1, 2): 2, (): Fraction(0)})
         assert f.entries == {(1, 2): Fraction(2)}
 
+    def test_duplicate_keys_are_summed(self):
+        # Two keys that normalise to one word add up, as in SupportedFunction,
+        # and a zero sum is dropped.
+        assert tree.TreeFunction(3, {(1, 2): 1, ("1", "2"): 2}).entries == {(1, 2): Fraction(3)}
+        assert tree.TreeFunction(3, {(1,): Fraction(1, 2), ("1",): Fraction(-1, 2)}).entries == {}
+
     def test_trusted_function_keeps_entries(self):
         entries = {(1, 2): Fraction(1, 3)}
         f = tree.TreeFunction.trusted(3, entries)
@@ -253,3 +259,93 @@ class TestK2Degeneration:
             assert w[0] == K(make_element(Z, [0], []))
             for s in range(1, n + 1):
                 assert w[s] == K(make_element(Z, [s], []))
+
+
+def _literal_sphere_sums(f, x):
+    sums = {}
+    for y, v in f.entries.items():
+        s = tree.tree_distance(x, y)
+        sums[s] = sums.get(s, Fraction(0)) + v
+    return sums
+
+
+def _literal_apply(weights, f, x):
+    """sum_s weights[s] * (sphere sum at radius s), in Fraction arithmetic throughout."""
+    sums = _literal_sphere_sums(f, x)
+    return sum((w * sums.get(s, Fraction(0)) for s, w in enumerate(weights)), Fraction(0))
+
+
+def _literal_radial_mass(g, x):
+    sums = _literal_sphere_sums(g, x)
+    return sum(
+        (v if s == 0 else 2 * v / tree.sphere_size(g.k, s) for s, v in sums.items()),
+        Fraction(0),
+    )
+
+
+def _antisymmetric(f):
+    """f minus its image under the automorphism that swaps letters 1 and 2.
+
+    That automorphism fixes the root and keeps distances to it, so every
+    sphere sum around the root vanishes, and with it every solution value.
+    """
+    out = dict(f.entries)
+    for y, v in f.entries.items():
+        z = tuple({1: 2, 2: 1}.get(a, a) for a in y)
+        out[z] = out.get(z, Fraction(0)) - v
+    return tree.TreeFunction(f.k, out)
+
+
+class TestIntegerSphereSums:
+    """The integer sums equal the literal Fraction formula sum_s weights[s] * sphere sum."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_apply_radial_mass_and_solvers_are_exact(self, k):
+        rng = random.Random(500 + k)
+        beyond_top = zeros = 0
+        for trial in range(6):
+            n = 40 if trial == 0 else rng.randint(0, 40)
+            f = randgen.random_tree_function(rng, k, max_radius=9, max_points=10)
+            if trial % 3 == 1:
+                f = _antisymmetric(f)
+            g0 = randgen.random_tree_function(rng, k, max_radius=9, max_points=10)
+            far = randgen.random_tree_function(rng, k, max_radius=14, max_points=1)
+            eval_at = [tree.ROOT, *sorted(f.support())[:3], *far.support()]
+            heat = tree.tree_heat_weights(k, n)
+            wf, wg = tree.tree_wave_weights(k, n)
+
+            for x in eval_at:
+                for table in (heat, wf, wg):
+                    assert table.apply(f, x) == _literal_apply(table.weights, f, x)
+                    top = len(table.weights) - 1
+                    beyond_top += sum(tree.tree_distance(x, y) > top for y in f.support())
+                assert tree.radial_mass(g0, x) == _literal_radial_mass(g0, x)
+
+            want = {x: _literal_apply(heat.weights, f, x) for x in eval_at}
+            u = tree.tree_heat_solve(f, n, eval_at)
+            assert u.entries == {x: v for x, v in want.items() if v != 0}
+            assert all(type(v) is Fraction for v in u.entries.values())
+            zeros += sum(v == 0 for v in want.values())
+
+            for x in eval_at:
+                g = tree.TreeFunction(k, {**g0.entries, x: g0(x) - _literal_radial_mass(g0, x)})
+                v = _literal_apply(wf.weights, f, x) + _literal_apply(wg.weights, g, x)
+                u = tree.tree_wave_solve(f, g, n, [x])
+                assert u.entries == ({x: v} if v != 0 else {})
+                zeros += v == 0
+        assert beyond_top and zeros
+
+    def test_sphere_sums_path_reduce_and_spherical_mean_are_exact(self):
+        rng = random.Random(77)
+        for k in range(2, 7):
+            f = randgen.random_tree_function(rng, k, max_radius=6, max_points=12)
+            for x in [tree.ROOT, *sorted(f.support())[:3]]:
+                sums = _literal_sphere_sums(f, x)
+                assert tree.sphere_sums(f, x) == sums
+                profile = [sums.get(r, Fraction(0)) / tree.sphere_size(k, r)
+                           for r in range(max(sums) + 1)]
+                assert tree.path_reduce(f, x) == profile
+                for r in range(len(profile) + 2):
+                    want = profile[r] if r < len(profile) else 0
+                    assert tree.spherical_mean(f, x, r) == want
+                    assert tree.spherical_mean(f, x, -r) == want
