@@ -45,7 +45,6 @@ from .groups import (
     Quotient,
     elem_add,
     elem_neg,
-    elem_sub,
     identity,
     make_element,
     make_group,

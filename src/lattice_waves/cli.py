@@ -14,18 +14,19 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import cayley, cosets, oracles, tree, verify
+from . import cayley, cosets, groups, oracles, tree, verify
 from .errors import IndexOutOfRange, LatticeWavesError, NotSolvable, ShapeMismatch
 from .functions import SupportedFunction
-from .groups import make_element
 from .serialize import (
     element_from_json,
     function_from_rows,
     function_to_csv,
     group_from_json,
+    int_from_json,
     quotient_function_from_rows,
     tree_function_from_rows,
     tree_function_to_csv,
+    vertex_from_json,
 )
 
 SOLVER_KINDS = {"heat", "wave", "coset-heat", "coset-wave", "tree-heat", "tree-wave"}
@@ -53,15 +54,15 @@ def _project_initial(P: cosets.CosetProblem, values) -> SupportedFunction:
 def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
     spec = instance.get("eval")
     if spec and "vertices" in spec:
-        return [tree.make_vertex(w, k) for w in spec["vertices"]]
+        return [vertex_from_json(k, w) for w in spec["vertices"]]
     center = tree.ROOT
     radius = None
     if spec and "ball" in spec:
         ball = spec["ball"]
-        radius = int(ball.get("radius"))
+        radius = int_from_json(ball.get("radius"), "eval radius")
         if radius < 0:
             raise IndexOutOfRange(f"eval ball radius must be non-negative, got {radius}")
-        center = tree.make_vertex(ball.get("center", []), k)
+        center = vertex_from_json(k, ball.get("center", []))
     if radius is None:
         # Default window: the whole region where the solution can be nonzero.
         support_radius = max((tree.tree_distance(center, y) for y in f.support()), default=0)
@@ -79,49 +80,63 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
     return out
 
 
+def _read_problem(instance: dict):
+    """(kind, f, g, context) of a solver-kind document, each read once.
+
+    The context is the generator set S, the coset problem P or the tree
+    degree k; g is None for the heat kinds.
+    """
+    kind = instance["kind"]
+    if kind in ("heat", "wave"):
+        G = group_from_json(instance["group"])
+        context = cayley_generators(instance, G)
+        read = lambda rows: _values_to_function(G, rows)
+    elif kind in ("coset-heat", "coset-wave"):
+        context = build_coset(instance)
+        read = lambda rows: _project_initial(context, rows)
+    elif kind in ("tree-heat", "tree-wave"):
+        context = int_from_json(instance["k"], "k")
+        read = lambda rows: _values_to_tree_function(context, rows)
+    else:
+        raise ShapeMismatch(f"unknown problem kind {kind!r}")
+    f = read(instance.get("f"))
+    g = read(instance.get("g")) if kind.endswith("wave") else None
+    return kind, f, g, context
+
+
+def _window(instance: dict, problem, n: int):
+    kind, f, _g, k = problem
+    return _tree_eval_vertices(instance, k, f, n) if kind.startswith("tree") else None
+
+
+def _closed_form(problem, n: int, window):
+    """(result, header) of the closed-form solver; tree results cover ``window``."""
+    kind, f, g, context = problem
+    if kind in ("heat", "wave"):
+        u = cayley.heat_solve(f, context, n) if g is None else cayley.wave_solve(f, g, context, n)
+        return u, {"kind": kind, "n": n, "k": context.degree}
+    if kind in ("coset-heat", "coset-wave"):
+        if g is None:
+            u = cosets.coset_heat_solve(f, context, n)
+        else:
+            u = cosets.coset_wave_solve(f, g, context, n)
+        return u, {"kind": kind, "n": n, "k": context.S_tilde.degree, "H_order": context.H_order}
+    u = tree.tree_heat_solve(f, n, window) if g is None else tree.tree_wave_solve(f, g, n, window)
+    return u, {"kind": kind, "n": n, "k": context}
+
+
 def _solve(instance: dict, n: int):
     """Run the closed-form solver for a solver-kind instance.
 
     Returns (result, header); result is a SupportedFunction or
     TreeFunction.
     """
-    kind = instance["kind"]
-    if kind in ("heat", "wave"):
-        G = group_from_json(instance["group"])
-        S = cayley_generators(instance, G)
-        f = _values_to_function(G, instance.get("f"))
-        if kind == "heat":
-            u = cayley.heat_solve(f, S, n)
-        else:
-            g = _values_to_function(G, instance.get("g"))
-            u = cayley.wave_solve(f, g, S, n)
-        return u, {"kind": kind, "n": n, "k": S.degree}
-    if kind in ("coset-heat", "coset-wave"):
-        P = build_coset(instance)
-        f = _project_initial(P, instance.get("f"))
-        if kind == "coset-heat":
-            u = cosets.coset_heat_solve(f, P, n)
-        else:
-            g = _project_initial(P, instance.get("g"))
-            u = cosets.coset_wave_solve(f, g, P, n)
-        return u, {"kind": kind, "n": n, "k": P.S_tilde.degree, "H_order": P.H_order}
-    if kind in ("tree-heat", "tree-wave"):
-        k = int(instance["k"])
-        f = _values_to_tree_function(k, instance.get("f"))
-        eval_at = _tree_eval_vertices(instance, k, f, n)
-        if kind == "tree-heat":
-            u = tree.tree_heat_solve(f, n, eval_at)
-        else:
-            g = _values_to_tree_function(k, instance.get("g"))
-            u = tree.tree_wave_solve(f, g, n, eval_at)
-        return u, {"kind": kind, "n": n, "k": k}
-    raise ShapeMismatch(f"unknown problem kind {kind!r}")
+    problem = _read_problem(instance)
+    return _closed_form(problem, n, _window(instance, problem, n))
 
 
 def cayley_generators(instance: dict, G):
-    from .groups import validate_generators
-
-    return validate_generators(G, [element_from_json(G, s) for s in instance["S"]])
+    return groups.validate_generators(G, [element_from_json(G, s) for s in instance["S"]])
 
 
 def build_coset(instance: dict) -> cosets.CosetProblem:
@@ -144,30 +159,24 @@ def _emit(result, header, out_path):
     _write(to_csv(result, header), out_path)
 
 
+def _oracle(problem, n: int):
+    """Independent brute-force solution at time n, on the whole support."""
+    kind, f, g, context = problem
+    if kind in ("heat", "wave"):
+        step = oracles.cayley_heat_step if g is None else oracles.cayley_wave_step
+        return next(islice(oracles.trajectory(step, f, g, context), n, None))
+    if kind in ("coset-heat", "coset-wave"):
+        step = oracles.lifted_coset_heat_step if g is None else oracles.lifted_coset_wave_step
+        lifted_g = None if g is None else cosets.lift(g, context)
+        u = next(islice(oracles.trajectory(step, cosets.lift(f, context), lifted_g, context), n, None))
+        return cosets.restrict(u, context)
+    step = oracles.tree_step_heat if g is None else oracles.tree_step_wave
+    return next(islice(oracles.trajectory(step, f, g), n, None))
+
+
 def _oracle_solution(instance: dict, n: int):
     """Independent brute-force solution for a solver-kind instance."""
-    kind = instance["kind"]
-    wave = kind.endswith("wave")
-    if kind in ("heat", "wave"):
-        G = group_from_json(instance["group"])
-        S = cayley_generators(instance, G)
-        f = _values_to_function(G, instance.get("f"))
-        g = _values_to_function(G, instance.get("g")) if wave else None
-        step = oracles.cayley_wave_step if wave else oracles.cayley_heat_step
-        return next(islice(oracles.trajectory(step, f, g, S), n, None))
-    if kind in ("coset-heat", "coset-wave"):
-        P = build_coset(instance)
-        f = cosets.lift(_project_initial(P, instance.get("f")), P)
-        g = cosets.lift(_project_initial(P, instance.get("g")), P) if wave else None
-        step = oracles.lifted_coset_wave_step if wave else oracles.lifted_coset_heat_step
-        return cosets.restrict(next(islice(oracles.trajectory(step, f, g, P), n, None)), P)
-    if kind in ("tree-heat", "tree-wave"):
-        k = int(instance["k"])
-        f = _values_to_tree_function(k, instance.get("f"))
-        g = _values_to_tree_function(k, instance.get("g")) if wave else None
-        step = oracles.tree_step_wave if wave else oracles.tree_step_heat
-        return next(islice(oracles.trajectory(step, f, g), n, None))
-    raise ShapeMismatch(f"kind {kind!r} has no oracle")
+    return _oracle(_read_problem(instance), n)
 
 
 def _diff_report(closed, oracle):
@@ -187,7 +196,7 @@ def cmd_run(args) -> int:
             f"problem file kind {instance.get('kind')!r} does not match subcommand {args.kind!r}"
         )
     instance["kind"] = kind
-    n = args.n if args.n is not None else int(instance.get("n", 0))
+    n = args.n if args.n is not None else int_from_json(instance.get("n", 0), "n")
 
     if kind == "kernel":
         G = group_from_json(instance["group"])
@@ -204,7 +213,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     if kind == "weights":
-        k = int(instance["k"])
+        k = int_from_json(instance["k"], "k")
         which = instance.get("which", "heat")
         lines = ["# " + f"kind=weights which={which} n={n} k={k}", "table,s,num,den"]
         if which == "heat":
@@ -220,8 +229,6 @@ def cmd_run(args) -> int:
         _write("\n".join(lines) + "\n", args.out)
         return EXIT_OK
 
-    if kind not in SOLVER_KINDS:
-        raise ShapeMismatch(f"unknown problem kind {kind!r}")
     result, header = _solve(instance, n)
     _emit(result, header, args.out)
     return EXIT_OK
@@ -230,7 +237,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     instance = _load_problem(args.problem)
     kind = instance.get("kind")
-    n = args.n if args.n is not None else int(instance.get("n", 0))
+    n = args.n if args.n is not None else int_from_json(instance.get("n", 0), "n")
 
     if kind == "kernel":
         # Float cross-check of the exact Z heat kernel against quadrature.
@@ -239,22 +246,21 @@ def cmd_compare(args) -> int:
         K = cayley.heat_kernel(G, S, n).data
         worst = 0.0
         for r in range(-n, n + 1):
-            exact = float(K(make_element(G, [r], [])))
+            exact = float(K(groups.make_element(G, [r], [])))
             worst = max(worst, abs(oracles.quadrature_kernel(S, n, r) - exact))
         print(f"kind=kernel n={n} max_abs_diff={worst:.3e} tolerance=1e-09")
         return EXIT_OK if worst <= 1e-9 else EXIT_INTERNAL
 
     if kind not in SOLVER_KINDS:
         raise ShapeMismatch(f"kind {kind!r} cannot be compared")
-    closed, _header = _solve(instance, n)
-    oracle = _oracle_solution(instance, n)
-    if kind in ("tree-heat", "tree-wave"):
+    problem = _read_problem(instance)
+    window = _window(instance, problem, n)
+    closed, _header = _closed_form(problem, n, window)
+    oracle = _oracle(problem, n)
+    if window is not None:
         # The closed form is only evaluated on the requested window;
         # restrict the oracle to the same vertices before diffing.
-        k = int(instance["k"])
-        f = _values_to_tree_function(k, instance.get("f"))
-        eval_at = _tree_eval_vertices(instance, k, f, n)
-        oracle = tree.TreeFunction(k, {x: oracle(x) for x in eval_at})
+        oracle = tree.TreeFunction(oracle.k, {x: oracle(x) for x in window})
     max_diff, diffs = _diff_report(closed, oracle)
     print(f"kind={kind} n={n} max_abs_diff={max_diff}")
     if diffs:

@@ -125,10 +125,6 @@ def elem_neg(G: GroupSpec, a: GroupElement) -> GroupElement:
     return GroupElement(free, torsion)
 
 
-def elem_sub(G: GroupSpec, a: GroupElement, b: GroupElement) -> GroupElement:
-    return elem_add(G, a, elem_neg(G, b))
-
-
 def _relation_rows(G: GroupSpec) -> list[list[int]]:
     """Rows m_i * e_i on the torsion coordinates (within the full coordinate space)."""
     t = len(G.moduli)

@@ -122,14 +122,20 @@ def _plus(f, g):
 
 
 def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
+    """Raise unless u is constant on every coset of H.
+
+    No fiber is listed: a coset where u is non-zero must hold all |H| of
+    its elements as entries, all with one value.
+    """
     values: dict[GroupElement, Fraction] = {}
+    counts: dict[GroupElement, int] = {}
     for x, v in u.entries.items():
         q = P.quot.project(x)
-        if q in values and values[q] != v:
+        if values.setdefault(q, v) != v:
             raise CosetInconstant(f"function takes two values on the coset of {x}")
-        values[q] = v
+        counts[q] = counts.get(q, 0) + 1
     for q, v in values.items():
-        if v != 0 and any(u(y) != v for y in P.quot.fiber(q)):
+        if v != 0 and counts[q] != P.H_order:
             raise CosetInconstant(f"function is not constant on the fiber of {q}")
 
 

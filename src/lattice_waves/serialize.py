@@ -2,13 +2,13 @@
 
 Rationals travel as decimal-string numerator/denominator pairs so that
 arbitrarily large values round-trip bit-exactly; floats never appear in
-primary outputs.
+primary outputs.  Every row read from outside is validated once, here;
+the function types' ``trusted`` constructors wrap the result.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
@@ -18,93 +18,82 @@ from .groups import GroupElement, GroupSpec, Quotient, make_element, make_group
 from .tree import TreeFunction, TreeVertex, make_vertex
 
 
-def group_to_json(G: GroupSpec) -> dict:
-    return {"rank": G.rank, "moduli": list(G.moduli)}
+def int_from_json(value, what: str) -> int:
+    """An integer field: a JSON integer (not a boolean) or a decimal string.
+
+    ``int()`` alone would read 1.5 as 1 and true as 1, a different problem.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ShapeMismatch(f"{what} must be an integer or a decimal string, got {value!r}")
+
+
+def _ints_from_json(values, what: str) -> tuple[int, ...]:
+    """A JSON array of integer fields as a tuple of ints."""
+    if not isinstance(values, (list, tuple)):
+        raise ShapeMismatch(f"{what}s must be given as an array, got {values!r}")
+    return tuple(int_from_json(v, what) for v in values)
 
 
 def group_from_json(obj: dict) -> GroupSpec:
     if not isinstance(obj, dict) or "rank" not in obj:
         raise ShapeMismatch("group JSON must be an object with 'rank' and 'moduli'")
-    return make_group(obj["rank"], obj.get("moduli", []))
-
-
-def element_to_json(a: GroupElement) -> dict:
-    return {"free": list(a.free), "torsion": list(a.torsion)}
+    moduli = _ints_from_json(obj.get("moduli", []), "modulus")
+    return make_group(int_from_json(obj["rank"], "rank"), moduli)
 
 
 def element_from_json(G: GroupSpec, obj: dict) -> GroupElement:
     if not isinstance(obj, dict):
         raise ShapeMismatch("element JSON must be an object with 'free' and 'torsion'")
-    return make_element(G, obj.get("free", []), obj.get("torsion", []))
+    free = _ints_from_json(obj.get("free", []), "element coordinate")
+    return make_element(G, free, _ints_from_json(obj.get("torsion", []), "element coordinate"))
 
 
-def _rat_to_json(v: Fraction) -> dict:
-    return {"num": str(v.numerator), "den": str(v.denominator)}
+def vertex_from_json(k: int, word) -> TreeVertex:
+    """A tree vertex from its reduced word, a JSON array of letters."""
+    return make_vertex(_ints_from_json(word, "tree-word letter"), k)
 
 
-def _rational(num, den) -> Fraction:
-    """The rational num/den from decimal strings or ints; a zero den is rejected."""
-    den = int(den)
-    if den == 0:
-        raise ZeroDenominator(f"zero denominator in the rational {num}/{den}")
-    return Fraction(int(num), den)
+def _summed_rows(triples: Iterable[tuple]) -> dict:
+    """Entries for a ``trusted`` constructor from (key, num, den) triples of wire values.
 
-
-def _summed_rows(rows: Iterable[dict] | None, parse: Callable) -> dict:
-    """Value rows {"elem", "num", "den"} keyed by parse(elem); rows at one key add up."""
+    Values at one key add up exactly; keys whose values sum to zero are dropped.
+    """
     entries: dict = {}
-    for row in rows or ():
-        x = parse(row["elem"])
-        entries[x] = entries.get(x, Fraction(0)) + _rational(row["num"], row["den"])
-    return entries
+    for key, num, den in triples:
+        den = int_from_json(den, "den")
+        if den == 0:
+            raise ZeroDenominator(f"zero denominator in the rational {num}/{den}")
+        v = Fraction(int_from_json(num, "num"), den)
+        entries[key] = entries[key] + v if key in entries else v
+    return {x: v for x, v in entries.items() if v}
 
 
 def function_from_rows(G: GroupSpec, rows: Iterable[dict] | None) -> SupportedFunction:
-    return SupportedFunction(G, _summed_rows(rows, lambda e: element_from_json(G, e)))
+    triples = ((element_from_json(G, r["elem"]), r["num"], r["den"]) for r in rows or ())
+    return SupportedFunction.trusted(G, _summed_rows(triples))
 
 
 def tree_function_from_rows(k: int, rows: Iterable[dict] | None) -> TreeFunction:
-    return TreeFunction(k, _summed_rows(rows, lambda e: make_vertex(e, k)))
+    triples = ((vertex_from_json(k, r["elem"]), r["num"], r["den"]) for r in rows or ())
+    return TreeFunction.trusted(k, _summed_rows(triples))
 
 
 def quotient_function_from_rows(quot: Quotient, rows: Iterable[dict] | None) -> SupportedFunction:
     """A function on the quotient from rows at base-group representatives, one per coset."""
-    entries = _summed_rows(rows, lambda e: quot.project(element_from_json(quot.base, e)))
-    if len(entries) != len(rows or ()):
+    triples = [
+        (quot.project(element_from_json(quot.base, r["elem"])), r["num"], r["den"])
+        for r in rows or ()
+    ]
+    entries = _summed_rows(triples)
+    if len({q for q, _, _ in triples}) != len(triples):
         raise ShapeMismatch("two representatives of the same coset given")
-    return SupportedFunction(quot.group, entries)
-
-
-def function_to_json(f: SupportedFunction) -> dict:
-    return {
-        "group": group_to_json(f.group),
-        "values": [
-            {"elem": element_to_json(x), **_rat_to_json(v)}
-            for x, v in sorted(f.entries.items(), key=lambda kv: (kv[0].free, kv[0].torsion))
-        ],
-    }
-
-
-def function_from_json(obj: dict, G: GroupSpec | None = None) -> SupportedFunction:
-    if G is None:
-        G = group_from_json(obj["group"])
-    return function_from_rows(G, obj.get("values"))
-
-
-def tree_function_to_json(f: TreeFunction) -> dict:
-    return {
-        "k": f.k,
-        "values": [
-            {"elem": list(x), **_rat_to_json(v)}
-            for x, v in sorted(f.entries.items())
-        ],
-    }
-
-
-def tree_function_from_json(obj: dict, k: int | None = None) -> TreeFunction:
-    if k is None:
-        k = int(obj["k"])
-    return tree_function_from_rows(k, obj.get("values"))
+    return SupportedFunction.trusted(quot.group, entries)
 
 
 def element_label(a: GroupElement) -> str:
@@ -128,23 +117,24 @@ def vertex_from_label(k: int, label: str) -> TreeVertex:
 
 
 def _to_csv(entries: dict, label: Callable, header: dict[str, Any]) -> str:
-    """CSV with a leading comment line recording the run parameters, rows in key order."""
-    buf = io.StringIO()
-    buf.write("# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n")
-    writer = csv.writer(buf)
-    writer.writerow(["vertex", "num", "den"])
-    for x, v in sorted(entries.items()):
-        writer.writerow([label(x), v.numerator, v.denominator])
-    return buf.getvalue()
+    """CSV with a leading comment line recording the run parameters, rows in key order.
+
+    Labels hold only integers and ';', so no field needs quoting.  The
+    comment line ends in "\\n"; the column header and every row end in
+    "\\r\\n", the bytes ``csv.writer`` wrote for them.
+    """
+    comment = "# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n"
+    rows = (f"{label(x)},{v.numerator},{v.denominator}\r\n" for x, v in sorted(entries.items()))
+    return comment + "vertex,num,den\r\n" + "".join(rows)
 
 
-def _from_csv(text: str, parse_label: Callable) -> dict:
-    rows = [line for line in text.splitlines() if line and not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader)
+def _csv_rows(text: str, parse_label: Callable) -> Iterable[tuple]:
+    """(key, num, den) triples of a CSV written by ``_to_csv``; fields may be quoted."""
+    reader = csv.reader(line for line in text.splitlines() if line and not line.startswith("#"))
+    header = next(reader, None)
     if header != ["vertex", "num", "den"]:
         raise ShapeMismatch(f"unexpected CSV header {header}")
-    return {parse_label(label): _rational(num, den) for label, num, den in reader}
+    return ((parse_label(label), num, den) for label, num, den in reader)
 
 
 def function_to_csv(f: SupportedFunction, header: dict[str, Any]) -> str:
@@ -152,7 +142,8 @@ def function_to_csv(f: SupportedFunction, header: dict[str, Any]) -> str:
 
 
 def function_from_csv(text: str, G: GroupSpec) -> SupportedFunction:
-    return SupportedFunction(G, _from_csv(text, lambda label: element_from_label(G, label)))
+    rows = _csv_rows(text, lambda label: element_from_label(G, label))
+    return SupportedFunction.trusted(G, _summed_rows(rows))
 
 
 def tree_function_to_csv(f: TreeFunction, header: dict[str, Any]) -> str:
@@ -160,4 +151,5 @@ def tree_function_to_csv(f: TreeFunction, header: dict[str, Any]) -> str:
 
 
 def tree_function_from_csv(text: str, k: int) -> TreeFunction:
-    return TreeFunction(k, _from_csv(text, lambda label: vertex_from_label(k, label)))
+    rows = _csv_rows(text, lambda label: vertex_from_label(k, label))
+    return TreeFunction.trusted(k, _summed_rows(rows))

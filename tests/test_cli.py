@@ -51,6 +51,7 @@ COSET_PROBLEM = {
     "n": 3,
 }
 
+FIRST_ROW = heat_problem()["f"][0]
 UNIT_VELOCITY = [{"elem": {"free": [1], "torsion": []}, "num": "1", "den": "1"}]
 COSET_UNIT_VELOCITY = [{"elem": {"free": [0], "torsion": [1]}, "num": "1", "den": "1"}]
 
@@ -64,6 +65,37 @@ class TestRun:
         u = serialize.function_from_csv(out.read_text(), Z)
         values = {x.free[0]: v for x, v in u.entries.items()}
         assert values == {-2: 1, -1: -2, 0: 3, 1: -2, 2: 1}
+
+    @pytest.mark.parametrize(
+        "obj, expected",
+        [
+            (
+                dict(heat_problem(), f=[{"elem": {"free": [1], "torsion": []}, "num": "-1", "den": "3"}]),
+                b"# kind=heat n=2 k=2\nvertex,num,den\r\n"
+                b"-1,-1,3\r\n0,2,3\r\n1,-1,1\r\n2,2,3\r\n3,-1,3\r\n",
+            ),
+            (
+                COSET_PROBLEM,
+                b"# kind=coset-heat n=3 k=3 H_order=2\nvertex,num,den\r\n"
+                b"-3;0,1,1\r\n-2;0,-6,1\r\n-2;1,3,1\r\n-1;0,18,1\r\n-1;1,-12,1\r\n"
+                b"0;0,-26,1\r\n0;1,19,1\r\n1;0,18,1\r\n1;1,-12,1\r\n2;0,-6,1\r\n"
+                b"2;1,3,1\r\n3;0,1,1\r\n",
+            ),
+            (
+                tree_problem(),
+                b"# kind=tree-heat n=2 k=3\nvertex,num,den\r\n"
+                b",7,1\r\n1,-4,1\r\n1;2,1,1\r\n1;3,1,1\r\n2,-4,1\r\n2;1,1,1\r\n"
+                b"2;3,1,1\r\n3,-4,1\r\n3;1,1,1\r\n3;2,1,1\r\n",
+            ),
+        ],
+        ids=["heat", "coset-heat", "tree-heat"],
+    )
+    def test_output_bytes(self, tmp_path, obj, expected):
+        # The comment line ends in "\n", the column header and each row in
+        # "\r\n"; the root of the tree has the empty label.
+        out = tmp_path / "u.csv"
+        assert cli.main([obj["kind"], "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
 
     def test_n_flag_overrides_problem(self, tmp_path, capsys):
         problem = write_problem(tmp_path, heat_problem(n=5))
@@ -143,18 +175,32 @@ class TestCompare:
 
     def test_injected_fault_detected(self, tmp_path, monkeypatch, capsys):
         problem = write_problem(tmp_path, heat_problem())
-        solve = cli._solve
+        closed_form = cli._closed_form
 
-        def solve_with_one_value_negated(instance, n):
-            u, header = solve(instance, n)
+        def closed_form_with_one_value_negated(*args):
+            u, header = closed_form(*args)
             entries = dict(u.entries)
             x = next(iter(entries))
             entries[x] = -entries[x]
             return SupportedFunction.trusted(u.group, entries), header
 
-        monkeypatch.setattr(cli, "_solve", solve_with_one_value_negated)
+        monkeypatch.setattr(cli, "_closed_form", closed_form_with_one_value_negated)
         assert cli.main(["compare", "--problem", problem]) == 3
         assert "mismatch" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["tree-heat", "tree-wave"])
+    def test_tree_compare_builds_the_window_once(self, tmp_path, monkeypatch, capsys, kind):
+        calls = []
+        window = cli._tree_eval_vertices
+
+        def counted(*args):
+            calls.append(args)
+            return window(*args)
+
+        monkeypatch.setattr(cli, "_tree_eval_vertices", counted)
+        problem = write_problem(tmp_path, tree_problem(kind, n=3))
+        assert cli.main(["compare", "--problem", problem]) == 0
+        assert len(calls) == 1
 
     def test_kernel_quadrature_compare(self, tmp_path, capsys):
         obj = {
@@ -244,6 +290,38 @@ class TestErrors:
         assert cli.main([argv[0], "--problem", problem, *argv[1:]]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "INDEX_OUT_OF_RANGE"
+
+    @pytest.mark.parametrize(
+        "obj, argv",
+        [
+            pytest.param(dict(heat_problem(), f=[dict(FIRST_ROW, num=1.5)]), ["heat"], id="num"),
+            pytest.param(dict(heat_problem(), f=[dict(FIRST_ROW, den=2.7)]), ["heat"], id="den"),
+            pytest.param(dict(heat_problem(), f=[dict(FIRST_ROW, num=True)]), ["heat"], id="num-true"),
+            pytest.param(dict(heat_problem(), n=2.9), ["heat"], id="n"),
+            pytest.param(dict(heat_problem(), n=2.9), ["compare"], id="compare-n"),
+            pytest.param(dict(heat_problem(), group={"rank": 1.5, "moduli": []}), ["heat"], id="rank"),
+            pytest.param(dict(COSET_PROBLEM, group={"rank": 1, "moduli": [4.5]}), ["coset-heat"],
+                         id="modulus"),
+            pytest.param(dict(heat_problem(), f=[dict(FIRST_ROW, elem={"free": [0.5], "torsion": []})]),
+                         ["heat"], id="coordinate"),
+            pytest.param(dict(tree_problem(), k=3.5), ["tree-heat"], id="k"),
+            pytest.param({"kind": "weights", "k": 3.5, "n": 2}, ["weights"], id="weights-k"),
+            pytest.param(dict(tree_problem(), eval={"ball": {"center": [], "radius": 1.9}}),
+                         ["tree-heat"], id="radius"),
+            pytest.param(dict(tree_problem(), eval={"ball": {"center": [1.7], "radius": 1}}),
+                         ["tree-heat"], id="center-letter"),
+            pytest.param(dict(tree_problem(), f=[{"elem": [1.7], "num": "1", "den": "1"}]),
+                         ["tree-heat"], id="row-letter"),
+            pytest.param(dict(tree_problem(), eval={"vertices": [[1.2]]}), ["tree-heat"],
+                         id="eval-vertex"),
+        ],
+    )
+    def test_non_integral_number_exit_1(self, tmp_path, capsys, obj, argv):
+        # int() would truncate these and answer a different problem.
+        problem = write_problem(tmp_path, obj)
+        assert cli.main([argv[0], "--problem", problem]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SHAPE_MISMATCH"
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     @pytest.mark.parametrize(

@@ -83,6 +83,56 @@ class TestLift:
             oracles.lifted_coset_heat_step(bad, P)
 
 
+def fiber_check(u, P) -> bool:
+    """The literal definition: each coset u touches takes one value, on all of its fiber."""
+    values = {}
+    for x, v in u.entries.items():
+        q = P.quot.project(x)
+        if q in values and values[q] != v:
+            return False
+        values[q] = v
+    return all(v == 0 or all(u(y) == v for y in P.quot.fiber(q)) for q, v in values.items())
+
+
+def fixture_zxz8xz2():
+    G = make_group(1, [8, 2])
+    S = [make_element(G, f, t) for f, t in
+         [([1], [0, 0]), ([-1], [0, 0]), ([0], [1, 0]), ([0], [7, 0]), ([0], [0, 1])]]
+    return cosets.build_coset_problem(G, [make_element(G, [0], [2, 0])], S)
+
+
+def fixture_trivial_h():
+    return cosets.build_coset_problem(ZxZ4, [], fixture_zxz4().S)
+
+
+@pytest.mark.parametrize("make_problem", [fixture_zxz4, fixture_zxz8xz2, fixture_trivial_h])
+def test_coset_check_matches_fiber_definition(make_problem):
+    # Lifted functions, then one entry dropped or one value changed by 0, 1
+    # or -1/3: the fiber-free check in the oracles must give the verdict of
+    # the literal fiber check on every one.
+    P = make_problem()
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(80):
+        u = cosets.lift(randgen.random_function(rng, P.quotient_group, max_points=4), P)
+        entries = dict(u.entries)
+        x = rng.choice(sorted(entries))
+        if rng.random() < 0.5:
+            del entries[x]
+        else:
+            entries[x] += rng.choice([0, 1, Fraction(-1, 3)])
+        u = SupportedFunction(P.base_group, entries)
+        try:
+            oracles._check_coset_constant(u, P)
+            passed = True
+        except CosetInconstant:
+            passed = False
+        assert passed == fiber_check(u, P)
+        verdicts.add(passed)
+    # With H trivial every function is constant on cosets.
+    assert verdicts == ({True} if P.H_order == 1 else {True, False})
+
+
 class TestSolvers:
     def test_heat_equivalence(self):
         P = fixture_zxz4()
