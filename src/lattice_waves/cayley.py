@@ -18,13 +18,13 @@ from typing import Sequence
 from .errors import GroupMismatch, IndexOutOfRange, NotSolvable, TorsionUnsupported
 from .functions import (
     SupportedFunction,
+    _Packing,
     add,
     convolve,
     convolve_power,
     delta,
     scale,
     trivial_character_sum,
-    unit,
 )
 from .groups import GeneratorSet, GroupElement, GroupSpec, adder, identity
 
@@ -67,7 +67,8 @@ def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     The binomial-sum construction sum_j (-1)^j C(n,j) A^{*j} is the same
     function; ``heat_kernel_binomial`` computes it literally for
     cross-checking.  delta_e - A is the one heat step
-    (1-k)*delta_e + sum_s delta_s, so the kernel is built in ``int``.
+    (1-k)*delta_e + sum_s delta_s, so the kernel is one packed ``int``
+    power (``convolve_power``), its coefficients bounded by (2k-1)^n.
     """
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
@@ -88,23 +89,31 @@ def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
 
 
 def wave_kernels(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]:
-    """Wave propagators F_n = sum_i (-1)^i C(n,2i) A^{*i} and G_n = sum_i (-1)^i C(n,2i+1) A^{*i}."""
+    """Wave propagators F_n = sum_i (-1)^i C(n,2i) A^{*i} and G_n = sum_i (-1)^i C(n,2i+1) A^{*i}.
+
+    Both are evaluated by Horner's rule in the packed -A (``_Packing``):
+    n//2 short multiplies each, then one decode.  |A|_1 = 2k, so
+    sum_i C(n,2i[+1]) (2k)^i bounds every coefficient.
+    """
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    A = inverse_symbol_a(G, S)
-    f_total: dict[GroupElement, int] = {}
-    g_total: dict[GroupElement, int] = {}
-    power = unit(G)
-    for i in range(n // 2 + 1):
-        if i:
-            power = convolve(power, A)
-        sign = (-1) ** i
-        for total, c in ((f_total, comb(n, 2 * i)), (g_total, comb(n, 2 * i + 1))):
-            if c:
-                for x, v in power.entries.items():
-                    total[x] = total.get(x, 0) + sign * c * v
-    F = SupportedFunction.trusted(G, {x: v for x, v in f_total.items() if v})
-    Gk = SupportedFunction.trusted(G, {x: v for x, v in g_total.items() if v})
+    top = n // 2
+    minus_a = _symbol(G, S, -S.degree, 1)
+    bound = max(
+        sum(comb(n, 2 * i + j) * (2 * S.degree) ** i for i in range(top + 1)) for j in (0, 1)
+    )
+    # The layout must hold -A itself even when n < 2 makes no product.
+    packing = _Packing(G, minus_a.entries, max(top, 1), max(bound, 2 * S.degree))
+    a = packing.pack(minus_a.entries)
+    f = g = 0
+    for i in range(top, -1, -1):
+        if i < top:
+            f, g = packing.mul(f, a), packing.mul(g, a)
+        shift = packing.unit_shift(top - i)
+        f += comb(n, 2 * i) << shift
+        g += comb(n, 2 * i + 1) << shift
+    F = SupportedFunction.trusted(G, packing.unpack(f, top))
+    Gk = SupportedFunction.trusted(G, packing.unpack(g, top))
     return Kernel(F, KernelRole.WAVE_F, n), Kernel(Gk, KernelRole.WAVE_G, n)
 
 

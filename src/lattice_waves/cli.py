@@ -314,6 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Wire integers have any length (serialize.py); 3.11 and late 3.10
+    # builds cap str <-> int conversions at 4300 digits unless told not to.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

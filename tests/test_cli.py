@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, wire formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,25 @@ class TestRun:
         out = tmp_path / "u.csv"
         assert cli.main([obj["kind"], "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
         assert out.read_bytes() == expected
+
+    def test_integers_of_any_length(self, tmp_path):
+        # 4401 digits is past the interpreter's default str <-> int limit;
+        # a fresh process shows that the CLI lifts it, on read and on write.
+        big = "1" + "0" * 4400
+        obj = dict(heat_problem(n=1), f=[{"elem": {"free": [0], "torsion": []}, "num": big, "den": "1"}])
+        out = tmp_path / "u.csv"
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "lattice_waves.cli", "heat",
+             "--problem", write_problem(tmp_path, obj), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        b = big.encode()
+        assert out.read_bytes() == (
+            b"# kind=heat n=1 k=2\nvertex,num,den\r\n"
+            b"-1," + b + b",1\r\n0,-" + b + b",1\r\n1," + b + b",1\r\n"
+        )
 
     def test_n_flag_overrides_problem(self, tmp_path, capsys):
         problem = write_problem(tmp_path, heat_problem(n=5))

@@ -20,8 +20,8 @@ def z_gens():
 def test_oracles_share_no_engine_code():
     # The exact-agreement tests mean something only while the oracles step
     # the recurrences themselves: they may use the element, scalar and
-    # function types, never the kernels, convolution, weight tables or the
-    # engine's integer form of the data.
+    # function types, never the kernels, convolution, weight tables, the
+    # engine's integer form of the data or its packed (Kronecker) kernels.
     tree_ = ast.parse(inspect.getsource(oracles))
     modules = {n.module for n in ast.walk(tree_) if isinstance(n, ast.ImportFrom)}
     assert not modules & {"cayley", "cli", "verify"}
@@ -30,7 +30,9 @@ def test_oracles_share_no_engine_code():
     names |= {n.attr for n in ast.walk(tree_) if isinstance(n, ast.Attribute)}
     assert not names & {"convolve", "convolve_power", "heat_kernel", "wave_kernels",
                         "tree_heat_weights", "tree_wave_weights", "WeightTable",
-                        "_integer_form", "integer_form"}
+                        "_integer_form", "integer_form",
+                        "_Packing", "_lift", "_strides", "pack", "unpack", "unit_shift",
+                        "power", "_fold", "_biased"}
 
 
 class TestCayleySteppers:
