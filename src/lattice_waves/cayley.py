@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import GroupMismatch, IndexOutOfRange, NotSolvable, TorsionUnsupported
 from .functions import (
     SupportedFunction,
-    _Packing,
+    _packing,
     add,
     convolve,
     convolve_power,
@@ -68,7 +68,8 @@ def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     function; ``heat_kernel_binomial`` computes it literally for
     cross-checking.  delta_e - A is the one heat step
     (1-k)*delta_e + sum_s delta_s, so the kernel is one packed ``int``
-    power (``convolve_power``), its coefficients bounded by (2k-1)^n.
+    power (``convolve_power``), its coefficients bounded by (2k-1)^n, or
+    sparse squaring where the packed box would be mostly empty.
     """
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
@@ -91,9 +92,10 @@ def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
 def wave_kernels(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]:
     """Wave propagators F_n = sum_i (-1)^i C(n,2i) A^{*i} and G_n = sum_i (-1)^i C(n,2i+1) A^{*i}.
 
-    Both are evaluated by Horner's rule in the packed -A (``_Packing``):
-    n//2 short multiplies each, then one decode.  |A|_1 = 2k, so
-    sum_i C(n,2i[+1]) (2k)^i bounds every coefficient.
+    Both are evaluated by Horner's rule in -A: packed (``_packing``), n//2
+    short multiplies each and then one decode, where sum_i C(n,2i[+1])
+    (2k)^i bounds every coefficient (|A|_1 = 2k); with the sparse
+    ``convolve`` where the packed box would be mostly empty.
     """
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
@@ -102,18 +104,25 @@ def wave_kernels(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]
     bound = max(
         sum(comb(n, 2 * i + j) * (2 * S.degree) ** i for i in range(top + 1)) for j in (0, 1)
     )
-    # The layout must hold -A itself even when n < 2 makes no product.
-    packing = _Packing(G, minus_a.entries, max(top, 1), max(bound, 2 * S.degree))
-    a = packing.pack(minus_a.entries)
-    f = g = 0
-    for i in range(top, -1, -1):
-        if i < top:
-            f, g = packing.mul(f, a), packing.mul(g, a)
-        shift = packing.unit_shift(top - i)
-        f += comb(n, 2 * i) << shift
-        g += comb(n, 2 * i + 1) << shift
-    F = SupportedFunction.trusted(G, packing.unpack(f, top))
-    Gk = SupportedFunction.trusted(G, packing.unpack(g, top))
+    packing = _packing(G, minus_a.entries, top, bound) if top else None
+    if packing is None:
+        e = identity(G)
+
+        def step(h: SupportedFunction, c: int) -> SupportedFunction:
+            return add(convolve(h, minus_a), SupportedFunction.trusted(G, {e: c} if c else {}))
+
+        F = Gk = SupportedFunction.trusted(G, {})
+        for i in range(top, -1, -1):
+            F, Gk = step(F, comb(n, 2 * i)), step(Gk, comb(n, 2 * i + 1))
+    else:
+        a = packing.pack(minus_a.entries)
+        f = g = 0
+        for i in range(top, -1, -1):
+            shift = packing.unit_shift(top - i)
+            f = f * a + (comb(n, 2 * i) << shift)
+            g = g * a + (comb(n, 2 * i + 1) << shift)
+        F = SupportedFunction.trusted(G, packing.unpack(f, top))
+        Gk = SupportedFunction.trusted(G, packing.unpack(g, top))
     return Kernel(F, KernelRole.WAVE_F, n), Kernel(Gk, KernelRole.WAVE_G, n)
 
 

@@ -316,10 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # Wire integers have any length (serialize.py); 3.11 and late 3.10
     # builds cap str <-> int conversions at 4300 digits unless told not to.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # The cap is lifted for this call only and put back for the caller.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     args = build_parser().parse_args(argv)
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except NotSolvable as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr)
@@ -333,6 +335,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover
         print(json.dumps({"error": "INTERNAL", "detail": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

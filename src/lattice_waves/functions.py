@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product
-from math import lcm
+from math import comb, lcm, prod
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -157,9 +157,10 @@ def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:
     """n-fold convolution power; n=0 gives delta_e.
 
     f is taken to its integer form, packed into one ``int`` and raised to
-    the n-th power (``_Packing``); the result is decoded once and divided by
+    the n-th power (``_packing``); the result is decoded once and divided by
     the n-th power of f's common denominator.  Integral f keeps ``int``
-    values.
+    values.  Where the packed box would be mostly empty, f is squared
+    repeatedly with the sparse ``convolve`` instead.
     """
     G = f.group
     if n == 0:
@@ -167,12 +168,66 @@ def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:
     if not f.entries:
         return SupportedFunction.trusted(G, {})
     values, d = _integer_form(f)
-    packing = _Packing(G, values, n, sum(map(abs, values.values())) ** n)
-    out = packing.unpack(packing.power(packing.pack(values), n), n)
+    packing = _packing(G, values, n, sum(map(abs, values.values())) ** n)
+    if packing is None:
+        return _sparse_power(f, n)
+    out = packing.unpack(packing.pack(values) ** n, n)
     d **= n
     if d == 1:
         return SupportedFunction.trusted(G, out)
     return SupportedFunction.trusted(G, {x: Fraction(v, d) for x, v in out.items()})
+
+
+def _sparse_power(f: SupportedFunction, n: int) -> SupportedFunction:
+    """f^{*n} by repeated squaring with ``convolve``."""
+    result = unit(f.group)
+    while n:
+        if n & 1:
+            result = convolve(result, f)
+        n >>= 1
+        if n:
+            f = convolve(f, f)
+    return result
+
+
+# A packed box may be at most this many times the largest support its
+# products can reach (``_reach``).  On Z with S = {+-1, +-L}, K_n for n =
+# 10, 20 and 40 takes as long packed as by sparse squaring near a ratio of
+# 32; past it the sparse ``convolve`` is the faster, and the smaller in
+# memory.
+SPREAD = 32
+
+
+def _packing(G: GroupSpec, support, degree: int, bound: int) -> _Packing | None:
+    """The layout for products of up to ``degree`` factors on ``support``.
+
+    None where its box holds more than SPREAD slots per element the
+    products can reach, as when generators lie far apart.  The box is
+    sized from the input alone, before anything is allocated.
+    """
+    vectors = [_lift(G.moduli, x) for x in support]
+    lo = [min(c) for c in zip(*vectors)]
+    widths = [degree * (max(c) - l) + 1 for c, l in zip(zip(*vectors), lo)]
+    if prod(widths) > SPREAD * _reach(G, support, degree, prod(widths[:G.rank])):
+        return None
+    return _Packing(G, lo, widths, bound)
+
+
+def _reach(G: GroupSpec, support, degree: int, free_box: int) -> int:
+    """An upper bound on the support size of a product of up to ``degree`` factors.
+
+    Such a product is sum_j d_j x_j + sum_y c_y y, over the p pairs
+    {x, -x} in ``support`` and its q other non-identity elements, with d
+    integral, c >= 0 and sum |d_j| + sum c_y <= degree.  The generating
+    function (1+t)^p / (1-t)^(p+q+1) counts these: sum_j C(p,j)
+    C(degree-j+p+q, p+q).  The product also lies in the free part of the
+    box times the torsion.
+    """
+    others = set(support) - {identity(G)}
+    p = sum(1 for x in others if elem_neg(G, x) in others and elem_neg(G, x) != x) // 2
+    pq = len(others) - p
+    ball = sum(comb(p, j) * comb(degree - j + pq, pq) for j in range(min(p, degree) + 1))
+    return min(ball, free_box * prod(G.moduli))
 
 
 def _lift(moduli: tuple[int, ...], x: GroupElement) -> tuple[int, ...]:
@@ -187,154 +242,68 @@ class _Packing:
     e(x) the mixed-radix index of x in the box, evaluated at X = 2^(8*slot)
     (Schonhage, EUROCAM 1982; Harvey, J. Symbolic Comput. 44, 2009).  The
     product of two such ints is then their convolution, done by CPython's
-    big-int multiply.  A layout holds products of up to ``degree`` factors,
-    each supported on ``support``; ``bound`` must bound every coefficient of
-    every product that is decoded, and every value that is packed.
+    big-int multiply.  ``bound`` must bound every coefficient of every
+    product that is decoded, and every value that is packed.
 
     Every coordinate is lifted to Z (``_lift``).  If the factors lie in
     [lo_i, hi_i] along coordinate i, a product of d of them lies in
-    [d*lo_i, d*hi_i]: the box has width ``degree*(hi_i - lo_i) + 1``, and
-    the exponents of a product of d factors count from d*lo_i.  Lifted
-    torsion is reduced mod m_i when the result is decoded.
-
-    Where lifting would make the torsion part of the box more than
-    FOLD_RATIO times as large as the folded one, the torsion coordinates are
-    folded instead.  They keep their values in [0, m_i) and sit outermost,
-    with width 2*m_i - 1, so a product is a grid of blocks over the free
-    coordinates; ``mul`` adds each block back into its residue mod m_i.
+    [d*lo_i, d*hi_i]: for up to ``degree`` factors the box has width
+    ``degree*(hi_i - lo_i) + 1``, and the exponents of a product of d
+    factors count from d*lo_i.  Lifted torsion is reduced mod m_i when the
+    result is decoded.
 
     Slots are signed and ``slot`` bytes wide, 2^(8*slot - 1) > bound.
     Reading a product adds a bias of half a slot to every slot, so that no
     slot borrows from the next, and takes the bytes once.
     """
 
-    FOLD_RATIO = 2
-
-    def __init__(self, G: GroupSpec, support, degree: int, bound: int):
-        rank, moduli = G.rank, G.moduli
-        vectors = [_lift(moduli, x) for x in support]
-        lo = [min(c) for c in zip(*vectors)]
-        widths = [degree * (max(c) - l) + 1 for c, l in zip(zip(*vectors), lo)]
-        lifted = folded = 1
-        for w, m in zip(widths[rank:], moduli):
-            lifted *= w
-            folded *= 2 * m - 1
-        self.rank, self.moduli = rank, moduli
-        self.fold = lifted > self.FOLD_RATIO * folded
-        self.lo, self.widths = (lo[:rank], widths[:rank]) if self.fold else (lo, widths)
-        # Mixed-radix strides, the last coordinate fastest: in slots within
-        # a block, and in blocks for the folded torsion coordinates.
-        self.strides = _strides(self.widths)
-        self.block = self.strides[0] * self.widths[0] if self.widths else 1
-        self.origin = -sum(l * s for l, s in zip(self.lo, self.strides))
-        self.outer = outer = _strides([2 * m - 1 for m in moduli]) if self.fold else []
-        # (first block, torsion) of each residue, and (block, its residue's
-        # block) over the whole grid.
-        self.residues = [(0, ())]
-        self.fold_map = [(0, 0)]
-        if self.fold:
-            self.residues = [
-                (sum(map(mul, t, outer)), t) for t in product(*map(range, moduli))
-            ]
-            self.fold_map = [
-                (sum(map(mul, pos, outer)), sum(p % m * o for p, m, o in zip(pos, moduli, outer)))
-                for pos in product(*(range(2 * m - 1) for m in moduli))
-            ]
+    def __init__(self, G: GroupSpec, lo: list[int], widths: list[int], bound: int):
+        self.rank, self.moduli = G.rank, G.moduli
+        self.lo, self.widths = lo, widths
+        # Mixed-radix strides, the last coordinate fastest.
+        self.strides = _strides(widths)
+        self.size = prod(widths)
+        self.origin = -sum(map(mul, lo, self.strides))
         self.slot = (bound.bit_length() + 8) // 8
         self.half = 1 << (8 * self.slot - 1)
         self.zero = self.half.to_bytes(self.slot, "little")
-        self.size = self.block * len(self.fold_map)
         self.bias = int.from_bytes(self.zero * self.size, "little")
-
-    def index(self, x: GroupElement) -> int:
-        """The slot of x as a single factor."""
-        if self.fold:
-            pos = x.free
-            first = sum(map(mul, x.torsion, self.outer)) * self.block
-        else:
-            pos = _lift(self.moduli, x)
-            first = 0
-        return first + sum((v - l) * s for v, l, s in zip(pos, self.lo, self.strides))
 
     def pack(self, values: Mapping[GroupElement, int]) -> int:
         """One factor as an ``int``."""
-        slot, half = self.slot, self.half
-        placed = {self.index(x): v for x, v in values.items()}
+        slot, half, moduli, lo, strides = self.slot, self.half, self.moduli, self.lo, self.strides
+        placed = {
+            sum((v - l) * s for v, l, s in zip(_lift(moduli, x), lo, strides)): c
+            for x, c in values.items()
+        }
         size = max(placed) + 1
         buf = bytearray(self.zero * size)
-        for i, v in placed.items():
-            buf[i * slot:(i + 1) * slot] = (v + half).to_bytes(slot, "little")
+        for i, c in placed.items():
+            buf[i * slot:(i + 1) * slot] = (c + half).to_bytes(slot, "little")
         return int.from_bytes(buf, "little") - int.from_bytes(self.zero * size, "little")
 
     def unit_shift(self, degree: int) -> int:
         """The bit offset of delta_e in a product of ``degree`` factors."""
         return 8 * self.slot * degree * self.origin
 
-    def mul(self, a: int, b: int) -> int:
-        """The product of two packed functions, folded when the layout folds."""
-        return self._fold(a * b) if self.fold else a * b
-
-    def power(self, p: int, n: int) -> int:
-        """p ** n: one big-int power, or square-and-multiply with folds."""
-        if not self.fold:
-            return p ** n
-        result = 1  # delta_e, as a product of no factors
-        while n:
-            if n & 1:
-                result = self.mul(result, p)
-            n >>= 1
-            if n:
-                p = self.mul(p, p)
-        return result
-
-    def _biased(self, p: int) -> bytes:
-        return (p + self.bias).to_bytes(self.size * self.slot, "little")
-
-    def _fold(self, p: int) -> int:
-        # Sum the blocks of each residue, all biased: a sum of j biased
-        # blocks carries j biases, so j - 1 come off.
-        data, width = self._biased(p), self.block * self.slot
-        block_bias = int.from_bytes(self.zero * self.block, "little")
-        acc: dict[int, int] = {}
-        for src, dst in self.fold_map:
-            chunk = int.from_bytes(data[src * width:(src + 1) * width], "little")
-            acc[dst] = acc[dst] + chunk - block_bias if dst in acc else chunk
-        buf = bytearray(self.zero * self.size)
-        for dst, v in acc.items():
-            buf[dst * width:(dst + 1) * width] = v.to_bytes(width, "little")
-        return int.from_bytes(buf, "little") - self.bias
-
     def unpack(self, p: int, degree: int) -> dict[GroupElement, int]:
         """The non-zero values of a packed product of ``degree`` factors."""
-        slot, half, from_bytes = self.slot, self.half, int.from_bytes
-        data, width = self._biased(p), self.block * self.slot
+        slot, half, from_bytes, rank = self.slot, self.half, int.from_bytes, self.rank
+        data = (p + self.bias).to_bytes(self.size * slot, "little")
+        values = [from_bytes(data[i:i + slot], "little") - half for i in range(0, len(data), slot)]
         axes = [range(degree * l, degree * l + w) for l, w in zip(self.lo, self.widths)]
-        rank = self.rank
-        lifted_torsion = not self.fold and self.moduli
-        if lifted_torsion:
-            axes[rank:] = [[v % m for v in axis] for axis, m in zip(axes[rank:], self.moduli)]
+        axes[rank:] = [[v % m for v in axis] for axis, m in zip(axes[rank:], self.moduli)]
+        # Slots that hold only the bias read 0 and are skipped.
+        keys = compress(product(*axes), values)
+        if not self.moduli:
+            return dict(zip((_new_tuple(GroupElement, (t, ())) for t in keys), filter(None, values)))
         out: dict[GroupElement, int] = {}
-        for first, torsion in self.residues:
-            start = first * width
-            values = [
-                from_bytes(data[i:i + slot], "little") - half
-                for i in range(start, start + width, slot)
-            ]
-            # Slots that hold only the bias read 0 and are skipped.
-            keys = compress(product(*axes), values)
-            if not lifted_torsion:
-                out.update(zip(
-                    (_new_tuple(GroupElement, (t, torsion)) for t in keys), filter(None, values)
-                ))
-                continue
-            get = out.get
-            for t, v in zip(keys, filter(None, values)):
-                x = _new_tuple(GroupElement, (t[:rank], t[rank:]))
-                out[x] = get(x, 0) + v
-        if lifted_torsion:
-            # Representatives of one residue may cancel.
-            out = {x: v for x, v in out.items() if v}
-        return out
+        get = out.get
+        for t, v in zip(keys, filter(None, values)):
+            x = _new_tuple(GroupElement, (t[:rank], t[rank:]))
+            out[x] = get(x, 0) + v
+        # Representatives of one residue may cancel.
+        return {x: v for x, v in out.items() if v}
 
 
 def _strides(widths: list[int]) -> list[int]:

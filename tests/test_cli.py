@@ -120,6 +120,17 @@ class TestRun:
             b"-1," + b + b",1\r\n0,-" + b + b",1\r\n1," + b + b",1\r\n"
         )
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str <-> int digit limit")
+    def test_digit_limit_is_put_back(self, tmp_path):
+        # In process, main lifts the limit for its own run and restores it.
+        big = "1" + "0" * 4400
+        obj = dict(heat_problem(n=0), f=[{"elem": {"free": [0], "torsion": []}, "num": big, "den": "1"}])
+        out = tmp_path / "u.csv"
+        before = sys.get_int_max_str_digits()
+        assert cli.main(["heat", "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
+        assert sys.get_int_max_str_digits() == before
+        assert out.read_bytes().endswith(b"0," + big.encode() + b",1\r\n")
+
     def test_n_flag_overrides_problem(self, tmp_path, capsys):
         problem = write_problem(tmp_path, heat_problem(n=5))
         assert cli.main(["heat", "--problem", problem, "--n", "0"]) == 0

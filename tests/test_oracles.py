@@ -31,8 +31,8 @@ def test_oracles_share_no_engine_code():
     assert not names & {"convolve", "convolve_power", "heat_kernel", "wave_kernels",
                         "tree_heat_weights", "tree_wave_weights", "WeightTable",
                         "_integer_form", "integer_form",
-                        "_Packing", "_lift", "_strides", "pack", "unpack", "unit_shift",
-                        "power", "_fold", "_biased"}
+                        "_Packing", "_packing", "_reach", "_sparse_power", "SPREAD",
+                        "_lift", "_strides", "pack", "unpack", "unit_shift"}
 
 
 class TestCayleySteppers:

@@ -8,7 +8,7 @@ dict accumulators of ``wave_kernels`` over successive powers of A.
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,14 +127,81 @@ def test_wave_kernels_match_sparse_accumulators(name):
         assert_int_valued(Gk.data)
 
 
-def test_both_torsion_layouts_are_covered():
-    # The cases above must reach the lifted and the folded torsion layout.
-    layouts = set()
-    for G, S, ns in CASES.values():
-        if G.moduli:
-            step = cayley._symbol(G, S, 1 - S.degree, 1)
-            layouts |= {functions._Packing(G, step.entries, n, 1).fold for n in ns if n}
-    assert layouts == {False, True}
+def packings(G, S, n):
+    """The layouts of K_n and of (F_n, G_n); None where the sparse path runs."""
+    heat = functions._packing(G, cayley._symbol(G, S, 1 - S.degree, 1).entries, n, 1)
+    wave = functions._packing(G, cayley._symbol(G, S, -S.degree, 1).entries, n // 2, 1)
+    return heat, wave
+
+
+def test_cases_take_the_packed_path():
+    # Otherwise the tests above would compare the sparse path with itself.
+    # Past n = 10, lifted torsion widens the boxes of Z6 and of the quotient
+    # past SPREAD times what the kernels can reach, and they go sparse.
+    for name, (G, S, ns) in CASES.items():
+        for n in (n for n in ns if n <= 10):
+            heat, wave = packings(G, S, n)
+            assert heat is not None and (n < 2 or wave is not None), (name, n)
+
+
+def test_wide_lifted_torsion_takes_the_sparse_path():
+    # K_60 on the quotient reaches at most 121 free values times 8 torsion
+    # elements; its lifted box has 121 * 61 * 121 slots.
+    for name in ("Z6", "quotient ZxZ2xZ4"):
+        G, S, _ = CASES[name]
+        assert packings(G, S, 60)[0] is None, name
+
+
+# Generators far apart: the packed box would be almost all empty slots
+# (2*10^6*n + 1 of them on Z for a support of 2n^2 + 2n + 1).
+WIDE = {
+    "Z, S = {+-1, +-10^6}": (Z, gens(Z, ([1], []), ([10**6], [])), [1, 2, 3, 12, 20]),
+    "Z^2 with a far-off pair": (
+        Z2_, gens(Z2_, ([1, 0], []), ([0, 1], []), ([10**4, 1 - 10**4], [])), [1, 2, 3, 8]),
+    "ZxZ4 with a far-off pair": (
+        ZxZ4, gens(ZxZ4, ([1], [0]), ([0], [1]), ([10**5], [1])), [1, 2, 3, 10]),
+}
+
+
+@pytest.mark.parametrize("name", WIDE)
+def test_far_apart_generators_take_the_sparse_path(name):
+    G, S, ns = WIDE[name]
+    for n in ns:
+        heat, wave = packings(G, S, n)
+        assert heat is None and (n < 2 or wave is None), (name, n)
+
+
+@pytest.mark.parametrize("name", WIDE)
+def test_far_apart_generators_match_the_references(name):
+    G, S, ns = WIDE[name]
+    squares = [cayley._symbol(G, S, 1 - S.degree, 1)]
+    for n in [0] + ns:
+        K = cayley.heat_kernel(G, S, n).data
+        assert K == sparse_heat(G, S, n, squares), (name, n)
+        assert_int_valued(K)
+        if n <= 3:
+            assert K == cayley.heat_kernel_binomial(G, S, n).data
+        Fk, Gk = cayley.wave_kernels(G, S, n)
+        assert (Fk.data, Gk.data) == sparse_wave(G, S, n), (name, n)
+        assert_int_valued(Fk.data)
+        assert_int_valued(Gk.data)
+
+
+def reach(G, f, n):
+    free_box = prod(n * (max(c) - min(c)) + 1 for c in zip(*(x.free for x in f.entries)))
+    return functions._reach(G, f.entries, n, free_box)
+
+
+def test_reach_bounds_the_support():
+    # Exact for independent pairs: K_n on Z with S = {+-1, +-10^6}.
+    G, S, _ = WIDE["Z, S = {+-1, +-10^6}"]
+    step = cayley._symbol(G, S, 1 - S.degree, 1)
+    for n in range(8):
+        assert reach(G, step, n) == len(sparse_heat(G, S, n).entries) == 2 * n * n + 2 * n + 1
+    for G, S, ns in list(CASES.values()) + list(WIDE.values()):
+        step = cayley._symbol(G, S, 1 - S.degree, 1)
+        for n in ns[:12]:
+            assert len(cayley.heat_kernel(G, S, n).data.entries) <= reach(G, step, n)
 
 
 def test_zero_sums_from_torsion_folding_are_dropped():
@@ -148,7 +215,7 @@ def test_zero_sums_from_torsion_folding_are_dropped():
         tuple(make_element(L, [t - 6 if 2 * t > 6 else t], []) for (t,) in (s.torsion for s in S.elements)),
         S.degree,
     )
-    assert not functions._Packing(G, cayley.inverse_symbol_a(G, S).entries, n // 2, 1).fold
+    assert packings(G, S, n)[1] is not None
     Fk_lifted, _ = sparse_wave(L, lifted, n)
     residues = {}
     for x, v in Fk_lifted.entries.items():
