@@ -67,16 +67,12 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
         # Default window: the whole region where the solution can be nonzero.
         support_radius = max((tree.tree_distance(center, y) for y in f.support()), default=0)
         radius = support_radius + n
+    # Each layer steps one sphere outward: every neighbour but the parent.
     out = [center]
-    frontier = [center]
+    frontier = [(center, None)]
     for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            for y in tree.neighbors(x, k):
-                if tree.tree_distance(center, y) > tree.tree_distance(center, x):
-                    nxt.append(y)
-        out += nxt
-        frontier = nxt
+        frontier = [(y, x) for x, p in frontier for y in tree.neighbors(x, k) if y != p]
+        out += [y for y, _ in frontier]
     return out
 
 

@@ -1,10 +1,15 @@
 """Brute-force time steppers used as ground truth for the closed forms.
 
-Each stepper applies one exact step of the defining recurrence, sharing
-nothing with the closed-form engine beyond the scalar and element types.
-They are deliberately naive and slow.  The group and tree steppers scale
-their inputs to integers over a common denominator, accumulate integers,
-and divide once per output value.
+Every stepper is one of the paper's two time rules, heat u - Δu and wave
+2 u1 - u0 - Δu0, applied to the combinatorial Laplacian of its graph.  One
+loop per graph family adds -Δu into an integer accumulator: over shifts
+with a divisor on groups (S and 1 on a Cayley graph, the sums h + s over
+H x S~ and |H| on the lifted coset graph), over neighbours on trees, and
+over the radialized line, whose radial profiles are even extensions.  The
+rules work over one common denominator (times the divisor) and divide once
+per output value.  Nothing is shared with the closed-form engine beyond
+the element, scalar and function types; the steppers are deliberately
+naive and slow.
 """
 
 from __future__ import annotations
@@ -14,13 +19,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, zip_longest
 from math import lcm, pi
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .cosets import CosetProblem
 from .errors import CosetInconstant, GroupMismatch, TorsionUnsupported
 from .functions import SupportedFunction, add
-from .groups import GeneratorSet, GroupElement, adder
+from .groups import GeneratorSet, GroupElement, GroupSpec, adder
 from .tree import TreeFunction, neighbors
+
+# laplacian(acc, u) adds -Δu into acc; both map points to int numerators.
+Laplacian = Callable[[dict, dict], None]
 
 
 def _common_denominator(*maps: dict) -> int:
@@ -49,22 +57,74 @@ def _rationals(numerators: dict, d: int) -> dict:
     return out
 
 
+def _heat(u: dict, laplacian: Laplacian, divisor: int = 1) -> dict:
+    """u - Δu; the numerators are scaled so that ``divisor`` divides each."""
+    d = _common_denominator(u) * divisor
+    u = _numerators(u, d)
+    acc = dict(u)
+    laplacian(acc, u)
+    return _rationals(acc, d)
+
+
+def _wave(u0: dict, u1: dict, laplacian: Laplacian, divisor: int = 1) -> dict:
+    """2 u1 - u0 - Δu0 over one common denominator, scaled as in ``_heat``."""
+    d = _common_denominator(u0, u1) * divisor
+    u0 = _numerators(u0, d)
+    acc = {x: 2 * v for x, v in _numerators(u1, d).items()}
+    get = acc.get
+    for x, v in u0.items():
+        acc[x] = get(x, 0) - v
+    laplacian(acc, u0)
+    return _rationals(acc, d)
+
+
+def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement], divisor: int) -> Laplacian:
+    """-Δu(x) = (1/divisor) sum_s (u(x + s) - u(x)), s over a multiset of shifts.
+
+    u(x + s) feeds position x; equivalently v at x spreads to x + s, since
+    the multiset is closed under negation.
+    """
+    step = adder(G)
+    k = len(shifts) // divisor
+    def laplacian(acc: dict, u: dict) -> None:
+        get = acc.get
+        for x, v in u.items():
+            acc[x] = get(x, 0) - k * v
+            spread = v // divisor
+            for s in shifts:
+                y = step(x, s)
+                acc[y] = get(y, 0) + spread
+    return laplacian
+
+
+def _tree_laplacian(k: int) -> Laplacian:
+    """-Δu(x) = sum_{y ~ x} (u(y) - u(x)) over reduced-word neighbours."""
+    def laplacian(acc: dict, u: dict) -> None:
+        get = acc.get
+        for x, v in u.items():
+            acc[x] = get(x, 0) - k * v
+            # Neighbours of reduced words are reduced words.
+            for y in neighbors(x, k):
+                acc[y] = get(y, 0) + v
+    return laplacian
+
+
+def _line_laplacian(k: int) -> Laplacian:
+    """-Δp(r) = (k-1) p(r+1) + p(r-1) - k p(r): the tree Laplacian on spheres."""
+    def laplacian(acc: dict, p: dict) -> None:
+        get = acc.get
+        for r, v in p.items():
+            acc[r] = get(r, 0) - k * v
+            # p(r) is the p(r+1) of r-1, weighted k-1, and the p(r-1) of r+1.
+            acc[r - 1] = get(r - 1, 0) + (k - 1) * v
+            acc[r + 1] = get(r + 1, 0) + v
+    return laplacian
+
+
 def cayley_heat_step(u: SupportedFunction, S: GeneratorSet) -> SupportedFunction:
     """u(x, n+1) = sum_i u(x + s_i, n) - (k-1) u(x, n)."""
     G = u.group
-    k = S.degree
-    step = adder(G)
-    d = _common_denominator(u.entries)
-    out: dict[GroupElement, int] = {}
-    get = out.get
-    for x, v in _numerators(u.entries, d).items():
-        out[x] = get(x, 0) - (k - 1) * v
-        for s in S.elements:
-            # u(x+s) contributes to position x; equivalently v spreads to x-s,
-            # and S = -S makes the two bookkeepings identical.
-            y = step(x, s)
-            out[y] = get(y, 0) + v
-    return SupportedFunction.trusted(G, _rationals(out, d))
+    return SupportedFunction.trusted(G, _heat(u.entries, _group_laplacian(G, S.elements, 1)))
 
 
 def cayley_wave_step(
@@ -74,17 +134,8 @@ def cayley_wave_step(
     if u_prev.group != u_curr.group:
         raise GroupMismatch("wave step arguments live on different groups")
     G = u_curr.group
-    k = S.degree
-    step = adder(G)
-    d = _common_denominator(u_prev.entries, u_curr.entries)
-    out = {x: 2 * v for x, v in _numerators(u_curr.entries, d).items()}
-    get = out.get
-    for x, v in _numerators(u_prev.entries, d).items():
-        out[x] = get(x, 0) - (k + 1) * v
-        for s in S.elements:
-            y = step(x, s)
-            out[y] = get(y, 0) + v
-    return SupportedFunction.trusted(G, _rationals(out, d))
+    laplacian = _group_laplacian(G, S.elements, 1)
+    return SupportedFunction.trusted(G, _wave(u_prev.entries, u_curr.entries, laplacian))
 
 
 def cayley_wave_trajectory(
@@ -124,19 +175,23 @@ def _plus(f, g):
 def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
     """Raise unless u is constant on every coset of H.
 
-    No fiber is listed: a coset where u is non-zero must hold all |H| of
-    its elements as entries, all with one value.
+    It suffices that u(x + h) = u(x) for every x in the support and every
+    generator h of H (``adder`` reduces torsion): x -> x + h maps the finite
+    support into, hence onto, itself, so the support is a union of cosets.
     """
-    values: dict[GroupElement, Fraction] = {}
-    counts: dict[GroupElement, int] = {}
+    step = adder(P.base_group)
+    get = u.entries.get
     for x, v in u.entries.items():
-        q = P.quot.project(x)
-        if values.setdefault(q, v) != v:
-            raise CosetInconstant(f"function takes two values on the coset of {x}")
-        counts[q] = counts.get(q, 0) + 1
-    for q, v in values.items():
-        if v != 0 and counts[q] != P.H_order:
-            raise CosetInconstant(f"function is not constant on the fiber of {q}")
+        for h in P.subgroup_gens:
+            if get(step(x, h)) != v:
+                raise CosetInconstant(f"function is not constant on the coset of {x}")
+
+
+def _lifted_laplacian(P: CosetProblem) -> Laplacian:
+    """The 1/|H|-scaled Laplacian of the lifted graph: shifts h + s over H x S~."""
+    step = adder(P.base_group)
+    shifts = [step(h, s) for h in P.quot.subgroup for s in P.coset_reps]
+    return _group_laplacian(P.base_group, shifts, P.H_order)
 
 
 def lifted_coset_heat_step(u: SupportedFunction, P: CosetProblem) -> SupportedFunction:
@@ -146,22 +201,8 @@ def lifted_coset_heat_step(u: SupportedFunction, P: CosetProblem) -> SupportedFu
     where the s_i run over one representative per distinct coset of S.
     """
     _check_coset_constant(u, P)
-    G = P.base_group
-    k = P.S_tilde.degree
-    h_order = P.H_order
-    step = adder(G)
-    # Scaling by h_order as well keeps the spread v / |H| an integer.
-    d = _common_denominator(u.entries) * h_order
-    out: dict[GroupElement, int] = {}
-    get = out.get
-    for x, v in _numerators(u.entries, d).items():
-        out[x] = get(x, 0) + v - k * v
-        spread = v // h_order
-        for h in P.quot.subgroup:
-            for s in P.coset_reps:
-                y = step(step(x, h), s)
-                out[y] = get(y, 0) + spread
-    result = SupportedFunction.trusted(G, _rationals(out, d))
+    values = _heat(u.entries, _lifted_laplacian(P), P.H_order)
+    result = SupportedFunction.trusted(P.base_group, values)
     _check_coset_constant(result, P)
     return result
 
@@ -175,50 +216,21 @@ def lifted_coset_wave_step(
     """
     _check_coset_constant(u_prev, P)
     _check_coset_constant(u_curr, P)
-    G = P.base_group
-    k = P.S_tilde.degree
-    h_order = P.H_order
-    step = adder(G)
-    d = _common_denominator(u_prev.entries, u_curr.entries) * h_order
-    out = {x: 2 * v for x, v in _numerators(u_curr.entries, d).items()}
-    get = out.get
-    for x, v in _numerators(u_prev.entries, d).items():
-        out[x] = get(x, 0) - v - k * v
-        spread = v // h_order
-        for h in P.quot.subgroup:
-            for s in P.coset_reps:
-                y = step(step(x, h), s)
-                out[y] = get(y, 0) + spread
-    result = SupportedFunction.trusted(G, _rationals(out, d))
+    values = _wave(u_prev.entries, u_curr.entries, _lifted_laplacian(P), P.H_order)
+    result = SupportedFunction.trusted(P.base_group, values)
     _check_coset_constant(result, P)
     return result
 
 
 def tree_step_heat(u: TreeFunction) -> TreeFunction:
     """u(x, n+1) = sum_{y ~ x} u(y, n) - (k-1) u(x, n) over reduced-word neighbors."""
-    k = u.k
-    d = _common_denominator(u.entries)
-    out: dict[tuple, int] = {}
-    get = out.get
-    for x, v in _numerators(u.entries, d).items():
-        out[x] = get(x, 0) - (k - 1) * v
-        for y in neighbors(x, k):
-            out[y] = get(y, 0) + v
-    # Neighbors of reduced words are reduced words.
-    return TreeFunction.trusted(k, _rationals(out, d))
+    return TreeFunction.trusted(u.k, _heat(u.entries, _tree_laplacian(u.k)))
 
 
 def tree_step_wave(u_prev: TreeFunction, u_curr: TreeFunction) -> TreeFunction:
     """u(x, n+2) = 2 u(x, n+1) + sum_{y ~ x} u(y, n) - (k+1) u(x, n)."""
     k = u_curr.k
-    d = _common_denominator(u_prev.entries, u_curr.entries)
-    out = {x: 2 * v for x, v in _numerators(u_curr.entries, d).items()}
-    get = out.get
-    for x, v in _numerators(u_prev.entries, d).items():
-        out[x] = get(x, 0) - (k + 1) * v
-        for y in neighbors(x, k):
-            out[y] = get(y, 0) + v
-    return TreeFunction.trusted(k, _rationals(out, d))
+    return TreeFunction.trusted(k, _wave(u_prev.entries, u_curr.entries, _tree_laplacian(k)))
 
 
 @dataclass
@@ -233,17 +245,10 @@ class PathProfile:
     def __call__(self, r: int) -> Fraction:
         return self.values.get(r, Fraction(0))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PathProfile) and self.values == other.values
-
 
 def even_profile(radial: list[Fraction]) -> PathProfile:
     """Even extension of a radial profile (r >= 0) to the whole line."""
-    values = {r: v for r, v in enumerate(radial)}
-    for r, v in enumerate(radial):
-        if r > 0:
-            values[-r] = v
-    return PathProfile(values)
+    return PathProfile({sign * r: v for r, v in enumerate(radial) for sign in (1, -1)})
 
 
 def path_step_heat(u: PathProfile, k: int) -> PathProfile:
@@ -252,13 +257,7 @@ def path_step_heat(u: PathProfile, k: int) -> PathProfile:
     The asymmetric reduction of the tree step; for k = 2 it degenerates to
     the symmetric path step.
     """
-    out: dict[int, Fraction] = {}
-    for r, v in u.values.items():
-        out[r] = out.get(r, Fraction(0)) - (k - 1) * v
-        # v at r feeds (k-1)*v to r-1 (as u(r+1) seen from r-1) and v to r+1.
-        out[r - 1] = out.get(r - 1, Fraction(0)) + (k - 1) * v
-        out[r + 1] = out.get(r + 1, Fraction(0)) + v
-    return PathProfile(out)
+    return PathProfile(_heat(u.values, _line_laplacian(k)))
 
 
 def radial_step_heat(profile: list[Fraction], k: int) -> list[Fraction]:
@@ -266,18 +265,12 @@ def radial_step_heat(profile: list[Fraction], k: int) -> list[Fraction]:
 
     u(r, n+1) = (k-1) u(r+1, n) + u(r-1, n) - (k-1) u(r, n), with the even
     boundary value u(-1, n) = u(1, n) that the spherical-mean reduction
-    imposes at the center.  Stepping the radial profile of the initial data
-    this way and reading r = 0 reproduces the tree solution exactly.
+    imposes at the center: the line step of the even extension, read at
+    r >= 0.  Stepping the radial profile of the initial data this way and
+    reading r = 0 reproduces the tree solution exactly.
     """
-
-    def at(r: int) -> Fraction:
-        r = abs(r)
-        return profile[r] if r < len(profile) else Fraction(0)
-
-    return [
-        (k - 1) * at(r + 1) + at(r - 1) - (k - 1) * at(r)
-        for r in range(len(profile) + 1)
-    ]
+    stepped = path_step_heat(even_profile(profile), k)
+    return [stepped(r) for r in range(len(profile) + 1)]
 
 
 def radial_step_wave(
@@ -288,15 +281,9 @@ def radial_step_wave(
     u(r, n+2) = 2 u(r, n+1) - (k+1) u(r, n) + (k-1) u(r+1, n) + u(r-1, n),
     again with the even boundary value at the center.
     """
-
-    def at(p: list[Fraction], r: int) -> Fraction:
-        r = abs(r)
-        return p[r] if r < len(p) else Fraction(0)
-
-    return [
-        2 * at(curr, r) - (k + 1) * at(prev, r) + (k - 1) * at(prev, r + 1) + at(prev, r - 1)
-        for r in range(max(len(prev), len(curr)) + 1)
-    ]
+    laplacian = _line_laplacian(k)
+    stepped = PathProfile(_wave(even_profile(prev).values, even_profile(curr).values, laplacian))
+    return [stepped(r) for r in range(max(len(prev), len(curr)) + 1)]
 
 
 def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:

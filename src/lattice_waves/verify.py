@@ -14,6 +14,7 @@ from itertools import islice
 from time import perf_counter
 
 from . import cayley, cosets, oracles, randgen, tree
+from .errors import IndexOutOfRange
 from .functions import trivial_character_sum
 from .groups import make_element, make_group, validate_generators
 
@@ -253,6 +254,8 @@ def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
     names = SUITES.get(suite)
     if names is None:
         raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    if max_n < 0:
+        raise IndexOutOfRange(f"max_n must be non-negative, got {max_n}")
     rng = random.Random(seed)
     checks = {
         "cayley-heat": lambda: check_cayley_heat(rng, 12, max_n),

@@ -2,13 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lattice_waves import cli, serialize
+from lattice_waves import cli, serialize, tree
 from lattice_waves.functions import SupportedFunction
 from lattice_waves.groups import make_group
 
@@ -261,6 +262,36 @@ class TestVerify:
         for line in checks:
             fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
             assert float(fields["seconds"]) >= 0
+
+
+    @pytest.mark.parametrize("max_n", ["-1", "-5"])
+    def test_negative_max_n_exit_1_before_any_check(self, capsys, max_n):
+        assert cli.main(["verify", "--max-n", max_n]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "INDEX_OUT_OF_RANGE"
+
+
+def _ball_by_distance(center, radius, k):
+    """The eval ball as a walk that keeps each neighbour farther from the centre."""
+    out, frontier = [center], [center]
+    for _ in range(radius):
+        frontier = [y for x in frontier for y in tree.neighbors(x, k)
+                    if tree.tree_distance(center, y) > tree.tree_distance(center, x)]
+        out += frontier
+    return out
+
+
+def test_eval_ball_matches_the_distance_walk():
+    rng = random.Random(8)
+    for k in range(2, 7):
+        for radius in range(6):
+            for _ in range(3):
+                word = []
+                for _ in range(rng.randint(0, 3)):
+                    word.append(rng.choice([i for i in range(1, k + 1) if not word or i != word[-1]]))
+                instance = {"eval": {"ball": {"radius": radius, "center": word}}}
+                got = cli._tree_eval_vertices(instance, k, None, 0)
+                assert got == _ball_by_distance(tuple(word), radius, k)
 
 
 class TestErrors:

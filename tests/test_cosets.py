@@ -8,7 +8,7 @@ import pytest
 from lattice_waves import cosets, oracles, randgen
 from lattice_waves.errors import CosetInconstant, SInsideH
 from lattice_waves.functions import SupportedFunction, add
-from lattice_waves.groups import identity, make_element, make_group
+from lattice_waves.groups import elem_add, identity, make_element, make_group
 
 ZxZ4 = make_group(1, [4])
 
@@ -105,22 +105,28 @@ def fixture_trivial_h():
     return cosets.build_coset_problem(ZxZ4, [], fixture_zxz4().S)
 
 
-@pytest.mark.parametrize("make_problem", [fixture_zxz4, fixture_zxz8xz2, fixture_trivial_h])
+def fixture_two_generators():
+    # H = <(0;1,0), (0;0,2)> has order 4; the quotient is Z x Z2.
+    G = make_group(1, [2, 4])
+    S = [make_element(G, f, t) for f, t in
+         [([1], [0, 0]), ([-1], [0, 0]), ([0], [0, 1]), ([0], [0, 3])]]
+    H = [make_element(G, [0], [1, 0]), make_element(G, [0], [0, 2])]
+    return cosets.build_coset_problem(G, H, S)
+
+
+@pytest.mark.parametrize(
+    "make_problem", [fixture_zxz4, fixture_zxz8xz2, fixture_trivial_h, fixture_two_generators]
+)
 def test_coset_check_matches_fiber_definition(make_problem):
     # Lifted functions, then one entry dropped or one value changed by 0, 1
-    # or -1/3: the fiber-free check in the oracles must give the verdict of
-    # the literal fiber check on every one.
+    # or -1/3, and separately x and x + h dropped for the first generator h
+    # of H (a check of h alone passes that one): the shift check in the
+    # oracles must give the verdict of the literal fiber check on every one.
     P = make_problem()
     rng = random.Random(17)
     verdicts = set()
-    for _ in range(80):
-        u = cosets.lift(randgen.random_function(rng, P.quotient_group, max_points=4), P)
-        entries = dict(u.entries)
-        x = rng.choice(sorted(entries))
-        if rng.random() < 0.5:
-            del entries[x]
-        else:
-            entries[x] += rng.choice([0, 1, Fraction(-1, 3)])
+
+    def verdict(entries):
         u = SupportedFunction(P.base_group, entries)
         try:
             oracles._check_coset_constant(u, P)
@@ -129,6 +135,20 @@ def test_coset_check_matches_fiber_definition(make_problem):
             passed = False
         assert passed == fiber_check(u, P)
         verdicts.add(passed)
+
+    for _ in range(80):
+        u = cosets.lift(randgen.random_function(rng, P.quotient_group, max_points=4), P)
+        entries = dict(u.entries)
+        x = rng.choice(sorted(entries))
+        if P.subgroup_gens:
+            pair = dict(entries)
+            del pair[x], pair[elem_add(P.base_group, x, P.subgroup_gens[0])]
+            verdict(pair)
+        if rng.random() < 0.5:
+            del entries[x]
+        else:
+            entries[x] += rng.choice([0, 1, Fraction(-1, 3)])
+        verdict(entries)
     # With H trivial every function is constant on cosets.
     assert verdicts == ({True} if P.H_order == 1 else {True, False})
 

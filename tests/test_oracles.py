@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 from itertools import islice, zip_longest
 
-from lattice_waves import cayley, oracles, randgen, tree
+import pytest
+
+from lattice_waves import cayley, cosets, oracles, randgen, tree
 from lattice_waves.functions import add, scale
-from lattice_waves.groups import make_element, make_group, validate_generators
+from lattice_waves.groups import elem_add, make_element, make_group, validate_generators
 
 Z = make_group(1, [])
 
@@ -154,6 +156,109 @@ class TestPathSteppers:
             radial = oracles.radial_step_heat(radial, 3)
         assert radial[0] == 7  # the true tree value
         assert free(0) == 8
+
+
+def _literal_rules(points, neighbours, u0, u1, divisor=1):
+    """u1 - Δu1 and 2 u1 - u0 - Δu0 at each point, in plain Fractions.
+
+    Δu(x) = (1/divisor) sum over the listed neighbours y of u(x) - u(y).
+    """
+    def lap(u, x):
+        return sum((u(x) - u(y) for y in neighbours(x)), Fraction(0)) / divisor
+
+    heat = {x: u1(x) - lap(u1, x) for x in points}
+    wave = {x: 2 * u1(x) - u0(x) - lap(u0, x) for x in points}
+    return heat, wave
+
+
+def _nonzero(values: dict) -> dict:
+    return {x: v for x, v in values.items() if v}
+
+
+def _around(support, neighbours) -> set:
+    return set(support) | {y for x in support for y in neighbours(x)}
+
+
+Z2 = make_group(0, [2])
+
+
+@pytest.mark.parametrize("G, S", [
+    (Z, None),
+    (make_group(1, [4]), None),
+    (Z2, validate_generators(Z2, [make_element(Z2, [], [1])])),  # k = 1
+], ids=["Z", "ZxZ4", "Z2 S={1}"])
+def test_cayley_steppers_follow_the_literal_recurrence(G, S):
+    rng = random.Random(31)
+    for _ in range(15):
+        gens = S or randgen.random_symmetric_generators(rng, G)
+        u0, u1 = randgen.random_function(rng, G), randgen.random_function(rng, G)
+        def neighbours(x):
+            return [elem_add(G, x, s) for s in gens.elements]
+        points = _around(u0.support() | u1.support(), neighbours)
+        heat, wave = _literal_rules(points, neighbours, u0, u1)
+        assert oracles.cayley_heat_step(u1, gens).entries == _nonzero(heat)
+        assert oracles.cayley_wave_step(u0, u1, gens).entries == _nonzero(wave)
+
+
+@pytest.mark.parametrize("moduli, H, S", [
+    ([4], [(0, 2)], [(1, 0), (-1, 0), (0, 1), (0, 3)]),
+    ([8, 2], [(0, 2, 0)], [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 7, 0), (0, 0, 1)]),
+    ([2, 4], [(0, 1, 0), (0, 0, 2)], [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, 3)]),
+], ids=["|H|=2", "|H|=4", "two generators"])
+def test_lifted_steppers_follow_the_literal_recurrence(moduli, H, S):
+    G = make_group(1, moduli)
+    P = cosets.build_coset_problem(
+        G, [make_element(G, h[:1], h[1:]) for h in H], [make_element(G, s[:1], s[1:]) for s in S]
+    )
+    rng = random.Random(32)
+    for _ in range(10):
+        u0, u1 = (cosets.lift(randgen.random_function(rng, P.quotient_group, max_points=4), P)
+                  for _ in range(2))
+        def neighbours(x):
+            return [elem_add(G, elem_add(G, x, h), s) for h in P.quot.subgroup for s in P.coset_reps]
+        points = _around(u0.support() | u1.support(), neighbours)
+        heat, wave = _literal_rules(points, neighbours, u0, u1, P.H_order)
+        assert oracles.lifted_coset_heat_step(u1, P).entries == _nonzero(heat)
+        assert oracles.lifted_coset_wave_step(u0, u1, P).entries == _nonzero(wave)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_tree_steppers_follow_the_literal_recurrence(k):
+    rng = random.Random(33 + k)
+    for _ in range(10):
+        u0, u1 = randgen.random_tree_function(rng, k), randgen.random_tree_function(rng, k)
+        def neighbours(x):
+            return tree.neighbors(x, k)
+        points = _around(u0.support() | u1.support(), neighbours)
+        heat, wave = _literal_rules(points, neighbours, u0, u1)
+        assert oracles.tree_step_heat(u1).entries == _nonzero(heat)
+        assert oracles.tree_step_wave(u0, u1).entries == _nonzero(wave)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_radial_and_path_steppers_follow_the_literal_recurrence(k):
+    # Seen from a sphere of radius r, a vertex has k - 1 neighbours outward
+    # and one inward; the centre has all k on the sphere of radius 1.
+    def radial(r):
+        return [1] * k if r == 0 else [r - 1] + [r + 1] * (k - 1)
+
+    def line(r):
+        return [r - 1] + [r + 1] * (k - 1)
+
+    def at(p):
+        return lambda r: p[r] if r < len(p) else Fraction(0)
+
+    rng = random.Random(37 + k)
+    for _ in range(10):
+        p0, p1 = ([randgen.random_rational(rng) for _ in range(rng.randint(1, 5))]
+                  for _ in range(2))
+        top = max(len(p0), len(p1)) + 1
+        heat, wave = _literal_rules(range(top), radial, at(p0), at(p1))
+        assert oracles.radial_step_heat(p1, k) == [heat[r] for r in range(len(p1) + 1)]
+        assert oracles.radial_step_wave(p0, p1, k) == [wave[r] for r in range(top)]
+        free = oracles.PathProfile({r: randgen.random_rational(rng) for r in rng.sample(range(-4, 5), 3)})
+        heat, _ = _literal_rules(_around(free.values, line), line, free, free)
+        assert oracles.path_step_heat(free, k).values == _nonzero(heat)
 
 
 class TestQuadrature:
