@@ -8,7 +8,6 @@ brute-force time-stepping oracles for independent verification.
 
 from .cayley import (
     Kernel,
-    KernelRole,
     ball,
     heat_kernel,
     heat_kernel_binomial,

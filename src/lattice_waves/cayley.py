@@ -1,15 +1,15 @@
 """Closed-form heat and wave solutions on Cayley graphs of abelian groups.
 
 The Laplacian's Fourier symbol pulls back to the finitely supported
-function k*delta_e - sum_s delta_s; the heat propagator at time n is the
-n-th convolution power of (delta_e minus that function), and the wave
-propagators are its even/odd binomial-weighted sums.
+function A = k*delta_e - sum_s delta_s.  Every propagator is an integer
+polynomial in one step: the heat propagator at time n is the n-th
+convolution power of delta_e - A, and the wave propagators are
+binomial sums in -A.  ``functions.convolve_polynomials`` evaluates them.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -18,10 +18,9 @@ from typing import Sequence
 from .errors import GroupMismatch, IndexOutOfRange, NotSolvable, TorsionUnsupported
 from .functions import (
     SupportedFunction,
-    _packing,
     add,
     convolve,
-    convolve_power,
+    convolve_polynomials,
     delta,
     scale,
     trivial_character_sum,
@@ -29,19 +28,11 @@ from .functions import (
 from .groups import GeneratorSet, GroupElement, GroupSpec, adder, identity
 
 
-class KernelRole(enum.Enum):
-    HEAT = "heat"
-    WAVE_F = "wave_f"
-    WAVE_G = "wave_g"
-
-
 @dataclass
 class Kernel:
-    """A propagator kernel tagged with its role and discrete time index."""
+    """A propagator kernel."""
 
     data: SupportedFunction
-    role: KernelRole
-    n: int
 
 
 def _symbol(G: GroupSpec, S: GeneratorSet, center: int, each: int) -> SupportedFunction:
@@ -67,13 +58,12 @@ def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     The binomial-sum construction sum_j (-1)^j C(n,j) A^{*j} is the same
     function; ``heat_kernel_binomial`` computes it literally for
     cross-checking.  delta_e - A is the one heat step
-    (1-k)*delta_e + sum_s delta_s, so the kernel is one packed ``int``
-    power (``convolve_power``), its coefficients bounded by (2k-1)^n, or
-    sparse squaring where the packed box would be mostly empty.
+    (1-k)*delta_e + sum_s delta_s, with |delta_e - A|_1 = 2k-1.
     """
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    return Kernel(convolve_power(_symbol(G, S, 1 - S.degree, 1), n), KernelRole.HEAT, n)
+    step = _symbol(G, S, 1 - S.degree, 1)
+    return Kernel(convolve_polynomials(step, [[0] * n + [1]])[0])
 
 
 def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
@@ -86,44 +76,19 @@ def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     for j in range(1, n + 1):
         power = convolve(power, A)
         total = add(total, scale(power, Fraction((-1) ** j * comb(n, j))))
-    return Kernel(total, KernelRole.HEAT, n)
+    return Kernel(total)
 
 
 def wave_kernels(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]:
     """Wave propagators F_n = sum_i (-1)^i C(n,2i) A^{*i} and G_n = sum_i (-1)^i C(n,2i+1) A^{*i}.
 
-    Both are evaluated by Horner's rule in -A: packed (``_packing``), n//2
-    short multiplies each and then one decode, where sum_i C(n,2i[+1])
-    (2k)^i bounds every coefficient (|A|_1 = 2k); with the sparse
-    ``convolve`` where the packed box would be mostly empty.
+    Both are polynomials of degree n//2 in -A, with |-A|_1 = 2k.
     """
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    top = n // 2
-    minus_a = _symbol(G, S, -S.degree, 1)
-    bound = max(
-        sum(comb(n, 2 * i + j) * (2 * S.degree) ** i for i in range(top + 1)) for j in (0, 1)
-    )
-    packing = _packing(G, minus_a.entries, top, bound) if top else None
-    if packing is None:
-        e = identity(G)
-
-        def step(h: SupportedFunction, c: int) -> SupportedFunction:
-            return add(convolve(h, minus_a), SupportedFunction.trusted(G, {e: c} if c else {}))
-
-        F = Gk = SupportedFunction.trusted(G, {})
-        for i in range(top, -1, -1):
-            F, Gk = step(F, comb(n, 2 * i)), step(Gk, comb(n, 2 * i + 1))
-    else:
-        a = packing.pack(minus_a.entries)
-        f = g = 0
-        for i in range(top, -1, -1):
-            shift = packing.unit_shift(top - i)
-            f = f * a + (comb(n, 2 * i) << shift)
-            g = g * a + (comb(n, 2 * i + 1) << shift)
-        F = SupportedFunction.trusted(G, packing.unpack(f, top))
-        Gk = SupportedFunction.trusted(G, packing.unpack(g, top))
-    return Kernel(F, KernelRole.WAVE_F, n), Kernel(Gk, KernelRole.WAVE_G, n)
+    rows = [[comb(n, 2 * i + j) for i in range(n // 2 + 1)] for j in (0, 1)]
+    F, Gk = convolve_polynomials(_symbol(G, S, -S.degree, 1), rows)
+    return Kernel(F), Kernel(Gk)
 
 
 def heat_solve(f: SupportedFunction, S: GeneratorSet, n: int) -> SupportedFunction:

@@ -15,7 +15,14 @@ from fractions import Fraction
 from itertools import islice
 
 from . import cayley, cosets, groups, oracles, tree, verify
-from .errors import IndexOutOfRange, LatticeWavesError, NotSolvable, ShapeMismatch
+from .errors import (
+    IndexOutOfRange,
+    LatticeWavesError,
+    NotSolvable,
+    ShapeMismatch,
+    TorsionUnsupported,
+    UsageError,
+)
 from .functions import SupportedFunction
 from .serialize import (
     element_from_json,
@@ -236,16 +243,7 @@ def cmd_compare(args) -> int:
     n = args.n if args.n is not None else int_from_json(instance.get("n", 0), "n")
 
     if kind == "kernel":
-        # Float cross-check of the exact Z heat kernel against quadrature.
-        G = group_from_json(instance["group"])
-        S = cayley_generators(instance, G)
-        K = cayley.heat_kernel(G, S, n).data
-        worst = 0.0
-        for r in range(-n, n + 1):
-            exact = float(K(groups.make_element(G, [r], [])))
-            worst = max(worst, abs(oracles.quadrature_kernel(S, n, r) - exact))
-        print(f"kind=kernel n={n} max_abs_diff={worst:.3e} tolerance=1e-09")
-        return EXIT_OK if worst <= 1e-9 else EXIT_INTERNAL
+        return _compare_kernel(instance, n)
 
     if kind not in SOLVER_KINDS:
         raise ShapeMismatch(f"kind {kind!r} cannot be compared")
@@ -266,6 +264,36 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _compare_kernel(instance: dict, n: int) -> int:
+    """Float cross-check of the exact Z heat kernel K_n against quadrature.
+
+    Every r of the radius-n ball, which holds the support of K_n, is
+    checked, and so is every r of K_n's own support; beyond n*span the
+    true value is 0.  Each of the N = 2*n*span + 2 quadrature summands has
+    modulus at most (2k-1)^n and the error stays within a few eps times
+    that, so the tolerance is N*eps*(2k-1)^n, at least 1e-9.  Where it
+    reaches 1/2, floats cannot resolve the integer values: exit 1.
+    """
+    G = group_from_json(instance["group"])
+    S = cayley_generators(instance, G)
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    if G.rank != 1 or G.moduli:
+        raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
+    reach = n * max(abs(s.free[0]) for s in S.elements)
+    scale = (2 * reach + 2) * (2 * S.degree - 1) ** n
+    if scale >= 1 << 51:  # scale * eps >= 1/2, eps = 2^-52
+        raise IndexOutOfRange(f"n={n}: float quadrature cannot resolve the integer values of K_n")
+    tolerance = max(1e-9, scale * sys.float_info.epsilon)
+    K = cayley.heat_kernel(G, S, n).data
+    worst = 0.0
+    for r in sorted({x.free[0] for x in cayley.ball(G, S, n)} | {x.free[0] for x in K.entries}):
+        approx = oracles.quadrature_kernel(S, n, r) if abs(r) <= reach else 0.0
+        worst = max(worst, abs(approx - float(K(groups.make_element(G, [r], [])))))
+    print(f"kind=kernel n={n} max_abs_diff={worst:.3e} tolerance={tolerance:.3g}")
+    return EXIT_OK if worst <= tolerance else EXIT_INTERNAL
+
+
 def cmd_verify(args) -> int:
     results = verify.run_suite(args.suite, max_n=args.max_n, seed=args.seed)
     width = max(len(r.name) for r in results)
@@ -281,8 +309,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so that they exit 1 with a JSON error like any other."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lattice-waves",
         description="Exact heat/wave solvers on Cayley graphs, coset graphs, and regular trees",
     )
@@ -314,10 +349,10 @@ def main(argv=None) -> int:
     # builds cap str <-> int conversions at 4300 digits unless told not to.
     # The cap is lifted for this call only and put back for the caller.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    args = build_parser().parse_args(argv)
     try:
         if limit is not None:
             sys.set_int_max_str_digits(0)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotSolvable as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr)

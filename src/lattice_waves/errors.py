@@ -91,3 +91,9 @@ class IndexOutOfRange(LatticeWavesError):
     """An index lies outside its valid range: a coefficient index, a time index or a radius."""
 
     code = "INDEX_OUT_OF_RANGE"
+
+
+class UsageError(LatticeWavesError):
+    """The command line does not parse: an unknown option, a missing one or a bad value."""
+
+    code = "USAGE"

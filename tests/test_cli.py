@@ -11,7 +11,7 @@ import pytest
 
 from lattice_waves import cli, serialize, tree
 from lattice_waves.functions import SupportedFunction
-from lattice_waves.groups import make_group
+from lattice_waves.groups import make_element, make_group
 
 
 def write_problem(tmp_path, obj, name="problem.json"):
@@ -28,6 +28,10 @@ def heat_problem(n=2):
         "f": [{"elem": {"free": [0], "torsion": []}, "num": "1", "den": "1"}],
         "n": n,
     }
+
+
+def kernel_problem(S, n):
+    return {"kind": "kernel", "group": {"rank": 1, "moduli": []}, "S": S, "n": n}
 
 
 def tree_problem(kind="tree-heat", n=2):
@@ -248,6 +252,34 @@ class TestCompare:
         assert cli.main(["compare", "--problem", problem]) == 0
         assert "tolerance=1e-09" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [16, 20, 28])
+    def test_kernel_compare_passes_correct_kernels_at_large_n(self, tmp_path, capsys, n):
+        # Quadrature errors grow like eps * 3^n on unit Z: 7e-9 at n = 16.
+        problem = write_problem(tmp_path, kernel_problem(heat_problem()["S"], n))
+        assert cli.main(["compare", "--problem", problem]) == 0
+
+    def test_kernel_compare_refuses_what_floats_cannot_resolve(self, tmp_path, capsys):
+        problem = write_problem(tmp_path, kernel_problem(heat_problem()["S"], 29))
+        assert cli.main(["compare", "--problem", problem]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "INDEX_OUT_OF_RANGE"
+
+    @pytest.mark.parametrize("r, expected", [(None, 0), (9, 3), (-7, 3), (10, 3), (40, 3)])
+    def test_kernel_compare_checks_the_whole_reach(self, tmp_path, monkeypatch, capsys, r, expected):
+        # S = {+-1, +-3}: K_3 reaches r = 3n = 9, beyond the [-n, n] window.
+        heat_kernel = cli.cayley.heat_kernel
+
+        def heat_kernel_off_by_1000_at_r(G, S, n):
+            K = heat_kernel(G, S, n)
+            if r is not None:
+                x = make_element(G, [r], [])
+                K.data.entries[x] = K.data.entries.get(x, 0) + 1000
+            return K
+
+        monkeypatch.setattr(cli.cayley, "heat_kernel", heat_kernel_off_by_1000_at_r)
+        S = [{"free": [v], "torsion": []} for v in (1, -1, 3, -3)]
+        problem = write_problem(tmp_path, kernel_problem(S, 3))
+        assert cli.main(["compare", "--problem", problem]) == expected
+
 
 class TestVerify:
     def test_quadrature_suite(self, capsys):
@@ -295,6 +327,23 @@ def test_eval_ball_matches_the_distance_walk():
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["heat", "--problem", "p.json", "--n", "abc"], ["heat"], ["verify", "--max-n", "x"], []],
+        ids=lambda argv: " ".join(argv) or "no command",
+    )
+    def test_usage_error_exit_1_with_json(self, capsys, argv):
+        # argparse alone would exit 2, the code of NOT_SOLVABLE, with plain text.
+        assert cli.main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "USAGE" and err["detail"]
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["heat", "--help"])
+        assert exc.value.code == 0
+        assert "--problem" in capsys.readouterr().out
+
     def test_missing_file_exit_1(self, capsys):
         assert cli.main(["heat", "--problem", "/nonexistent.json"]) == 1
         err = json.loads(capsys.readouterr().err)

@@ -30,10 +30,11 @@ def test_oracles_share_no_engine_code():
     names = {n.id for n in ast.walk(tree_) if isinstance(n, ast.Name)}
     names |= {a.name for n in ast.walk(tree_) if isinstance(n, ast.ImportFrom) for a in n.names}
     names |= {n.attr for n in ast.walk(tree_) if isinstance(n, ast.Attribute)}
-    assert not names & {"convolve", "convolve_power", "heat_kernel", "wave_kernels",
+    assert not names & {"convolve", "convolve_power", "convolve_polynomials",
+                        "heat_kernel", "wave_kernels",
                         "tree_heat_weights", "tree_wave_weights", "WeightTable",
                         "_integer_form", "integer_form",
-                        "_Packing", "_packing", "_reach", "_sparse_power", "SPREAD",
+                        "_Packing", "_packing", "_reach", "SPREAD",
                         "_lift", "_strides", "pack", "unpack", "unit_shift"}
 
 

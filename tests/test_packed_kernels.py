@@ -1,9 +1,11 @@
 """Packed (Kronecker) kernels against sparse dict references kept here.
 
-``functions.convolve_power`` and ``cayley.wave_kernels`` build kernels as
-one big ``int`` each.  The references below are the sparse constructions
-they replaced: repeated squaring with the dict ``convolve``, and the two
-dict accumulators of ``wave_kernels`` over successive powers of A.
+``functions.convolve_polynomials`` builds every kernel as a polynomial in
+one function, in one big ``int`` or, where that would be mostly empty,
+with the sparse ``convolve``.  The references below are literal
+constructions: repeated squaring with the dict ``convolve``, the two dict
+accumulators of ``wave_kernels`` over successive powers of A, and the sum
+of coefficient times power.
 """
 
 import random
@@ -14,8 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_waves import cayley, cosets, functions, randgen
-from lattice_waves.functions import SupportedFunction, convolve, convolve_power, unit
-from lattice_waves.groups import GeneratorSet, make_element, make_group, validate_generators
+from lattice_waves.functions import SupportedFunction, convolve, convolve_polynomials, convolve_power
+from lattice_waves.groups import GeneratorSet, identity, make_element, make_group, validate_generators
+
+
+def unit(G):
+    """The convolution unit delta_e, with the integer value 1."""
+    return SupportedFunction.trusted(G, {identity(G): 1})
 
 
 def sparse_power(f, n, squares=None):
@@ -129,8 +136,9 @@ def test_wave_kernels_match_sparse_accumulators(name):
 
 def packings(G, S, n):
     """The layouts of K_n and of (F_n, G_n); None where the sparse path runs."""
-    heat = functions._packing(G, cayley._symbol(G, S, 1 - S.degree, 1).entries, n, 1)
-    wave = functions._packing(G, cayley._symbol(G, S, -S.degree, 1).entries, n // 2, 1)
+    e = identity(G)
+    heat = functions._packing(G, [e, *cayley._symbol(G, S, 1 - S.degree, 1).entries], n, 1)
+    wave = functions._packing(G, [e, *cayley._symbol(G, S, -S.degree, 1).entries], n // 2, 1)
     return heat, wave
 
 
@@ -251,3 +259,71 @@ def test_packed_kernels_match_sparse_for_random_generators(group, seed, n):
     assert cayley.heat_kernel(group, S, n).data == sparse_heat(group, S, n)
     Fk, Gk = cayley.wave_kernels(group, S, n)
     assert (Fk.data, Gk.data) == sparse_wave(group, S, n)
+
+
+def literal_polynomial(f, row):
+    """sum_i row[i] f^{*i}, one power and one scaled sum at a time."""
+    total = {}
+    for i, c in enumerate(row):
+        for x, v in sparse_power(f, i).entries.items():
+            total[x] = total.get(x, 0) + c * v
+    return SupportedFunction.trusted(f.group, {x: v for x, v in total.items() if v})
+
+
+def integral(f):
+    return SupportedFunction.trusted(f.group, {x: v.numerator for x, v in f.entries.items()})
+
+
+def random_rows(rng, count, top):
+    """Rows of unequal length, one of them monomial and one all zero."""
+    rows = [[rng.randint(-9, 9) for _ in range(rng.randint(1, top + 1))] for _ in range(count)]
+    return rows + [[0] * top + [rng.choice([-2, 1, 3])], [0] * rng.randint(1, top + 1)]
+
+
+def far_apart(G):
+    """Integral functions whose packed box would be mostly empty."""
+    near = make_element(G, [1] + [0] * (G.rank - 1), [0] * len(G.moduli))
+    far = make_element(G, [10**6] + [0] * (G.rank - 1), [1] * len(G.moduli))
+    return SupportedFunction.trusted(G, {identity(G): 2, near: -1, far: 3})
+
+
+@pytest.mark.parametrize("G", [Z, Z2_, ZxZ4, make_group(1, [2, 6])], ids=str)
+def test_convolve_polynomials_matches_the_literal_sum(G):
+    # Random f mostly leave out e, whose slot the packed Horner needs.
+    rng = random.Random(17)
+    for trial in range(12):
+        top = rng.randint(1, 7)
+        if trial % 3 == 2:
+            f = far_apart(G)
+            assert functions._packing(G, f.entries, top, 1) is None
+        else:
+            f = integral(randgen.random_function(rng, G, max_points=4, span=2))
+        rows = random_rows(rng, 3, top)
+        got = convolve_polynomials(f, rows)
+        assert len(got) == len(rows)
+        for row, h in zip(rows, got):
+            assert h == literal_polynomial(f, row), (trial, row)
+            assert_int_valued(h)
+
+
+def test_convolve_polynomials_takes_both_paths():
+    # The test above relies on both sides of the path choice being reached.
+    f = SupportedFunction.trusted(Z, {make_element(Z, [0], []): 3, make_element(Z, [2], []): -1})
+    assert functions._packing(Z, f.entries, 5, 1) is not None
+    assert functions._packing(Z, far_apart(Z).entries, 5, 1) is None
+    rows = [[1, 0, -2, 5], [0, 0, 0, 0, 0, 7], [4], [0, 0]]
+    for g in (f, far_apart(Z)):
+        assert convolve_polynomials(g, rows) == [literal_polynomial(g, row) for row in rows]
+
+
+def test_convolve_polynomials_of_degree_0_and_of_empty_f():
+    G = ZxZ4
+    e = make_element(G, [0], [0])
+    f = integral(randgen.random_function(random.Random(3), G))
+    assert convolve_polynomials(f, [[5], [0], [-2]]) == [
+        SupportedFunction.trusted(G, {e: 5}), SupportedFunction.trusted(G, {}),
+        SupportedFunction.trusted(G, {e: -2})]
+    empty = SupportedFunction.trusted(G, {})
+    assert convolve_polynomials(empty, [[4, 1, 2], [0, 0, 1], [0]]) == [
+        SupportedFunction.trusted(G, {e: 4}), empty, empty]
+
