@@ -20,7 +20,6 @@ from .errors import (
     LatticeWavesError,
     NotSolvable,
     ShapeMismatch,
-    TorsionUnsupported,
     UsageError,
 )
 from .functions import SupportedFunction
@@ -204,14 +203,12 @@ def cmd_run(args) -> int:
     if kind == "kernel":
         G = group_from_json(instance["group"])
         S = cayley_generators(instance, G)
-        role = instance.get("role", "heat")
+        role = _kernel_role(instance)
         if role == "heat":
             data = cayley.heat_kernel(G, S, n).data
-        elif role in ("wave-f", "wave-g"):
+        else:
             fk, gk = cayley.wave_kernels(G, S, n)
             data = fk.data if role == "wave-f" else gk.data
-        else:
-            raise ShapeMismatch(f"unknown kernel role {role!r}")
         _emit(data, {"kind": "kernel", "role": role, "n": n, "k": S.degree}, args.out)
         return EXIT_OK
 
@@ -264,32 +261,21 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _compare_kernel(instance: dict, n: int) -> int:
-    """Float cross-check of the exact Z heat kernel K_n against quadrature.
+def _kernel_role(instance: dict) -> str:
+    role = instance.get("role", "heat")
+    if role not in ("heat", "wave-f", "wave-g"):
+        raise ShapeMismatch(f"unknown kernel role {role!r}")
+    return role
 
-    Every r of the radius-n ball, which holds the support of K_n, is
-    checked, and so is every r of K_n's own support; beyond n*span the
-    true value is 0.  Each of the N = 2*n*span + 2 quadrature summands has
-    modulus at most (2k-1)^n and the error stays within a few eps times
-    that, so the tolerance is N*eps*(2k-1)^n, at least 1e-9.  Where it
-    reaches 1/2, floats cannot resolve the integer values: exit 1.
-    """
+
+def _compare_kernel(instance: dict, n: int) -> int:
+    """Float cross-check of the exact Z heat kernel K_n (``verify.quadrature_errors``)."""
+    role = _kernel_role(instance)
+    if role != "heat":
+        raise ShapeMismatch(f"quadrature checks only the heat kernel K_n, not role {role!r}")
     G = group_from_json(instance["group"])
-    S = cayley_generators(instance, G)
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    if G.rank != 1 or G.moduli:
-        raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
-    reach = n * max(abs(s.free[0]) for s in S.elements)
-    scale = (2 * reach + 2) * (2 * S.degree - 1) ** n
-    if scale >= 1 << 51:  # scale * eps >= 1/2, eps = 2^-52
-        raise IndexOutOfRange(f"n={n}: float quadrature cannot resolve the integer values of K_n")
-    tolerance = max(1e-9, scale * sys.float_info.epsilon)
-    K = cayley.heat_kernel(G, S, n).data
-    worst = 0.0
-    for r in sorted({x.free[0] for x in cayley.ball(G, S, n)} | {x.free[0] for x in K.entries}):
-        approx = oracles.quadrature_kernel(S, n, r) if abs(r) <= reach else 0.0
-        worst = max(worst, abs(approx - float(K(groups.make_element(G, [r], [])))))
+    tolerance, errors = verify.quadrature_errors(G, cayley_generators(instance, G), n)
+    worst = max(errors.values())
     print(f"kind=kernel n={n} max_abs_diff={worst:.3e} tolerance={tolerance:.3g}")
     return EXIT_OK if worst <= tolerance else EXIT_INTERNAL
 

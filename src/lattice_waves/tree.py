@@ -174,7 +174,6 @@ class WeightTable:
     """
 
     k: int
-    n: int
     row: list[int]
     scaled: list[int] = field(init=False, repr=False)
     denominator: int = field(init=False, repr=False)
@@ -243,7 +242,7 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     row = [1]
     for _ in range(n):
         row = _advance_row(row, k)
-    return WeightTable(k, n, row)
+    return WeightTable(k, row)
 
 
 def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
@@ -269,7 +268,7 @@ def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
             if c:
                 for s, p in enumerate(power):
                     row[s] += sign * c * p
-    return WeightTable(k, n, f_row), WeightTable(k, n, g_row)
+    return WeightTable(k, f_row), WeightTable(k, g_row)
 
 
 def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> TreeFunction:

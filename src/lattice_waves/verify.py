@@ -1,22 +1,27 @@
 """Self-verification suite: closed forms vs. brute-force oracles.
 
-Each check runs a batch of randomized or enumerated comparisons and
-reports how many cases were exercised.  All comparisons are exact
-rational equality except the float quadrature check.
+Each check is a stream of cases: a case yields None when it passes and
+its failure detail when it fails.  ``_run`` counts the cases of one
+stream up to its first failure.  All comparisons are exact rational
+equality except the float quadrature check.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from time import perf_counter
+from typing import Callable, Iterator
 
 from . import cayley, cosets, oracles, randgen, tree
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, TorsionUnsupported
 from .functions import trivial_character_sum
-from .groups import make_element, make_group, validate_generators
+from .groups import GeneratorSet, GroupSpec, make_element, make_group, validate_generators
+
+Cases = Iterator[str | None]
 
 
 @dataclass
@@ -35,53 +40,47 @@ STANDARD_GROUPS = [
 ]
 
 
-def check_cayley_heat(rng: random.Random, instances: int, max_n: int) -> CheckResult:
-    cases = 0
+def _run(name: str, cases: Cases) -> CheckResult:
+    """Run one stream of cases, timed, to its end or its first failure."""
+    start, count = perf_counter(), 0
+    for detail in cases:
+        if detail is not None:
+            return CheckResult(name, False, count, detail, perf_counter() - start)
+        count += 1
+    return CheckResult(name, True, count, "", perf_counter() - start)
+
+
+def _agree(closed: Callable, states: Iterator, horizon: int) -> Cases:
+    """One case per n = 0..horizon: closed(n) against the n-th oracle state."""
+    for n, state in enumerate(islice(states, horizon + 1)):
+        yield None if closed(n) == state else f"mismatch at n={n}"
+
+
+def _cayley_cases(rng: random.Random, instances: int, max_n: int, wave: bool) -> Cases:
     for i in range(instances):
         _, G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
         S = randgen.random_symmetric_generators(rng, G)
         f = randgen.random_function(rng, G)
-        traj = oracles.trajectory(oracles.cayley_heat_step, f, None, S)
-        for n, u in enumerate(islice(traj, max_n + 1)):
-            if cayley.heat_solve(f, S, n) != u:
-                return CheckResult("cayley-heat-oracle", False, cases, f"mismatch at n={n}")
-            cases += 1
-    return CheckResult("cayley-heat-oracle", True, cases)
+        if wave:
+            g = randgen.random_zero_mean_function(rng, G)
+            states = oracles.trajectory(oracles.cayley_wave_step, f, g, S)
+            yield from _agree(lambda n: cayley.wave_solve(f, g, S, n), states, max_n)
+        else:
+            states = oracles.trajectory(oracles.cayley_heat_step, f, None, S)
+            yield from _agree(lambda n: cayley.heat_solve(f, S, n), states, max_n)
 
 
-def check_cayley_wave(rng: random.Random, instances: int, max_n: int) -> CheckResult:
-    cases = 0
-    for i in range(instances):
-        _, G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
-        S = randgen.random_symmetric_generators(rng, G)
-        f = randgen.random_function(rng, G)
-        g = randgen.random_zero_mean_function(rng, G)
-        traj = oracles.trajectory(oracles.cayley_wave_step, f, g, S)
-        for n, expected in enumerate(islice(traj, max_n + 1)):
-            if cayley.wave_solve(f, g, S, n) != expected:
-                return CheckResult("cayley-wave-oracle", False, cases, f"mismatch at n={n}")
-            cases += 1
-    return CheckResult("cayley-wave-oracle", True, cases)
-
-
-def check_kernel_identities(rng: random.Random, instances: int, max_n: int) -> CheckResult:
-    cases = 0
+def _kernel_cases(rng: random.Random, instances: int, max_n: int) -> Cases:
     for i in range(instances):
         _, G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
         S = randgen.random_symmetric_generators(rng, G)
         for n in range(max_n + 1):
             K = cayley.heat_kernel(G, S, n)
             if K.data != cayley.heat_kernel_binomial(G, S, n).data:
-                return CheckResult("kernel-identities", False, cases, f"K_{n} forms differ")
-            Fk, Gk = cayley.wave_kernels(G, S, n)
-            if (
-                trivial_character_sum(K.data) != 1
-                or trivial_character_sum(Fk.data) != 1
-                or trivial_character_sum(Gk.data) != n
-            ):
-                return CheckResult("kernel-identities", False, cases, f"mass wrong at n={n}")
-            cases += 1
-    return CheckResult("kernel-identities", True, cases)
+                yield f"K_{n} forms differ"
+                continue
+            masses = [trivial_character_sum(k.data) for k in (K, *cayley.wave_kernels(G, S, n))]
+            yield None if masses == [1, 1, n] else f"mass wrong at n={n}"
 
 
 def _coset_fixture(which: int):
@@ -105,18 +104,20 @@ def _coset_fixture(which: int):
     return cosets.build_coset_problem(G, H, S)
 
 
-def check_coset_equivalence(rng: random.Random, instances: int, max_n: int) -> CheckResult:
-    cases = 0
+def _coset_cases(rng: random.Random, instances: int, max_n: int, wave: bool) -> Cases:
+    """Lifted closed-form coset solves against the lifted-graph oracle."""
     for i in range(instances):
         P = _coset_fixture(i % 3)
         f = randgen.random_function(rng, P.quotient_group, max_points=4)
-        traj = oracles.trajectory(oracles.lifted_coset_heat_step, cosets.lift(f, P), None, P)
-        for n, lifted in enumerate(islice(traj, max_n + 1)):
-            u = cosets.coset_heat_solve(f, P, n)
-            if cosets.lift(u, P) != lifted:
-                return CheckResult("coset-heat-lift", False, cases, f"mismatch at n={n}")
-            cases += 1
-    return CheckResult("coset-heat-lift", True, cases)
+        if wave:
+            g = randgen.random_zero_mean_function(rng, P.quotient_group, max_points=4)
+            step, lifted_g = oracles.lifted_coset_wave_step, cosets.lift(g, P)
+            solve = lambda n: cosets.coset_wave_solve(f, g, P, n)
+        else:
+            step, lifted_g = oracles.lifted_coset_heat_step, None
+            solve = lambda n: cosets.coset_heat_solve(f, P, n)
+        states = oracles.trajectory(step, cosets.lift(f, P), lifted_g, P)
+        yield from _agree(lambda n: cosets.lift(solve(n), P), states, max_n)
 
 
 # Naive tree stepping visits the whole ball around the support, which grows
@@ -124,8 +125,14 @@ def check_coset_equivalence(rng: random.Random, instances: int, max_n: int) -> C
 _TREE_N_CAP = {2: 12, 3: 12, 4: 8, 5: 6}
 
 
-def check_tree_heat(rng: random.Random, instances: int, max_n: int) -> CheckResult:
-    cases = 0
+def _tree_case(n: int, closed: Fraction, stepped: Fraction, radial: Fraction) -> str | None:
+    """The closed form, then the radial profile, against tree stepping."""
+    if closed != stepped:
+        return f"stepping mismatch n={n}"
+    return None if radial == stepped else f"radial mismatch n={n}"
+
+
+def _tree_heat_cases(rng: random.Random, instances: int, max_n: int) -> Cases:
     for i in range(instances):
         k = (2, 3, 4, 5)[i % 4]
         f = randgen.random_tree_function(rng, k)
@@ -135,21 +142,11 @@ def check_tree_heat(rng: random.Random, instances: int, max_n: int) -> CheckResu
         traj = zip(oracles.trajectory(oracles.tree_step_heat, f, None), *radial)
         for n, (u, *profiles) in enumerate(islice(traj, min(max_n, _TREE_N_CAP[k]) + 1)):
             closed = tree.tree_heat_solve(f, n, eval_at)
-            for x, profile in zip(eval_at, profiles):
-                if closed(x) != u(x):
-                    return CheckResult(
-                        "tree-heat-triple", False, cases, f"stepping mismatch n={n}"
-                    )
-                if profile[0] != u(x):
-                    return CheckResult(
-                        "tree-heat-triple", False, cases, f"radial mismatch n={n}"
-                    )
-            cases += 1
-    return CheckResult("tree-heat-triple", True, cases)
+            details = (_tree_case(n, closed(x), u(x), p[0]) for x, p in zip(eval_at, profiles))
+            yield next(filter(None, details), None)
 
 
-def check_tree_wave(rng: random.Random, instances: int, max_n: int) -> CheckResult:
-    cases = 0
+def _tree_wave_cases(rng: random.Random, instances: int, max_n: int) -> Cases:
     for i in range(instances):
         k = (2, 3, 4, 5)[i % 4]
         f = randgen.random_tree_function(rng, k)
@@ -158,37 +155,24 @@ def check_tree_wave(rng: random.Random, instances: int, max_n: int) -> CheckResu
         # Make g solvable around the evaluation vertex by cancelling the
         # radialized mass at the vertex itself.
         g = tree.TreeFunction(k, {**g.entries, x: g(x) - tree.radial_mass(g, x)})
-        horizon = min(max_n, _TREE_N_CAP[k])
         pf = tree.path_reduce(f, x) or [Fraction(0)]
         pg = tree.path_reduce(g, x) or [Fraction(0)]
         traj = zip(
             oracles.trajectory(oracles.tree_step_wave, f, g),
             oracles.trajectory(oracles.radial_step_wave, pf, pg, k),
         )
-        for n, (want, prof) in enumerate(islice(traj, horizon + 1)):
-            closed = tree.tree_wave_solve(f, g, n, [x])
-            if closed(x) != want(x):
-                return CheckResult(
-                    "tree-wave-triple", False, cases, f"stepping mismatch n={n}"
-                )
-            if (prof[0] if prof else Fraction(0)) != want(x):
-                return CheckResult(
-                    "tree-wave-triple", False, cases, f"radial mismatch n={n}"
-                )
-            cases += 1
-    return CheckResult("tree-wave-triple", True, cases)
+        for n, (want, prof) in enumerate(islice(traj, min(max_n, _TREE_N_CAP[k]) + 1)):
+            closed = tree.tree_wave_solve(f, g, n, [x])(x)
+            yield _tree_case(n, closed, want(x), prof[0] if prof else Fraction(0))
 
 
-def check_alpha(max_j: int = 12) -> CheckResult:
-    cases = 0
+def _alpha_cases(max_j: int = 12) -> Cases:
     for k in range(2, 7):
         for j in range(max_j + 1):
             coeffs = _laurent_power(k, j)
             for s in range(-j, j + 1):
-                if tree.alpha_coeff(j, s, k) != coeffs.get(s, 0):
-                    return CheckResult("alpha-coefficients", False, cases, f"j={j} s={s} k={k}")
-                cases += 1
-    return CheckResult("alpha-coefficients", True, cases)
+                ok = tree.alpha_coeff(j, s, k) == coeffs.get(s, 0)
+                yield None if ok else f"j={j} s={s} k={k}"
 
 
 def _laurent_power(k: int, j: int) -> dict[int, int]:
@@ -204,45 +188,56 @@ def _laurent_power(k: int, j: int) -> dict[int, int]:
     return poly
 
 
-def check_weight_normalization(max_n: int = 20) -> CheckResult:
-    cases = 0
+def _weight_cases(max_n: int = 20) -> Cases:
     for k in range(2, 7):
         for n in range(max_n + 1):
             heat = tree.tree_heat_weights(k, n)
             wf, wg = tree.tree_wave_weights(k, n)
             for table, target in ((heat, 1), (wf, 1), (wg, n)):
-                total = sum(
-                    (w * tree.sphere_size(k, s) for s, w in enumerate(table.weights)),
-                    Fraction(0),
-                )
-                if total != target:
-                    return CheckResult(
-                        "weight-normalization", False, cases, f"k={k} n={n} got {total}"
-                    )
-                cases += 1
-    return CheckResult("weight-normalization", True, cases)
+                weights = enumerate(table.weights)
+                total = sum((w * tree.sphere_size(k, s) for s, w in weights), Fraction(0))
+                yield None if total == target else f"k={k} n={n} got {total}"
 
 
-def check_quadrature(max_n: int = 10) -> CheckResult:
-    # Kernel values grow like (2k-1)^n, so the absolute 1e-9 tolerance is
-    # calibrated for the unit generating set of Z.
-    cases = 0
+def quadrature_errors(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[float, dict[int, float]]:
+    """(tolerance, {r: |quadrature - K_n(r)|}) for the exact heat kernel K_n on Z.
+
+    r runs over the radius-n ball, which holds the support of K_n, and over
+    K_n's own support; beyond n*span the true value is 0.  Each of the
+    N = 2*n*span + 2 quadrature summands has modulus at most (2k-1)^n and the
+    error stays within a few eps times that, so the tolerance is
+    N*eps*(2k-1)^n, at least 1e-9.  Where it reaches 1/2, floats cannot
+    resolve the integer values: IndexOutOfRange.
+    """
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    if G.rank != 1 or G.moduli:
+        raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
+    reach = n * max(abs(s.free[0]) for s in S.elements)
+    scale = (2 * reach + 2) * (2 * S.degree - 1) ** n
+    if scale >= 1 << 51:  # scale * eps >= 1/2, eps = 2^-52
+        raise IndexOutOfRange(f"n={n}: float quadrature cannot resolve the integer values of K_n")
+    K = cayley.heat_kernel(G, S, n).data
+    errors = {}
+    for r in sorted({x.free[0] for x in cayley.ball(G, S, n)} | {x.free[0] for x in K.entries}):
+        approx = oracles.quadrature_kernel(S, n, r) if abs(r) <= reach else 0.0
+        errors[r] = abs(approx - float(K(make_element(G, [r], []))))
+    return max(1e-9, scale * sys.float_info.epsilon), errors
+
+
+def _quadrature_cases(max_n: int = 10) -> Cases:
+    # On unit Z up to n = 10 the r are -n..n and the tolerance is 1e-9.
     G = make_group(1, [])
     S = validate_generators(G, randgen.standard_generators(G))
     for n in range(max_n + 1):
-        K = cayley.heat_kernel(G, S, n).data
-        for r in range(-n, n + 1):
-            exact = float(K(make_element(G, [r], [])))
-            approx = oracles.quadrature_kernel(S, n, r)
-            if abs(approx - exact) > 1e-9:
-                return CheckResult("quadrature", False, cases, f"n={n} r={r}")
-            cases += 1
-    return CheckResult("quadrature", True, cases)
+        tolerance, errors = quadrature_errors(G, S, n)
+        for r, error in errors.items():
+            yield None if error <= tolerance else f"n={n} r={r}"
 
 
 SUITES = {
     "cayley": ["cayley-heat", "cayley-wave", "kernels"],
-    "coset": ["coset"],
+    "coset": ["coset", "coset-wave"],
     "tree": ["tree-heat", "tree-wave", "alpha", "weights"],
     "quadrature": ["quadrature"],
 }
@@ -257,21 +252,20 @@ def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
     if max_n < 0:
         raise IndexOutOfRange(f"max_n must be non-negative, got {max_n}")
     rng = random.Random(seed)
+    # coset-wave-lift draws from a generator of its own, so that the tree
+    # checks after it draw the same instances as without it.
+    coset_wave_rng = random.Random(f"coset-wave {seed}")
+    # Generators run only when _run reads them, so the draws happen in suite order.
     checks = {
-        "cayley-heat": lambda: check_cayley_heat(rng, 12, max_n),
-        "cayley-wave": lambda: check_cayley_wave(rng, 12, max_n),
-        "kernels": lambda: check_kernel_identities(rng, 6, max_n),
-        "coset": lambda: check_coset_equivalence(rng, 9, min(max_n, 15)),
-        "tree-heat": lambda: check_tree_heat(rng, 8, min(max_n, 10)),
-        "tree-wave": lambda: check_tree_wave(rng, 8, min(max_n, 10)),
-        "alpha": check_alpha,
-        "weights": lambda: check_weight_normalization(max_n),
-        "quadrature": check_quadrature,
+        "cayley-heat": ("cayley-heat-oracle", _cayley_cases(rng, 12, max_n, wave=False)),
+        "cayley-wave": ("cayley-wave-oracle", _cayley_cases(rng, 12, max_n, wave=True)),
+        "kernels": ("kernel-identities", _kernel_cases(rng, 6, max_n)),
+        "coset": ("coset-heat-lift", _coset_cases(rng, 9, min(max_n, 15), wave=False)),
+        "coset-wave": ("coset-wave-lift", _coset_cases(coset_wave_rng, 9, min(max_n, 15), True)),
+        "tree-heat": ("tree-heat-triple", _tree_heat_cases(rng, 8, min(max_n, 10))),
+        "tree-wave": ("tree-wave-triple", _tree_wave_cases(rng, 8, min(max_n, 10))),
+        "alpha": ("alpha-coefficients", _alpha_cases()),
+        "weights": ("weight-normalization", _weight_cases(max_n)),
+        "quadrature": ("quadrature", _quadrature_cases()),
     }
-    results = []
-    for name in names:
-        start = perf_counter()
-        result = checks[name]()
-        result.seconds = perf_counter() - start
-        results.append(result)
-    return results
+    return [_run(*checks[name]) for name in names]

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from lattice_waves import cli, serialize, tree
-from lattice_waves.functions import SupportedFunction
-from lattice_waves.groups import make_element, make_group
+from lattice_waves import cayley, cli, cosets, randgen, serialize, tree, verify
+from lattice_waves.errors import TorsionUnsupported
+from lattice_waves.functions import SupportedFunction, add, delta
+from lattice_waves.groups import make_element, make_group, validate_generators
 
 
 def write_problem(tmp_path, obj, name="problem.json"):
@@ -281,6 +282,38 @@ class TestCompare:
         assert cli.main(["compare", "--problem", problem]) == expected
 
 
+    @pytest.mark.parametrize("role, code, error", [
+        (None, 0, None), ("heat", 0, None), ("wave-f", 1, "SHAPE_MISMATCH"),
+        ("wave-g", 1, "SHAPE_MISMATCH"), ("bogus", 1, "SHAPE_MISMATCH"),
+    ])
+    def test_kernel_compare_reads_the_role(self, tmp_path, capsys, role, code, error):
+        # Quadrature covers only K_n; the kernel subcommand rejects the same unknown role.
+        obj = kernel_problem(heat_problem()["S"], 4)
+        if role is not None:
+            obj["role"] = role
+        problem = write_problem(tmp_path, obj)
+        assert cli.main(["compare", "--problem", problem]) == code
+        err = capsys.readouterr().err
+        assert (json.loads(err)["error"] if err else None) == error
+        if role == "bogus":
+            assert cli.main(["kernel", "--problem", problem]) == 1
+
+    def test_compare_and_verify_share_one_quadrature_comparison(self, tmp_path, monkeypatch,
+                                                                capsys):
+        quadrature_errors = verify.quadrature_errors
+
+        def off_at_r_1(G, S, n):
+            tolerance, errors = quadrature_errors(G, S, n)
+            return tolerance, {r: e + (1.0 if r == 1 else 0.0) for r, e in errors.items()}
+
+        monkeypatch.setattr(verify, "quadrature_errors", off_at_r_1)
+        problem = write_problem(tmp_path, kernel_problem(heat_problem()["S"], 3))
+        assert cli.main(["compare", "--problem", problem]) == 3
+        assert cli.main(["verify", "--suite", "quadrature"]) == 3
+        out = capsys.readouterr().out
+        # r = 1 is the third r verify checks: n = 0 has r = 0 only.
+        assert "quadrature  FAIL  cases=3  " in out and out.splitlines()[1].endswith("n=1 r=1")
+
 class TestVerify:
     def test_quadrature_suite(self, capsys):
         assert cli.main(["verify", "--suite", "quadrature"]) == 0
@@ -295,6 +328,48 @@ class TestVerify:
             fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
             assert float(fields["seconds"]) >= 0
 
+    def test_every_check_and_its_case_count(self, capsys):
+        assert cli.main(["verify", "--max-n", "3"]) == 0
+        *checks, summary = capsys.readouterr().out.splitlines()
+        expected = [
+            ("cayley-heat-oracle", 48), ("cayley-wave-oracle", 48), ("kernel-identities", 24),
+            ("coset-heat-lift", 36), ("coset-wave-lift", 36), ("tree-heat-triple", 32),
+            ("tree-wave-triple", 32), ("alpha-coefficients", 845), ("weight-normalization", 60),
+            ("quadrature", 121),
+        ]
+        assert [tuple(line.split()[:3]) for line in checks] == [
+            (name, "PASS", f"cases={n}") for name, n in expected
+        ]
+        assert summary == "10/10 checks passed"
+
+    @pytest.mark.parametrize("module, name, n_at, check", [
+        (cayley, "heat_solve", 2, "cayley-heat-oracle"),
+        (cosets, "coset_wave_solve", 3, "coset-wave-lift"),
+    ], ids=["cayley-heat", "coset-wave"])
+    def test_planted_solver_fault_fails_its_check(self, monkeypatch, capsys, module, name, n_at,
+                                                  check):
+        solve = getattr(module, name)
+
+        def plus_delta_from_n_2(*args):
+            u = solve(*args)
+            return add(u, delta(u.group)) if args[n_at] >= 2 else u
+
+        monkeypatch.setattr(module, name, plus_delta_from_n_2)
+        assert cli.main(["verify", "--max-n", "3"]) == 3
+        [failed] = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+        assert failed.startswith(f"{check:<20}  FAIL  cases=2  seconds=")
+        assert failed.endswith("  mismatch at n=2")
+
+    def test_quadrature_errors_on_unit_z(self):
+        G = make_group(1, [])
+        S = validate_generators(G, [make_element(G, [1], []), make_element(G, [-1], [])])
+        for n in range(11):
+            tolerance, errors = verify.quadrature_errors(G, S, n)
+            assert tolerance == 1e-9 and list(errors) == list(range(-n, n + 1))
+        Z4 = make_group(1, [4])
+        S4 = validate_generators(Z4, randgen.standard_generators(Z4))
+        with pytest.raises(TorsionUnsupported):
+            verify.quadrature_errors(Z4, S4, 2)
 
     @pytest.mark.parametrize("max_n", ["-1", "-5"])
     def test_negative_max_n_exit_1_before_any_check(self, capsys, max_n):
