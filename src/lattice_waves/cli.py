@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import cayley, cosets, groups, oracles, tree, verify
+from . import cayley, cosets, groups, tree, verify
 from .errors import (
     IndexOutOfRange,
     LatticeWavesError,
@@ -43,9 +43,13 @@ EXIT_NOT_SOLVABLE = 2
 EXIT_INTERNAL = 3
 
 
-def _load_problem(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _load_problem(args) -> tuple[dict, int]:
+    """The problem document of ``args`` and its time index (``--n``, else its ``n``, else 0)."""
+    with open(args.problem) as fh:
+        instance = json.load(fh)
+    if not isinstance(instance, dict):
+        raise ShapeMismatch(f"a problem document is a JSON object, not {type(instance).__name__}")
+    return instance, args.n if args.n is not None else int_from_json(instance.get("n", 0), "n")
 
 
 _values_to_function = function_from_rows
@@ -65,6 +69,8 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
     radius = None
     if spec and "ball" in spec:
         ball = spec["ball"]
+        if not isinstance(ball, dict):
+            raise ShapeMismatch(f"eval ball must be a JSON object, not {type(ball).__name__}")
         radius = int_from_json(ball.get("radius"), "eval radius")
         if radius < 0:
             raise IndexOutOfRange(f"eval ball radius must be non-negative, got {radius}")
@@ -112,19 +118,15 @@ def _window(instance: dict, problem, n: int):
 
 
 def _closed_form(problem, n: int, window):
-    """(result, header) of the closed-form solver; tree results cover ``window``."""
-    kind, f, g, context = problem
-    if kind in ("heat", "wave"):
-        u = cayley.heat_solve(f, context, n) if g is None else cayley.wave_solve(f, g, context, n)
-        return u, {"kind": kind, "n": n, "k": context.degree}
-    if kind in ("coset-heat", "coset-wave"):
-        if g is None:
-            u = cosets.coset_heat_solve(f, context, n)
-        else:
-            u = cosets.coset_wave_solve(f, g, context, n)
-        return u, {"kind": kind, "n": n, "k": context.S_tilde.degree, "H_order": context.H_order}
-    u = tree.tree_heat_solve(f, n, window) if g is None else tree.tree_wave_solve(f, g, n, window)
-    return u, {"kind": kind, "n": n, "k": context}
+    """(result, header) of ``verify.solve``; tree results cover ``window``."""
+    kind, _f, _g, context = problem
+    if kind.startswith("tree"):
+        sizes = {"k": context}
+    elif kind.startswith("coset"):
+        sizes = {"k": context.S_tilde.degree, "H_order": context.H_order}
+    else:
+        sizes = {"k": context.degree}
+    return verify.solve(problem, n, window), {"kind": kind, "n": n, **sizes}
 
 
 def _solve(instance: dict, n: int):
@@ -161,24 +163,9 @@ def _emit(result, header, out_path):
     _write(to_csv(result, header), out_path)
 
 
-def _oracle(problem, n: int):
-    """Independent brute-force solution at time n, on the whole support."""
-    kind, f, g, context = problem
-    if kind in ("heat", "wave"):
-        step = oracles.cayley_heat_step if g is None else oracles.cayley_wave_step
-        return next(islice(oracles.trajectory(step, f, g, context), n, None))
-    if kind in ("coset-heat", "coset-wave"):
-        step = oracles.lifted_coset_heat_step if g is None else oracles.lifted_coset_wave_step
-        lifted_g = None if g is None else cosets.lift(g, context)
-        u = next(islice(oracles.trajectory(step, cosets.lift(f, context), lifted_g, context), n, None))
-        return cosets.restrict(u, context)
-    step = oracles.tree_step_heat if g is None else oracles.tree_step_wave
-    return next(islice(oracles.trajectory(step, f, g), n, None))
-
-
 def _oracle_solution(instance: dict, n: int):
-    """Independent brute-force solution for a solver-kind instance."""
-    return _oracle(_read_problem(instance), n)
+    """Independent brute-force solution for a solver-kind instance (``verify.states``)."""
+    return next(islice(verify.states(_read_problem(instance)), n, None))
 
 
 def _diff_report(closed, oracle):
@@ -191,14 +178,12 @@ def _diff_report(closed, oracle):
 
 
 def cmd_run(args) -> int:
-    instance = _load_problem(args.problem)
-    kind = instance.get("kind") or args.kind
-    if args.kind and instance.get("kind") not in (None, args.kind):
+    instance, n = _load_problem(args)
+    if instance.get("kind") not in (None, args.kind):
         raise ShapeMismatch(
             f"problem file kind {instance.get('kind')!r} does not match subcommand {args.kind!r}"
         )
-    instance["kind"] = kind
-    n = args.n if args.n is not None else int_from_json(instance.get("n", 0), "n")
+    kind = instance["kind"] = args.kind
 
     if kind == "kernel":
         G = group_from_json(instance["group"])
@@ -235,9 +220,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    instance = _load_problem(args.problem)
+    instance, n = _load_problem(args)
     kind = instance.get("kind")
-    n = args.n if args.n is not None else int_from_json(instance.get("n", 0), "n")
 
     if kind == "kernel":
         return _compare_kernel(instance, n)
@@ -247,7 +231,7 @@ def cmd_compare(args) -> int:
     problem = _read_problem(instance)
     window = _window(instance, problem, n)
     closed, _header = _closed_form(problem, n, window)
-    oracle = _oracle(problem, n)
+    oracle = next(islice(verify.states(problem), n, None))
     if window is not None:
         # The closed form is only evaluated on the requested window;
         # restrict the oracle to the same vertices before diffing.

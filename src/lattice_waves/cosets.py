@@ -83,12 +83,15 @@ def lift(f: SupportedFunction, P: CosetProblem) -> SupportedFunction:
 
 
 def restrict(u: SupportedFunction, P: CosetProblem) -> SupportedFunction:
-    """Push a coset-constant function on the base group down to the quotient."""
+    """Push a coset-constant function on the base group down to the quotient.
+
+    ``project`` returns quotient elements and u's values are non-zero, so the
+    result is wrapped as it is: ``verify.states`` restricts every oracle state.
+    """
     out: dict[GroupElement, Fraction] = {}
     for x, v in u.entries.items():
-        q = P.quot.project(x)
-        out[q] = v
-    return SupportedFunction(P.quot.group, out)
+        out[P.quot.project(x)] = v
+    return SupportedFunction.trusted(P.quot.group, out)
 
 
 def coset_heat_solve(f: SupportedFunction, P: CosetProblem, n: int) -> SupportedFunction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import cayley, cosets, oracles, randgen, tree
 from .errors import IndexOutOfRange, TorsionUnsupported
@@ -50,24 +50,55 @@ def _run(name: str, cases: Cases) -> CheckResult:
     return CheckResult(name, True, count, "", perf_counter() - start)
 
 
-def _agree(closed: Callable, states: Iterator, horizon: int) -> Cases:
-    """One case per n = 0..horizon: closed(n) against the n-th oracle state."""
-    for n, state in enumerate(islice(states, horizon + 1)):
-        yield None if closed(n) == state else f"mismatch at n={n}"
+def solve(problem, n: int, window=None):
+    """The closed form of ``problem`` at time n; ``states`` is its oracle.
+
+    ``problem`` is the ``(kind, f, g, context)`` of ``cli._read_problem``; a
+    tree solution covers ``window``.
+    """
+    kind, f, g, context = problem
+    heat = g is None
+    data = (f,) if heat else (f, g)
+    if kind in ("heat", "wave"):
+        return (cayley.heat_solve if heat else cayley.wave_solve)(*data, context, n)
+    if kind in ("coset-heat", "coset-wave"):
+        return (cosets.coset_heat_solve if heat else cosets.coset_wave_solve)(*data, context, n)
+    return (tree.tree_heat_solve if heat else tree.tree_wave_solve)(*data, n, window)
 
 
-def _cayley_cases(rng: random.Random, instances: int, max_n: int, wave: bool) -> Cases:
+def states(problem) -> Iterator:
+    """The oracle states u(., 0), u(., 1), ... of ``problem``, in ``solve``'s space.
+
+    Coset states step on the lifted graph, whose steppers reject any state
+    not constant on cosets, and are restricted to the quotient.
+    """
+    kind, f, g, context = problem
+    heat = g is None
+    if kind in ("heat", "wave"):
+        step = oracles.cayley_heat_step if heat else oracles.cayley_wave_step
+        return oracles.trajectory(step, f, g, context)
+    if kind in ("coset-heat", "coset-wave"):
+        step = oracles.lifted_coset_heat_step if heat else oracles.lifted_coset_wave_step
+        lifted_g = None if heat else cosets.lift(g, context)
+        lifted = oracles.trajectory(step, cosets.lift(f, context), lifted_g, context)
+        return (cosets.restrict(u, context) for u in lifted)
+    return oracles.trajectory(oracles.tree_step_heat if heat else oracles.tree_step_wave, f, g)
+
+
+def _oracle_cases(rng: random.Random, instances: int, max_n: int, kind: str) -> Cases:
+    """``solve`` against each state of ``states``, n = 0..max_n, on random problems of ``kind``."""
     for i in range(instances):
-        _, G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
-        S = randgen.random_symmetric_generators(rng, G)
-        f = randgen.random_function(rng, G)
-        if wave:
-            g = randgen.random_zero_mean_function(rng, G)
-            states = oracles.trajectory(oracles.cayley_wave_step, f, g, S)
-            yield from _agree(lambda n: cayley.wave_solve(f, g, S, n), states, max_n)
+        if kind.startswith("coset"):
+            context = _coset_fixture(i % 3)
+            G, size = context.quotient_group, {"max_points": 4}
         else:
-            states = oracles.trajectory(oracles.cayley_heat_step, f, None, S)
-            yield from _agree(lambda n: cayley.heat_solve(f, S, n), states, max_n)
+            G, size = STANDARD_GROUPS[i % len(STANDARD_GROUPS)][1], {}
+            context = randgen.random_symmetric_generators(rng, G)
+        f = randgen.random_function(rng, G, **size)
+        g = randgen.random_zero_mean_function(rng, G, **size) if kind.endswith("wave") else None
+        problem = (kind, f, g, context)
+        for n, state in enumerate(islice(states(problem), max_n + 1)):
+            yield None if solve(problem, n) == state else f"mismatch at n={n}"
 
 
 def _kernel_cases(rng: random.Random, instances: int, max_n: int) -> Cases:
@@ -104,22 +135,6 @@ def _coset_fixture(which: int):
     return cosets.build_coset_problem(G, H, S)
 
 
-def _coset_cases(rng: random.Random, instances: int, max_n: int, wave: bool) -> Cases:
-    """Lifted closed-form coset solves against the lifted-graph oracle."""
-    for i in range(instances):
-        P = _coset_fixture(i % 3)
-        f = randgen.random_function(rng, P.quotient_group, max_points=4)
-        if wave:
-            g = randgen.random_zero_mean_function(rng, P.quotient_group, max_points=4)
-            step, lifted_g = oracles.lifted_coset_wave_step, cosets.lift(g, P)
-            solve = lambda n: cosets.coset_wave_solve(f, g, P, n)
-        else:
-            step, lifted_g = oracles.lifted_coset_heat_step, None
-            solve = lambda n: cosets.coset_heat_solve(f, P, n)
-        states = oracles.trajectory(step, cosets.lift(f, P), lifted_g, P)
-        yield from _agree(lambda n: cosets.lift(solve(n), P), states, max_n)
-
-
 # Naive tree stepping visits the whole ball around the support, which grows
 # like (k-1)^n; cap the horizon for the larger degrees to keep it affordable.
 _TREE_N_CAP = {2: 12, 3: 12, 4: 8, 5: 6}
@@ -139,9 +154,10 @@ def _tree_heat_cases(rng: random.Random, instances: int, max_n: int) -> Cases:
         eval_at = [tree.ROOT] + sorted(f.support())[:2]
         starts = [tree.path_reduce(f, x) or [Fraction(0)] for x in eval_at]
         radial = [oracles.trajectory(oracles.radial_step_heat, p, None, k) for p in starts]
-        traj = zip(oracles.trajectory(oracles.tree_step_heat, f, None), *radial)
+        problem = ("tree-heat", f, None, k)
+        traj = zip(states(problem), *radial)
         for n, (u, *profiles) in enumerate(islice(traj, min(max_n, _TREE_N_CAP[k]) + 1)):
-            closed = tree.tree_heat_solve(f, n, eval_at)
+            closed = solve(problem, n, eval_at)
             details = (_tree_case(n, closed(x), u(x), p[0]) for x, p in zip(eval_at, profiles))
             yield next(filter(None, details), None)
 
@@ -157,12 +173,10 @@ def _tree_wave_cases(rng: random.Random, instances: int, max_n: int) -> Cases:
         g = tree.TreeFunction(k, {**g.entries, x: g(x) - tree.radial_mass(g, x)})
         pf = tree.path_reduce(f, x) or [Fraction(0)]
         pg = tree.path_reduce(g, x) or [Fraction(0)]
-        traj = zip(
-            oracles.trajectory(oracles.tree_step_wave, f, g),
-            oracles.trajectory(oracles.radial_step_wave, pf, pg, k),
-        )
+        problem = ("tree-wave", f, g, k)
+        traj = zip(states(problem), oracles.trajectory(oracles.radial_step_wave, pf, pg, k))
         for n, (want, prof) in enumerate(islice(traj, min(max_n, _TREE_N_CAP[k]) + 1)):
-            closed = tree.tree_wave_solve(f, g, n, [x])(x)
+            closed = solve(problem, n, [x])(x)
             yield _tree_case(n, closed, want(x), prof[0] if prof else Fraction(0))
 
 
@@ -255,13 +269,14 @@ def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
     # coset-wave-lift draws from a generator of its own, so that the tree
     # checks after it draw the same instances as without it.
     coset_wave_rng = random.Random(f"coset-wave {seed}")
+    coset_n = min(max_n, 15)
     # Generators run only when _run reads them, so the draws happen in suite order.
     checks = {
-        "cayley-heat": ("cayley-heat-oracle", _cayley_cases(rng, 12, max_n, wave=False)),
-        "cayley-wave": ("cayley-wave-oracle", _cayley_cases(rng, 12, max_n, wave=True)),
+        "cayley-heat": ("cayley-heat-oracle", _oracle_cases(rng, 12, max_n, "heat")),
+        "cayley-wave": ("cayley-wave-oracle", _oracle_cases(rng, 12, max_n, "wave")),
         "kernels": ("kernel-identities", _kernel_cases(rng, 6, max_n)),
-        "coset": ("coset-heat-lift", _coset_cases(rng, 9, min(max_n, 15), wave=False)),
-        "coset-wave": ("coset-wave-lift", _coset_cases(coset_wave_rng, 9, min(max_n, 15), True)),
+        "coset": ("coset-heat-lift", _oracle_cases(rng, 9, coset_n, "coset-heat")),
+        "coset-wave": ("coset-wave-lift", _oracle_cases(coset_wave_rng, 9, coset_n, "coset-wave")),
         "tree-heat": ("tree-heat-triple", _tree_heat_cases(rng, 8, min(max_n, 10))),
         "tree-wave": ("tree-wave-triple", _tree_wave_cases(rng, 8, min(max_n, 10))),
         "alpha": ("alpha-coefficients", _alpha_cases()),

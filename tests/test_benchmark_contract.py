@@ -5,16 +5,19 @@ modules (``spans.LAYERS``).  A refactor that deletes or bypasses one of
 those names leaves the benchmark silently reading 0 for that layer; this
 test runs one document of each kind through the benchmark's own pipeline
 and requires every registered span and every declared count to be seen.
+The benchmark's correctness gate (``checks.py``) is held to its outputs too.
 """
 
 import json
+import random
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import pipeline  # noqa: E402  (perfbench is not a package)
+import checks  # noqa: E402  (perfbench is not a package)
+import pipeline  # noqa: E402
 import spans  # noqa: E402
 
 Z = {"rank": 1, "moduli": []}
@@ -101,3 +104,17 @@ def test_every_declared_count_is_non_zero():
     counter = spans.Counter()
     run_all(counter)
     assert {name for name in counted_names if counter.counts.get(name, 0) <= 0} == set()
+
+
+def test_correctness_gate_passes_the_solves_and_catches_a_wrong_value():
+    # ``checks`` re-solves Cayley and coset outputs through ``cli._oracle_solution`` and
+    # reads coset presentations through ``cli.build_coset``: the benchmark's gate.
+    for doc in map(json.dumps, DOCS[:4]):
+        text = pipeline.solve(doc, spans.NULL)
+        assert checks.cheap_check(doc, text) is None
+        assert checks.oracle_check(doc, text, random.Random(0)) is None
+        *head, last = text.rstrip("\r\n").split("\r\n")
+        label, num, den = last.split(",")
+        wrong = "\r\n".join([*head, f"{label},{int(num) + 1},{den}"]) + "\r\n"
+        assert checks.cheap_check(doc, wrong) is not None
+        assert checks.oracle_check(doc, wrong, random.Random(0)) is not None

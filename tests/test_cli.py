@@ -64,6 +64,23 @@ COSET_PROBLEM = {
 FIRST_ROW = heat_problem()["f"][0]
 UNIT_VELOCITY = [{"elem": {"free": [1], "torsion": []}, "num": "1", "den": "1"}]
 COSET_UNIT_VELOCITY = [{"elem": {"free": [0], "torsion": [1]}, "num": "1", "den": "1"}]
+# Zero-mass velocities: the wave kinds are solvable with them.
+ZERO_MASS_VELOCITY = [
+    {"elem": {"free": [1], "torsion": []}, "num": "1", "den": "1"},
+    {"elem": {"free": [-1], "torsion": []}, "num": "-1", "den": "1"},
+]
+COSET_ZERO_MASS_VELOCITY = [
+    {"elem": {"free": [1], "torsion": [0]}, "num": "1", "den": "2"},
+    {"elem": {"free": [0], "torsion": [1]}, "num": "-1", "den": "2"},
+]
+SOLVER_PROBLEMS = [
+    heat_problem(),
+    dict(heat_problem(), kind="wave", g=ZERO_MASS_VELOCITY),
+    COSET_PROBLEM,
+    dict(COSET_PROBLEM, kind="coset-wave", g=COSET_ZERO_MASS_VELOCITY),
+    tree_problem(),
+    tree_problem("tree-wave"),
+]
 
 
 class TestRun:
@@ -203,8 +220,9 @@ class TestRun:
 
 
 class TestCompare:
-    def test_exact_agreement(self, tmp_path, capsys):
-        problem = write_problem(tmp_path, heat_problem())
+    @pytest.mark.parametrize("obj", SOLVER_PROBLEMS, ids=lambda obj: obj["kind"])
+    def test_exact_agreement(self, tmp_path, capsys, obj):
+        problem = write_problem(tmp_path, obj)
         assert cli.main(["compare", "--problem", problem]) == 0
         assert "max_abs_diff=0" in capsys.readouterr().out
 
@@ -313,6 +331,27 @@ class TestCompare:
         out = capsys.readouterr().out
         # r = 1 is the third r verify checks: n = 0 has r = 0 only.
         assert "quadrature  FAIL  cases=3  " in out and out.splitlines()[1].endswith("n=1 r=1")
+
+    def test_compare_and_verify_share_one_oracle_pairing(self, tmp_path, monkeypatch, capsys):
+        states = verify.states
+
+        def off_by_delta_from_n_2(problem):
+            for n, u in enumerate(states(problem)):
+                yield add(u, delta(u.group)) if n >= 2 else u
+
+        monkeypatch.setattr(verify, "states", off_by_delta_from_n_2)
+        problem = write_problem(tmp_path, dict(COSET_PROBLEM, n=2))
+        assert cli.main(["compare", "--problem", problem]) == 3
+        assert cli.main(["verify", "--suite", "coset", "--max-n", "3"]) == 3
+        compared, mismatch, *checks, summary = capsys.readouterr().out.splitlines()
+        assert compared == "kind=coset-heat n=2 max_abs_diff=1"
+        assert mismatch.startswith("  mismatch at ") and mismatch.endswith(": -1")
+        assert [line.split()[:3] + line.split()[-3:] for line in checks] == [
+            [name, "FAIL", "cases=2", "mismatch", "at", "n=2"]
+            for name in ("coset-heat-lift", "coset-wave-lift")
+        ]
+        assert summary == "0/2 checks passed"
+
 
 class TestVerify:
     def test_quadrature_suite(self, capsys):
@@ -503,6 +542,13 @@ class TestErrors:
                          ["tree-heat"], id="row-letter"),
             pytest.param(dict(tree_problem(), eval={"vertices": [[1.2]]}), ["tree-heat"],
                          id="eval-vertex"),
+            # A document or eval ball that is not a JSON object has no fields to read.
+            *(pytest.param(doc, [kind], id=f"{kind}-document-{type(doc).__name__}")
+              for kind in ("heat", "coset-heat", "tree-heat", "compare")
+              for doc in ([1, 2], "heat")),
+            *(pytest.param(dict(tree_problem(), eval={"ball": ball}), [kind],
+                           id=f"{kind}-ball-{ball}")
+              for kind in ("tree-heat", "compare") for ball in (5, [1], "ball")),
         ],
     )
     def test_non_integral_number_exit_1(self, tmp_path, capsys, obj, argv):
