@@ -24,6 +24,7 @@ from .errors import (
 )
 from .functions import SupportedFunction
 from .serialize import (
+    _ints_from_json,
     element_from_json,
     function_from_rows,
     function_to_csv,
@@ -62,12 +63,22 @@ def _project_initial(P: cosets.CosetProblem, values) -> SupportedFunction:
 
 
 def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
-    spec = instance.get("eval")
-    if spec and "vertices" in spec:
-        return [vertex_from_json(k, w) for w in spec["vertices"]]
+    """The window of a tree document: its ``eval`` vertices, its ``eval`` ball or the default.
+
+    Listed vertices are read as integer arrays only: the solvers check each
+    window vertex against the word rules.
+    """
+    spec = instance.get("eval", {})
+    if not isinstance(spec, dict):
+        raise ShapeMismatch(f"eval must be a JSON object, not {type(spec).__name__}")
+    if "vertices" in spec:
+        words = spec["vertices"]
+        if not isinstance(words, list):
+            raise ShapeMismatch(f"eval vertices must be an array, not {type(words).__name__}")
+        return [_ints_from_json(w, "tree-word letter") for w in words]
     center = tree.ROOT
     radius = None
-    if spec and "ball" in spec:
+    if "ball" in spec:
         ball = spec["ball"]
         if not isinstance(ball, dict):
             raise ShapeMismatch(f"eval ball must be a JSON object, not {type(ball).__name__}")
@@ -331,10 +342,12 @@ def main(argv=None) -> int:
         print(json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr)
         return EXIT_VALIDATION
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        print(json.dumps({"error": "VALIDATION", "detail": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        detail = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": "VALIDATION", "detail": detail}), file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover
-        print(json.dumps({"error": "INTERNAL", "detail": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        detail = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": "INTERNAL", "detail": detail}), file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         if limit is not None:

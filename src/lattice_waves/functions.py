@@ -47,7 +47,9 @@ class SupportedFunction:
         self.entries = {x: v for x, v in clean.items() if v != 0}
 
     @classmethod
-    def trusted(cls, group: GroupSpec, entries: dict[GroupElement, int | Fraction]) -> SupportedFunction:
+    def trusted(
+        cls, group: GroupSpec, entries: dict[GroupElement, int | Fraction]
+    ) -> SupportedFunction:
         """Wrap entries the program built itself, skipping the normalisation.
 
         Every key must already conform to ``group`` and every value must be
@@ -76,7 +78,9 @@ class SupportedFunction:
         return iter(self.entries.items())
 
 
-def make_function(G: GroupSpec, items: Mapping[GroupElement, Fraction] | Iterable) -> SupportedFunction:
+def make_function(
+    G: GroupSpec, items: Mapping[GroupElement, Fraction] | Iterable
+) -> SupportedFunction:
     if not isinstance(items, Mapping):
         items = dict(items)
     return SupportedFunction(G, dict(items))
@@ -311,7 +315,8 @@ class _Packing:
         # Slots that hold only the bias read 0 and are skipped.
         keys = compress(product(*axes), values)
         if not self.moduli:
-            return dict(zip((_new_tuple(GroupElement, (t, ())) for t in keys), filter(None, values)))
+            elems = (_new_tuple(GroupElement, (t, ())) for t in keys)
+            return dict(zip(elems, filter(None, values)))
         out: dict[GroupElement, int] = {}
         get = out.get
         for t, v in zip(keys, filter(None, values)):

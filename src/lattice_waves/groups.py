@@ -13,7 +13,8 @@ already known to conform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add as _int_add, mod as _int_mod
+from math import prod
+from operator import add as _int_add, mod as _int_mod, mul as _int_mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -125,15 +126,11 @@ def elem_neg(G: GroupSpec, a: GroupElement) -> GroupElement:
     return GroupElement(free, torsion)
 
 
-def _relation_rows(G: GroupSpec) -> list[list[int]]:
-    """Rows m_i * e_i on the torsion coordinates (within the full coordinate space)."""
-    t = len(G.moduli)
-    rows = []
-    for i, m in enumerate(G.moduli):
-        row = [0] * (G.rank + t)
-        row[G.rank + i] = m
-        rows.append(row)
-    return rows
+def _relation_rows(G: GroupSpec, vectors: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The torsion relations m_i e_i of G as rows over all its coordinates, then ``vectors``."""
+    dim = G.rank + len(G.moduli)
+    rows = [[m * (j == G.rank + i) for j in range(dim)] for i, m in enumerate(G.moduli)]
+    return rows + [list(v) for v in vectors]
 
 
 _Matrix = tuple[tuple[int, ...], ...]
@@ -265,9 +262,7 @@ def validate_generators(G: GroupSpec, S: Sequence[GroupElement]) -> GeneratorSet
             raise NotSymmetric(f"generating set is missing the inverse of {s}")
     dim = G.rank + len(G.moduli)
     if dim > 0:
-        rows = [list(s.free) + list(s.torsion) for s in elems]
-        rows += _relation_rows(G)
-        factors, _, _ = _smith(rows)
+        factors, _, _ = _smith(_relation_rows(G, (s.free + s.torsion for s in elems)))
         if len(factors) < dim or any(d != 1 for d in factors):
             raise DoesNotGenerate(
                 f"generators span a proper subgroup (invariant factors {factors})"
@@ -281,50 +276,47 @@ class Quotient:
 
     ``project`` is a surjective homomorphism onto ``group`` with kernel
     exactly H; ``section`` picks the canonical representative of each
-    coset; ``subgroup`` lists the elements of H; ``order`` is |H|.
+    coset; ``subgroup`` lists the elements of H; ``order`` is |H|.  The
+    quotient's torsion coordinates are the Smith columns of T kept by
+    ``quotient`` (``_columns``), and ``_inverse_rows`` are the same rows of
+    T^-1.
     """
 
     base: GroupSpec
     group: GroupSpec
     order: int
     subgroup: tuple[GroupElement, ...]
-    _transform: tuple[tuple[int, ...], ...]
-    _inverse_transform: tuple[tuple[int, ...], ...]
-    _divisors: tuple[int, ...]
-    _kept: tuple[int, ...]
+    _columns: tuple[tuple[int, ...], ...]
+    _inverse_rows: tuple[tuple[int, ...], ...]
 
     def project(self, a: GroupElement) -> GroupElement:
         _check_shape(self.base, a)
-        t = len(self.base.moduli)
-        if t == 0:
-            return a
-        y = [sum(a.torsion[i] * self._transform[i][j] for i in range(t)) for j in range(t)]
-        torsion = tuple(y[j] % self._divisors[j] for j in self._kept)
+        torsion = tuple(
+            sum(map(_int_mul, a.torsion, column)) % d
+            for column, d in zip(self._columns, self.group.moduli)
+        )
         return GroupElement(a.free, torsion)
 
     def section(self, q: GroupElement) -> GroupElement:
         """Canonical representative in the base group of the coset q."""
         _check_shape(self.group, q)
-        t = len(self.base.moduli)
-        if t == 0:
-            return q
-        w = [0] * t
-        for coord, j in zip(q.torsion, self._kept):
-            w[j] = coord
-        x = [sum(w[j] * self._inverse_transform[j][i] for j in range(t)) for i in range(t)]
+        x = [0] * len(self.base.moduli)
+        for c, row in zip(q.torsion, self._inverse_rows):
+            x = [v + c * r for v, r in zip(x, row)]
         return make_element(self.base, q.free, x)
 
     def fiber(self, q: GroupElement) -> tuple[GroupElement, ...]:
         """All |H| base-group representatives of the coset q."""
-        rep = self.section(q)
-        return tuple(elem_add(self.base, rep, h) for h in self.subgroup)
+        rep, add = self.section(q), adder(self.base)
+        return tuple(add(rep, h) for h in self.subgroup)
 
 
 def quotient(G: GroupSpec, H_gens: Sequence[GroupElement]) -> Quotient:
     """Quotient of G by the finite subgroup generated by torsion-only elements.
 
     Computed via the Smith Normal Form of the torsion relation matrix
-    extended by the subgroup generators.
+    extended by the subgroup generators; its columns with invariant factor
+    d >= 2 are the quotient's coordinates, mod d.
     """
     gens = [make_element(G, h.free, h.torsion) for h in H_gens]
     for h in gens:
@@ -332,27 +324,24 @@ def quotient(G: GroupSpec, H_gens: Sequence[GroupElement]) -> Quotient:
             raise InfiniteSubgroup(
                 f"subgroup generator {h} has nonzero free part; the subgroup is infinite"
             )
-    t = len(G.moduli)
-    if t == 0:
-        return Quotient(G, G, 1, (identity(G),), (), (), (), ())
-
-    rows = _relation_rows(GroupSpec(0, G.moduli)) + [list(h.torsion) for h in gens]
-    divisors, transform, inverse = _smith(rows)
-    kept = tuple(i for i, d in enumerate(divisors) if d >= 2)
-    qspec = GroupSpec(G.rank, tuple(divisors[i] for i in kept))
-    order = 1
-    for m in G.moduli:
-        order *= m
-    for d in divisors:
-        order //= d
-    if order == 1:
+    e = identity(G)
+    if all(h == e for h in gens):
         # Trivial subgroup: keep the original presentation and the identity map.
-        ident = tuple(tuple(int(i == j) for j in range(t)) for i in range(t))
-        return Quotient(G, G, 1, (identity(G),), ident, ident, G.moduli, tuple(range(t)))
+        t = len(G.moduli)
+        unit = tuple(tuple(int(i == j) for j in range(t)) for i in range(t))
+        return Quotient(G, G, 1, (e,), unit, unit)
+
+    rows = _relation_rows(GroupSpec(0, G.moduli), (h.torsion for h in gens))
+    divisors, transform, inverse = _smith(rows)
+    kept = [j for j, d in enumerate(divisors) if d >= 2]
+    columns = tuple(tuple(row[j] for row in transform) for j in kept)
+    inverse_rows = tuple(inverse[j] for j in kept)
+    qspec = GroupSpec(G.rank, tuple(divisors[j] for j in kept))
+    order = prod(G.moduli) // prod(divisors)
 
     # H is the closure of its generators; sorted, it lists H in coordinate order.
     step = adder(G)
-    frontier = [identity(G)]
+    frontier = [e]
     closure = set(frontier)
     while frontier:
         x = frontier.pop()
@@ -362,8 +351,5 @@ def quotient(G: GroupSpec, H_gens: Sequence[GroupElement]) -> Quotient:
                 closure.add(y)
                 frontier.append(y)
     if len(closure) != order:
-        raise AssertionError(
-            f"subgroup closure found {len(closure)} elements, expected {order}"
-        )
-    return Quotient(G, qspec, order, tuple(sorted(closure)), transform, inverse, divisors, kept)
-
+        raise AssertionError(f"subgroup closure found {len(closure)} elements, expected {order}")
+    return Quotient(G, qspec, order, tuple(sorted(closure)), columns, inverse_rows)

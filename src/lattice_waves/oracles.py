@@ -1,11 +1,14 @@
 """Brute-force time steppers used as ground truth for the closed forms.
 
 Every stepper is one of the paper's two time rules, heat u - Δu and wave
-2 u1 - u0 - Δu0, applied to the combinatorial Laplacian of its graph.  One
-loop per graph family adds -Δu into an integer accumulator: over shifts
-with a divisor on groups (S and 1 on a Cayley graph, the sums h + s over
-H x S~ and |H| on the lifted coset graph), over neighbours on trees, and
-over the radialized line, whose radial profiles are even extensions.  The
+2 u1 - u0 - Δu0, applied to the combinatorial Laplacian
+Δf(x) = deg(x) f(x) - sum_{y ~ x} f(y) of its graph.  One loop,
+``_laplacian``, adds -Δu into an integer accumulator; each graph family
+supplies only its degree and a spread map, the points that u(x) feeds:
+the shifts x + s with a divisor on groups (S and 1 on a Cayley graph, the
+sums h + s over H x S~ and |H| on the lifted coset graph), the
+reduced-word neighbours on trees, and r - 1 (k - 1 times) and r + 1 on
+the radialized line, whose radial profiles are even extensions.  The
 rules work over one common denominator (times the divisor) and divide once
 per output value.  Nothing is shared with the closed-form engine beyond
 the element, scalar and function types; the steppers are deliberately
@@ -17,9 +20,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import islice, repeat, zip_longest
 from math import lcm, pi
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cosets import CosetProblem
 from .errors import CosetInconstant, GroupMismatch, TorsionUnsupported
@@ -78,53 +81,46 @@ def _wave(u0: dict, u1: dict, laplacian: Laplacian, divisor: int = 1) -> dict:
     return _rationals(acc, d)
 
 
-def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement], divisor: int) -> Laplacian:
-    """-Δu(x) = (1/divisor) sum_s (u(x + s) - u(x)), s over a multiset of shifts.
+def _laplacian(k: int, spread_to: Callable[[object], Iterable], divisor: int = 1) -> Laplacian:
+    """The one loop: u(x) adds -k u(x) at x and u(x) / divisor at each point of spread_to(x).
 
-    u(x + s) feeds position x; equivalently v at x spreads to x + s, since
-    the multiset is closed under negation.
+    So -Δu(y) = (1/divisor) sum u(x) - k u(y), x over the points that spread
+    to y, with repeats; on a graph, whose adjacency is symmetric, those are
+    the neighbours of y.
     """
-    step = adder(G)
-    k = len(shifts) // divisor
     def laplacian(acc: dict, u: dict) -> None:
         get = acc.get
         for x, v in u.items():
             acc[x] = get(x, 0) - k * v
             spread = v // divisor
-            for s in shifts:
-                y = step(x, s)
+            for y in spread_to(x):
                 acc[y] = get(y, 0) + spread
     return laplacian
 
 
+def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement], divisor: int = 1) -> Laplacian:
+    """Shifts x + s over a multiset closed under negation, each counted 1/divisor."""
+    step = adder(G)
+    return _laplacian(len(shifts) // divisor, lambda x: map(step, repeat(x), shifts), divisor)
+
+
 def _tree_laplacian(k: int) -> Laplacian:
-    """-Δu(x) = sum_{y ~ x} (u(y) - u(x)) over reduced-word neighbours."""
-    def laplacian(acc: dict, u: dict) -> None:
-        get = acc.get
-        for x, v in u.items():
-            acc[x] = get(x, 0) - k * v
-            # Neighbours of reduced words are reduced words.
-            for y in neighbors(x, k):
-                acc[y] = get(y, 0) + v
-    return laplacian
+    """The reduced-word neighbours; neighbours of reduced words are reduced words."""
+    return _laplacian(k, lambda x: neighbors(x, k))
 
 
 def _line_laplacian(k: int) -> Laplacian:
-    """-Δp(r) = (k-1) p(r+1) + p(r-1) - k p(r): the tree Laplacian on spheres."""
-    def laplacian(acc: dict, p: dict) -> None:
-        get = acc.get
-        for r, v in p.items():
-            acc[r] = get(r, 0) - k * v
-            # p(r) is the p(r+1) of r-1, weighted k-1, and the p(r-1) of r+1.
-            acc[r - 1] = get(r - 1, 0) + (k - 1) * v
-            acc[r + 1] = get(r + 1, 0) + v
-    return laplacian
+    """-Δp(r) = (k-1) p(r+1) + p(r-1) - k p(r): the tree Laplacian on spheres.
+
+    p(r) is the p(r+1) of r - 1, weighted k - 1, and the p(r-1) of r + 1.
+    """
+    return _laplacian(k, lambda r: (r - 1,) * (k - 1) + (r + 1,))
 
 
 def cayley_heat_step(u: SupportedFunction, S: GeneratorSet) -> SupportedFunction:
     """u(x, n+1) = sum_i u(x + s_i, n) - (k-1) u(x, n)."""
     G = u.group
-    return SupportedFunction.trusted(G, _heat(u.entries, _group_laplacian(G, S.elements, 1)))
+    return SupportedFunction.trusted(G, _heat(u.entries, _group_laplacian(G, S.elements)))
 
 
 def cayley_wave_step(
@@ -134,7 +130,7 @@ def cayley_wave_step(
     if u_prev.group != u_curr.group:
         raise GroupMismatch("wave step arguments live on different groups")
     G = u_curr.group
-    laplacian = _group_laplacian(G, S.elements, 1)
+    laplacian = _group_laplacian(G, S.elements)
     return SupportedFunction.trusted(G, _wave(u_prev.entries, u_curr.entries, laplacian))
 
 

@@ -35,11 +35,7 @@ def standard_generators(G: GroupSpec) -> list[GroupElement]:
         neg = elem_neg(G, s)
         if neg != s:
             gens.append(neg)
-    out = []
-    for s in gens:
-        if s not in out:
-            out.append(s)
-    return out
+    return gens
 
 
 def random_symmetric_generators(

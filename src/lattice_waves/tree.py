@@ -136,9 +136,7 @@ def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
 def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
     """Average of f over the sphere of radius |r| around x (even in r)."""
     r = abs(r)
-    num, d = f.integer_form
-    total = sum(v for y, v in num.items() if tree_distance(x, y) == r)
-    return Fraction(total, d * sphere_size(f.k, r))
+    return Fraction(_radius_sums(f, x).get(r, 0), f.integer_form[1] * sphere_size(f.k, r))
 
 
 def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
@@ -311,8 +309,8 @@ def tree_wave_solve(
         raise ShapeMismatch("initial value and velocity live on trees of different degree")
     ftable, gtable = tree_wave_weights(f.k, n)
     out = {}
-    for x in eval_at:
-        x = make_vertex(x, f.k)
+    # Every vertex is checked before any mass, so a malformed window is reported first.
+    for x in [make_vertex(x, f.k) for x in eval_at]:
         mass = radial_mass(g, x)
         if mass != 0:
             raise NotSolvable(

@@ -549,12 +549,33 @@ class TestErrors:
             *(pytest.param(dict(tree_problem(), eval={"ball": ball}), [kind],
                            id=f"{kind}-ball-{ball}")
               for kind in ("tree-heat", "compare") for ball in (5, [1], "ball")),
+            # An eval that is not an object, or eval vertices that are not an array.
+            *(pytest.param(dict(tree_problem(), eval=spec), [kind], id=f"{kind}-eval-{spec}")
+              for kind in ("tree-heat", "compare")
+              for spec in (5, "ball", [1], {"vertices": 5})),
         ],
     )
     def test_non_integral_number_exit_1(self, tmp_path, capsys, obj, argv):
         # int() would truncate these and answer a different problem.
         problem = write_problem(tmp_path, obj)
         assert cli.main([argv[0], "--problem", problem]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SHAPE_MISMATCH"
+
+    @pytest.mark.parametrize("word", [[1, 1], [4]], ids=["not-reduced", "letter-past-k"])
+    @pytest.mark.parametrize(
+        "kind, command",
+        [("tree-heat", "tree-heat"), ("tree-wave", "tree-wave"),
+         ("tree-heat", "compare"), ("tree-wave", "compare")],
+    )
+    def test_invalid_eval_vertex_exit_1(self, tmp_path, capsys, kind, command, word):
+        # Eval words are parsed as integer arrays; the solvers apply the word rules (k = 3),
+        # before they check the velocity's mass (non-zero at the root here).
+        obj = dict(tree_problem(kind), eval={"vertices": [[], word]})
+        if kind == "tree-wave":
+            obj["g"] = obj["f"]
+        problem = write_problem(tmp_path, obj)
+        assert cli.main([command, "--problem", problem]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SHAPE_MISMATCH"
 

@@ -286,9 +286,10 @@ class TestSmithNormalForm:
             V_inv = V.inv()
             kept = tuple(i for i, d in enumerate(divisors) if d >= 2)
             assert Q.group == make_group(G.rank, [divisors[i] for i in kept])
-            assert (Q._divisors, Q._kept, Q._transform) == (divisors, kept, transform)
-            assert Q._inverse_transform == tuple(
-                tuple(int(V_inv[i, j]) for j in range(t)) for i in range(t)
+            # Only the kept columns of V and the same rows of V^-1 are stored.
+            assert Q._columns == tuple(tuple(int(V[i, j]) for i in range(t)) for j in kept)
+            assert Q._inverse_rows == tuple(
+                tuple(int(V_inv[j, i]) for i in range(t)) for j in kept
             )
             # H is the kernel of the projection, listed in coordinate order.
             zero = (0,) * G.rank
@@ -297,6 +298,27 @@ class TestSmithNormalForm:
                 for tor in itertools.product(*(range(m) for m in G.moduli))
                 if Q.project(GroupElement(zero, tor)) == identity(Q.group)
             )
+
+    @pytest.mark.parametrize("G", [make_group(1, [4, 6]), Z2], ids=["ZxZ4xZ6", "Z2"])
+    def test_trivial_subgroup_keeps_the_presentation(self, G, monkeypatch):
+        # H = {e} takes no Smith normal form: the quotient is G itself, also for t = 0.
+        monkeypatch.setattr("lattice_waves.groups._smith", lambda rows: pytest.fail("_smith"))
+        zero = identity(G)
+        t = len(G.moduli)
+        unit = tuple(tuple(int(i == j) for j in range(t)) for i in range(t))
+        grid = [
+            make_element(G, free, tor)
+            for free in itertools.product(range(-2, 3), repeat=G.rank)
+            for tor in itertools.product(*map(range, G.moduli))
+        ]
+        for gens in ([], [zero], [zero, zero]):
+            Q = quotient(G, gens)
+            assert (Q.group, Q.order, Q.subgroup) == (G, 1, (zero,))
+            assert Q._columns == Q._inverse_rows == unit
+            for q in grid:
+                assert Q.project(q) == q
+                assert Q.section(q) == q
+                assert Q.fiber(q) == (q,)
 
     def test_quotient_builds_h_without_enumerating_the_group(self, monkeypatch):
         calls = []
