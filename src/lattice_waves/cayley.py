@@ -79,15 +79,19 @@ def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     return Kernel(total)
 
 
+def wave_rows(n: int) -> list[list[int]]:
+    """The coefficients of F_n and G_n in -A: C(n,2i), 2i <= n, and C(n,2i+1), 2i+1 <= n."""
+    return [[comb(n, 2 * i + j) for i in range((n - j) // 2 + 1)] for j in (0, 1)]
+
+
 def wave_kernels(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]:
     """Wave propagators F_n = sum_i (-1)^i C(n,2i) A^{*i} and G_n = sum_i (-1)^i C(n,2i+1) A^{*i}.
 
-    Both are polynomials of degree n//2 in -A, with |-A|_1 = 2k.
+    Both are polynomials in -A (``wave_rows``), with |-A|_1 = 2k.
     """
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    rows = [[comb(n, 2 * i + j) for i in range(n // 2 + 1)] for j in (0, 1)]
-    F, Gk = convolve_polynomials(_symbol(G, S, -S.degree, 1), rows)
+    F, Gk = convolve_polynomials(_symbol(G, S, -S.degree, 1), wave_rows(n))
     return Kernel(F), Kernel(Gk)
 
 

@@ -31,6 +31,7 @@ from .serialize import (
     group_from_json,
     int_from_json,
     quotient_function_from_rows,
+    required,
     tree_function_from_rows,
     tree_function_to_csv,
     vertex_from_json,
@@ -105,16 +106,16 @@ def _read_problem(instance: dict):
     The context is the generator set S, the coset problem P or the tree
     degree k; g is None for the heat kinds.
     """
-    kind = instance["kind"]
+    kind = required(instance, "kind")
     if kind in ("heat", "wave"):
-        G = group_from_json(instance["group"])
+        G = group_from_json(required(instance, "group"))
         context = cayley_generators(instance, G)
         read = lambda rows: _values_to_function(G, rows)
     elif kind in ("coset-heat", "coset-wave"):
         context = build_coset(instance)
         read = lambda rows: _project_initial(context, rows)
     elif kind in ("tree-heat", "tree-wave"):
-        context = int_from_json(instance["k"], "k")
+        context = int_from_json(required(instance, "k"), "k")
         read = lambda rows: _values_to_tree_function(context, rows)
     else:
         raise ShapeMismatch(f"unknown problem kind {kind!r}")
@@ -151,13 +152,13 @@ def _solve(instance: dict, n: int):
 
 
 def cayley_generators(instance: dict, G):
-    return groups.validate_generators(G, [element_from_json(G, s) for s in instance["S"]])
+    return groups.validate_generators(G, [element_from_json(G, s) for s in required(instance, "S")])
 
 
 def build_coset(instance: dict) -> cosets.CosetProblem:
-    G = group_from_json(instance["group"])
+    G = group_from_json(required(instance, "group"))
     H = [element_from_json(G, h) for h in instance.get("subgroup_gens", [])]
-    S = [element_from_json(G, s) for s in instance["S"]]
+    S = [element_from_json(G, s) for s in required(instance, "S")]
     return cosets.build_coset_problem(G, H, S)
 
 
@@ -197,7 +198,7 @@ def cmd_run(args) -> int:
     kind = instance["kind"] = args.kind
 
     if kind == "kernel":
-        G = group_from_json(instance["group"])
+        G = group_from_json(required(instance, "group"))
         S = cayley_generators(instance, G)
         role = _kernel_role(instance)
         if role == "heat":
@@ -209,7 +210,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     if kind == "weights":
-        k = int_from_json(instance["k"], "k")
+        k = int_from_json(required(instance, "k"), "k")
         which = instance.get("which", "heat")
         lines = ["# " + f"kind=weights which={which} n={n} k={k}", "table,s,num,den"]
         if which == "heat":
@@ -268,7 +269,7 @@ def _compare_kernel(instance: dict, n: int) -> int:
     role = _kernel_role(instance)
     if role != "heat":
         raise ShapeMismatch(f"quadrature checks only the heat kernel K_n, not role {role!r}")
-    G = group_from_json(instance["group"])
+    G = group_from_json(required(instance, "group"))
     tolerance, errors = verify.quadrature_errors(G, cayley_generators(instance, G), n)
     worst = max(errors.values())
     print(f"kind=kernel n={n} max_abs_diff={worst:.3e} tolerance={tolerance:.3g}")

@@ -19,9 +19,17 @@ from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import GroupMismatch
-from .groups import GroupElement, GroupSpec, adder, conforms, elem_neg, identity, make_element
+from .groups import GroupElement, GroupSpec, adder, elem_neg, identity, make_element
 
 _new_tuple = tuple.__new__
+
+
+def summed(pairs: Iterable[tuple]) -> dict:
+    """Entries from (key, value) pairs: values at one key add up exactly, zero sums dropped."""
+    out: dict = {}
+    for x, v in pairs:
+        out[x] = out[x] + v if x in out else v
+    return {x: v for x, v in out.items() if v}
 
 
 @dataclass
@@ -37,14 +45,9 @@ class SupportedFunction:
     entries: dict[GroupElement, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for x, v in self.entries.items():
-            if not conforms(self.group, x):
-                x = make_element(self.group, x.free, x.torsion)
-            v = Fraction(v)
-            if v != 0:
-                clean[x] = clean.get(x, Fraction(0)) + v
-        self.entries = {x: v for x, v in clean.items() if v != 0}
+        G = self.group
+        pairs = ((make_element(G, x.free, x.torsion), Fraction(v)) for x, v in self.entries.items())
+        self.entries = summed(pairs)
 
     @classmethod
     def trusted(
@@ -173,14 +176,15 @@ def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:
 
 
 def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[SupportedFunction]:
-    """sum_i row[i] f^{*i} for each non-empty row of ``int`` coefficients; f integral.
+    """sum_i row[i] f^{*i} for each row of ``int`` coefficients; f integral.
 
     Each row is a polynomial in the one function f, evaluated by Horner's
     rule: in one packed ``int`` (``_packing``) and decoded once, or with
     the sparse ``convolve`` where the packed box would be mostly empty.
     sum_i |row[i]| |f|_1^i bounds every coefficient.  A row whose only
     non-zero coefficient is its last is one big-int power instead, two to
-    five times faster than Horner's rule.
+    five times faster than Horner's rule.  An empty row is the zero
+    polynomial; the rows beside it have length at most 1 (sparse path).
     """
     G = f.group
     e = identity(G)

@@ -82,14 +82,6 @@ def identity(G: GroupSpec) -> GroupElement:
     return GroupElement((0,) * G.rank, (0,) * len(G.moduli))
 
 
-def conforms(G: GroupSpec, a: GroupElement) -> bool:
-    return (
-        len(a.free) == G.rank
-        and len(a.torsion) == len(G.moduli)
-        and all(0 <= v < m for v, m in zip(a.torsion, G.moduli))
-    )
-
-
 def _check_shape(G: GroupSpec, *elems: GroupElement) -> None:
     for a in elems:
         if len(a.free) != G.rank or len(a.torsion) != len(G.moduli):

@@ -283,13 +283,18 @@ def radial_step_wave(
 
 
 def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:
-    """Heat kernel coefficient on Z by trapezoid quadrature of the symbol power.
+    """Heat kernel coefficient K_n(r) on Z by quadrature (``quadrature_kernels``)."""
+    return quadrature_kernels(S, n, [r])[r]
+
+
+def quadrature_kernels(S: GeneratorSet, n: int, rs: Sequence[int]) -> dict[int, float]:
+    """Heat kernel coefficients {r: K_n(r)} on Z by trapezoid quadrature of the symbol power.
 
     Uses N = 2*n*span + 2 uniform nodes, where span is the largest
     generator magnitude (so N = 2n+2 for unit generators); the integrand is
     a trigonometric polynomial of degree at most n*span + |r| < N, for
     which the uniform trapezoid rule is exact up to floating-point
-    rounding.
+    rounding.  The symbol power is taken once per node, and each r summed in node order.
     """
     for s in S.elements:
         if s.torsion or len(s.free) != 1:
@@ -297,9 +302,10 @@ def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:
     k = S.degree
     span = max(abs(s.free[0]) for s in S.elements)
     N = 2 * n * span + 2
-    total = 0.0 + 0.0j
+    totals = {r: 0.0 + 0.0j for r in rs}
     for m in range(N):
         t = 2 * pi * m / N
-        a = k - sum(cmath.exp(-1j * t * s.free[0]) for s in S.elements)
-        total += (1 - a) ** n * cmath.exp(-1j * r * t)
-    return (total / N).real
+        power = (1 - (k - sum(cmath.exp(-1j * t * s.free[0]) for s in S.elements))) ** n
+        for r in totals:
+            totals[r] += power * cmath.exp(-1j * r * t)
+    return {r: (total / N).real for r, total in totals.items()}

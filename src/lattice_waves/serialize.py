@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .errors import ShapeMismatch, ZeroDenominator
-from .functions import SupportedFunction
+from .functions import SupportedFunction, summed
 from .groups import GroupElement, GroupSpec, Quotient, make_element, make_group
 from .tree import TreeFunction, TreeVertex, make_vertex
 
@@ -31,6 +31,13 @@ def int_from_json(value, what: str) -> int:
         except ValueError:
             pass
     raise ShapeMismatch(f"{what} must be an integer or a decimal string, got {value!r}")
+
+
+def required(obj, name: str):
+    """The field ``name`` of a JSON object; ShapeMismatch names the field where it is missing."""
+    if isinstance(obj, dict) and name in obj:
+        return obj[name]
+    raise ShapeMismatch(f"a JSON object with the required field {name!r} was expected")
 
 
 def _ints_from_json(values, what: str) -> tuple[int, ...]:
@@ -60,36 +67,34 @@ def vertex_from_json(k: int, word) -> TreeVertex:
 
 
 def _summed_rows(triples: Iterable[tuple]) -> dict:
-    """Entries for a ``trusted`` constructor from (key, num, den) triples of wire values.
+    """``summed`` entries for a ``trusted`` constructor from (key, num, den) wire triples."""
+    def pairs():
+        for key, num, den in triples:
+            den = int_from_json(den, "den")
+            if den == 0:
+                raise ZeroDenominator(f"zero denominator in the rational {num}/{den}")
+            yield key, Fraction(int_from_json(num, "num"), den)
+    return summed(pairs())
 
-    Values at one key add up exactly; keys whose values sum to zero are dropped.
-    """
-    entries: dict = {}
-    for key, num, den in triples:
-        den = int_from_json(den, "den")
-        if den == 0:
-            raise ZeroDenominator(f"zero denominator in the rational {num}/{den}")
-        v = Fraction(int_from_json(num, "num"), den)
-        entries[key] = entries[key] + v if key in entries else v
-    return {x: v for x, v in entries.items() if v}
+
+def _row_triples(rows: Iterable | None, key: Callable) -> Iterable[tuple]:
+    """(key(elem), num, den) of each JSON data row, an object with those three fields."""
+    return ((key(required(r, "elem")), required(r, "num"), required(r, "den")) for r in rows or ())
 
 
 def function_from_rows(G: GroupSpec, rows: Iterable[dict] | None) -> SupportedFunction:
-    triples = ((element_from_json(G, r["elem"]), r["num"], r["den"]) for r in rows or ())
+    triples = _row_triples(rows, lambda elem: element_from_json(G, elem))
     return SupportedFunction.trusted(G, _summed_rows(triples))
 
 
 def tree_function_from_rows(k: int, rows: Iterable[dict] | None) -> TreeFunction:
-    triples = ((vertex_from_json(k, r["elem"]), r["num"], r["den"]) for r in rows or ())
+    triples = _row_triples(rows, lambda word: vertex_from_json(k, word))
     return TreeFunction.trusted(k, _summed_rows(triples))
 
 
 def quotient_function_from_rows(quot: Quotient, rows: Iterable[dict] | None) -> SupportedFunction:
     """A function on the quotient from rows at base-group representatives, one per coset."""
-    triples = [
-        (quot.project(element_from_json(quot.base, r["elem"])), r["num"], r["den"])
-        for r in rows or ()
-    ]
+    triples = list(_row_triples(rows, lambda e: quot.project(element_from_json(quot.base, e))))
     entries = _summed_rows(triples)
     if len({q for q, _, _ in triples}) != len(triples):
         raise ShapeMismatch("two representatives of the same coset given")

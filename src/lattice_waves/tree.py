@@ -17,8 +17,9 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
+from .cayley import wave_rows
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
-from .functions import _integer_form
+from .functions import _integer_form, summed
 
 TreeVertex = tuple[int, ...]
 
@@ -70,11 +71,8 @@ class TreeFunction:
     entries: dict[TreeVertex, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for x, v in self.entries.items():
-            x = make_vertex(x, self.k)
-            clean[x] = clean.get(x, Fraction(0)) + Fraction(v)
-        self.entries = {x: v for x, v in clean.items() if v != 0}
+        pairs = ((make_vertex(x, self.k), Fraction(v)) for x, v in self.entries.items())
+        self.entries = summed(pairs)
 
     @classmethod
     def trusted(cls, k: int, entries: dict[TreeVertex, Fraction]) -> TreeFunction:
@@ -197,21 +195,23 @@ class WeightTable:
         return Fraction(total, self.denominator * f.integer_form[1])
 
 
-def _advance_row(row: list[int], k: int) -> list[int]:
-    """Advance the evaluation functional of the radialized heat step by one step.
+def _advance_row(row: list[int], k: int, center: int) -> list[int]:
+    """Advance the evaluation functional of a radialized step by one step.
 
-    Radializing one tree heat step around the evaluation vertex gives the
-    half-line update  p(r) -> (k-1) p(r+1) + p(|r-1|) - (k-1) p(r)  on radial
-    profiles, where |r-1| encodes the even boundary M(-1) = M(1) that the
-    spherical-mean reduction imposes at the center.  The value at the center
-    after n steps is a linear functional of the initial profile; this
-    right-multiplies its integer coefficient row by the update matrix.
+    The step is center*delta_e plus the sum over the k neighbours: 1 - k for
+    the heat step delta_e - A and -k for -A, the center coefficients of
+    ``cayley._symbol``.  Radialized around the evaluation vertex it is the
+    half-line update  p(r) -> (k-1) p(r+1) + p(|r-1|) + center p(r)  on
+    radial profiles, where |r-1| encodes the even boundary M(-1) = M(1) that
+    the spherical-mean reduction imposes at the center.  The value at the
+    center after n steps is a linear functional of the initial profile;
+    this right-multiplies its integer coefficient row by the update matrix.
     """
     out = [0] * (len(row) + 1)
     for r, c in enumerate(row):
         if not c:
             continue
-        out[r] -= (k - 1) * c
+        out[r] += center * c
         if r == 0:
             out[1] += k * c
         else:
@@ -220,11 +220,26 @@ def _advance_row(row: list[int], k: int) -> list[int]:
     return out
 
 
-def _check_table_args(k: int, n: int) -> None:
+def _tables(k: int, n: int, center: int, rows: list[list[int]]) -> list[WeightTable]:
+    """A table per row: sum_i row[i] X^i, X the radialized step with ``center``.
+
+    Each power of X moves mass one radius out, so a row of length m covers
+    radii 0..m-1; the rows share the powers.
+    """
     if k < 2:
         raise ShapeMismatch(f"tree degree k must be at least 2, got {k}")
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    out = [[0] * len(row) for row in rows]
+    power = [1]
+    for i in range(max(map(len, rows))):
+        if i:
+            power = _advance_row(power, k, center)
+        for table, row in zip(out, rows):
+            if i < len(row) and row[i]:
+                for s, p in enumerate(power):
+                    table[s] += row[i] * p
+    return [WeightTable(k, table) for table in out]
 
 
 def tree_heat_weights(k: int, n: int) -> WeightTable:
@@ -236,37 +251,17 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     vertex at distance s.  For k = 2 the table reproduces the kernel on Z
     grouped as K_n(s) + K_n(-s).
     """
-    _check_table_args(k, n)
-    row = [1]
-    for _ in range(n):
-        row = _advance_row(row, k)
-    return WeightTable(k, row)
+    return _tables(k, n, 1 - k, [[0] * n + [1]])[0]
 
 
 def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
     """Wave sphere weights: the pair (initial-value table, initial-velocity table).
 
-    The propagators are the binomial sums of ``cayley.wave_kernels`` in the
-    radialized Laplacian L:  F_n = sum_i (-1)^i C(n,2i) L^i  and
-    G_n = sum_i (-1)^i C(n,2i+1) L^i.  L is the identity minus the heat
-    step, so the row of L^(i+1) is the row of L^i minus its advance, and
-    each power moves mass one radius out.  The first table therefore
-    covers radii 0..floor(n/2), the second 0..floor((n-1)/2) (empty for
-    n = 0).
+    The propagators are the rows of ``cayley.wave_rows`` in the radialized
+    -A, the step with center -k.  The first table covers radii
+    0..floor(n/2), the second 0..floor((n-1)/2) (empty for n = 0).
     """
-    _check_table_args(k, n)
-    f_row = [0] * (n // 2 + 1)
-    g_row = [0] * ((n + 1) // 2)
-    power = [1]
-    for i in range(n // 2 + 1):
-        if i:
-            power = [c - a for c, a in zip(power + [0], _advance_row(power, k))]
-        sign = (-1) ** i
-        for row, c in ((f_row, comb(n, 2 * i)), (g_row, comb(n, 2 * i + 1))):
-            if c:
-                for s, p in enumerate(power):
-                    row[s] += sign * c * p
-    return WeightTable(k, f_row), WeightTable(k, g_row)
+    return tuple(_tables(k, n, -k, wave_rows(n)))
 
 
 def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> TreeFunction:

@@ -140,44 +140,32 @@ def _coset_fixture(which: int):
 _TREE_N_CAP = {2: 12, 3: 12, 4: 8, 5: 6}
 
 
-def _tree_case(n: int, closed: Fraction, stepped: Fraction, radial: Fraction) -> str | None:
-    """The closed form, then the radial profile, against tree stepping."""
-    if closed != stepped:
-        return f"stepping mismatch n={n}"
-    return None if radial == stepped else f"radial mismatch n={n}"
-
-
-def _tree_heat_cases(rng: random.Random, instances: int, max_n: int) -> Cases:
+def _tree_cases(rng: random.Random, instances: int, max_n: int, kind: str) -> Cases:
+    """``solve`` against tree stepping, then the radial profile against it, at each eval vertex."""
+    heat = kind == "tree-heat"
+    step = oracles.radial_step_heat if heat else oracles.radial_step_wave
+    start = lambda h, x: tree.path_reduce(h, x) or [Fraction(0)]
     for i in range(instances):
         k = (2, 3, 4, 5)[i % 4]
         f = randgen.random_tree_function(rng, k)
-        eval_at = [tree.ROOT] + sorted(f.support())[:2]
-        starts = [tree.path_reduce(f, x) or [Fraction(0)] for x in eval_at]
-        radial = [oracles.trajectory(oracles.radial_step_heat, p, None, k) for p in starts]
-        problem = ("tree-heat", f, None, k)
+        if heat:
+            g, eval_at = None, [tree.ROOT] + sorted(f.support())[:2]
+        else:
+            x = sorted(f.support())[0] if i % 2 else tree.ROOT
+            g = randgen.random_tree_function(rng, k)
+            # Cancelling g's radialized mass at x makes the wave solvable there.
+            g, eval_at = tree.TreeFunction(k, {**g.entries, x: g(x) - tree.radial_mass(g, x)}), [x]
+        radial = [oracles.trajectory(step, start(f, x), None if heat else start(g, x), k)
+                  for x in eval_at]
+        problem = (kind, f, g, k)
         traj = zip(states(problem), *radial)
         for n, (u, *profiles) in enumerate(islice(traj, min(max_n, _TREE_N_CAP[k]) + 1)):
             closed = solve(problem, n, eval_at)
-            details = (_tree_case(n, closed(x), u(x), p[0]) for x, p in zip(eval_at, profiles))
-            yield next(filter(None, details), None)
-
-
-def _tree_wave_cases(rng: random.Random, instances: int, max_n: int) -> Cases:
-    for i in range(instances):
-        k = (2, 3, 4, 5)[i % 4]
-        f = randgen.random_tree_function(rng, k)
-        x = sorted(f.support())[0] if i % 2 else tree.ROOT
-        g = randgen.random_tree_function(rng, k)
-        # Make g solvable around the evaluation vertex by cancelling the
-        # radialized mass at the vertex itself.
-        g = tree.TreeFunction(k, {**g.entries, x: g(x) - tree.radial_mass(g, x)})
-        pf = tree.path_reduce(f, x) or [Fraction(0)]
-        pg = tree.path_reduce(g, x) or [Fraction(0)]
-        problem = ("tree-wave", f, g, k)
-        traj = zip(states(problem), oracles.trajectory(oracles.radial_step_wave, pf, pg, k))
-        for n, (want, prof) in enumerate(islice(traj, min(max_n, _TREE_N_CAP[k]) + 1)):
-            closed = solve(problem, n, [x])(x)
-            yield _tree_case(n, closed, want(x), prof[0] if prof else Fraction(0))
+            found = (what for x, p in zip(eval_at, profiles)
+                     for what, value in (("stepping", closed(x)), ("radial", p[0]))
+                     if value != u(x))
+            what = next(found, None)
+            yield None if what is None else f"{what} mismatch n={n}"
 
 
 def _alpha_cases(max_j: int = 12) -> Cases:
@@ -232,10 +220,9 @@ def quadrature_errors(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[float, dic
     if scale >= 1 << 51:  # scale * eps >= 1/2, eps = 2^-52
         raise IndexOutOfRange(f"n={n}: float quadrature cannot resolve the integer values of K_n")
     K = cayley.heat_kernel(G, S, n).data
-    errors = {}
-    for r in sorted({x.free[0] for x in cayley.ball(G, S, n)} | {x.free[0] for x in K.entries}):
-        approx = oracles.quadrature_kernel(S, n, r) if abs(r) <= reach else 0.0
-        errors[r] = abs(approx - float(K(make_element(G, [r], []))))
+    rs = sorted({x.free[0] for x in cayley.ball(G, S, n)} | {x.free[0] for x in K.entries})
+    approx = oracles.quadrature_kernels(S, n, [r for r in rs if abs(r) <= reach])
+    errors = {r: abs(approx.get(r, 0.0) - float(K(make_element(G, [r], [])))) for r in rs}
     return max(1e-9, scale * sys.float_info.epsilon), errors
 
 
@@ -277,8 +264,8 @@ def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
         "kernels": ("kernel-identities", _kernel_cases(rng, 6, max_n)),
         "coset": ("coset-heat-lift", _oracle_cases(rng, 9, coset_n, "coset-heat")),
         "coset-wave": ("coset-wave-lift", _oracle_cases(coset_wave_rng, 9, coset_n, "coset-wave")),
-        "tree-heat": ("tree-heat-triple", _tree_heat_cases(rng, 8, min(max_n, 10))),
-        "tree-wave": ("tree-wave-triple", _tree_wave_cases(rng, 8, min(max_n, 10))),
+        "tree-heat": ("tree-heat-triple", _tree_cases(rng, 8, min(max_n, 10), "tree-heat")),
+        "tree-wave": ("tree-wave-triple", _tree_cases(rng, 8, min(max_n, 10), "tree-wave")),
         "alpha": ("alpha-coefficients", _alpha_cases()),
         "weights": ("weight-normalization", _weight_cases(max_n)),
         "quadrature": ("quadrature", _quadrature_cases()),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lattice_waves import cayley, cli, cosets, randgen, serialize, tree, verify
+from lattice_waves import cayley, cli, cosets, oracles, randgen, serialize, tree, verify
 from lattice_waves.errors import TorsionUnsupported
 from lattice_waves.functions import SupportedFunction, add, delta
 from lattice_waves.groups import make_element, make_group, validate_generators
@@ -81,6 +81,10 @@ SOLVER_PROBLEMS = [
     tree_problem(),
     tree_problem("tree-wave"),
 ]
+
+
+def _without(obj, field):
+    return {key: value for key, value in obj.items() if key != field}
 
 
 class TestRun:
@@ -399,6 +403,31 @@ class TestVerify:
         assert failed.startswith(f"{check:<20}  FAIL  cases=2  seconds=")
         assert failed.endswith("  mismatch at n=2")
 
+    @pytest.mark.parametrize("module, name, check, cases, detail", [
+        (tree, "tree_heat_solve", "tree-heat-triple", 2, "stepping mismatch n=2"),
+        (tree, "tree_wave_solve", "tree-wave-triple", 2, "stepping mismatch n=2"),
+        (oracles, "radial_step_heat", "tree-heat-triple", 1, "radial mismatch n=1"),
+    ], ids=["tree-heat", "tree-wave", "radial-heat"])
+    def test_planted_tree_fault_fails_its_check(self, monkeypatch, capsys, module, name, check,
+                                                cases, detail):
+        real = getattr(module, name)
+
+        def root_plus_1_from_n_2(*args):
+            # The solvers take (f, n, window) and (f, g, n, window).
+            u = real(*args)
+            return tree.TreeFunction(u.k, {**u.entries, (): u(()) + 1}) if args[-2] >= 2 else u
+
+        def center_plus_1(profile, k):
+            p = real(profile, k)
+            return [p[0] + 1, *p[1:]]
+
+        fault = center_plus_1 if module is oracles else root_plus_1_from_n_2
+        monkeypatch.setattr(module, name, fault)
+        assert cli.main(["verify", "--max-n", "3"]) == 3
+        [failed] = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+        assert failed.startswith(f"{check:<20}  FAIL  cases={cases}  seconds=")
+        assert failed.endswith(f"  {detail}")
+
     def test_quadrature_errors_on_unit_z(self):
         G = make_group(1, [])
         S = validate_generators(G, [make_element(G, [1], []), make_element(G, [-1], [])])
@@ -553,6 +582,24 @@ class TestErrors:
             *(pytest.param(dict(tree_problem(), eval=spec), [kind], id=f"{kind}-eval-{spec}")
               for kind in ("tree-heat", "compare")
               for spec in (5, "ball", [1], {"vertices": 5})),
+            # A required field that is missing, from the document or from a data row.
+            *(pytest.param(_without(doc, field), [kind], id=f"{kind}-without-{field}")
+              for doc, fields, kinds in (
+                  (heat_problem(), ("group", "S"), ("heat", "compare")),
+                  (COSET_PROBLEM, ("group", "S"), ("coset-heat", "compare")),
+                  (kernel_problem(heat_problem()["S"], 2), ("group", "S"), ("kernel", "compare")),
+                  (tree_problem(), ("k",), ("tree-heat", "compare")),
+                  (tree_problem("tree-wave"), ("k",), ("tree-wave",)),
+                  ({"kind": "weights", "k": 3, "n": 2}, ("k",), ("weights",)),
+              )
+              for field in fields for kind in kinds),
+            *(pytest.param(dict(doc, f=[_without(doc["f"][0], field)]), [doc["kind"]],
+                           id=f"{doc['kind']}-row-without-{field}")
+              for doc in (heat_problem(), COSET_PROBLEM, tree_problem())
+              for field in ("elem", "num", "den")),
+            # A data row that is not an object.
+            *(pytest.param(dict(doc, f=[row]), [doc["kind"]], id=f"{doc['kind']}-row-{row}")
+              for doc in (heat_problem(), COSET_PROBLEM, tree_problem()) for row in (5, ["1"])),
         ],
     )
     def test_non_integral_number_exit_1(self, tmp_path, capsys, obj, argv):

@@ -1,7 +1,9 @@
 """Oracle steppers: defining recurrences, radial reductions, quadrature."""
 
 import ast
+import cmath
 import inspect
+import math
 import random
 from fractions import Fraction
 from itertools import islice, zip_longest
@@ -289,3 +291,23 @@ class TestQuadrature:
             for r in range(-n, n + 1):
                 exact = float(K(make_element(Z, [r], [])))
                 assert abs(oracles.quadrature_kernel(S, n, r) - exact) <= 1e-9
+
+    @pytest.mark.parametrize("spans", [(1,), (1, 2), (1, 3, 4)], ids=str)
+    def test_one_pass_over_the_nodes_repeats_every_float(self, spans):
+        # The per-r trapezoid sum, as one r at a time would take it.
+        def one_r(S, n, r):
+            N = 2 * n * max(spans) + 2
+            total = 0.0 + 0.0j
+            for m in range(N):
+                t = 2 * math.pi * m / N
+                a = S.degree - sum(cmath.exp(-1j * t * s.free[0]) for s in S.elements)
+                total += (1 - a) ** n * cmath.exp(-1j * r * t)
+            return (total / N).real
+
+        S = validate_generators(Z, [make_element(Z, [c * s], []) for s in spans for c in (1, -1)])
+        for n in range(9):
+            rs = range(-n * max(spans), n * max(spans) + 1)
+            values = oracles.quadrature_kernels(S, n, rs)
+            assert list(values) == list(rs)
+            for r in rs:
+                assert values[r] == oracles.quadrature_kernel(S, n, r) == one_r(S, n, r)

@@ -1,5 +1,6 @@
 """Layout rules of the program source."""
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lattice_waves"
@@ -15,3 +16,22 @@ def test_no_source_line_exceeds_100_columns():
         if len(line) > 100
     ]
     assert not long, long
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export; __future__ imports switch features on.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(module)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused, unused
