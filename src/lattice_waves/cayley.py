@@ -4,7 +4,9 @@ The Laplacian's Fourier symbol pulls back to the finitely supported
 function A = k*delta_e - sum_s delta_s.  Every propagator is an integer
 polynomial in one step: the heat propagator at time n is the n-th
 convolution power of delta_e - A, and the wave propagators are
-binomial sums in -A.  ``functions.convolve_polynomials`` evaluates them.
+binomial sums in -A.  ``functions.convolve_polynomials`` evaluates them,
+and ``functions.convolve`` applies them to the data; both multiply packed
+``int``s wherever the layout is dense enough.
 """
 
 from __future__ import annotations

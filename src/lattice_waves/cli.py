@@ -25,6 +25,7 @@ from .errors import (
 from .functions import SupportedFunction
 from .serialize import (
     _ints_from_json,
+    array_from_json,
     element_from_json,
     function_from_rows,
     function_to_csv,
@@ -58,9 +59,9 @@ _values_to_function = function_from_rows
 _values_to_tree_function = tree_function_from_rows
 
 
-def _project_initial(P: cosets.CosetProblem, values) -> SupportedFunction:
+def _project_initial(P: cosets.CosetProblem, values, what: str = "data rows") -> SupportedFunction:
     """Coset initial data is given on base-group representatives; push it down."""
-    return quotient_function_from_rows(P.quot, values)
+    return quotient_function_from_rows(P.quot, values, what)
 
 
 def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
@@ -73,9 +74,7 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
     if not isinstance(spec, dict):
         raise ShapeMismatch(f"eval must be a JSON object, not {type(spec).__name__}")
     if "vertices" in spec:
-        words = spec["vertices"]
-        if not isinstance(words, list):
-            raise ShapeMismatch(f"eval vertices must be an array, not {type(words).__name__}")
+        words = array_from_json(spec["vertices"], "eval vertices")
         return [_ints_from_json(w, "tree-word letter") for w in words]
     center = tree.ROOT
     radius = None
@@ -110,17 +109,18 @@ def _read_problem(instance: dict):
     if kind in ("heat", "wave"):
         G = group_from_json(required(instance, "group"))
         context = cayley_generators(instance, G)
-        read = lambda rows: _values_to_function(G, rows)
+        reader = lambda rows, what: _values_to_function(G, rows, what)
     elif kind in ("coset-heat", "coset-wave"):
         context = build_coset(instance)
-        read = lambda rows: _project_initial(context, rows)
+        reader = lambda rows, what: _project_initial(context, rows, what)
     elif kind in ("tree-heat", "tree-wave"):
         context = int_from_json(required(instance, "k"), "k")
-        read = lambda rows: _values_to_tree_function(context, rows)
+        reader = lambda rows, what: _values_to_tree_function(context, rows, what)
     else:
         raise ShapeMismatch(f"unknown problem kind {kind!r}")
-    f = read(instance.get("f"))
-    g = read(instance.get("g")) if kind.endswith("wave") else None
+    read = lambda name: reader(instance.get(name), f"data rows {name!r}")
+    f = read("f")
+    g = read("g") if kind.endswith("wave") else None
     return kind, f, g, context
 
 
@@ -151,14 +151,19 @@ def _solve(instance: dict, n: int):
     return _closed_form(problem, n, _window(instance, problem, n))
 
 
+def _elements(G, values, what: str) -> list:
+    """The group elements of a JSON array field; ``what`` names the field in errors."""
+    return [element_from_json(G, x) for x in array_from_json(values, what)]
+
+
 def cayley_generators(instance: dict, G):
-    return groups.validate_generators(G, [element_from_json(G, s) for s in required(instance, "S")])
+    return groups.validate_generators(G, _elements(G, required(instance, "S"), "generators 'S'"))
 
 
 def build_coset(instance: dict) -> cosets.CosetProblem:
     G = group_from_json(required(instance, "group"))
-    H = [element_from_json(G, h) for h in instance.get("subgroup_gens", [])]
-    S = [element_from_json(G, s) for s in required(instance, "S")]
+    H = _elements(G, instance.get("subgroup_gens", []), "subgroup generators 'subgroup_gens'")
+    S = _elements(G, required(instance, "S"), "generators 'S'")
     return cosets.build_coset_problem(G, H, S)
 
 

@@ -4,18 +4,20 @@ The universal carrier for initial data, convolution kernels, and
 solutions.  Zero values are never stored, so the support is always the
 key set and all sums are finite and exact.
 
-Kernels are integer polynomials in one function (``convolve_polynomials``).
-This module alone knows the packed (Kronecker) layout that evaluates them
-and the one sparse fallback used where that layout would be mostly empty.
+Kernels are integer polynomials in one function (``convolve_polynomials``),
+and a solution is a kernel convolved with the data (``convolve``).  This
+module alone knows the packed (Kronecker) layout that computes both, and
+the sparse fallbacks used where that layout would be mostly empty.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, product, repeat
 from math import comb, lcm, prod
-from operator import mul
+from operator import add as add_int, mul
 from typing import Iterable, Mapping
 
 from .errors import GroupMismatch
@@ -137,26 +139,59 @@ def _integer_form(f) -> tuple[dict, int]:
 def convolve(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
     """Exact group convolution (f*g)(x) = sum_y f(y) g(x-y).
 
-    Direct sparse double loop over the two supports with hash
-    accumulation.  Each operand is scaled by the lcm of its denominators,
-    so the loop adds plain integers and the result is divided once; the
-    product of two integral functions keeps ``int`` values.
+    Each operand is scaled by the lcm of its denominators, so the product
+    is taken over integers and divided once; the product of two integral
+    functions keeps ``int`` values.  Both operands are packed, each at its
+    own lower corner, and multiplied as two ``int``s (``_Packing``) where
+    the product's box has no more slots than the operands have pairs of
+    support points; elsewhere, as for far-apart supports, a sparse double
+    loop over the pairs accumulates into a dict.
     """
     _require_same_group(f, g)
     G = f.group
     fi, df = _integer_form(f)
     gi, dg = _integer_form(g)
+    out = _packed_product(G, fi, gi)
+    if out is None:
+        out = _sparse_product(G, fi, gi)
+    d = df * dg
+    if d == 1:
+        return SupportedFunction.trusted(G, out)
+    return SupportedFunction.trusted(G, {x: Fraction(v, d) for x, v in out.items()})
+
+
+def _sparse_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int]:
+    """The convolution of two integer functions, pair by pair; zero sums dropped."""
     elem_sum = adder(G)
     out: dict[GroupElement, int] = {}
     get = out.get
-    for y, a in fi.items():
-        for z, b in gi.items():
+    for y, u in a.items():
+        for z, v in b.items():
             x = elem_sum(y, z)
-            out[x] = get(x, 0) + a * b
-    d = df * dg
-    if d == 1:
-        return SupportedFunction.trusted(G, {x: v for x, v in out.items() if v})
-    return SupportedFunction.trusted(G, {x: Fraction(v, d) for x, v in out.items() if v})
+            out[x] = get(x, 0) + u * v
+    return {x: v for x, v in out.items() if v}
+
+
+def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] | None:
+    """The convolution of two integer functions as one big-int multiply.
+
+    None for an empty operand, and where the product's box holds more
+    slots than there are pairs: the box then costs more, in time and
+    memory, than the sparse loop's work.  max|a| sum|b| and sum|a| max|b|
+    each bound every coefficient.
+    """
+    if not (a and b):
+        return None
+    columns_a, columns_b = _lift(G, a), _lift(G, b)
+    (lo_a, widths_a), (lo_b, widths_b) = _box(columns_a), _box(columns_b)
+    widths = [u + v - 1 for u, v in zip(widths_a, widths_b)]
+    if prod(widths) > len(a) * len(b):
+        return None
+    u, v = list(a.values()), list(b.values())
+    bound = min(max(map(abs, u)) * sum(map(abs, v)), sum(map(abs, u)) * max(map(abs, v)))
+    packing = _Packing(G, widths, bound)
+    p = packing.pack(columns_a, u, lo_a) * packing.pack(columns_b, v, lo_b)
+    return packing.unpack(p, list(map(add_int, lo_a, lo_b)))
 
 
 def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:
@@ -179,8 +214,8 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
     """sum_i row[i] f^{*i} for each row of ``int`` coefficients; f integral.
 
     Each row is a polynomial in the one function f, evaluated by Horner's
-    rule: in one packed ``int`` (``_packing``) and decoded once, or with
-    the sparse ``convolve`` where the packed box would be mostly empty.
+    rule: in one packed ``int`` (``_packing``) and decoded once, or one
+    ``convolve`` at a time where the packed box would be mostly empty.
     sum_i |row[i]| |f|_1^i bounds every coefficient.  A row whose only
     non-zero coefficient is its last is one big-int power instead, two to
     five times faster than Horner's rule.  An empty row is the zero
@@ -191,25 +226,27 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
     top = max(map(len, rows)) - 1
     norm = sum(map(abs, f.entries.values()))
     bound = max(sum(abs(c) * norm**i for i, c in enumerate(row)) for row in rows)
-    # The box holds delta_e too: Horner adds c*delta_e to partial products.
-    packing = _packing(G, [e, *f.entries], top, bound) if f.entries and top else None
+    layout = _packing(G, f.entries, top, bound) if f.entries and top else None
     out = []
-    if packing is None:
+    if layout is None:
         for row in rows:
             h = SupportedFunction.trusted(G, {})
             for c in reversed(row):
                 h = add(convolve(h, f), SupportedFunction.trusted(G, {e: c} if c else {}))
             out.append(h)
         return out
-    a = packing.pack(f.entries)
+    # A product of j factors is decoded at j times the corner of f.
+    packing, columns, lo = layout
+    a = packing.pack(columns, list(f.entries.values()), lo)
     for row in rows:
         if any(row[:-1]):
             p = 0
             for j, c in enumerate(reversed(row)):
-                p = p * a + (c << packing.unit_shift(j))
+                p = p * a + (c << packing.unit_shift([j * v for v in lo]))
         else:
             p = row[-1] * a ** (len(row) - 1)
-        out.append(SupportedFunction.trusted(G, packing.unpack(p, len(row) - 1)))
+        corner = [(len(row) - 1) * v for v in lo]
+        out.append(SupportedFunction.trusted(G, packing.unpack(p, corner)))
     return out
 
 
@@ -221,19 +258,22 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
 SPREAD = 32
 
 
-def _packing(G: GroupSpec, support, degree: int, bound: int) -> _Packing | None:
+def _packing(G: GroupSpec, support, degree: int, bound: int) -> tuple | None:
     """The layout for products of up to ``degree`` factors on ``support``.
 
-    None where its box holds more than SPREAD slots per element the
-    products can reach, as when generators lie far apart.  The box is
-    sized from the input alone, before anything is allocated.
+    Returns it with the lifted columns of ``support`` (``_lift``) and the
+    corner they are packed at: that of the box around ``support`` and the
+    identity, which Horner's rule adds to partial products.  None where
+    the products' box holds more than SPREAD slots per element they can
+    reach, as when generators lie far apart.  The box is sized from the
+    input alone, before anything is allocated.
     """
-    vectors = [_lift(G.moduli, x) for x in support]
-    lo = [min(c) for c in zip(*vectors)]
-    widths = [degree * (max(c) - l) + 1 for c, l in zip(zip(*vectors), lo)]
+    columns = _lift(G, support)
+    lo, widths = _box([[0, *c] for c in columns])
+    widths = [degree * (w - 1) + 1 for w in widths]
     if prod(widths) > SPREAD * _reach(G, support, degree, prod(widths[:G.rank])):
         return None
-    return _Packing(G, lo, widths, bound)
+    return _Packing(G, widths, bound), columns, lo
 
 
 def _reach(G: GroupSpec, support, degree: int, free_box: int) -> int:
@@ -253,9 +293,21 @@ def _reach(G: GroupSpec, support, degree: int, free_box: int) -> int:
     return min(ball, free_box * prod(G.moduli))
 
 
-def _lift(moduli: tuple[int, ...], x: GroupElement) -> tuple[int, ...]:
-    """x as an integer vector, each torsion coordinate at its residue nearest 0."""
-    return x.free + tuple(v - m if 2 * v > m else v for v, m in zip(x.torsion, moduli))
+def _lift(G: GroupSpec, support) -> list[list[int]]:
+    """The coordinates of ``support`` as integers, one list per coordinate.
+
+    Each torsion coordinate is taken to its residue nearest 0.
+    """
+    columns = [[x.free[i] for x in support] for i in range(G.rank)]
+    for i, m in enumerate(G.moduli):
+        columns.append([v - m if 2 * v > m else v for v in (x.torsion[i] for x in support)])
+    return columns
+
+
+def _box(columns: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The lower corner and the widths of the box around lifted ``columns``."""
+    lo = list(map(min, columns))
+    return lo, [max(c) - v + 1 for c, v in zip(columns, lo)]
 
 
 class _Packing:
@@ -268,58 +320,72 @@ class _Packing:
     big-int multiply.  ``bound`` must bound every coefficient of every
     product that is decoded, and every value that is packed.
 
-    Every coordinate is lifted to Z (``_lift``).  If the factors lie in
-    [lo_i, hi_i] along coordinate i, a product of d of them lies in
-    [d*lo_i, d*hi_i]: for up to ``degree`` factors the box has width
-    ``degree*(hi_i - lo_i) + 1``, and the exponents of a product of d
-    factors count from d*lo_i.  Lifted torsion is reduced mod m_i when the
-    result is decoded.
+    Every coordinate is lifted to Z (``_lift``), and each factor is packed
+    at a lower corner of its own: index 0 is the corner.  If factors lie in
+    [lo_i, hi_i] and [lo'_i, hi'_i] along coordinate i, their product lies
+    in [lo_i + lo'_i, hi_i + hi'_i], so it is decoded at the sum of the
+    corners and needs a box of width (hi_i - lo_i) + (hi'_i - lo'_i) + 1.
+    ``widths`` must hold every product that is decoded.  Lifted torsion
+    is reduced mod m_i when the result is decoded.
 
-    Slots are signed and ``slot`` bytes wide, 2^(8*slot - 1) > bound.
-    Reading a product adds a bias of half a slot to every slot, so that no
-    slot borrows from the next, and takes the bytes once.
+    Slots are signed and ``slot`` bytes wide, 2^(8*slot - 1) > bound;
+    slots of up to 8 bytes are rounded up to 1, 2, 4 or 8.  Reading a
+    product adds a bias of half a slot to every slot, so that no slot
+    borrows from the next, and takes the bytes once.  Rounded slots on a
+    little-endian host are then read by one cast to a C integer type, the
+    bias flipped off by an exclusive or, which leaves each slot in two's
+    complement; wider slots are read one at a time.
     """
 
-    def __init__(self, G: GroupSpec, lo: list[int], widths: list[int], bound: int):
+    def __init__(self, G: GroupSpec, widths: list[int], bound: int):
         self.rank, self.moduli = G.rank, G.moduli
-        self.lo, self.widths = lo, widths
+        self.widths = widths
         # Mixed-radix strides, the last coordinate fastest.
         self.strides = _strides(widths)
         self.size = prod(widths)
-        self.origin = -sum(map(mul, lo, self.strides))
-        self.slot = (bound.bit_length() + 8) // 8
+        slot = (bound.bit_length() + 8) // 8
+        self.slot = slot if slot > 8 else 1 << (slot - 1).bit_length()
         self.half = 1 << (8 * self.slot - 1)
         self.zero = self.half.to_bytes(self.slot, "little")
         self.bias = int.from_bytes(self.zero * self.size, "little")
 
-    def pack(self, values: Mapping[GroupElement, int]) -> int:
-        """One factor as an ``int``."""
-        slot, half, moduli, lo, strides = self.slot, self.half, self.moduli, self.lo, self.strides
-        placed = {
-            sum((v - l) * s for v, l, s in zip(_lift(moduli, x), lo, strides)): c
-            for x, c in values.items()
-        }
-        size = max(placed) + 1
+    def _origin(self, corner: list[int]) -> int:
+        """The index of the identity in a function packed at ``corner``."""
+        return -sum(map(mul, corner, self.strides))
+
+    def pack(self, columns: list[list[int]], values: list[int], corner: list[int]) -> int:
+        """One factor as an ``int``: ``values`` at the lifted ``columns``, from ``corner``."""
+        slot, half = self.slot, self.half
+        index = [self._origin(corner)] * len(values)
+        for column, stride in zip(columns, self.strides):
+            index = list(map(add_int, index, map(mul, column, repeat(stride))))
+        size = max(index) + 1
         buf = bytearray(self.zero * size)
-        for i, c in placed.items():
+        for i, c in zip(index, values):
             buf[i * slot:(i + 1) * slot] = (c + half).to_bytes(slot, "little")
         return int.from_bytes(buf, "little") - int.from_bytes(self.zero * size, "little")
 
-    def unit_shift(self, degree: int) -> int:
-        """The bit offset of delta_e in a product of ``degree`` factors."""
-        return 8 * self.slot * degree * self.origin
+    def unit_shift(self, corner: list[int]) -> int:
+        """The bit offset of delta_e in a product decoded at ``corner``."""
+        return 8 * self.slot * self._origin(corner)
 
-    def unpack(self, p: int, degree: int) -> dict[GroupElement, int]:
-        """The non-zero values of a packed product of ``degree`` factors."""
-        slot, half, from_bytes, rank = self.slot, self.half, int.from_bytes, self.rank
-        data = (p + self.bias).to_bytes(self.size * slot, "little")
-        values = [from_bytes(data[i:i + slot], "little") - half for i in range(0, len(data), slot)]
-        axes = [range(degree * l, degree * l + w) for l, w in zip(self.lo, self.widths)]
+    def unpack(self, p: int, corner: list[int]) -> dict[GroupElement, int]:
+        """The non-zero values of a packed product, decoded at ``corner``."""
+        slot, rank, biased = self.slot, self.rank, p + self.bias
+        if slot <= 8 and sys.byteorder == "little":
+            data = (biased ^ self.bias).to_bytes(self.size * slot, "little")
+            values = memoryview(data).cast("bhiq"[slot.bit_length() - 1]).tolist()
+        else:
+            half, from_bytes = self.half, int.from_bytes
+            data = biased.to_bytes(self.size * slot, "little")
+            values = [from_bytes(data[i:i + slot], "little") - half
+                      for i in range(0, len(data), slot)]
+        axes = [range(c, c + w) for c, w in zip(corner, self.widths)]
         axes[rank:] = [[v % m for v in axis] for axis, m in zip(axes[rank:], self.moduli)]
         # Slots that hold only the bias read 0 and are skipped.
         keys = compress(product(*axes), values)
         if not self.moduli:
-            elems = (_new_tuple(GroupElement, (t, ())) for t in keys)
+            elems = map(_new_tuple, repeat(GroupElement), zip(keys, repeat(())))
             return dict(zip(elems, filter(None, values)))
         out: dict[GroupElement, int] = {}
         get = out.get

@@ -40,11 +40,16 @@ def required(obj, name: str):
     raise ShapeMismatch(f"a JSON object with the required field {name!r} was expected")
 
 
+def array_from_json(values, what: str) -> list | tuple:
+    """A JSON array; ShapeMismatch names ``what`` where it is anything else."""
+    if not isinstance(values, (list, tuple)):
+        raise ShapeMismatch(f"{what} must be given as an array, got {values!r}")
+    return values
+
+
 def _ints_from_json(values, what: str) -> tuple[int, ...]:
     """A JSON array of integer fields as a tuple of ints."""
-    if not isinstance(values, (list, tuple)):
-        raise ShapeMismatch(f"{what}s must be given as an array, got {values!r}")
-    return tuple(int_from_json(v, what) for v in values)
+    return tuple(int_from_json(v, what) for v in array_from_json(values, what + "s"))
 
 
 def group_from_json(obj: dict) -> GroupSpec:
@@ -77,24 +82,35 @@ def _summed_rows(triples: Iterable[tuple]) -> dict:
     return summed(pairs())
 
 
-def _row_triples(rows: Iterable | None, key: Callable) -> Iterable[tuple]:
-    """(key(elem), num, den) of each JSON data row, an object with those three fields."""
-    return ((key(required(r, "elem")), required(r, "num"), required(r, "den")) for r in rows or ())
+def _row_triples(rows: list[dict] | None, key: Callable, what: str) -> Iterable[tuple]:
+    """(key(elem), num, den) of each JSON data row, an object with those three fields.
+
+    ``rows`` is a JSON array, or None for no rows; ``what`` names it in errors.
+    """
+    rows = () if rows is None else array_from_json(rows, what)
+    return ((key(required(r, "elem")), required(r, "num"), required(r, "den")) for r in rows)
 
 
-def function_from_rows(G: GroupSpec, rows: Iterable[dict] | None) -> SupportedFunction:
-    triples = _row_triples(rows, lambda elem: element_from_json(G, elem))
+def function_from_rows(
+    G: GroupSpec, rows: list[dict] | None, what: str = "data rows"
+) -> SupportedFunction:
+    triples = _row_triples(rows, lambda elem: element_from_json(G, elem), what)
     return SupportedFunction.trusted(G, _summed_rows(triples))
 
 
-def tree_function_from_rows(k: int, rows: Iterable[dict] | None) -> TreeFunction:
-    triples = _row_triples(rows, lambda word: vertex_from_json(k, word))
+def tree_function_from_rows(
+    k: int, rows: list[dict] | None, what: str = "data rows"
+) -> TreeFunction:
+    triples = _row_triples(rows, lambda word: vertex_from_json(k, word), what)
     return TreeFunction.trusted(k, _summed_rows(triples))
 
 
-def quotient_function_from_rows(quot: Quotient, rows: Iterable[dict] | None) -> SupportedFunction:
+def quotient_function_from_rows(
+    quot: Quotient, rows: list[dict] | None, what: str = "data rows"
+) -> SupportedFunction:
     """A function on the quotient from rows at base-group representatives, one per coset."""
-    triples = list(_row_triples(rows, lambda e: quot.project(element_from_json(quot.base, e))))
+    project = lambda e: quot.project(element_from_json(quot.base, e))
+    triples = list(_row_triples(rows, project, what))
     entries = _summed_rows(triples)
     if len({q for q, _, _ in triples}) != len(triples):
         raise ShapeMismatch("two representatives of the same coset given")

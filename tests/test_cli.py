@@ -637,3 +637,26 @@ class TestErrors:
         assert cli.main([obj["kind"], "--problem", problem]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SHAPE_MISMATCH"
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            pytest.param(dict(heat_problem(), f=5), "data rows 'f'", id="heat-f"),
+            pytest.param(dict(heat_problem(), kind="wave", g="x"), "data rows 'g'", id="wave-g"),
+            pytest.param(dict(tree_problem(), f=5), "data rows 'f'", id="tree-heat-f"),
+            pytest.param(dict(tree_problem("tree-wave"), g={"elem": []}), "data rows 'g'",
+                         id="tree-wave-g"),
+            pytest.param(dict(COSET_PROBLEM, f=5), "data rows 'f'", id="coset-heat-f"),
+            pytest.param(dict(heat_problem(), S=5), "generators 'S'", id="heat-S"),
+            pytest.param(dict(COSET_PROBLEM, S=5), "generators 'S'", id="coset-heat-S"),
+            pytest.param(dict(COSET_PROBLEM, subgroup_gens=5),
+                         "subgroup generators 'subgroup_gens'", id="coset-heat-subgroup_gens"),
+        ],
+    )
+    def test_non_array_field_exit_1(self, tmp_path, capsys, obj, field):
+        # Iterating a number or a string would raise TypeError or read one letter per row.
+        problem = write_problem(tmp_path, obj)
+        assert cli.main([obj["kind"], "--problem", problem]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SHAPE_MISMATCH"
+        assert err["detail"].startswith(f"{field} must be given as an array")

@@ -1,10 +1,14 @@
 """Supported functions and the exact convolution algebra."""
 
+import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lattice_waves import functions as functions_module
 from lattice_waves.errors import GroupMismatch
 from lattice_waves.functions import (
     SupportedFunction,
@@ -21,7 +25,8 @@ from lattice_waves.functions import (
     trivial_character_sum,
     zero,
 )
-from lattice_waves.groups import identity, make_element, make_group
+from lattice_waves.functions import _integer_form
+from lattice_waves.groups import adder, identity, make_element, make_group
 
 Z = make_group(1, [])
 ZxZ4 = make_group(1, [4])
@@ -167,3 +172,114 @@ def test_reflect_is_an_involution_and_flips_support():
     r = reflect(f)
     assert r(make_element(Z, [-3], [])) == Fraction(1, 7)
     assert reflect(r) == f
+
+
+# The packed product (``convolve`` where the product's box is no larger
+# than the number of pairs) against the sparse loop and the literal
+# double loop, on torsion-free, mixed and pure torsion groups.
+PACKED_GROUPS = [Z, make_group(2, []), ZxZ4, make_group(1, [3]), make_group(0, [6]),
+                 make_group(0, [2, 4])]
+
+
+def box_function(G, side, values):
+    """``values``, in order, at the elements of the box [0, side)^d, d coordinates."""
+    coords = product(range(side), repeat=G.rank + len(G.moduli))
+    return SupportedFunction(G, {make_element(G, c[:G.rank], c[G.rank:]): v
+                                 for c, v in zip(coords, values)})
+
+
+def packed_and_sparse(f, g):
+    """The packed product of the integer forms (None where it does not pack) and the sparse one."""
+    (a, _), (b, _) = _integer_form(f), _integer_form(g)
+    return (functions_module._packed_product(f.group, a, b),
+            functions_module._sparse_product(f.group, a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), G=st.sampled_from(PACKED_GROUPS), bits=st.sampled_from([3, 12, 28, 60, 100]))
+def test_packed_convolve_matches_the_sparse_loop(data, G, bits):
+    # Boxes of 1 to 3 per coordinate, filled but for zero numerators, and
+    # mixed denominators; numerators of up to ``bits`` bits need slots of
+    # 1, 2, 4 and 8 bytes and wider.  The lifted box of a pure torsion
+    # group need not be full, so both paths occur.
+    def draw():
+        side = data.draw(st.integers(1, 3))
+        count = side ** (G.rank + len(G.moduli))
+        nums = st.integers(-(2**bits), 2**bits)
+        dens = st.sampled_from([1, 2, 3, 4, 6, 35])
+        pairs = data.draw(st.lists(st.tuples(nums, dens), min_size=count, max_size=count))
+        shift = make_element(G, data.draw(st.lists(st.integers(-4, 4), min_size=G.rank,
+                                                   max_size=G.rank)), [0] * len(G.moduli))
+        f = box_function(G, side, [Fraction(n, d) for n, d in pairs])
+        return SupportedFunction(G, {adder(G)(x, shift): v for x, v in f.entries.items()})
+
+    f, g = draw(), draw()
+    packed, sparse = packed_and_sparse(f, g)
+    assert packed is None or packed == sparse
+    assert convolve(f, g) == _naive_convolve(f, g)
+
+
+class RecordingPacking(functions_module._Packing):
+    """The layout, remembering the slot width of each instance."""
+
+    slots: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.slots.append(self.slot)
+
+
+@pytest.mark.parametrize("per_slot_read", [False, True], ids=["native-read", "per-slot-read"])
+@pytest.mark.parametrize("magnitude, slot", [(1, 1), (30, 2), (3000, 4), (10**8, 8), (10**12, 11)])
+@pytest.mark.parametrize("G", PACKED_GROUPS, ids=str)
+def test_packed_convolve_of_full_boxes(monkeypatch, G, magnitude, slot, per_slot_read):
+    # Values +-magnitude on full boxes: the bound is magnitude^2 times the
+    # smaller support, which sets the slot width.  A big-endian host reads
+    # every slot on its own; forcing that read here checks it too.
+    monkeypatch.setattr(functions_module, "_Packing", RecordingPacking)
+    monkeypatch.setattr(RecordingPacking, "slots", [])
+    if per_slot_read:
+        monkeypatch.setattr(functions_module.sys, "byteorder", "big")
+    rng = random.Random(magnitude)
+    size = 2 ** (G.rank + len(G.moduli))
+    f = box_function(G, 2, [rng.choice((-1, 1)) * magnitude for _ in range(size)])
+    g = box_function(G, 2, [Fraction(rng.choice((-1, 1)) * magnitude, 7) for _ in range(size)])
+    packed, sparse = packed_and_sparse(f, g)
+    assert packed == sparse
+    assert convolve(f, g) == _naive_convolve(f, g)
+    assert RecordingPacking.slots == [slot, slot]
+
+
+def test_torsion_residues_that_cancel_are_dropped():
+    # On Z4, f = d0 + d1 + d2 and g = d0 + d1 - d2 meet at lifted 0 (1) and
+    # at lifted 4 (-1), one residue: the packed product stores no zero there.
+    Z4 = make_group(0, [4])
+    f = box_function(Z4, 3, [1, 1, 1])
+    g = box_function(Z4, 3, [1, 1, -1])
+    packed, sparse = packed_and_sparse(f, g)
+    assert packed == sparse == {make_element(Z4, [], [1]): 2, make_element(Z4, [], [2]): 1}
+    assert convolve(f, g).entries == packed
+
+
+@pytest.mark.parametrize("G", PACKED_GROUPS, ids=str)
+def test_convolve_with_an_empty_operand(G):
+    f = box_function(G, 2, [Fraction(1, 2), 3, -1, 2])
+    empty = zero(G)
+    assert packed_and_sparse(f, empty)[0] is None
+    assert convolve(f, empty) == convolve(empty, f) == convolve(empty, empty) == empty
+
+
+def test_far_apart_supports_take_the_sparse_path(monkeypatch):
+    # A box of 10^12 + 2 slots for 4 pairs: no layout may be built.  Two
+    # single points pack at their own corners, into a box of one slot.
+    def refuse(*args):
+        raise AssertionError("a packed layout was built")
+
+    near = make_function(Z, {make_element(Z, [0], []): 1, make_element(Z, [1], []): 2})
+    far = make_function(Z, {make_element(Z, [0], []): 1, make_element(Z, [10**12], []): 3})
+    start = time.perf_counter()
+    single = convolve(delta(Z), delta(Z, make_element(Z, [10**12], [])))
+    assert single == delta(Z, make_element(Z, [10**12], []))
+    monkeypatch.setattr(functions_module, "_Packing", refuse)
+    assert convolve(near, far) == _naive_convolve(near, far)
+    assert time.perf_counter() - start < 1

@@ -25,7 +25,8 @@ def test_oracles_share_no_engine_code():
     # The exact-agreement tests mean something only while the oracles step
     # the recurrences themselves: they may use the element, scalar and
     # function types, never the kernels, convolution, weight tables, the
-    # engine's integer form of the data or its packed (Kronecker) kernels.
+    # engine's integer form of the data, its packed (Kronecker) kernels and
+    # products, or the sparse product they fall back on.
     tree_ = ast.parse(inspect.getsource(oracles))
     modules = {n.module for n in ast.walk(tree_) if isinstance(n, ast.ImportFrom)}
     assert not modules & {"cayley", "cli", "verify"}
@@ -37,7 +38,8 @@ def test_oracles_share_no_engine_code():
                         "tree_heat_weights", "tree_wave_weights", "WeightTable",
                         "_integer_form", "integer_form",
                         "_Packing", "_packing", "_reach", "SPREAD",
-                        "_lift", "_strides", "pack", "unpack", "unit_shift"}
+                        "_lift", "_strides", "pack", "unpack", "unit_shift",
+                        "_box", "_origin", "_packed_product", "_sparse_product"}
 
 
 class TestCayleySteppers:

@@ -2,10 +2,11 @@
 
 ``functions.convolve_polynomials`` builds every kernel as a polynomial in
 one function, in one big ``int`` or, where that would be mostly empty,
-with the sparse ``convolve``.  The references below are literal
-constructions: repeated squaring with the dict ``convolve``, the two dict
-accumulators of ``wave_kernels`` over successive powers of A, and the sum
-of coefficient times power.
+with ``convolve``.  The references below are literal constructions on the
+sparse double loop (``sparse_convolve``), which ``convolve`` packs where
+the product's box is small: repeated squaring, the two dict accumulators
+of ``wave_kernels`` over successive powers of A, and the sum of
+coefficient times power.
 """
 
 import random
@@ -16,13 +17,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_waves import cayley, cosets, functions, randgen
-from lattice_waves.functions import SupportedFunction, convolve, convolve_polynomials, convolve_power
+from lattice_waves.functions import SupportedFunction, convolve_polynomials, convolve_power
 from lattice_waves.groups import GeneratorSet, identity, make_element, make_group, validate_generators
 
 
 def unit(G):
     """The convolution unit delta_e, with the integer value 1."""
     return SupportedFunction.trusted(G, {identity(G): 1})
+
+
+def sparse_convolve(f, g):
+    """f*g by the sparse double loop over the two supports."""
+    G = f.group
+    return SupportedFunction.trusted(G, functions._sparse_product(G, f.entries, g.entries))
 
 
 def sparse_power(f, n, squares=None):
@@ -35,9 +42,9 @@ def sparse_power(f, n, squares=None):
     j = 0
     while n:
         if j == len(squares):
-            squares.append(convolve(squares[-1], squares[-1]))
+            squares.append(sparse_convolve(squares[-1], squares[-1]))
         if n & 1:
-            result = convolve(result, squares[j])
+            result = sparse_convolve(result, squares[j])
         n >>= 1
         j += 1
     return result
@@ -55,7 +62,7 @@ def sparse_wave(G, S, n):
     power = unit(G)
     for i in range(n // 2 + 1):
         if i:
-            power = convolve(power, A)
+            power = sparse_convolve(power, A)
         for total, c in zip(totals, (comb(n, 2 * i), comb(n, 2 * i + 1))):
             for x, v in power.entries.items():
                 total[x] = total.get(x, 0) + (-1) ** i * c * v
@@ -136,9 +143,8 @@ def test_wave_kernels_match_sparse_accumulators(name):
 
 def packings(G, S, n):
     """The layouts of K_n and of (F_n, G_n); None where the sparse path runs."""
-    e = identity(G)
-    heat = functions._packing(G, [e, *cayley._symbol(G, S, 1 - S.degree, 1).entries], n, 1)
-    wave = functions._packing(G, [e, *cayley._symbol(G, S, -S.degree, 1).entries], n // 2, 1)
+    heat = functions._packing(G, cayley._symbol(G, S, 1 - S.degree, 1).entries, n, 1)
+    wave = functions._packing(G, cayley._symbol(G, S, -S.degree, 1).entries, n // 2, 1)
     return heat, wave
 
 
