@@ -4,9 +4,12 @@ Vertices are reduced words over k involutive generators (no two adjacent
 letters equal; the empty word is the root).  Radializing around an
 evaluation vertex turns the tree Laplacian into a drifted path operator,
 and the closed-form solutions become weighted sums of sphere sums of the
-initial data.  All sphere sums iterate over the (finite) support of the
-data, never over the exponentially large spheres themselves, and add the
-data's integer numerators: each output value is one ``Fraction``.
+initial data.  Sphere sums are rerooted along the prefix tree of the
+data's support (the radialization recurrence of Figà-Talamanca & Nebbia,
+*Harmonic Analysis and Representation Theory for Groups Acting on
+Homogeneous Trees*, 1991), never enumerate the exponentially large
+spheres themselves, and add the data's integer numerators: each output
+value is one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ def neighbors(x: TreeVertex, k: int) -> list[TreeVertex]:
 class TreeFunction:
     """A finitely supported map from reduced words to rationals.
 
-    ``entries`` is never mutated after construction: ``integer_form`` is
-    derived from it once and cached, so a changed entry would go unseen.
+    ``entries`` is never mutated after construction: ``integer_form`` and
+    ``rerooted`` are derived from it once and cached, so a changed entry
+    would go unseen.
     """
 
     k: int
@@ -92,6 +96,14 @@ class TreeFunction:
         """(numerators, d) with entries = numerators / d, d the lcm of the denominators."""
         return _integer_form(self)
 
+    @cached_property
+    def rerooted(self) -> _Hull | None:
+        """The sphere sums around the root, None for the zero function.
+
+        ``_radius_sums`` grows the tree below it on demand.
+        """
+        return _Hull(self.integer_form[0].items(), 0, None) if self.entries else None
+
     def __call__(self, x: TreeVertex) -> Fraction:
         return self.entries.get(tuple(x), Fraction(0))
 
@@ -115,14 +127,75 @@ def sphere_size(k: int, r: int) -> int:
     return k * (k - 1) ** (r - 1)
 
 
+class _Hull:
+    """The sphere sums around a vertex a of the prefix tree of the support (the hull).
+
+    ``counts`` and ``sums`` hold, per radius r that the support meets
+    around a, the number of data points and the sum of their numerators
+    at distance r.  With H_b(r) the data in b's subtree r below b, the
+    sums around b, a child of a, are N_b(r) = H_b(r) + N_a(r-1) - H_b(r-2);
+    at the root they are H.  A radius is dropped only when its count
+    reaches 0, so zero sums keep their radius.  The data in a's subtree,
+    as (word, numerator) pairs, is grouped by its next letter only when a
+    child is first asked for.
+    """
+
+    __slots__ = ("depth", "counts", "sums", "items", "below", "children")
+
+    def __init__(self, items: Iterable[tuple[TreeVertex, int]], depth: int,
+                 parent: _Hull | None):
+        counts: dict[int, int] = {}
+        sums: dict[int, int] = {}
+        if parent is not None:
+            counts = {r + 1: c for r, c in parent.counts.items()}
+            sums = {r + 1: v for r, v in parent.sums.items()}
+        for y, v in items:
+            r = len(y) - depth
+            counts[r] = counts.get(r, 0) + 1
+            sums[r] = sums.get(r, 0) + v
+            if parent is not None:
+                counts[r + 2] -= 1
+                sums[r + 2] -= v
+                if not counts[r + 2]:
+                    del counts[r + 2], sums[r + 2]
+        self.depth, self.counts, self.sums, self.items = depth, counts, sums, items
+        self.below: dict[int, list[tuple[TreeVertex, int]]] | None = None
+        self.children: dict[int, _Hull] = {}
+
+    def extend(self, c: int) -> _Hull | None:
+        """Build the hull vertex one letter c below this one; None if it is off the hull."""
+        if self.below is None:
+            self.below = {}
+            for y, v in self.items:
+                if len(y) > self.depth:
+                    self.below.setdefault(y[self.depth], []).append((y, v))
+            self.items = None
+        items = self.below.pop(c, None)
+        if items is None:
+            return None
+        child = self.children[c] = _Hull(items, self.depth + 1, self)
+        return child
+
+
 def _radius_sums(f: TreeFunction, x: TreeVertex) -> dict[int, int]:
-    """Sums of f's numerators over each sphere around x that its support meets."""
-    out: dict[int, int] = {}
-    get = out.get
-    for y, v in f.integer_form[0].items():
-        r = tree_distance(x, y)
-        out[r] = get(r, 0) + v
-    return out
+    """Sums of f's numerators over each sphere around x that its support meets.
+
+    Walks x's letters from the root while they stay in the hull, rerooting
+    the sums one letter at a time and keeping every hull vertex it builds
+    in ``f.rerooted``.  Below the deepest hull prefix a of x the data is
+    len(x) - len(a) further away than from a.  The result may be a cached
+    dict itself: callers only read it.
+    """
+    node = f.rerooted
+    if node is None:
+        return {}
+    for c in x:
+        child = node.children.get(c) or node.extend(c)
+        if child is None:
+            break
+        node = child
+    shift = len(x) - node.depth
+    return {r + shift: v for r, v in node.sums.items()} if shift else node.sums
 
 
 def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:

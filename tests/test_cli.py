@@ -128,6 +128,17 @@ class TestRun:
         assert cli.main([obj["kind"], "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
         assert out.read_bytes() == expected
 
+    def test_deep_eval_vertex(self, tmp_path):
+        # One eval vertex of 5000 letters, with data on its parent: the sphere
+        # sums walk every letter of the data's prefix tree without recursing.
+        word = [1, 2] * 2500
+        rows = [{"elem": [], "num": "1", "den": "1"}, {"elem": word[:-1], "num": "3", "den": "1"}]
+        obj = dict(tree_problem(), f=rows, eval={"vertices": [word]})
+        out = tmp_path / "u.csv"
+        assert cli.main(["tree-heat", "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
+        label = ";".join(map(str, word)).encode()
+        assert out.read_bytes() == b"# kind=tree-heat n=2 k=3\nvertex,num,den\r\n" + label + b",-12,1\r\n"
+
     def test_integers_of_any_length(self, tmp_path):
         # 4401 digits is past the interpreter's default str <-> int limit;
         # a fresh process shows that the CLI lifts it, on read and on write.

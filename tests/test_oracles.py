@@ -26,7 +26,8 @@ def test_oracles_share_no_engine_code():
     # the recurrences themselves: they may use the element, scalar and
     # function types, never the kernels, convolution, weight tables, the
     # engine's integer form of the data, its packed (Kronecker) kernels and
-    # products, or the sparse product they fall back on.
+    # products, the sparse product they fall back on, or the rerooted tree
+    # sphere sums and their cache: the tree oracles step neighbours.
     tree_ = ast.parse(inspect.getsource(oracles))
     modules = {n.module for n in ast.walk(tree_) if isinstance(n, ast.ImportFrom)}
     assert not modules & {"cayley", "cli", "verify"}
@@ -39,7 +40,9 @@ def test_oracles_share_no_engine_code():
                         "_integer_form", "integer_form",
                         "_Packing", "_packing", "_reach", "SPREAD",
                         "_lift", "_strides", "pack", "unpack", "unit_shift",
-                        "_box", "_origin", "_packed_product", "_sparse_product"}
+                        "_box", "_origin", "_packed_product", "_sparse_product",
+                        "rerooted", "_Hull", "_radius_sums", "sphere_sums", "path_reduce",
+                        "spherical_mean", "radial_mass"}
 
 
 class TestCayleySteppers:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattice_waves import oracles, randgen, tree
 from lattice_waves.errors import IndexOutOfRange, NotSolvable, ShapeMismatch
@@ -349,3 +350,90 @@ class TestIntegerSphereSums:
                     want = profile[r] if r < len(profile) else 0
                     assert tree.spherical_mean(f, x, r) == want
                     assert tree.spherical_mean(f, x, -r) == want
+
+
+def _reduced(letters):
+    """The word with adjacent repeats dropped: a reduced word over the same letters."""
+    out = []
+    for a in letters:
+        if not out or out[-1] != a:
+            out.append(a)
+    return tuple(out)
+
+
+def _hull_prefixes(f):
+    """The vertex of every entry of ``f.rerooted``, one per entry, walked without recursion."""
+    out = []
+    todo = [] if f.rerooted is None else [(tree.ROOT, f.rerooted)]
+    while todo:
+        a, node = todo.pop()
+        out.append(a)
+        todo += [(a + (c,), child) for c, child in node.children.items()]
+    return out
+
+
+def _support_prefixes(f):
+    return {y[:i] for y in f.support() for i in range(len(y) + 1)}
+
+
+class TestRerootedSums:
+    """The rerooted sums equal the per-point bucketing ``_literal_sphere_sums``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 6))
+    def test_every_reader_equals_the_literal_sums(self, data, k):
+        words = lambda lo, hi: st.lists(st.integers(1, k), min_size=lo, max_size=hi).map(_reduced)
+        values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+        f = tree.TreeFunction(k, data.draw(st.dictionaries(words(0, 7), values, max_size=10)))
+        if data.draw(st.booleans()):
+            f = _antisymmetric(f)
+        # A window around a centre that need not be the root, vertices far
+        # below it and below the support, and vertices far off the hull.
+        center = data.draw(words(0, 6))
+        window, frontier = [center], [(center, None)]
+        for _ in range(data.draw(st.integers(0, 2))):
+            frontier = [(y, x) for x, p in frontier for y in tree.neighbors(x, k) if y != p]
+            window += [y for y, _ in frontier]
+        below = [_reduced(y + data.draw(words(20, 60))) for y in [center, *f.support()]]
+        far = data.draw(st.lists(words(20, 80), max_size=3))
+        order = data.draw(st.permutations(window + below + far))
+        n = data.draw(st.integers(0, 12))
+        tables = [tree.tree_heat_weights(k, n), *tree.tree_wave_weights(k, n)]
+        # Two rounds over one function: the second reads what the first cached.
+        for _ in range(2):
+            for x in order:
+                sums = _literal_sphere_sums(f, x)
+                assert tree.sphere_sums(f, x) == sums
+                profile = [sums.get(r, Fraction(0)) / tree.sphere_size(k, r)
+                           for r in range(max(sums, default=-1) + 1)]
+                assert tree.path_reduce(f, x) == profile
+                for r in range(-1, len(profile) + 2):
+                    want = profile[abs(r)] if abs(r) < len(profile) else 0
+                    assert tree.spherical_mean(f, x, r) == want
+                for table in tables:
+                    assert table.apply(f, x) == _literal_apply(table.weights, f, x)
+                assert tree.radial_mass(f, x) == _literal_radial_mass(f, x)
+        prefixes = _hull_prefixes(f)
+        assert len(prefixes) == len(set(prefixes))
+        assert set(prefixes) <= _support_prefixes(f)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_memo_holds_only_prefixes_after_a_wide_window(self, k):
+        rng = random.Random(900 + k)
+        f = randgen.random_tree_function(rng, k, max_radius=8, max_points=12)
+        g0 = randgen.random_tree_function(rng, k, max_radius=8, max_points=12)
+        g = _antisymmetric(g0)  # zero radial mass wherever swapping letters 1 and 2 fixes x
+        window = _ball_vertices(k, 14 if k == 2 else 5)
+        heat = tree.tree_heat_weights(k, 9)
+        assert tree.tree_heat_solve(f, 9, window).entries == {
+            x: v for x in window if (v := _literal_apply(heat.weights, f, x))}
+        solvable = [x for x in window if _literal_radial_mass(g, x) == 0]
+        wf, wg = tree.tree_wave_weights(k, 9)
+        wave = tree.tree_wave_solve(f, g, 9, solvable)
+        assert wave.entries == {x: v for x in solvable if (v := _literal_apply(wf.weights, f, x)
+                                                           + _literal_apply(wg.weights, g, x))}
+        for h in (f, g):
+            prefixes = _hull_prefixes(h)
+            assert len(prefixes) == len(set(prefixes))
+            assert set(prefixes) <= _support_prefixes(h)
+            assert len(prefixes) <= sum(len(y) + 1 for y in h.support())
