@@ -13,7 +13,6 @@ from .cayley import (
     heat_kernel_binomial,
     heat_solve,
     inverse_symbol_a,
-    symbol_eval,
     wave_kernels,
     wave_solve,
 )
@@ -29,7 +28,6 @@ from .functions import (
     SupportedFunction,
     add,
     convolve,
-    convolve_power,
     delta,
     make_function,
     scale,

@@ -11,13 +11,10 @@ and ``functions.convolve`` applies them to the data; both multiply packed
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import Sequence
 
-from .errors import GroupMismatch, IndexOutOfRange, NotSolvable, TorsionUnsupported
+from .errors import GroupMismatch, IndexOutOfRange, NotSolvable
 from .functions import (
     SupportedFunction,
     add,
@@ -77,7 +74,7 @@ def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     power = delta(G)
     for j in range(1, n + 1):
         power = convolve(power, A)
-        total = add(total, scale(power, Fraction((-1) ** j * comb(n, j))))
+        total = add(total, scale(power, (-1) ** j * comb(n, j)))
     return Kernel(total)
 
 
@@ -117,25 +114,6 @@ def wave_solve(
             detail=mass,
         )
     return add(convolve(Fn.data, f), convolve(Gn.data, g))
-
-
-def symbol_eval(S: GeneratorSet, t: Sequence[float]) -> complex:
-    """Evaluate the Laplacian symbol at the character of Z^d with angles t.
-
-    Real-valued whenever S is symmetric; vanishes at t = 0.
-    """
-    for s in S.elements:
-        if s.torsion:
-            raise TorsionUnsupported("symbol evaluation requires a torsion-free group")
-        if len(s.free) != len(t):
-            raise TorsionUnsupported(
-                f"angle vector has length {len(t)}, expected {len(s.free)}"
-            )
-    total = complex(S.degree)
-    for s in S.elements:
-        phase = sum(ti * si for ti, si in zip(t, s.free))
-        total -= cmath.exp(-1j * phase)
-    return total
 
 
 def ball(G: GroupSpec, S: GeneratorSet, radius: int) -> set[GroupElement]:

@@ -226,8 +226,7 @@ def cmd_run(args) -> int:
         else:
             raise ShapeMismatch(f"unknown weights selector {which!r}")
         for tag, table in tables:
-            for s, w in enumerate(table.weights):
-                lines.append(f"{tag},{s},{w.numerator},{w.denominator}")
+            lines += (f"{tag},{s},{w},1" for s, w in enumerate(table.weights))
         _write("\n".join(lines) + "\n", args.out)
         return EXIT_OK
 

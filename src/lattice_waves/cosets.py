@@ -10,7 +10,6 @@ Laplacian) lives in the oracle module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cayley import heat_solve, wave_solve
@@ -74,24 +73,23 @@ def build_coset_problem(
 
 
 def lift(f: SupportedFunction, P: CosetProblem) -> SupportedFunction:
-    """Pull a function on the quotient back to the base group, constant on fibers."""
-    out = {}
-    for q, v in f.entries.items():
-        for x in P.quot.fiber(q):
-            out[x] = v
-    return SupportedFunction(P.base_group, out)
+    """Pull a function on the quotient back to the base group, constant on fibers.
+
+    The fibers are disjoint, so the numerators keep their denominator.
+    """
+    out = {x: v for q, v in f.numerators.items() for x in P.quot.fiber(q)}
+    return SupportedFunction.trusted(P.base_group, out, f.denominator)
 
 
 def restrict(u: SupportedFunction, P: CosetProblem) -> SupportedFunction:
     """Push a coset-constant function on the base group down to the quotient.
 
-    ``project`` returns quotient elements and u's values are non-zero, so the
-    result is wrapped as it is: ``verify.states`` restricts every oracle state.
+    ``project`` returns quotient elements and u keeps one numerator per coset,
+    so the result is wrapped as it is: ``verify.states`` restricts every
+    oracle state.
     """
-    out: dict[GroupElement, Fraction] = {}
-    for x, v in u.entries.items():
-        out[P.quot.project(x)] = v
-    return SupportedFunction.trusted(P.quot.group, out)
+    out = {P.quot.project(x): v for x, v in u.numerators.items()}
+    return SupportedFunction.trusted(P.quot.group, out, u.denominator)
 
 
 def coset_heat_solve(f: SupportedFunction, P: CosetProblem, n: int) -> SupportedFunction:

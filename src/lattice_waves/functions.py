@@ -1,8 +1,12 @@
-"""Finitely supported rational-valued functions on a group.
+"""Finitely supported rational-valued functions, and the exact convolution algebra on a group.
 
-The universal carrier for initial data, convolution kernels, and
-solutions.  Zero values are never stored, so the support is always the
-key set and all sums are finite and exact.
+Every function is held in one form, ``Scaled``: integer numerators over
+one denominator, in lowest terms.  Kernels are integers (denominator 1),
+so a solution is integer arithmetic on the data's numerators over the
+data's denominator; ``Fraction`` appears only where a value is read
+(``__call__``, ``entries``) or a rational is passed in.  Zero values are
+never stored, so the support is always the key set and all sums are
+finite and exact.
 
 Kernels are integer polynomials in one function (``convolve_polynomials``),
 and a solution is a kernel convolved with the data (``convolve``).  This
@@ -13,11 +17,11 @@ the sparse fallbacks used where that layout would be mostly empty.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product, repeat
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add as add_int, mul
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import GroupMismatch
@@ -26,61 +30,98 @@ from .groups import GroupElement, GroupSpec, adder, elem_neg, identity, make_ele
 _new_tuple = tuple.__new__
 
 
-def summed(pairs: Iterable[tuple]) -> dict:
-    """Entries from (key, value) pairs: values at one key add up exactly, zero sums dropped."""
+def lowest_terms(numerators: dict, denominator: int) -> tuple[dict, int]:
+    """(numerators, denominator) with zero numerators dropped, divided by their gcd.
+
+    ``denominator`` must be positive; the dict is not changed.
+    """
+    g = gcd(denominator, *numerators.values())
+    return {x: v // g for x, v in numerators.items() if v}, denominator // g
+
+
+def over_lcm(triples: Iterable[tuple]) -> tuple[dict, int]:
+    """Lowest-terms (numerators, denominator) of the sums of num/den at each key.
+
+    ``triples`` are (key, num, den), num and den ``int``s, den non-zero and
+    of either sign.  Each num is scaled to the lcm of the den, summed per
+    key, and the pair put in lowest terms once.
+    """
+    triples = list(triples)
+    d = lcm(*(den for _, _, den in triples))
     out: dict = {}
-    for x, v in pairs:
-        out[x] = out[x] + v if x in out else v
-    return {x: v for x, v in out.items() if v}
+    for x, num, den in triples:
+        out[x] = out.get(x, 0) + num * (d // den)
+    return lowest_terms(out, d)
 
 
-@dataclass
-class SupportedFunction:
-    """A finite map GroupElement -> rational over a fixed group.
+class Scaled:
+    """A finitely supported rational-valued map: integer numerators over one denominator.
 
-    Values are non-zero ``int`` or ``Fraction``.  The public constructor
-    normalises every value to ``Fraction``; ``trusted`` keeps what it is
-    given, which lets integer kernels skip ``Fraction`` arithmetic.
+    ``numerators`` maps each point of the support to a non-zero ``int``, and
+    ``denominator`` is an ``int`` >= 1 with gcd(denominator, *numerators) == 1.
+    So the pair is canonical: two maps are equal exactly when their pairs
+    are.  ``tag`` is what the points live on (a group, a tree degree or
+    None).  A subclass adds only its public constructor, which checks the
+    keys and takes rationals, and a name for its tag.
     """
 
-    group: GroupSpec
-    entries: dict[GroupElement, int | Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        G = self.group
-        pairs = ((make_element(G, x.free, x.torsion), Fraction(v)) for x, v in self.entries.items())
-        self.entries = summed(pairs)
+    def _init(self, tag, pairs: Iterable[tuple]) -> None:
+        """Set from (key, rational) pairs; values at one key add up."""
+        self.tag = tag
+        fractions = ((x, Fraction(v)) for x, v in pairs)
+        self.numerators, self.denominator = over_lcm(
+            (x, q.numerator, q.denominator) for x, q in fractions
+        )
 
     @classmethod
-    def trusted(
-        cls, group: GroupSpec, entries: dict[GroupElement, int | Fraction]
-    ) -> SupportedFunction:
-        """Wrap entries the program built itself, skipping the normalisation.
+    def trusted(cls, tag, numerators: dict, denominator: int = 1):
+        """Wrap a lowest-terms pair the program built itself, skipping every check.
 
-        Every key must already conform to ``group`` and every value must be
-        a non-zero ``int`` or ``Fraction``; the dict is taken over, not
-        copied.
+        Every key must already conform to ``tag`` and every numerator be a
+        non-zero ``int``; the dict is taken over, not copied.
         """
         f = object.__new__(cls)
-        f.group = group
-        f.entries = entries
+        f.tag, f.numerators, f.denominator = tag, numerators, denominator
         return f
 
-    def __call__(self, x: GroupElement) -> Fraction:
-        return self.entries.get(x, Fraction(0))
+    def __call__(self, x) -> Fraction:
+        return Fraction(self.numerators.get(x, 0), self.denominator)
 
-    def support(self) -> set[GroupElement]:
-        return set(self.entries)
+    def support(self) -> set:
+        return set(self.numerators)
+
+    @property
+    def entries(self) -> Mapping:
+        """The values as ``Fraction``s: a read-only mapping, built on each read."""
+        d = self.denominator
+        return MappingProxyType({x: Fraction(v, d) for x, v in self.numerators.items()})
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, SupportedFunction)
-            and self.group == other.group
-            and self.entries == other.entries
+            type(other) is type(self)
+            and self.tag == other.tag
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
-    def __iter__(self):
-        return iter(self.entries.items())
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.tag!r}, {dict(self.entries)!r})"
+
+
+class SupportedFunction(Scaled):
+    """A finite map GroupElement -> rational over a fixed group.
+
+    The public constructor reduces each key's torsion and sums values at
+    one key; the values may be any rationals.
+    """
+
+    def __init__(self, group: GroupSpec, entries: Mapping | None = None):
+        pairs = ((make_element(group, x.free, x.torsion), v) for x, v in (entries or {}).items())
+        self._init(group, pairs)
+
+    @property
+    def group(self) -> GroupSpec:
+        return self.tag
 
 
 def make_function(
@@ -99,49 +140,43 @@ def delta(G: GroupSpec, x: GroupElement | None = None, value=1) -> SupportedFunc
     """Point mass; defaults to the unit mass at the identity."""
     if x is None:
         x = identity(G)
-    return SupportedFunction(G, {x: Fraction(value)})
+    return SupportedFunction(G, {x: value})
 
 
-def _require_same_group(f: SupportedFunction, g: SupportedFunction) -> None:
-    if f.group != g.group:
+def _require_same_group(f: Scaled, g: Scaled) -> None:
+    if f.tag != g.tag:
         raise GroupMismatch("functions live on different groups")
 
 
-def add(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
+def add(f: Scaled, g: Scaled) -> Scaled:
+    """f + g, for two functions of one type on one group or tree."""
     _require_same_group(f, g)
-    out = dict(f.entries)
-    for x, v in g.entries.items():
-        out[x] = out[x] + v if x in out else v
-    return SupportedFunction.trusted(f.group, {x: v for x, v in out.items() if v})
+    d = lcm(f.denominator, g.denominator)
+    a, b = d // f.denominator, d // g.denominator
+    out = {x: a * v for x, v in f.numerators.items()}
+    get = out.get
+    for x, v in g.numerators.items():
+        out[x] = get(x, 0) + b * v
+    return type(f).trusted(f.tag, *lowest_terms(out, d))
 
 
-def sub(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
-    return add(f, scale(g, Fraction(-1)))
+def sub(f: Scaled, g: Scaled) -> Scaled:
+    return add(f, scale(g, -1))
 
 
-def scale(f: SupportedFunction, c) -> SupportedFunction:
+def scale(f: Scaled, c) -> Scaled:
+    """c f for a rational c."""
     c = Fraction(c)
-    if not c:
-        return zero(f.group)
-    return SupportedFunction.trusted(f.group, {x: c * v for x, v in f.entries.items()})
-
-
-def _integer_form(f) -> tuple[dict, int]:
-    """(numerators, d) with f = numerators / d, d the lcm of f's denominators.
-
-    Reads only ``f.entries``, so it serves ``SupportedFunction`` and
-    ``tree.TreeFunction`` alike.
-    """
-    d = lcm(*(v.denominator for v in f.entries.values()))
-    return {x: v.numerator * (d // v.denominator) for x, v in f.entries.items()}, d
+    numerators = {x: c.numerator * v for x, v in f.numerators.items()}
+    return type(f).trusted(f.tag, *lowest_terms(numerators, c.denominator * f.denominator))
 
 
 def convolve(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
     """Exact group convolution (f*g)(x) = sum_y f(y) g(x-y).
 
-    Each operand is scaled by the lcm of its denominators, so the product
-    is taken over integers and divided once; the product of two integral
-    functions keeps ``int`` values.  Both operands are packed, each at its
+    The numerators are convolved over integers and the product put over
+    the product of the denominators, in lowest terms; the product of two
+    integral functions is integral.  Both operands are packed, each at its
     own lower corner, and multiplied as two ``int``s (``_Packing``) where
     the product's box has no more slots than the operands have pairs of
     support points; elsewhere, as for far-apart supports, a sparse double
@@ -149,15 +184,10 @@ def convolve(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
     """
     _require_same_group(f, g)
     G = f.group
-    fi, df = _integer_form(f)
-    gi, dg = _integer_form(g)
-    out = _packed_product(G, fi, gi)
+    out = _packed_product(G, f.numerators, g.numerators)
     if out is None:
-        out = _sparse_product(G, fi, gi)
-    d = df * dg
-    if d == 1:
-        return SupportedFunction.trusted(G, out)
-    return SupportedFunction.trusted(G, {x: Fraction(v, d) for x, v in out.items()})
+        out = _sparse_product(G, f.numerators, g.numerators)
+    return SupportedFunction.trusted(G, *lowest_terms(out, f.denominator * g.denominator))
 
 
 def _sparse_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int]:
@@ -194,22 +224,6 @@ def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] |
     return packing.unpack(p, list(map(add_int, lo_a, lo_b)))
 
 
-def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:
-    """n-fold convolution power; n=0 gives delta_e.
-
-    f is taken to its integer form, raised by ``convolve_polynomials`` and
-    divided by the n-th power of its common denominator.  Integral f keeps
-    ``int`` values.
-    """
-    G = f.group
-    values, d = _integer_form(f)
-    out = convolve_polynomials(SupportedFunction.trusted(G, values), [[0] * n + [1]])[0]
-    d **= n
-    if d == 1:
-        return out
-    return SupportedFunction.trusted(G, {x: Fraction(v, d) for x, v in out.entries.items()})
-
-
 def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[SupportedFunction]:
     """sum_i row[i] f^{*i} for each row of ``int`` coefficients; f integral.
 
@@ -224,9 +238,9 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
     G = f.group
     e = identity(G)
     top = max(map(len, rows)) - 1
-    norm = sum(map(abs, f.entries.values()))
+    norm = sum(map(abs, f.numerators.values()))
     bound = max(sum(abs(c) * norm**i for i, c in enumerate(row)) for row in rows)
-    layout = _packing(G, f.entries, top, bound) if f.entries and top else None
+    layout = _packing(G, f.numerators, top, bound) if f.numerators and top else None
     out = []
     if layout is None:
         for row in rows:
@@ -237,7 +251,7 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
         return out
     # A product of j factors is decoded at j times the corner of f.
     packing, columns, lo = layout
-    a = packing.pack(columns, list(f.entries.values()), lo)
+    a = packing.pack(columns, list(f.numerators.values()), lo)
     for row in rows:
         if any(row[:-1]):
             p = 0
@@ -406,21 +420,19 @@ def _strides(widths: list[int]) -> list[int]:
 
 def trivial_character_sum(f: SupportedFunction) -> Fraction:
     """The value of the transform at the trivial character: the total mass of f."""
-    values, d = _integer_form(f)
-    return Fraction(sum(values.values()), d)
+    return Fraction(sum(f.numerators.values()), f.denominator)
 
 
 def reflect(f: SupportedFunction) -> SupportedFunction:
     """The function x -> f(-x)."""
     G = f.group
-    return SupportedFunction.trusted(G, {elem_neg(G, x): v for x, v in f.entries.items()})
+    negated = {elem_neg(G, x): v for x, v in f.numerators.items()}
+    return SupportedFunction.trusted(G, negated, f.denominator)
 
 
 def l1_norm(f: SupportedFunction) -> Fraction:
-    values, d = _integer_form(f)
-    return Fraction(sum(map(abs, values.values())), d)
+    return Fraction(sum(map(abs, f.numerators.values())), f.denominator)
 
 
 def l2_norm_squared(f: SupportedFunction) -> Fraction:
-    values, d = _integer_form(f)
-    return Fraction(sum(v * v for v in values.values()), d * d)
+    return Fraction(sum(v * v for v in f.numerators.values()), f.denominator**2)

@@ -9,24 +9,24 @@ the shifts x + s with a divisor on groups (S and 1 on a Cayley graph, the
 sums h + s over H x S~ and |H| on the lifted coset graph), the
 reduced-word neighbours on trees, and r - 1 (k - 1 times) and r + 1 on
 the radialized line, whose radial profiles are even extensions.  The
-rules work over one common denominator (times the divisor) and divide once
-per output value.  Nothing is shared with the closed-form engine beyond
-the element, scalar and function types; the steppers are deliberately
-naive and slow.
+rules step the states' integer numerators over one common denominator
+(times the divisor) and reduce the result to lowest terms.  Nothing is
+shared with the closed-form engine beyond the element types and the
+value form (``Scaled``, ``lowest_terms``, ``add``); the steppers are
+deliberately naive and slow.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat, zip_longest
 from math import lcm, pi
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cosets import CosetProblem
 from .errors import CosetInconstant, GroupMismatch, TorsionUnsupported
-from .functions import SupportedFunction, add
+from .functions import Scaled, SupportedFunction, add, lowest_terms
 from .groups import GeneratorSet, GroupElement, GroupSpec, adder
 from .tree import TreeFunction, neighbors
 
@@ -34,51 +34,28 @@ from .tree import TreeFunction, neighbors
 Laplacian = Callable[[dict, dict], None]
 
 
-def _common_denominator(*maps: dict) -> int:
-    return lcm(*(v.denominator for m in maps for v in m.values()))
+def _times(numerators: dict, c: int) -> dict:
+    return {x: c * v for x, v in numerators.items()} if c != 1 else numerators
 
 
-def _numerators(values: dict, d: int) -> dict:
-    """Each value times d, as an int; d must be a multiple of every denominator."""
-    return {x: v.numerator * (d // v.denominator) for x, v in values.items()}
-
-
-def _rationals(numerators: dict, d: int) -> dict:
-    """The non-zero numerators over d, as Fractions.
-
-    Equal numerators share one Fraction: on trees most values repeat, since
-    the solution is symmetric about the data.
-    """
-    made: dict[int, Fraction] = {}
-    out = {}
-    for x, v in numerators.items():
-        if v:
-            r = made.get(v)
-            if r is None:
-                r = made[v] = Fraction(v, d)
-            out[x] = r
-    return out
-
-
-def _heat(u: dict, laplacian: Laplacian, divisor: int = 1) -> dict:
+def _heat(u: Scaled, laplacian: Laplacian, divisor: int = 1) -> Scaled:
     """u - Δu; the numerators are scaled so that ``divisor`` divides each."""
-    d = _common_denominator(u) * divisor
-    u = _numerators(u, d)
-    acc = dict(u)
-    laplacian(acc, u)
-    return _rationals(acc, d)
+    numerators = _times(u.numerators, divisor)
+    acc = dict(numerators)
+    laplacian(acc, numerators)
+    return type(u).trusted(u.tag, *lowest_terms(acc, u.denominator * divisor))
 
 
-def _wave(u0: dict, u1: dict, laplacian: Laplacian, divisor: int = 1) -> dict:
+def _wave(u0: Scaled, u1: Scaled, laplacian: Laplacian, divisor: int = 1) -> Scaled:
     """2 u1 - u0 - Δu0 over one common denominator, scaled as in ``_heat``."""
-    d = _common_denominator(u0, u1) * divisor
-    u0 = _numerators(u0, d)
-    acc = {x: 2 * v for x, v in _numerators(u1, d).items()}
+    d = lcm(u0.denominator, u1.denominator) * divisor
+    numerators = _times(u0.numerators, d // u0.denominator)
+    acc = _times(u1.numerators, 2 * (d // u1.denominator))
     get = acc.get
-    for x, v in u0.items():
+    for x, v in numerators.items():
         acc[x] = get(x, 0) - v
-    laplacian(acc, u0)
-    return _rationals(acc, d)
+    laplacian(acc, numerators)
+    return type(u1).trusted(u1.tag, *lowest_terms(acc, d))
 
 
 def _laplacian(k: int, spread_to: Callable[[object], Iterable], divisor: int = 1) -> Laplacian:
@@ -119,8 +96,7 @@ def _line_laplacian(k: int) -> Laplacian:
 
 def cayley_heat_step(u: SupportedFunction, S: GeneratorSet) -> SupportedFunction:
     """u(x, n+1) = sum_i u(x + s_i, n) - (k-1) u(x, n)."""
-    G = u.group
-    return SupportedFunction.trusted(G, _heat(u.entries, _group_laplacian(G, S.elements)))
+    return _heat(u, _group_laplacian(u.group, S.elements))
 
 
 def cayley_wave_step(
@@ -129,9 +105,7 @@ def cayley_wave_step(
     """u(x, n+2) = 2 u(x, n+1) + sum_i u(x + s_i, n) - (k+1) u(x, n)."""
     if u_prev.group != u_curr.group:
         raise GroupMismatch("wave step arguments live on different groups")
-    G = u_curr.group
-    laplacian = _group_laplacian(G, S.elements)
-    return SupportedFunction.trusted(G, _wave(u_prev.entries, u_curr.entries, laplacian))
+    return _wave(u_prev, u_curr, _group_laplacian(u_curr.group, S.elements))
 
 
 def cayley_wave_trajectory(
@@ -163,8 +137,6 @@ def trajectory(step: Callable, f, g, *args) -> Iterator:
 def _plus(f, g):
     if isinstance(f, list):
         return [a + b for a, b in zip_longest(f, g, fillvalue=Fraction(0))]
-    if isinstance(f, TreeFunction):
-        return TreeFunction(f.k, {x: f(x) + g(x) for x in f.support() | g.support()})
     return add(f, g)
 
 
@@ -176,8 +148,8 @@ def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
     support into, hence onto, itself, so the support is a union of cosets.
     """
     step = adder(P.base_group)
-    get = u.entries.get
-    for x, v in u.entries.items():
+    get = u.numerators.get
+    for x, v in u.numerators.items():
         for h in P.subgroup_gens:
             if get(step(x, h)) != v:
                 raise CosetInconstant(f"function is not constant on the coset of {x}")
@@ -197,8 +169,7 @@ def lifted_coset_heat_step(u: SupportedFunction, P: CosetProblem) -> SupportedFu
     where the s_i run over one representative per distinct coset of S.
     """
     _check_coset_constant(u, P)
-    values = _heat(u.entries, _lifted_laplacian(P), P.H_order)
-    result = SupportedFunction.trusted(P.base_group, values)
+    result = _heat(u, _lifted_laplacian(P), P.H_order)
     _check_coset_constant(result, P)
     return result
 
@@ -212,34 +183,26 @@ def lifted_coset_wave_step(
     """
     _check_coset_constant(u_prev, P)
     _check_coset_constant(u_curr, P)
-    values = _wave(u_prev.entries, u_curr.entries, _lifted_laplacian(P), P.H_order)
-    result = SupportedFunction.trusted(P.base_group, values)
+    result = _wave(u_prev, u_curr, _lifted_laplacian(P), P.H_order)
     _check_coset_constant(result, P)
     return result
 
 
 def tree_step_heat(u: TreeFunction) -> TreeFunction:
     """u(x, n+1) = sum_{y ~ x} u(y, n) - (k-1) u(x, n) over reduced-word neighbors."""
-    return TreeFunction.trusted(u.k, _heat(u.entries, _tree_laplacian(u.k)))
+    return _heat(u, _tree_laplacian(u.k))
 
 
 def tree_step_wave(u_prev: TreeFunction, u_curr: TreeFunction) -> TreeFunction:
     """u(x, n+2) = 2 u(x, n+1) + sum_{y ~ x} u(y, n) - (k+1) u(x, n)."""
-    k = u_curr.k
-    return TreeFunction.trusted(k, _wave(u_prev.entries, u_curr.entries, _tree_laplacian(k)))
+    return _wave(u_prev, u_curr, _tree_laplacian(u_curr.k))
 
 
-@dataclass
-class PathProfile:
+class PathProfile(Scaled):
     """A finitely supported profile on the integers (the radialized line)."""
 
-    values: dict[int, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = {int(r): Fraction(v) for r, v in self.values.items() if v != 0}
-
-    def __call__(self, r: int) -> Fraction:
-        return self.values.get(r, Fraction(0))
+    def __init__(self, values: Mapping | None = None):
+        self._init(None, ((int(r), v) for r, v in (values or {}).items()))
 
 
 def even_profile(radial: list[Fraction]) -> PathProfile:
@@ -253,7 +216,7 @@ def path_step_heat(u: PathProfile, k: int) -> PathProfile:
     The asymmetric reduction of the tree step; for k = 2 it degenerates to
     the symmetric path step.
     """
-    return PathProfile(_heat(u.values, _line_laplacian(k)))
+    return _heat(u, _line_laplacian(k))
 
 
 def radial_step_heat(profile: list[Fraction], k: int) -> list[Fraction]:
@@ -278,7 +241,7 @@ def radial_step_wave(
     again with the even boundary value at the center.
     """
     laplacian = _line_laplacian(k)
-    stepped = PathProfile(_wave(even_profile(prev).values, even_profile(curr).values, laplacian))
+    stepped = _wave(even_profile(prev), even_profile(curr), laplacian)
     return [stepped(r) for r in range(max(len(prev), len(curr)) + 1)]
 
 

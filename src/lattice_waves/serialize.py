@@ -2,18 +2,19 @@
 
 Rationals travel as decimal-string numerator/denominator pairs so that
 arbitrarily large values round-trip bit-exactly; floats never appear in
-primary outputs.  Every row read from outside is validated once, here;
-the function types' ``trusted`` constructors wrap the result.
+primary outputs.  Every row read from outside is validated once, here,
+and read straight into numerators over one denominator; the function
+types' ``trusted`` constructors wrap the result.  Each value is written
+in lowest terms with a positive denominator.
 """
 
 from __future__ import annotations
 
-import csv
-from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Iterable
 
 from .errors import ShapeMismatch, ZeroDenominator
-from .functions import SupportedFunction, summed
+from .functions import Scaled, SupportedFunction, over_lcm
 from .groups import GroupElement, GroupSpec, Quotient, make_element, make_group
 from .tree import TreeFunction, TreeVertex, make_vertex
 
@@ -71,15 +72,18 @@ def vertex_from_json(k: int, word) -> TreeVertex:
     return make_vertex(_ints_from_json(word, "tree-word letter"), k)
 
 
-def _summed_rows(triples: Iterable[tuple]) -> dict:
-    """``summed`` entries for a ``trusted`` constructor from (key, num, den) wire triples."""
-    def pairs():
+def _summed_rows(triples: Iterable[tuple]) -> tuple[dict, int]:
+    """(numerators, denominator) for a ``trusted`` constructor from (key, num, den) wire triples.
+
+    Values at one key add up; ``over_lcm`` puts them over one denominator.
+    """
+    def checked():
         for key, num, den in triples:
             den = int_from_json(den, "den")
             if den == 0:
                 raise ZeroDenominator(f"zero denominator in the rational {num}/{den}")
-            yield key, Fraction(int_from_json(num, "num"), den)
-    return summed(pairs())
+            yield key, int_from_json(num, "num"), den
+    return over_lcm(checked())
 
 
 def _row_triples(rows: list[dict] | None, key: Callable, what: str) -> Iterable[tuple]:
@@ -95,14 +99,14 @@ def function_from_rows(
     G: GroupSpec, rows: list[dict] | None, what: str = "data rows"
 ) -> SupportedFunction:
     triples = _row_triples(rows, lambda elem: element_from_json(G, elem), what)
-    return SupportedFunction.trusted(G, _summed_rows(triples))
+    return SupportedFunction.trusted(G, *_summed_rows(triples))
 
 
 def tree_function_from_rows(
     k: int, rows: list[dict] | None, what: str = "data rows"
 ) -> TreeFunction:
     triples = _row_triples(rows, lambda word: vertex_from_json(k, word), what)
-    return TreeFunction.trusted(k, _summed_rows(triples))
+    return TreeFunction.trusted(k, *_summed_rows(triples))
 
 
 def quotient_function_from_rows(
@@ -111,10 +115,10 @@ def quotient_function_from_rows(
     """A function on the quotient from rows at base-group representatives, one per coset."""
     project = lambda e: quot.project(element_from_json(quot.base, e))
     triples = list(_row_triples(rows, project, what))
-    entries = _summed_rows(triples)
+    values = _summed_rows(triples)
     if len({q for q, _, _ in triples}) != len(triples):
         raise ShapeMismatch("two representatives of the same coset given")
-    return SupportedFunction.trusted(quot.group, entries)
+    return SupportedFunction.trusted(quot.group, *values)
 
 
 def element_label(a: GroupElement) -> str:
@@ -122,55 +126,32 @@ def element_label(a: GroupElement) -> str:
     return ";".join(str(v) for v in (*a.free, *a.torsion))
 
 
-def element_from_label(G: GroupSpec, label: str) -> GroupElement:
-    coords = [int(v) for v in label.split(";")] if label else []
-    if len(coords) != G.rank + len(G.moduli):
-        raise ShapeMismatch(f"label {label!r} has wrong coordinate count for the group")
-    return make_element(G, coords[: G.rank], coords[G.rank :])
-
-
 def vertex_label(x: TreeVertex) -> str:
     return ";".join(str(i) for i in x)
 
 
-def vertex_from_label(k: int, label: str) -> TreeVertex:
-    return make_vertex([int(v) for v in label.split(";")] if label else [], k)
-
-
-def _to_csv(entries: dict, label: Callable, header: dict[str, Any]) -> str:
+def _to_csv(f: Scaled, label: Callable, header: dict[str, Any]) -> str:
     """CSV with a leading comment line recording the run parameters, rows in key order.
 
+    Each row is one value in lowest terms, num // g and den // g with g the
+    gcd of the two.
     Labels hold only integers and ';', so no field needs quoting.  The
     comment line ends in "\\n"; the column header and every row end in
     "\\r\\n", the bytes ``csv.writer`` wrote for them.
     """
     comment = "# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n"
-    rows = (f"{label(x)},{v.numerator},{v.denominator}\r\n" for x, v in sorted(entries.items()))
+    d = f.denominator
+    rows = (
+        f"{label(x)},{v // g},{d // g}\r\n"
+        for x, v in sorted(f.numerators.items())
+        for g in (gcd(v, d),)
+    )
     return comment + "vertex,num,den\r\n" + "".join(rows)
 
 
-def _csv_rows(text: str, parse_label: Callable) -> Iterable[tuple]:
-    """(key, num, den) triples of a CSV written by ``_to_csv``; fields may be quoted."""
-    reader = csv.reader(line for line in text.splitlines() if line and not line.startswith("#"))
-    header = next(reader, None)
-    if header != ["vertex", "num", "den"]:
-        raise ShapeMismatch(f"unexpected CSV header {header}")
-    return ((parse_label(label), num, den) for label, num, den in reader)
-
-
 def function_to_csv(f: SupportedFunction, header: dict[str, Any]) -> str:
-    return _to_csv(f.entries, element_label, header)
-
-
-def function_from_csv(text: str, G: GroupSpec) -> SupportedFunction:
-    rows = _csv_rows(text, lambda label: element_from_label(G, label))
-    return SupportedFunction.trusted(G, _summed_rows(rows))
+    return _to_csv(f, element_label, header)
 
 
 def tree_function_to_csv(f: TreeFunction, header: dict[str, Any]) -> str:
-    return _to_csv(f.entries, vertex_label, header)
-
-
-def tree_function_from_csv(text: str, k: int) -> TreeFunction:
-    rows = _csv_rows(text, lambda label: vertex_from_label(k, label))
-    return TreeFunction.trusted(k, _summed_rows(rows))
+    return _to_csv(f, vertex_label, header)

@@ -8,21 +8,22 @@ initial data.  Sphere sums are rerooted along the prefix tree of the
 data's support (the radialization recurrence of Figà-Talamanca & Nebbia,
 *Harmonic Analysis and Representation Theory for Groups Acting on
 Homogeneous Trees*, 1991), never enumerate the exponentially large
-spheres themselves, and add the data's integer numerators: each output
-value is one ``Fraction``.
+spheres themselves, and add the data's integer numerators.  The weights
+are integers, so a solution is integer numerators over the data's
+denominator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
-from typing import Iterable, Sequence
+from math import comb, lcm
+from typing import Iterable, Mapping, Sequence
 
 from .cayley import wave_rows
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
-from .functions import _integer_form, summed
+from .functions import Scaled, lowest_terms
 
 TreeVertex = tuple[int, ...]
 
@@ -62,39 +63,19 @@ def neighbors(x: TreeVertex, k: int) -> list[TreeVertex]:
     return out
 
 
-@dataclass
-class TreeFunction:
-    """A finitely supported map from reduced words to rationals.
+class TreeFunction(Scaled):
+    """A finitely supported map from reduced words over 1..k to rationals.
 
-    ``entries`` is never mutated after construction: ``integer_form`` and
-    ``rerooted`` are derived from it once and cached, so a changed entry
-    would go unseen.
+    Never mutated after construction: ``rerooted`` is derived from the
+    numerators once and cached, so a changed numerator would go unseen.
     """
 
-    k: int
-    entries: dict[TreeVertex, Fraction] = field(default_factory=dict)
+    def __init__(self, k: int, entries: Mapping | None = None):
+        self._init(k, ((make_vertex(x, k), v) for x, v in (entries or {}).items()))
 
-    def __post_init__(self):
-        pairs = ((make_vertex(x, self.k), Fraction(v)) for x, v in self.entries.items())
-        self.entries = summed(pairs)
-
-    @classmethod
-    def trusted(cls, k: int, entries: dict[TreeVertex, Fraction]) -> TreeFunction:
-        """Wrap entries the program built itself, skipping the validation.
-
-        Every key must already be a reduced word over 1..k (a tuple) and
-        every value a non-zero ``Fraction``; the dict is taken over, not
-        copied.
-        """
-        f = object.__new__(cls)
-        f.k = k
-        f.entries = entries
-        return f
-
-    @cached_property
-    def integer_form(self) -> tuple[dict[TreeVertex, int], int]:
-        """(numerators, d) with entries = numerators / d, d the lcm of the denominators."""
-        return _integer_form(self)
+    @property
+    def k(self) -> int:
+        return self.tag
 
     @cached_property
     def rerooted(self) -> _Hull | None:
@@ -102,20 +83,7 @@ class TreeFunction:
 
         ``_radius_sums`` grows the tree below it on demand.
         """
-        return _Hull(self.integer_form[0].items(), 0, None) if self.entries else None
-
-    def __call__(self, x: TreeVertex) -> Fraction:
-        return self.entries.get(tuple(x), Fraction(0))
-
-    def support(self) -> set[TreeVertex]:
-        return set(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TreeFunction)
-            and self.k == other.k
-            and self.entries == other.entries
-        )
+        return _Hull(self.numerators.items(), 0, None) if self.numerators else None
 
 
 def sphere_size(k: int, r: int) -> int:
@@ -200,14 +168,14 @@ def _radius_sums(f: TreeFunction, x: TreeVertex) -> dict[int, int]:
 
 def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
     """Sum of f over each sphere around x that its support meets."""
-    d = f.integer_form[1]
+    d = f.denominator
     return {r: Fraction(v, d) for r, v in _radius_sums(f, x).items()}
 
 
 def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
     """Average of f over the sphere of radius |r| around x (even in r)."""
     r = abs(r)
-    return Fraction(_radius_sums(f, x).get(r, 0), f.integer_form[1] * sphere_size(f.k, r))
+    return Fraction(_radius_sums(f, x).get(r, 0), f.denominator * sphere_size(f.k, r))
 
 
 def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
@@ -215,7 +183,7 @@ def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
     sums = _radius_sums(f, x)
     if not sums:
         return []
-    d = f.integer_form[1]
+    d = f.denominator
     return [Fraction(sums.get(r, 0), d * sphere_size(f.k, r)) for r in range(max(sums) + 1)]
 
 
@@ -236,36 +204,22 @@ def alpha_coeff(j: int, s: int, k: int) -> int:
 class WeightTable:
     """Closed-form sphere weights: value at x is sum_s weights[s] * (sphere sum at radius s).
 
-    The table holds the integer row; weight s is row[s] / S(s).  ``apply``
-    works over the one denominator S(top), top = len(row) - 1, with the
-    scaled row W[s] = row[s] * (S(top) / S(s)): S(s) divides S(top) for
-    s <= top and k >= 2.
+    Weight s is the propagator's value at any vertex at distance s from its
+    center.  The propagator is an integer polynomial in the adjacency
+    applied to a point mass, so every weight is an ``int``.
     """
 
     k: int
-    row: list[int]
-    scaled: list[int] = field(init=False, repr=False)
-    denominator: int = field(init=False, repr=False)
+    weights: list[int]
 
-    def __post_init__(self):
-        self.denominator = sphere_size(self.k, len(self.row) - 1) if self.row else 1
-        self.scaled = [
-            c * (self.denominator // sphere_size(self.k, s)) for s, c in enumerate(self.row)
-        ]
+    def apply(self, f: TreeFunction, x: TreeVertex) -> int:
+        """sum_s weights[s] * (sphere sum of f's numerators at radius s around x).
 
-    @property
-    def weights(self) -> list[Fraction]:
-        """The weights row[s] / S(s) as ``Fraction``s, built on each read."""
-        return [Fraction(c, sphere_size(self.k, s)) for s, c in enumerate(self.row)]
-
-    def apply(self, f: TreeFunction, x: TreeVertex) -> Fraction:
-        """sum_s weights[s] * (sphere sum of f at radius s around x).
-
-        Data beyond the table's top radius has weight 0 and is skipped.
+        The value at x is this over ``f.denominator``.  Data beyond the
+        table's top radius has weight 0 and is skipped.
         """
-        scaled = self.scaled
-        total = sum(scaled[s] * v for s, v in _radius_sums(f, x).items() if s < len(scaled))
-        return Fraction(total, self.denominator * f.integer_form[1])
+        weights = self.weights
+        return sum(weights[s] * v for s, v in _radius_sums(f, x).items() if s < len(weights))
 
 
 def _advance_row(row: list[int], k: int, center: int) -> list[int]:
@@ -297,7 +251,8 @@ def _tables(k: int, n: int, center: int, rows: list[list[int]]) -> list[WeightTa
     """A table per row: sum_i row[i] X^i, X the radialized step with ``center``.
 
     Each power of X moves mass one radius out, so a row of length m covers
-    radii 0..m-1; the rows share the powers.
+    radii 0..m-1; the rows share the powers.  Entry s of the evaluated row
+    is S(s) times weight s, divided out exactly here.
     """
     if k < 2:
         raise ShapeMismatch(f"tree degree k must be at least 2, got {k}")
@@ -312,7 +267,8 @@ def _tables(k: int, n: int, center: int, rows: list[list[int]]) -> list[WeightTa
             if i < len(row) and row[i]:
                 for s, p in enumerate(power):
                     table[s] += row[i] * p
-    return [WeightTable(k, table) for table in out]
+    return [WeightTable(k, [c // sphere_size(k, s) for s, c in enumerate(table)])
+            for table in out]
 
 
 def tree_heat_weights(k: int, n: int) -> WeightTable:
@@ -343,10 +299,8 @@ def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> T
     out = {}
     for x in eval_at:
         x = make_vertex(x, f.k)
-        v = table.apply(f, x)
-        if v:
-            out[x] = v
-    return TreeFunction.trusted(f.k, out)
+        out[x] = table.apply(f, x)
+    return TreeFunction.trusted(f.k, *lowest_terms(out, f.denominator))
 
 
 def radial_mass(g: TreeFunction, x: TreeVertex) -> Fraction:
@@ -362,7 +316,7 @@ def radial_mass(g: TreeFunction, x: TreeVertex) -> Fraction:
     total = sum(
         v * (size if r == 0 else 2 * (size // sphere_size(g.k, r))) for r, v in sums.items()
     )
-    return Fraction(total, size * g.integer_form[1])
+    return Fraction(total, size * g.denominator)
 
 
 def tree_wave_solve(
@@ -372,10 +326,13 @@ def tree_wave_solve(
 
     The zero-mean compatibility condition applies to the radialization of
     g around each evaluation vertex and is checked at every one of them.
+    The values are numerators over lcm(d_f, d_g).
     """
     if f.k != g.k:
         raise ShapeMismatch("initial value and velocity live on trees of different degree")
     ftable, gtable = tree_wave_weights(f.k, n)
+    d = lcm(f.denominator, g.denominator)
+    a, b = d // f.denominator, d // g.denominator
     out = {}
     # Every vertex is checked before any mass, so a malformed window is reported first.
     for x in [make_vertex(x, f.k) for x in eval_at]:
@@ -386,7 +343,5 @@ def tree_wave_solve(
                 f"radialized velocity has total mass {mass}",
                 detail=(x, mass),
             )
-        v = ftable.apply(f, x) + gtable.apply(g, x)
-        if v:
-            out[x] = v
-    return TreeFunction.trusted(f.k, out)
+        out[x] = a * ftable.apply(f, x) + b * gtable.apply(g, x)
+    return TreeFunction.trusted(f.k, *lowest_terms(out, d))

@@ -220,7 +220,7 @@ def quadrature_errors(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[float, dic
     if scale >= 1 << 51:  # scale * eps >= 1/2, eps = 2^-52
         raise IndexOutOfRange(f"n={n}: float quadrature cannot resolve the integer values of K_n")
     K = cayley.heat_kernel(G, S, n).data
-    rs = sorted({x.free[0] for x in cayley.ball(G, S, n)} | {x.free[0] for x in K.entries})
+    rs = sorted({x.free[0] for x in cayley.ball(G, S, n)} | {x.free[0] for x in K.numerators})
     approx = oracles.quadrature_kernels(S, n, [r for r in rs if abs(r) <= reach])
     errors = {r: abs(approx.get(r, 0.0) - float(K(make_element(G, [r], [])))) for r in rs}
     return max(1e-9, scale * sys.float_info.epsilon), errors

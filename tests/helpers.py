@@ -1,0 +1,78 @@
+"""Readers and references that only the tests use.
+
+The CSV readers parse what ``serialize`` writes, through the wire's own
+row reader; ``convolve_power`` and ``symbol_eval`` are references for the
+kernel tests.
+"""
+
+import cmath
+import csv
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
+
+from lattice_waves import serialize
+from lattice_waves.errors import ShapeMismatch, TorsionUnsupported
+from lattice_waves.functions import SupportedFunction, convolve_polynomials
+from lattice_waves.groups import GeneratorSet, GroupElement, GroupSpec, make_element
+from lattice_waves.tree import TreeFunction, TreeVertex, make_vertex
+
+
+def element_from_label(G: GroupSpec, label: str) -> GroupElement:
+    coords = [int(v) for v in label.split(";")] if label else []
+    if len(coords) != G.rank + len(G.moduli):
+        raise ShapeMismatch(f"label {label!r} has wrong coordinate count for the group")
+    return make_element(G, coords[: G.rank], coords[G.rank :])
+
+
+def vertex_from_label(k: int, label: str) -> TreeVertex:
+    return make_vertex([int(v) for v in label.split(";")] if label else [], k)
+
+
+def _csv_rows(text: str, parse_label: Callable) -> Iterable[tuple]:
+    """(key, num, den) triples of a CSV written by ``serialize``; fields may be quoted."""
+    reader = csv.reader(line for line in text.splitlines() if line and not line.startswith("#"))
+    header = next(reader, None)
+    if header != ["vertex", "num", "den"]:
+        raise ShapeMismatch(f"unexpected CSV header {header}")
+    return ((parse_label(label), num, den) for label, num, den in reader)
+
+
+def function_from_csv(text: str, G: GroupSpec) -> SupportedFunction:
+    rows = _csv_rows(text, lambda label: element_from_label(G, label))
+    return SupportedFunction.trusted(G, *serialize._summed_rows(rows))
+
+
+def tree_function_from_csv(text: str, k: int) -> TreeFunction:
+    rows = _csv_rows(text, lambda label: vertex_from_label(k, label))
+    return TreeFunction.trusted(k, *serialize._summed_rows(rows))
+
+
+def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:
+    """n-fold convolution power; n=0 gives delta_e.
+
+    f's numerators are raised by ``convolve_polynomials`` and divided by
+    the n-th power of f's denominator.
+    """
+    G = f.group
+    out = convolve_polynomials(SupportedFunction.trusted(G, f.numerators), [[0] * n + [1]])[0]
+    d = f.denominator**n
+    return SupportedFunction(G, {x: Fraction(v, d) for x, v in out.numerators.items()})
+
+
+def symbol_eval(S: GeneratorSet, t: Sequence[float]) -> complex:
+    """Evaluate the Laplacian symbol at the character of Z^d with angles t.
+
+    Real-valued whenever S is symmetric; vanishes at t = 0.
+    """
+    for s in S.elements:
+        if s.torsion:
+            raise TorsionUnsupported("symbol evaluation requires a torsion-free group")
+        if len(s.free) != len(t):
+            raise TorsionUnsupported(
+                f"angle vector has length {len(t)}, expected {len(s.free)}"
+            )
+    total = complex(S.degree)
+    for s in S.elements:
+        phase = sum(ti * si for ti, si in zip(t, s.free))
+        total -= cmath.exp(-1j * phase)
+    return total

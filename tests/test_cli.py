@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from lattice_waves import cayley, cli, cosets, oracles, randgen, serialize, tree, verify
+from lattice_waves import cayley, cli, cosets, oracles, randgen, tree, verify
 from lattice_waves.errors import TorsionUnsupported
 from lattice_waves.functions import SupportedFunction, add, delta
 from lattice_waves.groups import make_element, make_group, validate_generators
+
+from helpers import function_from_csv, tree_function_from_csv
 
 
 def write_problem(tmp_path, obj, name="problem.json"):
@@ -93,7 +95,7 @@ class TestRun:
         out = tmp_path / "u.csv"
         assert cli.main(["heat", "--problem", problem, "--out", str(out)]) == 0
         Z = make_group(1, [])
-        u = serialize.function_from_csv(out.read_text(), Z)
+        u = function_from_csv(out.read_text(), Z)
         values = {x.free[0]: v for x, v in u.entries.items()}
         assert values == {-2: 1, -1: -2, 0: 3, 1: -2, 2: 1}
 
@@ -127,6 +129,24 @@ class TestRun:
         out = tmp_path / "u.csv"
         assert cli.main([obj["kind"], "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
         assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("obj, other", [
+        (dict(heat_problem(), kind="wave", g=ZERO_MASS_VELOCITY), {"free": [2], "torsion": []}),
+        (COSET_PROBLEM, {"free": [1], "torsion": [1]}),
+        (tree_problem(), [2, 1]),
+    ], ids=["wave", "coset-heat", "tree-heat"])
+    def test_wire_rationals_of_one_value_write_the_same_bytes(self, tmp_path, obj, other):
+        # -1/2 as "1"/"-2" and as "-2"/"4" is the reduced "-1"/"2"; a second
+        # row of 1/3 puts it over a common denominator with another.
+        outputs = []
+        for num, den in (("-1", "2"), ("1", "-2"), ("-2", "4")):
+            rows = [dict(obj["f"][0], num=num, den=den), {"elem": other, "num": "1", "den": "3"}]
+            out = tmp_path / f"{num}_{den}.csv"
+            problem = write_problem(tmp_path, dict(obj, f=rows))
+            assert cli.main([obj["kind"], "--problem", problem, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\r\n") > 2
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_deep_eval_vertex(self, tmp_path):
         # One eval vertex of 5000 letters, with data on its parent: the sphere
@@ -189,7 +209,7 @@ class TestRun:
         problem = write_problem(tmp_path, tree_problem())
         assert cli.main(["tree-heat", "--problem", problem]) == 0
         text = capsys.readouterr().out
-        f = serialize.tree_function_from_csv(text, 3)
+        f = tree_function_from_csv(text, 3)
         assert f(()) == 7
         assert f((1,)) == -4
         assert f((1, 2)) == 1
@@ -199,7 +219,7 @@ class TestRun:
         obj["eval"] = {"vertices": [[], [1]]}
         problem = write_problem(tmp_path, obj)
         assert cli.main(["tree-heat", "--problem", problem]) == 0
-        f = serialize.tree_function_from_csv(capsys.readouterr().out, 3)
+        f = tree_function_from_csv(capsys.readouterr().out, 3)
         assert f(()) == 7 and f((1,)) == -4
 
     def test_coset_heat_runs(self, tmp_path, capsys):
@@ -219,7 +239,7 @@ class TestRun:
         problem = write_problem(tmp_path, obj)
         assert cli.main(["kernel", "--problem", problem]) == 0
         Z = make_group(1, [])
-        G3 = serialize.function_from_csv(capsys.readouterr().out, Z)
+        G3 = function_from_csv(capsys.readouterr().out, Z)
         from lattice_waves.functions import trivial_character_sum
 
         assert trivial_character_sum(G3) == 3
@@ -252,10 +272,10 @@ class TestCompare:
 
         def closed_form_with_one_value_negated(*args):
             u, header = closed_form(*args)
-            entries = dict(u.entries)
-            x = next(iter(entries))
-            entries[x] = -entries[x]
-            return SupportedFunction.trusted(u.group, entries), header
+            numerators = dict(u.numerators)
+            x = next(iter(numerators))
+            numerators[x] = -numerators[x]
+            return SupportedFunction.trusted(u.group, numerators, u.denominator), header
 
         monkeypatch.setattr(cli, "_closed_form", closed_form_with_one_value_negated)
         assert cli.main(["compare", "--problem", problem]) == 3
@@ -306,7 +326,7 @@ class TestCompare:
             K = heat_kernel(G, S, n)
             if r is not None:
                 x = make_element(G, [r], [])
-                K.data.entries[x] = K.data.entries.get(x, 0) + 1000
+                K.data.numerators[x] = K.data.numerators.get(x, 0) + 1000
             return K
 
         monkeypatch.setattr(cli.cayley, "heat_kernel", heat_kernel_off_by_1000_at_r)

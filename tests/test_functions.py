@@ -14,7 +14,6 @@ from lattice_waves.functions import (
     SupportedFunction,
     add,
     convolve,
-    convolve_power,
     delta,
     l1_norm,
     l2_norm_squared,
@@ -25,8 +24,9 @@ from lattice_waves.functions import (
     trivial_character_sum,
     zero,
 )
-from lattice_waves.functions import _integer_form
 from lattice_waves.groups import adder, identity, make_element, make_group
+
+from helpers import convolve_power
 
 Z = make_group(1, [])
 ZxZ4 = make_group(1, [4])
@@ -64,13 +64,19 @@ def test_public_constructor_reduces_torsion_and_merges():
         make_element(ZxZ4, [0], [0]): Fraction(2),
     }
     assert all(type(v) is Fraction for v in f.entries.values())
+    assert f.numerators == {make_element(ZxZ4, [1], [1]): 5, make_element(ZxZ4, [0], [0]): 12}
+    assert f.denominator == 6
 
 
 def test_trusted_constructor_keeps_entries():
-    entries = {make_element(ZxZ4, [1], [3]): Fraction(1, 2)}
-    f = SupportedFunction.trusted(ZxZ4, entries)
-    assert f.entries is entries
-    assert f == SupportedFunction(ZxZ4, dict(entries))
+    x = make_element(ZxZ4, [1], [3])
+    numerators = {x: 1}
+    f = SupportedFunction.trusted(ZxZ4, numerators, 2)
+    assert f.numerators is numerators and f.denominator == 2
+    assert f == SupportedFunction(ZxZ4, {x: Fraction(1, 2)})
+    assert f.entries == {x: Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        f.entries[x] = 1  # a read-only view of the numerators
 
 
 def _naive_convolve(f, g):
@@ -189,8 +195,8 @@ def box_function(G, side, values):
 
 
 def packed_and_sparse(f, g):
-    """The packed product of the integer forms (None where it does not pack) and the sparse one."""
-    (a, _), (b, _) = _integer_form(f), _integer_form(g)
+    """The packed product of the numerators (None where it does not pack) and the sparse one."""
+    a, b = f.numerators, g.numerators
     return (functions_module._packed_product(f.group, a, b),
             functions_module._sparse_product(f.group, a, b))
 

@@ -23,11 +23,13 @@ def z_gens():
 
 def test_oracles_share_no_engine_code():
     # The exact-agreement tests mean something only while the oracles step
-    # the recurrences themselves: they may use the element, scalar and
-    # function types, never the kernels, convolution, weight tables, the
-    # engine's integer form of the data, its packed (Kronecker) kernels and
-    # products, the sparse product they fall back on, or the rerooted tree
-    # sphere sums and their cache: the tree oracles step neighbours.
+    # the recurrences themselves: they may use the element types and the
+    # value form (``Scaled``, ``lowest_terms``, ``add``), whose results are
+    # checked against ``Fraction`` references in test_value_form.py, never
+    # the kernels, convolution, weight tables, the packed (Kronecker)
+    # kernels and products, the sparse product they fall back on, or the
+    # rerooted tree sphere sums and their cache: the tree oracles step
+    # neighbours.
     tree_ = ast.parse(inspect.getsource(oracles))
     modules = {n.module for n in ast.walk(tree_) if isinstance(n, ast.ImportFrom)}
     assert not modules & {"cayley", "cli", "verify"}
@@ -265,8 +267,8 @@ def test_radial_and_path_steppers_follow_the_literal_recurrence(k):
         assert oracles.radial_step_heat(p1, k) == [heat[r] for r in range(len(p1) + 1)]
         assert oracles.radial_step_wave(p0, p1, k) == [wave[r] for r in range(top)]
         free = oracles.PathProfile({r: randgen.random_rational(rng) for r in rng.sample(range(-4, 5), 3)})
-        heat, _ = _literal_rules(_around(free.values, line), line, free, free)
-        assert oracles.path_step_heat(free, k).values == _nonzero(heat)
+        heat, _ = _literal_rules(_around(free.support(), line), line, free, free)
+        assert oracles.path_step_heat(free, k).entries == _nonzero(heat)
 
 
 class TestQuadrature:

@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_waves import cayley, cosets, functions, randgen
-from lattice_waves.functions import SupportedFunction, convolve_polynomials, convolve_power
+from lattice_waves.functions import SupportedFunction, convolve_polynomials
 from lattice_waves.groups import GeneratorSet, identity, make_element, make_group, validate_generators
+
+from helpers import convolve_power
 
 
 def unit(G):
@@ -27,9 +29,10 @@ def unit(G):
 
 
 def sparse_convolve(f, g):
-    """f*g by the sparse double loop over the two supports."""
-    G = f.group
-    return SupportedFunction.trusted(G, functions._sparse_product(G, f.entries, g.entries))
+    """f*g by the sparse double loop over the two supports' numerators."""
+    G, d = f.group, f.denominator * g.denominator
+    product = functions._sparse_product(G, f.numerators, g.numerators)
+    return SupportedFunction(G, {x: Fraction(v, d) for x, v in product.items()})
 
 
 def sparse_power(f, n, squares=None):
@@ -64,7 +67,7 @@ def sparse_wave(G, S, n):
         if i:
             power = sparse_convolve(power, A)
         for total, c in zip(totals, (comb(n, 2 * i), comb(n, 2 * i + 1))):
-            for x, v in power.entries.items():
+            for x, v in power.numerators.items():
                 total[x] = total.get(x, 0) + (-1) ** i * c * v
     return tuple(SupportedFunction.trusted(G, {x: v for x, v in t.items() if v}) for t in totals)
 
@@ -110,7 +113,7 @@ CASES = {
 
 
 def assert_int_valued(K):
-    assert all(type(v) is int and v for v in K.entries.values())
+    assert K.denominator == 1 and all(type(v) is int and v for v in K.numerators.values())
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -271,13 +274,13 @@ def literal_polynomial(f, row):
     """sum_i row[i] f^{*i}, one power and one scaled sum at a time."""
     total = {}
     for i, c in enumerate(row):
-        for x, v in sparse_power(f, i).entries.items():
+        for x, v in sparse_power(f, i).numerators.items():
             total[x] = total.get(x, 0) + c * v
     return SupportedFunction.trusted(f.group, {x: v for x, v in total.items() if v})
 
 
 def integral(f):
-    return SupportedFunction.trusted(f.group, {x: v.numerator for x, v in f.entries.items()})
+    return SupportedFunction.trusted(f.group, f.numerators)
 
 
 def random_rows(rng, count, top):
@@ -301,7 +304,7 @@ def test_convolve_polynomials_matches_the_literal_sum(G):
         top = rng.randint(1, 7)
         if trial % 3 == 2:
             f = far_apart(G)
-            assert functions._packing(G, f.entries, top, 1) is None
+            assert functions._packing(G, f.numerators, top, 1) is None
         else:
             f = integral(randgen.random_function(rng, G, max_points=4, span=2))
         rows = random_rows(rng, 3, top)
@@ -315,8 +318,8 @@ def test_convolve_polynomials_matches_the_literal_sum(G):
 def test_convolve_polynomials_takes_both_paths():
     # The test above relies on both sides of the path choice being reached.
     f = SupportedFunction.trusted(Z, {make_element(Z, [0], []): 3, make_element(Z, [2], []): -1})
-    assert functions._packing(Z, f.entries, 5, 1) is not None
-    assert functions._packing(Z, far_apart(Z).entries, 5, 1) is None
+    assert functions._packing(Z, f.numerators, 5, 1) is not None
+    assert functions._packing(Z, far_apart(Z).numerators, 5, 1) is None
     rows = [[1, 0, -2, 5], [0, 0, 0, 0, 0, 7], [4], [0, 0]]
     for g in (f, far_apart(Z)):
         assert convolve_polynomials(g, rows) == [literal_polynomial(g, row) for row in rows]

@@ -13,6 +13,8 @@ from lattice_waves.functions import SupportedFunction
 from lattice_waves.groups import make_element, make_group
 from lattice_waves.tree import TreeFunction
 
+from helpers import element_from_label, function_from_csv, tree_function_from_csv, vertex_from_label
+
 Z = make_group(1, [])
 ZxZ4 = make_group(1, [4])
 
@@ -59,7 +61,7 @@ class TestFunctionRoundTrips:
     @given(value=rationals(), coord=st.integers(-(10**9), 10**9))
     def test_csv_round_trip_large_values(self, value, coord):
         f = SupportedFunction(Z, {make_element(Z, [coord], []): value})
-        assert serialize.function_from_csv(serialize.function_to_csv(f, {}), Z) == f
+        assert function_from_csv(serialize.function_to_csv(f, {}), Z) == f
 
     def test_csv_round_trip(self):
         rng = random.Random(0)
@@ -67,11 +69,11 @@ class TestFunctionRoundTrips:
             f = randgen.random_function(rng, G)
             text = serialize.function_to_csv(f, {"kind": "heat", "n": 3})
             assert text.startswith("# kind=heat n=3\n")
-            assert serialize.function_from_csv(text, G) == f
+            assert function_from_csv(text, G) == f
 
     def test_csv_header_validated(self):
         with pytest.raises(ShapeMismatch):
-            serialize.function_from_csv("a,b\n1,2\n", Z)
+            function_from_csv("a,b\n1,2\n", Z)
 
     def test_zero_denominator_rejected(self):
         row = {"elem": {"free": [0], "torsion": []}, "num": "1", "den": "0"}
@@ -80,9 +82,9 @@ class TestFunctionRoundTrips:
         with pytest.raises(ZeroDenominator):
             serialize.tree_function_from_rows(3, [{**row, "elem": []}])
         with pytest.raises(ZeroDenominator):
-            serialize.function_from_csv("vertex,num,den\n0,1,0\n", Z)
+            function_from_csv("vertex,num,den\n0,1,0\n", Z)
         with pytest.raises(ZeroDenominator):
-            serialize.tree_function_from_csv("vertex,num,den\n,1,0\n", 3)
+            tree_function_from_csv("vertex,num,den\n,1,0\n", 3)
 
     def test_tree_json_round_trip(self):
         rng = random.Random(1)
@@ -92,7 +94,7 @@ class TestFunctionRoundTrips:
     def test_tree_csv_round_trip(self):
         f = TreeFunction(3, {(): Fraction(1, 3), (1, 2): Fraction(-5, 7)})
         text = serialize.tree_function_to_csv(f, {"kind": "tree-heat"})
-        assert serialize.tree_function_from_csv(text, 3) == f
+        assert tree_function_from_csv(text, 3) == f
 
 
 class TestRepeatedRows:
@@ -107,7 +109,7 @@ class TestRepeatedRows:
                 for x, a, b in self.ROWS]
         assert serialize.function_from_rows(Z, rows) == want
         csv = "vertex,num,den\r\n" + "".join(f"{x},{a},{b}\r\n" for x, a, b in self.ROWS)
-        assert serialize.function_from_csv(csv, Z) == want
+        assert function_from_csv(csv, Z) == want
 
     def test_tree_rows_add_up(self):
         words = {"1": "1", "-2": "", "3": "2;1"}
@@ -116,7 +118,7 @@ class TestRepeatedRows:
                 for x, a, b in self.ROWS]
         assert serialize.tree_function_from_rows(3, rows) == want
         csv = "vertex,num,den\r\n" + "".join(f"{words[x]},{a},{b}\r\n" for x, a, b in self.ROWS)
-        assert serialize.tree_function_from_csv(csv, 3) == want
+        assert tree_function_from_csv(csv, 3) == want
 
     def test_coset_representatives_must_differ(self):
         from lattice_waves.groups import quotient
@@ -134,13 +136,13 @@ class TestRepeatedRows:
 class TestLabels:
     def test_element_label_round_trip(self):
         a = make_element(ZxZ4, [-2], [3])
-        assert serialize.element_from_label(ZxZ4, serialize.element_label(a)) == a
+        assert element_from_label(ZxZ4, serialize.element_label(a)) == a
 
     def test_element_label_wrong_arity(self):
         with pytest.raises(ShapeMismatch):
-            serialize.element_from_label(ZxZ4, "1")
+            element_from_label(ZxZ4, "1")
 
     def test_vertex_label_round_trip(self):
         x = (1, 2, 1)
-        assert serialize.vertex_from_label(3, serialize.vertex_label(x)) == x
-        assert serialize.vertex_from_label(3, "") == ()
+        assert vertex_from_label(3, serialize.vertex_label(x)) == x
+        assert vertex_from_label(3, "") == ()

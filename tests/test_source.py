@@ -35,3 +35,21 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert not unused, unused
+
+
+def test_fraction_stays_at_the_api_boundary():
+    # Values are integer numerators over one denominator; these modules
+    # neither build nor name a Fraction.
+    for name in ("cayley.py", "cosets.py", "serialize.py"):
+        assert "Fraction" not in (SRC / name).read_text(encoding="utf-8"), name
+
+
+def test_engine_and_oracles_read_numerators_not_entries():
+    # ``entries`` is a Fraction view for readers outside the program.
+    reads = [
+        f"{name}:{node.lineno}"
+        for name in ("cayley.py", "cosets.py", "oracles.py", "serialize.py", "tree.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    ]
+    assert not reads, reads

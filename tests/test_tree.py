@@ -33,10 +33,11 @@ class TestGeometry:
         assert tree.TreeFunction(3, {(1,): Fraction(1, 2), ("1",): Fraction(-1, 2)}).entries == {}
 
     def test_trusted_function_keeps_entries(self):
-        entries = {(1, 2): Fraction(1, 3)}
-        f = tree.TreeFunction.trusted(3, entries)
-        assert f.entries is entries
-        assert f == tree.TreeFunction(3, dict(entries))
+        numerators = {(1, 2): 1}
+        f = tree.TreeFunction.trusted(3, numerators, 3)
+        assert f.numerators is numerators and f.denominator == 3
+        assert f == tree.TreeFunction(3, {(1, 2): Fraction(1, 3)})
+        assert f.entries == {(1, 2): Fraction(1, 3)}
 
     def test_distance_common_prefix(self):
         assert tree.tree_distance((1, 2, 3), (1, 2, 1)) == 2
@@ -317,7 +318,8 @@ class TestIntegerSphereSums:
 
             for x in eval_at:
                 for table in (heat, wf, wg):
-                    assert table.apply(f, x) == _literal_apply(table.weights, f, x)
+                    value = Fraction(table.apply(f, x), f.denominator)
+                    assert value == _literal_apply(table.weights, f, x)
                     top = len(table.weights) - 1
                     beyond_top += sum(tree.tree_distance(x, y) > top for y in f.support())
                 assert tree.radial_mass(g0, x) == _literal_radial_mass(g0, x)
@@ -411,7 +413,8 @@ class TestRerootedSums:
                     want = profile[abs(r)] if abs(r) < len(profile) else 0
                     assert tree.spherical_mean(f, x, r) == want
                 for table in tables:
-                    assert table.apply(f, x) == _literal_apply(table.weights, f, x)
+                    value = Fraction(table.apply(f, x), f.denominator)
+                    assert value == _literal_apply(table.weights, f, x)
                 assert tree.radial_mass(f, x) == _literal_radial_mass(f, x)
         prefixes = _hull_prefixes(f)
         assert len(prefixes) == len(set(prefixes))
