@@ -6,7 +6,9 @@ polynomial in one step: the heat propagator at time n is the n-th
 convolution power of delta_e - A, and the wave propagators are
 binomial sums in -A.  ``functions.convolve_polynomials`` evaluates them,
 and ``functions.convolve`` applies them to the data; both multiply packed
-``int``s wherever the layout is dense enough.
+``int``s wherever the layout is dense enough.  The tree weight tables
+(``tree._tables``) are its third caller: the same rows, evaluated on Z in
+the tree's step.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ Kernels are integer polynomials in one function (``convolve_polynomials``),
 and a solution is a kernel convolved with the data (``convolve``).  This
 module alone knows the packed (Kronecker) layout that computes both, and
 the sparse fallbacks used where that layout would be mostly empty.
+``convolve_polynomials`` has three callers: the Cayley heat kernel, the
+Cayley wave kernels, and the tree weight tables, which it evaluates on Z.
 """
 
 from __future__ import annotations
@@ -301,7 +303,7 @@ def _reach(G: GroupSpec, support, degree: int, free_box: int) -> int:
     box times the torsion.
     """
     others = set(support) - {identity(G)}
-    p = sum(1 for x in others if elem_neg(G, x) in others and elem_neg(G, x) != x) // 2
+    p = sum(1 for x in others if (y := elem_neg(G, x)) in others and y != x) // 2
     pq = len(others) - p
     ball = sum(comb(p, j) * comb(degree - j + pq, pq) for j in range(min(p, degree) + 1))
     return min(ball, free_box * prod(G.moduli))

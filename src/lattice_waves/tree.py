@@ -1,16 +1,17 @@
 """Heat and wave solutions on the k-regular tree via spherical means.
 
 Vertices are reduced words over k involutive generators (no two adjacent
-letters equal; the empty word is the root).  Radializing around an
-evaluation vertex turns the tree Laplacian into a drifted path operator,
-and the closed-form solutions become weighted sums of sphere sums of the
-initial data.  Sphere sums are rerooted along the prefix tree of the
-data's support (the radialization recurrence of Figà-Talamanca & Nebbia,
-*Harmonic Analysis and Representation Theory for Groups Acting on
-Homogeneous Trees*, 1991), never enumerate the exponentially large
-spheres themselves, and add the data's integer numerators.  The weights
-are integers, so a solution is integer numerators over the data's
-denominator.
+letters equal; the empty word is the root).  A solution value is a sum
+of the initial data's sphere sums around the evaluation vertex, sphere s
+weighted by the propagator's value at distance s: the Cayley propagator
+rows evaluated on Z by ``functions.convolve_polynomials`` and taken back
+to the tree by the inverse Abel transform (``_tables``).  Sphere sums
+are rerooted along the prefix tree of the data's support (the
+radialization recurrence of Figà-Talamanca & Nebbia, *Harmonic Analysis
+and Representation Theory for Groups Acting on Homogeneous Trees*,
+1991), never enumerate the exponentially large spheres themselves, and
+add the data's integer numerators.  The weights are integers, so a
+solution is integer numerators over the data's denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .cayley import wave_rows
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
-from .functions import Scaled, lowest_terms
+from .functions import Scaled, SupportedFunction, convolve_polynomials, lowest_terms
+from .groups import GroupElement, make_group
 
 TreeVertex = tuple[int, ...]
 
@@ -222,53 +224,42 @@ class WeightTable:
         return sum(weights[s] * v for s, v in _radius_sums(f, x).items() if s < len(weights))
 
 
-def _advance_row(row: list[int], k: int, center: int) -> list[int]:
-    """Advance the evaluation functional of a radialized step by one step.
-
-    The step is center*delta_e plus the sum over the k neighbours: 1 - k for
-    the heat step delta_e - A and -k for -A, the center coefficients of
-    ``cayley._symbol``.  Radialized around the evaluation vertex it is the
-    half-line update  p(r) -> (k-1) p(r+1) + p(|r-1|) + center p(r)  on
-    radial profiles, where |r-1| encodes the even boundary M(-1) = M(1) that
-    the spherical-mean reduction imposes at the center.  The value at the
-    center after n steps is a linear functional of the initial profile;
-    this right-multiplies its integer coefficient row by the update matrix.
-    """
-    out = [0] * (len(row) + 1)
-    for r, c in enumerate(row):
-        if not c:
-            continue
-        out[r] += center * c
-        if r == 0:
-            out[1] += k * c
-        else:
-            out[r + 1] += (k - 1) * c
-            out[r - 1] += c
-    return out
-
-
 def _tables(k: int, n: int, center: int, rows: list[list[int]]) -> list[WeightTable]:
-    """A table per row: sum_i row[i] X^i, X the radialized step with ``center``.
+    """A table per row: the weights of sum_i row[i] X^i, X the step with ``center``.
 
-    Each power of X moves mass one radius out, so a row of length m covers
-    radii 0..m-1; the rows share the powers.  Entry s of the evaluated row
-    is S(s) times weight s, divided out exactly here.
+    X is c*delta plus the sum over the k neighbours, c = ``center`` (1 - k
+    for the heat step delta - A, -k for -A).  The row is evaluated on Z in
+    the step c*delta_0 + delta_1 + (k-1)*delta_{-1} by one
+    ``convolve_polynomials`` call, and the inverse Abel transform (Cowling,
+    Meda & Setti, *Expo. Math.* 16, 1998) takes its coefficients L(m) back
+    to the tree: weight[s] = L(s) - (k-2) sum_{j>=1} L(s+2j).
+
+    Why: index the vertices by horocycle, rising by one toward a fixed end.
+    A vertex has one neighbour toward the end and k-1 away from it, so the
+    horocycle sums of X g are c + z + (k-1)z^-1 times those of g, and L(m)
+    is the sum of the propagator K over horocycle m.  For m >= 0 that
+    horocycle meets the sphere of radius m around the center (on horocycle
+    0) in one vertex and that of radius m + 2j in (k-2)(k-1)^(j-1), so
+    L(m) = K(m) + sum_{j>=1} (k-2)(k-1)^(j-1) K(m+2j), which the suffix sum
+    inverts.  A row of length m reaches radius m - 1.
     """
     if k < 2:
         raise ShapeMismatch(f"tree degree k must be at least 2, got {k}")
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    out = [[0] * len(row) for row in rows]
-    power = [1]
-    for i in range(max(map(len, rows))):
-        if i:
-            power = _advance_row(power, k, center)
-        for table, row in zip(out, rows):
-            if i < len(row) and row[i]:
-                for s, p in enumerate(power):
-                    table[s] += row[i] * p
-    return [WeightTable(k, [c // sphere_size(k, s) for s, c in enumerate(table)])
-            for table in out]
+    step = {GroupElement((m,), ()): c for m, c in ((0, center), (1, 1), (-1, k - 1))}
+    line = SupportedFunction.trusted(make_group(1, []), step)
+    out = []
+    for row, h in zip(rows, convolve_polynomials(line, rows)):
+        L = {x.free[0]: v for x, v in h.numerators.items()}
+        weights = [L.get(m, 0) for m in range(len(row))]
+        # tails[s % 2] is sum_{j>=1} L(s+2j) when radius s is reached.
+        tails = [0, 0]
+        for s in reversed(range(len(row))):
+            weights[s] -= (k - 2) * tails[s % 2]
+            tails[s % 2] += L.get(s, 0)
+        out.append(WeightTable(k, weights))
+    return out
 
 
 def tree_heat_weights(k: int, n: int) -> WeightTable:
@@ -277,8 +268,8 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     Weight s is the solution value at the center, after n steps of the
     radialized heat recurrence, of the profile concentrated on the radius-s
     sphere with mean 1/S(s); equivalently the heat kernel value at any
-    vertex at distance s.  For k = 2 the table reproduces the kernel on Z
-    grouped as K_n(s) + K_n(-s).
+    vertex at distance s.  For k = 2 the table is the kernel on Z: weight s
+    is K_n(s).
     """
     return _tables(k, n, 1 - k, [[0] * n + [1]])[0]
 
@@ -286,9 +277,9 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
 def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
     """Wave sphere weights: the pair (initial-value table, initial-velocity table).
 
-    The propagators are the rows of ``cayley.wave_rows`` in the radialized
-    -A, the step with center -k.  The first table covers radii
-    0..floor(n/2), the second 0..floor((n-1)/2) (empty for n = 0).
+    The propagators are the rows of ``cayley.wave_rows`` in the tree's -A,
+    the step with center -k.  The first table covers radii 0..floor(n/2),
+    the second 0..floor((n-1)/2) (empty for n = 0).
     """
     return tuple(_tables(k, n, -k, wave_rows(n)))
 

@@ -2,7 +2,7 @@
 
 The CSV readers parse what ``serialize`` writes, through the wire's own
 row reader; ``convolve_power`` and ``symbol_eval`` are references for the
-kernel tests.
+kernel tests, and ``stepped_weights`` for the tree weight tables.
 """
 
 import cmath
@@ -14,7 +14,7 @@ from lattice_waves import serialize
 from lattice_waves.errors import ShapeMismatch, TorsionUnsupported
 from lattice_waves.functions import SupportedFunction, convolve_polynomials
 from lattice_waves.groups import GeneratorSet, GroupElement, GroupSpec, make_element
-from lattice_waves.tree import TreeFunction, TreeVertex, make_vertex
+from lattice_waves.tree import TreeFunction, TreeVertex, make_vertex, sphere_size
 
 
 def element_from_label(G: GroupSpec, label: str) -> GroupElement:
@@ -76,3 +76,45 @@ def symbol_eval(S: GeneratorSet, t: Sequence[float]) -> complex:
         phase = sum(ti * si for ti, si in zip(t, s.free))
         total -= cmath.exp(-1j * phase)
     return total
+
+
+def advance_row(row: list[int], k: int, center: int) -> list[int]:
+    """Advance the evaluation functional of a radialized step by one step.
+
+    The step is center*delta_e plus the sum over the k neighbours.
+    Radialized around the evaluation vertex it is the half-line update
+    p(r) -> (k-1) p(r+1) + p(|r-1|) + center p(r) on radial profiles, where
+    |r-1| encodes the even boundary M(-1) = M(1) that the spherical-mean
+    reduction imposes at the center.  The value at the center after n steps
+    is a linear functional of the initial profile; this right-multiplies its
+    integer coefficient row by the update matrix.
+    """
+    out = [0] * (len(row) + 1)
+    for r, c in enumerate(row):
+        if not c:
+            continue
+        out[r] += center * c
+        if r == 0:
+            out[1] += k * c
+        else:
+            out[r + 1] += (k - 1) * c
+            out[r - 1] += c
+    return out
+
+
+def stepped_weights(k: int, center: int, rows: list[list[int]]) -> list[list[int]]:
+    """The weights of sum_i row[i] X^i for each row, X the radialized step with ``center``.
+
+    The evaluated row's entry s is S(s) times weight s, S(s) the size of
+    the radius-s sphere; the rows share the powers of X.
+    """
+    out = [[0] * len(row) for row in rows]
+    power = [1]
+    for i in range(max(map(len, rows))):
+        if i:
+            power = advance_row(power, k, center)
+        for table, row in zip(out, rows):
+            if i < len(row) and row[i]:
+                for s, p in enumerate(power):
+                    table[s] += row[i] * p
+    return [[c // sphere_size(k, s) for s, c in enumerate(table)] for table in out]

@@ -53,3 +53,18 @@ def test_engine_and_oracles_read_numerators_not_entries():
         if isinstance(node, ast.Attribute) and node.attr == "entries"
     ]
     assert not reads, reads
+
+
+def test_only_functions_knows_the_packed_layout():
+    # The Kronecker layout and its decode live in functions.py; every other
+    # module, the tree tables included, goes through convolve_polynomials.
+    layout = {"_Packing", "_packing", "unit_shift", "unpack"}
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "functions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # Names read, attributes, definitions and imported names (ast.alias).
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            named += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & layout)]
+    assert not named, named

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_waves import oracles, randgen, tree
+from lattice_waves import cayley, oracles, randgen, tree
 from lattice_waves.errors import IndexOutOfRange, NotSolvable, ShapeMismatch
+
+from helpers import stepped_weights
 
 
 class TestGeometry:
@@ -169,6 +171,15 @@ class TestWeights:
                     else:
                         assert state[0] == 0
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_tables_equal_the_stepped_reference(self, k):
+        # The tree-solve workloads run n up to 153; the radial oracle tests stop at 25.
+        for n in [*range(25), 36, 60, 100, 153]:
+            [heat] = stepped_weights(k, 1 - k, [[0] * n + [1]])
+            assert tree.tree_heat_weights(k, n).weights == heat
+            wave = stepped_weights(k, -k, cayley.wave_rows(n))
+            assert [table.weights for table in tree.tree_wave_weights(k, n)] == wave
+
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_degree_below_2_rejected(self, k):
         with pytest.raises(ShapeMismatch):
@@ -248,7 +259,6 @@ class TestSolvers:
 
 class TestK2Degeneration:
     def test_heat_weights_match_z_kernel(self):
-        from lattice_waves import cayley
         from lattice_waves.groups import make_element, make_group, validate_generators
 
         Z = make_group(1, [])
