@@ -64,11 +64,13 @@ def _project_initial(P: cosets.CosetProblem, values, what: str = "data rows") ->
     return quotient_function_from_rows(P.quot, values, what)
 
 
-def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
+def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int,
+                        g: tree.TreeFunction | None = None):
     """The window of a tree document: its ``eval`` vertices, its ``eval`` ball or the default.
 
-    Listed vertices are read as integer arrays only: the solvers check each
-    window vertex against the word rules.
+    The default ball reaches n beyond the support of f and of g (wave), the
+    farthest a value can be nonzero.  Listed vertices are read as integer
+    arrays only: the solvers check each window vertex against the word rules.
     """
     spec = instance.get("eval", {})
     if not isinstance(spec, dict):
@@ -88,7 +90,8 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int):
         center = vertex_from_json(k, ball.get("center", []))
     if radius is None:
         # Default window: the whole region where the solution can be nonzero.
-        support_radius = max((tree.tree_distance(center, y) for y in f.support()), default=0)
+        data = f.support() if g is None else f.support() | g.support()
+        support_radius = max((tree.tree_distance(center, y) for y in data), default=0)
         radius = support_radius + n
     # Each layer steps one sphere outward: every neighbour but the parent.
     out = [center]
@@ -125,8 +128,8 @@ def _read_problem(instance: dict):
 
 
 def _window(instance: dict, problem, n: int):
-    kind, f, _g, k = problem
-    return _tree_eval_vertices(instance, k, f, n) if kind.startswith("tree") else None
+    kind, f, g, k = problem
+    return _tree_eval_vertices(instance, k, f, n, g) if kind.startswith("tree") else None
 
 
 def _closed_form(problem, n: int, window):

@@ -11,7 +11,10 @@ radialization recurrence of Figà-Talamanca & Nebbia, *Harmonic Analysis
 and Representation Theory for Groups Acting on Homogeneous Trees*,
 1991), never enumerate the exponentially large spheres themselves, and
 add the data's integer numerators.  The weights are integers, so a
-solution is integer numerators over the data's denominator.
+solution is integer numerators over the data's denominator.  Below the
+hull a vertex's sums are those of its deepest hull prefix, shifted by the
+distance to it, so a value depends only on that (prefix, shift) pair and
+the solvers compute it once per pair.
 """
 
 from __future__ import annotations
@@ -33,14 +36,20 @@ ROOT: TreeVertex = ()
 
 
 def make_vertex(word: Iterable[int], k: int) -> TreeVertex:
-    """Validate a reduced word: letters in 1..k, no adjacent repeats."""
-    word = tuple(int(i) for i in word)
+    """Validate a reduced word: letters in 1..k, no adjacent repeats.
+
+    One pass checks both rules; only a bad word is read again, so the
+    error names its first letter outside 1..k, or else the word.
+    """
+    word = tuple(map(int, word))
+    prev = 0
     for i in word:
-        if not 1 <= i <= k:
-            raise ShapeMismatch(f"letter {i} outside 1..{k}")
-    for a, b in zip(word, word[1:]):
-        if a == b:
+        if not 0 < i <= k or i == prev:
+            for c in word:
+                if not 1 <= c <= k:
+                    raise ShapeMismatch(f"letter {c} outside 1..{k}")
             raise ShapeMismatch(f"word {word} is not reduced (adjacent repeat)")
+        prev = i
     return word
 
 
@@ -107,10 +116,11 @@ class _Hull:
     at the root they are H.  A radius is dropped only when its count
     reaches 0, so zero sums keep their radius.  The data in a's subtree,
     as (word, numerator) pairs, is grouped by its next letter only when a
-    child is first asked for.
+    child is first asked for; a letter found to leave the hull is kept in
+    ``off``, so a later walk stops there without grouping again.
     """
 
-    __slots__ = ("depth", "counts", "sums", "items", "below", "children")
+    __slots__ = ("depth", "counts", "sums", "items", "below", "children", "off")
 
     def __init__(self, items: Iterable[tuple[TreeVertex, int]], depth: int,
                  parent: _Hull | None):
@@ -131,6 +141,7 @@ class _Hull:
         self.depth, self.counts, self.sums, self.items = depth, counts, sums, items
         self.below: dict[int, list[tuple[TreeVertex, int]]] | None = None
         self.children: dict[int, _Hull] = {}
+        self.off: set[int] = set()
 
     def extend(self, c: int) -> _Hull | None:
         """Build the hull vertex one letter c below this one; None if it is off the hull."""
@@ -142,29 +153,46 @@ class _Hull:
             self.items = None
         items = self.below.pop(c, None)
         if items is None:
+            self.off.add(c)
             return None
         child = self.children[c] = _Hull(items, self.depth + 1, self)
         return child
 
 
-def _radius_sums(f: TreeFunction, x: TreeVertex) -> dict[int, int]:
-    """Sums of f's numerators over each sphere around x that its support meets.
+def _hull_position(f: TreeFunction, x: TreeVertex) -> tuple[_Hull | None, int]:
+    """(a, len(x) - len(a)), a the deepest prefix of x on f's hull; (None, 0) for f = 0.
 
-    Walks x's letters from the root while they stay in the hull, rerooting
-    the sums one letter at a time and keeping every hull vertex it builds
-    in ``f.rerooted``.  Below the deepest hull prefix a of x the data is
-    len(x) - len(a) further away than from a.  The result may be a cached
-    dict itself: callers only read it.
+    Walks x's letters from the root while they stay in the hull, building
+    the hull vertices it meets and keeping them in ``f.rerooted``.  Every
+    sphere sum of f around x is a's shifted by len(x) - len(a), so a
+    value read from the sums depends on x only through this pair.  Hull
+    vertices hash by identity: the pair can key a dict.
     """
     node = f.rerooted
     if node is None:
-        return {}
+        return None, 0
     for c in x:
-        child = node.children.get(c) or node.extend(c)
+        child = node.children.get(c)
         if child is None:
-            break
+            if c in node.off:
+                break
+            child = node.extend(c)
+            if child is None:
+                break
         node = child
-    shift = len(x) - node.depth
+    return node, len(x) - node.depth
+
+
+def _radius_sums(f: TreeFunction, x: TreeVertex) -> dict[int, int]:
+    """Sums of f's numerators over each sphere around x that its support meets.
+
+    Below the deepest hull prefix a of x the data is len(x) - len(a)
+    further away than from a (``_hull_position``).  The result may be a
+    cached dict itself: callers only read it.
+    """
+    node, shift = _hull_position(f, x)
+    if node is None:
+        return {}
     return {r + shift: v for r, v in node.sums.items()} if shift else node.sums
 
 
@@ -285,12 +313,22 @@ def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
 
 
 def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> TreeFunction:
-    """Heat solution at time n, evaluated at the requested vertices."""
+    """Heat solution at time n, evaluated at the requested vertices.
+
+    A value depends on its vertex only through the vertex's hull position
+    (``_hull_position``), so it is computed once per position met in the
+    window and read for every other vertex there.
+    """
     table = tree_heat_weights(f.k, n)
+    values = {}
     out = {}
     for x in eval_at:
         x = make_vertex(x, f.k)
-        out[x] = table.apply(f, x)
+        at = _hull_position(f, x)
+        v = values.get(at)
+        if v is None:
+            v = values[at] = table.apply(f, x)
+        out[x] = v
     return TreeFunction.trusted(f.k, *lowest_terms(out, f.denominator))
 
 
@@ -316,23 +354,36 @@ def tree_wave_solve(
     """Wave solution at time n at the requested vertices.
 
     The zero-mean compatibility condition applies to the radialization of
-    g around each evaluation vertex and is checked at every one of them.
-    The values are numerators over lcm(d_f, d_g).
+    g around each evaluation vertex and is checked at every one of them:
+    the first vertex, in window order, whose mass is not 0 is reported.
+    The mass and the g term depend on a vertex only through its position
+    on g's hull, and the f term through its position on f's, so each is
+    computed once per position met in the window.  The values are
+    numerators over lcm(d_f, d_g).
     """
     if f.k != g.k:
         raise ShapeMismatch("initial value and velocity live on trees of different degree")
     ftable, gtable = tree_wave_weights(f.k, n)
     d = lcm(f.denominator, g.denominator)
     a, b = d // f.denominator, d // g.denominator
+    fvalues, gvalues = {}, {}
     out = {}
     # Every vertex is checked before any mass, so a malformed window is reported first.
     for x in [make_vertex(x, f.k) for x in eval_at]:
-        mass = radial_mass(g, x)
-        if mass != 0:
-            raise NotSolvable(
-                f"tree wave equation unsolvable at vertex {x}: "
-                f"radialized velocity has total mass {mass}",
-                detail=(x, mass),
-            )
-        out[x] = a * ftable.apply(f, x) + b * gtable.apply(g, x)
+        at = _hull_position(g, x)
+        gv = gvalues.get(at)
+        if gv is None:
+            mass = radial_mass(g, x)
+            if mass != 0:
+                raise NotSolvable(
+                    f"tree wave equation unsolvable at vertex {x}: "
+                    f"radialized velocity has total mass {mass}",
+                    detail=(x, mass),
+                )
+            gv = gvalues[at] = b * gtable.apply(g, x)
+        at = _hull_position(f, x)
+        fv = fvalues.get(at)
+        if fv is None:
+            fv = fvalues[at] = a * ftable.apply(f, x)
+        out[x] = fv + gv
     return TreeFunction.trusted(f.k, *lowest_terms(out, d))

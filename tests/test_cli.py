@@ -222,6 +222,20 @@ class TestRun:
         f = tree_function_from_csv(capsys.readouterr().out, 3)
         assert f(()) == 7 and f((1,)) == -4
 
+    def test_tree_wave_default_window_reaches_g(self, tmp_path, capsys):
+        # g six letters from f: a window sized from f alone stopped at radius 4
+        # and printed 7 of the trajectory's 13 non-zero values.
+        obj = tree_problem("tree-wave", n=4)
+        obj["g"] = [{"elem": [1, 2, 1, 2, 1, 2], "num": "1", "den": "1"},
+                    {"elem": [1, 2, 1, 2, 1, 3], "num": "-1", "den": "1"}]
+        problem = cli._read_problem(obj)
+        window = set(cli._window(obj, problem, 4))
+        assert cli._oracle_solution(obj, 4).support() <= window
+        assert {(1, 2, 1, 2, 1, 2), (1, 2, 1, 2, 1, 3)} <= window
+        # Near g the radialized velocity has non-zero mass.
+        assert cli.main(["tree-wave", "--problem", write_problem(tmp_path, obj)]) == 2
+        assert "NOT_SOLVABLE" in capsys.readouterr().err
+
     def test_coset_heat_runs(self, tmp_path, capsys):
         problem = write_problem(tmp_path, COSET_PROBLEM)
         assert cli.main(["coset-heat", "--problem", problem]) == 0

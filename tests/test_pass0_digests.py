@@ -1,0 +1,36 @@
+"""The benchmark's pass-0 outputs at its held-out seed, pinned by digest.
+
+Each workload's first deck at seed 7919 goes through the benchmark's own
+request functions (``perfbench/pipeline.py``): ``verify`` for oracle-check,
+``solve`` for the others.  The sha256 of the concatenated outputs, first 16
+hex digits, must stay what it has been since the workloads were written: a
+change that alters any output byte of any request fails here.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import pipeline  # noqa: E402  (perfbench is not a package)
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+DIGESTS = {
+    "cayley-kernels": "cc5388b86dbeb261",
+    "cayley-wide": "39b02f4a345b2dcd",
+    "tree-solve": "37e0fdabb03aafc6",
+    "oracle-check": "71ddb98766ba5717",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_pass0_outputs_repeat(workload):
+    request = pipeline.verify if workload == "oracle-check" else pipeline.solve
+    outputs = [request(doc, spans.NULL) for doc in workloads.deck(workload, 7919, 0)]
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()[:16]
+    assert digest == DIGESTS[workload]

@@ -450,3 +450,97 @@ class TestRerootedSums:
             assert len(prefixes) == len(set(prefixes))
             assert set(prefixes) <= _support_prefixes(h)
             assert len(prefixes) <= sum(len(y) + 1 for y in h.support())
+
+
+def _random_word(rng, k, length):
+    word = ()
+    while len(word) < length:
+        word = _reduced(word + (rng.randint(1, k),))
+    return word
+
+
+def _position(prefixes, x):
+    """(deepest prefix of x among ``prefixes``, its distance from x), without the hull."""
+    a = next(x[:i] for i in range(len(x), -1, -1) if x[:i] in prefixes)
+    return a, len(x) - len(a)
+
+
+def _massless_velocity(rng, k, depth):
+    """A g whose radialized mass is 0 at every vertex up to ``depth`` from the root.
+
+    g is a sum of pairs +v, -v.  For k = 2 the mass at any vertex is g's
+    total.  For k >= 3 a pair sits on two children of a vertex ``depth``
+    below the root, and every vertex outside their subtrees is as far from
+    one as from the other.
+    """
+    entries = {}
+    for _ in range(4):
+        v = randgen.random_rational(rng)
+        if k == 2:
+            pair = [_random_word(rng, k, rng.randint(0, 8)) for _ in range(2)]
+        else:
+            a = _random_word(rng, k, depth)
+            pair = [a + (c,) for c in rng.sample([c for c in range(1, k + 1) if c != a[-1]], 2)]
+        for y, sign in zip(pair, (1, -1)):
+            entries[y] = entries.get(y, 0) + sign * v
+    return tree.TreeFunction(k, entries)
+
+
+class TestOncePerPosition:
+    """A solve reads a function's sums once per hull position its window meets."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_whole_ball_solves_read_each_position_once(self, k, monkeypatch):
+        rng = random.Random(1800 + k)
+        radius = {2: 40, 3: 6, 4: 5}.get(k, 4)
+        window = _ball_vertices(k, radius)
+        rng.shuffle(window)
+        f = randgen.random_tree_function(rng, k, max_radius=radius + 2, max_points=12)
+        g = _massless_velocity(rng, k, radius)
+        calls = []
+        apply, radial_mass = tree.WeightTable.apply, tree.radial_mass
+        monkeypatch.setattr(tree.WeightTable, "apply",
+                            lambda table, h, x: calls.append(("apply", h, x)) or apply(table, h, x))
+        monkeypatch.setattr(tree, "radial_mass",
+                            lambda h, x: calls.append(("mass", h, x)) or radial_mass(h, x))
+
+        def read_once_per_position(name, h):
+            prefixes = _support_prefixes(h)
+            seen = [_position(prefixes, x) for call, h_, x in calls if call == name and h_ is h]
+            assert len(seen) == len(set(seen))
+            assert set(seen) == {_position(prefixes, x) for x in window}
+            return len(seen)
+
+        n = radius + 2
+        heat = tree.tree_heat_weights(k, n)
+        u = tree.tree_heat_solve(f, n, window)
+        assert u.entries == {x: v for x in window if (v := _literal_apply(heat.weights, f, x))}
+        reads = read_once_per_position("apply", f)
+        # On Z (k = 2) no two vertices share a position.
+        assert reads == len(calls) and (reads < len(window) or k == 2)
+
+        calls.clear()
+        wf, wg = tree.tree_wave_weights(k, n)
+        u = tree.tree_wave_solve(f, g, n, window)
+        assert u.entries == {x: v for x in window if (v := _literal_apply(wf.weights, f, x)
+                                                      + _literal_apply(wg.weights, g, x))}
+        reads = [read_once_per_position(*call) for call in
+                 [("apply", f), ("apply", g), ("mass", g)]]
+        assert sum(reads) == len(calls) and (sum(reads) < 3 * len(window) or k == 2)
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_unsolvable_window_names_the_first_vertex_with_mass(self, k):
+        rng = random.Random(1900 + k)
+        g = _massless_velocity(rng, k, 3)
+        f = randgen.random_tree_function(rng, k)
+        # Vertices below g's support have mass, and those at one depth below
+        # one support vertex share its position.
+        deep = [y + w for y in g.support() for _ in range(3)
+                for w in [_random_word(rng, k, 3)] if w[0] != y[-1]]
+        for _ in range(5):
+            window = _ball_vertices(k, 3) + deep
+            rng.shuffle(window)
+            want = next((x, m) for x in window if (m := _literal_radial_mass(g, x)) != 0)
+            with pytest.raises(NotSolvable) as raised:
+                tree.tree_wave_solve(f, g, 4, window)
+            assert raised.value.detail == want
