@@ -19,10 +19,11 @@ Cayley wave kernels, and the tree weight tables, which it evaluates on Z.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import comb, gcd, lcm, prod
-from operator import add as add_int, mul
+from operator import add as add_int, floordiv, gt, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -37,8 +38,10 @@ def lowest_terms(numerators: dict, denominator: int) -> tuple[dict, int]:
 
     ``denominator`` must be positive; the dict is not changed.
     """
-    g = gcd(denominator, *numerators.values())
-    return {x: v // g for x, v in numerators.items() if v}, denominator // g
+    values = numerators.values()
+    g = gcd(denominator, *values)
+    kept = zip(compress(numerators, values), map(floordiv, filter(None, values), repeat(g)))
+    return dict(kept), denominator // g
 
 
 def over_lcm(triples: Iterable[tuple]) -> tuple[dict, int]:
@@ -345,12 +348,21 @@ class _Packing:
     is reduced mod m_i when the result is decoded.
 
     Slots are signed and ``slot`` bytes wide, 2^(8*slot - 1) > bound;
-    slots of up to 8 bytes are rounded up to 1, 2, 4 or 8.  Reading a
-    product adds a bias of half a slot to every slot, so that no slot
-    borrows from the next, and takes the bytes once.  Rounded slots on a
-    little-endian host are then read by one cast to a C integer type, the
-    bias flipped off by an exclusive or, which leaves each slot in two's
-    complement; wider slots are read one at a time.
+    slots of up to 8 bytes are rounded up to 1, 2, 4 or 8.  Packing writes
+    each value plus a bias of half a slot into a buffer of biased zeros and
+    takes the bias off the whole ``int`` once; reading a product adds the
+    bias to every slot, so that no slot borrows from the next, and takes
+    the bytes once.  Rounded slots on a little-endian host are written
+    through one cast of the buffer to an unsigned C integer type, and read
+    through one cast to a signed one, the bias flipped off by an exclusive
+    or, which leaves each slot in two's complement; wider slots, and every
+    slot on a big-endian host, are written and read one at a time.
+
+    Torsion coordinates come last, so they vary fastest: each free
+    position owns one block of slots, the lifted torsion box.  Where a
+    lifted width exceeds its modulus, decoding folds every block onto its
+    residues (``_fold``), one Python step per lifted torsion index, and
+    residues that cancel read 0 like empty slots.
     """
 
     def __init__(self, G: GroupSpec, widths: list[int], bound: int):
@@ -371,22 +383,32 @@ class _Packing:
 
     def pack(self, columns: list[list[int]], values: list[int], corner: list[int]) -> int:
         """One factor as an ``int``: ``values`` at the lifted ``columns``, from ``corner``."""
-        slot, half = self.slot, self.half
+        slot = self.slot
         index = [self._origin(corner)] * len(values)
         for column, stride in zip(columns, self.strides):
             index = list(map(add_int, index, map(mul, column, repeat(stride))))
-        size = max(index) + 1
-        buf = bytearray(self.zero * size)
-        for i, c in zip(index, values):
-            buf[i * slot:(i + 1) * slot] = (c + half).to_bytes(slot, "little")
-        return int.from_bytes(buf, "little") - int.from_bytes(self.zero * size, "little")
+        zeros = self.zero * (max(index) + 1)
+        buf = bytearray(zeros)
+        biased = map(add_int, values, repeat(self.half))
+        if slot <= 8 and sys.byteorder == "little":
+            view = memoryview(buf).cast("BHIQ"[slot.bit_length() - 1])
+            deque(map(view.__setitem__, index, biased), 0)
+        else:
+            for i, c in zip(index, biased):
+                buf[i * slot:(i + 1) * slot] = c.to_bytes(slot, "little")
+        return int.from_bytes(buf, "little") - int.from_bytes(zeros, "little")
 
     def unit_shift(self, corner: list[int]) -> int:
         """The bit offset of delta_e in a product decoded at ``corner``."""
         return 8 * self.slot * self._origin(corner)
 
     def unpack(self, p: int, corner: list[int]) -> dict[GroupElement, int]:
-        """The non-zero values of a packed product, decoded at ``corner``."""
+        """The non-zero values of a packed product, decoded at ``corner``.
+
+        Lifted torsion is folded onto its residues first where it wraps;
+        then each non-zero slot's key is its free coordinates paired with
+        its residues, both read off the box's axes in slot order.
+        """
         slot, rank, biased = self.slot, self.rank, p + self.bias
         if slot <= 8 and sys.byteorder == "little":
             data = (biased ^ self.bias).to_bytes(self.size * slot, "little")
@@ -397,19 +419,32 @@ class _Packing:
             values = [from_bytes(data[i:i + slot], "little") - half
                       for i in range(0, len(data), slot)]
         axes = [range(c, c + w) for c, w in zip(corner, self.widths)]
-        axes[rank:] = [[v % m for v in axis] for axis, m in zip(axes[rank:], self.moduli)]
-        # Slots that hold only the bias read 0 and are skipped.
-        keys = compress(product(*axes), values)
-        if not self.moduli:
-            elems = map(_new_tuple, repeat(GroupElement), zip(keys, repeat(())))
-            return dict(zip(elems, filter(None, values)))
-        out: dict[GroupElement, int] = {}
-        get = out.get
-        for t, v in zip(keys, filter(None, values)):
-            x = _new_tuple(GroupElement, (t[:rank], t[rank:]))
-            out[x] = get(x, 0) + v
-        # Representatives of one residue may cancel.
-        return {x: v for x, v in out.items() if v}
+        lifted, moduli = self.widths[rank:], self.moduli
+        if any(map(gt, lifted, moduli)):
+            values = _fold(values, lifted, moduli)
+        residues = [[v % m for v in axis[:m]] for axis, m in zip(axes[rank:], moduli)]
+        # Slots that hold only the bias, or residues that cancel, read 0 and are skipped.
+        keys = compress(product(product(*axes[:rank]), product(*residues)), values)
+        return dict(zip(map(_new_tuple, repeat(GroupElement), keys), filter(None, values)))
+
+
+def _fold(values: list[int], widths: list[int], moduli: tuple[int, ...]) -> list[int]:
+    """Blocks of lifted torsion, ``widths`` across, summed onto their residues mod ``moduli``.
+
+    ``values`` is a whole number of blocks, one per free position, each
+    laid out in mixed radix over ``widths``.  Slot j along a coordinate of
+    width w and modulus m goes to slot j mod m of a block min(w, m) wide.
+    Each lifted index is one extended-slice add over every block at once.
+    """
+    folded = list(map(min, widths, moduli))
+    size, residues = prod(widths), prod(folded)
+    # The folded index of each lifted index, summed over the coordinates.
+    offsets = [[j % m * s for j in range(w)]
+               for w, m, s in zip(widths, moduli, _strides(folded))]
+    out = [0] * (len(values) // size * residues)
+    for i, j in enumerate(map(sum, product(*offsets))):
+        out[j::residues] = map(add_int, out[j::residues], values[i::size])
+    return out
 
 
 def _strides(widths: list[int]) -> list[int]:

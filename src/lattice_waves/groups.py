@@ -68,8 +68,8 @@ def make_group(rank: int, moduli: Iterable[int]) -> GroupSpec:
 
 def make_element(G: GroupSpec, free: Sequence[int], torsion: Sequence[int]) -> GroupElement:
     """Build a canonical element, reducing torsion coordinates eagerly."""
-    free = tuple(int(v) for v in free)
-    torsion = tuple(int(v) for v in torsion)
+    free = tuple(map(int, free))
+    torsion = tuple(map(int, torsion))
     if len(free) != G.rank or len(torsion) != len(G.moduli):
         raise ShapeMismatch(
             f"element shape ({len(free)},{len(torsion)}) does not match "

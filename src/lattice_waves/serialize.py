@@ -6,12 +6,21 @@ primary outputs.  Every row read from outside is validated once, here,
 and read straight into numerators over one denominator; the function
 types' ``trusted`` constructors wrap the result.  Each value is written
 in lowest terms with a positive denominator.
+
+Both directions work on whole rows in C where they can.  An array of
+JSON integers is taken as it is, and only an array holding anything else
+is read field by field, so the errors are the same either way.  A CSV is
+written as one ``str.format`` per row, from a label template built once
+per call (``_element_template``; trees join their letters), which is also
+the one definition of ``element_label`` and ``vertex_label``.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
-from typing import Any, Callable, Iterable
+from operator import floordiv, itemgetter, mod
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ShapeMismatch, ZeroDenominator
 from .functions import Scaled, SupportedFunction, over_lcm
@@ -49,8 +58,15 @@ def array_from_json(values, what: str) -> list | tuple:
 
 
 def _ints_from_json(values, what: str) -> tuple[int, ...]:
-    """A JSON array of integer fields as a tuple of ints."""
-    return tuple(int_from_json(v, what) for v in array_from_json(values, what + "s"))
+    """A JSON array of integer fields as a tuple of ints.
+
+    An array of JSON integers only, the usual case, is taken whole; any
+    other is read one field at a time, so each error is ``int_from_json``'s.
+    """
+    values = array_from_json(values, what + "s")
+    if {int}.issuperset(map(type, values)):
+        return tuple(values)
+    return tuple(int_from_json(v, what) for v in values)
 
 
 def group_from_json(obj: dict) -> GroupSpec:
@@ -64,7 +80,10 @@ def element_from_json(G: GroupSpec, obj: dict) -> GroupElement:
     if not isinstance(obj, dict):
         raise ShapeMismatch("element JSON must be an object with 'free' and 'torsion'")
     free = _ints_from_json(obj.get("free", []), "element coordinate")
-    return make_element(G, free, _ints_from_json(obj.get("torsion", []), "element coordinate"))
+    torsion = _ints_from_json(obj.get("torsion", []), "element coordinate")
+    if len(free) != G.rank or len(torsion) != len(G.moduli):
+        return make_element(G, free, torsion)  # raises its shape error
+    return GroupElement(free, tuple(map(mod, torsion, G.moduli)))
 
 
 def vertex_from_json(k: int, word) -> TreeVertex:
@@ -121,37 +140,58 @@ def quotient_function_from_rows(
     return SupportedFunction.trusted(quot.group, *values)
 
 
+def _element_template(rank: int, torsion: int) -> str:
+    """An element's label as a ``str.format`` template over (free, torsion).
+
+    The label is the semicolon-joined coordinates, free part first.
+    """
+    fields = [f"{{0[{i}]}}" for i in range(rank)] + [f"{{1[{i}]}}" for i in range(torsion)]
+    return ";".join(fields)
+
+
 def element_label(a: GroupElement) -> str:
     """Semicolon-joined coordinates, free part first."""
-    return ";".join(str(v) for v in (*a.free, *a.torsion))
+    return _element_template(len(a.free), len(a.torsion)).format(*a)
+
+
+def _vertex_labels(words: Iterable[TreeVertex]) -> Iterator[str]:
+    """The semicolon-joined letters of each word."""
+    return map(";".join, map(map, repeat(str), words))
 
 
 def vertex_label(x: TreeVertex) -> str:
-    return ";".join(str(i) for i in x)
+    return next(_vertex_labels((x,)))
 
 
-def _to_csv(f: Scaled, label: Callable, header: dict[str, Any]) -> str:
+def _to_csv(f: Scaled, template: str, columns: Callable, header: dict[str, Any]) -> str:
     """CSV with a leading comment line recording the run parameters, rows in key order.
 
-    Each row is one value in lowest terms, num // g and den // g with g the
-    gcd of the two.
+    The label of a row is ``template`` formatted with the row's entry of
+    each of ``columns(keys)``, the keys sorted.  Each value is written in
+    lowest terms, num // g and den // g with g the gcd of the two.
     Labels hold only integers and ';', so no field needs quoting.  The
     comment line ends in "\\n"; the column header and every row end in
     "\\r\\n", the bytes ``csv.writer`` wrote for them.
     """
     comment = "# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n"
+    keys = sorted(f.numerators)
+    nums = list(map(f.numerators.__getitem__, keys))
     d = f.denominator
-    rows = (
-        f"{label(x)},{v // g},{d // g}\r\n"
-        for x, v in sorted(f.numerators.items())
-        for g in (gcd(v, d),)
-    )
-    return comment + "vertex,num,den\r\n" + "".join(rows)
+    if d == 1:
+        dens = repeat(1)
+    else:
+        g = list(map(gcd, nums, repeat(d)))
+        nums, dens = map(floordiv, nums, g), map(floordiv, repeat(d), g)
+    labels = columns(keys)
+    row = template + f",{{{len(labels)}}},{{{len(labels) + 1}}}\r\n"
+    return comment + "vertex,num,den\r\n" + "".join(map(row.format, *labels, nums, dens))
 
 
 def function_to_csv(f: SupportedFunction, header: dict[str, Any]) -> str:
-    return _to_csv(f, element_label, header)
+    G = f.group
+    columns = lambda keys: (map(itemgetter(0), keys), map(itemgetter(1), keys))
+    return _to_csv(f, _element_template(G.rank, len(G.moduli)), columns, header)
 
 
 def tree_function_to_csv(f: TreeFunction, header: dict[str, Any]) -> str:
-    return _to_csv(f, vertex_label, header)
+    return _to_csv(f, "{0}", lambda keys: (_vertex_labels(keys),), header)

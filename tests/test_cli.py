@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from lattice_waves import cayley, cli, cosets, oracles, randgen, tree, verify
-from lattice_waves.errors import TorsionUnsupported
+from lattice_waves import cayley, cli, cosets, oracles, randgen, serialize, tree, verify
+from lattice_waves.errors import ShapeMismatch, TorsionUnsupported, ZeroDenominator
 from lattice_waves.functions import SupportedFunction, add, delta
-from lattice_waves.groups import make_element, make_group, validate_generators
+from lattice_waves.groups import make_element, make_group, quotient, validate_generators
 
 from helpers import function_from_csv, tree_function_from_csv
 
@@ -705,3 +705,104 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SHAPE_MISMATCH"
         assert err["detail"].startswith(f"{field} must be given as an array")
+
+
+# Each bad integer field and the repr its error message shows.
+BAD_INTEGERS = [(True, "True"), (1.5, "1.5"), ("1.5", "'1.5'"), ("", "''"), (None, "None"),
+                ([1], "[1]")]
+COSET_BASE = make_group(1, [4])
+COSET_QUOTIENT = quotient(COSET_BASE, [make_element(COSET_BASE, [0], [2])])
+
+
+def group_row(free, torsion, den="1"):
+    return {"elem": {"free": free, "torsion": torsion}, "num": "1", "den": den}
+
+
+def tree_row(word, den="1"):
+    return {"elem": word, "num": "1", "den": den}
+
+
+def _parse_error_cases():
+    """(id, field, wire value, error class, message) of every pinned parse error.
+
+    The field is where the value sits: an element coordinate (free, in a
+    heat document on Z), a coset representative's coordinate (torsion, in a
+    coset document on Z x Z4), a tree-word letter of a data row or of an
+    eval vertex (k = 3).
+    """
+    shape, zero = "SHAPE_MISMATCH", "ZERO_DENOMINATOR"
+    for value, shown in BAD_INTEGERS:
+        got = f"must be an integer or a decimal string, got {shown}"
+        yield f"element-{shown}", "element", group_row([value], []), shape, \
+            f"element coordinate {got}"
+        yield f"coset-{shown}", "coset", group_row([0], [value]), shape, \
+            f"element coordinate {got}"
+        yield f"letter-{shown}", "letter", tree_row([1, value]), shape, f"tree-word letter {got}"
+        yield f"eval-{shown}", "eval", [1, value], shape, f"tree-word letter {got}"
+    yield "element-arity", "element", group_row([0, 0], []), shape, \
+        "element shape (2,0) does not match group shape (1,0)"
+    yield "coset-arity", "coset", group_row([0], []), shape, \
+        "element shape (1,0) does not match group shape (1,1)"
+    yield "letter-arity", "letter", tree_row(5), shape, \
+        "tree-word letters must be given as an array, got 5"
+    yield "eval-arity", "eval", 5, shape, "tree-word letters must be given as an array, got 5"
+    for den in (0, "0"):
+        message = "zero denominator in the rational 1/0"
+        yield f"element-den-{den!r}", "element", group_row([0], [], den), zero, message
+        yield f"coset-den-{den!r}", "coset", group_row([0], [0], den), zero, message
+        yield f"letter-den-{den!r}", "letter", tree_row([1], den), zero, message
+
+
+PARSE_ERRORS = list(_parse_error_cases())
+
+
+def _document(field, wire):
+    """A problem document with ``wire`` in ``field``, and the CLI command that runs it."""
+    if field == "element":
+        return dict(heat_problem(), f=[wire]), "heat"
+    if field == "coset":
+        return dict(COSET_PROBLEM, f=[wire]), "coset-heat"
+    if field == "letter":
+        return dict(tree_problem(), f=[wire]), "tree-heat"
+    return dict(tree_problem(), eval={"vertices": [[], wire]}), "tree-heat"
+
+
+READERS = {
+    "element": lambda rows: serialize.function_from_rows(make_group(1, []), rows),
+    "coset": lambda rows: serialize.quotient_function_from_rows(COSET_QUOTIENT, rows),
+    "letter": lambda rows: serialize.tree_function_from_rows(3, rows),
+}
+
+
+class TestParseErrors:
+    # Integer arrays are read whole when they hold only JSON integers; every
+    # other array is read field by field, so the errors are pinned here.
+    @pytest.mark.parametrize("field, wire, code, message",
+                             [pytest.param(*case[1:], id=case[0]) for case in PARSE_ERRORS
+                              if case[1] in READERS])
+    def test_row_readers(self, field, wire, code, message):
+        error = ZeroDenominator if code == "ZERO_DENOMINATOR" else ShapeMismatch
+        with pytest.raises(error) as exc:
+            READERS[field]([wire])
+        assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("field, wire, code, message",
+                             [pytest.param(*case[1:], id=case[0]) for case in PARSE_ERRORS])
+    def test_cli_exit_1(self, tmp_path, capsys, field, wire, code, message):
+        doc, command = _document(field, wire)
+        assert cli.main([command, "--problem", write_problem(tmp_path, doc)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": code, "detail": message}
+
+    def test_decimal_strings_parse(self, tmp_path, capsys):
+        # Decimal strings, alone or beside JSON integers, read as their integers.
+        rows = [group_row(["12"], ["-3"]), group_row([-3], ["2"])]
+        assert serialize.function_from_rows(COSET_BASE, rows).numerators == {
+            make_element(COSET_BASE, [12], [1]): 1, make_element(COSET_BASE, [-3], [2]): 1}
+        assert serialize.quotient_function_from_rows(COSET_QUOTIENT, rows[:1]).numerators == {
+            COSET_QUOTIENT.project(make_element(COSET_BASE, [12], [1])): 1}
+        words = [tree_row(["1", "2"]), tree_row([2, "3"])]
+        assert serialize.tree_function_from_rows(3, words).numerators == {(1, 2): 1, (2, 3): 1}
+        doc = dict(tree_problem(), eval={"vertices": [["2", "1"], [1, "3"], []]})
+        assert cli.main(["tree-heat", "--problem", write_problem(tmp_path, doc)]) == 0
+        f = tree_function_from_csv(capsys.readouterr().out, 3)
+        assert f.support() == {(2, 1), (1, 3), ()}

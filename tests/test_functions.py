@@ -1,6 +1,7 @@
 """Supported functions and the exact convolution algebra."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -226,13 +227,21 @@ def test_packed_convolve_matches_the_sparse_loop(data, G, bits):
 
 
 class RecordingPacking(functions_module._Packing):
-    """The layout, remembering the slot width of each instance."""
+    """The layout, remembering the slot width of each instance and the arguments of each pack."""
 
     slots: list = []
+    packs: list = []
 
     def __init__(self, *args):
         super().__init__(*args)
         self.slots.append(self.slot)
+
+    def pack(self, *args):
+        self.packs.append((self, args))
+        return super().pack(*args)
+
+
+HOST_BYTEORDER = sys.byteorder
 
 
 @pytest.mark.parametrize("per_slot_read", [False, True], ids=["native-read", "per-slot-read"])
@@ -240,10 +249,11 @@ class RecordingPacking(functions_module._Packing):
 @pytest.mark.parametrize("G", PACKED_GROUPS, ids=str)
 def test_packed_convolve_of_full_boxes(monkeypatch, G, magnitude, slot, per_slot_read):
     # Values +-magnitude on full boxes: the bound is magnitude^2 times the
-    # smaller support, which sets the slot width.  A big-endian host reads
-    # every slot on its own; forcing that read here checks it too.
+    # smaller support, which sets the slot width.  A big-endian host writes
+    # and reads every slot on its own; forcing that here checks it too.
     monkeypatch.setattr(functions_module, "_Packing", RecordingPacking)
     monkeypatch.setattr(RecordingPacking, "slots", [])
+    monkeypatch.setattr(RecordingPacking, "packs", [])
     if per_slot_read:
         monkeypatch.setattr(functions_module.sys, "byteorder", "big")
     rng = random.Random(magnitude)
@@ -254,6 +264,60 @@ def test_packed_convolve_of_full_boxes(monkeypatch, G, magnitude, slot, per_slot
     assert packed == sparse
     assert convolve(f, g) == _naive_convolve(f, g)
     assert RecordingPacking.slots == [slot, slot]
+    # Each packed factor is sum c X^i, X = 2^(8 slot), i the slot of c: the
+    # per-slot write builds it, and so does the cast, where the host has it.
+    orders = ["big", "little"] if HOST_BYTEORDER == "little" else ["big"]
+    for packing, (columns, values, corner) in RecordingPacking.packs[:2]:
+        index = [packing._origin(corner) + sum(c * s for c, s in zip(x, packing.strides))
+                 for x in zip(*columns)]
+        literal = sum(c << (8 * slot * i) for i, c in zip(index, values))
+        for order in orders:
+            monkeypatch.setattr(functions_module.sys, "byteorder", order)
+            assert packing.pack(columns, values, corner) == literal, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rank=st.integers(0, 2),
+       moduli=st.lists(st.integers(2, 12), min_size=1, max_size=2))
+def test_folded_torsion_decode_matches_the_sparse_loop(data, rank, moduli):
+    # Full boxes of lifted torsion, each operand up to m wide, so the
+    # product's lifted widths fall below, at and above m, and the decode
+    # folds them.  One value of g is then set so that a chosen value of the
+    # product cancels to 0, which the decode must drop.
+    G = make_group(rank, moduli)
+    budget = 2 if len(moduli) == 2 else 3
+
+    def box():
+        free = [range(lo, lo + data.draw(st.integers(1, budget), label="free width"))
+                for lo in data.draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))]
+        torsion = []
+        for m in moduli:
+            width = data.draw(st.integers(1, m if len(moduli) == 1 else min(m, 6)))
+            lo = data.draw(st.integers(-((m - 1) // 2), m // 2 - width + 1))
+            torsion.append(range(lo, lo + width))
+        nums = st.integers(-50, 50).filter(bool)
+        return {make_element(G, c[:rank], c[rank:]): data.draw(nums)
+                for c in product(*free, *torsion)}
+
+    a, b = box(), box()
+    full = len(b)
+    target = data.draw(st.sampled_from(sorted(functions_module._sparse_product(G, a, b))
+                                       or [identity(G)]))
+    to_target = {z: y for y in a for z in b if adder(G)(y, z) == target}
+    if to_target:
+        z0 = data.draw(st.sampled_from(sorted(to_target)))
+        c = a[to_target[z0]]
+        b = {z: v * c for z, v in b.items()}
+        b[z0] = -sum(a[to_target[z]] * b[z] for z in to_target if z != z0) // c
+        b = {z: v for z, v in b.items() if v}
+    packed, sparse = packed_and_sparse(SupportedFunction.trusted(G, a),
+                                       SupportedFunction.trusted(G, b))
+    assert target not in sparse
+    if len(b) == full:
+        # Both are full boxes, so the product's box has no more slots than pairs.
+        assert packed == sparse
+    else:
+        assert packed is None or packed == sparse
 
 
 def test_torsion_residues_that_cancel_are_dropped():

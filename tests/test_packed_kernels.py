@@ -97,6 +97,7 @@ ZxZ4 = make_group(1, [4])
 ZxZ12 = make_group(1, [12])
 Z6 = make_group(0, [6])
 Z2 = make_group(0, [2])
+Z2xZ6 = make_group(0, [2, 6])
 LONG = list(range(25)) + [40, 60]
 
 CASES = {
@@ -108,6 +109,8 @@ CASES = {
     "ZxZ12": (ZxZ12, gens(ZxZ12, ([1], [0]), ([0], [1])), LONG),
     "Z6": (Z6, gens(Z6, ([], [1]), ([], [2]), ([], [3])), LONG),
     "Z2, S = {1}": (Z2, validate_generators(Z2, [make_element(Z2, [], [1])]), LONG),
+    # Rank 0 with two torsion factors: the decode folds both lifted widths.
+    "Z2xZ6": (Z2xZ6, gens(Z2xZ6, ([], [1, 0]), ([], [0, 1])), LONG),
     "quotient ZxZ2xZ4": (*quotient_z_z2_z4(), LONG),
 }
 

@@ -133,7 +133,41 @@ class TestRepeatedRows:
             serialize.quotient_function_from_rows(quot, [row, other])
 
 
+def csv_labels(text):
+    """The label column of a CSV written by ``serialize``, in row order."""
+    body = text.split("vertex,num,den\r\n", 1)[1]
+    return [row.rsplit(",", 2)[0] for row in body.split("\r\n")[:-1]]
+
+
+LABEL_GROUPS = [make_group(0, []), make_group(0, [6]), Z, make_group(2, [4, 6])]
+# Small coordinates of either sign, and coordinates of up to 300 digits.
+coordinates = st.one_of(st.integers(-9, 9), st.integers(-(10**300), 10**300))
+
+
 class TestLabels:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), G=st.sampled_from(LABEL_GROUPS))
+    def test_csv_labels_are_element_labels(self, data, G):
+        # The rows' labels come from one template per call; element_label
+        # is that template on one element, and it reads back to the element.
+        dim = G.rank + len(G.moduli)
+        coords = st.lists(coordinates, min_size=dim, max_size=dim)
+        elems = coords.map(lambda c: make_element(G, c[:G.rank], c[G.rank:]))
+        keys = data.draw(st.lists(elems, max_size=8, unique=True))
+        f = SupportedFunction(G, {x: data.draw(rationals()) or 1 for x in keys})
+        labels = csv_labels(serialize.function_to_csv(f, {"n": 1}))
+        assert labels == [serialize.element_label(x) for x in sorted(f.numerators)]
+        assert all(element_from_label(G, serialize.element_label(x)) == x for x in keys)
+
+    @settings(max_examples=30, deadline=None)
+    @given(words=st.lists(st.lists(st.integers(1, 3), max_size=6), max_size=8))
+    def test_csv_labels_are_vertex_labels(self, words):
+        words = {tuple(w) for w in words if all(a != b for a, b in zip(w, w[1:]))}
+        f = TreeFunction(3, {w: Fraction(len(w) + 1, 3) for w in words})
+        labels = csv_labels(serialize.tree_function_to_csv(f, {}))
+        assert labels == [serialize.vertex_label(x) for x in sorted(f.numerators)]
+        assert all(vertex_from_label(3, serialize.vertex_label(x)) == x for x in words)
+
     def test_element_label_round_trip(self):
         a = make_element(ZxZ4, [-2], [3])
         assert element_from_label(ZxZ4, serialize.element_label(a)) == a
