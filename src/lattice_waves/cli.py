@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from . import cayley, cosets, groups, tree, verify
 from .errors import (
@@ -71,13 +71,19 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int,
     The default ball reaches n beyond the support of f and of g (wave), the
     farthest a value can be nonzero.  Listed vertices are read as integer
     arrays only: the solvers check each window vertex against the word rules.
+    A list whose words are all arrays of JSON integers is taken whole, by
+    two type scans; any other is read word by word, so each error is
+    ``_ints_from_json``'s.
     """
     spec = instance.get("eval", {})
     if not isinstance(spec, dict):
         raise ShapeMismatch(f"eval must be a JSON object, not {type(spec).__name__}")
     if "vertices" in spec:
         words = array_from_json(spec["vertices"], "eval vertices")
-        return [_ints_from_json(w, "tree-word letter") for w in words]
+        if ({list}.issuperset(map(type, words))
+                and {int}.issuperset(map(type, chain.from_iterable(words)))):
+            return list(map(tuple, words))
+        return [_ints_from_json(w, "tree-word letters", "tree-word letter") for w in words]
     center = tree.ROOT
     radius = None
     if "ball" in spec:

@@ -11,7 +11,8 @@ Both directions work on whole rows in C where they can.  An array of
 JSON integers is taken as it is, and only an array holding anything else
 is read field by field, so the errors are the same either way.  A CSV is
 written as one ``str.format`` per row, from a label template built once
-per call (``_element_template``; trees join their letters), which is also
+per call (``_element_template``; a tree's label is one ``%`` of its
+letters, from a template built once per word length), which is also
 the one definition of ``element_label`` and ``vertex_label``.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import gcd
 from operator import floordiv, itemgetter, mod
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import ShapeMismatch, ZeroDenominator
 from .functions import Scaled, SupportedFunction, over_lcm
@@ -57,13 +58,14 @@ def array_from_json(values, what: str) -> list | tuple:
     return values
 
 
-def _ints_from_json(values, what: str) -> tuple[int, ...]:
+def _ints_from_json(values, array: str, what: str) -> tuple[int, ...]:
     """A JSON array of integer fields as a tuple of ints.
 
+    ``array`` names the array in errors and ``what`` one of its fields.
     An array of JSON integers only, the usual case, is taken whole; any
     other is read one field at a time, so each error is ``int_from_json``'s.
     """
-    values = array_from_json(values, what + "s")
+    values = array_from_json(values, array)
     if {int}.issuperset(map(type, values)):
         return tuple(values)
     return tuple(int_from_json(v, what) for v in values)
@@ -72,15 +74,15 @@ def _ints_from_json(values, what: str) -> tuple[int, ...]:
 def group_from_json(obj: dict) -> GroupSpec:
     if not isinstance(obj, dict) or "rank" not in obj:
         raise ShapeMismatch("group JSON must be an object with 'rank' and 'moduli'")
-    moduli = _ints_from_json(obj.get("moduli", []), "modulus")
+    moduli = _ints_from_json(obj.get("moduli", []), "moduli", "modulus")
     return make_group(int_from_json(obj["rank"], "rank"), moduli)
 
 
 def element_from_json(G: GroupSpec, obj: dict) -> GroupElement:
     if not isinstance(obj, dict):
         raise ShapeMismatch("element JSON must be an object with 'free' and 'torsion'")
-    free = _ints_from_json(obj.get("free", []), "element coordinate")
-    torsion = _ints_from_json(obj.get("torsion", []), "element coordinate")
+    free = _ints_from_json(obj.get("free", []), "element coordinates", "element coordinate")
+    torsion = _ints_from_json(obj.get("torsion", []), "element coordinates", "element coordinate")
     if len(free) != G.rank or len(torsion) != len(G.moduli):
         return make_element(G, free, torsion)  # raises its shape error
     return GroupElement(free, tuple(map(mod, torsion, G.moduli)))
@@ -88,7 +90,7 @@ def element_from_json(G: GroupSpec, obj: dict) -> GroupElement:
 
 def vertex_from_json(k: int, word) -> TreeVertex:
     """A tree vertex from its reduced word, a JSON array of letters."""
-    return make_vertex(_ints_from_json(word, "tree-word letter"), k)
+    return make_vertex(_ints_from_json(word, "tree-word letters", "tree-word letter"), k)
 
 
 def _summed_rows(triples: Iterable[tuple]) -> tuple[dict, int]:
@@ -154,9 +156,10 @@ def element_label(a: GroupElement) -> str:
     return _element_template(len(a.free), len(a.torsion)).format(*a)
 
 
-def _vertex_labels(words: Iterable[TreeVertex]) -> Iterator[str]:
-    """The semicolon-joined letters of each word."""
-    return map(";".join, map(map, repeat(str), words))
+def _vertex_labels(words: Sequence[TreeVertex]) -> Iterator[str]:
+    """The semicolon-joined letters of each word, from one ``%`` template per word length."""
+    templates = {n: ";".join(["%d"] * n) for n in set(map(len, words))}
+    return map(mod, map(templates.__getitem__, map(len, words)), words)
 
 
 def vertex_label(x: TreeVertex) -> str:

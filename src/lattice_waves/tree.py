@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import comb, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -143,8 +144,11 @@ class _Hull:
         self.children: dict[int, _Hull] = {}
         self.off: set[int] = set()
 
-    def extend(self, c: int) -> _Hull | None:
-        """Build the hull vertex one letter c below this one; None if it is off the hull."""
+    def child(self, c: int) -> _Hull | None:
+        """The hull vertex one letter c below this one, built on first use; None off the hull."""
+        child = self.children.get(c)
+        if child is not None or c in self.off:
+            return child
         if self.below is None:
             self.below = {}
             for y, v in self.items:
@@ -172,15 +176,55 @@ def _hull_position(f: TreeFunction, x: TreeVertex) -> tuple[_Hull | None, int]:
     if node is None:
         return None, 0
     for c in x:
-        child = node.children.get(c)
+        child = node.children.get(c) or node.child(c)
         if child is None:
-            if c in node.off:
-                break
-            child = node.extend(c)
-            if child is None:
-                break
+            break
         node = child
     return node, len(x) - node.depth
+
+
+def _next_position(at: tuple[_Hull | None, int], c: int) -> tuple[_Hull | None, int]:
+    """The hull position of x + (c,) from x's position ``at``: one step of ``_hull_position``."""
+    node, shift = at
+    if node is None:
+        return at
+    if not shift:
+        child = node.child(c)
+        if child is not None:
+            return child, 0
+    return node, shift + 1
+
+
+def _placed(words: Iterable, k: int,
+            fs: Sequence[TreeFunction]) -> tuple[list[TreeVertex], list[list]]:
+    """The window's vertices, and for each of ``fs`` their hull positions, in window order.
+
+    In a window of tuples of ints (two type scans), a word p + (c,) listed
+    after its prefix p is a vertex exactly when c is in 1..k and not p's
+    last letter, and its positions are one ``_next_position`` step from
+    p's.  Any other word is checked by ``make_vertex``, so a malformed word
+    raises its error, and placed by ``_hull_position``.  The index of the
+    vertices met so far lives for this call only.
+    """
+    words = list(words)
+    ints = ({tuple}.issuperset(map(type, words))
+            and {int}.issuperset(map(type, chain.from_iterable(words))))
+    index: dict[TreeVertex, int] = {}
+    xs, parents = [], []
+    for w in words:
+        i = index.get(w[:-1]) if ints and w else None
+        if i is None or not 0 < (c := w[-1]) <= k or (len(w) > 1 and c == w[-2]):
+            w, i = make_vertex(w, k), None
+        index[w] = len(xs)
+        xs.append(w)
+        parents.append(i)
+    positions = []
+    for f in fs:
+        at = []
+        for x, i in zip(xs, parents):
+            at.append(_hull_position(f, x) if i is None else _next_position(at[i], x[-1]))
+        positions.append(at)
+    return xs, positions
 
 
 def _radius_sums(f: TreeFunction, x: TreeVertex) -> dict[int, int]:
@@ -317,14 +361,14 @@ def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> T
 
     A value depends on its vertex only through the vertex's hull position
     (``_hull_position``), so it is computed once per position met in the
-    window and read for every other vertex there.
+    window and read for every other vertex there.  A vertex listed after
+    its parent is checked and placed from the parent (``_placed``).
     """
     table = tree_heat_weights(f.k, n)
     values = {}
     out = {}
-    for x in eval_at:
-        x = make_vertex(x, f.k)
-        at = _hull_position(f, x)
+    xs, (ats,) = _placed(eval_at, f.k, [f])
+    for x, at in zip(xs, ats):
         v = values.get(at)
         if v is None:
             v = values[at] = table.apply(f, x)
@@ -358,8 +402,9 @@ def tree_wave_solve(
     the first vertex, in window order, whose mass is not 0 is reported.
     The mass and the g term depend on a vertex only through its position
     on g's hull, and the f term through its position on f's, so each is
-    computed once per position met in the window.  The values are
-    numerators over lcm(d_f, d_g).
+    computed once per position met in the window.  A vertex listed after
+    its parent is checked and placed on both hulls from the parent
+    (``_placed``).  The values are numerators over lcm(d_f, d_g).
     """
     if f.k != g.k:
         raise ShapeMismatch("initial value and velocity live on trees of different degree")
@@ -369,9 +414,9 @@ def tree_wave_solve(
     fvalues, gvalues = {}, {}
     out = {}
     # Every vertex is checked before any mass, so a malformed window is reported first.
-    for x in [make_vertex(x, f.k) for x in eval_at]:
-        at = _hull_position(g, x)
-        gv = gvalues.get(at)
+    xs, (gats, fats) = _placed(eval_at, f.k, [g, f])
+    for x, gat, fat in zip(xs, gats, fats):
+        gv = gvalues.get(gat)
         if gv is None:
             mass = radial_mass(g, x)
             if mass != 0:
@@ -380,10 +425,9 @@ def tree_wave_solve(
                     f"radialized velocity has total mass {mass}",
                     detail=(x, mass),
                 )
-            gv = gvalues[at] = b * gtable.apply(g, x)
-        at = _hull_position(f, x)
-        fv = fvalues.get(at)
+            gv = gvalues[gat] = b * gtable.apply(g, x)
+        fv = fvalues.get(fat)
         if fv is None:
-            fv = fvalues[at] = a * ftable.apply(f, x)
+            fv = fvalues[fat] = a * ftable.apply(f, x)
         out[x] = fv + gv
     return TreeFunction.trusted(f.k, *lowest_terms(out, d))

@@ -1,8 +1,9 @@
 """Readers and references that only the tests use.
 
 The CSV readers parse what ``serialize`` writes, through the wire's own
-row reader; ``convolve_power`` and ``symbol_eval`` are references for the
-kernel tests, and ``stepped_weights`` for the tree weight tables.
+row reader; ``eval_vertices_by_word`` is the reference for the window
+read, ``convolve_power`` and ``symbol_eval`` for the kernel tests, and
+``stepped_weights`` for the tree weight tables.
 """
 
 import cmath
@@ -45,6 +46,12 @@ def function_from_csv(text: str, G: GroupSpec) -> SupportedFunction:
 def tree_function_from_csv(text: str, k: int) -> TreeFunction:
     rows = _csv_rows(text, lambda label: vertex_from_label(k, label))
     return TreeFunction.trusted(k, *serialize._summed_rows(rows))
+
+
+def eval_vertices_by_word(words) -> list[tuple[int, ...]]:
+    """An ``eval.vertices`` array read one word at a time, each through ``_ints_from_json``."""
+    words = serialize.array_from_json(words, "eval vertices")
+    return [serialize._ints_from_json(w, "tree-word letters", "tree-word letter") for w in words]
 
 
 def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:

@@ -8,13 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattice_waves import cayley, cli, cosets, oracles, randgen, serialize, tree, verify
 from lattice_waves.errors import ShapeMismatch, TorsionUnsupported, ZeroDenominator
 from lattice_waves.functions import SupportedFunction, add, delta
 from lattice_waves.groups import make_element, make_group, quotient, validate_generators
 
-from helpers import function_from_csv, tree_function_from_csv
+from helpers import eval_vertices_by_word, function_from_csv, tree_function_from_csv
 
 
 def write_problem(tmp_path, obj, name="problem.json"):
@@ -728,7 +729,7 @@ def _parse_error_cases():
     The field is where the value sits: an element coordinate (free, in a
     heat document on Z), a coset representative's coordinate (torsion, in a
     coset document on Z x Z4), a tree-word letter of a data row or of an
-    eval vertex (k = 3).
+    eval vertex (k = 3), or a heat document's group.
     """
     shape, zero = "SHAPE_MISMATCH", "ZERO_DENOMINATOR"
     for value, shown in BAD_INTEGERS:
@@ -746,6 +747,8 @@ def _parse_error_cases():
     yield "letter-arity", "letter", tree_row(5), shape, \
         "tree-word letters must be given as an array, got 5"
     yield "eval-arity", "eval", 5, shape, "tree-word letters must be given as an array, got 5"
+    yield "moduli-arity", "group", {"rank": 1, "moduli": 5}, shape, \
+        "moduli must be given as an array, got 5"
     for den in (0, "0"):
         message = "zero denominator in the rational 1/0"
         yield f"element-den-{den!r}", "element", group_row([0], [], den), zero, message
@@ -764,6 +767,8 @@ def _document(field, wire):
         return dict(COSET_PROBLEM, f=[wire]), "coset-heat"
     if field == "letter":
         return dict(tree_problem(), f=[wire]), "tree-heat"
+    if field == "group":
+        return dict(heat_problem(), group=wire), "heat"
     return dict(tree_problem(), eval={"vertices": [[], wire]}), "tree-heat"
 
 
@@ -792,6 +797,30 @@ class TestParseErrors:
         doc, command = _document(field, wire)
         assert cli.main([command, "--problem", write_problem(tmp_path, doc)]) == 1
         assert json.loads(capsys.readouterr().err) == {"error": code, "detail": message}
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.one_of(
+        st.lists(st.integers(-3, 5) | st.integers(), max_size=6),
+        st.lists(st.one_of(st.integers(1, 3), st.booleans(), st.floats(allow_nan=False),
+                           st.sampled_from(["2", "-3", "1.5", "", "x"]),
+                           st.lists(st.integers(1, 3), max_size=2), st.none()), max_size=4),
+        st.one_of(st.integers(), st.text(max_size=3), st.none(), st.dictionaries(st.text(), st.integers())),
+    ), max_size=8))
+    def test_window_read_whole_equals_word_by_word(self, words):
+        # An array of JSON integer words is taken whole; anything else is read
+        # word by word, so the tuples and the first error are the same.
+        instance = {"eval": {"vertices": words}}
+        f = tree.TreeFunction(3)
+        try:
+            want = eval_vertices_by_word(words)
+        except ShapeMismatch as exc:
+            with pytest.raises(ShapeMismatch) as got:
+                cli._tree_eval_vertices(instance, 3, f, 0)
+            assert type(got.value) is ShapeMismatch and str(got.value) == str(exc)
+            return
+        got = cli._tree_eval_vertices(instance, 3, f, 0)
+        assert got == want
+        assert all(type(w) is tuple and {int}.issuperset(map(type, w)) for w in got)
 
     def test_decimal_strings_parse(self, tmp_path, capsys):
         # Decimal strings, alone or beside JSON integers, read as their integers.

@@ -159,14 +159,18 @@ class TestLabels:
         assert labels == [serialize.element_label(x) for x in sorted(f.numerators)]
         assert all(element_from_label(G, serialize.element_label(x)) == x for x in keys)
 
-    @settings(max_examples=30, deadline=None)
-    @given(words=st.lists(st.lists(st.integers(1, 3), max_size=6), max_size=8))
-    def test_csv_labels_are_vertex_labels(self, words):
-        words = {tuple(w) for w in words if all(a != b for a, b in zip(w, w[1:]))}
-        f = TreeFunction(3, {w: Fraction(len(w) + 1, 3) for w in words})
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 12))
+    def test_csv_labels_are_vertex_labels(self, data, k):
+        # Labels come from one template per word length; two-digit letters
+        # from k = 10 on, words up to 12 letters, and the root's empty label.
+        letters = data.draw(st.lists(st.lists(st.integers(1, k), max_size=12), max_size=10))
+        words = {tuple(c for i, c in enumerate(w) if not i or c != w[i - 1]) for w in letters}
+        f = TreeFunction(k, {w: Fraction(len(w) + 1, 3) for w in words})
         labels = csv_labels(serialize.tree_function_to_csv(f, {}))
-        assert labels == [serialize.vertex_label(x) for x in sorted(f.numerators)]
-        assert all(vertex_from_label(3, serialize.vertex_label(x)) == x for x in words)
+        assert labels == [";".join(map(str, x)) for x in sorted(words)]
+        assert labels == [serialize.vertex_label(x) for x in sorted(words)]
+        assert all(vertex_from_label(k, serialize.vertex_label(x)) == x for x in words)
 
     def test_element_label_round_trip(self):
         a = make_element(ZxZ4, [-2], [3])

@@ -544,3 +544,90 @@ class TestOncePerPosition:
             with pytest.raises(NotSolvable) as raised:
                 tree.tree_wave_solve(f, g, 4, window)
             assert raised.value.detail == want
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestPrefixPlacement:
+    """A window vertex listed after its parent is checked and placed from the parent."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_positions_are_those_from_the_root(self, k, monkeypatch):
+        rng = random.Random(2000 + k)
+        radius = {2: 12, 3: 5}.get(k, 4)
+        ball = _ball_vertices(k, radius)
+        shuffled = rng.sample(ball, len(ball))
+        deep = [_random_word(rng, k, rng.randint(1, 9)) for _ in range(30)]
+        windows = {
+            "ball": ball,
+            "shuffled ball": shuffled,
+            "children before parents": ball[::-1],
+            "prefixes absent": deep + [y + w for y in deep[:5] for w in [(1,), (2, 1)]
+                                       if y[-1] not in w[:1]],
+            "duplicates": ball[:20] + rng.choices(ball, k=40) + deep[:5] * 3,
+            # A window not all of tuples of ints is checked word by word.
+            "a list word": ball[:20] + [list(ball[7])] + ball[20:40],
+            "a bool letter": ball[:20] + [(True,)] + ball[20:40],
+        }
+        f = randgen.random_tree_function(rng, k, max_radius=radius + 2, max_points=12)
+        g = _massless_velocity(rng, k, radius)
+        checked = []
+        make_vertex = tree.make_vertex
+        monkeypatch.setattr(tree, "make_vertex", lambda w, k: checked.append(w) or make_vertex(w, k))
+        for name, window in windows.items():
+            for fs in [(f,), (g, f), (tree.TreeFunction(k),)]:
+                checked.clear()
+                xs, positions = tree._placed(window, k, fs)
+                want = [make_vertex(w, k) for w in window]
+                assert xs == want, name
+                for h, at in zip(fs, positions, strict=True):
+                    assert at == [tree._hull_position(h, x) for x in want], name
+                # In a window of int tuples, only a word whose parent came
+                # before it skips make_vertex.
+                seen, by_word = set(), []
+                for w in window:
+                    if name.startswith("a ") or not w or w[:-1] not in seen:
+                        by_word.append(w)
+                    seen.add(tuple(w))
+                assert checked == by_word, name
+
+    @pytest.mark.parametrize("k", [3, 12])
+    @pytest.mark.parametrize("bad", ["letter 0", "letter k+1", "adjacent repeat", "list letter",
+                                     "bool repeat", "bool letter", "float letter", "list word"])
+    def test_a_word_after_its_prefix_is_checked_as_make_vertex_does(self, k, bad):
+        prefix = (2, 3, 1)
+        word = {
+            "letter 0": prefix + (0,),
+            "letter k+1": prefix + (k + 1,),
+            "adjacent repeat": prefix + (1,),
+            "list letter": prefix + ([2],),
+            "bool repeat": prefix + (True,),
+            "bool letter": prefix[:2] + (True,),
+            "float letter": prefix + (2.0,),
+            "list word": [*prefix, 2],
+        }[bad]
+        window = [(), prefix[:1], prefix[:2], prefix[:2], prefix, word, prefix + (2,)]
+        f = randgen.random_tree_function(random.Random(2100 + k), k)
+        g = tree.TreeFunction(k, {(): 1})  # mass 1 around every vertex
+        try:
+            x = tree.make_vertex(word, k)
+        except (ShapeMismatch, TypeError) as exc:
+            # Every vertex is checked before any mass, so the wave solver
+            # reports the malformed word, not the root's mass.
+            want = type(exc), str(exc)
+            assert _outcome(lambda: tree._placed(window, k, [f, g])) == want
+            assert _outcome(lambda: tree.tree_heat_solve(f, 3, window)) == want
+            assert _outcome(lambda: tree.tree_wave_solve(f, g, 3, window)) == want
+            return
+        assert tree._placed(window, k, [f, g])[0][5] == x
+        as_vertex = [x if i == 5 else w for i, w in enumerate(window)]
+        assert tree.tree_heat_solve(f, 3, window) == tree.tree_heat_solve(f, 3, as_vertex)
+        assert _outcome(lambda: tree.tree_wave_solve(f, g, 3, window)) == (
+            NotSolvable, "tree wave equation unsolvable at vertex (): "
+                         "radialized velocity has total mass 1")
