@@ -36,6 +36,7 @@ from .serialize import (
     tree_function_from_rows,
     tree_function_to_csv,
     vertex_from_json,
+    weights_to_csv,
 )
 
 SOLVER_KINDS = {"heat", "wave", "coset-heat", "coset-wave", "tree-heat", "tree-wave"}
@@ -52,7 +53,10 @@ def _load_problem(args) -> tuple[dict, int]:
         instance = json.load(fh)
     if not isinstance(instance, dict):
         raise ShapeMismatch(f"a problem document is a JSON object, not {type(instance).__name__}")
-    return instance, args.n if args.n is not None else int_from_json(instance.get("n", 0), "n")
+    n = args.n if args.n is not None else int_from_json(instance.get("n", 0), "n")
+    if n > sys.maxsize:
+        raise IndexOutOfRange(f"time index n={n} is above {sys.maxsize}")
+    return instance, n
 
 
 _values_to_function = function_from_rows
@@ -226,7 +230,6 @@ def cmd_run(args) -> int:
     if kind == "weights":
         k = int_from_json(required(instance, "k"), "k")
         which = instance.get("which", "heat")
-        lines = ["# " + f"kind=weights which={which} n={n} k={k}", "table,s,num,den"]
         if which == "heat":
             tables = [("heat", tree.tree_heat_weights(k, n))]
         elif which == "wave":
@@ -234,9 +237,8 @@ def cmd_run(args) -> int:
             tables = [("wave-f", wf), ("wave-g", wg)]
         else:
             raise ShapeMismatch(f"unknown weights selector {which!r}")
-        for tag, table in tables:
-            lines += (f"{tag},{s},{w},1" for s, w in enumerate(table.weights))
-        _write("\n".join(lines) + "\n", args.out)
+        header = {"kind": "weights", "which": which, "n": n, "k": k}
+        _write(weights_to_csv(tables, header), args.out)
         return EXIT_OK
 
     result, header = _solve(instance, n)

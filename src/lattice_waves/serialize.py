@@ -9,24 +9,27 @@ in lowest terms with a positive denominator.
 
 Both directions work on whole rows in C where they can.  An array of
 JSON integers is taken as it is, and only an array holding anything else
-is read field by field, so the errors are the same either way.  A CSV is
-written as one ``str.format`` per row, from a label template built once
-per call (``_element_template``; a tree's label is one ``%`` of its
-letters, from a template built once per word length), which is also
-the one definition of ``element_label`` and ``vertex_label``.
+is read field by field, so the errors are the same either way.
+
+This is the one module that writes CSV.  Every line ends in ``\\n``: a
+comment line with the run parameters, a column header, then the rows.
+A function's row is its key's integers joined by ';' (a tree word, or an
+element's free then torsion coordinates), then the value's num and den,
+one ``%`` of a template built once per key length and call;
+``element_label`` and ``vertex_label`` are that rule on one key.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import repeat, starmap
 from math import gcd
-from operator import floordiv, itemgetter, mod
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import add, floordiv, mod
+from typing import Any, Callable, Iterable
 
 from .errors import ShapeMismatch, ZeroDenominator
 from .functions import Scaled, SupportedFunction, over_lcm
 from .groups import GroupElement, GroupSpec, Quotient, make_element, make_group
-from .tree import TreeFunction, TreeVertex, make_vertex
+from .tree import TreeFunction, TreeVertex, WeightTable, make_vertex
 
 
 def int_from_json(value, what: str) -> int:
@@ -142,59 +145,61 @@ def quotient_function_from_rows(
     return SupportedFunction.trusted(quot.group, *values)
 
 
-def _element_template(rank: int, torsion: int) -> str:
-    """An element's label as a ``str.format`` template over (free, torsion).
-
-    The label is the semicolon-joined coordinates, free part first.
-    """
-    fields = [f"{{0[{i}]}}" for i in range(rank)] + [f"{{1[{i}]}}" for i in range(torsion)]
-    return ";".join(fields)
+def _label_template(length: int) -> str:
+    """The ``%`` template of a key of ``length`` integers: the integers joined by ';'."""
+    return ";".join(["%d"] * length)
 
 
 def element_label(a: GroupElement) -> str:
     """Semicolon-joined coordinates, free part first."""
-    return _element_template(len(a.free), len(a.torsion)).format(*a)
-
-
-def _vertex_labels(words: Sequence[TreeVertex]) -> Iterator[str]:
-    """The semicolon-joined letters of each word, from one ``%`` template per word length."""
-    templates = {n: ";".join(["%d"] * n) for n in set(map(len, words))}
-    return map(mod, map(templates.__getitem__, map(len, words)), words)
+    key = a.free + a.torsion
+    return _label_template(len(key)) % key
 
 
 def vertex_label(x: TreeVertex) -> str:
-    return next(_vertex_labels((x,)))
+    """Semicolon-joined letters; the root's label is empty."""
+    return _label_template(len(x)) % x
 
 
-def _to_csv(f: Scaled, template: str, columns: Callable, header: dict[str, Any]) -> str:
+def _comment(header: dict[str, Any]) -> str:
+    """The leading comment line: the run parameters as ``key=value`` pairs."""
+    return "# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n"
+
+
+def _to_csv(f: Scaled, keys: list, flat_keys: Iterable[tuple], header: dict[str, Any]) -> str:
     """CSV with a leading comment line recording the run parameters, rows in key order.
 
-    The label of a row is ``template`` formatted with the row's entry of
-    each of ``columns(keys)``, the keys sorted.  Each value is written in
-    lowest terms, num // g and den // g with g the gcd of the two.
-    Labels hold only integers and ';', so no field needs quoting.  The
-    comment line ends in "\\n"; the column header and every row end in
-    "\\r\\n", the bytes ``csv.writer`` wrote for them.
+    ``keys`` are ``f``'s keys sorted, and ``flat_keys`` each key as a tuple
+    of integers in the same order.  A row is its key's integers joined by
+    ';', then the value's num and den: one ``%`` of a template built once
+    per key length.  Each value is written in lowest terms, num // g and
+    den // g with g the gcd of the two.  Labels hold only integers and ';',
+    so no field needs quoting.  Every line ends in "\\n".
     """
-    comment = "# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n"
-    keys = sorted(f.numerators)
     nums = list(map(f.numerators.__getitem__, keys))
     d = f.denominator
     if d == 1:
-        dens = repeat(1)
+        values = zip(nums, repeat(1))
     else:
         g = list(map(gcd, nums, repeat(d)))
-        nums, dens = map(floordiv, nums, g), map(floordiv, repeat(d), g)
-    labels = columns(keys)
-    row = template + f",{{{len(labels)}}},{{{len(labels) + 1}}}\r\n"
-    return comment + "vertex,num,den\r\n" + "".join(map(row.format, *labels, nums, dens))
+        values = zip(map(floordiv, nums, g), map(floordiv, repeat(d), g))
+    rows = list(map(add, flat_keys, values))
+    templates = {n: _label_template(n - 2) + ",%d,%d\n" for n in set(map(len, rows))}
+    body = "".join(map(mod, map(templates.__getitem__, map(len, rows)), rows))
+    return _comment(header) + "vertex,num,den\n" + body
 
 
 def function_to_csv(f: SupportedFunction, header: dict[str, Any]) -> str:
-    G = f.group
-    columns = lambda keys: (map(itemgetter(0), keys), map(itemgetter(1), keys))
-    return _to_csv(f, _element_template(G.rank, len(G.moduli)), columns, header)
+    keys = sorted(f.numerators)
+    return _to_csv(f, keys, starmap(add, keys), header)
 
 
 def tree_function_to_csv(f: TreeFunction, header: dict[str, Any]) -> str:
-    return _to_csv(f, "{0}", lambda keys: (_vertex_labels(keys),), header)
+    keys = sorted(f.numerators)
+    return _to_csv(f, keys, keys, header)
+
+
+def weights_to_csv(tables: Iterable[tuple[str, WeightTable]], header: dict[str, Any]) -> str:
+    """CSV of tree weight tables: a row per table and radius s, the integer weight over 1."""
+    rows = [(tag, s, w) for tag, table in tables for s, w in enumerate(table.weights)]
+    return _comment(header) + "table,s,num,den\n" + "".join(map("%s,%d,%d,1\n".__mod__, rows))

@@ -113,8 +113,8 @@ def test_correctness_gate_passes_the_solves_and_catches_a_wrong_value():
         text = pipeline.solve(doc, spans.NULL)
         assert checks.cheap_check(doc, text) is None
         assert checks.oracle_check(doc, text, random.Random(0)) is None
-        *head, last = text.rstrip("\r\n").split("\r\n")
+        *head, last = text.rstrip("\n").split("\n")
         label, num, den = last.split(",")
-        wrong = "\r\n".join([*head, f"{label},{int(num) + 1},{den}"]) + "\r\n"
+        wrong = "\n".join([*head, f"{label},{int(num) + 1},{den}"]) + "\n"
         assert checks.cheap_check(doc, wrong) is not None
         assert checks.oracle_check(doc, wrong, random.Random(0)) is not None

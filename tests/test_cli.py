@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, wire formats, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import random
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_waves import cayley, cli, cosets, oracles, randgen, serialize, tree, verify
+from lattice_waves import cayley, cli, cosets, errors, oracles, randgen, serialize, tree, verify
 from lattice_waves.errors import ShapeMismatch, TorsionUnsupported, ZeroDenominator
 from lattice_waves.functions import SupportedFunction, add, delta
 from lattice_waves.groups import make_element, make_group, quotient, validate_generators
@@ -105,28 +108,28 @@ class TestRun:
         [
             (
                 dict(heat_problem(), f=[{"elem": {"free": [1], "torsion": []}, "num": "-1", "den": "3"}]),
-                b"# kind=heat n=2 k=2\nvertex,num,den\r\n"
-                b"-1,-1,3\r\n0,2,3\r\n1,-1,1\r\n2,2,3\r\n3,-1,3\r\n",
+                b"# kind=heat n=2 k=2\nvertex,num,den\n"
+                b"-1,-1,3\n0,2,3\n1,-1,1\n2,2,3\n3,-1,3\n",
             ),
             (
                 COSET_PROBLEM,
-                b"# kind=coset-heat n=3 k=3 H_order=2\nvertex,num,den\r\n"
-                b"-3;0,1,1\r\n-2;0,-6,1\r\n-2;1,3,1\r\n-1;0,18,1\r\n-1;1,-12,1\r\n"
-                b"0;0,-26,1\r\n0;1,19,1\r\n1;0,18,1\r\n1;1,-12,1\r\n2;0,-6,1\r\n"
-                b"2;1,3,1\r\n3;0,1,1\r\n",
+                b"# kind=coset-heat n=3 k=3 H_order=2\nvertex,num,den\n"
+                b"-3;0,1,1\n-2;0,-6,1\n-2;1,3,1\n-1;0,18,1\n-1;1,-12,1\n"
+                b"0;0,-26,1\n0;1,19,1\n1;0,18,1\n1;1,-12,1\n2;0,-6,1\n"
+                b"2;1,3,1\n3;0,1,1\n",
             ),
             (
                 tree_problem(),
-                b"# kind=tree-heat n=2 k=3\nvertex,num,den\r\n"
-                b",7,1\r\n1,-4,1\r\n1;2,1,1\r\n1;3,1,1\r\n2,-4,1\r\n2;1,1,1\r\n"
-                b"2;3,1,1\r\n3,-4,1\r\n3;1,1,1\r\n3;2,1,1\r\n",
+                b"# kind=tree-heat n=2 k=3\nvertex,num,den\n"
+                b",7,1\n1,-4,1\n1;2,1,1\n1;3,1,1\n2,-4,1\n2;1,1,1\n"
+                b"2;3,1,1\n3,-4,1\n3;1,1,1\n3;2,1,1\n",
             ),
         ],
         ids=["heat", "coset-heat", "tree-heat"],
     )
     def test_output_bytes(self, tmp_path, obj, expected):
-        # The comment line ends in "\n", the column header and each row in
-        # "\r\n"; the root of the tree has the empty label.
+        # The comment line, the column header and each row end in "\n";
+        # the root of the tree has the empty label.
         out = tmp_path / "u.csv"
         assert cli.main([obj["kind"], "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
         assert out.read_bytes() == expected
@@ -146,7 +149,7 @@ class TestRun:
             problem = write_problem(tmp_path, dict(obj, f=rows))
             assert cli.main([obj["kind"], "--problem", problem, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
-        assert outputs[0].count(b"\r\n") > 2
+        assert outputs[0].count(b"\n") > 3
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_deep_eval_vertex(self, tmp_path):
@@ -158,7 +161,7 @@ class TestRun:
         out = tmp_path / "u.csv"
         assert cli.main(["tree-heat", "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
         label = ";".join(map(str, word)).encode()
-        assert out.read_bytes() == b"# kind=tree-heat n=2 k=3\nvertex,num,den\r\n" + label + b",-12,1\r\n"
+        assert out.read_bytes() == b"# kind=tree-heat n=2 k=3\nvertex,num,den\n" + label + b",-12,1\n"
 
     def test_integers_of_any_length(self, tmp_path):
         # 4401 digits is past the interpreter's default str <-> int limit;
@@ -175,8 +178,8 @@ class TestRun:
         assert done.returncode == 0, done.stderr
         b = big.encode()
         assert out.read_bytes() == (
-            b"# kind=heat n=1 k=2\nvertex,num,den\r\n"
-            b"-1," + b + b",1\r\n0,-" + b + b",1\r\n1," + b + b",1\r\n"
+            b"# kind=heat n=1 k=2\nvertex,num,den\n"
+            b"-1," + b + b",1\n0,-" + b + b",1\n1," + b + b",1\n"
         )
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str <-> int digit limit")
@@ -188,7 +191,7 @@ class TestRun:
         before = sys.get_int_max_str_digits()
         assert cli.main(["heat", "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
         assert sys.get_int_max_str_digits() == before
-        assert out.read_bytes().endswith(b"0," + big.encode() + b",1\r\n")
+        assert out.read_bytes().endswith(b"0," + big.encode() + b",1\n")
 
     def test_n_flag_overrides_problem(self, tmp_path, capsys):
         problem = write_problem(tmp_path, heat_problem(n=5))
@@ -594,6 +597,23 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "INDEX_OUT_OF_RANGE"
 
+    @pytest.mark.parametrize("obj", SOLVER_PROBLEMS + [
+        dict(heat_problem(), kind="kernel"),
+        {"kind": "weights", "k": 3, "which": "heat", "n": 2},
+    ], ids=lambda obj: obj["kind"])
+    @pytest.mark.parametrize("source", ["document", "flag"])
+    def test_time_index_above_maxsize_exit_1(self, tmp_path, capsys, obj, source):
+        # No list of n entries can be built above sys.maxsize: refused when
+        # the document is read, before any solver runs.
+        n = sys.maxsize + 1
+        if source == "document":
+            argv = ["--problem", write_problem(tmp_path, dict(obj, n=n))]
+        else:
+            argv = ["--problem", write_problem(tmp_path, obj), "--n", str(n)]
+        assert cli.main([obj["kind"], *argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "INDEX_OUT_OF_RANGE"
+
     @pytest.mark.parametrize(
         "obj, argv",
         [
@@ -721,6 +741,71 @@ def group_row(free, torsion, den="1"):
 
 def tree_row(word, den="1"):
     return {"elem": word, "num": "1", "den": den}
+
+
+# One valid document per kind.  Its sizes stay small, so that no value a
+# substitution leaves in n, k, a modulus or a radius runs for long.
+EXIT_CODE_DOCUMENTS = [
+    heat_problem(),
+    dict(heat_problem(), kind="wave", g=ZERO_MASS_VELOCITY),
+    dict(COSET_PROBLEM, kind="coset-wave", g=COSET_ZERO_MASS_VELOCITY),
+    dict(tree_problem(), eval={"ball": {"center": [1], "radius": 2}}),
+    dict(tree_problem("tree-wave"), eval={"vertices": [[], [1, 2]]}),
+    dict(heat_problem(), kind="kernel", role="wave-f"),
+    {"kind": "weights", "k": 3, "which": "wave", "n": 2},
+]
+MALFORMED = [None, True, False, 1.5, "x", [], [[1]], {}, 0, -1]
+ERROR_CODES = {
+    cls.code for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.LatticeWavesError)
+}
+
+
+def _field_paths(value, path=()):
+    """The path of every field under ``value``: object members and each array's first entry."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value[:1])
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with ``value`` at ``path``."""
+    doc = copy.deepcopy(doc)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return doc
+
+
+FIELDS = [(doc, path) for doc in EXIT_CODE_DOCUMENTS for path in _field_paths(doc)]
+
+
+class TestExitCodes:
+    @settings(max_examples=400, deadline=None)
+    @given(field=st.sampled_from(FIELDS), value=st.sampled_from(MALFORMED))
+    def test_one_malformed_field_never_exits_3(self, tmp_path_factory, field, value):
+        # A substitution may leave a valid document (no rows for f, n = 0,
+        # kind null): that one exits 0 with nothing on stderr.  Any other
+        # exits 1 or 2 with one JSON error object naming a library error.
+        doc, path = field
+        doc_dir = tmp_path_factory.getbasetemp()
+        problem = write_problem(doc_dir, _replaced(doc, path, value), "malformed.json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([doc["kind"], "--problem", problem])
+        if code == 0:
+            assert err.getvalue() == ""
+            return
+        assert code in (1, 2)
+        report = json.loads(err.getvalue())
+        assert report["error"] in ERROR_CODES and report["detail"]
 
 
 def _parse_error_cases():

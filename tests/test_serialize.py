@@ -135,8 +135,8 @@ class TestRepeatedRows:
 
 def csv_labels(text):
     """The label column of a CSV written by ``serialize``, in row order."""
-    body = text.split("vertex,num,den\r\n", 1)[1]
-    return [row.rsplit(",", 2)[0] for row in body.split("\r\n")[:-1]]
+    body = text.split("vertex,num,den\n", 1)[1]
+    return [row.rsplit(",", 2)[0] for row in body.split("\n")[:-1]]
 
 
 LABEL_GROUPS = [make_group(0, []), make_group(0, [6]), Z, make_group(2, [4, 6])]

@@ -68,3 +68,16 @@ def test_only_functions_knows_the_packed_layout():
             names = {getattr(node, field, None) for field in ("id", "attr", "name")}
             named += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & layout)]
     assert not named, named
+
+
+def test_only_serialize_writes_csv():
+    # serialize.py holds the CSV headers and the row rule, and every line it
+    # writes ends in "\n": no module holds a carriage return, escaped or raw.
+    writers = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "\\r" in text or "\r" in text:
+            writers.append(f"{path.name}: carriage return")
+        if path.name != "serialize.py" and "num,den" in text:
+            writers.append(f"{path.name}: CSV header")
+    assert not writers, writers
