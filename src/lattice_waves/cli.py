@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Problem instances arrive as JSON, results leave as CSV.  Exit codes are
-a stable contract: 0 success, 1 validation error, 2 wave equation not
-solvable, 3 internal error.  Errors are emitted on stderr as a JSON
-object {"error": code, "detail": ...}.
+a stable contract: 0 success, then each ``errors`` class's ``exit_status``
+(1 invalid input, 2 wave equation not solvable), 3 a bug.  Errors are
+emitted on stderr as a JSON object {"error": code, "detail": ...}.
 """
 
 from __future__ import annotations
@@ -12,48 +12,40 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 from . import cayley, cosets, groups, tree, verify
-from .errors import (
-    IndexOutOfRange,
-    LatticeWavesError,
-    NotSolvable,
-    ShapeMismatch,
-    UsageError,
-)
+from .errors import FileError, IndexOutOfRange, LatticeWavesError, ShapeMismatch, UsageError
 from .functions import SupportedFunction
+from .groups import array, integer
 from .serialize import (
-    _ints_from_json,
-    array_from_json,
     element_from_json,
     function_from_rows,
     function_to_csv,
     group_from_json,
-    int_from_json,
     quotient_function_from_rows,
     required,
     tree_function_from_rows,
     tree_function_to_csv,
-    vertex_from_json,
     weights_to_csv,
 )
 
 SOLVER_KINDS = {"heat", "wave", "coset-heat", "coset-wave", "tree-heat", "tree-wave"}
 
 EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_NOT_SOLVABLE = 2
 EXIT_INTERNAL = 3
 
 
 def _load_problem(args) -> tuple[dict, int]:
     """The problem document of ``args`` and its time index (``--n``, else its ``n``, else 0)."""
-    with open(args.problem) as fh:
-        instance = json.load(fh)
+    try:
+        with open(args.problem) as fh:
+            instance = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
+        raise FileError(exc) from exc
     if not isinstance(instance, dict):
         raise ShapeMismatch(f"a problem document is a JSON object, not {type(instance).__name__}")
-    n = args.n if args.n is not None else int_from_json(instance.get("n", 0), "n")
+    n = args.n if args.n is not None else integer(instance.get("n", 0), "n")
     if n > sys.maxsize:
         raise IndexOutOfRange(f"time index n={n} is above {sys.maxsize}")
     return instance, n
@@ -73,31 +65,27 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int,
     """The window of a tree document: its ``eval`` vertices, its ``eval`` ball or the default.
 
     The default ball reaches n beyond the support of f and of g (wave), the
-    farthest a value can be nonzero.  Listed vertices are read as integer
-    arrays only: the solvers check each window vertex against the word rules.
-    A list whose words are all arrays of JSON integers is taken whole, by
-    two type scans; any other is read word by word, so each error is
-    ``_ints_from_json``'s.
+    farthest a value can be nonzero.  Listed vertices are checked once, by
+    the solvers (``tree._placed``): here a list whose words are all JSON
+    arrays only has them made tuples, and any other list is passed on as
+    it is.
     """
     spec = instance.get("eval", {})
     if not isinstance(spec, dict):
         raise ShapeMismatch(f"eval must be a JSON object, not {type(spec).__name__}")
     if "vertices" in spec:
-        words = array_from_json(spec["vertices"], "eval vertices")
-        if ({list}.issuperset(map(type, words))
-                and {int}.issuperset(map(type, chain.from_iterable(words)))):
-            return list(map(tuple, words))
-        return [_ints_from_json(w, "tree-word letters", "tree-word letter") for w in words]
+        words = array(spec["vertices"], "eval vertices")
+        return list(map(tuple, words)) if {list}.issuperset(map(type, words)) else words
     center = tree.ROOT
     radius = None
     if "ball" in spec:
         ball = spec["ball"]
         if not isinstance(ball, dict):
             raise ShapeMismatch(f"eval ball must be a JSON object, not {type(ball).__name__}")
-        radius = int_from_json(ball.get("radius"), "eval radius")
+        radius = integer(ball.get("radius"), "eval radius")
         if radius < 0:
             raise IndexOutOfRange(f"eval ball radius must be non-negative, got {radius}")
-        center = vertex_from_json(k, ball.get("center", []))
+        center = tree.make_vertex(ball.get("center", []), k)
     if radius is None:
         # Default window: the whole region where the solution can be nonzero.
         data = f.support() if g is None else f.support() | g.support()
@@ -127,7 +115,7 @@ def _read_problem(instance: dict):
         context = build_coset(instance)
         reader = lambda rows, what: _project_initial(context, rows, what)
     elif kind in ("tree-heat", "tree-wave"):
-        context = int_from_json(required(instance, "k"), "k")
+        context = integer(required(instance, "k"), "k")
         reader = lambda rows, what: _values_to_tree_function(context, rows, what)
     else:
         raise ShapeMismatch(f"unknown problem kind {kind!r}")
@@ -166,7 +154,7 @@ def _solve(instance: dict, n: int):
 
 def _elements(G, values, what: str) -> list:
     """The group elements of a JSON array field; ``what`` names the field in errors."""
-    return [element_from_json(G, x) for x in array_from_json(values, what)]
+    return [element_from_json(G, x) for x in array(values, what)]
 
 
 def cayley_generators(instance: dict, G):
@@ -182,8 +170,11 @@ def build_coset(instance: dict) -> cosets.CosetProblem:
 
 def _write(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FileError(exc) from exc
     else:
         sys.stdout.write(text)
 
@@ -228,7 +219,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     if kind == "weights":
-        k = int_from_json(required(instance, "k"), "k")
+        k = integer(required(instance, "k"), "k")
         which = instance.get("which", "heat")
         if which == "heat":
             tables = [("heat", tree.tree_heat_weights(k, n))]
@@ -253,7 +244,7 @@ def cmd_compare(args) -> int:
     if kind == "kernel":
         return _compare_kernel(instance, n)
 
-    if kind not in SOLVER_KINDS:
+    if not isinstance(kind, str) or kind not in SOLVER_KINDS:
         raise ShapeMismatch(f"kind {kind!r} cannot be compared")
     problem = _read_problem(instance)
     window = _window(instance, problem, n)
@@ -261,8 +252,9 @@ def cmd_compare(args) -> int:
     oracle = next(islice(verify.states(problem), n, None))
     if window is not None:
         # The closed form is only evaluated on the requested window;
-        # restrict the oracle to the same vertices before diffing.
-        oracle = tree.TreeFunction(oracle.k, {x: oracle(x) for x in window})
+        # restrict the oracle to the same vertices, as words of ints, before diffing.
+        xs = [tree.make_vertex(w, oracle.k) for w in window]
+        oracle = tree.TreeFunction(oracle.k, {x: oracle(x) for x in xs})
     max_diff, diffs = _diff_report(closed, oracle)
     print(f"kind={kind} n={n} max_abs_diff={max_diff}")
     if diffs:
@@ -351,17 +343,10 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(0)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except NotSolvable as exc:
-        print(json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr)
-        return EXIT_NOT_SOLVABLE
     except LatticeWavesError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        detail = f"{type(exc).__name__}: {exc}"
-        print(json.dumps({"error": "VALIDATION", "detail": detail}), file=sys.stderr)
-        return EXIT_VALIDATION
-    except Exception as exc:  # pragma: no cover
+        return exc.exit_status
+    except Exception as exc:  # a bug: invalid input raises a LatticeWavesError
         detail = f"{type(exc).__name__}: {exc}"
         print(json.dumps({"error": "INTERNAL", "detail": detail}), file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,10 +1,11 @@
-"""Exception hierarchy shared by all solver modules."""
+"""Exception hierarchy shared by all solver modules; each class carries its CLI exit status."""
 
 
 class LatticeWavesError(Exception):
     """Base class for all library errors."""
 
     code = "INTERNAL"
+    exit_status = 1
 
 
 class ModulusOutOfRange(LatticeWavesError):
@@ -69,6 +70,7 @@ class NotSolvable(LatticeWavesError):
     """
 
     code = "NOT_SOLVABLE"
+    exit_status = 2
 
     def __init__(self, message, detail=None):
         super().__init__(message)
@@ -97,3 +99,12 @@ class UsageError(LatticeWavesError):
     """The command line does not parse: an unknown option, a missing one or a bad value."""
 
     code = "USAGE"
+
+
+class FileError(LatticeWavesError):
+    """A problem file cannot be read or decoded as JSON, or an output file cannot be written."""
+
+    code = "VALIDATION"
+
+    def __init__(self, cause: Exception):
+        super().__init__(f"{type(cause).__name__}: {cause}")

@@ -5,9 +5,13 @@ coordinates always stored reduced mod m_i so that equality is plain
 componentwise comparison.  Every operation here is a pure function of
 immutable values.
 
-The public constructors and ``elem_add`` check element shapes; ``adder``
-gives the solvers and the oracles an unchecked sum for elements that are
-already known to conform.
+``integer`` is the one rule for every integer read from outside, such as
+a coordinate, a tree-word letter, a rank, a modulus or a time index: an
+``int`` that is not a ``bool``, or a decimal string.
+The public constructors and the wire format read through it, so they
+accept and reject the same values.  The constructors and ``elem_add``
+check element shapes; ``adder`` gives the solvers and the oracles an
+unchecked sum for elements that are already known to conform.
 """
 
 from __future__ import annotations
@@ -56,26 +60,58 @@ class GeneratorSet:
     degree: int
 
 
-def make_group(rank: int, moduli: Iterable[int]) -> GroupSpec:
-    moduli = tuple(int(m) for m in moduli)
+def integer(value, what: str) -> int:
+    """``value`` as an int; ``int()`` alone would read 1.5 and True as 1, a different problem."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ShapeMismatch(f"{what} must be an integer or a decimal string, got {value!r}")
+
+
+def array(values, what: str) -> list | tuple:
+    """A list or tuple; ShapeMismatch names ``what`` where it is anything else."""
+    if not isinstance(values, (list, tuple)):
+        raise ShapeMismatch(f"{what} must be given as an array, got {values!r}")
+    return values
+
+
+def integers(values, name: str, what: str) -> tuple[int, ...]:
+    """The array ``name`` of integers as a tuple, each error naming an entry as ``what``.
+
+    An array of ``int``s only is taken whole by one type scan; any other is
+    read one entry at a time, so each error is ``integer``'s.
+    """
+    values = array(values, name)
+    if {int}.issuperset(map(type, values)):
+        return tuple(values)
+    return tuple(integer(v, what) for v in values)
+
+
+def make_group(rank: int, moduli: Sequence[int]) -> GroupSpec:
+    moduli = integers(moduli, "moduli", "modulus")
+    rank = integer(rank, "rank")
     if rank < 0:
         raise ModulusOutOfRange(f"rank must be non-negative, got {rank}")
     for m in moduli:
         if m < 2:
             raise ModulusOutOfRange(f"torsion modulus must be >= 2, got {m}")
-    return GroupSpec(int(rank), moduli)
+    return GroupSpec(rank, moduli)
 
 
 def make_element(G: GroupSpec, free: Sequence[int], torsion: Sequence[int]) -> GroupElement:
     """Build a canonical element, reducing torsion coordinates eagerly."""
-    free = tuple(map(int, free))
-    torsion = tuple(map(int, torsion))
+    free = integers(free, "element coordinates", "element coordinate")
+    torsion = integers(torsion, "element coordinates", "element coordinate")
     if len(free) != G.rank or len(torsion) != len(G.moduli):
         raise ShapeMismatch(
             f"element shape ({len(free)},{len(torsion)}) does not match "
             f"group shape ({G.rank},{len(G.moduli)})"
         )
-    return GroupElement(free, tuple(v % m for v, m in zip(torsion, G.moduli)))
+    return GroupElement(free, tuple(map(_int_mod, torsion, G.moduli)))
 
 
 def identity(G: GroupSpec) -> GroupElement:

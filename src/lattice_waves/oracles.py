@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .cosets import CosetProblem
 from .errors import CosetInconstant, GroupMismatch, TorsionUnsupported
 from .functions import Scaled, SupportedFunction, add, lowest_terms
-from .groups import GeneratorSet, GroupElement, GroupSpec, adder
+from .groups import GeneratorSet, GroupElement, GroupSpec, adder, integer
 from .tree import TreeFunction, neighbors
 
 # laplacian(acc, u) adds -Δu into acc; both map points to int numerators.
@@ -202,7 +202,7 @@ class PathProfile(Scaled):
     """A finitely supported profile on the integers (the radialized line)."""
 
     def __init__(self, values: Mapping | None = None):
-        self._init(None, ((int(r), v) for r, v in (values or {}).items()))
+        self._init(None, ((integer(r, "path coordinate"), v) for r, v in (values or {}).items()))
 
 
 def even_profile(radial: list[Fraction]) -> PathProfile:

@@ -7,9 +7,10 @@ and read straight into numerators over one denominator; the function
 types' ``trusted`` constructors wrap the result.  Each value is written
 in lowest terms with a positive denominator.
 
-Both directions work on whole rows in C where they can.  An array of
-JSON integers is taken as it is, and only an array holding anything else
-is read field by field, so the errors are the same either way.
+A reader here checks an object's JSON shape and hands its fields to one
+public constructor, which reads integers by the one rule of
+``groups.integer`` (a JSON integer, not a boolean, or a decimal string):
+the wire and the library accept and reject the same values.
 
 This is the one module that writes CSV.  Every line ends in ``\\n``: a
 comment line with the run parameters, a column header, then the rows.
@@ -28,23 +29,8 @@ from typing import Any, Callable, Iterable
 
 from .errors import ShapeMismatch, ZeroDenominator
 from .functions import Scaled, SupportedFunction, over_lcm
-from .groups import GroupElement, GroupSpec, Quotient, make_element, make_group
+from .groups import GroupElement, GroupSpec, Quotient, array, integer, make_element, make_group
 from .tree import TreeFunction, TreeVertex, WeightTable, make_vertex
-
-
-def int_from_json(value, what: str) -> int:
-    """An integer field: a JSON integer (not a boolean) or a decimal string.
-
-    ``int()`` alone would read 1.5 as 1 and true as 1, a different problem.
-    """
-    if type(value) is int:
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ShapeMismatch(f"{what} must be an integer or a decimal string, got {value!r}")
 
 
 def required(obj, name: str):
@@ -54,46 +40,16 @@ def required(obj, name: str):
     raise ShapeMismatch(f"a JSON object with the required field {name!r} was expected")
 
 
-def array_from_json(values, what: str) -> list | tuple:
-    """A JSON array; ShapeMismatch names ``what`` where it is anything else."""
-    if not isinstance(values, (list, tuple)):
-        raise ShapeMismatch(f"{what} must be given as an array, got {values!r}")
-    return values
-
-
-def _ints_from_json(values, array: str, what: str) -> tuple[int, ...]:
-    """A JSON array of integer fields as a tuple of ints.
-
-    ``array`` names the array in errors and ``what`` one of its fields.
-    An array of JSON integers only, the usual case, is taken whole; any
-    other is read one field at a time, so each error is ``int_from_json``'s.
-    """
-    values = array_from_json(values, array)
-    if {int}.issuperset(map(type, values)):
-        return tuple(values)
-    return tuple(int_from_json(v, what) for v in values)
-
-
 def group_from_json(obj: dict) -> GroupSpec:
     if not isinstance(obj, dict) or "rank" not in obj:
         raise ShapeMismatch("group JSON must be an object with 'rank' and 'moduli'")
-    moduli = _ints_from_json(obj.get("moduli", []), "moduli", "modulus")
-    return make_group(int_from_json(obj["rank"], "rank"), moduli)
+    return make_group(obj["rank"], obj.get("moduli", []))
 
 
 def element_from_json(G: GroupSpec, obj: dict) -> GroupElement:
     if not isinstance(obj, dict):
         raise ShapeMismatch("element JSON must be an object with 'free' and 'torsion'")
-    free = _ints_from_json(obj.get("free", []), "element coordinates", "element coordinate")
-    torsion = _ints_from_json(obj.get("torsion", []), "element coordinates", "element coordinate")
-    if len(free) != G.rank or len(torsion) != len(G.moduli):
-        return make_element(G, free, torsion)  # raises its shape error
-    return GroupElement(free, tuple(map(mod, torsion, G.moduli)))
-
-
-def vertex_from_json(k: int, word) -> TreeVertex:
-    """A tree vertex from its reduced word, a JSON array of letters."""
-    return make_vertex(_ints_from_json(word, "tree-word letters", "tree-word letter"), k)
+    return make_element(G, obj.get("free", []), obj.get("torsion", []))
 
 
 def _summed_rows(triples: Iterable[tuple]) -> tuple[dict, int]:
@@ -103,10 +59,10 @@ def _summed_rows(triples: Iterable[tuple]) -> tuple[dict, int]:
     """
     def checked():
         for key, num, den in triples:
-            den = int_from_json(den, "den")
+            den = integer(den, "den")
             if den == 0:
                 raise ZeroDenominator(f"zero denominator in the rational {num}/{den}")
-            yield key, int_from_json(num, "num"), den
+            yield key, integer(num, "num"), den
     return over_lcm(checked())
 
 
@@ -115,7 +71,7 @@ def _row_triples(rows: list[dict] | None, key: Callable, what: str) -> Iterable[
 
     ``rows`` is a JSON array, or None for no rows; ``what`` names it in errors.
     """
-    rows = () if rows is None else array_from_json(rows, what)
+    rows = () if rows is None else array(rows, what)
     return ((key(required(r, "elem")), required(r, "num"), required(r, "den")) for r in rows)
 
 
@@ -129,7 +85,7 @@ def function_from_rows(
 def tree_function_from_rows(
     k: int, rows: list[dict] | None, what: str = "data rows"
 ) -> TreeFunction:
-    triples = _row_triples(rows, lambda word: vertex_from_json(k, word), what)
+    triples = _row_triples(rows, lambda word: make_vertex(word, k), what)
     return TreeFunction.trusted(k, *_summed_rows(triples))
 
 

@@ -29,20 +29,21 @@ from typing import Iterable, Mapping, Sequence
 from .cayley import wave_rows
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
 from .functions import Scaled, SupportedFunction, convolve_polynomials, lowest_terms
-from .groups import GroupElement, make_group
+from .groups import GroupElement, integers, make_group
 
 TreeVertex = tuple[int, ...]
 
 ROOT: TreeVertex = ()
 
 
-def make_vertex(word: Iterable[int], k: int) -> TreeVertex:
-    """Validate a reduced word: letters in 1..k, no adjacent repeats.
+def make_vertex(word: Sequence[int], k: int) -> TreeVertex:
+    """Validate a reduced word: an array of letters in 1..k, no adjacent repeats.
 
-    One pass checks both rules; only a bad word is read again, so the
-    error names its first letter outside 1..k, or else the word.
+    Letters are read by ``groups.integers``.  One pass checks both rules;
+    only a bad word is read again, so the error names its first letter
+    outside 1..k, or else the word.
     """
-    word = tuple(map(int, word))
+    word = integers(word, "tree-word letters", "tree-word letter")
     prev = 0
     for i in word:
         if not 0 < i <= k or i == prev:
@@ -199,12 +200,13 @@ def _placed(words: Iterable, k: int,
             fs: Sequence[TreeFunction]) -> tuple[list[TreeVertex], list[list]]:
     """The window's vertices, and for each of ``fs`` their hull positions, in window order.
 
-    In a window of tuples of ints (two type scans), a word p + (c,) listed
-    after its prefix p is a vertex exactly when c is in 1..k and not p's
-    last letter, and its positions are one ``_next_position`` step from
-    p's.  Any other word is checked by ``make_vertex``, so a malformed word
-    raises its error, and placed by ``_hull_position``.  The index of the
-    vertices met so far lives for this call only.
+    This is where a window is checked, once.  In a window of tuples of
+    ints (two type scans), a word p + (c,) listed after its prefix p is a
+    vertex exactly when c is in 1..k and not p's last letter, and its
+    positions are one ``_next_position`` step from p's.  Any other word is
+    checked by ``make_vertex``, so a word that is not an array or holds a
+    bad letter raises its error, and placed by ``_hull_position``.  The
+    index of the vertices met so far lives for this call only.
     """
     words = list(words)
     ints = ({tuple}.issuperset(map(type, words))
@@ -296,6 +298,13 @@ class WeightTable:
         return sum(weights[s] * v for s, v in _radius_sums(f, x).items() if s < len(weights))
 
 
+def _degree(k: int) -> int:
+    """k, checked to be a tree degree the tables and solvers handle: at least 2."""
+    if k < 2:
+        raise ShapeMismatch(f"tree degree k must be at least 2, got {k}")
+    return k
+
+
 def _tables(k: int, n: int, center: int, rows: list[list[int]]) -> list[WeightTable]:
     """A table per row: the weights of sum_i row[i] X^i, X the step with ``center``.
 
@@ -315,8 +324,7 @@ def _tables(k: int, n: int, center: int, rows: list[list[int]]) -> list[WeightTa
     L(m) = K(m) + sum_{j>=1} (k-2)(k-1)^(j-1) K(m+2j), which the suffix sum
     inverts.  A row of length m reaches radius m - 1.
     """
-    if k < 2:
-        raise ShapeMismatch(f"tree degree k must be at least 2, got {k}")
+    _degree(k)
     if n < 0:
         raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
     step = {GroupElement((m,), ()): c for m, c in ((0, center), (1, 1), (-1, k - 1))}
@@ -362,12 +370,14 @@ def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> T
     A value depends on its vertex only through the vertex's hull position
     (``_hull_position``), so it is computed once per position met in the
     window and read for every other vertex there.  A vertex listed after
-    its parent is checked and placed from the parent (``_placed``).
+    its parent is checked and placed from the parent (``_placed``), before
+    the weights are built, so a malformed window fails before any large-n
+    work.
     """
+    xs, (ats,) = _placed(eval_at, _degree(f.k), [f])
     table = tree_heat_weights(f.k, n)
     values = {}
     out = {}
-    xs, (ats,) = _placed(eval_at, f.k, [f])
     for x, at in zip(xs, ats):
         v = values.get(at)
         if v is None:
@@ -404,17 +414,17 @@ def tree_wave_solve(
     on g's hull, and the f term through its position on f's, so each is
     computed once per position met in the window.  A vertex listed after
     its parent is checked and placed on both hulls from the parent
-    (``_placed``).  The values are numerators over lcm(d_f, d_g).
+    (``_placed``), before the weights and any mass, so a malformed window
+    is reported first.  The values are numerators over lcm(d_f, d_g).
     """
     if f.k != g.k:
         raise ShapeMismatch("initial value and velocity live on trees of different degree")
+    xs, (gats, fats) = _placed(eval_at, _degree(f.k), [g, f])
     ftable, gtable = tree_wave_weights(f.k, n)
     d = lcm(f.denominator, g.denominator)
     a, b = d // f.denominator, d // g.denominator
     fvalues, gvalues = {}, {}
     out = {}
-    # Every vertex is checked before any mass, so a malformed window is reported first.
-    xs, (gats, fats) = _placed(eval_at, f.k, [g, f])
     for x, gat, fat in zip(xs, gats, fats):
         gv = gvalues.get(gat)
         if gv is None:

@@ -2,7 +2,7 @@
 
 The CSV readers parse what ``serialize`` writes, through the wire's own
 row reader; ``eval_vertices_by_word`` is the reference for the window
-read, ``convolve_power`` and ``symbol_eval`` for the kernel tests, and
+check, ``convolve_power`` and ``symbol_eval`` for the kernel tests, and
 ``stepped_weights`` for the tree weight tables.
 """
 
@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 from lattice_waves import serialize
 from lattice_waves.errors import ShapeMismatch, TorsionUnsupported
 from lattice_waves.functions import SupportedFunction, convolve_polynomials
-from lattice_waves.groups import GeneratorSet, GroupElement, GroupSpec, make_element
+from lattice_waves.groups import GeneratorSet, GroupElement, GroupSpec, array, make_element
 from lattice_waves.tree import TreeFunction, TreeVertex, make_vertex, sphere_size
 
 
@@ -48,10 +48,9 @@ def tree_function_from_csv(text: str, k: int) -> TreeFunction:
     return TreeFunction.trusted(k, *serialize._summed_rows(rows))
 
 
-def eval_vertices_by_word(words) -> list[tuple[int, ...]]:
-    """An ``eval.vertices`` array read one word at a time, each through ``_ints_from_json``."""
-    words = serialize.array_from_json(words, "eval vertices")
-    return [serialize._ints_from_json(w, "tree-word letters", "tree-word letter") for w in words]
+def eval_vertices_by_word(words, k: int) -> list[TreeVertex]:
+    """An ``eval.vertices`` array read and checked one word at a time, each by ``make_vertex``."""
+    return [make_vertex(w, k) for w in array(words, "eval vertices")]
 
 
 def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:

@@ -300,6 +300,22 @@ class TestCompare:
         assert "mismatch" in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind", ["tree-heat", "tree-wave"])
+    def test_tree_compare_reads_decimal_string_letters(self, tmp_path, capsys, kind):
+        # The oracle is restricted to the window as words of ints, so a
+        # letter given as a decimal string compares like its integer.
+        obj = dict(tree_problem(kind, n=3), eval={"vertices": [[], ["1"], ["1", "2"], [2, "3"]]})
+        assert cli.main(["compare", "--problem", write_problem(tmp_path, obj)]) == 0
+        out = capsys.readouterr().out
+        assert "max_abs_diff=0" in out and "mismatch" not in out
+
+    @pytest.mark.parametrize("kind", [[], {}, 5, None, "weights"], ids=repr)
+    def test_kind_that_cannot_be_compared_exit_1(self, tmp_path, capsys, kind):
+        problem = write_problem(tmp_path, dict(heat_problem(), kind=kind))
+        assert cli.main(["compare", "--problem", problem]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SHAPE_MISMATCH", "detail": f"kind {kind!r} cannot be compared"}
+
+    @pytest.mark.parametrize("kind", ["tree-heat", "tree-wave"])
     def test_tree_compare_builds_the_window_once(self, tmp_path, monkeypatch, capsys, kind):
         calls = []
         window = cli._tree_eval_vertices
@@ -546,6 +562,43 @@ class TestErrors:
         path.write_text("{not json")
         assert cli.main(["heat", "--problem", str(path)]) == 1
 
+    @pytest.mark.parametrize("content, cause", [
+        (None, "FileNotFoundError"),
+        ("directory", "IsADirectoryError"),
+        (b'{"kind": "\xff"}', "UnicodeDecodeError"),
+        ("{not json", "JSONDecodeError"),
+        ("[" * 100_000 + "]" * 100_000, "RecursionError"),
+    ], ids=["missing", "directory", "not-utf-8", "not-json", "nested-100000-deep"])
+    @pytest.mark.parametrize("command", ["heat", "compare"])
+    def test_unreadable_problem_is_a_file_error(self, tmp_path, capsys, command, content, cause):
+        # A problem file that cannot be read or decoded is a FileError, exit 1,
+        # with the underlying exception named in the detail.
+        path = tmp_path / "problem.json"
+        if content == "directory":
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        assert cli.main([command, "--problem", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == errors.FileError.code == "VALIDATION"
+        assert err["detail"].startswith(f"{cause}: ")
+
+    @pytest.mark.parametrize("obj", [heat_problem(), {"kind": "weights", "k": 3, "n": 2}],
+                             ids=lambda obj: obj["kind"])
+    def test_unwritable_out_is_a_file_error(self, tmp_path, capsys, obj):
+        out = tmp_path / "missing" / "u.csv"
+        argv = [obj["kind"], "--problem", write_problem(tmp_path, obj), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "VALIDATION", "detail": f"FileNotFoundError: [Errno 2] "
+                                             f"No such file or directory: {str(out)!r}"}
+
+    def test_exit_status_of_each_error_class(self):
+        assert {cls: cls.exit_status for cls in ERROR_CLASSES} == {
+            cls: 2 if cls is errors.NotSolvable else 1 for cls in ERROR_CLASSES}
+
     def test_bad_generators_exit_1(self, tmp_path, capsys):
         obj = heat_problem()
         obj["S"] = [{"free": [1], "torsion": []}]  # not symmetric
@@ -755,10 +808,11 @@ EXIT_CODE_DOCUMENTS = [
     {"kind": "weights", "k": 3, "which": "wave", "n": 2},
 ]
 MALFORMED = [None, True, False, 1.5, "x", [], [[1]], {}, 0, -1]
-ERROR_CODES = {
-    cls.code for cls in vars(errors).values()
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.LatticeWavesError)
-}
+]
+ERROR_CODES = {cls.code for cls in ERROR_CLASSES}
 
 
 def _field_paths(value, path=()):
@@ -787,25 +841,72 @@ def _replaced(doc, path, value):
 FIELDS = [(doc, path) for doc in EXIT_CODE_DOCUMENTS for path in _field_paths(doc)]
 
 
+def _exit_report(argv):
+    """(exit code, stderr) of ``cli.main(argv)``, with stdout thrown away."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _assert_library_error(code, err):
+    """Exit 1 or 2 with one JSON error object naming an ``errors`` class code."""
+    assert code in (1, 2)
+    report = json.loads(err)
+    assert report["error"] in ERROR_CODES and report["detail"]
+
+
+DOCUMENT_OF = {doc["kind"]: doc for doc in EXIT_CODE_DOCUMENTS + [COSET_PROBLEM]}
+# The arguments after the subcommand, PROBLEM standing for a valid problem file.
+MALFORMED_ARGUMENTS = [
+    (["--problem", "PROBLEM", "--n", "abc"], "USAGE"),
+    (["--problem", "PROBLEM", "--n", "-1"], "INDEX_OUT_OF_RANGE"),
+    (["--problem", "PROBLEM", "--n", str(sys.maxsize + 1)], "INDEX_OUT_OF_RANGE"),
+    (["--n", "2"], "USAGE"),
+    (["--problem", "PROBLEM", "--out", "missing/u.csv"], "VALIDATION"),
+]
+
+
 class TestExitCodes:
     @settings(max_examples=400, deadline=None)
     @given(field=st.sampled_from(FIELDS), value=st.sampled_from(MALFORMED))
     def test_one_malformed_field_never_exits_3(self, tmp_path_factory, field, value):
         # A substitution may leave a valid document (no rows for f, n = 0,
         # kind null): that one exits 0 with nothing on stderr.  Any other
-        # exits 1 or 2 with one JSON error object naming a library error.
+        # exits 1 or 2 with one JSON error object naming a library error,
+        # from the document's own subcommand and from compare.
         doc, path = field
         doc_dir = tmp_path_factory.getbasetemp()
         problem = write_problem(doc_dir, _replaced(doc, path, value), "malformed.json")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([doc["kind"], "--problem", problem])
-        if code == 0:
-            assert err.getvalue() == ""
-            return
-        assert code in (1, 2)
-        report = json.loads(err.getvalue())
-        assert report["error"] in ERROR_CODES and report["detail"]
+        for command in (doc["kind"], "compare"):
+            code, err = _exit_report([command, "--problem", problem])
+            if code == 0:
+                assert err == ""
+            else:
+                _assert_library_error(code, err)
+
+    @pytest.mark.parametrize("arguments, error", MALFORMED_ARGUMENTS,
+                             ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    @pytest.mark.parametrize("command", sorted(DOCUMENT_OF) + ["compare"])
+    def test_malformed_argument_never_exits_3(self, tmp_path, monkeypatch, command, arguments,
+                                              error):
+        # One malformed argument to a valid command line: exit 1 with the
+        # argument's error (compare takes no --out, a usage error).
+        monkeypatch.chdir(tmp_path)
+        problem = write_problem(tmp_path, DOCUMENT_OF.get(command, heat_problem()))
+        code, err = _exit_report([command] + [problem if a == "PROBLEM" else a for a in arguments])
+        _assert_library_error(code, err)
+        want = "USAGE" if command == "compare" and "--out" in arguments else error
+        assert code == 1 and json.loads(err)["error"] == want
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--max-n", "-1"], ["verify", "--max-n", "abc"], ["verify", "--suite", "nope"],
+        ["verify", "--seed", "x"], ["verify", "--problem", "p.json"], ["nope"], [],
+    ], ids=" ".join)
+    def test_malformed_verify_or_command_never_exits_3(self, argv):
+        code, err = _exit_report(argv)
+        _assert_library_error(code, err)
+        assert code == 1
 
 
 def _parse_error_cases():
@@ -891,19 +992,20 @@ class TestParseErrors:
                            st.lists(st.integers(1, 3), max_size=2), st.none()), max_size=4),
         st.one_of(st.integers(), st.text(max_size=3), st.none(), st.dictionaries(st.text(), st.integers())),
     ), max_size=8))
-    def test_window_read_whole_equals_word_by_word(self, words):
-        # An array of JSON integer words is taken whole; anything else is read
-        # word by word, so the tuples and the first error are the same.
+    def test_window_checked_once_equals_word_by_word(self, words):
+        # The CLI only makes the words of an all-array window tuples, and
+        # tree._placed checks the window once; the vertices, or the first
+        # error, are those of checking one word at a time.
         instance = {"eval": {"vertices": words}}
-        f = tree.TreeFunction(3)
+        placed = lambda: tree._placed(cli._tree_eval_vertices(instance, 3, None, 0), 3, [])[0]
         try:
-            want = eval_vertices_by_word(words)
+            want = eval_vertices_by_word(words, 3)
         except ShapeMismatch as exc:
             with pytest.raises(ShapeMismatch) as got:
-                cli._tree_eval_vertices(instance, 3, f, 0)
+                placed()
             assert type(got.value) is ShapeMismatch and str(got.value) == str(exc)
             return
-        got = cli._tree_eval_vertices(instance, 3, f, 0)
+        got = placed()
         assert got == want
         assert all(type(w) is tuple and {int}.issuperset(map(type, w)) for w in got)
 

@@ -18,6 +18,8 @@ from lattice_waves.errors import (
     ShapeMismatch,
 )
 import lattice_waves
+from lattice_waves import serialize, tree
+from lattice_waves.functions import SupportedFunction
 from lattice_waves.groups import (
     GroupElement,
     Quotient,
@@ -73,6 +75,68 @@ class TestGroupSpec:
         assert a == make_element(ZxZ4, [3], [1])
         assert hash(a) == hash(((3,), (1,)))
         assert len({a, make_element(ZxZ4, [3], [9])}) == 1
+
+
+def _raised(call):
+    """The class and message of what ``call()`` raises."""
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, None, [1]], ids=repr)
+class TestOneIntegerRule:
+    """The public constructors read integers as the wire does: same values, same messages."""
+
+    def test_group(self, value):
+        got = f"must be an integer or a decimal string, got {value!r}"
+        assert _raised(lambda: make_group(value, [])) == (ShapeMismatch, f"rank {got}")
+        assert _raised(lambda: make_group(1, [4, value])) == (ShapeMismatch, f"modulus {got}")
+        assert _raised(lambda: serialize.group_from_json({"rank": value})) == _raised(
+            lambda: make_group(value, []))
+        wire = {"rank": 1, "moduli": [4, value]}
+        assert _raised(lambda: serialize.group_from_json(wire)) == _raised(
+            lambda: make_group(1, [4, value]))
+
+    def test_element(self, value):
+        want = (ShapeMismatch, f"element coordinate must be an integer or a decimal string, "
+                               f"got {value!r}")
+        assert _raised(lambda: make_element(ZxZ4, [value], [0])) == want
+        assert _raised(lambda: make_element(ZxZ4, [0], [value])) == want
+        assert _raised(lambda: serialize.element_from_json(
+            ZxZ4, {"free": [0], "torsion": [value]})) == want
+
+    def test_vertex_and_window(self, value):
+        want = (ShapeMismatch, f"tree-word letter must be an integer or a decimal string, "
+                               f"got {value!r}")
+        f = tree.TreeFunction(3, {(1,): 1})
+        assert _raised(lambda: tree.make_vertex([1, value], 3)) == want
+        assert _raised(lambda: tree.tree_heat_solve(f, 1, [(), (1, value)])) == want
+        assert _raised(lambda: tree.tree_wave_solve(f, f, 1, [(1, value)])) == want
+        rows = [{"elem": [1, value], "num": "1", "den": "1"}]
+        assert _raised(lambda: serialize.tree_function_from_rows(3, rows)) == want
+
+
+# A key holding a list is not hashable, so the keys are tried with the other four.
+@pytest.mark.parametrize("value", [1.5, 2.0, True, None], ids=repr)
+def test_function_keys_follow_the_one_integer_rule(value):
+    got = f"must be an integer or a decimal string, got {value!r}"
+    assert _raised(lambda: SupportedFunction(Z, {GroupElement((value,), ()): 1})) == (
+        ShapeMismatch, f"element coordinate {got}")
+    assert _raised(lambda: tree.TreeFunction(3, {(1, value): 1})) == (
+        ShapeMismatch, f"tree-word letter {got}")
+
+
+def test_public_constructors_read_decimal_strings():
+    assert make_group("1", ["4"]) == ZxZ4
+    assert make_element(ZxZ4, ["-7"], ["5"]) == make_element(ZxZ4, [-7], [1])
+    assert tree.make_vertex(["1", 2, "3"], 3) == (1, 2, 3)
+    assert SupportedFunction(Z, {GroupElement(("3",), ()): 1}) == SupportedFunction(
+        Z, {make_element(Z, [3], []): 1})
+    f = tree.TreeFunction(3, {("1", "2"): 1})
+    assert f == tree.TreeFunction(3, {(1, 2): 1})
+    assert tree.tree_heat_solve(f, 2, [(), ("1",), (1, "2")]) == tree.tree_heat_solve(
+        f, 2, [(), (1,), (1, 2)])
 
 
 @pytest.mark.parametrize("G", [Z, Z2, ZxZ4, make_group(0, [2, 3])])

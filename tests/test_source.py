@@ -81,3 +81,19 @@ def test_only_serialize_writes_csv():
         if path.name != "serialize.py" and "num,den" in text:
             writers.append(f"{path.name}: CSV header")
     assert not writers, writers
+
+
+def test_only_groups_converts_integers():
+    # groups.integer is the one rule for a coordinate, a letter, a rank or a
+    # modulus: no other module calls int() or maps it over its input.
+    conversions = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+                continue
+            if node.func.id == "int" or (node.func.id == "map" and node.args
+                                         and getattr(node.args[0], "id", None) == "int"):
+                conversions.append(f"{path.name}:{node.lineno}")
+    assert not conversions, conversions

@@ -189,6 +189,30 @@ class TestWeights:
         with pytest.raises(ShapeMismatch):
             tree.tree_heat_solve(tree.TreeFunction(k, {(): 1}), 2, [()])
 
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_degree_is_checked_before_the_window(self, k):
+        # A window word is read against 1..k, so the degree comes first.
+        f = tree.TreeFunction(k, {(): 1})
+        want = f"tree degree k must be at least 2, got {k}"
+        with pytest.raises(ShapeMismatch, match=want):
+            tree.tree_heat_solve(f, 2, [(), (1,)])
+        with pytest.raises(ShapeMismatch, match=want):
+            tree.tree_wave_solve(f, tree.TreeFunction(k), 2, [(1,)])
+
+    def test_window_is_checked_before_any_weights(self, monkeypatch):
+        # A malformed window fails before any large-n work.
+        def no_weights(k, n):
+            raise AssertionError("weights built before the window was checked")
+
+        monkeypatch.setattr(tree, "tree_heat_weights", no_weights)
+        monkeypatch.setattr(tree, "tree_wave_weights", no_weights)
+        f = tree.TreeFunction(3, {(1,): 1})
+        for window in ([(), ("x",)], [(), (1, 1)], [(), (4,)], [(), 5]):
+            with pytest.raises(ShapeMismatch):
+                tree.tree_heat_solve(f, 10**9, window)
+            with pytest.raises(ShapeMismatch):
+                tree.tree_wave_solve(f, f, 10**9, window)
+
     def test_normalizations(self):
         for k in (2, 3, 5):
             for n in range(9):
@@ -573,7 +597,7 @@ class TestPrefixPlacement:
             "duplicates": ball[:20] + rng.choices(ball, k=40) + deep[:5] * 3,
             # A window not all of tuples of ints is checked word by word.
             "a list word": ball[:20] + [list(ball[7])] + ball[20:40],
-            "a bool letter": ball[:20] + [(True,)] + ball[20:40],
+            "a string letter": ball[:20] + [("1",)] + ball[20:40],
         }
         f = randgen.random_tree_function(rng, k, max_radius=radius + 2, max_points=12)
         g = _massless_velocity(rng, k, radius)
