@@ -7,8 +7,8 @@ convolution power of delta_e - A, and the wave propagators are
 binomial sums in -A.  ``functions.convolve_polynomials`` evaluates them,
 and ``functions.convolve`` applies them to the data; both multiply packed
 ``int``s wherever the layout is dense enough.  The tree weight tables
-(``tree._tables``) are its third caller: the same rows, evaluated on Z in
-the tree's step.
+use the same rows in the tree's step but do not evaluate them here: they
+run integer recurrences for the rows' coefficients on Z (``tree``).
 """
 
 from __future__ import annotations

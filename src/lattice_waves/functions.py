@@ -12,8 +12,8 @@ Kernels are integer polynomials in one function (``convolve_polynomials``),
 and a solution is a kernel convolved with the data (``convolve``).  This
 module alone knows the packed (Kronecker) layout that computes both, and
 the sparse fallbacks used where that layout would be mostly empty.
-``convolve_polynomials`` has three callers: the Cayley heat kernel, the
-Cayley wave kernels, and the tree weight tables, which it evaluates on Z.
+``convolve_polynomials`` has two callers, the Cayley heat kernel and the
+Cayley wave kernels; the tree weight tables run their own recurrences.
 """
 
 from __future__ import annotations

@@ -3,9 +3,14 @@
 Vertices are reduced words over k involutive generators (no two adjacent
 letters equal; the empty word is the root).  A solution value is a sum
 of the initial data's sphere sums around the evaluation vertex, sphere s
-weighted by the propagator's value at distance s: the Cayley propagator
-rows evaluated on Z by ``functions.convolve_polynomials`` and taken back
-to the tree by the inverse Abel transform (``_tables``).  Sphere sums
+weighted by the propagator's value at distance s.  The propagators are
+the Cayley propagator rows in the tree's step; their horocycle sums come
+from integer recurrences on Z (``_heat_sums``, ``_wave_sums``) and go
+back to the tree by the inverse Abel transform (``_inverse_abel``).  The
+tables do not share the Cayley kernels' evaluator
+``functions.convolve_polynomials``, which packs, multiplies and decodes
+the whole Laurent polynomial, its negative half too: a recurrence costs
+a few small-int products per coefficient it keeps.  Sphere sums
 are rerooted along the prefix tree of the data's support (the
 radialization recurrence of Figà-Talamanca & Nebbia, *Harmonic Analysis
 and Representation Theory for Groups Acting on Homogeneous Trees*,
@@ -26,10 +31,9 @@ from itertools import chain
 from math import comb, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .cayley import wave_rows
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
-from .functions import Scaled, SupportedFunction, convolve_polynomials, lowest_terms
-from .groups import GroupElement, integers, make_group
+from .functions import Scaled, lowest_terms
+from .groups import integers
 
 TreeVertex = tuple[int, ...]
 
@@ -100,7 +104,8 @@ class TreeFunction(Scaled):
 
 
 def sphere_size(k: int, r: int) -> int:
-    """Number of vertices at distance r from any fixed vertex."""
+    """Number of vertices at distance r from any fixed vertex; k is checked first (``_degree``)."""
+    _degree(k)
     if r < 0:
         raise IndexOutOfRange(f"radius must be non-negative, got {r}")
     if r == 0:
@@ -305,41 +310,96 @@ def _degree(k: int) -> int:
     return k
 
 
-def _tables(k: int, n: int, center: int, rows: list[list[int]]) -> list[WeightTable]:
-    """A table per row: the weights of sum_i row[i] X^i, X the step with ``center``.
+def _inverse_abel(k: int, L: list[int]) -> WeightTable:
+    """The table of a propagator K from its horocycle sums L(0..top), L taken over.
 
-    X is c*delta plus the sum over the k neighbours, c = ``center`` (1 - k
-    for the heat step delta - A, -k for -A).  The row is evaluated on Z in
-    the step c*delta_0 + delta_1 + (k-1)*delta_{-1} by one
-    ``convolve_polynomials`` call, and the inverse Abel transform (Cowling,
-    Meda & Setti, *Expo. Math.* 16, 1998) takes its coefficients L(m) back
-    to the tree: weight[s] = L(s) - (k-2) sum_{j>=1} L(s+2j).
+    weight[s] = L(s) - (k-2) sum_{j>=1} L(s+2j), the inverse Abel
+    transform of the tree (Cowling, Meda & Setti, *Expo. Math.* 16, 1998):
+    one backward pass with a running suffix sum per parity.  The sums past
+    the top are 0 for every propagator here.
 
     Why: index the vertices by horocycle, rising by one toward a fixed end.
     A vertex has one neighbour toward the end and k-1 away from it, so the
-    horocycle sums of X g are c + z + (k-1)z^-1 times those of g, and L(m)
-    is the sum of the propagator K over horocycle m.  For m >= 0 that
-    horocycle meets the sphere of radius m around the center (on horocycle
-    0) in one vertex and that of radius m + 2j in (k-2)(k-1)^(j-1), so
-    L(m) = K(m) + sum_{j>=1} (k-2)(k-1)^(j-1) K(m+2j), which the suffix sum
-    inverts.  A row of length m reaches radius m - 1.
+    horocycle sums of X g, X the step c*delta plus the sum over the k
+    neighbours, are c + z + (k-1)z^-1 times those of g, and L(m), the sum
+    of K over horocycle m, is the coefficient of z^m in K's polynomial in
+    X evaluated at that Laurent polynomial.  For m >= 0 that horocycle
+    meets the sphere of radius m around the center (on horocycle 0) in one
+    vertex and that of radius m + 2j in (k-2)(k-1)^(j-1), so
+    L(m) = K(m) + sum_{j>=1} (k-2)(k-1)^(j-1) K(m+2j), which the suffix
+    sum inverts.
     """
-    _degree(k)
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
-    step = {GroupElement((m,), ()): c for m, c in ((0, center), (1, 1), (-1, k - 1))}
-    line = SupportedFunction.trusted(make_group(1, []), step)
-    out = []
-    for row, h in zip(rows, convolve_polynomials(line, rows)):
-        L = {x.free[0]: v for x, v in h.numerators.items()}
-        weights = [L.get(m, 0) for m in range(len(row))]
-        # tails[s % 2] is sum_{j>=1} L(s+2j) when radius s is reached.
-        tails = [0, 0]
-        for s in reversed(range(len(row))):
-            weights[s] -= (k - 2) * tails[s % 2]
-            tails[s % 2] += L.get(s, 0)
-        out.append(WeightTable(k, weights))
-    return out
+    # tails[s % 2] is sum_{j>=1} L(s+2j) when radius s is reached.
+    tails = [0, 0]
+    for s in reversed(range(len(L))):
+        v = L[s]
+        L[s] = v - (k - 2) * tails[s & 1]
+        tails[s & 1] += v
+    return WeightTable(k, L)
+
+
+def _heat_sums(k: int, n: int) -> list[int]:
+    """The heat propagator's horocycle sums L(0..n), L(m) = [z^m] (1 - k + z + q/z)^n.
+
+    With q = k - 1, L(m) = a_{n+m} for a_j = [z^j] F, F = Q^n and
+    Q = z^2 + (1-k)z + q.  F satisfies Q F' = n Q' F, and the coefficient
+    of z^j on both sides gives
+    (2n-j+1) a_{j-1} = q(j+1) a_{j+1} - (1-k)(n-j) a_j;
+    with j = n + m that is (n-m+1) L(m-1) = q((n+m+1) L(m+1) - m L(m)).
+    It runs down from a_{2n} = 1, a_{2n+1} = 0, and each division is
+    exact, by 1..n.
+    """
+    L = [0] * (n + 2)
+    L[n] = 1
+    for m in range(n, 0, -1):
+        L[m - 1] = (k - 1) * ((n + m + 1) * L[m + 1] - m * L[m]) // (n - m + 1)
+    L.pop()
+    return L
+
+
+def _wave_sums(k: int, n: int) -> tuple[list[int], list[int]]:
+    """The horocycle sums (f, g) of the wave propagators F(t) and G(t), t = -A.
+
+    F = sum_i C(n,2i) t^i and G = sum_i C(n,2i+1) t^i (the rows of
+    ``cayley.wave_rows``) are the parts of (1 + sqrt t)^n = F + G sqrt t.
+    Differentiating in t,
+      (1-t) F' = (n/2)(G - F)  and  2t(1-t) G' + (1-t) G = n(F - tG).
+    With q = k - 1 the step factors as t = -k + z + q/z = T/z,
+    T = z^2 - kz + q = (z-1)(z-q), so dt/dz = (z^2 - q)/z^2 and
+    1 - t = -R/z, R = z^2 - (k+1)z + q.  In z the system reads
+      -2 R z F_z = n (z^2 - q)(G - F),
+      2 T R z G_z + (R - nT)(z^2 - q) G + n z (z^2 - q) F = 0,
+    and with c, r, s the coefficients of TR, R(z^2-q) and (z^2-q)T, the
+    coefficients f_m = [z^m] F and g_m = [z^m] G satisfy, at z^(m+4) and
+    z^(m+2),
+      (n-1-2m) g_m = n f_{m+1} - nq f_{m+3}
+                     - sum_{p=0..3} (n s_p - r_p - 2 c_p (m+4-p)) g_{m+4-p},
+      (n-2m) f_m = n g_m - 2(k+1)(m+1) f_{m+1} + q(2m+4+n) f_{m+2} - nq g_{m+2}.
+    (c_4 = r_4 = s_4 = 1 give the left sides.)  Both run down from the top
+    coefficients f_{n//2} = C(n, 2(n//2)) and g_{(n-1)//2} =
+    C(n, 2((n-1)//2) + 1), zeros above; every division is exact and no
+    divisor is 0 below its top.
+    """
+    q = k - 1
+    c = [q * q, -q * (2 * k + 1), 2 * q + k * (k + 1), -(2 * k + 1), 1]
+    r = [-q * q, q * (k + 1), 0, -(k + 1), 1]
+    s = [-q * q, q * k, 0, -k, 1]
+    ftop, gtop = n // 2, (n - 1) // 2
+    f, g = [0] * (ftop + 5), [0] * (ftop + 5)
+    f[ftop] = comb(n, 2 * ftop)
+    if gtop >= 0:
+        g[gtop] = comb(n, 2 * gtop + 1)
+    # e_p is the coefficient of g_{m+4-p} at the current m; it grows by 2 c_p per step down.
+    e0, e1, e2, e3 = (n * s[p] - r[p] - 2 * c[p] * (ftop + 4 - p) for p in range(4))
+    for m in range(ftop, -1, -1):
+        if m < gtop:
+            g[m] = (n * (f[m + 1] - q * f[m + 3]) - e0 * g[m + 4] - e1 * g[m + 3]
+                    - e2 * g[m + 2] - e3 * g[m + 1]) // (n - 1 - 2 * m)
+        if m < ftop:
+            f[m] = (n * (g[m] - q * g[m + 2]) - 2 * (k + 1) * (m + 1) * f[m + 1]
+                    + q * (2 * m + 4 + n) * f[m + 2]) // (n - 2 * m)
+        e0, e1, e2, e3 = e0 + 2 * c[0], e1 + 2 * c[1], e2 + 2 * c[2], e3 + 2 * c[3]
+    return f[:ftop + 1], g[:gtop + 1]
 
 
 def tree_heat_weights(k: int, n: int) -> WeightTable:
@@ -349,19 +409,28 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     radialized heat recurrence, of the profile concentrated on the radius-s
     sphere with mean 1/S(s); equivalently the heat kernel value at any
     vertex at distance s.  For k = 2 the table is the kernel on Z: weight s
-    is K_n(s).
+    is K_n(s).  Built from its horocycle sums (``_heat_sums``) by the
+    inverse Abel transform (``_inverse_abel``).
     """
-    return _tables(k, n, 1 - k, [[0] * n + [1]])[0]
+    _degree(k)
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    return _inverse_abel(k, _heat_sums(k, n))
 
 
 def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
     """Wave sphere weights: the pair (initial-value table, initial-velocity table).
 
     The propagators are the rows of ``cayley.wave_rows`` in the tree's -A,
-    the step with center -k.  The first table covers radii 0..floor(n/2),
-    the second 0..floor((n-1)/2) (empty for n = 0).
+    the step with center -k, built from their horocycle sums
+    (``_wave_sums``) by the inverse Abel transform.  The first table covers
+    radii 0..floor(n/2), the second 0..floor((n-1)/2) (empty for n = 0).
     """
-    return tuple(_tables(k, n, -k, wave_rows(n)))
+    _degree(k)
+    if n < 0:
+        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    f, g = _wave_sums(k, n)
+    return _inverse_abel(k, f), _inverse_abel(k, g)
 
 
 def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> TreeFunction:

@@ -3,7 +3,7 @@
 The CSV readers parse what ``serialize`` writes, through the wire's own
 row reader; ``eval_vertices_by_word`` is the reference for the window
 check, ``convolve_power`` and ``symbol_eval`` for the kernel tests, and
-``stepped_weights`` for the tree weight tables.
+``stepped_weights`` and ``convolved_weights`` for the tree weight tables.
 """
 
 import cmath
@@ -14,7 +14,9 @@ from typing import Callable, Iterable, Sequence
 from lattice_waves import serialize
 from lattice_waves.errors import ShapeMismatch, TorsionUnsupported
 from lattice_waves.functions import SupportedFunction, convolve_polynomials
-from lattice_waves.groups import GeneratorSet, GroupElement, GroupSpec, array, make_element
+from lattice_waves.groups import (
+    GeneratorSet, GroupElement, GroupSpec, array, make_element, make_group,
+)
 from lattice_waves.tree import TreeFunction, TreeVertex, make_vertex, sphere_size
 
 
@@ -124,3 +126,27 @@ def stepped_weights(k: int, center: int, rows: list[list[int]]) -> list[list[int
                 for s, p in enumerate(power):
                     table[s] += row[i] * p
     return [[c // sphere_size(k, s) for s, c in enumerate(table)] for table in out]
+
+
+def convolved_weights(k: int, center: int, rows: list[list[int]]) -> list[list[int]]:
+    """The weights of sum_i row[i] X^i for each row, through the Cayley evaluator on Z.
+
+    One ``convolve_polynomials`` call evaluates the rows in the step
+    center*delta_0 + delta_1 + (k-1)*delta_{-1}, and the inverse Abel
+    transform takes each result's coefficients L(m) back to the tree:
+    weight[s] = L(s) - (k-2) sum_{j>=1} L(s+2j).  It shares no code with
+    the table recurrences and reaches n = 1000, where ``stepped_weights``
+    is too slow.
+    """
+    step = {GroupElement((m,), ()): c for m, c in ((0, center), (1, 1), (-1, k - 1))}
+    line = SupportedFunction.trusted(make_group(1, []), step)
+    out = []
+    for row, h in zip(rows, convolve_polynomials(line, rows)):
+        L = {x.free[0]: v for x, v in h.numerators.items()}
+        weights = [L.get(m, 0) for m in range(len(row))]
+        tails = [0, 0]
+        for s in reversed(range(len(row))):
+            weights[s] -= (k - 2) * tails[s % 2]
+            tails[s % 2] += L.get(s, 0)
+        out.append(weights)
+    return out

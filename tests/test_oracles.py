@@ -26,8 +26,8 @@ def test_oracles_share_no_engine_code():
     # the recurrences themselves: they may use the element types and the
     # value form (``Scaled``, ``lowest_terms``, ``add``), whose results are
     # checked against ``Fraction`` references in test_value_form.py, never
-    # the kernels, convolution, the tree weight tables (``convolve_polynomials``
-    # on Z), the packed (Kronecker) kernels and products, the sparse product
+    # the kernels, convolution, the tree weight tables and their recurrences,
+    # the packed (Kronecker) kernels and products, the sparse product
     # they fall back on, or the rerooted tree sphere sums and their cache:
     # the tree oracles step neighbours.
     tree_ = ast.parse(inspect.getsource(oracles))
@@ -39,6 +39,7 @@ def test_oracles_share_no_engine_code():
     assert not names & {"convolve", "convolve_power", "convolve_polynomials",
                         "heat_kernel", "wave_kernels",
                         "tree_heat_weights", "tree_wave_weights", "WeightTable", "_tables",
+                        "_inverse_abel", "_heat_sums", "_wave_sums",
                         "_integer_form", "integer_form",
                         "_Packing", "_packing", "_reach", "SPREAD",
                         "_lift", "_strides", "pack", "unpack", "unit_shift",

@@ -57,7 +57,8 @@ def test_engine_and_oracles_read_numerators_not_entries():
 
 def test_only_functions_knows_the_packed_layout():
     # The Kronecker layout and its decode live in functions.py; every other
-    # module, the tree tables included, goes through convolve_polynomials.
+    # module goes through convolve_polynomials or convolve (the tree tables
+    # use neither: they run integer recurrences).
     layout = {"_Packing", "_packing", "unit_shift", "unpack"}
     named = []
     for path in sorted(SRC.glob("*.py")):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lattice_waves import cayley, oracles, randgen, tree
 from lattice_waves.errors import IndexOutOfRange, NotSolvable, ShapeMismatch
 
-from helpers import stepped_weights
+from helpers import convolved_weights, stepped_weights
 
 
 class TestGeometry:
@@ -57,6 +57,12 @@ class TestGeometry:
         assert [tree.sphere_size(3, r) for r in (1, 2, 3)] == [3, 6, 12]
         with pytest.raises(IndexOutOfRange):
             tree.sphere_size(3, -1)
+
+    def test_sphere_size_checks_the_degree(self):
+        with pytest.raises(ShapeMismatch, match="at least 2, got -2"):
+            tree.sphere_size(-2, 2)
+        with pytest.raises(ShapeMismatch, match="at least 2, got 1"):
+            tree.spherical_mean(tree.TreeFunction(1, {(1,): 1}), (), 3)
 
     def test_sphere_size_counts_vertices(self):
         k, r = 3, 3
@@ -171,7 +177,7 @@ class TestWeights:
                     else:
                         assert state[0] == 0
 
-    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("k", range(2, 9))
     def test_tables_equal_the_stepped_reference(self, k):
         # The tree-solve workloads run n up to 153; the radial oracle tests stop at 25.
         for n in [*range(25), 36, 60, 100, 153]:
@@ -179,6 +185,20 @@ class TestWeights:
             assert tree.tree_heat_weights(k, n).weights == heat
             wave = stepped_weights(k, -k, cayley.wave_rows(n))
             assert [table.weights for table in tree.tree_wave_weights(k, n)] == wave
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("n", [254, 255, 1000, 1001])
+    def test_large_tables_equal_the_convolved_reference(self, k, n):
+        # Past the stepped reference's reach: the route through the Cayley
+        # evaluator.  Each propagator summed over the tree is its polynomial
+        # at A = 0: 1 for heat and F, n for G.
+        tables = [tree.tree_heat_weights(k, n), *tree.tree_wave_weights(k, n)]
+        want = [*convolved_weights(k, 1 - k, [[0] * n + [1]]),
+                *convolved_weights(k, -k, cayley.wave_rows(n))]
+        assert [table.weights for table in tables] == want
+        masses = [sum(w * tree.sphere_size(k, s) for s, w in enumerate(table.weights))
+                  for table in tables]
+        assert masses == [1, 1, n]
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_degree_below_2_rejected(self, k):
