@@ -311,7 +311,7 @@ def _degree(k: int) -> int:
 
 
 def _inverse_abel(k: int, L: list[int]) -> WeightTable:
-    """The table of a propagator K from its horocycle sums L(0..top), L taken over.
+    """The table of a propagator K from its horocycle sums L(0..top), rewritten in place.
 
     weight[s] = L(s) - (k-2) sum_{j>=1} L(s+2j), the inverse Abel
     transform of the tree (Cowling, Meda & Setti, *Expo. Math.* 16, 1998):
@@ -346,8 +346,8 @@ def _heat_sums(k: int, n: int) -> list[int]:
     of z^j on both sides gives
     (2n-j+1) a_{j-1} = q(j+1) a_{j+1} - (1-k)(n-j) a_j;
     with j = n + m that is (n-m+1) L(m-1) = q((n+m+1) L(m+1) - m L(m)).
-    It runs down from a_{2n} = 1, a_{2n+1} = 0, and each division is
-    exact, by 1..n.
+    It runs down from a_{2n} = 1, a_{2n+1} = 0.  Each division, by 1..n,
+    is exact: every a_j is an integer.
     """
     L = [0] * (n + 2)
     L[n] = 1
@@ -377,8 +377,9 @@ def _wave_sums(k: int, n: int) -> tuple[list[int], list[int]]:
       (n-2m) f_m = n g_m - 2(k+1)(m+1) f_{m+1} + q(2m+4+n) f_{m+2} - nq g_{m+2}.
     (c_4 = r_4 = s_4 = 1 give the left sides.)  Both run down from the top
     coefficients f_{n//2} = C(n, 2(n//2)) and g_{(n-1)//2} =
-    C(n, 2((n-1)//2) + 1), zeros above; every division is exact and no
-    divisor is 0 below its top.
+    C(n, 2((n-1)//2) + 1), zeros above.  Every division is exact, since
+    F and G have integer coefficients in z, and no divisor is 0 below its
+    top.
     """
     q = k - 1
     c = [q * q, -q * (2 * k + 1), 2 * q + k * (k + 1), -(2 * k + 1), 1]
