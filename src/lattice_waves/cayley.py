@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import GroupMismatch, IndexOutOfRange, NotSolvable
+from .errors import GroupMismatch, NotSolvable
 from .functions import (
     SupportedFunction,
     add,
@@ -26,7 +26,7 @@ from .functions import (
     scale,
     trivial_character_sum,
 )
-from .groups import GeneratorSet, GroupElement, GroupSpec, adder, identity
+from .groups import GeneratorSet, GroupElement, GroupSpec, adder, identity, natural
 
 
 @dataclass
@@ -61,16 +61,14 @@ def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     cross-checking.  delta_e - A is the one heat step
     (1-k)*delta_e + sum_s delta_s, with |delta_e - A|_1 = 2k-1.
     """
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    n = natural(n, "time index n")
     step = _symbol(G, S, 1 - S.degree, 1)
     return Kernel(convolve_polynomials(step, [[0] * n + [1]])[0])
 
 
 def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     """K_n via the literal alternating binomial sum of convolution powers."""
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    n = natural(n, "time index n")
     A = inverse_symbol_a(G, S)
     total = delta(G)
     power = delta(G)
@@ -90,8 +88,7 @@ def wave_kernels(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]
 
     Both are polynomials in -A (``wave_rows``), with |-A|_1 = 2k.
     """
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    n = natural(n, "time index n")
     F, Gk = convolve_polynomials(_symbol(G, S, -S.degree, 1), wave_rows(n))
     return Kernel(F), Kernel(Gk)
 
@@ -120,7 +117,7 @@ def wave_solve(
 
 def ball(G: GroupSpec, S: GeneratorSet, radius: int) -> set[GroupElement]:
     """The word-metric ball of the given radius around the identity."""
-    step = adder(G)
+    radius, step = natural(radius, "radius"), adder(G)
     current = {identity(G)}
     seen = set(current)
     for _ in range(radius):

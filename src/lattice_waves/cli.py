@@ -4,6 +4,8 @@ Problem instances arrive as JSON, results leave as CSV.  Exit codes are
 a stable contract: 0 success, then each ``errors`` class's ``exit_status``
 (1 invalid input, 2 wave equation not solvable), 3 a bug.  Errors are
 emitted on stderr as a JSON object {"error": code, "detail": ...}.
+Every integer of a document is read by ``groups.integer``, and a time
+index or a radius (``n``, ``--n``, the eval radius) by ``groups.natural``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from fractions import Fraction
 from itertools import islice
 
 from . import cayley, cosets, groups, tree, verify
-from .errors import FileError, IndexOutOfRange, LatticeWavesError, ShapeMismatch, UsageError
+from .errors import FileError, LatticeWavesError, ShapeMismatch, UsageError
 from .functions import SupportedFunction
-from .groups import array, integer
+from .groups import array, integer, natural
 from .serialize import (
     element_from_json,
     function_from_rows,
@@ -37,7 +39,7 @@ EXIT_INTERNAL = 3
 
 
 def _load_problem(args) -> tuple[dict, int]:
-    """The problem document of ``args`` and its time index (``--n``, else its ``n``, else 0)."""
+    """The problem document of ``args`` and its time index: ``--n``, else its ``n``, else 0."""
     try:
         with open(args.problem) as fh:
             instance = json.load(fh)
@@ -45,10 +47,7 @@ def _load_problem(args) -> tuple[dict, int]:
         raise FileError(exc) from exc
     if not isinstance(instance, dict):
         raise ShapeMismatch(f"a problem document is a JSON object, not {type(instance).__name__}")
-    n = args.n if args.n is not None else integer(instance.get("n", 0), "n")
-    if n > sys.maxsize:
-        raise IndexOutOfRange(f"time index n={n} is above {sys.maxsize}")
-    return instance, n
+    return instance, natural(args.n if args.n is not None else instance.get("n", 0), "time index n")
 
 
 _values_to_function = function_from_rows
@@ -82,9 +81,7 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int,
         ball = spec["ball"]
         if not isinstance(ball, dict):
             raise ShapeMismatch(f"eval ball must be a JSON object, not {type(ball).__name__}")
-        radius = integer(ball.get("radius"), "eval radius")
-        if radius < 0:
-            raise IndexOutOfRange(f"eval ball radius must be non-negative, got {radius}")
+        radius = natural(ball.get("radius"), "eval ball radius")
         center = tree.make_vertex(ball.get("center", []), k)
     if radius is None:
         # Default window: the whole region where the solution can be nonzero.

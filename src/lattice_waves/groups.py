@@ -6,16 +6,17 @@ componentwise comparison.  Every operation here is a pure function of
 immutable values.
 
 ``integer`` is the one rule for every integer read from outside, such as
-a coordinate, a tree-word letter, a rank, a modulus or a time index: an
-``int`` that is not a ``bool``, or a decimal string.
-The public constructors and the wire format read through it, so they
-accept and reject the same values.  The constructors and ``elem_add``
-check element shapes; ``adder`` gives the solvers and the oracles an
-unchecked sum for elements that are already known to conform.
+a coordinate, a tree-word letter, a rank, a modulus or a tree degree: an
+``int`` that is not a ``bool``, or a decimal string; ``natural`` holds a
+time index or a radius to 0..sys.maxsize too.  The constructors, solvers
+and wire format read through them, so they accept and reject alike.
+The constructors and ``elem_add`` check element shapes; ``adder`` gives
+the solvers and the oracles an unchecked sum for conforming elements.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import prod
 from operator import add as _int_add, mod as _int_mod, mul as _int_mul
@@ -24,6 +25,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import (
     ContainsIdentity,
     DoesNotGenerate,
+    IndexOutOfRange,
     InfiniteSubgroup,
     ModulusOutOfRange,
     NotSymmetric,
@@ -70,6 +72,15 @@ def integer(value, what: str) -> int:
         except ValueError:
             pass
     raise ShapeMismatch(f"{what} must be an integer or a decimal string, got {value!r}")
+
+
+def natural(value, what: str) -> int:
+    """A time index or a radius: ``integer``'s value, in 0..sys.maxsize (IndexOutOfRange)."""
+    if (value := integer(value, what)) < 0:
+        raise IndexOutOfRange(f"{what} must be non-negative, got {value}")
+    if value > sys.maxsize:
+        raise IndexOutOfRange(f"{what}={value} is above {sys.maxsize}")
+    return value
 
 
 def array(values, what: str) -> list | tuple:

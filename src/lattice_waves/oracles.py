@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .cosets import CosetProblem
 from .errors import CosetInconstant, GroupMismatch, TorsionUnsupported
 from .functions import Scaled, SupportedFunction, add, lowest_terms
-from .groups import GeneratorSet, GroupElement, GroupSpec, adder, integer
+from .groups import GeneratorSet, GroupElement, GroupSpec, adder, integer, natural
 from .tree import TreeFunction, neighbors
 
 # laplacian(acc, u) adds -Δu into acc; both map points to int numerators.
@@ -112,7 +112,7 @@ def cayley_wave_trajectory(
     f: SupportedFunction, g: SupportedFunction, S: GeneratorSet, n: int
 ) -> list[SupportedFunction]:
     """u(.,0) .. u(.,n) by direct stepping, seeded by u0 = f, u1 = f + g."""
-    return list(islice(trajectory(cayley_wave_step, f, g, S), n + 1))
+    return list(islice(trajectory(cayley_wave_step, f, g, S), natural(n, "time index n") + 1))
 
 
 def trajectory(step: Callable, f, g, *args) -> Iterator:

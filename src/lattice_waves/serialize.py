@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable
 from .errors import ShapeMismatch, ZeroDenominator
 from .functions import Scaled, SupportedFunction, over_lcm
 from .groups import GroupElement, GroupSpec, Quotient, array, integer, make_element, make_group
-from .tree import TreeFunction, TreeVertex, WeightTable, make_vertex
+from .tree import TreeFunction, TreeVertex, WeightTable, _degree, make_vertex
 
 
 def required(obj, name: str):
@@ -85,6 +85,7 @@ def function_from_rows(
 def tree_function_from_rows(
     k: int, rows: list[dict] | None, what: str = "data rows"
 ) -> TreeFunction:
+    k = _degree(k)  # before any letter is read against 1..k, as ``TreeFunction`` does
     triples = _row_triples(rows, lambda word: make_vertex(word, k), what)
     return TreeFunction.trusted(k, *_summed_rows(triples))
 

@@ -19,7 +19,8 @@ add the data's integer numerators.  The weights are integers, so a
 solution is integer numerators over the data's denominator.  Below the
 hull a vertex's sums are those of its deepest hull prefix, shifted by the
 distance to it, so a value depends only on that (prefix, shift) pair and
-the solvers compute it once per pair.
+the solvers compute it once per pair.  A ``TreeFunction`` checks its
+degree once, when it is built (``_degree``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
 from .functions import Scaled, lowest_terms
-from .groups import integers
+from .groups import integer, integers, natural
 
 TreeVertex = tuple[int, ...]
 
@@ -88,6 +89,7 @@ class TreeFunction(Scaled):
     """
 
     def __init__(self, k: int, entries: Mapping | None = None):
+        k = _degree(k)
         self._init(k, ((make_vertex(x, k), v) for x, v in (entries or {}).items()))
 
     @property
@@ -105,9 +107,7 @@ class TreeFunction(Scaled):
 
 def sphere_size(k: int, r: int) -> int:
     """Number of vertices at distance r from any fixed vertex; k is checked first (``_degree``)."""
-    _degree(k)
-    if r < 0:
-        raise IndexOutOfRange(f"radius must be non-negative, got {r}")
+    k, r = _degree(k), natural(r, "radius")
     if r == 0:
         return 1
     return k * (k - 1) ** (r - 1)
@@ -249,19 +249,19 @@ def _radius_sums(f: TreeFunction, x: TreeVertex) -> dict[int, int]:
 
 def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
     """Sum of f over each sphere around x that its support meets."""
-    d = f.denominator
+    x, d = make_vertex(x, f.k), f.denominator
     return {r: Fraction(v, d) for r, v in _radius_sums(f, x).items()}
 
 
 def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
     """Average of f over the sphere of radius |r| around x (even in r)."""
-    r = abs(r)
+    x, r = make_vertex(x, f.k), abs(integer(r, "radius"))
     return Fraction(_radius_sums(f, x).get(r, 0), f.denominator * sphere_size(f.k, r))
 
 
 def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
     """The radial profile r -> M_f(x,r) for r >= 0, up to the support radius."""
-    sums = _radius_sums(f, x)
+    sums = _radius_sums(f, make_vertex(x, f.k))
     if not sums:
         return []
     d = f.denominator
@@ -304,8 +304,8 @@ class WeightTable:
 
 
 def _degree(k: int) -> int:
-    """k, checked to be a tree degree the tables and solvers handle: at least 2."""
-    if k < 2:
+    """k read by ``groups.integer`` and checked to be a tree degree: at least 2."""
+    if (k := integer(k, "tree degree k")) < 2:
         raise ShapeMismatch(f"tree degree k must be at least 2, got {k}")
     return k
 
@@ -413,9 +413,7 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     is K_n(s).  Built from its horocycle sums (``_heat_sums``) by the
     inverse Abel transform (``_inverse_abel``).
     """
-    _degree(k)
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    k, n = _degree(k), natural(n, "time index n")
     return _inverse_abel(k, _heat_sums(k, n))
 
 
@@ -427,9 +425,7 @@ def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
     (``_wave_sums``) by the inverse Abel transform.  The first table covers
     radii 0..floor(n/2), the second 0..floor((n-1)/2) (empty for n = 0).
     """
-    _degree(k)
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    k, n = _degree(k), natural(n, "time index n")
     f, g = _wave_sums(k, n)
     return _inverse_abel(k, f), _inverse_abel(k, g)
 
@@ -444,7 +440,7 @@ def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> T
     the weights are built, so a malformed window fails before any large-n
     work.
     """
-    xs, (ats,) = _placed(eval_at, _degree(f.k), [f])
+    xs, (ats,) = _placed(eval_at, f.k, [f])
     table = tree_heat_weights(f.k, n)
     values = {}
     out = {}
@@ -489,7 +485,7 @@ def tree_wave_solve(
     """
     if f.k != g.k:
         raise ShapeMismatch("initial value and velocity live on trees of different degree")
-    xs, (gats, fats) = _placed(eval_at, _degree(f.k), [g, f])
+    xs, (gats, fats) = _placed(eval_at, f.k, [g, f])
     ftable, gtable = tree_wave_weights(f.k, n)
     d = lcm(f.denominator, g.denominator)
     a, b = d // f.denominator, d // g.denominator

@@ -19,7 +19,7 @@ from typing import Iterator
 from . import cayley, cosets, oracles, randgen, tree
 from .errors import IndexOutOfRange, TorsionUnsupported
 from .functions import trivial_character_sum
-from .groups import GeneratorSet, GroupSpec, make_element, make_group, validate_generators
+from .groups import GeneratorSet, GroupSpec, make_element, make_group, natural, validate_generators
 
 Cases = Iterator[str | None]
 
@@ -211,8 +211,7 @@ def quadrature_errors(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[float, dic
     N*eps*(2k-1)^n, at least 1e-9.  Where it reaches 1/2, floats cannot
     resolve the integer values: IndexOutOfRange.
     """
-    if n < 0:
-        raise IndexOutOfRange(f"time index n must be non-negative, got {n}")
+    n = natural(n, "time index n")
     if G.rank != 1 or G.moduli:
         raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
     reach = n * max(abs(s.free[0]) for s in S.elements)
@@ -250,8 +249,7 @@ def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
     names = SUITES.get(suite)
     if names is None:
         raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    if max_n < 0:
-        raise IndexOutOfRange(f"max_n must be non-negative, got {max_n}")
+    max_n = natural(max_n, "max_n")
     rng = random.Random(seed)
     # coset-wave-lift draws from a generator of its own, so that the tree
     # checks after it draw the same instances as without it.

@@ -3,15 +3,19 @@
 The CSV readers parse what ``serialize`` writes, through the wire's own
 row reader; ``eval_vertices_by_word`` is the reference for the window
 check, ``convolve_power`` and ``symbol_eval`` for the kernel tests, and
-``stepped_weights`` and ``convolved_weights`` for the tree weight tables.
+``stepped_weights`` and ``convolved_weights`` for the tree weight tables,
+the latter from the Laurent polynomials of ``line_propagators`` or, one
+time step further, ``stepped_line_propagators``.
 """
 
 import cmath
 import csv
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from lattice_waves import serialize
+from lattice_waves.cayley import wave_rows
 from lattice_waves.errors import ShapeMismatch, TorsionUnsupported
 from lattice_waves.functions import SupportedFunction, convolve_polynomials
 from lattice_waves.groups import (
@@ -128,24 +132,59 @@ def stepped_weights(k: int, center: int, rows: list[list[int]]) -> list[list[int
     return [[c // sphere_size(k, s) for s, c in enumerate(table)] for table in out]
 
 
-def convolved_weights(k: int, center: int, rows: list[list[int]]) -> list[list[int]]:
-    """The weights of sum_i row[i] X^i for each row, through the Cayley evaluator on Z.
+def _times_step(p: dict[int, int], k: int, center: int) -> dict[int, int]:
+    """The Laurent polynomial p times the step center + z + (k-1)/z."""
+    out: dict[int, int] = {}
+    for m, c in p.items():
+        for shift, a in ((0, center), (1, 1), (-1, k - 1)):
+            out[m + shift] = out.get(m + shift, 0) + a * c
+    return out
 
-    One ``convolve_polynomials`` call evaluates the rows in the step
-    center*delta_0 + delta_1 + (k-1)*delta_{-1}, and the inverse Abel
-    transform takes each result's coefficients L(m) back to the tree:
-    weight[s] = L(s) - (k-2) sum_{j>=1} L(s+2j).  It shares no code with
-    the table recurrences and reaches n = 1000, where ``stepped_weights``
-    is too slow.
+
+@lru_cache(maxsize=None)
+def line_propagators(k: int, n: int) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """The heat propagator and the wave pair (F, G) at time n as Laurent polynomials on Z.
+
+    Each is the polynomial of its rows in the step center*delta_0 +
+    delta_1 + (k-1)*delta_{-1}, centre 1 - k for heat and -k for the wave
+    pair, evaluated by one ``convolve_polynomials`` call.  Cached: the
+    evaluation is most of a large-n weight test's time.
     """
-    step = {GroupElement((m,), ()): c for m, c in ((0, center), (1, 1), (-1, k - 1))}
-    line = SupportedFunction.trusted(make_group(1, []), step)
     out = []
-    for row, h in zip(rows, convolve_polynomials(line, rows)):
-        L = {x.free[0]: v for x, v in h.numerators.items()}
-        weights = [L.get(m, 0) for m in range(len(row))]
+    for center, rows in ((1 - k, [[0] * n + [1]]), (-k, wave_rows(n))):
+        step = {GroupElement((m,), ()): c for m, c in ((0, center), (1, 1), (-1, k - 1))}
+        line = SupportedFunction.trusted(make_group(1, []), step)
+        out += [{x.free[0]: v for x, v in h.numerators.items()}
+                for h in convolve_polynomials(line, rows)]
+    return tuple(out)
+
+
+def stepped_line_propagators(k: int, n: int) -> list[dict[int, int]]:
+    """``line_propagators(k, n - 1)`` taken one exact step on: K X, F + X G and F + G.
+
+    The wave pair follows from (1 + sqrt X)^n = (F + G sqrt X)(1 + sqrt X).
+    """
+    K, F, G = line_propagators(k, n - 1)
+    XG = _times_step(G, k, -k)
+    return [_times_step(K, k, 1 - k),
+            {m: F.get(m, 0) + XG.get(m, 0) for m in F.keys() | XG.keys()},
+            {m: F.get(m, 0) + G.get(m, 0) for m in F.keys() | G.keys()}]
+
+
+def convolved_weights(k: int, polynomials: Sequence[dict[int, int]],
+                      sizes: Sequence[int]) -> list[list[int]]:
+    """The tree weights of each Laurent polynomial on Z, ``sizes`` of them per table.
+
+    The inverse Abel transform takes the coefficients L(m) back to the
+    tree: weight[s] = L(s) - (k-2) sum_{j>=1} L(s+2j).  With the
+    polynomials of ``line_propagators`` it shares no code with the table
+    recurrences and reaches n = 1000, where ``stepped_weights`` is too slow.
+    """
+    out = []
+    for L, size in zip(polynomials, sizes):
+        weights = [L.get(m, 0) for m in range(size)]
         tails = [0, 0]
-        for s in reversed(range(len(row))):
+        for s in reversed(range(size)):
             weights[s] -= (k - 2) * tails[s % 2]
             tails[s % 2] += L.get(s, 0)
         out.append(weights)

@@ -901,12 +901,88 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--max-n", "-1"], ["verify", "--max-n", "abc"], ["verify", "--suite", "nope"],
+        ["verify", "--max-n", "99999999999999999999"],
         ["verify", "--seed", "x"], ["verify", "--problem", "p.json"], ["nope"], [],
     ], ids=" ".join)
     def test_malformed_verify_or_command_never_exits_3(self, argv):
         code, err = _exit_report(argv)
         _assert_library_error(code, err)
         assert code == 1
+
+
+Z = make_group(1, [])
+UNIT_Z = validate_generators(Z, [make_element(Z, [1], []), make_element(Z, [-1], [])])
+DELTA_Z = delta(Z)
+ZERO_MASS_Z = SupportedFunction(Z, {make_element(Z, [1], []): 1, make_element(Z, [-1], []): -1})
+TREE_F = tree.TreeFunction(3, {(1,): 1, (2, 1): -3})
+TREE_G = tree.TreeFunction(3, {(1,): 1, (2,): -1})  # radial mass 0 at the root
+ERROR_OF_CODE = {cls.code: cls for cls in ERROR_CLASSES}
+
+
+def _cli_output(argv):
+    """The stdout of ``cli.main(argv)``, or the ``errors`` class its exit names, raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code:
+        report = json.loads(err.getvalue())
+        raise ERROR_OF_CODE[report["error"]](report["detail"])
+    return out.getvalue()
+
+
+def _tree_document(**fields):
+    return write_problem(Path("."), dict(tree_problem(), **fields))
+
+
+# Each entry point that takes a time index or a radius, called with it.
+SOLVER_ARGUMENTS = {
+    "heat_kernel": lambda n: cayley.heat_kernel(Z, UNIT_Z, n).data,
+    "heat_kernel_binomial": lambda n: cayley.heat_kernel_binomial(Z, UNIT_Z, n).data,
+    "wave_kernels": lambda n: [K.data for K in cayley.wave_kernels(Z, UNIT_Z, n)],
+    "heat_solve": lambda n: cayley.heat_solve(DELTA_Z, UNIT_Z, n),
+    "wave_solve": lambda n: cayley.wave_solve(DELTA_Z, ZERO_MASS_Z, UNIT_Z, n),
+    "tree_heat_weights": lambda n: tree.tree_heat_weights(3, n),
+    "tree_wave_weights": lambda n: tree.tree_wave_weights(3, n),
+    "tree_heat_solve": lambda n: tree.tree_heat_solve(TREE_F, n, [(), (1,), (2, 3)]),
+    "tree_wave_solve": lambda n: tree.tree_wave_solve(TREE_F, TREE_G, n, [()]),
+    "quadrature_errors": lambda n: verify.quadrature_errors(Z, UNIT_Z, n),
+    "cayley_wave_trajectory": lambda n: oracles.cayley_wave_trajectory(
+        DELTA_Z, ZERO_MASS_Z, UNIT_Z, n),
+    "run_suite max_n": lambda n: [(r.name, r.passed, r.cases)
+                                  for r in verify.run_suite("cayley", max_n=n)],
+    "sphere_size": lambda r: tree.sphere_size(3, r),
+    "ball": lambda r: cayley.ball(Z, UNIT_Z, r),
+    "document n": lambda n: _cli_output(["tree-heat", "--problem", _tree_document(n=n)]),
+    "eval ball radius": lambda r: _cli_output(
+        ["tree-heat", "--problem", _tree_document(eval={"ball": {"radius": r}})]),
+    # argparse reads --n as an int, so only integers reach the rule.
+    "--n": lambda n: _cli_output(["tree-heat", "--problem", _tree_document(), "--n", str(n)]),
+}
+BAD_ARGUMENTS = [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry in sorted(SOLVER_ARGUMENTS)
+    for value in [True, 2.0, "x", None, -1, sys.maxsize + 1]
+    if entry != "--n" or type(value) is int
+]
+
+
+class TestSolverArguments:
+    @pytest.mark.parametrize("entry, value", BAD_ARGUMENTS)
+    def test_malformed_argument_raises_a_library_error(self, tmp_path, monkeypatch, entry,
+                                                       value):
+        # groups.natural reads every one: a non-integer is ShapeMismatch, an
+        # integer outside 0..sys.maxsize IndexOutOfRange, never a TypeError,
+        # ValueError or OverflowError from deeper down.
+        monkeypatch.chdir(tmp_path)
+        want = errors.IndexOutOfRange if type(value) is int else ShapeMismatch
+        with pytest.raises(errors.LatticeWavesError) as raised:
+            SOLVER_ARGUMENTS[entry](value)
+        assert type(raised.value) is want
+
+    @pytest.mark.parametrize("entry", sorted(SOLVER_ARGUMENTS))
+    def test_decimal_string_reads_as_its_integer(self, tmp_path, monkeypatch, entry):
+        monkeypatch.chdir(tmp_path)
+        assert SOLVER_ARGUMENTS[entry]("3") == SOLVER_ARGUMENTS[entry](3)
 
 
 def _parse_error_cases():

@@ -98,3 +98,14 @@ def test_only_groups_converts_integers():
                                          and getattr(node.args[0], "id", None) == "int"):
                 conversions.append(f"{path.name}:{node.lineno}")
     assert not conversions, conversions
+
+
+def test_one_module_bounds_time_indices_and_radii():
+    # groups.natural holds every time index and radius to 0..sys.maxsize;
+    # no other module words a range check of its own.
+    holders = {
+        text: [path.name for path in sorted(SRC.glob("*.py"))
+               if text in path.read_text(encoding="utf-8")]
+        for text in ("must be non-negative", "is above")
+    }
+    assert holders == {"must be non-negative": ["groups.py"], "is above": ["groups.py"]}, holders

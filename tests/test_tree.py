@@ -1,15 +1,19 @@
 """k-regular tree: geometry, spherical means, weight tables, solvers."""
 
+import ast
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_waves import cayley, oracles, randgen, tree
+from lattice_waves import cayley, oracles, randgen, serialize, tree
 from lattice_waves.errors import IndexOutOfRange, NotSolvable, ShapeMismatch
 
-from helpers import convolved_weights, stepped_weights
+from helpers import (
+    convolved_weights, line_propagators, stepped_line_propagators, stepped_weights,
+)
 
 
 class TestGeometry:
@@ -63,6 +67,26 @@ class TestGeometry:
             tree.sphere_size(-2, 2)
         with pytest.raises(ShapeMismatch, match="at least 2, got 1"):
             tree.spherical_mean(tree.TreeFunction(1, {(1,): 1}), (), 3)
+
+    @pytest.mark.parametrize("k", [1, 0, 3.0, True], ids=repr)
+    def test_function_degree_is_checked(self, k):
+        # The degree is an invariant of a tree function, read by groups.integer.
+        with pytest.raises(ShapeMismatch):
+            tree.TreeFunction(k, {})
+        with pytest.raises(ShapeMismatch):
+            serialize.tree_function_from_rows(k, [])
+
+    def test_function_degree_reads_a_decimal_string(self):
+        f = tree.TreeFunction("3", {(1, 3): 1})
+        assert type(f.k) is int and f == tree.TreeFunction(3, {(1, 3): 1})
+        assert serialize.tree_function_from_rows("3", []).k == 3
+
+    @pytest.mark.parametrize("x", [(1, 1), (5, 5), (0,)], ids=repr)
+    def test_vertex_readers_check_the_vertex(self, x):
+        f = tree.TreeFunction(3, {(1, 2): 1})
+        for read in (tree.sphere_sums, tree.path_reduce, lambda f, x: tree.spherical_mean(f, x, 1)):
+            with pytest.raises(ShapeMismatch):
+                read(f, x)
 
     def test_sphere_size_counts_vertices(self):
         k, r = 3, 3
@@ -190,11 +214,12 @@ class TestWeights:
     @pytest.mark.parametrize("n", [254, 255, 1000, 1001])
     def test_large_tables_equal_the_convolved_reference(self, k, n):
         # Past the stepped reference's reach: the route through the Cayley
-        # evaluator.  Each propagator summed over the tree is its polynomial
-        # at A = 0: 1 for heat and F, n for G.
+        # evaluator, an odd n one exact step on from the cached n - 1.  Each
+        # propagator summed over the tree is its polynomial at A = 0: 1 for
+        # heat and F, n for G.
         tables = [tree.tree_heat_weights(k, n), *tree.tree_wave_weights(k, n)]
-        want = [*convolved_weights(k, 1 - k, [[0] * n + [1]]),
-                *convolved_weights(k, -k, cayley.wave_rows(n))]
+        polynomials = line_propagators(k, n) if n % 2 == 0 else stepped_line_propagators(k, n)
+        want = convolved_weights(k, polynomials, [n + 1, n // 2 + 1, (n + 1) // 2])
         assert [table.weights for table in tables] == want
         masses = [sum(w * tree.sphere_size(k, s) for s, w in enumerate(table.weights))
                   for table in tables]
@@ -211,13 +236,18 @@ class TestWeights:
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_degree_is_checked_before_the_window(self, k):
-        # A window word is read against 1..k, so the degree comes first.
-        f = tree.TreeFunction(k, {(): 1})
+        # Every word is read against 1..k, so a tree function's degree is
+        # checked before its words, and a solver, which only holds tree
+        # functions, places its window against f.k without checking it again.
         want = f"tree degree k must be at least 2, got {k}"
         with pytest.raises(ShapeMismatch, match=want):
-            tree.tree_heat_solve(f, 2, [(), (1,)])
+            tree.TreeFunction(k, {(1, 2): 1})
         with pytest.raises(ShapeMismatch, match=want):
-            tree.tree_wave_solve(f, tree.TreeFunction(k), 2, [(1,)])
+            serialize.tree_function_from_rows(k, [{"elem": [1, 2], "num": "1", "den": "1"}])
+        for solver in (tree.tree_heat_solve, tree.tree_wave_solve):
+            names = {node.id for node in ast.walk(ast.parse(inspect.getsource(solver)))
+                     if isinstance(node, ast.Name)}
+            assert "_degree" not in names, solver.__name__
 
     def test_window_is_checked_before_any_weights(self, monkeypatch):
         # A malformed window fails before any large-n work.
@@ -632,6 +662,19 @@ class TestPrefixPlacement:
                 assert xs == want, name
                 for h, at in zip(fs, positions, strict=True):
                     assert at == [tree._hull_position(h, x) for x in want], name
+                    # The deepest prefix of x among the prefixes of h's
+                    # support words, and x's depth below it; one hull vertex
+                    # per prefix.
+                    prefixes = {w[:i] for w in h.numerators for i in range(len(w) + 1)}
+                    nodes = {}
+                    for x, (node, shift) in zip(want, at, strict=True):
+                        if not prefixes:
+                            assert (node, shift) == (None, 0), name
+                            continue
+                        depth = max(i for i in range(len(x) + 1) if x[:i] in prefixes)
+                        assert (node.depth, shift) == (depth, len(x) - depth), name
+                        assert nodes.setdefault(x[:depth], node) is node, name
+                    assert len(set(map(id, nodes.values()))) == len(nodes), name
                 # In a window of int tuples, only a word whose parent came
                 # before it skips make_vertex.
                 seen, by_word = set(), []
