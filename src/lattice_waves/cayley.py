@@ -80,6 +80,7 @@ def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
 
 def wave_rows(n: int) -> list[list[int]]:
     """The coefficients of F_n and G_n in -A: C(n,2i), 2i <= n, and C(n,2i+1), 2i+1 <= n."""
+    n = natural(n, "time index n")
     return [[comb(n, 2 * i + j) for i in range((n - j) // 2 + 1)] for j in (0, 1)]
 
 

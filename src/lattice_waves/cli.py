@@ -5,7 +5,9 @@ a stable contract: 0 success, then each ``errors`` class's ``exit_status``
 (1 invalid input, 2 wave equation not solvable), 3 a bug.  Errors are
 emitted on stderr as a JSON object {"error": code, "detail": ...}.
 Every integer of a document is read by ``groups.integer``, and a time
-index or a radius (``n``, ``--n``, the eval radius) by ``groups.natural``.
+index or a radius (``n``, ``--n``, the eval radius) by ``groups.natural``;
+every object by ``serialize.json_object`` and ``required``, and every
+selector (a kind, a role, ``which``) by ``groups.selector``.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from fractions import Fraction
 from itertools import islice
 
 from . import cayley, cosets, groups, tree, verify
-from .errors import FileError, LatticeWavesError, ShapeMismatch, UsageError
+from .errors import FileError, LatticeWavesError, UsageError
 from .functions import SupportedFunction
-from .groups import array, integer, natural
+from .groups import array, integer, natural, selector
 from .serialize import (
     element_from_json,
     function_from_rows,
     function_to_csv,
     group_from_json,
+    json_object,
     quotient_function_from_rows,
     required,
     tree_function_from_rows,
@@ -45,8 +48,7 @@ def _load_problem(args) -> tuple[dict, int]:
             instance = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
         raise FileError(exc) from exc
-    if not isinstance(instance, dict):
-        raise ShapeMismatch(f"a problem document is a JSON object, not {type(instance).__name__}")
+    instance = json_object(instance, "problem document")
     return instance, natural(args.n if args.n is not None else instance.get("n", 0), "time index n")
 
 
@@ -69,19 +71,15 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int,
     arrays only has them made tuples, and any other list is passed on as
     it is.
     """
-    spec = instance.get("eval", {})
-    if not isinstance(spec, dict):
-        raise ShapeMismatch(f"eval must be a JSON object, not {type(spec).__name__}")
+    spec = json_object(instance.get("eval", {}), "eval")
     if "vertices" in spec:
         words = array(spec["vertices"], "eval vertices")
         return list(map(tuple, words)) if {list}.issuperset(map(type, words)) else words
     center = tree.ROOT
     radius = None
     if "ball" in spec:
-        ball = spec["ball"]
-        if not isinstance(ball, dict):
-            raise ShapeMismatch(f"eval ball must be a JSON object, not {type(ball).__name__}")
-        radius = natural(ball.get("radius"), "eval ball radius")
+        ball = json_object(spec["ball"], "eval ball")
+        radius = natural(required(ball, "radius"), "eval ball radius")
         center = tree.make_vertex(ball.get("center", []), k)
     if radius is None:
         # Default window: the whole region where the solution can be nonzero.
@@ -103,7 +101,7 @@ def _read_problem(instance: dict):
     The context is the generator set S, the coset problem P or the tree
     degree k; g is None for the heat kinds.
     """
-    kind = required(instance, "kind")
+    kind = selector(required(instance, "kind"), SOLVER_KINDS, "problem 'kind'")
     if kind in ("heat", "wave"):
         G = group_from_json(required(instance, "group"))
         context = cayley_generators(instance, G)
@@ -111,11 +109,9 @@ def _read_problem(instance: dict):
     elif kind in ("coset-heat", "coset-wave"):
         context = build_coset(instance)
         reader = lambda rows, what: _project_initial(context, rows, what)
-    elif kind in ("tree-heat", "tree-wave"):
+    else:
         context = integer(required(instance, "k"), "k")
         reader = lambda rows, what: _values_to_tree_function(context, rows, what)
-    else:
-        raise ShapeMismatch(f"unknown problem kind {kind!r}")
     read = lambda name: reader(instance.get(name), f"data rows {name!r}")
     f = read("f")
     g = read("g") if kind.endswith("wave") else None
@@ -197,16 +193,14 @@ def _diff_report(closed, oracle):
 
 def cmd_run(args) -> int:
     instance, n = _load_problem(args)
-    if instance.get("kind") not in (None, args.kind):
-        raise ShapeMismatch(
-            f"problem file kind {instance.get('kind')!r} does not match subcommand {args.kind!r}"
-        )
-    kind = instance["kind"] = args.kind
+    kind = instance.get("kind")  # an absent or null kind is the subcommand's
+    kind = instance["kind"] = selector(args.kind if kind is None else kind, (args.kind,),
+                                       f"'kind' of a {args.kind} problem")
 
     if kind == "kernel":
         G = group_from_json(required(instance, "group"))
         S = cayley_generators(instance, G)
-        role = _kernel_role(instance)
+        role = selector(instance.get("role", "heat"), ("heat", "wave-f", "wave-g"), "kernel 'role'")
         if role == "heat":
             data = cayley.heat_kernel(G, S, n).data
         else:
@@ -217,14 +211,12 @@ def cmd_run(args) -> int:
 
     if kind == "weights":
         k = integer(required(instance, "k"), "k")
-        which = instance.get("which", "heat")
+        which = selector(instance.get("which", "heat"), ("heat", "wave"), "weights 'which'")
         if which == "heat":
             tables = [("heat", tree.tree_heat_weights(k, n))]
-        elif which == "wave":
+        else:
             wf, wg = tree.tree_wave_weights(k, n)
             tables = [("wave-f", wf), ("wave-g", wg)]
-        else:
-            raise ShapeMismatch(f"unknown weights selector {which!r}")
         header = {"kind": "weights", "which": which, "n": n, "k": k}
         _write(weights_to_csv(tables, header), args.out)
         return EXIT_OK
@@ -236,13 +228,9 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     instance, n = _load_problem(args)
-    kind = instance.get("kind")
-
+    kind = selector(instance.get("kind"), SOLVER_KINDS | {"kernel"}, "'kind' of a compared problem")
     if kind == "kernel":
         return _compare_kernel(instance, n)
-
-    if not isinstance(kind, str) or kind not in SOLVER_KINDS:
-        raise ShapeMismatch(f"kind {kind!r} cannot be compared")
     problem = _read_problem(instance)
     window = _window(instance, problem, n)
     closed, _header = _closed_form(problem, n, window)
@@ -261,18 +249,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _kernel_role(instance: dict) -> str:
-    role = instance.get("role", "heat")
-    if role not in ("heat", "wave-f", "wave-g"):
-        raise ShapeMismatch(f"unknown kernel role {role!r}")
-    return role
-
-
 def _compare_kernel(instance: dict, n: int) -> int:
     """Float cross-check of the exact Z heat kernel K_n (``verify.quadrature_errors``)."""
-    role = _kernel_role(instance)
-    if role != "heat":
-        raise ShapeMismatch(f"quadrature checks only the heat kernel K_n, not role {role!r}")
+    selector(instance.get("role", "heat"), ("heat",), "kernel 'role' checked by quadrature")
     G = group_from_json(required(instance, "group"))
     tolerance, errors = verify.quadrature_errors(G, cayley_generators(instance, G), n)
     worst = max(errors.values())

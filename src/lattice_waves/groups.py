@@ -10,6 +10,8 @@ a coordinate, a tree-word letter, a rank, a modulus or a tree degree: an
 ``int`` that is not a ``bool``, or a decimal string; ``natural`` holds a
 time index or a radius to 0..sys.maxsize too.  The constructors, solvers
 and wire format read through them, so they accept and reject alike.
+``array`` is the rule for an array, ``selector`` for a string that picks
+one of a fixed set: a problem kind, a kernel role, a table, a suite.
 The constructors and ``elem_add`` check element shapes; ``adder`` gives
 the solvers and the oracles an unchecked sum for conforming elements.
 """
@@ -88,6 +90,14 @@ def array(values, what: str) -> list | tuple:
     if not isinstance(values, (list, tuple)):
         raise ShapeMismatch(f"{what} must be given as an array, got {values!r}")
     return values
+
+
+def selector(value, choices, what: str) -> str:
+    """``value`` if it is one of the strings ``choices``; ShapeMismatch names ``what`` where not."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ShapeMismatch(f"{what} must be one of {', '.join(map(repr, sorted(choices)))}, "
+                        f"got {value!r}")
 
 
 def integers(values, name: str, what: str) -> tuple[int, ...]:

@@ -247,6 +247,7 @@ def radial_step_wave(
 
 def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:
     """Heat kernel coefficient K_n(r) on Z by quadrature (``quadrature_kernels``)."""
+    r = integer(r, "position r")
     return quadrature_kernels(S, n, [r])[r]
 
 
@@ -262,10 +263,10 @@ def quadrature_kernels(S: GeneratorSet, n: int, rs: Sequence[int]) -> dict[int, 
     for s in S.elements:
         if s.torsion or len(s.free) != 1:
             raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
-    k = S.degree
+    n, k = natural(n, "time index n"), S.degree
     span = max(abs(s.free[0]) for s in S.elements)
     N = 2 * n * span + 2
-    totals = {r: 0.0 + 0.0j for r in rs}
+    totals = {integer(r, "position r"): 0.0 + 0.0j for r in rs}
     for m in range(N):
         t = 2 * pi * m / N
         power = (1 - (k - sum(cmath.exp(-1j * t * s.free[0]) for s in S.elements))) ** n

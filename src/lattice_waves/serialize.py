@@ -7,10 +7,12 @@ and read straight into numerators over one denominator; the function
 types' ``trusted`` constructors wrap the result.  Each value is written
 in lowest terms with a positive denominator.
 
-A reader here checks an object's JSON shape and hands its fields to one
-public constructor, which reads integers by the one rule of
-``groups.integer`` (a JSON integer, not a boolean, or a decimal string):
-the wire and the library accept and reject the same values.
+``json_object`` and ``required`` are the one rule for a JSON object and
+its fields, a problem document's included.  A reader here checks an
+object's shape with them and hands its fields to one public constructor,
+which reads integers by the one rule of ``groups.integer`` (a JSON
+integer, not a boolean, or a decimal string): the wire and the library
+accept and reject the same values.
 
 This is the one module that writes CSV.  Every line ends in ``\\n``: a
 comment line with the run parameters, a column header, then the rows.
@@ -33,6 +35,13 @@ from .groups import GroupElement, GroupSpec, Quotient, array, integer, make_elem
 from .tree import TreeFunction, TreeVertex, WeightTable, _degree, make_vertex
 
 
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; ShapeMismatch names ``what`` where it is not."""
+    if isinstance(value, dict):
+        return value
+    raise ShapeMismatch(f"{what} must be a JSON object, not {type(value).__name__}")
+
+
 def required(obj, name: str):
     """The field ``name`` of a JSON object; ShapeMismatch names the field where it is missing."""
     if isinstance(obj, dict) and name in obj:
@@ -41,14 +50,15 @@ def required(obj, name: str):
 
 
 def group_from_json(obj: dict) -> GroupSpec:
-    if not isinstance(obj, dict) or "rank" not in obj:
-        raise ShapeMismatch("group JSON must be an object with 'rank' and 'moduli'")
-    return make_group(obj["rank"], obj.get("moduli", []))
+    """The group of a JSON object with a required ``rank`` and optional ``moduli``."""
+    obj = json_object(obj, "group")
+    return make_group(required(obj, "rank"), obj.get("moduli", []))
 
 
 def element_from_json(G: GroupSpec, obj: dict) -> GroupElement:
-    if not isinstance(obj, dict):
-        raise ShapeMismatch("element JSON must be an object with 'free' and 'torsion'")
+    """The element of a JSON object with optional ``free`` and ``torsion``: one test for a dict."""
+    if type(obj) is not dict:
+        obj = json_object(obj, "element")
     return make_element(G, obj.get("free", []), obj.get("torsion", []))
 
 

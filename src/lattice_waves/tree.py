@@ -123,11 +123,10 @@ class _Hull:
     at the root they are H.  A radius is dropped only when its count
     reaches 0, so zero sums keep their radius.  The data in a's subtree,
     as (word, numerator) pairs, is grouped by its next letter only when a
-    child is first asked for; a letter found to leave the hull is kept in
-    ``off``, so a later walk stops there without grouping again.
+    child is first asked for; a letter off the hull has no group in ``below``.
     """
 
-    __slots__ = ("depth", "counts", "sums", "items", "below", "children", "off")
+    __slots__ = ("depth", "counts", "sums", "items", "below", "children")
 
     def __init__(self, items: Iterable[tuple[TreeVertex, int]], depth: int,
                  parent: _Hull | None):
@@ -148,12 +147,11 @@ class _Hull:
         self.depth, self.counts, self.sums, self.items = depth, counts, sums, items
         self.below: dict[int, list[tuple[TreeVertex, int]]] | None = None
         self.children: dict[int, _Hull] = {}
-        self.off: set[int] = set()
 
     def child(self, c: int) -> _Hull | None:
         """The hull vertex one letter c below this one, built on first use; None off the hull."""
         child = self.children.get(c)
-        if child is not None or c in self.off:
+        if child is not None:
             return child
         if self.below is None:
             self.below = {}
@@ -162,10 +160,8 @@ class _Hull:
                     self.below.setdefault(y[self.depth], []).append((y, v))
             self.items = None
         items = self.below.pop(c, None)
-        if items is None:
-            self.off.add(c)
-            return None
-        child = self.children[c] = _Hull(items, self.depth + 1, self)
+        if items is not None:
+            child = self.children[c] = _Hull(items, self.depth + 1, self)
         return child
 
 
@@ -456,15 +452,15 @@ def radial_mass(g: TreeFunction, x: TreeVertex) -> Fraction:
     """Total mass of the radialization of g around x: M_g(x,0) + 2*sum_{r>=1} M_g(x,r).
 
     The sphere sums carry weight 1 at r = 0 and 2/S(r) beyond, added over
-    the one denominator S(rmax), rmax the farthest radius of g's support.
+    the one denominator S(rmax), rmax the farthest radius of g's support:
+    S(rmax)/S(r) is (k-1)^(rmax-r) for r >= 1.
     """
     sums = _radius_sums(g, x)
     if not sums:
         return Fraction(0)
-    size = sphere_size(g.k, max(sums))
-    total = sum(
-        v * (size if r == 0 else 2 * (size // sphere_size(g.k, r))) for r, v in sums.items()
-    )
+    rmax, q = max(sums), g.k - 1
+    size = sphere_size(g.k, rmax)
+    total = sum(v * (size if r == 0 else 2 * q ** (rmax - r)) for r, v in sums.items())
     return Fraction(total, size * g.denominator)
 
 

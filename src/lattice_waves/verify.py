@@ -16,7 +16,7 @@ from itertools import islice
 from time import perf_counter
 from typing import Iterator
 
-from . import cayley, cosets, oracles, randgen, tree
+from . import cayley, cosets, groups, oracles, randgen, tree
 from .errors import IndexOutOfRange, TorsionUnsupported
 from .functions import trivial_character_sum
 from .groups import GeneratorSet, GroupSpec, make_element, make_group, natural, validate_generators
@@ -246,9 +246,7 @@ SUITES["all"] = [name for group in SUITES.values() for name in group]
 
 def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
     """Run the checks of ``suite`` in order, each timed into its ``seconds``."""
-    names = SUITES.get(suite)
-    if names is None:
-        raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    names = SUITES[groups.selector(suite, SUITES, "suite")]
     max_n = natural(max_n, "max_n")
     rng = random.Random(seed)
     # coset-wave-lift draws from a generator of its own, so that the tree

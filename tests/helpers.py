@@ -4,8 +4,9 @@ The CSV readers parse what ``serialize`` writes, through the wire's own
 row reader; ``eval_vertices_by_word`` is the reference for the window
 check, ``convolve_power`` and ``symbol_eval`` for the kernel tests, and
 ``stepped_weights`` and ``convolved_weights`` for the tree weight tables,
-the latter from the Laurent polynomials of ``line_propagators`` or, one
-time step further, ``stepped_line_propagators``.
+the latter from the Laurent polynomials of ``line_propagators`` (its wave
+pair by exact doubling, ``_wave_pair``) or, one time step further,
+``stepped_line_propagators``.
 """
 
 import cmath
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 from lattice_waves import serialize
 from lattice_waves.cayley import wave_rows
 from lattice_waves.errors import ShapeMismatch, TorsionUnsupported
-from lattice_waves.functions import SupportedFunction, convolve_polynomials
+from lattice_waves.functions import SupportedFunction, add, convolve, convolve_polynomials, scale
 from lattice_waves.groups import (
     GeneratorSet, GroupElement, GroupSpec, array, make_element, make_group,
 )
@@ -141,22 +142,45 @@ def _times_step(p: dict[int, int], k: int, center: int) -> dict[int, int]:
     return out
 
 
+def _line_step(k: int, center: int) -> SupportedFunction:
+    """The step center*delta_0 + delta_1 + (k-1)*delta_{-1} on Z."""
+    step = {GroupElement((m,), ()): c for m, c in ((0, center), (1, 1), (-1, k - 1))}
+    return SupportedFunction.trusted(make_group(1, []), step)
+
+
+@lru_cache(maxsize=None)
+def _wave_pair(k: int, n: int) -> tuple[SupportedFunction, SupportedFunction]:
+    """(F, G) on Z with (1 + sqrt X)^n = F + G sqrt X, X the step with centre -k.
+
+    Horner's rule on the rows C(n, 2i), C(n, 2i+1) (``convolve_polynomials``)
+    up to n = 16; beyond, exact doubling (F, G) -> (F^2 + X G^2, 2 F G) from
+    n // 2 and, for odd n, one step (F + X G, F + G) from n - 1, each
+    product one ``convolve``.  Horner's rule alone at n = 1000 takes
+    seconds: its coefficients are hundreds of digits long at every step.
+    """
+    X = _line_step(k, -k)
+    if n <= 16:
+        return tuple(convolve_polynomials(X, wave_rows(n)))
+    if n % 2:
+        F, G = _wave_pair(k, n - 1)
+        return add(F, convolve(X, G)), add(F, G)
+    F, G = _wave_pair(k, n // 2)
+    return add(convolve(F, F), convolve(X, convolve(G, G))), scale(convolve(F, G), 2)
+
+
 @lru_cache(maxsize=None)
 def line_propagators(k: int, n: int) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
     """The heat propagator and the wave pair (F, G) at time n as Laurent polynomials on Z.
 
-    Each is the polynomial of its rows in the step center*delta_0 +
-    delta_1 + (k-1)*delta_{-1}, centre 1 - k for heat and -k for the wave
-    pair, evaluated by one ``convolve_polynomials`` call.  Cached: the
-    evaluation is most of a large-n weight test's time.
+    Each is a polynomial in the step center*delta_0 + delta_1 +
+    (k-1)*delta_{-1}: heat the n-th power of the step with centre 1 - k
+    (one ``convolve_polynomials`` call), the wave pair that of
+    ``_wave_pair``, centre -k.  Cached: the evaluation is most of a large-n
+    weight test's time.
     """
-    out = []
-    for center, rows in ((1 - k, [[0] * n + [1]]), (-k, wave_rows(n))):
-        step = {GroupElement((m,), ()): c for m, c in ((0, center), (1, 1), (-1, k - 1))}
-        line = SupportedFunction.trusted(make_group(1, []), step)
-        out += [{x.free[0]: v for x, v in h.numerators.items()}
-                for h in convolve_polynomials(line, rows)]
-    return tuple(out)
+    K = convolve_polynomials(_line_step(k, 1 - k), [[0] * n + [1]])
+    return tuple({x.free[0]: v for x, v in h.numerators.items()}
+                 for h in (*K, *_wave_pair(k, n)))
 
 
 def stepped_line_propagators(k: int, n: int) -> list[dict[int, int]]:

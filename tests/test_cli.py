@@ -312,8 +312,10 @@ class TestCompare:
     def test_kind_that_cannot_be_compared_exit_1(self, tmp_path, capsys, kind):
         problem = write_problem(tmp_path, dict(heat_problem(), kind=kind))
         assert cli.main(["compare", "--problem", problem]) == 1
+        kinds = "'coset-heat', 'coset-wave', 'heat', 'kernel', 'tree-heat', 'tree-wave', 'wave'"
         assert json.loads(capsys.readouterr().err) == {
-            "error": "SHAPE_MISMATCH", "detail": f"kind {kind!r} cannot be compared"}
+            "error": "SHAPE_MISMATCH",
+            "detail": f"'kind' of a compared problem must be one of {kinds}, got {kind!r}"}
 
     @pytest.mark.parametrize("kind", ["tree-heat", "tree-wave"])
     def test_tree_compare_builds_the_window_once(self, tmp_path, monkeypatch, capsys, kind):
@@ -503,6 +505,12 @@ class TestVerify:
         S4 = validate_generators(Z4, randgen.standard_generators(Z4))
         with pytest.raises(TorsionUnsupported):
             verify.quadrature_errors(Z4, S4, 2)
+
+    def test_unknown_suite_is_a_shape_mismatch(self):
+        # The CLI's --suite choices come from SUITES; the library reads the
+        # name by the one selector rule.
+        with pytest.raises(ShapeMismatch, match="suite must be one of 'all', "):
+            verify.run_suite("bogus")
 
     @pytest.mark.parametrize("max_n", ["-1", "-5"])
     def test_negative_max_n_exit_1_before_any_check(self, capsys, max_n):
@@ -948,6 +956,9 @@ SOLVER_ARGUMENTS = {
     "quadrature_errors": lambda n: verify.quadrature_errors(Z, UNIT_Z, n),
     "cayley_wave_trajectory": lambda n: oracles.cayley_wave_trajectory(
         DELTA_Z, ZERO_MASS_Z, UNIT_Z, n),
+    "quadrature_kernel": lambda n: oracles.quadrature_kernel(UNIT_Z, n, 0),
+    "quadrature_kernels": lambda n: oracles.quadrature_kernels(UNIT_Z, n, [0, 1]),
+    "wave_rows": cayley.wave_rows,
     "run_suite max_n": lambda n: [(r.name, r.passed, r.cases)
                                   for r in verify.run_suite("cayley", max_n=n)],
     "sphere_size": lambda r: tree.sphere_size(3, r),
@@ -991,7 +1002,12 @@ def _parse_error_cases():
     The field is where the value sits: an element coordinate (free, in a
     heat document on Z), a coset representative's coordinate (torsion, in a
     coset document on Z x Z4), a tree-word letter of a data row or of an
-    eval vertex (k = 3), or a heat document's group.
+    eval vertex (k = 3), or a heat document's group.  Then one case per
+    object and selector rule site: the problem document, a tree document's
+    ``eval`` and ``eval.ball``, the ``kind`` a subcommand or compare reads,
+    a kernel ``role``, the weights ``which``, and two sites only the
+    library reaches: ``cli._read_problem``'s kind and ``verify.run_suite``'s
+    suite.
     """
     shape, zero = "SHAPE_MISMATCH", "ZERO_DENOMINATOR"
     for value, shown in BAD_INTEGERS:
@@ -1016,6 +1032,35 @@ def _parse_error_cases():
         yield f"element-den-{den!r}", "element", group_row([0], [], den), zero, message
         yield f"coset-den-{den!r}", "coset", group_row([0], [0], den), zero, message
         yield f"letter-den-{den!r}", "letter", tree_row([1], den), zero, message
+    solver_kinds = "'coset-heat', 'coset-wave', 'heat', 'tree-heat', 'tree-wave', 'wave'"
+    compared_kinds = solver_kinds.replace("'heat', ", "'heat', 'kernel', ")
+    for name, field, wire, message in [
+        ("document-array", "document", [heat_problem()],
+         "problem document must be a JSON object, not list"),
+        ("eval-number", "eval object", 5, "eval must be a JSON object, not int"),
+        ("ball-array", "ball", [2], "eval ball must be a JSON object, not list"),
+        ("ball-without-radius", "ball", {"center": [1]},
+         "a JSON object with the required field 'radius' was expected"),
+        ("group-number", "group", 5, "group must be a JSON object, not int"),
+        ("group-without-rank", "group", {"moduli": []},
+         "a JSON object with the required field 'rank' was expected"),
+        ("element-array", "element", {"elem": [0], "num": "1", "den": "1"},
+         "element must be a JSON object, not list"),
+        ("kind-of-subcommand", "kind", "wave", "'kind' of a heat problem must be one of "
+         "'heat', got 'wave'"),
+        ("kind-compared", "compared kind", "weights",
+         f"'kind' of a compared problem must be one of {compared_kinds}, got 'weights'"),
+        ("kind-of-problem", "problem kind", "kernel",
+         f"problem 'kind' must be one of {solver_kinds}, got 'kernel'"),
+        ("role", "role", "bogus",
+         "kernel 'role' must be one of 'heat', 'wave-f', 'wave-g', got 'bogus'"),
+        ("role-compared", "compared role", "wave-f",
+         "kernel 'role' checked by quadrature must be one of 'heat', got 'wave-f'"),
+        ("which", "which", 5, "weights 'which' must be one of 'heat', 'wave', got 5"),
+        ("suite", "suite", "bogus",
+         "suite must be one of 'all', 'cayley', 'coset', 'quadrature', 'tree', got 'bogus'"),
+    ]:
+        yield name, field, wire, shape, message
 
 
 PARSE_ERRORS = list(_parse_error_cases())
@@ -1023,22 +1068,33 @@ PARSE_ERRORS = list(_parse_error_cases())
 
 def _document(field, wire):
     """A problem document with ``wire`` in ``field``, and the CLI command that runs it."""
-    if field == "element":
-        return dict(heat_problem(), f=[wire]), "heat"
-    if field == "coset":
-        return dict(COSET_PROBLEM, f=[wire]), "coset-heat"
-    if field == "letter":
-        return dict(tree_problem(), f=[wire]), "tree-heat"
-    if field == "group":
-        return dict(heat_problem(), group=wire), "heat"
-    return dict(tree_problem(), eval={"vertices": [[], wire]}), "tree-heat"
+    kernel = dict(heat_problem(), kind="kernel")
+    return {
+        "element": (dict(heat_problem(), f=[wire]), "heat"),
+        "coset": (dict(COSET_PROBLEM, f=[wire]), "coset-heat"),
+        "letter": (dict(tree_problem(), f=[wire]), "tree-heat"),
+        "group": (dict(heat_problem(), group=wire), "heat"),
+        "document": (wire, "heat"),
+        "eval object": (dict(tree_problem(), eval=wire), "tree-heat"),
+        "ball": (dict(tree_problem(), eval={"ball": wire}), "tree-heat"),
+        "kind": (dict(heat_problem(), kind=wire), "heat"),
+        "compared kind": (dict(heat_problem(), kind=wire), "compare"),
+        "role": (dict(kernel, role=wire), "kernel"),
+        "compared role": (dict(kernel, role=wire), "compare"),
+        "which": ({"kind": "weights", "k": 3, "n": 2, "which": wire}, "weights"),
+    }.get(field, (dict(tree_problem(), eval={"vertices": [[], wire]}), "tree-heat"))
 
 
 READERS = {
-    "element": lambda rows: serialize.function_from_rows(make_group(1, []), rows),
-    "coset": lambda rows: serialize.quotient_function_from_rows(COSET_QUOTIENT, rows),
-    "letter": lambda rows: serialize.tree_function_from_rows(3, rows),
+    "element": lambda wire: serialize.function_from_rows(make_group(1, []), [wire]),
+    "coset": lambda wire: serialize.quotient_function_from_rows(COSET_QUOTIENT, [wire]),
+    "letter": lambda wire: serialize.tree_function_from_rows(3, [wire]),
+    "group": serialize.group_from_json,
+    "problem kind": lambda wire: cli._read_problem(dict(heat_problem(), kind=wire)),
+    "suite": verify.run_suite,
 }
+# Reached only through the library: the CLI sets or checks these first.
+LIBRARY_FIELDS = {"problem kind", "suite"}
 
 
 class TestParseErrors:
@@ -1050,11 +1106,12 @@ class TestParseErrors:
     def test_row_readers(self, field, wire, code, message):
         error = ZeroDenominator if code == "ZERO_DENOMINATOR" else ShapeMismatch
         with pytest.raises(error) as exc:
-            READERS[field]([wire])
+            READERS[field](wire)
         assert type(exc.value) is error and str(exc.value) == message
 
     @pytest.mark.parametrize("field, wire, code, message",
-                             [pytest.param(*case[1:], id=case[0]) for case in PARSE_ERRORS])
+                             [pytest.param(*case[1:], id=case[0]) for case in PARSE_ERRORS
+                              if case[1] not in LIBRARY_FIELDS])
     def test_cli_exit_1(self, tmp_path, capsys, field, wire, code, message):
         doc, command = _document(field, wire)
         assert cli.main([command, "--problem", write_problem(tmp_path, doc)]) == 1

@@ -11,6 +11,7 @@ from itertools import islice, zip_longest
 import pytest
 
 from lattice_waves import cayley, cosets, oracles, randgen, tree
+from lattice_waves.errors import ShapeMismatch
 from lattice_waves.functions import add, scale
 from lattice_waves.groups import elem_add, make_element, make_group, validate_generators
 
@@ -299,6 +300,18 @@ class TestQuadrature:
             for r in range(-n, n + 1):
                 exact = float(K(make_element(Z, [r], [])))
                 assert abs(oracles.quadrature_kernel(S, n, r) - exact) <= 1e-9
+
+    @pytest.mark.parametrize("r", [True, 1.0, "x", None, [1]], ids=repr)
+    def test_position_follows_the_integer_rule(self, r):
+        # A position r is any integer, read by groups.integer: a decimal
+        # string is its integer, anything else ShapeMismatch.
+        S = z_gens()
+        assert oracles.quadrature_kernel(S, 3, "-1") == oracles.quadrature_kernel(S, 3, -1)
+        assert oracles.quadrature_kernels(S, 3, ["-1"]) == oracles.quadrature_kernels(S, 3, [-1])
+        with pytest.raises(ShapeMismatch, match="position r must be an integer"):
+            oracles.quadrature_kernel(S, 3, r)
+        with pytest.raises(ShapeMismatch, match="position r must be an integer"):
+            oracles.quadrature_kernels(S, 3, [0, r])
 
     @pytest.mark.parametrize("spans", [(1,), (1, 2), (1, 3, 4)], ids=str)
     def test_one_pass_over_the_nodes_repeats_every_float(self, spans):

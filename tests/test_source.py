@@ -109,3 +109,29 @@ def test_one_module_bounds_time_indices_and_radii():
         for text in ("must be non-negative", "is above")
     }
     assert holders == {"must be non-negative": ["groups.py"], "is above": ["groups.py"]}, holders
+
+
+def test_one_rule_per_document_shape():
+    # serialize.json_object and required decide every JSON object and its
+    # fields, groups.selector every string that picks one of a fixed set:
+    # cli.py raises no ShapeMismatch of its own, no module but serialize.py
+    # tests for a dict, and no module but groups.py words a choice.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "groups.py" and "must be one of" in text:
+            found.append(f"{path.name}: a selector message")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if path.name == "cli.py" and callee == "ShapeMismatch":
+                    found.append(f"{path.name}:{node.lineno} ShapeMismatch")
+                tested = node.args[1:2] if callee == "isinstance" else []
+            elif isinstance(node, ast.Compare):
+                tested = [node.left, *node.comparators]
+            else:
+                continue
+            names = {n.id for t in tested for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if path.name != "serialize.py" and "dict" in names:
+                found.append(f"{path.name}:{node.lineno} dict test")
+    assert not found, found
