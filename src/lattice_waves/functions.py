@@ -459,17 +459,3 @@ def trivial_character_sum(f: SupportedFunction) -> Fraction:
     """The value of the transform at the trivial character: the total mass of f."""
     return Fraction(sum(f.numerators.values()), f.denominator)
 
-
-def reflect(f: SupportedFunction) -> SupportedFunction:
-    """The function x -> f(-x)."""
-    G = f.group
-    negated = {elem_neg(G, x): v for x, v in f.numerators.items()}
-    return SupportedFunction.trusted(G, negated, f.denominator)
-
-
-def l1_norm(f: SupportedFunction) -> Fraction:
-    return Fraction(sum(map(abs, f.numerators.values())), f.denominator)
-
-
-def l2_norm_squared(f: SupportedFunction) -> Fraction:
-    return Fraction(sum(v * v for v in f.numerators.values()), f.denominator**2)

@@ -1,9 +1,12 @@
 """Self-verification suite: closed forms vs. brute-force oracles.
 
-Each check is a stream of cases: a case yields None when it passes and
-its failure detail when it fails.  ``_run`` counts the cases of one
-stream up to its first failure.  All comparisons are exact rational
-equality except the float quadrature check.
+Each check is one row of ``CHECKS``: its name, its suite, its horizon and
+its stream of cases, where a case yields None when it passes and its failure
+detail when it fails.  ``_run`` counts the cases of one stream up to its
+first failure.  Each check draws its instances from a generator of its own,
+seeded by the run's seed and the check's name (a ``str`` seed is hashed by
+SHA-512, not ``hash()``), so any suite draws the full run's instances.  All
+comparisons are exact rational equality except the float quadrature check.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from time import perf_counter
 from typing import Iterator
@@ -85,7 +89,7 @@ def states(problem) -> Iterator:
     return oracles.trajectory(oracles.tree_step_heat if heat else oracles.tree_step_wave, f, g)
 
 
-def _oracle_cases(rng: random.Random, instances: int, max_n: int, kind: str) -> Cases:
+def _oracle_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> Cases:
     """``solve`` against each state of ``states``, n = 0..max_n, on random problems of ``kind``."""
     for i in range(instances):
         if kind.startswith("coset"):
@@ -101,7 +105,7 @@ def _oracle_cases(rng: random.Random, instances: int, max_n: int, kind: str) -> 
             yield None if solve(problem, n) == state else f"mismatch at n={n}"
 
 
-def _kernel_cases(rng: random.Random, instances: int, max_n: int) -> Cases:
+def _kernel_cases(instances: int, rng: random.Random, max_n: int) -> Cases:
     for i in range(instances):
         _, G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
         S = randgen.random_symmetric_generators(rng, G)
@@ -140,7 +144,7 @@ def _coset_fixture(which: int):
 _TREE_N_CAP = {2: 12, 3: 12, 4: 8, 5: 6}
 
 
-def _tree_cases(rng: random.Random, instances: int, max_n: int, kind: str) -> Cases:
+def _tree_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> Cases:
     """``solve`` against tree stepping, then the radial profile against it, at each eval vertex."""
     heat = kind == "tree-heat"
     step = oracles.radial_step_heat if heat else oracles.radial_step_wave
@@ -168,7 +172,7 @@ def _tree_cases(rng: random.Random, instances: int, max_n: int, kind: str) -> Ca
             yield None if what is None else f"{what} mismatch n={n}"
 
 
-def _alpha_cases(max_j: int = 12) -> Cases:
+def _alpha_cases(max_j: int) -> Cases:
     for k in range(2, 7):
         for j in range(max_j + 1):
             coeffs = _laurent_power(k, j)
@@ -190,7 +194,7 @@ def _laurent_power(k: int, j: int) -> dict[int, int]:
     return poly
 
 
-def _weight_cases(max_n: int = 20) -> Cases:
+def _weight_cases(max_n: int) -> Cases:
     for k in range(2, 7):
         for n in range(max_n + 1):
             heat = tree.tree_heat_weights(k, n)
@@ -225,7 +229,7 @@ def quadrature_errors(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[float, dic
     return max(1e-9, scale * sys.float_info.epsilon), errors
 
 
-def _quadrature_cases(max_n: int = 10) -> Cases:
+def _quadrature_cases(max_n: int) -> Cases:
     # On unit Z up to n = 10 the r are -n..n and the tolerance is 1e-9.
     G = make_group(1, [])
     S = validate_generators(G, randgen.standard_generators(G))
@@ -235,35 +239,28 @@ def _quadrature_cases(max_n: int = 10) -> Cases:
             yield None if error <= tolerance else f"n={n} r={r}"
 
 
-SUITES = {
-    "cayley": ["cayley-heat", "cayley-wave", "kernels"],
-    "coset": ["coset", "coset-wave"],
-    "tree": ["tree-heat", "tree-wave", "alpha", "weights"],
-    "quadrature": ["quadrature"],
-}
-SUITES["all"] = [name for group in SUITES.values() for name in group]
+# One row per check, in run order: name, suite, horizon (the largest n it
+# reaches at a given max_n) and case stream (of its own generator and that
+# horizon).  The Cayley checks run to max_n: capping them needs a work estimate.
+CHECKS = [
+    ("cayley-heat-oracle", "cayley", lambda m: m, partial(_oracle_cases, "heat", 12)),
+    ("cayley-wave-oracle", "cayley", lambda m: m, partial(_oracle_cases, "wave", 12)),
+    ("kernel-identities", "cayley", lambda m: m, partial(_kernel_cases, 6)),
+    ("coset-heat-lift", "coset", lambda m: min(m, 15), partial(_oracle_cases, "coset-heat", 9)),
+    ("coset-wave-lift", "coset", lambda m: min(m, 15), partial(_oracle_cases, "coset-wave", 9)),
+    ("tree-heat-triple", "tree", lambda m: min(m, 10), partial(_tree_cases, "tree-heat", 8)),
+    ("tree-wave-triple", "tree", lambda m: min(m, 10), partial(_tree_cases, "tree-wave", 8)),
+    ("alpha-coefficients", "tree", lambda m: 12, lambda rng, n: _alpha_cases(n)),
+    ("weight-normalization", "tree", lambda m: min(m, 200), lambda rng, n: _weight_cases(n)),
+    ("quadrature", "quadrature", lambda m: 10, lambda rng, n: _quadrature_cases(n)),
+]
+SUITES = {suite: [name for name, s, *_ in CHECKS if s == suite] for _, suite, *_ in CHECKS}
+SUITES["all"] = [name for name, *_ in CHECKS]
 
 
 def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
-    """Run the checks of ``suite`` in order, each timed into its ``seconds``."""
+    """Run the checks of ``suite`` in table order, each timed into its ``seconds``."""
     names = SUITES[groups.selector(suite, SUITES, "suite")]
     max_n = natural(max_n, "max_n")
-    rng = random.Random(seed)
-    # coset-wave-lift draws from a generator of its own, so that the tree
-    # checks after it draw the same instances as without it.
-    coset_wave_rng = random.Random(f"coset-wave {seed}")
-    coset_n = min(max_n, 15)
-    # Generators run only when _run reads them, so the draws happen in suite order.
-    checks = {
-        "cayley-heat": ("cayley-heat-oracle", _oracle_cases(rng, 12, max_n, "heat")),
-        "cayley-wave": ("cayley-wave-oracle", _oracle_cases(rng, 12, max_n, "wave")),
-        "kernels": ("kernel-identities", _kernel_cases(rng, 6, max_n)),
-        "coset": ("coset-heat-lift", _oracle_cases(rng, 9, coset_n, "coset-heat")),
-        "coset-wave": ("coset-wave-lift", _oracle_cases(coset_wave_rng, 9, coset_n, "coset-wave")),
-        "tree-heat": ("tree-heat-triple", _tree_cases(rng, 8, min(max_n, 10), "tree-heat")),
-        "tree-wave": ("tree-wave-triple", _tree_cases(rng, 8, min(max_n, 10), "tree-wave")),
-        "alpha": ("alpha-coefficients", _alpha_cases()),
-        "weights": ("weight-normalization", _weight_cases(max_n)),
-        "quadrature": ("quadrature", _quadrature_cases()),
-    }
-    return [_run(*checks[name]) for name in names]
+    return [_run(name, cases(random.Random(f"{name} {seed}"), horizon(max_n)))
+            for name, _, horizon, cases in CHECKS if name in names]

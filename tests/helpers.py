@@ -2,7 +2,8 @@
 
 The CSV readers parse what ``serialize`` writes, through the wire's own
 row reader; ``eval_vertices_by_word`` is the reference for the window
-check, ``convolve_power`` and ``symbol_eval`` for the kernel tests, and
+check, ``convolve_power`` and ``symbol_eval`` for the kernel tests,
+``reflect``, ``l1_norm`` and ``l2_norm_squared`` for the solution tests, and
 ``stepped_weights`` and ``convolved_weights`` for the tree weight tables,
 the latter from the Laurent polynomials of ``line_propagators`` (its wave
 pair by exact doubling, ``_wave_pair``) or, one time step further,
@@ -20,7 +21,7 @@ from lattice_waves.cayley import wave_rows
 from lattice_waves.errors import ShapeMismatch, TorsionUnsupported
 from lattice_waves.functions import SupportedFunction, add, convolve, convolve_polynomials, scale
 from lattice_waves.groups import (
-    GeneratorSet, GroupElement, GroupSpec, array, make_element, make_group,
+    GeneratorSet, GroupElement, GroupSpec, array, elem_neg, make_element, make_group,
 )
 from lattice_waves.tree import TreeFunction, TreeVertex, make_vertex, sphere_size
 
@@ -70,6 +71,21 @@ def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:
     out = convolve_polynomials(SupportedFunction.trusted(G, f.numerators), [[0] * n + [1]])[0]
     d = f.denominator**n
     return SupportedFunction(G, {x: Fraction(v, d) for x, v in out.numerators.items()})
+
+
+def reflect(f: SupportedFunction) -> SupportedFunction:
+    """The function x -> f(-x)."""
+    G = f.group
+    negated = {elem_neg(G, x): v for x, v in f.numerators.items()}
+    return SupportedFunction.trusted(G, negated, f.denominator)
+
+
+def l1_norm(f: SupportedFunction) -> Fraction:
+    return Fraction(sum(map(abs, f.numerators.values())), f.denominator)
+
+
+def l2_norm_squared(f: SupportedFunction) -> Fraction:
+    return Fraction(sum(v * v for v in f.numerators.values()), f.denominator**2)
 
 
 def symbol_eval(S: GeneratorSet, t: Sequence[float]) -> complex:

@@ -24,9 +24,6 @@ from lattice_waves.functions import (
     add,
     convolve,
     delta,
-    l1_norm,
-    l2_norm_squared,
-    reflect,
     trivial_character_sum,
 )
 from lattice_waves.groups import (
@@ -35,6 +32,8 @@ from lattice_waves.groups import (
     make_group,
     validate_generators,
 )
+
+from helpers import l1_norm, l2_norm_squared, reflect
 
 Z = make_group(1, [])
 Z2 = make_group(2, [])

@@ -11,12 +11,11 @@ from lattice_waves.functions import (
     convolve,
     delta,
     make_function,
-    reflect,
     trivial_character_sum,
 )
 from lattice_waves.groups import identity, make_element, make_group, validate_generators
 
-from helpers import symbol_eval
+from helpers import reflect, symbol_eval
 
 Z = make_group(1, [])
 ZxZ4 = make_group(1, [4])

@@ -424,6 +424,72 @@ class TestCompare:
         assert summary == "0/2 checks passed"
 
 
+def _plus_delta_from_n_2(n_at):
+    """A solver fault: the solution plus delta_e once the time index at ``n_at`` is 2."""
+    def fault(real):
+        def solve(*args):
+            u = real(*args)
+            return add(u, delta(u.group)) if args[n_at] >= 2 else u
+        return solve
+    return fault
+
+
+def _kernel_plus_delta_from_n_2(real):
+    def kernel(G, S, n):
+        K = real(G, S, n)
+        return cayley.Kernel(add(K.data, delta(G))) if n >= 2 else K
+    return kernel
+
+
+def _wave_f_plus_delta_from_n_2(real):
+    def kernels(G, S, n):
+        F, Gn = real(G, S, n)
+        return (cayley.Kernel(add(F.data, delta(G))), Gn) if n >= 2 else (F, Gn)
+    return kernels
+
+
+def _alpha_plus_1_from_j_2(real):
+    return lambda j, s, k: real(j, s, k) + (j >= 2)
+
+
+def _abel_factor_k_minus_1(real):
+    # The transform's factor is (k - 2); at degree k + 1 it reads (k - 1).
+    return lambda k, L: tree.WeightTable(k, real(k + 1, L).weights)
+
+
+def _wave_f_top_plus_1_from_n_2(real):
+    def sums(k, n):
+        f, g = real(k, n)
+        return ([*f[:-1], f[-1] + 1], g) if n >= 2 else (f, g)
+    return sums
+
+
+# One planted engine fault per row, and every check it makes fail at
+# ``verify --max-n 3``, with the failing check's case count and detail.
+PLANTED_FAULTS = [
+    (cayley, "wave_solve", _plus_delta_from_n_2(3),
+     {"cayley-wave-oracle": (2, "mismatch at n=2")}),
+    (cosets, "coset_heat_solve", _plus_delta_from_n_2(2),
+     {"coset-heat-lift": (2, "mismatch at n=2")}),
+    (cayley, "heat_kernel_binomial", _kernel_plus_delta_from_n_2,
+     {"kernel-identities": (2, "K_2 forms differ")}),
+    (cayley, "heat_kernel", _kernel_plus_delta_from_n_2,
+     {"cayley-heat-oracle": (2, "mismatch at n=2"), "kernel-identities": (2, "K_2 forms differ"),
+      "coset-heat-lift": (2, "mismatch at n=2"), "quadrature": (6, "n=2 r=0")}),
+    (cayley, "wave_kernels", _wave_f_plus_delta_from_n_2,
+     {"cayley-wave-oracle": (2, "mismatch at n=2"), "kernel-identities": (2, "mass wrong at n=2"),
+      "coset-wave-lift": (2, "mismatch at n=2")}),
+    (tree, "alpha_coeff", _alpha_plus_1_from_j_2,
+     {"alpha-coefficients": (4, "j=2 s=-2 k=2")}),
+    (tree, "_inverse_abel", _abel_factor_k_minus_1,
+     {"tree-heat-triple": (2, "stepping mismatch n=2"),
+      "weight-normalization": (6, "k=2 n=2 got 0")}),
+    (tree, "_wave_sums", _wave_f_top_plus_1_from_n_2,
+     {"tree-wave-triple": (2, "stepping mismatch n=2"),
+      "weight-normalization": (7, "k=2 n=2 got 3")}),
+]
+
+
 class TestVerify:
     def test_quadrature_suite(self, capsys):
         assert cli.main(["verify", "--suite", "quadrature"]) == 0
@@ -494,6 +560,58 @@ class TestVerify:
         [failed] = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
         assert failed.startswith(f"{check:<20}  FAIL  cases={cases}  seconds=")
         assert failed.endswith(f"  {detail}")
+
+    @pytest.mark.parametrize("module, name, fault, failures", PLANTED_FAULTS,
+                             ids=[name for _, name, *_ in PLANTED_FAULTS])
+    def test_planted_fault_fails_its_checks(self, monkeypatch, module, name, fault, failures):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        results = verify.run_suite("all", max_n=3)
+        assert {r.name: (r.cases, r.detail) for r in results if not r.passed} == failures
+
+    def test_every_check_fails_for_a_planted_fault(self):
+        failing = {check for *_, failures in PLANTED_FAULTS for check in failures}
+        assert failing == set(verify.SUITES["all"])
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_any_suite_draws_the_full_runs_instances(self, monkeypatch, seed):
+        # Each random draw of a check is recorded under the check that _run is running.
+        draws, run = {}, verify._run
+
+        def recording_run(name, cases):
+            draws[name] = []
+            return run(name, cases)
+
+        def recording(real):
+            def draw(*args, **kwargs):
+                drawn = real(*args, **kwargs)
+                draws[next(reversed(draws))].append(drawn)
+                return drawn
+            return draw
+
+        monkeypatch.setattr(verify, "_run", recording_run)
+        for name in ("random_symmetric_generators", "random_function",
+                     "random_zero_mean_function", "random_tree_function"):
+            monkeypatch.setattr(randgen, name, recording(getattr(randgen, name)))
+        verify.run_suite("all", max_n=3, seed=seed)
+        full, replayed = dict(draws), {}
+        assert sum(1 for drawn in full.values() if drawn) == 7  # the checks that draw at all
+        for suite in sorted(set(verify.SUITES) - {"all"}):
+            draws.clear()
+            verify.run_suite(suite, max_n=3, seed=seed)
+            replayed.update(draws)
+        assert replayed.keys() == full.keys()
+        assert [name for name in full if replayed[name] != full[name]] == []
+
+    def test_every_suite_but_cayley_stops_at_its_horizons(self):
+        # The Cayley checks run to max_n itself; every other check is capped by its table row.
+        results = [r for suite in ("coset", "tree", "quadrature")
+                   for r in verify.run_suite(suite, max_n=sys.maxsize)]
+        assert [(r.name, r.passed, r.cases) for r in results] == [
+            ("coset-heat-lift", True, 144), ("coset-wave-lift", True, 144),
+            ("tree-heat-triple", True, 76), ("tree-wave-triple", True, 76),
+            ("alpha-coefficients", True, 845), ("weight-normalization", True, 3015),
+            ("quadrature", True, 121),
+        ]
 
     def test_quadrature_errors_on_unit_z(self):
         G = make_group(1, [])

@@ -16,10 +16,7 @@ from lattice_waves.functions import (
     add,
     convolve,
     delta,
-    l1_norm,
-    l2_norm_squared,
     make_function,
-    reflect,
     scale,
     sub,
     trivial_character_sum,
@@ -27,7 +24,7 @@ from lattice_waves.functions import (
 )
 from lattice_waves.groups import adder, identity, make_element, make_group
 
-from helpers import convolve_power
+from helpers import convolve_power, l1_norm, l2_norm_squared, reflect
 
 Z = make_group(1, [])
 ZxZ4 = make_group(1, [4])
