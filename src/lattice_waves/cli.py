@@ -261,16 +261,17 @@ def _compare_kernel(instance: dict, n: int) -> int:
 
 def cmd_verify(args) -> int:
     results = verify.run_suite(args.suite, max_n=args.max_n, seed=args.seed)
-    width = max(len(r.name) for r in results)
+    names = verify.SUITES[args.suite]
+    width = max(map(len, names))
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         line = f"{r.name:<{width}}  {status}  cases={r.cases}  seconds={r.seconds:.3f}"
         if r.detail:
             line += f"  {r.detail}"
-        print(line)
+        print(line, flush=True)
         failed += 0 if r.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    print(f"{len(names) - failed}/{len(names)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
 

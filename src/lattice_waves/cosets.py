@@ -84,11 +84,17 @@ def lift(f: SupportedFunction, P: CosetProblem) -> SupportedFunction:
 def restrict(u: SupportedFunction, P: CosetProblem) -> SupportedFunction:
     """Push a coset-constant function on the base group down to the quotient.
 
-    ``project`` returns quotient elements and u keeps one numerator per coset,
-    so the result is wrapped as it is: ``verify.states`` restricts every
-    oracle state.
+    ``project`` keeps the free part and maps only the torsion part, so each
+    distinct torsion tuple of u is projected once per call.  u keeps one
+    numerator per coset, so the result is wrapped as it is:
+    ``verify.states`` restricts every oracle state.
     """
-    out = {P.quot.project(x): v for x, v in u.numerators.items()}
+    images: dict[tuple[int, ...], tuple[int, ...]] = {}
+    out = {}
+    for x, v in u.numerators.items():
+        if x.torsion not in images:
+            images[x.torsion] = P.quot.project(x).torsion
+        out[GroupElement(x.free, images[x.torsion])] = v
     return SupportedFunction.trusted(P.quot.group, out, u.denominator)
 
 

@@ -5,15 +5,20 @@ Every stepper is one of the paper's two time rules, heat u - Δu and wave
 Δf(x) = deg(x) f(x) - sum_{y ~ x} f(y) of its graph.  One loop,
 ``_laplacian``, adds -Δu into an integer accumulator; each graph family
 supplies only its degree and a spread map, the points that u(x) feeds:
-the shifts x + s with a divisor on groups (S and 1 on a Cayley graph, the
-sums h + s over H x S~ and |H| on the lifted coset graph), the
-reduced-word neighbours on trees, and r - 1 (k - 1 times) and r + 1 on
-the radialized line, whose radial profiles are even extensions.  The
-rules step the states' integer numerators over one common denominator
-(times the divisor) and reduce the result to lowest terms.  Nothing is
-shared with the closed-form engine beyond the element types and the
-value form (``Scaled``, ``lowest_terms``, ``add``); the steppers are
-deliberately naive and slow.
+the shifts x + s on groups (s over S on a Cayley graph, over S~ on the
+lifted coset graph), the reduced-word neighbours on trees, and r - 1
+(k - 1 times) and r + 1 on the radialized line, whose radial profiles are
+even extensions.  The rules step the states' integer numerators over one
+common denominator and reduce the result to lowest terms.
+
+The lifted coset graph's Laplacian is 1/|H| times the sum over the shifts
+h + s, H x S~.  The lifted steppers check that every state is constant on
+cosets of H, and on such a u sum_{h in H} u(x + h + s) = |H| u(x + s): the
+scaled sum over H x S~ is the plain sum over S~, in the same integers.
+The steppers still step on the base group and never read the quotient's
+coordinates.  Nothing is shared with the closed-form engine beyond the
+element types and the value form (``Scaled``, ``lowest_terms``, ``add``);
+the steppers are deliberately naive and slow.
 """
 
 from __future__ import annotations
@@ -38,17 +43,16 @@ def _times(numerators: dict, c: int) -> dict:
     return {x: c * v for x, v in numerators.items()} if c != 1 else numerators
 
 
-def _heat(u: Scaled, laplacian: Laplacian, divisor: int = 1) -> Scaled:
-    """u - Δu; the numerators are scaled so that ``divisor`` divides each."""
-    numerators = _times(u.numerators, divisor)
-    acc = dict(numerators)
-    laplacian(acc, numerators)
-    return type(u).trusted(u.tag, *lowest_terms(acc, u.denominator * divisor))
+def _heat(u: Scaled, laplacian: Laplacian) -> Scaled:
+    """u - Δu over u's denominator."""
+    acc = dict(u.numerators)
+    laplacian(acc, u.numerators)
+    return type(u).trusted(u.tag, *lowest_terms(acc, u.denominator))
 
 
-def _wave(u0: Scaled, u1: Scaled, laplacian: Laplacian, divisor: int = 1) -> Scaled:
-    """2 u1 - u0 - Δu0 over one common denominator, scaled as in ``_heat``."""
-    d = lcm(u0.denominator, u1.denominator) * divisor
+def _wave(u0: Scaled, u1: Scaled, laplacian: Laplacian) -> Scaled:
+    """2 u1 - u0 - Δu0 over one common denominator."""
+    d = lcm(u0.denominator, u1.denominator)
     numerators = _times(u0.numerators, d // u0.denominator)
     acc = _times(u1.numerators, 2 * (d // u1.denominator))
     get = acc.get
@@ -58,27 +62,26 @@ def _wave(u0: Scaled, u1: Scaled, laplacian: Laplacian, divisor: int = 1) -> Sca
     return type(u1).trusted(u1.tag, *lowest_terms(acc, d))
 
 
-def _laplacian(k: int, spread_to: Callable[[object], Iterable], divisor: int = 1) -> Laplacian:
-    """The one loop: u(x) adds -k u(x) at x and u(x) / divisor at each point of spread_to(x).
+def _laplacian(k: int, spread_to: Callable[[object], Iterable]) -> Laplacian:
+    """The one loop: u(x) adds -k u(x) at x and u(x) at each point of spread_to(x).
 
-    So -Δu(y) = (1/divisor) sum u(x) - k u(y), x over the points that spread
-    to y, with repeats; on a graph, whose adjacency is symmetric, those are
-    the neighbours of y.
+    So -Δu(y) = sum u(x) - k u(y), x over the points that spread to y, with
+    repeats; on a graph, whose adjacency is symmetric, those are the
+    neighbours of y.
     """
     def laplacian(acc: dict, u: dict) -> None:
         get = acc.get
         for x, v in u.items():
             acc[x] = get(x, 0) - k * v
-            spread = v // divisor
             for y in spread_to(x):
-                acc[y] = get(y, 0) + spread
+                acc[y] = get(y, 0) + v
     return laplacian
 
 
-def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement], divisor: int = 1) -> Laplacian:
-    """Shifts x + s over a multiset closed under negation, each counted 1/divisor."""
+def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement]) -> Laplacian:
+    """Shifts x + s over a set closed under negation (on the lifted graph, modulo H)."""
     step = adder(G)
-    return _laplacian(len(shifts) // divisor, lambda x: map(step, repeat(x), shifts), divisor)
+    return _laplacian(len(shifts), lambda x: map(step, repeat(x), shifts))
 
 
 def _tree_laplacian(k: int) -> Laplacian:
@@ -156,20 +159,23 @@ def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
 
 
 def _lifted_laplacian(P: CosetProblem) -> Laplacian:
-    """The 1/|H|-scaled Laplacian of the lifted graph: shifts h + s over H x S~."""
-    step = adder(P.base_group)
-    shifts = [step(h, s) for h in P.quot.subgroup for s in P.coset_reps]
-    return _group_laplacian(P.base_group, shifts, P.H_order)
+    """The 1/|H|-scaled Laplacian of the lifted graph on coset-constant states: shifts s over S~.
+
+    Its literal form sums u(x + h + s) over H x S~ with divisor |H|; on a u
+    constant on cosets each of the |H| terms of a given s equals u(x + s).
+    """
+    return _group_laplacian(P.base_group, P.coset_reps)
 
 
 def lifted_coset_heat_step(u: SupportedFunction, P: CosetProblem) -> SupportedFunction:
     """One step of the scaled-Laplacian recurrence on the lifted graph.
 
     u(x, n+1) = u(x, n) - (1/|H|) (k |H| u(x, n) - sum_{h in H} sum_i u(x+h+s_i, n)),
-    where the s_i run over one representative per distinct coset of S.
+    where the s_i run over one representative per distinct coset of S.  u is
+    checked constant on cosets, so the double sum is |H| sum_i u(x+s_i, n).
     """
     _check_coset_constant(u, P)
-    result = _heat(u, _lifted_laplacian(P), P.H_order)
+    result = _heat(u, _lifted_laplacian(P))
     _check_coset_constant(result, P)
     return result
 
@@ -179,11 +185,12 @@ def lifted_coset_wave_step(
 ) -> SupportedFunction:
     """One step of the scaled-Laplacian wave recurrence on the lifted graph.
 
-    u(x, n+2) = 2 u(x, n+1) - u(x, n) - (1/|H|)(k |H| u(x, n) - sum_{h,i} u(x+h+s_i, n)).
+    u(x, n+2) = 2 u(x, n+1) - u(x, n) - (1/|H|)(k |H| u(x, n) - sum_{h,i} u(x+h+s_i, n)),
+    stepped as the sum over S~ alone, as in ``lifted_coset_heat_step``.
     """
     _check_coset_constant(u_prev, P)
     _check_coset_constant(u_curr, P)
-    result = _wave(u_prev, u_curr, _lifted_laplacian(P), P.H_order)
+    result = _wave(u_prev, u_curr, _lifted_laplacian(P))
     _check_coset_constant(result, P)
     return result
 

@@ -258,9 +258,13 @@ SUITES = {suite: [name for name, s, *_ in CHECKS if s == suite] for _, suite, *_
 SUITES["all"] = [name for name, *_ in CHECKS]
 
 
-def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
-    """Run the checks of ``suite`` in table order, each timed into its ``seconds``."""
+def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> Iterator[CheckResult]:
+    """The results of the checks of ``suite`` in table order, each timed into its ``seconds``.
+
+    ``suite`` and ``max_n`` are read at the call; each check runs when its
+    result is read, so a caller sees each result as soon as its check ends.
+    """
     names = SUITES[groups.selector(suite, SUITES, "suite")]
     max_n = natural(max_n, "max_n")
-    return [_run(name, cases(random.Random(f"{name} {seed}"), horizon(max_n)))
-            for name, _, horizon, cases in CHECKS if name in names]
+    return (_run(name, cases(random.Random(f"{name} {seed}"), horizon(max_n)))
+            for name, _, horizon, cases in CHECKS if name in names)

@@ -504,6 +504,28 @@ class TestVerify:
             fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
             assert float(fields["seconds"]) >= 0
 
+    def test_each_line_is_out_before_the_next_check_starts(self, monkeypatch):
+        # A slow or killed run still shows every check that has ended.
+        class Stdout(io.StringIO):
+            flushed = ""
+
+            def flush(self):
+                self.flushed = self.getvalue()
+
+        out, seen, run = Stdout(), [], verify._run
+
+        def recording_run(name, cases):
+            seen.append(out.flushed)
+            return run(name, cases)
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(verify, "_run", recording_run)
+        assert cli.main(["verify", "--suite", "coset", "--max-n", "2"]) == 0
+        first, second, summary = out.getvalue().splitlines()
+        assert first.startswith("coset-heat-lift  PASS  cases=27  seconds=")
+        assert second.startswith("coset-wave-lift  PASS  cases=27  seconds=")
+        assert seen == ["", first + "\n"] and summary == "2/2 checks passed"
+
     def test_every_check_and_its_case_count(self, capsys):
         assert cli.main(["verify", "--max-n", "3"]) == 0
         *checks, summary = capsys.readouterr().out.splitlines()
@@ -592,12 +614,12 @@ class TestVerify:
         for name in ("random_symmetric_generators", "random_function",
                      "random_zero_mean_function", "random_tree_function"):
             monkeypatch.setattr(randgen, name, recording(getattr(randgen, name)))
-        verify.run_suite("all", max_n=3, seed=seed)
+        list(verify.run_suite("all", max_n=3, seed=seed))
         full, replayed = dict(draws), {}
         assert sum(1 for drawn in full.values() if drawn) == 7  # the checks that draw at all
         for suite in sorted(set(verify.SUITES) - {"all"}):
             draws.clear()
-            verify.run_suite(suite, max_n=3, seed=seed)
+            list(verify.run_suite(suite, max_n=3, seed=seed))
             replayed.update(draws)
         assert replayed.keys() == full.keys()
         assert [name for name in full if replayed[name] != full[name]] == []

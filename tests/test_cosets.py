@@ -82,6 +82,24 @@ class TestLift:
         with pytest.raises(CosetInconstant):
             oracles.lifted_coset_heat_step(bad, P)
 
+    @pytest.mark.parametrize("off_coset", ["u_prev", "u_curr"])
+    def test_wave_oracle_rejects_either_non_coset_constant_input(self, monkeypatch, off_coset):
+        # The lifted steppers sum over S~ alone, which is exact only on
+        # coset-constant states: each of the two wave inputs is checked
+        # before any stepping.
+        def no_step(*args):
+            raise AssertionError("stepped an input not constant on cosets")
+
+        monkeypatch.setattr(oracles, "_wave", no_step)
+        P = fixture_zxz4()
+        good = cosets.lift(randgen.random_function(random.Random(5), P.quotient_group), P)
+        bad = SupportedFunction(
+            P.base_group, {make_element(P.base_group, [0], [0]): Fraction(1)}
+        )
+        u_prev, u_curr = (bad, good) if off_coset == "u_prev" else (good, bad)
+        with pytest.raises(CosetInconstant):
+            oracles.lifted_coset_wave_step(u_prev, u_curr, P)
+
 
 def fiber_check(u, P) -> bool:
     """The literal definition: each coset u touches takes one value, on all of its fiber."""
@@ -151,6 +169,21 @@ def test_coset_check_matches_fiber_definition(make_problem):
         verdict(entries)
     # With H trivial every function is constant on cosets.
     assert verdicts == ({True} if P.H_order == 1 else {True, False})
+
+
+@pytest.mark.parametrize(
+    "make_problem", [fixture_zxz4, fixture_zxz8xz2, fixture_trivial_h, fixture_two_generators]
+)
+def test_restrict_is_the_projection_of_each_entry(make_problem):
+    # restrict projects each distinct torsion tuple once; the result must be
+    # the one that projecting every element gives.
+    P = make_problem()
+    rng = random.Random(23)
+    for _ in range(20):
+        u = cosets.lift(randgen.random_function(rng, P.quotient_group, max_points=6), P)
+        restricted = cosets.restrict(u, P)
+        assert restricted.group == P.quotient_group
+        assert restricted.entries == {P.quot.project(x): v for x, v in u.entries.items()}
 
 
 class TestSolvers:

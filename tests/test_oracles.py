@@ -216,7 +216,9 @@ def test_cayley_steppers_follow_the_literal_recurrence(G, S):
     ([4], [(0, 2)], [(1, 0), (-1, 0), (0, 1), (0, 3)]),
     ([8, 2], [(0, 2, 0)], [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 7, 0), (0, 0, 1)]),
     ([2, 4], [(0, 1, 0), (0, 0, 2)], [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, 3)]),
-], ids=["|H|=2", "|H|=4", "two generators"])
+    # The representatives (1, 1) and (-1, 3) are each other's negatives only modulo H.
+    ([6], [(0, 2)], [(1, 0), (-1, 0), (1, 1), (-1, 3), (0, 1), (0, 5)]),
+], ids=["|H|=2", "|H|=4", "two generators", "|H|=3"])
 def test_lifted_steppers_follow_the_literal_recurrence(moduli, H, S):
     G = make_group(1, moduli)
     P = cosets.build_coset_problem(
