@@ -2,37 +2,41 @@
 
 Every stepper is one of the paper's two time rules, heat u - Δu and wave
 2 u1 - u0 - Δu0, applied to the combinatorial Laplacian
-Δf(x) = deg(x) f(x) - sum_{y ~ x} f(y) of its graph.  One loop,
-``_laplacian``, adds -Δu into an integer accumulator; each graph family
-supplies only its degree and a spread map, the points that u(x) feeds:
-the shifts x + s on groups (s over S on a Cayley graph, over S~ on the
-lifted coset graph), the reduced-word neighbours on trees, and r - 1
-(k - 1 times) and r + 1 on the radialized line, whose radial profiles are
-even extensions.  The rules step the states' integer numerators over one
-common denominator and reduce the result to lowest terms.
+Δf(x) = deg(x) f(x) - sum_{y ~ x} f(y) of its graph, added as -Δu into an
+integer accumulator.  On groups (shifts x + s, s over S on a Cayley graph,
+over S~ on the lifted coset graph) u is stepped one torsion block at a
+time: the points that share a torsion tuple t share each t + s, reduced
+once per block and shift.  Trees and the radialized line share one loop,
+``_laplacian``, over a spread map, the points that u(x) feeds: the
+reduced-word neighbours on trees, and r - 1 (k - 1 times) and r + 1 on the
+line, whose radial profiles are even extensions.  The rules step the
+states' integer numerators over one common denominator and reduce the
+result to lowest terms.
 
 The lifted coset graph's Laplacian is 1/|H| times the sum over the shifts
 h + s, H x S~.  The lifted steppers check that every state is constant on
 cosets of H, and on such a u sum_{h in H} u(x + h + s) = |H| u(x + s): the
 scaled sum over H x S~ is the plain sum over S~, in the same integers.
 The steppers still step on the base group and never read the quotient's
-coordinates.  Nothing is shared with the closed-form engine beyond the
-element types and the value form (``Scaled``, ``lowest_terms``, ``add``);
-the steppers are deliberately naive and slow.
+coordinates; the constancy check compares each torsion block with its
+shift by each generator of H.  Nothing is shared with the closed-form
+engine beyond the element types and the value form (``Scaled``,
+``lowest_terms``, ``add``); the steppers are deliberately naive and slow.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from itertools import islice, repeat, zip_longest
+from itertools import islice, zip_longest
 from math import lcm, pi
+from operator import add as add_int, mod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cosets import CosetProblem
 from .errors import CosetInconstant, GroupMismatch, TorsionUnsupported
 from .functions import Scaled, SupportedFunction, add, lowest_terms
-from .groups import GeneratorSet, GroupElement, GroupSpec, adder, integer, natural
+from .groups import GeneratorSet, GroupElement, GroupSpec, integer, natural
 from .tree import TreeFunction, neighbors
 
 # laplacian(acc, u) adds -Δu into acc; both map points to int numerators.
@@ -63,7 +67,7 @@ def _wave(u0: Scaled, u1: Scaled, laplacian: Laplacian) -> Scaled:
 
 
 def _laplacian(k: int, spread_to: Callable[[object], Iterable]) -> Laplacian:
-    """The one loop: u(x) adds -k u(x) at x and u(x) at each point of spread_to(x).
+    """The tree and line loop: u(x) adds -k u(x) at x and u(x) at each point of spread_to(x).
 
     So -Δu(y) = sum u(x) - k u(y), x over the points that spread to y, with
     repeats; on a graph, whose adjacency is symmetric, those are the
@@ -79,9 +83,28 @@ def _laplacian(k: int, spread_to: Callable[[object], Iterable]) -> Laplacian:
 
 
 def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement]) -> Laplacian:
-    """Shifts x + s over a set closed under negation (on the lifted graph, modulo H)."""
-    step = adder(G)
-    return _laplacian(len(shifts), lambda x: map(step, repeat(x), shifts))
+    """Shifts x + s over a set closed under negation (on the lifted graph, modulo H).
+
+    u is stepped one torsion block at a time, a block being the points of
+    one torsion tuple t.  They all share t + s, so each block reduces it
+    modulo G's moduli once per shift and adds s.free to each of its points'
+    free tuples.
+    """
+    k, moduli, new = len(shifts), G.moduli, tuple.__new__
+
+    def laplacian(acc: dict, u: dict) -> None:
+        get = acc.get
+        blocks: dict[tuple[int, ...], list] = {}
+        for x, v in u.items():
+            acc[x] = get(x, 0) - k * v
+            blocks.setdefault(x.torsion, []).append((x.free, v))
+        for t, block in blocks.items():
+            for s in shifts:
+                torsion, step = tuple(map(mod, map(add_int, t, s.torsion), moduli)), s.free
+                for free, v in block:
+                    y = new(GroupElement, (tuple(map(add_int, free, step)), torsion))
+                    acc[y] = get(y, 0) + v
+    return laplacian
 
 
 def _tree_laplacian(k: int) -> Laplacian:
@@ -146,15 +169,25 @@ def _plus(f, g):
 def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
     """Raise unless u is constant on every coset of H.
 
-    It suffices that u(x + h) = u(x) for every x in the support and every
-    generator h of H (``adder`` reduces torsion): x -> x + h maps the finite
-    support into, hence onto, itself, so the support is a union of cosets.
+    The generators h of H are torsion-only (H is finite), so x + h keeps
+    x's free tuple.  u is grouped by torsion into blocks
+    {t: {free: numerator}}, and u passes iff block(t + h) == block(t) for
+    every block t and every h, one dict comparison each.  Exact: if the
+    comparisons hold, u(x + h) = u(x) at every x of the support, so
+    x -> x + h maps the finite support into, hence onto, itself, and u is
+    constant on every coset.  Conversely, on such a u that map takes the
+    support onto itself and keeps free tuples, so block(t + h) and block(t)
+    have the same keys and the same value at each.  The error names the
+    first point of the failing block.
     """
-    step = adder(P.base_group)
-    get = u.numerators.get
+    moduli = P.base_group.moduli
+    blocks: dict[tuple[int, ...], dict] = {}
     for x, v in u.numerators.items():
+        blocks.setdefault(x.torsion, {})[x.free] = v
+    for t, block in blocks.items():
         for h in P.subgroup_gens:
-            if get(step(x, h)) != v:
+            if blocks.get(tuple(map(mod, map(add_int, t, h.torsion), moduli))) != block:
+                x = GroupElement(next(iter(block)), t)
                 raise CosetInconstant(f"function is not constant on the coset of {x}")
 
 

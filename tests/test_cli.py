@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import os
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_waves import cayley, cli, cosets, errors, oracles, randgen, serialize, tree, verify
+from lattice_waves import (
+    cayley, cli, cosets, errors, functions, oracles, randgen, serialize, tree, verify,
+)
 from lattice_waves.errors import ShapeMismatch, TorsionUnsupported, ZeroDenominator
 from lattice_waves.functions import SupportedFunction, add, delta
 from lattice_waves.groups import make_element, make_group, quotient, validate_generators
@@ -464,6 +467,16 @@ def _wave_f_top_plus_1_from_n_2(real):
     return sums
 
 
+def _fold_target_clamped(real):
+    # Lifted torsion slot j goes to min(j, m - 1), not j mod m: the source of
+    # the real fold, with that one expression replaced, in its own module.
+    source = inspect.getsource(real)
+    assert source.count("j % m") == 1
+    namespace = dict(vars(functions))
+    exec(source.replace("j % m", "min(j, m - 1)"), namespace)
+    return namespace[real.__name__]
+
+
 # One planted engine fault per row, and every check it makes fail at
 # ``verify --max-n 3``, with the failing check's case count and detail.
 PLANTED_FAULTS = [
@@ -487,6 +500,9 @@ PLANTED_FAULTS = [
     (tree, "_wave_sums", _wave_f_top_plus_1_from_n_2,
      {"tree-wave-triple": (2, "stepping mismatch n=2"),
       "weight-normalization": (7, "k=2 n=2 got 3")}),
+    (functions, "_fold", _fold_target_clamped,
+     {"cayley-heat-oracle": (10, "mismatch at n=2"), "kernel-identities": (10, "K_2 forms differ"),
+      "coset-heat-lift": (2, "mismatch at n=2")}),
 ]
 
 

@@ -132,8 +132,16 @@ def fixture_two_generators():
     return cosets.build_coset_problem(G, H, S)
 
 
+def fixture_order_3():
+    # H = <(0;2)> in Z x Z6 has order 3, so each coset spans three torsion blocks.
+    G = make_group(1, [6])
+    S = [make_element(G, f, t) for f, t in [([1], [0]), ([-1], [0]), ([0], [1]), ([0], [5])]]
+    return cosets.build_coset_problem(G, [make_element(G, [0], [2])], S)
+
+
 @pytest.mark.parametrize(
-    "make_problem", [fixture_zxz4, fixture_zxz8xz2, fixture_trivial_h, fixture_two_generators]
+    "make_problem",
+    [fixture_zxz4, fixture_zxz8xz2, fixture_trivial_h, fixture_two_generators, fixture_order_3]
 )
 def test_coset_check_matches_fiber_definition(make_problem):
     # Lifted functions, then one entry dropped or one value changed by 0, 1
@@ -149,8 +157,10 @@ def test_coset_check_matches_fiber_definition(make_problem):
         try:
             oracles._check_coset_constant(u, P)
             passed = True
-        except CosetInconstant:
+        except CosetInconstant as error:
             passed = False
+            # The detail names a point of u's support.
+            assert any(str(error).endswith(f"coset of {x}") for x in u.numerators), str(error)
         assert passed == fiber_check(u, P)
         verdicts.add(passed)
 
@@ -172,7 +182,8 @@ def test_coset_check_matches_fiber_definition(make_problem):
 
 
 @pytest.mark.parametrize(
-    "make_problem", [fixture_zxz4, fixture_zxz8xz2, fixture_trivial_h, fixture_two_generators]
+    "make_problem",
+    [fixture_zxz4, fixture_zxz8xz2, fixture_trivial_h, fixture_two_generators, fixture_order_3]
 )
 def test_restrict_is_the_projection_of_each_entry(make_problem):
     # restrict projects each distinct torsion tuple once; the result must be

@@ -194,11 +194,17 @@ def _around(support, neighbours) -> set:
 Z2 = make_group(0, [2])
 
 
+# The group steppers work one torsion block at a time: one block with
+# two-coordinate free tuples (Z^2), many blocks over two torsion
+# coordinates (Z x Z2 x Z6), and rank 0, where every free tuple is empty.
 @pytest.mark.parametrize("G, S", [
     (Z, None),
     (make_group(1, [4]), None),
     (Z2, validate_generators(Z2, [make_element(Z2, [], [1])])),  # k = 1
-], ids=["Z", "ZxZ4", "Z2 S={1}"])
+    (make_group(2, []), None),
+    (make_group(1, [2, 6]), None),
+    (make_group(0, [3, 4]), None),
+], ids=["Z", "ZxZ4", "Z2 S={1}", "Z^2", "ZxZ2xZ6", "Z3xZ4"])
 def test_cayley_steppers_follow_the_literal_recurrence(G, S):
     rng = random.Random(31)
     for _ in range(15):
