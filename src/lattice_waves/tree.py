@@ -11,13 +11,15 @@ tables do not share the Cayley kernels' evaluator
 ``functions.convolve_polynomials``, which packs, multiplies and decodes
 the whole Laurent polynomial, its negative half too: a recurrence costs
 a few small-int products per coefficient it keeps.  Sphere sums
-are rerooted along the prefix tree of the data's support (the
-radialization recurrence of Figà-Talamanca & Nebbia, *Harmonic Analysis
-and Representation Theory for Groups Acting on Homogeneous Trees*,
-1991), never enumerate the exponentially large spheres themselves, and
-add the data's integer numerators.  The weights are integers, so a
-solution is integer numerators over the data's denominator.  Below the
-hull a vertex's sums are those of its deepest hull prefix, shifted by the
+are rerooted along the prefix tree of the data's support, the hull, by
+the radialization recurrence of Figà-Talamanca & Nebbia (*Harmonic
+Analysis and Representation Theory for Groups Acting on Homogeneous
+Trees*, 1991); they never enumerate the exponentially large spheres
+themselves, and add the data's integer numerators.  Each hull vertex
+keeps one dict of its sums that are not 0; the zero function's hull is
+the root alone, with none.  The weights are integers, so a solution is
+integer numerators over the data's denominator.  Below the hull a
+vertex's sums are those of its deepest hull prefix, shifted by the
 distance to it, so a value depends only on that (prefix, shift) pair and
 the solvers compute it once per pair.  A ``TreeFunction`` checks its
 degree once, when it is built (``_degree``).
@@ -97,12 +99,12 @@ class TreeFunction(Scaled):
         return self.tag
 
     @cached_property
-    def rerooted(self) -> _Hull | None:
-        """The sphere sums around the root, None for the zero function.
+    def rerooted(self) -> _Hull:
+        """The sphere sums around the root; for f = 0 an empty hull, the root alone.
 
-        ``_radius_sums`` grows the tree below it on demand.
+        ``_hull_position`` grows the tree below it on demand.
         """
-        return _Hull(self.numerators.items(), 0, None) if self.numerators else None
+        return _Hull(self.numerators.items(), 0, None)
 
 
 def sphere_size(k: int, r: int) -> int:
@@ -116,35 +118,28 @@ def sphere_size(k: int, r: int) -> int:
 class _Hull:
     """The sphere sums around a vertex a of the prefix tree of the support (the hull).
 
-    ``counts`` and ``sums`` hold, per radius r that the support meets
-    around a, the number of data points and the sum of their numerators
-    at distance r.  With H_b(r) the data in b's subtree r below b, the
-    sums around b, a child of a, are N_b(r) = H_b(r) + N_a(r-1) - H_b(r-2);
-    at the root they are H.  A radius is dropped only when its count
-    reaches 0, so zero sums keep their radius.  The data in a's subtree,
-    as (word, numerator) pairs, is grouped by its next letter only when a
-    child is first asked for; a letter off the hull has no group in ``below``.
+    ``sums`` holds, per radius r, the sum of the data's numerators at
+    distance r from a; a sum of 0 is not stored.  With H_b(r) the data in
+    b's subtree r below b, the sums around b, a child of a, are
+    N_b(r) = H_b(r) + N_a(r-1) - H_b(r-2); at the root they are H.  The
+    zero function's hull is the root with no sums and no children.  The
+    data in a's subtree, as (word, numerator) pairs, is grouped by its next
+    letter only when a child is first asked for; a letter off the hull has
+    no group in ``below``.
     """
 
-    __slots__ = ("depth", "counts", "sums", "items", "below", "children")
+    __slots__ = ("depth", "sums", "items", "below", "children")
 
     def __init__(self, items: Iterable[tuple[TreeVertex, int]], depth: int,
                  parent: _Hull | None):
-        counts: dict[int, int] = {}
-        sums: dict[int, int] = {}
-        if parent is not None:
-            counts = {r + 1: c for r, c in parent.counts.items()}
-            sums = {r + 1: v for r, v in parent.sums.items()}
+        sums = {} if parent is None else {r + 1: v for r, v in parent.sums.items()}
         for y, v in items:
             r = len(y) - depth
-            counts[r] = counts.get(r, 0) + 1
             sums[r] = sums.get(r, 0) + v
             if parent is not None:
-                counts[r + 2] -= 1
-                sums[r + 2] -= v
-                if not counts[r + 2]:
-                    del counts[r + 2], sums[r + 2]
-        self.depth, self.counts, self.sums, self.items = depth, counts, sums, items
+                sums[r + 2] = sums.get(r + 2, 0) - v
+        self.depth, self.items = depth, items
+        self.sums = {r: v for r, v in sums.items() if v}
         self.below: dict[int, list[tuple[TreeVertex, int]]] | None = None
         self.children: dict[int, _Hull] = {}
 
@@ -165,18 +160,17 @@ class _Hull:
         return child
 
 
-def _hull_position(f: TreeFunction, x: TreeVertex) -> tuple[_Hull | None, int]:
-    """(a, len(x) - len(a)), a the deepest prefix of x on f's hull; (None, 0) for f = 0.
+def _hull_position(f: TreeFunction, x: TreeVertex) -> tuple[_Hull, int]:
+    """(a, len(x) - len(a)), a the deepest prefix of x on f's hull.
 
     Walks x's letters from the root while they stay in the hull, building
     the hull vertices it meets and keeping them in ``f.rerooted``.  Every
     sphere sum of f around x is a's shifted by len(x) - len(a), so a
-    value read from the sums depends on x only through this pair.  Hull
+    value read from the sums depends on x only through this pair.  For
+    f = 0 the hull is the root alone and the pair is (root, len(x)).  Hull
     vertices hash by identity: the pair can key a dict.
     """
     node = f.rerooted
-    if node is None:
-        return None, 0
     for c in x:
         child = node.children.get(c) or node.child(c)
         if child is None:
@@ -185,11 +179,9 @@ def _hull_position(f: TreeFunction, x: TreeVertex) -> tuple[_Hull | None, int]:
     return node, len(x) - node.depth
 
 
-def _next_position(at: tuple[_Hull | None, int], c: int) -> tuple[_Hull | None, int]:
+def _next_position(at: tuple[_Hull, int], c: int) -> tuple[_Hull, int]:
     """The hull position of x + (c,) from x's position ``at``: one step of ``_hull_position``."""
     node, shift = at
-    if node is None:
-        return at
     if not shift:
         child = node.child(c)
         if child is not None:
@@ -231,22 +223,24 @@ def _placed(words: Iterable, k: int,
 
 
 def _radius_sums(f: TreeFunction, x: TreeVertex) -> dict[int, int]:
-    """Sums of f's numerators over each sphere around x that its support meets.
+    """Sums of f's numerators over each sphere around x, those that are 0 left out.
 
     Below the deepest hull prefix a of x the data is len(x) - len(a)
     further away than from a (``_hull_position``).  The result may be a
     cached dict itself: callers only read it.
     """
     node, shift = _hull_position(f, x)
-    if node is None:
-        return {}
     return {r + shift: v for r, v in node.sums.items()} if shift else node.sums
 
 
 def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
-    """Sum of f over each sphere around x that its support meets."""
+    """Sum of f over each sphere around x that its support meets, a sum of 0 included.
+
+    The hull stores no zero sum, so the radii come from the support.
+    """
     x, d = make_vertex(x, f.k), f.denominator
-    return {r: Fraction(v, d) for r, v in _radius_sums(f, x).items()}
+    sums, radii = _radius_sums(f, x), {tree_distance(x, y) for y in f.numerators}
+    return {r: Fraction(sums.get(r, 0), d) for r in sorted(radii)}
 
 
 def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
@@ -256,12 +250,11 @@ def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
 
 
 def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
-    """The radial profile r -> M_f(x,r) for r >= 0, up to the support radius."""
-    sums = _radius_sums(f, make_vertex(x, f.k))
-    if not sums:
-        return []
-    d = f.denominator
-    return [Fraction(sums.get(r, 0), d * sphere_size(f.k, r)) for r in range(max(sums) + 1)]
+    """The radial profile r -> M_f(x,r) for r >= 0, up to the farthest support point from x."""
+    x, d = make_vertex(x, f.k), f.denominator
+    sums = _radius_sums(f, x)
+    top = max((tree_distance(x, y) for y in f.numerators), default=-1)
+    return [Fraction(sums.get(r, 0), d * sphere_size(f.k, r)) for r in range(top + 1)]
 
 
 def alpha_coeff(j: int, s: int, k: int) -> int:
@@ -452,7 +445,7 @@ def radial_mass(g: TreeFunction, x: TreeVertex) -> Fraction:
     """Total mass of the radialization of g around x: M_g(x,0) + 2*sum_{r>=1} M_g(x,r).
 
     The sphere sums carry weight 1 at r = 0 and 2/S(r) beyond, added over
-    the one denominator S(rmax), rmax the farthest radius of g's support:
+    the one denominator S(rmax), rmax the farthest radius with a sum not 0:
     S(rmax)/S(r) is (k-1)^(rmax-r) for r >= 1.
     """
     sums = _radius_sums(g, x)

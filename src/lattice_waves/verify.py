@@ -21,7 +21,7 @@ from time import perf_counter
 from typing import Iterator
 
 from . import cayley, cosets, groups, oracles, randgen, tree
-from .errors import IndexOutOfRange, TorsionUnsupported
+from .errors import IndexOutOfRange, NotSolvable, TorsionUnsupported
 from .functions import trivial_character_sum
 from .groups import GeneratorSet, GroupSpec, make_element, make_group, natural, validate_generators
 
@@ -145,7 +145,13 @@ _TREE_N_CAP = {2: 12, 3: 12, 4: 8, 5: 6}
 
 
 def _tree_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> Cases:
-    """``solve`` against tree stepping, then the radial profile against it, at each eval vertex."""
+    """``solve`` against tree stepping, then the radial profile against it, at each eval vertex.
+
+    Heat is also evaluated at the deepest support word w and one letter
+    below it, off the hull.  The wave velocity is balanced with a literal
+    radial mass, one distance per support point, and a closed form that
+    refuses it fails the case.
+    """
     heat = kind == "tree-heat"
     step = oracles.radial_step_heat if heat else oracles.radial_step_wave
     start = lambda h, x: tree.path_reduce(h, x) or [Fraction(0)]
@@ -153,18 +159,26 @@ def _tree_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> Ca
         k = (2, 3, 4, 5)[i % 4]
         f = randgen.random_tree_function(rng, k)
         if heat:
-            g, eval_at = None, [tree.ROOT] + sorted(f.support())[:2]
+            w = max(f.support(), key=lambda y: (len(y), y), default=tree.ROOT)
+            below = w + (2 if w[-1:] == (1,) else 1,)
+            g, eval_at = None, [tree.ROOT, *sorted(f.support())[:2], w, below]
         else:
             x = sorted(f.support())[0] if i % 2 else tree.ROOT
             g = randgen.random_tree_function(rng, k)
             # Cancelling g's radialized mass at x makes the wave solvable there.
-            g, eval_at = tree.TreeFunction(k, {**g.entries, x: g(x) - tree.radial_mass(g, x)}), [x]
+            mass = sum(v if (r := tree.tree_distance(x, y)) == 0 else 2 * v / tree.sphere_size(k, r)
+                       for y, v in g.entries.items())
+            g, eval_at = tree.TreeFunction(k, {**g.entries, x: g(x) - mass}), [x]
         radial = [oracles.trajectory(step, start(f, x), None if heat else start(g, x), k)
                   for x in eval_at]
         problem = (kind, f, g, k)
         traj = zip(states(problem), *radial)
         for n, (u, *profiles) in enumerate(islice(traj, min(max_n, _TREE_N_CAP[k]) + 1)):
-            closed = solve(problem, n, eval_at)
+            try:
+                closed = solve(problem, n, eval_at)
+            except NotSolvable:
+                yield f"not solvable n={n}"
+                return
             found = (what for x, p in zip(eval_at, profiles)
                      for what, value in (("stepping", closed(x)), ("radial", p[0]))
                      if value != u(x))

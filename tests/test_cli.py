@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -467,14 +468,19 @@ def _wave_f_top_plus_1_from_n_2(real):
     return sums
 
 
-def _fold_target_clamped(real):
-    # Lifted torsion slot j goes to min(j, m - 1), not j mod m: the source of
-    # the real fold, with that one expression replaced, in its own module.
-    source = inspect.getsource(real)
-    assert source.count("j % m") == 1
-    namespace = dict(vars(functions))
-    exec(source.replace("j % m", "min(j, m - 1)"), namespace)
-    return namespace[real.__name__]
+def _rewritten(module, old, new):
+    """A fault: the real function's source with its one ``old`` replaced by ``new``.
+
+    The source is compiled in a copy of ``module``'s namespace, so the
+    function reads the names it reads at home.
+    """
+    def fault(real):
+        source = textwrap.dedent(inspect.getsource(real))
+        assert source.count(old) == 1
+        namespace = dict(vars(module))
+        exec(source.replace(old, new), namespace)
+        return namespace[real.__name__]
+    return fault
 
 
 # One planted engine fault per row, and every check it makes fail at
@@ -500,9 +506,20 @@ PLANTED_FAULTS = [
     (tree, "_wave_sums", _wave_f_top_plus_1_from_n_2,
      {"tree-wave-triple": (2, "stepping mismatch n=2"),
       "weight-normalization": (7, "k=2 n=2 got 3")}),
-    (functions, "_fold", _fold_target_clamped,
+    # Lifted torsion slot j goes to min(j, m - 1), not j mod m.
+    (functions, "_fold", _rewritten(functions, "j % m", "min(j, m - 1)"),
      {"cayley-heat-oracle": (10, "mismatch at n=2"), "kernel-identities": (10, "K_2 forms differ"),
       "coset-heat-lift": (2, "mismatch at n=2")}),
+    # The radial mass weighted by (k-1)^(rmax-r+1): the literal velocity shows it.
+    (tree, "radial_mass", _rewritten(tree, "q ** (rmax - r)", "q ** (rmax - r + 1)"),
+     {"tree-wave-triple": (4, "not solvable n=0")}),
+    # Below the hull the data read one radius further out than it is.
+    (tree, "_radius_sums", _rewritten(tree, "r + shift:", "r + shift + 1:"),
+     {"tree-heat-triple": (1, "stepping mismatch n=1")}),
+    # Rerooting to a child without subtracting H_b(r-2).
+    (tree._Hull, "__init__", _rewritten(tree, "sums.get(r + 2, 0) - v", "sums.get(r + 2, 0)"),
+     {"tree-heat-triple": (2, "stepping mismatch n=2"),
+      "tree-wave-triple": (20, "not solvable n=0")}),
 ]
 
 
@@ -600,7 +617,8 @@ class TestVerify:
         assert failed.endswith(f"  {detail}")
 
     @pytest.mark.parametrize("module, name, fault, failures", PLANTED_FAULTS,
-                             ids=[name for _, name, *_ in PLANTED_FAULTS])
+                             ids=[name if inspect.ismodule(holder) else f"{holder.__name__}.{name}"
+                                  for holder, name, *_ in PLANTED_FAULTS])
     def test_planted_fault_fails_its_checks(self, monkeypatch, module, name, fault, failures):
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
         results = verify.run_suite("all", max_n=3)

@@ -450,7 +450,7 @@ def _reduced(letters):
 def _hull_prefixes(f):
     """The vertex of every entry of ``f.rerooted``, one per entry, walked without recursion."""
     out = []
-    todo = [] if f.rerooted is None else [(tree.ROOT, f.rerooted)]
+    todo = [(tree.ROOT, f.rerooted)]
     while todo:
         a, node = todo.pop()
         out.append(a)
@@ -459,7 +459,8 @@ def _hull_prefixes(f):
 
 
 def _support_prefixes(f):
-    return {y[:i] for y in f.support() for i in range(len(y) + 1)}
+    """The prefixes of f's support words, and the root, which is on every hull."""
+    return {tree.ROOT} | {y[:i] for y in f.support() for i in range(len(y) + 1)}
 
 
 class TestRerootedSums:
@@ -503,6 +504,25 @@ class TestRerootedSums:
         prefixes = _hull_prefixes(f)
         assert len(prefixes) == len(set(prefixes))
         assert set(prefixes) <= _support_prefixes(f)
+
+    def test_a_sphere_whose_numerators_cancel_is_listed_but_not_stored(self):
+        # delta_(1) - delta_(2): the sphere of radius 1 around the root sums to 0.
+        f = tree.TreeFunction(3, {(1,): 1, (2,): -1})
+        assert tree.sphere_sums(f, tree.ROOT) == {1: 0}
+        assert tree.path_reduce(f, tree.ROOT) == [0, 0]
+        assert tree._radius_sums(f, tree.ROOT) == {}
+        assert tree.radial_mass(f, tree.ROOT) == 0
+        assert tree.sphere_sums(f, (1, 3)) == {1: 1, 3: -1}
+        assert tree._radius_sums(f, (1, 3)) == {1: 1, 3: -1}
+        # Below the root, off the hull, every sphere around x cancels too.
+        assert tree.sphere_sums(f, (3, 1)) == {3: 0}
+        assert tree.path_reduce(f, (3, 1)) == [0, 0, 0, 0]
+        assert tree._radius_sums(f, (3, 1)) == {}
+        # The zero function's hull is the root alone, with no sums.
+        zero = tree.TreeFunction(3)
+        assert (zero.rerooted.sums, zero.rerooted.children) == ({}, {})
+        assert tree.sphere_sums(zero, (3, 1)) == {} and tree.path_reduce(zero, (3, 1)) == []
+        assert tree._hull_position(zero, (3, 1)) == (zero.rerooted, 2)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_memo_holds_only_prefixes_after_a_wide_window(self, k):
@@ -662,15 +682,14 @@ class TestPrefixPlacement:
                 assert xs == want, name
                 for h, at in zip(fs, positions, strict=True):
                     assert at == [tree._hull_position(h, x) for x in want], name
-                    # The deepest prefix of x among the prefixes of h's
-                    # support words, and x's depth below it; one hull vertex
-                    # per prefix.
-                    prefixes = {w[:i] for w in h.numerators for i in range(len(w) + 1)}
+                    # The deepest prefix of x among the root and the prefixes
+                    # of h's support words, and x's depth below it; one hull
+                    # vertex per prefix.  The zero function's hull is its root.
+                    prefixes = _support_prefixes(h)
                     nodes = {}
                     for x, (node, shift) in zip(want, at, strict=True):
-                        if not prefixes:
-                            assert (node, shift) == (None, 0), name
-                            continue
+                        if not h.numerators:
+                            assert (node, shift) == (h.rerooted, len(x)), name
                         depth = max(i for i in range(len(x) + 1) if x[:i] in prefixes)
                         assert (node.depth, shift) == (depth, len(x) - depth), name
                         assert nodes.setdefault(x[:depth], node) is node, name
