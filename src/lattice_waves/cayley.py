@@ -13,8 +13,8 @@ run integer recurrences for the rows' coefficients on Z (``tree``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import GroupMismatch, NotSolvable
 from .functions import (
@@ -29,8 +29,7 @@ from .functions import (
 from .groups import GeneratorSet, GroupElement, GroupSpec, adder, identity, natural
 
 
-@dataclass
-class Kernel:
+class Kernel(NamedTuple):
     """A propagator kernel."""
 
     data: SupportedFunction

@@ -9,8 +9,7 @@ Laplacian) lives in the oracle module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cayley import heat_solve, wave_solve
 from .errors import SInsideH
@@ -27,8 +26,7 @@ from .groups import (
 )
 
 
-@dataclass
-class CosetProblem:
+class CosetProblem(NamedTuple):
     """A coset-graph instance reduced to a Cayley problem on the quotient.
 
     ``S_tilde`` holds the distinct nonidentity images of S in the

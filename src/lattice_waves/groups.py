@@ -19,7 +19,6 @@ the solvers and the oracles an unchecked sum for conforming elements.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import prod
 from operator import add as _int_add, mod as _int_mod, mul as _int_mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -35,8 +34,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Signature of the group Z^rank x Z_{m_1} x ... x Z_{m_t}."""
 
     rank: int
@@ -56,8 +54,7 @@ class GroupElement(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """A validated symmetric generating set; ``degree`` is the Cayley-graph degree."""
 
     elements: tuple[GroupElement, ...]
@@ -65,10 +62,14 @@ class GeneratorSet:
 
 
 def integer(value, what: str) -> int:
-    """``value`` as an int; ``int()`` alone would read 1.5 and True as 1, a different problem."""
+    """``value`` as an int; ``int()`` alone would read 1.5 and True as 1, a different problem.
+
+    A string is ASCII digits after one sign or none (``int()`` refuses a second
+    one); alone, ``int()`` would also read " 7", "1_000" and non-ASCII digits.
+    """
     if type(value) is int:
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and value.isascii() and value.lstrip("+-").isdecimal():
         try:
             return int(value)
         except ValueError:
@@ -319,15 +320,14 @@ def validate_generators(G: GroupSpec, S: Sequence[GroupElement]) -> GeneratorSet
     return GeneratorSet(elems, len(elems))
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(NamedTuple):
     """The quotient of a group by a finite subgroup H of its torsion part.
 
     ``project`` is a surjective homomorphism onto ``group`` with kernel
     exactly H; ``section`` picks the canonical representative of each
     coset; ``subgroup`` lists the elements of H; ``order`` is |H|.  The
     quotient's torsion coordinates are the Smith columns of T kept by
-    ``quotient`` (``_columns``), and ``_inverse_rows`` are the same rows of
+    ``quotient`` (``columns``), and ``inverse_rows`` are the same rows of
     T^-1.
     """
 
@@ -335,14 +335,14 @@ class Quotient:
     group: GroupSpec
     order: int
     subgroup: tuple[GroupElement, ...]
-    _columns: tuple[tuple[int, ...], ...]
-    _inverse_rows: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    inverse_rows: tuple[tuple[int, ...], ...]
 
     def project(self, a: GroupElement) -> GroupElement:
         _check_shape(self.base, a)
         torsion = tuple(
             sum(map(_int_mul, a.torsion, column)) % d
-            for column, d in zip(self._columns, self.group.moduli)
+            for column, d in zip(self.columns, self.group.moduli)
         )
         return GroupElement(a.free, torsion)
 
@@ -350,7 +350,7 @@ class Quotient:
         """Canonical representative in the base group of the coset q."""
         _check_shape(self.group, q)
         x = [0] * len(self.base.moduli)
-        for c, row in zip(q.torsion, self._inverse_rows):
+        for c, row in zip(q.torsion, self.inverse_rows):
             x = [v + c * r for v, r in zip(x, row)]
         return make_element(self.base, q.free, x)
 

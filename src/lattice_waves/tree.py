@@ -27,12 +27,11 @@ degree once, when it is built (``_degree``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import comb, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
 from .functions import Scaled, lowest_terms
@@ -270,8 +269,7 @@ def alpha_coeff(j: int, s: int, k: int) -> int:
     )
 
 
-@dataclass
-class WeightTable:
+class WeightTable(NamedTuple):
     """Closed-form sphere weights: value at x is sum_s weights[s] * (sphere sum at radius s).
 
     Weight s is the propagator's value at any vertex at distance s from its

@@ -7,20 +7,24 @@ first failure.  Each check draws its instances from a generator of its own,
 seeded by the run's seed and the check's name (a ``str`` seed is hashed by
 SHA-512, not ``hash()``), so any suite draws the full run's instances.  All
 comparisons are exact rational equality except the float quadrature check.
+
+``oracles``, ``randgen`` and ``random`` are imported inside the functions
+that run them (``states``, the case streams, ``quadrature_errors`` and
+``run_suite``): the CLI imports this module for ``solve``, so a solver
+command would otherwise load and compile the oracle and generator code it
+never runs.  ``compare`` and ``verify`` load them on first use.
 """
 
 from __future__ import annotations
 
-import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice
 from time import perf_counter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from . import cayley, cosets, groups, oracles, randgen, tree
+from . import cayley, cosets, groups, tree
 from .errors import IndexOutOfRange, NotSolvable, TorsionUnsupported
 from .functions import trivial_character_sum
 from .groups import GeneratorSet, GroupSpec, make_element, make_group, natural, validate_generators
@@ -28,8 +32,7 @@ from .groups import GeneratorSet, GroupSpec, make_element, make_group, natural, 
 Cases = Iterator[str | None]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     cases: int
@@ -76,6 +79,7 @@ def states(problem) -> Iterator:
     Coset states step on the lifted graph, whose steppers reject any state
     not constant on cosets, and are restricted to the quotient.
     """
+    from . import oracles
     kind, f, g, context = problem
     heat = g is None
     if kind in ("heat", "wave"):
@@ -91,6 +95,7 @@ def states(problem) -> Iterator:
 
 def _oracle_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> Cases:
     """``solve`` against each state of ``states``, n = 0..max_n, on random problems of ``kind``."""
+    from . import randgen
     for i in range(instances):
         if kind.startswith("coset"):
             context = _coset_fixture(i % 3)
@@ -106,6 +111,7 @@ def _oracle_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> 
 
 
 def _kernel_cases(instances: int, rng: random.Random, max_n: int) -> Cases:
+    from . import randgen
     for i in range(instances):
         _, G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
         S = randgen.random_symmetric_generators(rng, G)
@@ -152,6 +158,7 @@ def _tree_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> Ca
     radial mass, one distance per support point, and a closed form that
     refuses it fails the case.
     """
+    from . import oracles, randgen
     heat = kind == "tree-heat"
     step = oracles.radial_step_heat if heat else oracles.radial_step_wave
     start = lambda h, x: tree.path_reduce(h, x) or [Fraction(0)]
@@ -229,6 +236,7 @@ def quadrature_errors(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[float, dic
     N*eps*(2k-1)^n, at least 1e-9.  Where it reaches 1/2, floats cannot
     resolve the integer values: IndexOutOfRange.
     """
+    from . import oracles
     n = natural(n, "time index n")
     if G.rank != 1 or G.moduli:
         raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
@@ -244,6 +252,7 @@ def quadrature_errors(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[float, dic
 
 
 def _quadrature_cases(max_n: int) -> Cases:
+    from . import randgen
     # On unit Z up to n = 10 the r are -n..n and the tolerance is 1e-9.
     G = make_group(1, [])
     S = validate_generators(G, randgen.standard_generators(G))
@@ -278,6 +287,7 @@ def run_suite(suite: str, max_n: int = 12, seed: int = 0) -> Iterator[CheckResul
     ``suite`` and ``max_n`` are read at the call; each check runs when its
     result is read, so a caller sees each result as soon as its check ends.
     """
+    import random
     names = SUITES[groups.selector(suite, SUITES, "suite")]
     max_n = natural(max_n, "max_n")
     return (_run(name, cases(random.Random(f"{name} {seed}"), horizon(max_n)))

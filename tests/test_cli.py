@@ -510,6 +510,22 @@ PLANTED_FAULTS = [
     (functions, "_fold", _rewritten(functions, "j % m", "min(j, m - 1)"),
      {"cayley-heat-oracle": (10, "mismatch at n=2"), "kernel-identities": (10, "K_2 forms differ"),
       "coset-heat-lift": (2, "mismatch at n=2")}),
+    # Packed slots one byte short of the coefficient bound.
+    (functions._Packing, "__init__",
+     _rewritten(functions, "(bound.bit_length() + 8) // 8", "(bound.bit_length() + 8) // 8 - 1"),
+     {"cayley-heat-oracle": (2, "mismatch at n=2"), "cayley-wave-oracle": (3, "mismatch at n=3"),
+      "kernel-identities": (7, "mass wrong at n=3"), "coset-heat-lift": (11, "mismatch at n=3"),
+      "quadrature": (42, "n=6 r=0")}),
+    # A product decoded at the corner of its first factor, not at the sum of both corners.
+    (functions, "_packed_product", _rewritten(functions, "list(map(add_int, lo_a, lo_b))", "lo_a"),
+     {"cayley-heat-oracle": (10, "mismatch at n=2"), "cayley-wave-oracle": (2, "mismatch at n=2"),
+      "kernel-identities": (1, "K_1 forms differ"), "coset-heat-lift": (4, "mismatch at n=0"),
+      "coset-wave-lift": (0, "mismatch at n=0")}),
+    # Lifted torsion decoded without its reduction mod m.
+    (functions._Packing, "unpack",
+     _rewritten(functions, "v % m for v in axis[:m]", "v for v in axis[:m]"),
+     {"cayley-heat-oracle": (10, "mismatch at n=2"), "kernel-identities": (9, "K_1 forms differ"),
+      "coset-heat-lift": (17, "mismatch at n=1")}),
     # The radial mass weighted by (k-1)^(rmax-r+1): the literal velocity shows it.
     (tree, "radial_mass", _rewritten(tree, "q ** (rmax - r)", "q ** (rmax - r + 1)"),
      {"tree-wave-triple": (4, "not solvable n=0")}),
@@ -963,9 +979,10 @@ class TestErrors:
         assert err["detail"].startswith(f"{field} must be given as an array")
 
 
-# Each bad integer field and the repr its error message shows.
+# Each bad integer field and the repr its error message shows.  int() alone
+# would read the last three: a space, a digit separator, an Arabic-Indic three.
 BAD_INTEGERS = [(True, "True"), (1.5, "1.5"), ("1.5", "'1.5'"), ("", "''"), (None, "None"),
-                ([1], "[1]")]
+                ([1], "[1]"), (" 7", "' 7'"), ("1_000", "'1_000'"), ("\u0663", "'\u0663'")]
 COSET_BASE = make_group(1, [4])
 COSET_QUOTIENT = quotient(COSET_BASE, [make_element(COSET_BASE, [0], [2])])
 
@@ -1192,6 +1209,8 @@ def _parse_error_cases():
             f"element coordinate {got}"
         yield f"letter-{shown}", "letter", tree_row([1, value]), shape, f"tree-word letter {got}"
         yield f"eval-{shown}", "eval", [1, value], shape, f"tree-word letter {got}"
+        yield f"num-{shown}", "element", dict(group_row([0], []), num=value), shape, f"num {got}"
+        yield f"den-{shown}", "element", group_row([0], [], value), shape, f"den {got}"
     yield "element-arity", "element", group_row([0, 0], []), shape, \
         "element shape (2,0) does not match group shape (1,0)"
     yield "coset-arity", "coset", group_row([0], []), shape, \

@@ -84,7 +84,7 @@ def _raised(call):
     return type(exc.value), str(exc.value)
 
 
-@pytest.mark.parametrize("value", [1.5, 2.0, True, None, [1]], ids=repr)
+@pytest.mark.parametrize("value", [1.5, 2.0, True, None, [1], " 7", "1_000", "\u0663"], ids=repr)
 class TestOneIntegerRule:
     """The public constructors read integers as the wire does: same values, same messages."""
 
@@ -351,8 +351,8 @@ class TestSmithNormalForm:
             kept = tuple(i for i, d in enumerate(divisors) if d >= 2)
             assert Q.group == make_group(G.rank, [divisors[i] for i in kept])
             # Only the kept columns of V and the same rows of V^-1 are stored.
-            assert Q._columns == tuple(tuple(int(V[i, j]) for i in range(t)) for j in kept)
-            assert Q._inverse_rows == tuple(
+            assert Q.columns == tuple(tuple(int(V[i, j]) for i in range(t)) for j in kept)
+            assert Q.inverse_rows == tuple(
                 tuple(int(V_inv[j, i]) for i in range(t)) for j in kept
             )
             # H is the kernel of the projection, listed in coordinate order.
@@ -378,7 +378,7 @@ class TestSmithNormalForm:
         for gens in ([], [zero], [zero, zero]):
             Q = quotient(G, gens)
             assert (Q.group, Q.order, Q.subgroup) == (G, 1, (zero,))
-            assert Q._columns == Q._inverse_rows == unit
+            assert Q.columns == Q.inverse_rows == unit
             for q in grid:
                 assert Q.project(q) == q
                 assert Q.section(q) == q

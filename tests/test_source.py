@@ -1,7 +1,15 @@
-"""Layout rules of the program source."""
+"""Layout rules of the program source, and what importing its CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from lattice_waves import cayley, cosets, tree, verify
+from lattice_waves.groups import (
+    GeneratorSet, GroupSpec, make_element, make_group, quotient, validate_generators,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lattice_waves"
 
@@ -135,3 +143,49 @@ def test_one_rule_per_document_shape():
             if path.name != "serialize.py" and "dict" in names:
                 found.append(f"{path.name}:{node.lineno} dict test")
     assert not found, found
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize, and builds each class
+    # through exec: the records are NamedTuples.
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers, importers
+
+
+def test_a_solver_command_loads_no_oracle_code():
+    # Importing the CLI, as every command does, leaves out what only compare
+    # and verify run; the records stay equal, hashable and readable.
+    code = ("import sys, lattice_waves.cli; print(' '.join(m for m in ('dataclasses', 'inspect', "
+            "'lattice_waves.oracles', 'lattice_waves.randgen') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split() == []
+
+    G = make_group(1, [4])
+    S = [make_element(G, [1], [0]), make_element(G, [-1], [0]), make_element(G, [0], [1]),
+         make_element(G, [0], [3])]
+    H = [make_element(G, [0], [2])]
+
+    def records():
+        return [make_group(1, [4]), validate_generators(G, S), quotient(G, H),
+                cosets.build_coset_problem(G, H, S), verify.CheckResult("quadrature", True, 121)]
+
+    for a, b in zip(records(), records()):
+        assert a == b and hash(a) == hash(b)
+    assert records()[:2] == [GroupSpec(1, (4,)), GeneratorSet(tuple(S), 4)]
+    # A kernel holds a function and a weight table a list, so neither is hashable.
+    assert cayley.heat_kernel(G, validate_generators(G, S), 2) == cayley.heat_kernel(
+        G, validate_generators(G, S), 2)
+    assert tree.tree_heat_weights(3, 4) == tree.tree_heat_weights(3, 4)
+    assert repr(GroupSpec(1, (4,))) == "GroupSpec(rank=1, moduli=(4,))"
