@@ -11,13 +11,13 @@ quadrature of the Fourier symbol.
 from fractions import Fraction
 
 from lattice_waves import (
+    SupportedFunction,
     cayley,
     delta,
     heat_kernel,
     heat_solve,
     identity,
     make_element,
-    make_function,
     make_group,
     oracles,
     trivial_character_sum,
@@ -35,11 +35,11 @@ def coeffs(f, radius):
 def main():
     print("Heat kernels K_n on Z with generators {+1, -1}:")
     for n in range(5):
-        K = heat_kernel(Z, S, n).data
+        K = heat_kernel(S, n).data
         print(f"  n={n}: {coeffs(K, n)}  (sum = {trivial_character_sum(K)})")
 
     print("\nSolving from a two-point initial condition:")
-    f = make_function(
+    f = SupportedFunction(
         Z,
         {
             make_element(Z, [0], []): Fraction(1),
@@ -56,7 +56,7 @@ def main():
 
     print("\nQuadrature cross-check (the only floating-point computation):")
     n = 6
-    K = heat_kernel(Z, S, n).data
+    K = heat_kernel(S, n).data
     worst = max(
         abs(oracles.quadrature_kernel(S, n, r) - float(K(make_element(Z, [r], []))))
         for r in range(-n, n + 1)
@@ -64,13 +64,13 @@ def main():
     print(f"  max |quadrature - exact| at n={n}: {worst:.2e} (tolerance 1e-9)")
 
     print("\nThe n-step kernel is the n-th convolution power of K_1:")
-    K1 = heat_kernel(Z, S, 1).data
+    K1 = heat_kernel(S, 1).data
     acc = delta(Z, identity(Z))
     from lattice_waves import convolve
 
     for _ in range(4):
         acc = convolve(acc, K1)
-    assert acc == heat_kernel(Z, S, 4).data
+    assert acc == heat_kernel(S, 4).data
     print("  K_1^{*4} == K_4, verified exactly.")
 
 

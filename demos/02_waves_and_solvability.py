@@ -10,8 +10,8 @@ The demo runs on Z x Z_4 (a discrete cylinder).
 from fractions import Fraction
 
 from lattice_waves import (
+    SupportedFunction,
     make_element,
-    make_function,
     make_group,
     oracles,
     trivial_character_sum,
@@ -36,14 +36,14 @@ S = validate_generators(
 def main():
     print("Wave kernel masses on Z x Z_4 (sum F_n = 1, sum G_n = n):")
     for n in range(6):
-        Fk, Gk = wave_kernels(G, S, n)
+        Fk, Gk = wave_kernels(S, n)
         print(
             f"  n={n}: sum F_n = {trivial_character_sum(Fk.data)},"
             f" sum G_n = {trivial_character_sum(Gk.data)}"
         )
 
-    f = make_function(G, {make_element(G, [0], [0]): Fraction(1)})
-    g = make_function(
+    f = SupportedFunction(G, {make_element(G, [0], [0]): Fraction(1)})
+    g = SupportedFunction(
         G,
         {
             make_element(G, [1], [0]): Fraction(1, 2),
@@ -58,7 +58,7 @@ def main():
         print(f"  n={n}: support size {len(u.entries)}, values exact rationals")
 
     print("\nNonzero-mean velocity: refused with NotSolvable.")
-    bad = make_function(G, {make_element(G, [1], [0]): Fraction(1)})
+    bad = SupportedFunction(G, {make_element(G, [1], [0]): Fraction(1)})
     try:
         wave_solve(f, bad, S, 3)
     except NotSolvable as exc:

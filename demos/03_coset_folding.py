@@ -11,11 +11,11 @@ every step.
 from fractions import Fraction
 
 from lattice_waves import (
+    SupportedFunction,
     build_coset_problem,
     coset_heat_solve,
     lift,
     make_element,
-    make_function,
     make_group,
     oracles,
 )
@@ -39,7 +39,7 @@ def main():
         f" into one coset, so the folded degree is {P.S_tilde.degree}."
     )
 
-    f = make_function(Q, {make_element(Q, [0], [0]): Fraction(1)})
+    f = SupportedFunction(Q, {make_element(Q, [0], [0]): Fraction(1)})
     lifted = lift(f, P)
     print("\nHeat on the quotient vs the lifted recurrence on the base group:")
     for n in range(6):

@@ -29,7 +29,6 @@ from .functions import (
     add,
     convolve,
     delta,
-    make_function,
     scale,
     sub,
     trivial_character_sum,

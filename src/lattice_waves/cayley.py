@@ -1,5 +1,8 @@
 """Closed-form heat and wave solutions on Cayley graphs of abelian groups.
 
+A generator set S carries its group: every function here lives on S.group,
+and a solver's data on another group is GroupMismatch (``wave_solve`` checks
+before it reads g's mass, ``heat_solve`` leaves it to ``convolve``).
 The Laplacian's Fourier symbol pulls back to the finitely supported
 function A = k*delta_e - sum_s delta_s.  Every propagator is an integer
 polynomial in one step: the heat propagator at time n is the n-th
@@ -26,7 +29,7 @@ from .functions import (
     scale,
     trivial_character_sum,
 )
-from .groups import GeneratorSet, GroupElement, GroupSpec, adder, identity, natural
+from .groups import GeneratorSet, GroupElement, adder, identity, natural
 
 
 class Kernel(NamedTuple):
@@ -35,24 +38,24 @@ class Kernel(NamedTuple):
     data: SupportedFunction
 
 
-def _symbol(G: GroupSpec, S: GeneratorSet, center: int, each: int) -> SupportedFunction:
+def _symbol(S: GeneratorSet, center: int, each: int) -> SupportedFunction:
     """The integer function center*delta_e + each*sum_{s in S} delta_s, zeros dropped."""
-    out = {identity(G): center}
+    out = {identity(S.group): center}
     for s in S.elements:
         out[s] = out.get(s, 0) + each
-    return SupportedFunction.trusted(G, {x: v for x, v in out.items() if v})
+    return SupportedFunction.trusted(S.group, {x: v for x, v in out.items() if v})
 
 
-def inverse_symbol_a(G: GroupSpec, S: GeneratorSet) -> SupportedFunction:
+def inverse_symbol_a(S: GeneratorSet) -> SupportedFunction:
     """The Laplacian symbol pulled back to the group: k*delta_e - sum_{s in S} delta_s.
 
     Its total mass is 0, reflecting that the symbol vanishes at the
     trivial character.
     """
-    return _symbol(G, S, S.degree, -1)
+    return _symbol(S, S.degree, -1)
 
 
-def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
+def heat_kernel(S: GeneratorSet, n: int) -> Kernel:
     """Heat propagator K_n = (delta_e - A)^{*n} with A the pulled-back symbol.
 
     The binomial-sum construction sum_j (-1)^j C(n,j) A^{*j} is the same
@@ -61,16 +64,15 @@ def heat_kernel(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
     (1-k)*delta_e + sum_s delta_s, with |delta_e - A|_1 = 2k-1.
     """
     n = natural(n, "time index n")
-    step = _symbol(G, S, 1 - S.degree, 1)
+    step = _symbol(S, 1 - S.degree, 1)
     return Kernel(convolve_polynomials(step, [[0] * n + [1]])[0])
 
 
-def heat_kernel_binomial(G: GroupSpec, S: GeneratorSet, n: int) -> Kernel:
+def heat_kernel_binomial(S: GeneratorSet, n: int) -> Kernel:
     """K_n via the literal alternating binomial sum of convolution powers."""
     n = natural(n, "time index n")
-    A = inverse_symbol_a(G, S)
-    total = delta(G)
-    power = delta(G)
+    A = inverse_symbol_a(S)
+    total = power = delta(S.group)
     for j in range(1, n + 1):
         power = convolve(power, A)
         total = add(total, scale(power, (-1) ** j * comb(n, j)))
@@ -83,29 +85,29 @@ def wave_rows(n: int) -> list[list[int]]:
     return [[comb(n, 2 * i + j) for i in range((n - j) // 2 + 1)] for j in (0, 1)]
 
 
-def wave_kernels(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]:
+def wave_kernels(S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]:
     """Wave propagators F_n = sum_i (-1)^i C(n,2i) A^{*i} and G_n = sum_i (-1)^i C(n,2i+1) A^{*i}.
 
     Both are polynomials in -A (``wave_rows``), with |-A|_1 = 2k.
     """
     n = natural(n, "time index n")
-    F, Gk = convolve_polynomials(_symbol(G, S, -S.degree, 1), wave_rows(n))
+    F, Gk = convolve_polynomials(_symbol(S, -S.degree, 1), wave_rows(n))
     return Kernel(F), Kernel(Gk)
 
 
 def heat_solve(f: SupportedFunction, S: GeneratorSet, n: int) -> SupportedFunction:
     """Solution of the heat equation at time n with initial value f."""
-    return convolve(heat_kernel(f.group, S, n).data, f)
+    return convolve(heat_kernel(S, n).data, f)
 
 
 def wave_solve(
     f: SupportedFunction, g: SupportedFunction, S: GeneratorSet, n: int
 ) -> SupportedFunction:
     """Solution of the wave equation at time n; requires g to have zero total mass."""
-    if f.group != g.group:
-        raise GroupMismatch("initial value and initial velocity live on different groups")
+    if not f.group == g.group == S.group:
+        raise GroupMismatch("initial value, initial velocity and generators differ in group")
     # Kernels first: they reject a negative n before g's mass is looked at.
-    Fn, Gn = wave_kernels(f.group, S, n)
+    Fn, Gn = wave_kernels(S, n)
     mass = trivial_character_sum(g)
     if mass != 0:
         raise NotSolvable(
@@ -115,10 +117,10 @@ def wave_solve(
     return add(convolve(Fn.data, f), convolve(Gn.data, g))
 
 
-def ball(G: GroupSpec, S: GeneratorSet, radius: int) -> set[GroupElement]:
+def ball(S: GeneratorSet, radius: int) -> set[GroupElement]:
     """The word-metric ball of the given radius around the identity."""
-    radius, step = natural(radius, "radius"), adder(G)
-    current = {identity(G)}
+    radius, step = natural(radius, "radius"), adder(S.group)
+    current = {identity(S.group)}
     seen = set(current)
     for _ in range(radius):
         nxt = set()

@@ -202,9 +202,9 @@ def cmd_run(args) -> int:
         S = cayley_generators(instance, G)
         role = selector(instance.get("role", "heat"), ("heat", "wave-f", "wave-g"), "kernel 'role'")
         if role == "heat":
-            data = cayley.heat_kernel(G, S, n).data
+            data = cayley.heat_kernel(S, n).data
         else:
-            fk, gk = cayley.wave_kernels(G, S, n)
+            fk, gk = cayley.wave_kernels(S, n)
             data = fk.data if role == "wave-f" else gk.data
         _emit(data, {"kind": "kernel", "role": role, "n": n, "k": S.degree}, args.out)
         return EXIT_OK
@@ -253,7 +253,7 @@ def _compare_kernel(instance: dict, n: int) -> int:
     """Float cross-check of the exact Z heat kernel K_n (``verify.quadrature_errors``)."""
     selector(instance.get("role", "heat"), ("heat",), "kernel 'role' checked by quadrature")
     G = group_from_json(required(instance, "group"))
-    tolerance, errors = verify.quadrature_errors(G, cayley_generators(instance, G), n)
+    tolerance, errors = verify.quadrature_errors(cayley_generators(instance, G), n)
     worst = max(errors.values())
     print(f"kind=kernel n={n} max_abs_diff={worst:.3e} tolerance={tolerance:.3g}")
     return EXIT_OK if worst <= tolerance else EXIT_INTERNAL

@@ -129,14 +129,6 @@ class SupportedFunction(Scaled):
         return self.tag
 
 
-def make_function(
-    G: GroupSpec, items: Mapping[GroupElement, Fraction] | Iterable
-) -> SupportedFunction:
-    if not isinstance(items, Mapping):
-        items = dict(items)
-    return SupportedFunction(G, dict(items))
-
-
 def zero(G: GroupSpec) -> SupportedFunction:
     return SupportedFunction(G, {})
 

@@ -55,10 +55,14 @@ _new_tuple = tuple.__new__
 
 
 class GeneratorSet(NamedTuple):
-    """A validated symmetric generating set; ``degree`` is the Cayley-graph degree."""
+    """A validated symmetric generating set of ``group``; ``degree`` is its Cayley-graph degree."""
 
+    group: GroupSpec
     elements: tuple[GroupElement, ...]
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return len(self.elements)
 
 
 def integer(value, what: str) -> int:
@@ -187,14 +191,11 @@ _Matrix = tuple[tuple[int, ...], ...]
 
 
 def _gcdex(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, g) with x*a + y*b = g = gcd(a, b) >= 0.
+    """(x, y, g) with x*a + y*b = g = gcd(a, b) >= 0, for non-zero a and b.
 
-    The signs of x and y are those of this extended Euclid, with a zero
-    argument handled first; ``_smith`` depends on them.
+    The signs of x and y are those of this extended Euclid; ``_smith``
+    depends on them.
     """
-    if not a or not b:
-        g = abs(a) or abs(b)
-        return (a // g, b // g, g) if g else (0, 0, 0)
     x_sign, y_sign = (-1 if a < 0 else 1), (-1 if b < 0 else 1)
     a, b = abs(a), abs(b)
     x, r, y, s = 1, 0, 0, 1
@@ -317,7 +318,7 @@ def validate_generators(G: GroupSpec, S: Sequence[GroupElement]) -> GeneratorSet
             raise DoesNotGenerate(
                 f"generators span a proper subgroup (invariant factors {factors})"
             )
-    return GeneratorSet(elems, len(elems))
+    return GeneratorSet(G, elems)
 
 
 class Quotient(NamedTuple):

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cosets import CosetProblem
 from .errors import CosetInconstant, GroupMismatch, TorsionUnsupported
-from .functions import Scaled, SupportedFunction, add, lowest_terms
+from .functions import Scaled, SupportedFunction, _require_same_group, add, lowest_terms
 from .groups import GeneratorSet, GroupElement, GroupSpec, integer, natural
 from .tree import TreeFunction, neighbors
 
@@ -55,7 +55,8 @@ def _heat(u: Scaled, laplacian: Laplacian) -> Scaled:
 
 
 def _wave(u0: Scaled, u1: Scaled, laplacian: Laplacian) -> Scaled:
-    """2 u1 - u0 - Δu0 over one common denominator."""
+    """2 u1 - u0 - Δu0 over one common denominator; u0 and u1 share a tag (GroupMismatch)."""
+    _require_same_group(u0, u1)
     d = lcm(u0.denominator, u1.denominator)
     numerators = _times(u0.numerators, d // u0.denominator)
     acc = _times(u1.numerators, 2 * (d // u1.denominator))
@@ -80,6 +81,11 @@ def _laplacian(k: int, spread_to: Callable[[object], Iterable]) -> Laplacian:
             for y in spread_to(x):
                 acc[y] = get(y, 0) + v
     return laplacian
+
+
+def _check_group(u: SupportedFunction, G: GroupSpec) -> None:
+    if u.group != G:
+        raise GroupMismatch(f"function on {u.group} stepped on a graph of {G}")
 
 
 def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement]) -> Laplacian:
@@ -121,17 +127,17 @@ def _line_laplacian(k: int) -> Laplacian:
 
 
 def cayley_heat_step(u: SupportedFunction, S: GeneratorSet) -> SupportedFunction:
-    """u(x, n+1) = sum_i u(x + s_i, n) - (k-1) u(x, n)."""
-    return _heat(u, _group_laplacian(u.group, S.elements))
+    """u(x, n+1) = sum_i u(x + s_i, n) - (k-1) u(x, n), for u on S's group."""
+    _check_group(u, S.group)
+    return _heat(u, _group_laplacian(S.group, S.elements))
 
 
 def cayley_wave_step(
     u_prev: SupportedFunction, u_curr: SupportedFunction, S: GeneratorSet
 ) -> SupportedFunction:
-    """u(x, n+2) = 2 u(x, n+1) + sum_i u(x + s_i, n) - (k+1) u(x, n)."""
-    if u_prev.group != u_curr.group:
-        raise GroupMismatch("wave step arguments live on different groups")
-    return _wave(u_prev, u_curr, _group_laplacian(u_curr.group, S.elements))
+    """u(x, n+2) = 2 u(x, n+1) + sum_i u(x + s_i, n) - (k+1) u(x, n), for u on S's group."""
+    _check_group(u_curr, S.group)
+    return _wave(u_prev, u_curr, _group_laplacian(S.group, S.elements))
 
 
 def cayley_wave_trajectory(
@@ -167,7 +173,7 @@ def _plus(f, g):
 
 
 def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
-    """Raise unless u is constant on every coset of H.
+    """Raise unless u lives on P's base group and is constant on every coset of H.
 
     The generators h of H are torsion-only (H is finite), so x + h keeps
     x's free tuple.  u is grouped by torsion into blocks
@@ -180,6 +186,7 @@ def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
     have the same keys and the same value at each.  The error names the
     first point of the failing block.
     """
+    _check_group(u, P.base_group)
     moduli = P.base_group.moduli
     blocks: dict[tuple[int, ...], dict] = {}
     for x, v in u.numerators.items():
@@ -294,15 +301,14 @@ def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:
 def quadrature_kernels(S: GeneratorSet, n: int, rs: Sequence[int]) -> dict[int, float]:
     """Heat kernel coefficients {r: K_n(r)} on Z by trapezoid quadrature of the symbol power.
 
-    Uses N = 2*n*span + 2 uniform nodes, where span is the largest
-    generator magnitude (so N = 2n+2 for unit generators); the integrand is
-    a trigonometric polynomial of degree at most n*span + |r| < N, for
-    which the uniform trapezoid rule is exact up to floating-point
-    rounding.  The symbol power is taken once per node, and each r summed in node order.
+    S.group must be Z (TorsionUnsupported).  Uses N = 2*n*span + 2 uniform nodes, where
+    span is the largest generator magnitude (so N = 2n+2 for unit generators); the
+    integrand is a trigonometric polynomial of degree at most n*span + |r| < N, for which
+    the uniform trapezoid rule is exact up to floating-point rounding.  The symbol power
+    is taken once per node, and each r summed in node order.
     """
-    for s in S.elements:
-        if s.torsion or len(s.free) != 1:
-            raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
+    if S.group != GroupSpec(1, ()):
+        raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
     n, k = natural(n, "time index n"), S.degree
     span = max(abs(s.free[0]) for s in S.elements)
     N = 2 * n * span + 2

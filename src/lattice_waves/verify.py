@@ -116,11 +116,11 @@ def _kernel_cases(instances: int, rng: random.Random, max_n: int) -> Cases:
         _, G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
         S = randgen.random_symmetric_generators(rng, G)
         for n in range(max_n + 1):
-            K = cayley.heat_kernel(G, S, n)
-            if K.data != cayley.heat_kernel_binomial(G, S, n).data:
+            K = cayley.heat_kernel(S, n)
+            if K.data != cayley.heat_kernel_binomial(S, n).data:
                 yield f"K_{n} forms differ"
                 continue
-            masses = [trivial_character_sum(k.data) for k in (K, *cayley.wave_kernels(G, S, n))]
+            masses = [trivial_character_sum(k.data) for k in (K, *cayley.wave_kernels(S, n))]
             yield None if masses == [1, 1, n] else f"mass wrong at n={n}"
 
 
@@ -226,8 +226,8 @@ def _weight_cases(max_n: int) -> Cases:
                 yield None if total == target else f"k={k} n={n} got {total}"
 
 
-def quadrature_errors(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[float, dict[int, float]]:
-    """(tolerance, {r: |quadrature - K_n(r)|}) for the exact heat kernel K_n on Z.
+def quadrature_errors(S: GeneratorSet, n: int) -> tuple[float, dict[int, float]]:
+    """(tolerance, {r: |quadrature - K_n(r)|}) for the exact heat kernel K_n of S, on Z only.
 
     r runs over the radius-n ball, which holds the support of K_n, and over
     K_n's own support; beyond n*span the true value is 0.  Each of the
@@ -238,16 +238,16 @@ def quadrature_errors(G: GroupSpec, S: GeneratorSet, n: int) -> tuple[float, dic
     """
     from . import oracles
     n = natural(n, "time index n")
-    if G.rank != 1 or G.moduli:
+    if S.group != GroupSpec(1, ()):
         raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
     reach = n * max(abs(s.free[0]) for s in S.elements)
     scale = (2 * reach + 2) * (2 * S.degree - 1) ** n
     if scale >= 1 << 51:  # scale * eps >= 1/2, eps = 2^-52
         raise IndexOutOfRange(f"n={n}: float quadrature cannot resolve the integer values of K_n")
-    K = cayley.heat_kernel(G, S, n).data
-    rs = sorted({x.free[0] for x in cayley.ball(G, S, n)} | {x.free[0] for x in K.numerators})
+    K = cayley.heat_kernel(S, n).data
+    rs = sorted({x.free[0] for x in cayley.ball(S, n)} | {x.free[0] for x in K.numerators})
     approx = oracles.quadrature_kernels(S, n, [r for r in rs if abs(r) <= reach])
-    errors = {r: abs(approx.get(r, 0.0) - float(K(make_element(G, [r], [])))) for r in rs}
+    errors = {r: abs(approx.get(r, 0.0) - float(K(make_element(S.group, [r], [])))) for r in rs}
     return max(1e-9, scale * sys.float_info.epsilon), errors
 
 
@@ -257,7 +257,7 @@ def _quadrature_cases(max_n: int) -> Cases:
     G = make_group(1, [])
     S = validate_generators(G, randgen.standard_generators(G))
     for n in range(max_n + 1):
-        tolerance, errors = quadrature_errors(G, S, n)
+        tolerance, errors = quadrature_errors(S, n)
         for r, error in errors.items():
             yield None if error <= tolerance else f"n={n} r={r}"
 

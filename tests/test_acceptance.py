@@ -79,8 +79,8 @@ def _heat_trajectory(f, S, n):
 def test_criterion_01_cayley_heat_oracle_equivalence():
     started = time.perf_counter()
     for i, G, S, f in _heat_instances():
-        K1 = cayley.heat_kernel(G, S, 1).data
-        K = cayley.heat_kernel(G, S, 0).data
+        K1 = cayley.heat_kernel(S, 1).data
+        K = cayley.heat_kernel(S, 0).data
         traj = _heat_trajectory(f, S, 20)
         for n in range(21):
             assert convolve(K, f) == traj[n], f"instance {i} diverges at n={n}"
@@ -145,9 +145,9 @@ def test_criterion_03_kernel_identities():
             frontier = {elem_add(G, x, s) for x in frontier for s in S.elements}
             balls[n] = balls[n - 1] | frontier
         for n in range(21):
-            K = cayley.heat_kernel(G, S, n).data
-            assert K == cayley.heat_kernel_binomial(G, S, n).data
-            Fk, Gk = cayley.wave_kernels(G, S, n)
+            K = cayley.heat_kernel(S, n).data
+            assert K == cayley.heat_kernel_binomial(S, n).data
+            Fk, Gk = cayley.wave_kernels(S, n)
             assert trivial_character_sum(K) == 1
             assert trivial_character_sum(Fk.data) == 1
             assert trivial_character_sum(Gk.data) == n
@@ -367,7 +367,7 @@ def test_criterion_09_k2_degeneration():
 def test_criterion_10_quadrature_cross_check():
     S = validate_generators(Z, [make_element(Z, [1], []), make_element(Z, [-1], [])])
     for n in range(11):
-        K = cayley.heat_kernel(Z, S, n).data
+        K = cayley.heat_kernel(S, n).data
         for r in range(-n, n + 1):
             exact = float(K(make_element(Z, [r], [])))
             assert abs(oracles.quadrature_kernel(S, n, r) - exact) <= 1e-9

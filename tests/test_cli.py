@@ -128,12 +128,18 @@ class TestRun:
                 b",7,1\n1,-4,1\n1;2,1,1\n1;3,1,1\n2,-4,1\n2;1,1,1\n"
                 b"2;3,1,1\n3,-4,1\n3;1,1,1\n3;2,1,1\n",
             ),
+            (
+                kernel_problem(heat_problem()["S"], 2),
+                b"# kind=kernel role=heat n=2 k=2\nvertex,num,den\n"
+                b"-2,1,1\n-1,-2,1\n0,3,1\n1,-2,1\n2,1,1\n",
+            ),
         ],
-        ids=["heat", "coset-heat", "tree-heat"],
+        ids=["heat", "coset-heat", "tree-heat", "kernel"],
     )
     def test_output_bytes(self, tmp_path, obj, expected):
         # The comment line, the column header and each row end in "\n";
-        # the root of the tree has the empty label.
+        # the root of the tree has the empty label; a kernel's role is heat
+        # unless the document names one.
         out = tmp_path / "u.csv"
         assert cli.main([obj["kind"], "--problem", write_problem(tmp_path, obj), "--out", str(out)]) == 0
         assert out.read_bytes() == expected
@@ -362,10 +368,10 @@ class TestCompare:
         # S = {+-1, +-3}: K_3 reaches r = 3n = 9, beyond the [-n, n] window.
         heat_kernel = cli.cayley.heat_kernel
 
-        def heat_kernel_off_by_1000_at_r(G, S, n):
-            K = heat_kernel(G, S, n)
+        def heat_kernel_off_by_1000_at_r(S, n):
+            K = heat_kernel(S, n)
             if r is not None:
-                x = make_element(G, [r], [])
+                x = make_element(S.group, [r], [])
                 K.data.numerators[x] = K.data.numerators.get(x, 0) + 1000
             return K
 
@@ -395,8 +401,8 @@ class TestCompare:
                                                                 capsys):
         quadrature_errors = verify.quadrature_errors
 
-        def off_at_r_1(G, S, n):
-            tolerance, errors = quadrature_errors(G, S, n)
+        def off_at_r_1(S, n):
+            tolerance, errors = quadrature_errors(S, n)
             return tolerance, {r: e + (1.0 if r == 1 else 0.0) for r, e in errors.items()}
 
         monkeypatch.setattr(verify, "quadrature_errors", off_at_r_1)
@@ -439,16 +445,16 @@ def _plus_delta_from_n_2(n_at):
 
 
 def _kernel_plus_delta_from_n_2(real):
-    def kernel(G, S, n):
-        K = real(G, S, n)
-        return cayley.Kernel(add(K.data, delta(G))) if n >= 2 else K
+    def kernel(S, n):
+        K = real(S, n)
+        return cayley.Kernel(add(K.data, delta(S.group))) if n >= 2 else K
     return kernel
 
 
 def _wave_f_plus_delta_from_n_2(real):
-    def kernels(G, S, n):
-        F, Gn = real(G, S, n)
-        return (cayley.Kernel(add(F.data, delta(G))), Gn) if n >= 2 else (F, Gn)
+    def kernels(S, n):
+        F, Gn = real(S, n)
+        return (cayley.Kernel(add(F.data, delta(S.group))), Gn) if n >= 2 else (F, Gn)
     return kernels
 
 
@@ -689,12 +695,12 @@ class TestVerify:
         G = make_group(1, [])
         S = validate_generators(G, [make_element(G, [1], []), make_element(G, [-1], [])])
         for n in range(11):
-            tolerance, errors = verify.quadrature_errors(G, S, n)
+            tolerance, errors = verify.quadrature_errors(S, n)
             assert tolerance == 1e-9 and list(errors) == list(range(-n, n + 1))
         Z4 = make_group(1, [4])
         S4 = validate_generators(Z4, randgen.standard_generators(Z4))
         with pytest.raises(TorsionUnsupported):
-            verify.quadrature_errors(Z4, S4, 2)
+            verify.quadrature_errors(S4, 2)
 
     def test_unknown_suite_is_a_shape_mismatch(self):
         # The CLI's --suite choices come from SUITES; the library reads the
@@ -804,6 +810,18 @@ class TestErrors:
         assert cli.main(["heat", "--problem", problem]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NOT_SYMMETRIC"
+
+    @pytest.mark.parametrize("S, error, code", [
+        ([], errors.DoesNotGenerate, "DOES_NOT_GENERATE"),
+        ([[1], [-1], [1]], errors.NotSymmetric, "NOT_SYMMETRIC"),
+    ], ids=["empty", "repeated"])
+    def test_empty_or_repeated_generators_exit_1(self, tmp_path, capsys, S, error, code):
+        Z = make_group(1, [])
+        with pytest.raises(error):
+            validate_generators(Z, [make_element(Z, free, []) for free in S])
+        obj = dict(heat_problem(), S=[{"free": free, "torsion": []} for free in S])
+        assert cli.main(["heat", "--problem", write_problem(tmp_path, obj)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == code
 
     def test_negative_n_rejected(self, tmp_path):
         problem = write_problem(tmp_path, heat_problem())
@@ -980,9 +998,11 @@ class TestErrors:
 
 
 # Each bad integer field and the repr its error message shows.  int() alone
-# would read the last three: a space, a digit separator, an Arabic-Indic three.
+# would read the next three: a space, a digit separator, an Arabic-Indic three.
+# The last two pass the digit test after the sign is stripped, and int() refuses them.
 BAD_INTEGERS = [(True, "True"), (1.5, "1.5"), ("1.5", "'1.5'"), ("", "''"), (None, "None"),
-                ([1], "[1]"), (" 7", "' 7'"), ("1_000", "'1_000'"), ("\u0663", "'\u0663'")]
+                ([1], "[1]"), (" 7", "' 7'"), ("1_000", "'1_000'"), ("\u0663", "'\u0663'"),
+                ("+-5", "'+-5'"), ("--5", "'--5'")]
 COSET_BASE = make_group(1, [4])
 COSET_QUOTIENT = quotient(COSET_BASE, [make_element(COSET_BASE, [0], [2])])
 
@@ -1135,16 +1155,16 @@ def _tree_document(**fields):
 
 # Each entry point that takes a time index or a radius, called with it.
 SOLVER_ARGUMENTS = {
-    "heat_kernel": lambda n: cayley.heat_kernel(Z, UNIT_Z, n).data,
-    "heat_kernel_binomial": lambda n: cayley.heat_kernel_binomial(Z, UNIT_Z, n).data,
-    "wave_kernels": lambda n: [K.data for K in cayley.wave_kernels(Z, UNIT_Z, n)],
+    "heat_kernel": lambda n: cayley.heat_kernel(UNIT_Z, n).data,
+    "heat_kernel_binomial": lambda n: cayley.heat_kernel_binomial(UNIT_Z, n).data,
+    "wave_kernels": lambda n: [K.data for K in cayley.wave_kernels(UNIT_Z, n)],
     "heat_solve": lambda n: cayley.heat_solve(DELTA_Z, UNIT_Z, n),
     "wave_solve": lambda n: cayley.wave_solve(DELTA_Z, ZERO_MASS_Z, UNIT_Z, n),
     "tree_heat_weights": lambda n: tree.tree_heat_weights(3, n),
     "tree_wave_weights": lambda n: tree.tree_wave_weights(3, n),
     "tree_heat_solve": lambda n: tree.tree_heat_solve(TREE_F, n, [(), (1,), (2, 3)]),
     "tree_wave_solve": lambda n: tree.tree_wave_solve(TREE_F, TREE_G, n, [()]),
-    "quadrature_errors": lambda n: verify.quadrature_errors(Z, UNIT_Z, n),
+    "quadrature_errors": lambda n: verify.quadrature_errors(UNIT_Z, n),
     "cayley_wave_trajectory": lambda n: oracles.cayley_wave_trajectory(
         DELTA_Z, ZERO_MASS_Z, UNIT_Z, n),
     "quadrature_kernel": lambda n: oracles.quadrature_kernel(UNIT_Z, n, 0),
@@ -1153,7 +1173,7 @@ SOLVER_ARGUMENTS = {
     "run_suite max_n": lambda n: [(r.name, r.passed, r.cases)
                                   for r in verify.run_suite("cayley", max_n=n)],
     "sphere_size": lambda r: tree.sphere_size(3, r),
-    "ball": lambda r: cayley.ball(Z, UNIT_Z, r),
+    "ball": lambda r: cayley.ball(UNIT_Z, r),
     "document n": lambda n: _cli_output(["tree-heat", "--problem", _tree_document(n=n)]),
     "eval ball radius": lambda r: _cli_output(
         ["tree-heat", "--problem", _tree_document(eval={"ball": {"radius": r}})]),

@@ -16,7 +16,6 @@ from lattice_waves.functions import (
     add,
     convolve,
     delta,
-    make_function,
     scale,
     sub,
     trivial_character_sum,
@@ -41,7 +40,7 @@ def functions(G, span=5, points=4):
 
 
 def test_zero_values_dropped():
-    f = make_function(Z, {make_element(Z, [0], []): Fraction(0)})
+    f = SupportedFunction(Z, {make_element(Z, [0], []): Fraction(0)})
     assert f.support() == set()
 
 
@@ -158,7 +157,7 @@ class TestConvolutionAlgebra:
 
 
 def test_scale_sub_zero_norms():
-    f = make_function(
+    f = SupportedFunction(
         Z,
         {
             make_element(Z, [0], []): Fraction(3, 2),
@@ -172,7 +171,7 @@ def test_scale_sub_zero_norms():
 
 
 def test_reflect_is_an_involution_and_flips_support():
-    f = make_function(Z, {make_element(Z, [3], []): Fraction(1, 7)})
+    f = SupportedFunction(Z, {make_element(Z, [3], []): Fraction(1, 7)})
     r = reflect(f)
     assert r(make_element(Z, [-3], [])) == Fraction(1, 7)
     assert reflect(r) == f
@@ -342,8 +341,8 @@ def test_far_apart_supports_take_the_sparse_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("a packed layout was built")
 
-    near = make_function(Z, {make_element(Z, [0], []): 1, make_element(Z, [1], []): 2})
-    far = make_function(Z, {make_element(Z, [0], []): 1, make_element(Z, [10**12], []): 3})
+    near = SupportedFunction(Z, {make_element(Z, [0], []): 1, make_element(Z, [1], []): 2})
+    far = SupportedFunction(Z, {make_element(Z, [0], []): 1, make_element(Z, [10**12], []): 3})
     start = time.perf_counter()
     single = convolve(delta(Z), delta(Z, make_element(Z, [10**12], [])))
     assert single == delta(Z, make_element(Z, [10**12], []))

@@ -84,7 +84,8 @@ def _raised(call):
     return type(exc.value), str(exc.value)
 
 
-@pytest.mark.parametrize("value", [1.5, 2.0, True, None, [1], " 7", "1_000", "\u0663"], ids=repr)
+@pytest.mark.parametrize("value", [1.5, 2.0, True, None, [1], " 7", "1_000", "\u0663", "+-5",
+                                   "--5"], ids=repr)
 class TestOneIntegerRule:
     """The public constructors read integers as the wire does: same values, same messages."""
 

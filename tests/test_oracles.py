@@ -11,8 +11,8 @@ from itertools import islice, zip_longest
 import pytest
 
 from lattice_waves import cayley, cosets, oracles, randgen, tree
-from lattice_waves.errors import ShapeMismatch
-from lattice_waves.functions import add, scale
+from lattice_waves.errors import GroupMismatch, ShapeMismatch
+from lattice_waves.functions import SupportedFunction, add, scale
 from lattice_waves.groups import elem_add, make_element, make_group, validate_generators
 
 Z = make_group(1, [])
@@ -76,6 +76,40 @@ class TestCayleySteppers:
         assert trivial_character_sum(oracles.cayley_heat_step(f, S)) == (
             trivial_character_sum(f)
         )
+
+
+def _mismatched_domains():
+    """Each call steps or solves data on one group (or tree) with a graph of another."""
+    ZZ, ZxZ4 = make_group(2, []), make_group(1, [4])
+    S1, S2 = z_gens(), randgen.random_symmetric_generators(random.Random(4), ZZ)
+    on_z = SupportedFunction(Z, {make_element(Z, [1], []): 1})
+    on_z2 = SupportedFunction(ZZ, {make_element(ZZ, [1, 0], []): 1})
+    velocity = SupportedFunction(ZZ, {make_element(ZZ, [1, 0], []): 1,
+                                      make_element(ZZ, [0, 1], []): -1})
+    P = cosets.build_coset_problem(ZxZ4, [make_element(ZxZ4, [0], [2])], [
+        make_element(ZxZ4, [1], [0]), make_element(ZxZ4, [-1], [0]),
+        make_element(ZxZ4, [0], [1]), make_element(ZxZ4, [0], [3])])
+    return {
+        "tree_step_wave k=3, k=5": lambda: oracles.tree_step_wave(
+            tree.TreeFunction(3, {(1,): 1}), tree.TreeFunction(5, {(4,): 1})),
+        "cayley_heat_step u on Z^2, S on Z": lambda: oracles.cayley_heat_step(on_z2, S1),
+        "cayley_wave_step u on Z^2, S on Z": lambda: oracles.cayley_wave_step(on_z2, on_z2, S1),
+        "cayley_wave_step u_prev on Z, u_curr on Z^2": lambda: oracles.cayley_wave_step(
+            on_z, on_z2, S2),
+        "lifted_coset_heat_step u on Z^2": lambda: oracles.lifted_coset_heat_step(on_z2, P),
+        "lifted_coset_wave_step u on Z^2": lambda: oracles.lifted_coset_wave_step(
+            on_z2, on_z2, P),
+        "heat_solve f on Z, S on Z^2": lambda: cayley.heat_solve(on_z, S2, 2),
+        "heat_solve f on Z^2, S on Z": lambda: cayley.heat_solve(on_z2, S1, 2),
+        "wave_solve f, g on Z^2, S on Z": lambda: cayley.wave_solve(on_z2, velocity, S1, 2),
+        "wave_solve f, g of mass 1 on Z^2, S on Z": lambda: cayley.wave_solve(on_z2, on_z2, S1, 2),
+    }
+
+
+@pytest.mark.parametrize("case", list(_mismatched_domains()))
+def test_mismatched_domains_raise_group_mismatch(case):
+    with pytest.raises(GroupMismatch):
+        _mismatched_domains()[case]()
 
 
 class TestDarboux:
@@ -288,7 +322,7 @@ class TestQuadrature:
     def test_matches_exact_kernel(self):
         S = z_gens()
         for n in range(7):
-            K = cayley.heat_kernel(Z, S, n).data
+            K = cayley.heat_kernel(S, n).data
             for r in range(-n, n + 1):
                 exact = float(K(make_element(Z, [r], [])))
                 assert abs(oracles.quadrature_kernel(S, n, r) - exact) <= 1e-9
@@ -304,7 +338,7 @@ class TestQuadrature:
             ],
         )
         for n in range(5):
-            K = cayley.heat_kernel(Z, S, n).data
+            K = cayley.heat_kernel(S, n).data
             for r in range(-n, n + 1):
                 exact = float(K(make_element(Z, [r], [])))
                 assert abs(oracles.quadrature_kernel(S, n, r) - exact) <= 1e-9

@@ -53,23 +53,24 @@ def sparse_power(f, n, squares=None):
     return result
 
 
-def sparse_heat(G, S, n, squares=None):
-    step = squares[0] if squares else cayley._symbol(G, S, 1 - S.degree, 1)
+def sparse_heat(S, n, squares=None):
+    step = squares[0] if squares else cayley._symbol(S, 1 - S.degree, 1)
     return sparse_power(step, n, squares)
 
 
-def sparse_wave(G, S, n):
+def sparse_wave(S, n):
     """(F_n, G_n) by accumulating C(n, 2i[+1]) (-1)^i A^{*i} in two dicts."""
-    A = cayley.inverse_symbol_a(G, S)
+    A = cayley.inverse_symbol_a(S)
     totals = ({}, {})
-    power = unit(G)
+    power = unit(S.group)
     for i in range(n // 2 + 1):
         if i:
             power = sparse_convolve(power, A)
         for total, c in zip(totals, (comb(n, 2 * i), comb(n, 2 * i + 1))):
             for x, v in power.numerators.items():
                 total[x] = total.get(x, 0) + (-1) ** i * c * v
-    return tuple(SupportedFunction.trusted(G, {x: v for x, v in t.items() if v}) for t in totals)
+    return tuple(SupportedFunction.trusted(S.group, {x: v for x, v in t.items() if v})
+                 for t in totals)
 
 
 def gens(G, *coords):
@@ -122,10 +123,10 @@ def assert_int_valued(K):
 @pytest.mark.parametrize("name", CASES)
 def test_heat_kernel_matches_sparse_squaring(name):
     G, S, ns = CASES[name]
-    squares = [cayley._symbol(G, S, 1 - S.degree, 1)]
+    squares = [cayley._symbol(S, 1 - S.degree, 1)]
     for n in ns:
-        K = cayley.heat_kernel(G, S, n).data
-        assert K == sparse_heat(G, S, n, squares), (name, n)
+        K = cayley.heat_kernel(S, n).data
+        assert K == sparse_heat(S, n, squares), (name, n)
         assert_int_valued(K)
         assert sum(K.entries.values()) == 1
 
@@ -134,23 +135,23 @@ def test_heat_kernel_matches_sparse_squaring(name):
 def test_heat_kernel_matches_binomial_sum(name):
     G, S, ns = CASES[name]
     for n in (n for n in ns if n <= 12):
-        assert cayley.heat_kernel(G, S, n).data == cayley.heat_kernel_binomial(G, S, n).data
+        assert cayley.heat_kernel(S, n).data == cayley.heat_kernel_binomial(S, n).data
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_wave_kernels_match_sparse_accumulators(name):
     G, S, ns = CASES[name]
     for n in ns:
-        Fk, Gk = cayley.wave_kernels(G, S, n)
-        assert (Fk.data, Gk.data) == sparse_wave(G, S, n), (name, n)
+        Fk, Gk = cayley.wave_kernels(S, n)
+        assert (Fk.data, Gk.data) == sparse_wave(S, n), (name, n)
         assert_int_valued(Fk.data)
         assert_int_valued(Gk.data)
 
 
 def packings(G, S, n):
     """The layouts of K_n and of (F_n, G_n); None where the sparse path runs."""
-    heat = functions._packing(G, cayley._symbol(G, S, 1 - S.degree, 1).entries, n, 1)
-    wave = functions._packing(G, cayley._symbol(G, S, -S.degree, 1).entries, n // 2, 1)
+    heat = functions._packing(G, cayley._symbol(S, 1 - S.degree, 1).entries, n, 1)
+    wave = functions._packing(G, cayley._symbol(S, -S.degree, 1).entries, n // 2, 1)
     return heat, wave
 
 
@@ -194,15 +195,15 @@ def test_far_apart_generators_take_the_sparse_path(name):
 @pytest.mark.parametrize("name", WIDE)
 def test_far_apart_generators_match_the_references(name):
     G, S, ns = WIDE[name]
-    squares = [cayley._symbol(G, S, 1 - S.degree, 1)]
+    squares = [cayley._symbol(S, 1 - S.degree, 1)]
     for n in [0] + ns:
-        K = cayley.heat_kernel(G, S, n).data
-        assert K == sparse_heat(G, S, n, squares), (name, n)
+        K = cayley.heat_kernel(S, n).data
+        assert K == sparse_heat(S, n, squares), (name, n)
         assert_int_valued(K)
         if n <= 3:
-            assert K == cayley.heat_kernel_binomial(G, S, n).data
-        Fk, Gk = cayley.wave_kernels(G, S, n)
-        assert (Fk.data, Gk.data) == sparse_wave(G, S, n), (name, n)
+            assert K == cayley.heat_kernel_binomial(S, n).data
+        Fk, Gk = cayley.wave_kernels(S, n)
+        assert (Fk.data, Gk.data) == sparse_wave(S, n), (name, n)
         assert_int_valued(Fk.data)
         assert_int_valued(Gk.data)
 
@@ -215,13 +216,13 @@ def reach(G, f, n):
 def test_reach_bounds_the_support():
     # Exact for independent pairs: K_n on Z with S = {+-1, +-10^6}.
     G, S, _ = WIDE["Z, S = {+-1, +-10^6}"]
-    step = cayley._symbol(G, S, 1 - S.degree, 1)
+    step = cayley._symbol(S, 1 - S.degree, 1)
     for n in range(8):
-        assert reach(G, step, n) == len(sparse_heat(G, S, n).entries) == 2 * n * n + 2 * n + 1
+        assert reach(G, step, n) == len(sparse_heat(S, n).entries) == 2 * n * n + 2 * n + 1
     for G, S, ns in list(CASES.values()) + list(WIDE.values()):
-        step = cayley._symbol(G, S, 1 - S.degree, 1)
+        step = cayley._symbol(S, 1 - S.degree, 1)
         for n in ns[:12]:
-            assert len(cayley.heat_kernel(G, S, n).data.entries) <= reach(G, step, n)
+            assert len(cayley.heat_kernel(S, n).data.entries) <= reach(G, step, n)
 
 
 def test_zero_sums_from_torsion_folding_are_dropped():
@@ -232,17 +233,17 @@ def test_zero_sums_from_torsion_folding_are_dropped():
     n = 4
     L = make_group(1, [])
     lifted = GeneratorSet(
+        L,
         tuple(make_element(L, [t - 6 if 2 * t > 6 else t], []) for (t,) in (s.torsion for s in S.elements)),
-        S.degree,
     )
     assert packings(G, S, n)[1] is not None
-    Fk_lifted, _ = sparse_wave(L, lifted, n)
+    Fk_lifted, _ = sparse_wave(lifted, n)
     residues = {}
     for x, v in Fk_lifted.entries.items():
         residues.setdefault(x.free[0] % 6, []).append(v)
     cancelled = [r for r, vs in residues.items() if sum(vs) == 0]
     assert cancelled
-    Fk = cayley.wave_kernels(G, S, n)[0].data
+    Fk = cayley.wave_kernels(S, n)[0].data
     assert all(make_element(G, [], [r]) not in Fk.entries for r in cancelled)
     assert_int_valued(Fk)
 
@@ -268,9 +269,9 @@ GROUPS = [make_group(1, []), make_group(2, []), make_group(0, [5]), make_group(1
 @given(group=st.sampled_from(GROUPS), seed=st.integers(0, 2**32 - 1), n=st.integers(0, 14))
 def test_packed_kernels_match_sparse_for_random_generators(group, seed, n):
     S = randgen.random_symmetric_generators(random.Random(seed), group, max_size=6, span=3)
-    assert cayley.heat_kernel(group, S, n).data == sparse_heat(group, S, n)
-    Fk, Gk = cayley.wave_kernels(group, S, n)
-    assert (Fk.data, Gk.data) == sparse_wave(group, S, n)
+    assert cayley.heat_kernel(S, n).data == sparse_heat(S, n)
+    Fk, Gk = cayley.wave_kernels(S, n)
+    assert (Fk.data, Gk.data) == sparse_wave(S, n)
 
 
 def literal_polynomial(f, row):

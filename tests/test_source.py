@@ -145,6 +145,20 @@ def test_one_rule_per_document_shape():
     assert not found, found
 
 
+def test_no_function_takes_a_group_beside_its_generator_set():
+    # A generator set carries its group, so a second group argument could
+    # only disagree with it.
+    both = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                names = {ast.unparse(a.annotation) for a in arguments if a.annotation}
+                if {"GroupSpec", "GeneratorSet"} <= names:
+                    both.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not both, both
+
+
 def test_no_module_imports_dataclasses():
     # dataclasses loads inspect, ast, dis and tokenize, and builds each class
     # through exec: the records are NamedTuples.
@@ -183,9 +197,9 @@ def test_a_solver_command_loads_no_oracle_code():
 
     for a, b in zip(records(), records()):
         assert a == b and hash(a) == hash(b)
-    assert records()[:2] == [GroupSpec(1, (4,)), GeneratorSet(tuple(S), 4)]
+    assert records()[:2] == [GroupSpec(1, (4,)), GeneratorSet(G, tuple(S))]
     # A kernel holds a function and a weight table a list, so neither is hashable.
-    assert cayley.heat_kernel(G, validate_generators(G, S), 2) == cayley.heat_kernel(
-        G, validate_generators(G, S), 2)
+    assert cayley.heat_kernel(validate_generators(G, S), 2) == cayley.heat_kernel(
+        validate_generators(G, S), 2)
     assert tree.tree_heat_weights(3, 4) == tree.tree_heat_weights(3, 4)
     assert repr(GroupSpec(1, (4,))) == "GroupSpec(rank=1, moduli=(4,))"

@@ -340,7 +340,7 @@ class TestK2Degeneration:
             Z, [make_element(Z, [1], []), make_element(Z, [-1], [])]
         )
         for n in range(8):
-            K = cayley.heat_kernel(Z, S, n).data
+            K = cayley.heat_kernel(S, n).data
             w = tree.tree_heat_weights(2, n).weights
             assert w[0] == K(make_element(Z, [0], []))
             for s in range(1, n + 1):
