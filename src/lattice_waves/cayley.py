@@ -1,8 +1,8 @@
 """Closed-form heat and wave solutions on Cayley graphs of abelian groups.
 
 A generator set S carries its group: every function here lives on S.group,
-and a solver's data on another group is GroupMismatch (``wave_solve`` checks
-before it reads g's mass, ``heat_solve`` leaves it to ``convolve``).
+and data on another group is GroupMismatch (``functions.require_domain``,
+called by ``wave_solve`` before g's mass is read, by ``convolve`` for the rest).
 The Laplacian's Fourier symbol pulls back to the finitely supported
 function A = k*delta_e - sum_s delta_s.  Every propagator is an integer
 polynomial in one step: the heat propagator at time n is the n-th
@@ -19,13 +19,14 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .errors import GroupMismatch, NotSolvable
+from .errors import NotSolvable
 from .functions import (
     SupportedFunction,
     add,
     convolve,
     convolve_polynomials,
     delta,
+    require_domain,
     scale,
     trivial_character_sum,
 )
@@ -104,8 +105,7 @@ def wave_solve(
     f: SupportedFunction, g: SupportedFunction, S: GeneratorSet, n: int
 ) -> SupportedFunction:
     """Solution of the wave equation at time n; requires g to have zero total mass."""
-    if not f.group == g.group == S.group:
-        raise GroupMismatch("initial value, initial velocity and generators differ in group")
+    require_domain(S.group, f, g)
     # Kernels first: they reject a negative n before g's mass is looked at.
     Fn, Gn = wave_kernels(S, n)
     mass = trivial_character_sum(g)

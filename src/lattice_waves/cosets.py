@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 from .cayley import heat_solve, wave_solve
 from .errors import SInsideH
-from .functions import SupportedFunction
+from .functions import SupportedFunction, require_domain
 from .groups import (
     GeneratorSet,
     GroupElement,
@@ -37,7 +37,6 @@ class CosetProblem(NamedTuple):
 
     base_group: GroupSpec
     subgroup_gens: tuple[GroupElement, ...]
-    S: tuple[GroupElement, ...]
     quot: Quotient
     S_tilde: GeneratorSet
     coset_reps: tuple[GroupElement, ...]
@@ -67,14 +66,15 @@ def build_coset_problem(
             images.append(q)
             reps.append(s)
     S_tilde = validate_generators(quot.group, images)
-    return CosetProblem(G, tuple(H_gens), S, quot, S_tilde, tuple(reps))
+    return CosetProblem(G, tuple(H_gens), quot, S_tilde, tuple(reps))
 
 
 def lift(f: SupportedFunction, P: CosetProblem) -> SupportedFunction:
     """Pull a function on the quotient back to the base group, constant on fibers.
 
-    The fibers are disjoint, so the numerators keep their denominator.
+    f must be on ``P.quotient_group`` (GroupMismatch); the disjoint fibers keep its denominator.
     """
+    require_domain(P.quotient_group, f)
     out = {x: v for q, v in f.numerators.items() for x in P.quot.fiber(q)}
     return SupportedFunction.trusted(P.base_group, out, f.denominator)
 
@@ -82,11 +82,12 @@ def lift(f: SupportedFunction, P: CosetProblem) -> SupportedFunction:
 def restrict(u: SupportedFunction, P: CosetProblem) -> SupportedFunction:
     """Push a coset-constant function on the base group down to the quotient.
 
-    ``project`` keeps the free part and maps only the torsion part, so each
-    distinct torsion tuple of u is projected once per call.  u keeps one
-    numerator per coset, so the result is wrapped as it is:
-    ``verify.states`` restricts every oracle state.
+    u must be on ``P.base_group`` (GroupMismatch).  ``project`` maps only
+    the torsion part, so each distinct torsion tuple of u is projected once
+    per call.  u keeps one numerator per coset, so the result is wrapped as
+    it is: ``verify.states`` restricts every oracle state.
     """
+    require_domain(P.base_group, u)
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     out = {}
     for x, v in u.numerators.items():

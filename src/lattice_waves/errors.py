@@ -27,7 +27,7 @@ class ZeroDenominator(LatticeWavesError):
 
 
 class GroupMismatch(LatticeWavesError):
-    """Two functions or elements belong to different groups."""
+    """A function is used on a group or tree other than its own (``functions.require_domain``)."""
 
     code = "GROUP_MISMATCH"
 

@@ -140,14 +140,16 @@ def delta(G: GroupSpec, x: GroupElement | None = None, value=1) -> SupportedFunc
     return SupportedFunction(G, {x: value})
 
 
-def _require_same_group(f: Scaled, g: Scaled) -> None:
-    if f.tag != g.tag:
-        raise GroupMismatch("functions live on different groups")
+def require_domain(tag, *fs: Scaled) -> None:
+    """The one domain rule: each f lives on ``tag``, a group or a tree degree (GroupMismatch)."""
+    for f in fs:
+        if f.tag != tag:
+            raise GroupMismatch(f"{type(f).__name__} on domain {f.tag!r} used on {tag!r}")
 
 
 def add(f: Scaled, g: Scaled) -> Scaled:
     """f + g, for two functions of one type on one group or tree."""
-    _require_same_group(f, g)
+    require_domain(f.tag, g)
     d = lcm(f.denominator, g.denominator)
     a, b = d // f.denominator, d // g.denominator
     out = {x: a * v for x, v in f.numerators.items()}
@@ -179,7 +181,7 @@ def convolve(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
     support points; elsewhere, as for far-apart supports, a sparse double
     loop over the pairs accumulates into a dict.
     """
-    _require_same_group(f, g)
+    require_domain(f.tag, g)
     G = f.group
     out = _packed_product(G, f.numerators, g.numerators)
     if out is None:

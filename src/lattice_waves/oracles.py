@@ -19,9 +19,9 @@ cosets of H, and on such a u sum_{h in H} u(x + h + s) = |H| u(x + s): the
 scaled sum over H x S~ is the plain sum over S~, in the same integers.
 The steppers still step on the base group and never read the quotient's
 coordinates; the constancy check compares each torsion block with its
-shift by each generator of H.  Nothing is shared with the closed-form
-engine beyond the element types and the value form (``Scaled``,
-``lowest_terms``, ``add``); the steppers are deliberately naive and slow.
+shift by each generator of H.  Nothing is shared with the closed-form engine
+beyond the element types, the value form (``Scaled``, ``lowest_terms``, ``add``)
+and the domain rule (``require_domain``); the steppers are naive and slow by design.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from operator import add as add_int, mod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cosets import CosetProblem
-from .errors import CosetInconstant, GroupMismatch, TorsionUnsupported
-from .functions import Scaled, SupportedFunction, _require_same_group, add, lowest_terms
+from .errors import CosetInconstant, TorsionUnsupported
+from .functions import Scaled, SupportedFunction, add, lowest_terms, require_domain
 from .groups import GeneratorSet, GroupElement, GroupSpec, integer, natural
 from .tree import TreeFunction, neighbors
 
@@ -56,7 +56,7 @@ def _heat(u: Scaled, laplacian: Laplacian) -> Scaled:
 
 def _wave(u0: Scaled, u1: Scaled, laplacian: Laplacian) -> Scaled:
     """2 u1 - u0 - Δu0 over one common denominator; u0 and u1 share a tag (GroupMismatch)."""
-    _require_same_group(u0, u1)
+    require_domain(u1.tag, u0)
     d = lcm(u0.denominator, u1.denominator)
     numerators = _times(u0.numerators, d // u0.denominator)
     acc = _times(u1.numerators, 2 * (d // u1.denominator))
@@ -81,11 +81,6 @@ def _laplacian(k: int, spread_to: Callable[[object], Iterable]) -> Laplacian:
             for y in spread_to(x):
                 acc[y] = get(y, 0) + v
     return laplacian
-
-
-def _check_group(u: SupportedFunction, G: GroupSpec) -> None:
-    if u.group != G:
-        raise GroupMismatch(f"function on {u.group} stepped on a graph of {G}")
 
 
 def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement]) -> Laplacian:
@@ -128,7 +123,7 @@ def _line_laplacian(k: int) -> Laplacian:
 
 def cayley_heat_step(u: SupportedFunction, S: GeneratorSet) -> SupportedFunction:
     """u(x, n+1) = sum_i u(x + s_i, n) - (k-1) u(x, n), for u on S's group."""
-    _check_group(u, S.group)
+    require_domain(S.group, u)
     return _heat(u, _group_laplacian(S.group, S.elements))
 
 
@@ -136,7 +131,7 @@ def cayley_wave_step(
     u_prev: SupportedFunction, u_curr: SupportedFunction, S: GeneratorSet
 ) -> SupportedFunction:
     """u(x, n+2) = 2 u(x, n+1) + sum_i u(x + s_i, n) - (k+1) u(x, n), for u on S's group."""
-    _check_group(u_curr, S.group)
+    require_domain(S.group, u_curr)
     return _wave(u_prev, u_curr, _group_laplacian(S.group, S.elements))
 
 
@@ -186,7 +181,7 @@ def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
     have the same keys and the same value at each.  The error names the
     first point of the failing block.
     """
-    _check_group(u, P.base_group)
+    require_domain(P.base_group, u)
     moduli = P.base_group.moduli
     blocks: dict[tuple[int, ...], dict] = {}
     for x, v in u.numerators.items():

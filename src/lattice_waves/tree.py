@@ -34,7 +34,7 @@ from math import comb, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
-from .functions import Scaled, lowest_terms
+from .functions import Scaled, lowest_terms, require_domain
 from .groups import integer, integers, natural
 
 TreeVertex = tuple[int, ...]
@@ -243,9 +243,10 @@ def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
 
 
 def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
-    """Average of f over the sphere of radius |r| around x (even in r)."""
-    x, r = make_vertex(x, f.k), abs(integer(r, "radius"))
-    return Fraction(_radius_sums(f, x).get(r, 0), f.denominator * sphere_size(f.k, r))
+    """Average of f over the sphere of radius |r| around x (even in r); 0 where f's data is not."""
+    x, r = make_vertex(x, f.k), natural(abs(integer(r, "radius")), "radius")
+    total = _radius_sums(f, x).get(r, 0)
+    return Fraction(total, f.denominator * sphere_size(f.k, r)) if total else Fraction(0)
 
 
 def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
@@ -258,6 +259,7 @@ def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
 
 def alpha_coeff(j: int, s: int, k: int) -> int:
     """Coefficient of the s-th harmonic in the j-th power of the drifted path symbol."""
+    j, s, k = natural(j, "power j"), integer(s, "harmonic index s"), _degree(k)
     if abs(s) > j:
         raise IndexOutOfRange(f"harmonic index {s} outside [-{j}, {j}]")
     if s >= 0:
@@ -286,6 +288,7 @@ class WeightTable(NamedTuple):
         The value at x is this over ``f.denominator``.  Data beyond the
         table's top radius has weight 0 and is skipped.
         """
+        require_domain(self.k, f)
         weights = self.weights
         return sum(weights[s] * v for s, v in _radius_sums(f, x).items() if s < len(weights))
 
@@ -470,8 +473,7 @@ def tree_wave_solve(
     (``_placed``), before the weights and any mass, so a malformed window
     is reported first.  The values are numerators over lcm(d_f, d_g).
     """
-    if f.k != g.k:
-        raise ShapeMismatch("initial value and velocity live on trees of different degree")
+    require_domain(f.k, g)
     xs, (gats, fats) = _placed(eval_at, f.k, [g, f])
     ftable, gtable = tree_wave_weights(f.k, n)
     d = lcm(f.denominator, g.denominator)

@@ -823,6 +823,29 @@ class TestErrors:
         assert cli.main(["heat", "--problem", write_problem(tmp_path, obj)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == code
 
+    @pytest.mark.parametrize("rank", [-1, "-1"], ids=repr)
+    def test_negative_rank_exit_1(self, tmp_path, capsys, rank):
+        detail = "rank must be non-negative, got -1"
+        with pytest.raises(errors.ModulusOutOfRange, match=detail):
+            make_group(rank, [])
+        obj = dict(heat_problem(), group={"rank": rank, "moduli": []})
+        assert cli.main(["heat", "--problem", write_problem(tmp_path, obj)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MODULUS_OUT_OF_RANGE", "detail": detail}
+
+    def test_a_bug_exits_3_and_puts_the_digit_limit_back(self, tmp_path, monkeypatch, capsys):
+        # Exit 3 is kept for exceptions that are not library errors.
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cayley, "heat_solve", boom)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        assert cli.main(["heat", "--problem", write_problem(tmp_path, heat_problem())]) == 3
+        assert capsys.readouterr().err == (
+            '{"error": "INTERNAL", "detail": "RuntimeError: boom"}\n')
+        assert limit() == before
+
     def test_negative_n_rejected(self, tmp_path):
         problem = write_problem(tmp_path, heat_problem())
         assert cli.main(["heat", "--problem", problem, "--n", "-1"]) == 1

@@ -120,7 +120,8 @@ def fixture_zxz8xz2():
 
 
 def fixture_trivial_h():
-    return cosets.build_coset_problem(ZxZ4, [], fixture_zxz4().S)
+    S = [make_element(ZxZ4, f, t) for f, t in [([1], [0]), ([-1], [0]), ([0], [1]), ([0], [3])]]
+    return cosets.build_coset_problem(ZxZ4, [], S)
 
 
 def fixture_two_generators():

@@ -117,6 +117,14 @@ class TestOneIntegerRule:
         rows = [{"elem": [1, value], "num": "1", "den": "1"}]
         assert _raised(lambda: serialize.tree_function_from_rows(3, rows)) == want
 
+    def test_alpha_coefficient(self, value):
+        got = f"must be an integer or a decimal string, got {value!r}"
+        assert _raised(lambda: tree.alpha_coeff(value, 0, 3)) == (ShapeMismatch, f"power j {got}")
+        assert _raised(lambda: tree.alpha_coeff(2, value, 3)) == (
+            ShapeMismatch, f"harmonic index s {got}")
+        assert _raised(lambda: tree.alpha_coeff(2, 0, value)) == (
+            ShapeMismatch, f"tree degree k {got}")
+
 
 # A key holding a list is not hashable, so the keys are tried with the other four.
 @pytest.mark.parametrize("value", [1.5, 2.0, True, None], ids=repr)
@@ -138,6 +146,7 @@ def test_public_constructors_read_decimal_strings():
     assert f == tree.TreeFunction(3, {(1, 2): 1})
     assert tree.tree_heat_solve(f, 2, [(), ("1",), (1, "2")]) == tree.tree_heat_solve(
         f, 2, [(), (1,), (1, 2)])
+    assert tree.alpha_coeff("2", "-1", "3") == tree.alpha_coeff(2, -1, 3) == -12
 
 
 @pytest.mark.parametrize("G", [Z, Z2, ZxZ4, make_group(0, [2, 3])])

@@ -11,7 +11,7 @@ from itertools import islice, zip_longest
 import pytest
 
 from lattice_waves import cayley, cosets, oracles, randgen, tree
-from lattice_waves.errors import GroupMismatch, ShapeMismatch
+from lattice_waves.errors import GroupMismatch, ShapeMismatch, TorsionUnsupported
 from lattice_waves.functions import SupportedFunction, add, scale
 from lattice_waves.groups import elem_add, make_element, make_group, validate_generators
 
@@ -79,8 +79,8 @@ class TestCayleySteppers:
 
 
 def _mismatched_domains():
-    """Each call steps or solves data on one group (or tree) with a graph of another."""
-    ZZ, ZxZ4 = make_group(2, []), make_group(1, [4])
+    """Each call steps, solves or maps data on one group (or tree) with a graph of another."""
+    ZZ, ZxZ4, ZxZ3 = make_group(2, []), make_group(1, [4]), make_group(1, [3])
     S1, S2 = z_gens(), randgen.random_symmetric_generators(random.Random(4), ZZ)
     on_z = SupportedFunction(Z, {make_element(Z, [1], []): 1})
     on_z2 = SupportedFunction(ZZ, {make_element(ZZ, [1, 0], []): 1})
@@ -89,6 +89,7 @@ def _mismatched_domains():
     P = cosets.build_coset_problem(ZxZ4, [make_element(ZxZ4, [0], [2])], [
         make_element(ZxZ4, [1], [0]), make_element(ZxZ4, [-1], [0]),
         make_element(ZxZ4, [0], [1]), make_element(ZxZ4, [0], [3])])
+    on_zxz3 = SupportedFunction(ZxZ3, {make_element(ZxZ3, [1], [2]): 1})
     return {
         "tree_step_wave k=3, k=5": lambda: oracles.tree_step_wave(
             tree.TreeFunction(3, {(1,): 1}), tree.TreeFunction(5, {(4,): 1})),
@@ -103,12 +104,19 @@ def _mismatched_domains():
         "heat_solve f on Z^2, S on Z": lambda: cayley.heat_solve(on_z2, S1, 2),
         "wave_solve f, g on Z^2, S on Z": lambda: cayley.wave_solve(on_z2, velocity, S1, 2),
         "wave_solve f, g of mass 1 on Z^2, S on Z": lambda: cayley.wave_solve(on_z2, on_z2, S1, 2),
+        "tree_wave_solve k=3, k=4": lambda: tree.tree_wave_solve(
+            tree.TreeFunction(3, {}), tree.TreeFunction(4, {}), 1, [tree.ROOT]),
+        "lift f on Z x Z3, quotient Z x Z2": lambda: cosets.lift(on_zxz3, P),
+        "restrict u on Z x Z3, base Z x Z4": lambda: cosets.restrict(on_zxz3, P),
+        "WeightTable.apply k=3 table, k=4 function": lambda: tree.tree_heat_weights(3, 2).apply(
+            tree.TreeFunction(4, {(4,): 1}), tree.ROOT),
     }
 
 
 @pytest.mark.parametrize("case", list(_mismatched_domains()))
 def test_mismatched_domains_raise_group_mismatch(case):
-    with pytest.raises(GroupMismatch):
+    # One rule (functions.require_domain) raises each, naming both domains.
+    with pytest.raises(GroupMismatch, match=r"\w+ on domain .+ used on .+"):
         _mismatched_domains()[case]()
 
 
@@ -354,6 +362,13 @@ class TestQuadrature:
             oracles.quadrature_kernel(S, 3, r)
         with pytest.raises(ShapeMismatch, match="position r must be an integer"):
             oracles.quadrature_kernels(S, 3, [0, r])
+
+    def test_torsion_is_refused(self):
+        # verify.quadrature_errors refuses first; the library call refuses too.
+        ZxZ4 = make_group(1, [4])
+        S = validate_generators(ZxZ4, randgen.standard_generators(ZxZ4))
+        with pytest.raises(TorsionUnsupported, match="restricted to Z"):
+            oracles.quadrature_kernels(S, 2, [0])
 
     @pytest.mark.parametrize("spans", [(1,), (1, 2), (1, 3, 4)], ids=str)
     def test_one_pass_over_the_nodes_repeats_every_float(self, spans):

@@ -145,6 +145,19 @@ def test_one_rule_per_document_shape():
     assert not found, found
 
 
+def test_one_domain_rule():
+    # functions.require_domain decides whether a function lives on the group
+    # or tree it is used on: no other module raises GroupMismatch.
+    raisers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(call, "id", getattr(call, "attr", None)) == "GroupMismatch":
+                    raisers.append(f"{path.name}:{node.lineno}")
+    assert len(raisers) == 1 and raisers[0].startswith("functions.py:"), raisers
+
+
 def test_no_function_takes_a_group_beside_its_generator_set():
     # A generator set carries its group, so a second group argument could
     # only disagree with it.

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,8 @@ class TestGeometry:
             tree.sphere_size(-2, 2)
         with pytest.raises(ShapeMismatch, match="at least 2, got 1"):
             tree.spherical_mean(tree.TreeFunction(1, {(1,): 1}), (), 3)
+        with pytest.raises(ShapeMismatch, match="at least 2, got 1"):
+            tree.alpha_coeff(2, 0, 1)
 
     @pytest.mark.parametrize("k", [1, 0, 3.0, True], ids=repr)
     def test_function_degree_is_checked(self, k):
@@ -75,6 +78,8 @@ class TestGeometry:
             tree.TreeFunction(k, {})
         with pytest.raises(ShapeMismatch):
             serialize.tree_function_from_rows(k, [])
+        with pytest.raises(ShapeMismatch):
+            tree.alpha_coeff(2, 0, k)
 
     def test_function_degree_reads_a_decimal_string(self):
         f = tree.TreeFunction("3", {(1, 3): 1})
@@ -117,6 +122,15 @@ class TestSphericalMeans:
         f = tree.TreeFunction(3, {(1, 2): Fraction(2), (): Fraction(1)})
         assert tree.spherical_mean(f, (1,), -1) == tree.spherical_mean(f, (1,), 1)
 
+    def test_a_sphere_the_data_does_not_reach_is_not_sized(self):
+        # S(4, 10^12) has about 1.6e12 bits; a sum of 0 is a mean of 0 without it.
+        f = tree.TreeFunction(4, {(1,): 1})
+        start = time.perf_counter()
+        assert tree.spherical_mean(f, (), 10**12) == 0
+        assert time.perf_counter() - start < 1
+        for r in (0, 1, 2, 10**12):
+            assert tree.spherical_mean(f, (), -r) == tree.spherical_mean(f, (), r)
+
     def test_path_reduce_profile(self):
         f = tree.TreeFunction(3, {(): Fraction(1), (1,): Fraction(3)})
         prof = tree.path_reduce(f, tree.ROOT)
@@ -147,6 +161,8 @@ class TestAlpha:
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             tree.alpha_coeff(2, 3, 3)
+        with pytest.raises(IndexOutOfRange, match="power j must be non-negative, got -1"):
+            tree.alpha_coeff(-1, 0, 3)
 
 
 class TestWeights:
@@ -323,12 +339,6 @@ class TestSolvers:
             assert tree.tree_wave_solve(f, g, n, [x])(x) == want(x)
             if n >= 1:
                 u_prev, u_curr = u_curr, oracles.tree_step_wave(u_prev, u_curr)
-
-    def test_mismatched_degree_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            tree.tree_wave_solve(
-                tree.TreeFunction(3, {}), tree.TreeFunction(4, {}), 1, [tree.ROOT]
-            )
 
 
 class TestK2Degeneration:
