@@ -47,14 +47,20 @@ def main():
 
     print("\nThe center boundary condition is essential for k > 2:")
     radial = [Fraction(1)]          # radial profile of the delta
-    free = oracles.even_profile([Fraction(1)])
+    free = {0: Fraction(1)}         # the same profile on the whole line
     for _ in range(2):
         radial = oracles.radial_step_heat(radial, k)
-        free = oracles.path_step_heat(free, k)
+        free = free_line_step(free, k)
     true_value = stepped_twice_at_root(k)
     print(f"  true tree value after 2 steps:      {true_value}")
     print(f"  radial recurrence (even boundary):  {radial[0]}")
-    print(f"  free line recurrence (no boundary): {free(0)}  <- wrong for k={k}")
+    print(f"  free line recurrence (no boundary): {free[0]}  <- wrong for k={k}")
+
+
+def free_line_step(u, k):
+    """(k-1) u(r+1) + u(r-1) - (k-1) u(r) at every integer r, with no center."""
+    at = lambda r: u.get(r, 0)
+    return {r: (k - 1) * (at(r + 1) - at(r)) + at(r - 1) for r in range(min(u) - 1, max(u) + 2)}
 
 
 def stepped_twice_at_root(k):

@@ -65,9 +65,10 @@ class Scaled:
     ``numerators`` maps each point of the support to a non-zero ``int``, and
     ``denominator`` is an ``int`` >= 1 with gcd(denominator, *numerators) == 1.
     So the pair is canonical: two maps are equal exactly when their pairs
-    are.  ``tag`` is what the points live on (a group, a tree degree or
-    None).  A subclass adds only its public constructor, which checks the
-    keys and takes rationals, and a name for its tag.
+    are.  ``tag`` is what the points live on: a group for a
+    ``SupportedFunction``, a tree degree for a ``TreeFunction``, the two
+    subclasses.  A subclass adds only its public constructor, which checks
+    the keys and takes rationals, and a name for its tag.
     """
 
     def _init(self, tag, pairs: Iterable[tuple]) -> None:

@@ -6,12 +6,11 @@ Every stepper is one of the paper's two time rules, heat u - Δu and wave
 integer accumulator.  On groups (shifts x + s, s over S on a Cayley graph,
 over S~ on the lifted coset graph) u is stepped one torsion block at a
 time: the points that share a torsion tuple t share each t + s, reduced
-once per block and shift.  Trees and the radialized line share one loop,
-``_laplacian``, over a spread map, the points that u(x) feeds: the
-reduced-word neighbours on trees, and r - 1 (k - 1 times) and r + 1 on the
-line, whose radial profiles are even extensions.  The rules step the
-states' integer numerators over one common denominator and reduce the
-result to lowest terms.
+once per block and shift; on trees u(x) feeds its reduced-word
+neighbours.  These rules step the states' integer numerators over one
+common denominator and reduce the result to lowest terms.  The radial
+steppers run the tree recurrence on spheres in ``Fraction``s, on a list
+p(0), p(1), ... with the even boundary value p(-1) = p(1) at the centre.
 
 The lifted coset graph's Laplacian is 1/|H| times the sum over the shifts
 h + s, H x S~.  The lifted steppers check that every state is constant on
@@ -21,23 +20,24 @@ The steppers still step on the base group and never read the quotient's
 coordinates; the constancy check compares each torsion block with its
 shift by each generator of H.  Nothing is shared with the closed-form engine
 beyond the element types, the value form (``Scaled``, ``lowest_terms``, ``add``)
-and the domain rule (``require_domain``); the steppers are naive and slow by design.
+and the input rules (``require_domain``, ``tree._degree``); the steppers are
+naive and slow by design.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import islice, repeat, zip_longest
 from math import lcm, pi
 from operator import add as add_int, mod
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cosets import CosetProblem
 from .errors import CosetInconstant, TorsionUnsupported
 from .functions import Scaled, SupportedFunction, add, lowest_terms, require_domain
 from .groups import GeneratorSet, GroupElement, GroupSpec, integer, natural
-from .tree import TreeFunction, neighbors
+from .tree import TreeFunction, _degree, neighbors
 
 # laplacian(acc, u) adds -Δu into acc; both map points to int numerators.
 Laplacian = Callable[[dict, dict], None]
@@ -67,22 +67,6 @@ def _wave(u0: Scaled, u1: Scaled, laplacian: Laplacian) -> Scaled:
     return type(u1).trusted(u1.tag, *lowest_terms(acc, d))
 
 
-def _laplacian(k: int, spread_to: Callable[[object], Iterable]) -> Laplacian:
-    """The tree and line loop: u(x) adds -k u(x) at x and u(x) at each point of spread_to(x).
-
-    So -Δu(y) = sum u(x) - k u(y), x over the points that spread to y, with
-    repeats; on a graph, whose adjacency is symmetric, those are the
-    neighbours of y.
-    """
-    def laplacian(acc: dict, u: dict) -> None:
-        get = acc.get
-        for x, v in u.items():
-            acc[x] = get(x, 0) - k * v
-            for y in spread_to(x):
-                acc[y] = get(y, 0) + v
-    return laplacian
-
-
 def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement]) -> Laplacian:
     """Shifts x + s over a set closed under negation (on the lifted graph, modulo H).
 
@@ -109,16 +93,14 @@ def _group_laplacian(G: GroupSpec, shifts: Sequence[GroupElement]) -> Laplacian:
 
 
 def _tree_laplacian(k: int) -> Laplacian:
-    """The reduced-word neighbours; neighbours of reduced words are reduced words."""
-    return _laplacian(k, lambda x: neighbors(x, k))
-
-
-def _line_laplacian(k: int) -> Laplacian:
-    """-Δp(r) = (k-1) p(r+1) + p(r-1) - k p(r): the tree Laplacian on spheres.
-
-    p(r) is the p(r+1) of r - 1, weighted k - 1, and the p(r-1) of r + 1.
-    """
-    return _laplacian(k, lambda r: (r - 1,) * (k - 1) + (r + 1,))
+    """u(x) adds -k u(x) at x and u(x) at each reduced-word neighbour, itself a reduced word."""
+    def laplacian(acc: dict, u: dict) -> None:
+        get = acc.get
+        for x, v in u.items():
+            acc[x] = get(x, 0) - k * v
+            for y in neighbors(x, k):
+                acc[y] = get(y, 0) + v
+    return laplacian
 
 
 def cayley_heat_step(u: SupportedFunction, S: GeneratorSet) -> SupportedFunction:
@@ -240,51 +222,34 @@ def tree_step_wave(u_prev: TreeFunction, u_curr: TreeFunction) -> TreeFunction:
     return _wave(u_prev, u_curr, _tree_laplacian(u_curr.k))
 
 
-class PathProfile(Scaled):
-    """A finitely supported profile on the integers (the radialized line)."""
+def _radial_heat(p: list, k: int, length: int) -> list[Fraction]:
+    """(k-1) p(r+1) + p(r-1) - (k-1) p(r), the tree's u - Δu on spheres, at r < length.
 
-    def __init__(self, values: Mapping | None = None):
-        self._init(None, ((integer(r, "path coordinate"), v) for r, v in (values or {}).items()))
-
-
-def even_profile(radial: list[Fraction]) -> PathProfile:
-    """Even extension of a radial profile (r >= 0) to the whole line."""
-    return PathProfile({sign * r: v for r, v in enumerate(radial) for sign in (1, -1)})
-
-
-def path_step_heat(u: PathProfile, k: int) -> PathProfile:
-    """u(r, n+1) = (k-1) u(r+1, n) + u(r-1, n) - (k-1) u(r, n).
-
-    The asymmetric reduction of the tree step; for k = 2 it degenerates to
-    the symmetric path step.
+    p(-1) = p(1), the even boundary value at the centre; p is 0 past its end.
     """
-    return _heat(u, _line_laplacian(k))
+    q = _degree(k) - 1
+    p = [*map(Fraction, p), *repeat(Fraction(0), length + 1 - len(p))]
+    return [q * (p[r + 1] - p[r]) + p[abs(r - 1)] for r in range(length)]
 
 
 def radial_step_heat(profile: list[Fraction], k: int) -> list[Fraction]:
-    """One heat step of the radialized tree recurrence on r >= 0.
+    """One heat step of the radialized tree recurrence on r >= 0, one entry longer.
 
-    u(r, n+1) = (k-1) u(r+1, n) + u(r-1, n) - (k-1) u(r, n), with the even
-    boundary value u(-1, n) = u(1, n) that the spherical-mean reduction
-    imposes at the center: the line step of the even extension, read at
-    r >= 0.  Stepping the radial profile of the initial data this way and
-    reading r = 0 reproduces the tree solution exactly.
+    u(r, n+1) = (k-1) u(r+1, n) + u(r-1, n) - (k-1) u(r, n) with u(-1, n) = u(1, n):
+    stepping the initial data's radial profile and reading r = 0 gives the tree solution.
     """
-    stepped = path_step_heat(even_profile(profile), k)
-    return [stepped(r) for r in range(len(profile) + 1)]
+    return _radial_heat(profile, k, len(profile) + 1)
 
 
-def radial_step_wave(
-    prev: list[Fraction], curr: list[Fraction], k: int
-) -> list[Fraction]:
-    """One wave step of the radialized tree recurrence on r >= 0.
+def radial_step_wave(prev: list[Fraction], curr: list[Fraction], k: int) -> list[Fraction]:
+    """One wave step of the radialized tree recurrence on r >= 0, one entry longer than both.
 
-    u(r, n+2) = 2 u(r, n+1) - (k+1) u(r, n) + (k-1) u(r+1, n) + u(r-1, n),
-    again with the even boundary value at the center.
+    u(r, n+2) = 2 u(r, n+1) - (k+1) u(r, n) + (k-1) u(r+1, n) + u(r-1, n), with the even
+    boundary value: the heat step of u(., n) plus twice u(., n+1) - u(., n).
     """
-    laplacian = _line_laplacian(k)
-    stepped = _wave(even_profile(prev), even_profile(curr), laplacian)
-    return [stepped(r) for r in range(max(len(prev), len(curr)) + 1)]
+    heat = _radial_heat(prev, k, max(len(prev), len(curr)) + 1)
+    states = zip_longest(heat, map(Fraction, prev), map(Fraction, curr), fillvalue=Fraction(0))
+    return [h + 2 * (b - a) for h, a, b in states]
 
 
 def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:

@@ -18,8 +18,7 @@ This is the one module that writes CSV.  Every line ends in ``\\n``: a
 comment line with the run parameters, a column header, then the rows.
 A function's row is its key's integers joined by ';' (a tree word, or an
 element's free then torsion coordinates), then the value's num and den,
-one ``%`` of a template built once per key length and call;
-``element_label`` and ``vertex_label`` are that rule on one key.
+one ``%`` of a template built once per key length and call.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Any, Callable, Iterable
 from .errors import ShapeMismatch, ZeroDenominator
 from .functions import Scaled, SupportedFunction, over_lcm
 from .groups import GroupElement, GroupSpec, Quotient, array, integer, make_element, make_group
-from .tree import TreeFunction, TreeVertex, WeightTable, _degree, make_vertex
+from .tree import TreeFunction, WeightTable, _degree, make_vertex
 
 
 def json_object(value, what: str) -> dict:
@@ -112,22 +111,6 @@ def quotient_function_from_rows(
     return SupportedFunction.trusted(quot.group, *values)
 
 
-def _label_template(length: int) -> str:
-    """The ``%`` template of a key of ``length`` integers: the integers joined by ';'."""
-    return ";".join(["%d"] * length)
-
-
-def element_label(a: GroupElement) -> str:
-    """Semicolon-joined coordinates, free part first."""
-    key = a.free + a.torsion
-    return _label_template(len(key)) % key
-
-
-def vertex_label(x: TreeVertex) -> str:
-    """Semicolon-joined letters; the root's label is empty."""
-    return _label_template(len(x)) % x
-
-
 def _comment(header: dict[str, Any]) -> str:
     """The leading comment line: the run parameters as ``key=value`` pairs."""
     return "# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n"
@@ -151,7 +134,7 @@ def _to_csv(f: Scaled, keys: list, flat_keys: Iterable[tuple], header: dict[str,
         g = list(map(gcd, nums, repeat(d)))
         values = zip(map(floordiv, nums, g), map(floordiv, repeat(d), g))
     rows = list(map(add, flat_keys, values))
-    templates = {n: _label_template(n - 2) + ",%d,%d\n" for n in set(map(len, rows))}
+    templates = {n: ";".join(["%d"] * (n - 2)) + ",%d,%d\n" for n in set(map(len, rows))}
     body = "".join(map(mod, map(templates.__getitem__, map(len, rows)), rows))
     return _comment(header) + "vertex,num,den\n" + body
 

@@ -542,6 +542,13 @@ PLANTED_FAULTS = [
     (tree._Hull, "__init__", _rewritten(tree, "sums.get(r + 2, 0) - v", "sums.get(r + 2, 0)"),
      {"tree-heat-triple": (2, "stepping mismatch n=2"),
       "tree-wave-triple": (20, "not solvable n=0")}),
+    # The radial centre reads p(-1) = 0 past the profile's end, not the even value p(1).
+    (oracles, "_radial_heat", _rewritten(oracles, "p[abs(r - 1)]", "p[r - 1]"),
+     {"tree-heat-triple": (1, "radial mismatch n=1"),
+      "tree-wave-triple": (2, "radial mismatch n=2")}),
+    # The radial wave adds u1 - u0 once, not twice.
+    (oracles, "radial_step_wave", _rewritten(oracles, "2 * (b - a)", "(b - a)"),
+     {"tree-wave-triple": (2, "radial mismatch n=2")}),
 ]
 
 

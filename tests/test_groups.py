@@ -18,7 +18,7 @@ from lattice_waves.errors import (
     ShapeMismatch,
 )
 import lattice_waves
-from lattice_waves import serialize, tree
+from lattice_waves import oracles, serialize, tree
 from lattice_waves.functions import SupportedFunction
 from lattice_waves.groups import (
     GroupElement,
@@ -147,6 +147,8 @@ def test_public_constructors_read_decimal_strings():
     assert tree.tree_heat_solve(f, 2, [(), ("1",), (1, "2")]) == tree.tree_heat_solve(
         f, 2, [(), (1,), (1, 2)])
     assert tree.alpha_coeff("2", "-1", "3") == tree.alpha_coeff(2, -1, 3) == -12
+    assert oracles.radial_step_heat([1, 2], "3") == oracles.radial_step_heat([1, 2], 3)
+    assert oracles.radial_step_wave([1], [1, 2], "3") == oracles.radial_step_wave([1], [1, 2], 3)
 
 
 @pytest.mark.parametrize("G", [Z, Z2, ZxZ4, make_group(0, [2, 3])])

@@ -148,16 +148,16 @@ class TestLabels:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), G=st.sampled_from(LABEL_GROUPS))
     def test_csv_labels_are_element_labels(self, data, G):
-        # The rows' labels come from one template per call; element_label
-        # is that template on one element, and it reads back to the element.
+        # The rows' labels come from one template per call: the coordinates,
+        # free part first, joined by ';', and each reads back to its element.
         dim = G.rank + len(G.moduli)
         coords = st.lists(coordinates, min_size=dim, max_size=dim)
         elems = coords.map(lambda c: make_element(G, c[:G.rank], c[G.rank:]))
         keys = data.draw(st.lists(elems, max_size=8, unique=True))
         f = SupportedFunction(G, {x: data.draw(rationals()) or 1 for x in keys})
         labels = csv_labels(serialize.function_to_csv(f, {"n": 1}))
-        assert labels == [serialize.element_label(x) for x in sorted(f.numerators)]
-        assert all(element_from_label(G, serialize.element_label(x)) == x for x in keys)
+        assert labels == [";".join(map(str, x.free + x.torsion)) for x in sorted(f.numerators)]
+        assert [element_from_label(G, label) for label in labels] == sorted(f.numerators)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), k=st.integers(2, 12))
@@ -169,12 +169,12 @@ class TestLabels:
         f = TreeFunction(k, {w: Fraction(len(w) + 1, 3) for w in words})
         labels = csv_labels(serialize.tree_function_to_csv(f, {}))
         assert labels == [";".join(map(str, x)) for x in sorted(words)]
-        assert labels == [serialize.vertex_label(x) for x in sorted(words)]
-        assert all(vertex_from_label(k, serialize.vertex_label(x)) == x for x in words)
+        assert [vertex_from_label(k, label) for label in labels] == sorted(words)
 
     def test_element_label_round_trip(self):
         a = make_element(ZxZ4, [-2], [3])
-        assert element_from_label(ZxZ4, serialize.element_label(a)) == a
+        [label] = csv_labels(serialize.function_to_csv(SupportedFunction(ZxZ4, {a: 1}), {}))
+        assert label == "-2;3" and element_from_label(ZxZ4, label) == a
 
     def test_element_label_wrong_arity(self):
         with pytest.raises(ShapeMismatch):
@@ -182,5 +182,6 @@ class TestLabels:
 
     def test_vertex_label_round_trip(self):
         x = (1, 2, 1)
-        assert vertex_from_label(3, serialize.vertex_label(x)) == x
+        [label] = csv_labels(serialize.tree_function_to_csv(TreeFunction(3, {x: 1}), {}))
+        assert label == "1;2;1" and vertex_from_label(3, label) == x
         assert vertex_from_label(3, "") == ()

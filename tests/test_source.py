@@ -158,6 +158,22 @@ def test_one_domain_rule():
     assert len(raisers) == 1 and raisers[0].startswith("functions.py:"), raisers
 
 
+def test_a_value_lives_on_a_group_or_a_tree():
+    # A Scaled tag is a group or a tree degree, so Scaled has two subclasses,
+    # direct or not: the radial profiles stepped by the oracles are lists.
+    classes = [
+        (node.name, {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases})
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    subclasses, found = {"Scaled"}, None
+    while found != subclasses:
+        found = set(subclasses)
+        subclasses |= {name for name, bases in classes if bases & subclasses}
+    assert subclasses - {"Scaled"} == {"SupportedFunction", "TreeFunction"}, subclasses
+
+
 def test_no_function_takes_a_group_beside_its_generator_set():
     # A generator set carries its group, so a second group argument could
     # only disagree with it.

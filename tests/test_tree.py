@@ -80,6 +80,10 @@ class TestGeometry:
             serialize.tree_function_from_rows(k, [])
         with pytest.raises(ShapeMismatch):
             tree.alpha_coeff(2, 0, k)
+        with pytest.raises(ShapeMismatch):
+            oracles.radial_step_heat([Fraction(1)], k)
+        with pytest.raises(ShapeMismatch):
+            oracles.radial_step_wave([Fraction(1)], [Fraction(1)], k)
 
     def test_function_degree_reads_a_decimal_string(self):
         f = tree.TreeFunction("3", {(1, 3): 1})
@@ -249,6 +253,10 @@ class TestWeights:
             tree.tree_wave_weights(k, 2)
         with pytest.raises(ShapeMismatch):
             tree.tree_heat_solve(tree.TreeFunction(k, {(): 1}), 2, [()])
+        with pytest.raises(ShapeMismatch):
+            oracles.radial_step_heat([Fraction(1)], k)
+        with pytest.raises(ShapeMismatch):
+            oracles.radial_step_wave([Fraction(1)], [Fraction(1)], k)
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_degree_is_checked_before_the_window(self, k):

@@ -194,10 +194,6 @@ def test_tree_functions_steps_and_solvers_in_lowest_terms(data, k, n):
     heat, wave = literal_step(f, g, neighbours, k)
     assert_lowest_terms(oracles.tree_step_heat(g), heat)
     assert_lowest_terms(oracles.tree_step_wave(f, g), wave)
-    profile = oracles.PathProfile(data.draw(st.dictionaries(st.integers(-3, 3), VALUES)))
-    line = lambda r: [r - 1] + [r + 1] * (k - 1)
-    heat, _ = literal_step(profile, profile, line, k)
-    assert_lowest_terms(oracles.path_step_heat(profile, k), heat)
     # Cancelling g's radialized mass at x makes the wave solvable there.
     window = [tree.ROOT, (1,), (2, 1)]
     x = window[data.draw(st.integers(0, 2))]
