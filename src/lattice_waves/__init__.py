@@ -52,6 +52,7 @@ from .tree import (
     TreeFunction,
     WeightTable,
     alpha_coeff,
+    hull_position,
     make_vertex,
     neighbors,
     path_reduce,

@@ -9,8 +9,9 @@ time: the points that share a torsion tuple t share each t + s, reduced
 once per block and shift; on trees u(x) feeds its reduced-word
 neighbours.  These rules step the states' integer numerators over one
 common denominator and reduce the result to lowest terms.  The radial
-steppers run the tree recurrence on spheres in ``Fraction``s, on a list
-p(0), p(1), ... with the even boundary value p(-1) = p(1) at the centre.
+steppers run the tree recurrence on spheres, on a list p(0), p(1), ...
+with the even boundary value p(-1) = p(1) at the centre, in integer
+numerators over the lcm of the list's denominators.
 
 The lifted coset graph's Laplacian is 1/|H| times the sum over the shifts
 h + s, H x S~.  The lifted steppers check that every state is constant on
@@ -222,13 +223,20 @@ def tree_step_wave(u_prev: TreeFunction, u_curr: TreeFunction) -> TreeFunction:
     return _wave(u_prev, u_curr, _tree_laplacian(u_curr.k))
 
 
-def _radial_heat(p: list, k: int, length: int) -> list[Fraction]:
-    """(k-1) p(r+1) + p(r-1) - (k-1) p(r), the tree's u - Δu on spheres, at r < length.
+def _over_lcm(*profiles: list) -> tuple[int, list[list[int]]]:
+    """(d, the profiles' integer numerators over d), d the lcm of every entry's denominator."""
+    profiles = [list(map(Fraction, p)) for p in profiles]
+    d = lcm(*(v.denominator for p in profiles for v in p))
+    return d, [[v.numerator * (d // v.denominator) for v in p] for p in profiles]
 
-    p(-1) = p(1), the even boundary value at the centre; p is 0 past its end.
+
+def _radial_heat(p: list[int], q: int, length: int) -> list[int]:
+    """q p(r+1) + p(r-1) - q p(r), q = k - 1, the tree's u - Δu on spheres, at r < length.
+
+    p holds integer numerators; p(-1) = p(1), the even boundary value at
+    the centre, and p is 0 past its end.
     """
-    q = _degree(k) - 1
-    p = [*map(Fraction, p), *repeat(Fraction(0), length + 1 - len(p))]
+    p = [*p, *repeat(0, length + 1 - len(p))]
     return [q * (p[r + 1] - p[r]) + p[abs(r - 1)] for r in range(length)]
 
 
@@ -237,19 +245,25 @@ def radial_step_heat(profile: list[Fraction], k: int) -> list[Fraction]:
 
     u(r, n+1) = (k-1) u(r+1, n) + u(r-1, n) - (k-1) u(r, n) with u(-1, n) = u(1, n):
     stepping the initial data's radial profile and reading r = 0 gives the tree solution.
+    The step runs on integer numerators over one common denominator.
     """
-    return _radial_heat(profile, k, len(profile) + 1)
+    q = _degree(k) - 1
+    d, (p,) = _over_lcm(profile)
+    return [Fraction(v, d) for v in _radial_heat(p, q, len(p) + 1)]
 
 
 def radial_step_wave(prev: list[Fraction], curr: list[Fraction], k: int) -> list[Fraction]:
     """One wave step of the radialized tree recurrence on r >= 0, one entry longer than both.
 
     u(r, n+2) = 2 u(r, n+1) - (k+1) u(r, n) + (k-1) u(r+1, n) + u(r-1, n), with the even
-    boundary value: the heat step of u(., n) plus twice u(., n+1) - u(., n).
+    boundary value: the heat step of u(., n) plus twice u(., n+1) - u(., n), on integer
+    numerators over one common denominator.
     """
-    heat = _radial_heat(prev, k, max(len(prev), len(curr)) + 1)
-    states = zip_longest(heat, map(Fraction, prev), map(Fraction, curr), fillvalue=Fraction(0))
-    return [h + 2 * (b - a) for h, a, b in states]
+    q = _degree(k) - 1
+    d, (u0, u1) = _over_lcm(prev, curr)
+    heat = _radial_heat(u0, q, max(len(u0), len(u1)) + 1)
+    states = zip_longest(heat, u0, u1, fillvalue=0)
+    return [Fraction(h + 2 * (b - a), d) for h, a, b in states]
 
 
 def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:

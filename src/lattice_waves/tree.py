@@ -20,26 +20,33 @@ keeps one dict of its sums that are not 0; the zero function's hull is
 the root alone, with none.  The weights are integers, so a solution is
 integer numerators over the data's denominator.  Below the hull a
 vertex's sums are those of its deepest hull prefix, shifted by the
-distance to it, so a value depends only on that (prefix, shift) pair and
-the solvers compute it once per pair.  A ``TreeFunction`` checks its
-degree once, when it is built (``_degree``).
+distance to it, so a value depends only on that (prefix, shift) pair, the
+vertex's hull position (``hull_position``).  ``WeightTable.apply`` and
+``radial_mass`` take the position, not the vertex.  The solvers give each
+window vertex a position id (``_placed``), compute each value once per
+distinct position, read it per vertex by id, and put the solution in
+lowest terms with one gcd.  A ``TreeFunction`` checks its degree once,
+when it is built (``_degree``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import comb, lcm
+from itertools import chain, compress, repeat
+from math import comb, gcd, lcm
+from operator import add, floordiv
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
-from .functions import Scaled, lowest_terms, require_domain
+from .functions import Scaled, require_domain
 from .groups import integer, integers, natural
 
 TreeVertex = tuple[int, ...]
 
 ROOT: TreeVertex = ()
+
+_ZERO = Fraction(0)
 
 
 def make_vertex(word: Sequence[int], k: int) -> TreeVertex:
@@ -101,7 +108,7 @@ class TreeFunction(Scaled):
     def rerooted(self) -> _Hull:
         """The sphere sums around the root; for f = 0 an empty hull, the root alone.
 
-        ``_hull_position`` grows the tree below it on demand.
+        ``hull_position`` grows the tree below it on demand.
         """
         return _Hull(self.numerators.items(), 0, None)
 
@@ -159,15 +166,23 @@ class _Hull:
         return child
 
 
-def _hull_position(f: TreeFunction, x: TreeVertex) -> tuple[_Hull, int]:
-    """(a, len(x) - len(a)), a the deepest prefix of x on f's hull.
+def hull_position(f: TreeFunction, x: Sequence[int]) -> tuple[_Hull, int]:
+    """(a, len(x) - len(a)), a the deepest prefix of x on f's hull; x is checked first.
 
-    Walks x's letters from the root while they stay in the hull, building
-    the hull vertices it meets and keeping them in ``f.rerooted``.  Every
-    sphere sum of f around x is a's shifted by len(x) - len(a), so a
-    value read from the sums depends on x only through this pair.  For
-    f = 0 the hull is the root alone and the pair is (root, len(x)).  Hull
+    Every sphere sum of f around x is a's shifted by len(x) - len(a), so a
+    value read from the sums depends on x only through this pair, the hull
+    position that ``WeightTable.apply`` and ``radial_mass`` take.  For f = 0
+    the hull is the root alone and the pair is (root, len(x)).  Hull
     vertices hash by identity: the pair can key a dict.
+    """
+    return _walk(f, make_vertex(x, f.k))
+
+
+def _walk(f: TreeFunction, x: TreeVertex) -> tuple[_Hull, int]:
+    """``hull_position`` of a word already checked: x's letters walked from the root.
+
+    The walk stops where x leaves the hull, building the hull vertices it
+    meets and keeping them in ``f.rerooted``.
     """
     node = f.rerooted
     for c in x:
@@ -178,58 +193,74 @@ def _hull_position(f: TreeFunction, x: TreeVertex) -> tuple[_Hull, int]:
     return node, len(x) - node.depth
 
 
-def _next_position(at: tuple[_Hull, int], c: int) -> tuple[_Hull, int]:
-    """The hull position of x + (c,) from x's position ``at``: one step of ``_hull_position``."""
-    node, shift = at
-    if not shift:
-        child = node.child(c)
-        if child is not None:
-            return child, 0
-    return node, shift + 1
-
-
 def _placed(words: Iterable, k: int,
-            fs: Sequence[TreeFunction]) -> tuple[list[TreeVertex], list[list]]:
-    """The window's vertices, and for each of ``fs`` their hull positions, in window order.
+            fs: Sequence[TreeFunction]) -> tuple[list[TreeVertex], list[tuple[list, list]]]:
+    """The window's vertices, and for each of ``fs`` a position id per vertex and the positions.
 
     This is where a window is checked, once.  In a window of tuples of
     ints (two type scans), a word p + (c,) listed after its prefix p is a
-    vertex exactly when c is in 1..k and not p's last letter, and its
-    positions are one ``_next_position`` step from p's.  Any other word is
-    checked by ``make_vertex``, so a word that is not an array or holds a
-    bad letter raises its error, and placed by ``_hull_position``.  The
-    index of the vertices met so far lives for this call only.
+    vertex exactly when c is in 1..k and not p's last letter, and it is
+    placed from p: on the hull's child c of p's position if p sits on the
+    hull (shift 0) and that child exists, else at p's position one
+    further down, (node, shift + 1).  That successor is kept per id, so
+    the siblings that share it look up no pair.  Any other word is checked
+    by ``make_vertex``, so a word that is not an array or holds a bad
+    letter raises its error, and walked from the root (``_walk``).  The
+    positions are listed in the order the window first meets them, and id
+    i names ``positions[i]``.  The index of each word's first listing
+    lives for this call only.
     """
-    words = list(words)
-    ints = ({tuple}.issuperset(map(type, words))
-            and {int}.issuperset(map(type, chain.from_iterable(words))))
-    index: dict[TreeVertex, int] = {}
-    xs, parents = [], []
-    for w in words:
-        i = index.get(w[:-1]) if ints and w else None
-        if i is None or not 0 < (c := w[-1]) <= k or (len(w) > 1 and c == w[-2]):
-            w, i = make_vertex(w, k), None
-        index[w] = len(xs)
-        xs.append(w)
-        parents.append(i)
-    positions = []
+    xs = list(words)
+    if ({tuple}.issuperset(map(type, xs))
+            and {int}.issuperset(map(type, chain.from_iterable(xs)))):
+        # Each word's first listing; a prefix listed before the word comes first.
+        first = dict(zip(reversed(xs), range(len(xs) - 1, -1, -1)))
+        parents = []
+        for n, w in enumerate(xs):
+            i = first.get(w[:-1], n) if w else n
+            if i >= n or not 0 < (c := w[-1]) <= k or (len(w) > 1 and c == w[-2]):
+                make_vertex(w, k)  # raises, or returns w itself: a tuple of ints
+                i = None
+            parents.append(i)
+    else:
+        xs = [make_vertex(w, k) for w in xs]
+        parents = [None] * len(xs)
+    placements = []
     for f in fs:
-        at = []
+        ids, positions, successors, seen = [], [], [], {}
         for x, i in zip(xs, parents):
-            at.append(_hull_position(f, x) if i is None else _next_position(at[i], x[-1]))
-        positions.append(at)
-    return xs, positions
+            if i is None:
+                at, parent = _walk(f, x), None
+            else:
+                node, shift = positions[parent := ids[i]]
+                if not shift and (child := node.child(x[-1])) is not None:
+                    at, parent = (child, 0), None
+                elif (j := successors[parent]) is not None:
+                    ids.append(j)
+                    continue
+                else:
+                    at = node, shift + 1
+            j = seen.setdefault(at, len(positions))
+            if j == len(positions):
+                positions.append(at)
+                successors.append(None)
+            if parent is not None:
+                successors[parent] = j
+            ids.append(j)
+        placements.append((ids, positions))
+    return xs, placements
 
 
-def _radius_sums(f: TreeFunction, x: TreeVertex) -> dict[int, int]:
-    """Sums of f's numerators over each sphere around x, those that are 0 left out.
+def _radius_sums(at: tuple[_Hull, int]) -> Iterable[tuple[int, int]]:
+    """(radius, sum of the numerators on that sphere) around a vertex at hull position ``at``.
 
-    Below the deepest hull prefix a of x the data is len(x) - len(a)
-    further away than from a (``_hull_position``).  The result may be a
-    cached dict itself: callers only read it.
+    Sums of 0 are left out.  Below its deepest hull prefix a, a vertex is
+    the shift len(x) - len(a) further from the data than a is: this is the
+    one place that reads a's sums at the shift.
     """
-    node, shift = _hull_position(f, x)
-    return {r + shift: v for r, v in node.sums.items()} if shift else node.sums
+    node, shift = at
+    sums = node.sums
+    return zip([r + shift for r in sums], sums.values()) if shift else sums.items()
 
 
 def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
@@ -238,21 +269,21 @@ def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
     The hull stores no zero sum, so the radii come from the support.
     """
     x, d = make_vertex(x, f.k), f.denominator
-    sums, radii = _radius_sums(f, x), {tree_distance(x, y) for y in f.numerators}
+    sums, radii = dict(_radius_sums(_walk(f, x))), {tree_distance(x, y) for y in f.numerators}
     return {r: Fraction(sums.get(r, 0), d) for r in sorted(radii)}
 
 
 def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
     """Average of f over the sphere of radius |r| around x (even in r); 0 where f's data is not."""
     x, r = make_vertex(x, f.k), natural(abs(integer(r, "radius")), "radius")
-    total = _radius_sums(f, x).get(r, 0)
+    total = dict(_radius_sums(_walk(f, x))).get(r, 0)
     return Fraction(total, f.denominator * sphere_size(f.k, r)) if total else Fraction(0)
 
 
 def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
     """The radial profile r -> M_f(x,r) for r >= 0, up to the farthest support point from x."""
     x, d = make_vertex(x, f.k), f.denominator
-    sums = _radius_sums(f, x)
+    sums = dict(_radius_sums(_walk(f, x)))
     top = max((tree_distance(x, y) for y in f.numerators), default=-1)
     return [Fraction(sums.get(r, 0), d * sphere_size(f.k, r)) for r in range(top + 1)]
 
@@ -282,15 +313,17 @@ class WeightTable(NamedTuple):
     k: int
     weights: list[int]
 
-    def apply(self, f: TreeFunction, x: TreeVertex) -> int:
-        """sum_s weights[s] * (sphere sum of f's numerators at radius s around x).
+    def apply(self, f: TreeFunction, at: tuple[_Hull, int]) -> int:
+        """sum_s weights[s] * (sphere sum of f's numerators at radius s), at hull position ``at``.
 
-        The value at x is this over ``f.denominator``.  Data beyond the
-        table's top radius has weight 0 and is skipped.
+        ``at`` is a position on f's own hull (``hull_position(f, x)``); the
+        value at x is this over ``f.denominator``.  Data beyond the table's
+        top radius has weight 0 and is skipped.
         """
         require_domain(self.k, f)
         weights = self.weights
-        return sum(weights[s] * v for s, v in _radius_sums(f, x).items() if s < len(weights))
+        top = len(weights)
+        return sum(weights[s] * v for s, v in _radius_sums(at) if s < top)
 
 
 def _degree(k: int) -> int:
@@ -420,42 +453,47 @@ def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
     return _inverse_abel(k, f), _inverse_abel(k, g)
 
 
+def _solution(k: int, xs: list[TreeVertex], values: list[int], d: int) -> TreeFunction:
+    """The function with value ``values[i]`` / d at ``xs[i]``: one gcd, zeros dropped.
+
+    A vertex listed twice has one value, so the first listing's key order is kept.
+    """
+    g = gcd(d, *values)
+    kept = zip(compress(xs, values), map(floordiv, filter(None, values), repeat(g)))
+    return TreeFunction.trusted(k, dict(kept), d // g)
+
+
 def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> TreeFunction:
     """Heat solution at time n, evaluated at the requested vertices.
 
     A value depends on its vertex only through the vertex's hull position
-    (``_hull_position``), so it is computed once per position met in the
-    window and read for every other vertex there.  A vertex listed after
-    its parent is checked and placed from the parent (``_placed``), before
-    the weights are built, so a malformed window fails before any large-n
-    work.
+    (``hull_position``), so ``_placed`` gives each vertex a position id and
+    the value is computed once per position the window meets, from the
+    position itself.  The window is checked there, before the weights are
+    built, so a malformed window fails before any large-n work.
     """
-    xs, (ats,) = _placed(eval_at, f.k, [f])
+    xs, ((ids, positions),) = _placed(eval_at, f.k, [f])
     table = tree_heat_weights(f.k, n)
-    values = {}
-    out = {}
-    for x, at in zip(xs, ats):
-        v = values.get(at)
-        if v is None:
-            v = values[at] = table.apply(f, x)
-        out[x] = v
-    return TreeFunction.trusted(f.k, *lowest_terms(out, f.denominator))
+    values = [table.apply(f, at) for at in positions]
+    return _solution(f.k, xs, list(map(values.__getitem__, ids)), f.denominator)
 
 
-def radial_mass(g: TreeFunction, x: TreeVertex) -> Fraction:
-    """Total mass of the radialization of g around x: M_g(x,0) + 2*sum_{r>=1} M_g(x,r).
+def radial_mass(g: TreeFunction, at: tuple[_Hull, int]) -> Fraction:
+    """Total mass of g's radialization at hull position ``at``: M_g(x,0) + 2*sum_{r>=1} M_g(x,r).
 
-    The sphere sums carry weight 1 at r = 0 and 2/S(r) beyond, added over
-    the one denominator S(rmax), rmax the farthest radius with a sum not 0:
-    S(rmax)/S(r) is (k-1)^(rmax-r) for r >= 1.
+    ``at`` is a position on g's own hull (``hull_position(g, x)``).  The
+    sphere sums carry weight 1 at r = 0 and 2/S(r) beyond, added over the
+    one denominator S(rmax), rmax the farthest radius with a sum not 0:
+    S(rmax)/S(r) is (k-1)^(rmax-r) for r >= 1.  A mass of 0 is one shared
+    ``Fraction``.
     """
-    sums = _radius_sums(g, x)
+    sums = dict(_radius_sums(at))
     if not sums:
-        return Fraction(0)
+        return _ZERO
     rmax, q = max(sums), g.k - 1
     size = sphere_size(g.k, rmax)
     total = sum(v * (size if r == 0 else 2 * q ** (rmax - r)) for r, v in sums.items())
-    return Fraction(total, size * g.denominator)
+    return Fraction(total, size * g.denominator) if total else _ZERO
 
 
 def tree_wave_solve(
@@ -468,31 +506,28 @@ def tree_wave_solve(
     the first vertex, in window order, whose mass is not 0 is reported.
     The mass and the g term depend on a vertex only through its position
     on g's hull, and the f term through its position on f's, so each is
-    computed once per position met in the window.  A vertex listed after
-    its parent is checked and placed on both hulls from the parent
-    (``_placed``), before the weights and any mass, so a malformed window
-    is reported first.  The values are numerators over lcm(d_f, d_g).
+    computed once per position the window meets, the mass at the
+    position's first vertex.  The window is checked and placed on both
+    hulls (``_placed``) before the weights and any mass, so a malformed
+    window is reported first.  The values are numerators over
+    lcm(d_f, d_g).
     """
     require_domain(f.k, g)
-    xs, (gats, fats) = _placed(eval_at, f.k, [g, f])
+    xs, ((gids, gpositions), (fids, fpositions)) = _placed(eval_at, f.k, [g, f])
     ftable, gtable = tree_wave_weights(f.k, n)
     d = lcm(f.denominator, g.denominator)
     a, b = d // f.denominator, d // g.denominator
-    fvalues, gvalues = {}, {}
-    out = {}
-    for x, gat, fat in zip(xs, gats, fats):
-        gv = gvalues.get(gat)
-        if gv is None:
-            mass = radial_mass(g, x)
-            if mass != 0:
-                raise NotSolvable(
-                    f"tree wave equation unsolvable at vertex {x}: "
-                    f"radialized velocity has total mass {mass}",
-                    detail=(x, mass),
-                )
-            gv = gvalues[gat] = b * gtable.apply(g, x)
-        fv = fvalues.get(fat)
-        if fv is None:
-            fv = fvalues[fat] = a * ftable.apply(f, x)
-        out[x] = fv + gv
-    return TreeFunction.trusted(f.k, *lowest_terms(out, d))
+    gvalues = []
+    for j, at in enumerate(gpositions):
+        mass = radial_mass(g, at)
+        if mass:
+            x = xs[gids.index(j)]
+            raise NotSolvable(
+                f"tree wave equation unsolvable at vertex {x}: "
+                f"radialized velocity has total mass {mass}",
+                detail=(x, mass),
+            )
+        gvalues.append(b * gtable.apply(g, at))
+    fvalues = [a * ftable.apply(f, at) for at in fpositions]
+    values = map(add, map(fvalues.__getitem__, fids), map(gvalues.__getitem__, gids))
+    return _solution(f.k, xs, list(values), d)

@@ -265,8 +265,9 @@ def test_criterion_06_tree_triple_agreement():
         # Wave analogue at a vertex where the solvability condition holds.
         x = eval_at[-1]
         g0 = randgen.random_tree_function(rng, k, max_radius=radius)
-        g = tree.TreeFunction(k, {**g0.entries, x: g0(x) - tree.radial_mass(g0, x)})
-        assert tree.radial_mass(g, x) == 0
+        mass = tree.radial_mass(g0, tree.hull_position(g0, x))
+        g = tree.TreeFunction(k, {**g0.entries, x: g0(x) - mass})
+        assert tree.radial_mass(g, tree.hull_position(g, x)) == 0
         pf = tree.path_reduce(f, x) or [Fraction(0)]
         pg = tree.path_reduce(g, x) or [Fraction(0)]
         size = max(len(pf), len(pg))

@@ -536,7 +536,10 @@ PLANTED_FAULTS = [
     (tree, "radial_mass", _rewritten(tree, "q ** (rmax - r)", "q ** (rmax - r + 1)"),
      {"tree-wave-triple": (4, "not solvable n=0")}),
     # Below the hull the data read one radius further out than it is.
-    (tree, "_radius_sums", _rewritten(tree, "r + shift:", "r + shift + 1:"),
+    (tree, "_radius_sums", _rewritten(tree, "r + shift for", "r + shift + 1 for"),
+     {"tree-heat-triple": (1, "stepping mismatch n=1")}),
+    # A child placed off the hull two letters below its parent's position, not one.
+    (tree, "_placed", _rewritten(tree, "at = node, shift + 1", "at = node, shift + 2"),
      {"tree-heat-triple": (1, "stepping mismatch n=1")}),
     # Rerooting to a child without subtracting H_b(r-2).
     (tree._Hull, "__init__", _rewritten(tree, "sums.get(r + 2, 0) - v", "sums.get(r + 2, 0)"),

@@ -46,7 +46,7 @@ def test_oracles_share_no_engine_code():
                         "_lift", "_strides", "pack", "unpack", "unit_shift",
                         "_box", "_origin", "_packed_product", "_sparse_product",
                         "rerooted", "_Hull", "_radius_sums", "sphere_sums", "path_reduce",
-                        "spherical_mean", "radial_mass"}
+                        "spherical_mean", "radial_mass", "hull_position"}
 
 
 class TestCayleySteppers:
@@ -90,6 +90,7 @@ def _mismatched_domains():
         make_element(ZxZ4, [1], [0]), make_element(ZxZ4, [-1], [0]),
         make_element(ZxZ4, [0], [1]), make_element(ZxZ4, [0], [3])])
     on_zxz3 = SupportedFunction(ZxZ3, {make_element(ZxZ3, [1], [2]): 1})
+    F4 = tree.TreeFunction(4, {(4,): 1})
     return {
         "tree_step_wave k=3, k=5": lambda: oracles.tree_step_wave(
             tree.TreeFunction(3, {(1,): 1}), tree.TreeFunction(5, {(4,): 1})),
@@ -109,7 +110,7 @@ def _mismatched_domains():
         "lift f on Z x Z3, quotient Z x Z2": lambda: cosets.lift(on_zxz3, P),
         "restrict u on Z x Z3, base Z x Z4": lambda: cosets.restrict(on_zxz3, P),
         "WeightTable.apply k=3 table, k=4 function": lambda: tree.tree_heat_weights(3, 2).apply(
-            tree.TreeFunction(4, {(4,): 1}), tree.ROOT),
+            F4, tree.hull_position(F4, tree.ROOT)),
     }
 
 

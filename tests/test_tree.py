@@ -93,7 +93,8 @@ class TestGeometry:
     @pytest.mark.parametrize("x", [(1, 1), (5, 5), (0,)], ids=repr)
     def test_vertex_readers_check_the_vertex(self, x):
         f = tree.TreeFunction(3, {(1, 2): 1})
-        for read in (tree.sphere_sums, tree.path_reduce, lambda f, x: tree.spherical_mean(f, x, 1)):
+        for read in (tree.sphere_sums, tree.path_reduce, lambda f, x: tree.spherical_mean(f, x, 1),
+                     tree.hull_position):
             with pytest.raises(ShapeMismatch):
                 read(f, x)
 
@@ -143,7 +144,7 @@ class TestSphericalMeans:
     def test_radial_mass(self):
         g = tree.TreeFunction(3, {(): Fraction(1), (1,): Fraction(-3, 2)})
         # M(0) + 2*M(1) = 1 + 2*(-1/2) = 0
-        assert tree.radial_mass(g, tree.ROOT) == 0
+        assert tree.radial_mass(g, tree.hull_position(g, tree.ROOT)) == 0
 
 
 class TestAlpha:
@@ -324,8 +325,8 @@ class TestSolvers:
         g = tree.TreeFunction(k, {tree.ROOT: Fraction(1), (1,): Fraction(-3, 2)})
         f = tree.TreeFunction(k, {})
         # Radialized mass vanishes around the root but not around (2,).
-        assert tree.radial_mass(g, tree.ROOT) == 0
-        assert tree.radial_mass(g, (2,)) != 0
+        assert tree.radial_mass(g, tree.hull_position(g, tree.ROOT)) == 0
+        assert tree.radial_mass(g, tree.hull_position(g, (2,))) != 0
         u = tree.tree_wave_solve(f, g, 3, [tree.ROOT])
         assert u(tree.ROOT) is not None
         with pytest.raises(NotSolvable):
@@ -338,7 +339,7 @@ class TestSolvers:
         g0 = randgen.random_tree_function(rng, k, max_radius=2, max_points=3)
         x = tree.ROOT
         g = tree.TreeFunction(
-            k, {**g0.entries, x: g0(x) - tree.radial_mass(g0, x)}
+            k, {**g0.entries, x: g0(x) - tree.radial_mass(g0, tree.hull_position(g0, x))}
         )
         u_prev = f
         u_curr = tree.TreeFunction(k, {y: f(y) + g(y) for y in f.support() | g.support()})
@@ -420,11 +421,12 @@ class TestIntegerSphereSums:
 
             for x in eval_at:
                 for table in (heat, wf, wg):
-                    value = Fraction(table.apply(f, x), f.denominator)
+                    value = Fraction(table.apply(f, tree.hull_position(f, x)), f.denominator)
                     assert value == _literal_apply(table.weights, f, x)
                     top = len(table.weights) - 1
                     beyond_top += sum(tree.tree_distance(x, y) > top for y in f.support())
-                assert tree.radial_mass(g0, x) == _literal_radial_mass(g0, x)
+                mass = tree.radial_mass(g0, tree.hull_position(g0, x))
+                assert mass == _literal_radial_mass(g0, x)
 
             want = {x: _literal_apply(heat.weights, f, x) for x in eval_at}
             u = tree.tree_heat_solve(f, n, eval_at)
@@ -465,15 +467,20 @@ def _reduced(letters):
     return tuple(out)
 
 
-def _hull_prefixes(f):
-    """The vertex of every entry of ``f.rerooted``, one per entry, walked without recursion."""
-    out = []
+def _hull_words(f):
+    """Each hull vertex built in ``f.rerooted`` mapped to its word, walked along ``children``."""
+    out = {}
     todo = [(tree.ROOT, f.rerooted)]
     while todo:
         a, node = todo.pop()
-        out.append(a)
+        out[node] = a
         todo += [(a + (c,), child) for c, child in node.children.items()]
     return out
+
+
+def _hull_prefixes(f):
+    """The vertex of every entry of ``f.rerooted``, one per entry, walked without recursion."""
+    return list(_hull_words(f).values())
 
 
 def _support_prefixes(f):
@@ -515,32 +522,34 @@ class TestRerootedSums:
                 for r in range(-1, len(profile) + 2):
                     want = profile[abs(r)] if abs(r) < len(profile) else 0
                     assert tree.spherical_mean(f, x, r) == want
+                at = tree.hull_position(f, x)
                 for table in tables:
-                    value = Fraction(table.apply(f, x), f.denominator)
+                    value = Fraction(table.apply(f, at), f.denominator)
                     assert value == _literal_apply(table.weights, f, x)
-                assert tree.radial_mass(f, x) == _literal_radial_mass(f, x)
+                assert tree.radial_mass(f, at) == _literal_radial_mass(f, x)
         prefixes = _hull_prefixes(f)
         assert len(prefixes) == len(set(prefixes))
         assert set(prefixes) <= _support_prefixes(f)
 
     def test_a_sphere_whose_numerators_cancel_is_listed_but_not_stored(self):
         # delta_(1) - delta_(2): the sphere of radius 1 around the root sums to 0.
+        sums = lambda h, x: dict(tree._radius_sums(tree.hull_position(h, x)))
         f = tree.TreeFunction(3, {(1,): 1, (2,): -1})
         assert tree.sphere_sums(f, tree.ROOT) == {1: 0}
         assert tree.path_reduce(f, tree.ROOT) == [0, 0]
-        assert tree._radius_sums(f, tree.ROOT) == {}
-        assert tree.radial_mass(f, tree.ROOT) == 0
+        assert sums(f, tree.ROOT) == {}
+        assert tree.radial_mass(f, tree.hull_position(f, tree.ROOT)) == 0
         assert tree.sphere_sums(f, (1, 3)) == {1: 1, 3: -1}
-        assert tree._radius_sums(f, (1, 3)) == {1: 1, 3: -1}
+        assert sums(f, (1, 3)) == {1: 1, 3: -1}
         # Below the root, off the hull, every sphere around x cancels too.
         assert tree.sphere_sums(f, (3, 1)) == {3: 0}
         assert tree.path_reduce(f, (3, 1)) == [0, 0, 0, 0]
-        assert tree._radius_sums(f, (3, 1)) == {}
+        assert sums(f, (3, 1)) == {}
         # The zero function's hull is the root alone, with no sums.
         zero = tree.TreeFunction(3)
         assert (zero.rerooted.sums, zero.rerooted.children) == ({}, {})
         assert tree.sphere_sums(zero, (3, 1)) == {} and tree.path_reduce(zero, (3, 1)) == []
-        assert tree._hull_position(zero, (3, 1)) == (zero.rerooted, 2)
+        assert tree.hull_position(zero, (3, 1)) == (zero.rerooted, 2)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_memo_holds_only_prefixes_after_a_wide_window(self, k):
@@ -599,7 +608,12 @@ def _massless_velocity(rng, k, depth):
 
 
 class TestOncePerPosition:
-    """A solve reads a function's sums once per hull position its window meets."""
+    """A solve reads a function's sums once per hull position its window meets.
+
+    The positions the solvers pass are recorded and named by the hull
+    vertex's word, found by walking ``rerooted.children``, not by
+    ``hull_position``.
+    """
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_whole_ball_solves_read_each_position_once(self, k, monkeypatch):
@@ -612,13 +626,15 @@ class TestOncePerPosition:
         calls = []
         apply, radial_mass = tree.WeightTable.apply, tree.radial_mass
         monkeypatch.setattr(tree.WeightTable, "apply",
-                            lambda table, h, x: calls.append(("apply", h, x)) or apply(table, h, x))
+                            lambda table, h, at: calls.append(("apply", h, at))
+                            or apply(table, h, at))
         monkeypatch.setattr(tree, "radial_mass",
-                            lambda h, x: calls.append(("mass", h, x)) or radial_mass(h, x))
+                            lambda h, at: calls.append(("mass", h, at)) or radial_mass(h, at))
 
         def read_once_per_position(name, h):
-            prefixes = _support_prefixes(h)
-            seen = [_position(prefixes, x) for call, h_, x in calls if call == name and h_ is h]
+            prefixes, words = _support_prefixes(h), _hull_words(h)
+            seen = [(words[node], shift)
+                    for call, h_, (node, shift) in calls if call == name and h_ is h]
             assert len(seen) == len(set(seen))
             assert set(seen) == {_position(prefixes, x) for x in window}
             return len(seen)
@@ -666,40 +682,50 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _placement_windows(k):
+    """Windows in every order placement meets, an f, and a g massless up to the ball's radius."""
+    rng = random.Random(2000 + k)
+    radius = {2: 12, 3: 5}.get(k, 4)
+    ball = _ball_vertices(k, radius)
+    shuffled = rng.sample(ball, len(ball))
+    deep = [_random_word(rng, k, rng.randint(1, 9)) for _ in range(30)]
+    windows = {
+        "ball": ball,
+        "shuffled ball": shuffled,
+        "children before parents": ball[::-1],
+        "prefixes absent": deep + [y + w for y in deep[:5] for w in [(1,), (2, 1)]
+                                   if y[-1] not in w[:1]],
+        "duplicates": ball[:20] + rng.choices(ball, k=40) + deep[:5] * 3,
+        # A window not all of tuples of ints is checked word by word.
+        "a list word": ball[:20] + [list(ball[7])] + ball[20:40],
+        "a string letter": ball[:20] + [("1",)] + ball[20:40],
+    }
+    f = randgen.random_tree_function(rng, k, max_radius=radius + 2, max_points=12)
+    g = _massless_velocity(rng, k, radius)
+    return windows, f, g, radius
+
+
 class TestPrefixPlacement:
     """A window vertex listed after its parent is checked and placed from the parent."""
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_positions_are_those_from_the_root(self, k, monkeypatch):
-        rng = random.Random(2000 + k)
-        radius = {2: 12, 3: 5}.get(k, 4)
-        ball = _ball_vertices(k, radius)
-        shuffled = rng.sample(ball, len(ball))
-        deep = [_random_word(rng, k, rng.randint(1, 9)) for _ in range(30)]
-        windows = {
-            "ball": ball,
-            "shuffled ball": shuffled,
-            "children before parents": ball[::-1],
-            "prefixes absent": deep + [y + w for y in deep[:5] for w in [(1,), (2, 1)]
-                                       if y[-1] not in w[:1]],
-            "duplicates": ball[:20] + rng.choices(ball, k=40) + deep[:5] * 3,
-            # A window not all of tuples of ints is checked word by word.
-            "a list word": ball[:20] + [list(ball[7])] + ball[20:40],
-            "a string letter": ball[:20] + [("1",)] + ball[20:40],
-        }
-        f = randgen.random_tree_function(rng, k, max_radius=radius + 2, max_points=12)
-        g = _massless_velocity(rng, k, radius)
+        windows, f, g, _ = _placement_windows(k)
         checked = []
         make_vertex = tree.make_vertex
         monkeypatch.setattr(tree, "make_vertex", lambda w, k: checked.append(w) or make_vertex(w, k))
         for name, window in windows.items():
             for fs in [(f,), (g, f), (tree.TreeFunction(k),)]:
                 checked.clear()
-                xs, positions = tree._placed(window, k, fs)
+                xs, placements = tree._placed(window, k, fs)
+                by_placement = list(checked)
                 want = [make_vertex(w, k) for w in window]
                 assert xs == want, name
-                for h, at in zip(fs, positions, strict=True):
-                    assert at == [tree._hull_position(h, x) for x in want], name
+                for h, (ids, positions) in zip(fs, placements, strict=True):
+                    at = [positions[i] for i in ids]
+                    assert at == [tree.hull_position(h, x) for x in want], name
+                    # One id per position, the positions in the order the window meets them.
+                    assert positions == list(dict.fromkeys(at)), name
                     # The deepest prefix of x among the root and the prefixes
                     # of h's support words, and x's depth below it; one hull
                     # vertex per prefix.  The zero function's hull is its root.
@@ -719,7 +745,34 @@ class TestPrefixPlacement:
                     if name.startswith("a ") or not w or w[:-1] not in seen:
                         by_word.append(w)
                     seen.add(tuple(w))
-                assert checked == by_word, name
+                assert by_placement == by_word, name
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_solvers_on_every_window_equal_the_literal_sums(self, k):
+        windows, f, g, radius = _placement_windows(k)
+        n = radius + 2
+        heat = tree.tree_heat_weights(k, n)
+        wf, wg = tree.tree_wave_weights(k, n)
+        literal, solvable = {}, 0
+        for name, window in windows.items():
+            xs = [tree.make_vertex(w, k) for w in window]
+            for x in xs:
+                if x not in literal:
+                    wave = _literal_apply(wf.weights, f, x) + _literal_apply(wg.weights, g, x)
+                    literal[x] = (_literal_apply(heat.weights, f, x), wave,
+                                  _literal_radial_mass(g, x))
+            u = tree.tree_heat_solve(f, n, window)
+            assert u.entries == {x: v for x in xs if (v := literal[x][0])}, name
+            massive = next(((x, m) for x in xs if (m := literal[x][2])), None)
+            if massive is None:
+                u = tree.tree_wave_solve(f, g, n, window)
+                assert u.entries == {x: v for x in xs if (v := literal[x][1])}, name
+                solvable += 1
+            else:
+                with pytest.raises(NotSolvable) as raised:
+                    tree.tree_wave_solve(f, g, n, window)
+                assert raised.value.detail == massive, name
+        assert solvable >= 6
 
     @pytest.mark.parametrize("k", [3, 12])
     @pytest.mark.parametrize("bad", ["letter 0", "letter k+1", "adjacent repeat", "list letter",

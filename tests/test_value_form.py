@@ -197,7 +197,8 @@ def test_tree_functions_steps_and_solvers_in_lowest_terms(data, k, n):
     # Cancelling g's radialized mass at x makes the wave solvable there.
     window = [tree.ROOT, (1,), (2, 1)]
     x = window[data.draw(st.integers(0, 2))]
-    g = tree.TreeFunction(k, {**g.entries, x: g(x) - tree.radial_mass(g, x)})
+    mass = tree.radial_mass(g, tree.hull_position(g, x))
+    g = tree.TreeFunction(k, {**g.entries, x: g(x) - mass})
     heat, wave = literal_states(f, g, neighbours, k, n)
     assert_lowest_terms(tree.tree_heat_solve(f, n, window),
                         {y: heat.get(y, 0) for y in window})
