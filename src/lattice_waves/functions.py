@@ -36,10 +36,16 @@ _new_tuple = tuple.__new__
 def lowest_terms(numerators: dict, denominator: int) -> tuple[dict, int]:
     """(numerators, denominator) with zero numerators dropped, divided by their gcd.
 
-    ``denominator`` must be positive; the dict is not changed.
+    ``denominator`` must be positive; the dict is not changed.  A dict
+    already in lowest terms, with gcd 1 and no zero, is returned itself,
+    not rebuilt, so its keys are not hashed again: every caller hands over
+    a fresh dict of its own (``over_lcm``, ``add``, ``scale``,
+    ``convolve`` and the oracle steps ``_heat`` and ``_wave``).
     """
     values = numerators.values()
     g = gcd(denominator, *values)
+    if g == 1 and all(values):
+        return numerators, denominator
     kept = zip(compress(numerators, values), map(floordiv, filter(None, values), repeat(g)))
     return dict(kept), denominator // g
 
@@ -179,8 +185,10 @@ def convolve(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
     integral functions is integral.  Both operands are packed, each at its
     own lower corner, and multiplied as two ``int``s (``_Packing``) where
     the product's box has no more slots than the operands have pairs of
-    support points; elsewhere, as for far-apart supports, a sparse double
-    loop over the pairs accumulates into a dict.
+    support points, or, with slots of native C integers, where the linear
+    cost model of both paths favours the box (``_packed_product``);
+    elsewhere, as for far-apart supports, a sparse double loop over the
+    pairs accumulates into a dict.
     """
     require_domain(f.tag, g)
     G = f.group
@@ -205,21 +213,32 @@ def _sparse_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int]:
 def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] | None:
     """The convolution of two integer functions as one big-int multiply.
 
-    None for an empty operand, and where the product's box holds more
-    slots than there are pairs: the box then costs more, in time and
-    memory, than the sparse loop's work.  max|a| sum|b| and sum|a| max|b|
-    each bound every coefficient.
+    None for an empty operand, and where the box would cost more than the
+    sparse loop over the pairs: where it holds more slots than there are
+    pairs, unless the slots are native (``_Packing.native``) and box +
+    NATIVE_FIXED <= NATIVE_SPREAD * pairs.  So every product with box <=
+    pairs packs.  max|a| sum|b| and sum|a| max|b| each bound every
+    coefficient.
     """
     if not (a and b):
         return None
     columns_a, columns_b = _lift(G, a), _lift(G, b)
     (lo_a, widths_a), (lo_b, widths_b) = _box(columns_a), _box(columns_b)
     widths = [u + v - 1 for u, v in zip(widths_a, widths_b)]
-    if prod(widths) > len(a) * len(b):
+    box, pairs = prod(widths), len(a) * len(b)
+    widened = box > pairs
+    if widened and box + NATIVE_FIXED > NATIVE_SPREAD * pairs:
         return None
     u, v = list(a.values()), list(b.values())
-    bound = min(max(map(abs, u)) * sum(map(abs, v)), sum(map(abs, u)) * max(map(abs, v)))
+    top_u, top_v = max(max(u), -min(u)), max(max(v), -min(v))
+    # The bound is at least top_u * top_v, and from 2^63 on slots are wider
+    # than 8 bytes: such a widened product is refused before the sums.
+    if widened and top_u * top_v >> 63:
+        return None
+    bound = min(top_u * sum(map(abs, v)), sum(map(abs, u)) * top_v)
     packing = _Packing(G, widths, bound)
+    if widened and not packing.native:
+        return None
     p = packing.pack(columns_a, u, lo_a) * packing.pack(columns_b, v, lo_b)
     return packing.unpack(p, list(map(add_int, lo_a, lo_b)))
 
@@ -270,6 +289,19 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
 # ratio of 32 (25 to 60); past it the sparse ``convolve`` is the faster, and
 # the smaller in memory.
 SPREAD = 32
+
+# Where its slots are native (``_Packing.native``), a product whose box holds
+# more slots than it has pairs of support points still packs while box +
+# NATIVE_FIXED <= NATIVE_SPREAD * pairs: the sparse loop against a linear
+# model of the packed product.  Timed on kernel-shaped operands (a full box,
+# 2 to 9 a side) times data-shaped ones (3 to 40 points, spread to 0.3 to 6
+# box slots a pair) on Z, Z^2 and Z x Z12, slots of 1 to 8 bytes (best of 5,
+# Python 3.11.7), the sparse loop took about 1 us a pair and the packed
+# product about 32 us plus 0.25 us a slot.  The fixed term keeps small
+# products, whose time the packed product's fixed cost sets, on box <= pairs.
+# Wider slots, written and read one at a time, took 0.4 to 1.2 us a slot and
+# keep box <= pairs.
+NATIVE_SPREAD, NATIVE_FIXED = 4, 128
 
 
 def _packing(G: GroupSpec, support, degree: int, bound: int) -> tuple | None:
@@ -372,6 +404,11 @@ class _Packing:
         self.zero = self.half.to_bytes(self.slot, "little")
         self.bias = int.from_bytes(self.zero * self.size, "little")
 
+    @property
+    def native(self) -> bool:
+        """Whether slots are written and read through one cast to a C integer type."""
+        return self.slot <= 8 and sys.byteorder == "little"
+
     def _origin(self, corner: list[int]) -> int:
         """The index of the identity in a function packed at ``corner``."""
         return -sum(map(mul, corner, self.strides))
@@ -385,7 +422,7 @@ class _Packing:
         zeros = self.zero * (max(index) + 1)
         buf = bytearray(zeros)
         biased = map(add_int, values, repeat(self.half))
-        if slot <= 8 and sys.byteorder == "little":
+        if self.native:
             view = memoryview(buf).cast("BHIQ"[slot.bit_length() - 1])
             deque(map(view.__setitem__, index, biased), 0)
         else:
@@ -405,7 +442,7 @@ class _Packing:
         its residues, both read off the box's axes in slot order.
         """
         slot, rank, biased = self.slot, self.rank, p + self.bias
-        if slot <= 8 and sys.byteorder == "little":
+        if self.native:
             data = (biased ^ self.bias).to_bytes(self.size * slot, "little")
             values = memoryview(data).cast("bhiq"[slot.bit_length() - 1]).tolist()
         else:

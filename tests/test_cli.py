@@ -524,7 +524,7 @@ PLANTED_FAULTS = [
       "quadrature": (42, "n=6 r=0")}),
     # A product decoded at the corner of its first factor, not at the sum of both corners.
     (functions, "_packed_product", _rewritten(functions, "list(map(add_int, lo_a, lo_b))", "lo_a"),
-     {"cayley-heat-oracle": (10, "mismatch at n=2"), "cayley-wave-oracle": (2, "mismatch at n=2"),
+     {"cayley-heat-oracle": (6, "mismatch at n=2"), "cayley-wave-oracle": (2, "mismatch at n=2"),
       "kernel-identities": (1, "K_1 forms differ"), "coset-heat-lift": (4, "mismatch at n=0"),
       "coset-wave-lift": (0, "mismatch at n=0")}),
     # Lifted torsion decoded without its reduction mod m.

@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from helpers import convolve_power, l1_norm, l2_norm_squared, reflect
 
 Z = make_group(1, [])
 ZxZ4 = make_group(1, [4])
+HOST_BYTEORDER = sys.byteorder
 
 
 def functions(G, span=5, points=4):
@@ -178,8 +180,9 @@ def test_reflect_is_an_involution_and_flips_support():
 
 
 # The packed product (``convolve`` where the product's box is no larger
-# than the number of pairs) against the sparse loop and the literal
-# double loop, on torsion-free, mixed and pure torsion groups.
+# than the number of pairs, or, with native slots, within the cost model's
+# bound) against the sparse loop and the literal double loop, on
+# torsion-free, mixed and pure torsion groups.
 PACKED_GROUPS = [Z, make_group(2, []), ZxZ4, make_group(1, [3]), make_group(0, [6]),
                  make_group(0, [2, 4])]
 
@@ -203,23 +206,114 @@ def packed_and_sparse(f, g):
 def test_packed_convolve_matches_the_sparse_loop(data, G, bits):
     # Boxes of 1 to 3 per coordinate, filled but for zero numerators, and
     # mixed denominators; numerators of up to ``bits`` bits need slots of
-    # 1, 2, 4 and 8 bytes and wider.  The lifted box of a pure torsion
-    # group need not be full, so both paths occur.
+    # 1, 2, 4 and 8 bytes and wider.  On a free coordinate one more point,
+    # up to 60 past the box, can leave the product's box mostly empty, so
+    # both paths occur on every group with one.
     def draw():
         side = data.draw(st.integers(1, 3))
         count = side ** (G.rank + len(G.moduli))
         nums = st.integers(-(2**bits), 2**bits)
         dens = st.sampled_from([1, 2, 3, 4, 6, 35])
-        pairs = data.draw(st.lists(st.tuples(nums, dens), min_size=count, max_size=count))
+        pairs = data.draw(st.lists(st.tuples(nums, dens), min_size=count + 1,
+                                   max_size=count + 1))
         shift = make_element(G, data.draw(st.lists(st.integers(-4, 4), min_size=G.rank,
                                                    max_size=G.rank)), [0] * len(G.moduli))
-        f = box_function(G, side, [Fraction(n, d) for n, d in pairs])
-        return SupportedFunction(G, {adder(G)(x, shift): v for x, v in f.entries.items()})
+        entries = dict(box_function(G, side, [Fraction(n, d) for n, d in pairs]).entries)
+        far = data.draw(st.one_of(st.just(0), st.integers(1, 60))) if G.rank else 0
+        if far:
+            point = make_element(G, [side + far] + [0] * (G.rank - 1), [0] * len(G.moduli))
+            entries[point] = Fraction(*pairs[-1])
+        return SupportedFunction(G, {adder(G)(x, shift): v for x, v in entries.items()})
 
     f, g = draw(), draw()
     packed, sparse = packed_and_sparse(f, g)
     assert packed is None or packed == sparse
     assert convolve(f, g) == _naive_convolve(f, g)
+
+
+def _box_and_pairs(G, a, b):
+    """The slots of the product's packed box and the pairs of the sparse loop."""
+    (_, widths_a), (_, widths_b) = (functions_module._box(functions_module._lift(G, c))
+                                    for c in (a, b))
+    return prod(u + v - 1 for u, v in zip(widths_a, widths_b)), len(a) * len(b)
+
+
+@pytest.mark.parametrize("magnitude, byteorder, native", [
+    (10**6, HOST_BYTEORDER, HOST_BYTEORDER == "little"),
+    (10**6, "big", False),
+    (10**12, HOST_BYTEORDER, False),
+], ids=["8-byte-slots", "per-slot-host", "11-byte-slots"])
+@pytest.mark.parametrize("G", [Z, make_group(2, []), make_group(1, [12])], ids=str)
+def test_products_either_side_of_the_native_bound(monkeypatch, G, magnitude, byteorder, native):
+    # A full box of 30 or 6 a side (a kernel) times two points d apart
+    # along the first coordinate (data).  At the largest d with box +
+    # NATIVE_FIXED <= NATIVE_SPREAD * pairs the box holds more slots than
+    # pairs: slots of up to 8 bytes on a little-endian host pack there and
+    # not at d + 1; wider slots, or any slots written one at a time, pack
+    # at neither.  Every product equals the sparse loop's.
+    monkeypatch.setattr(functions_module.sys, "byteorder", byteorder)
+    rng = random.Random(magnitude)
+    side = 30 if G.rank == 1 and not G.moduli else 6
+    kernel = box_function(G, side, [rng.choice((-1, 1)) * rng.randint(1, magnitude)
+                                    for _ in range(side ** (G.rank + len(G.moduli)))])
+    spread, fixed = functions_module.NATIVE_SPREAD, functions_module.NATIVE_FIXED
+
+    def data(d):
+        far = make_element(G, [d] + [0] * (G.rank - 1), [0] * len(G.moduli))
+        return SupportedFunction(G, {identity(G): magnitude, far: -magnitude})
+
+    def inside(d):
+        box, pairs = _box_and_pairs(G, kernel.numerators, data(d).numerators)
+        return box + fixed <= spread * pairs
+
+    d = 1
+    while inside(d + 1):
+        d += 1
+    box, pairs = _box_and_pairs(G, kernel.numerators, data(d).numerators)
+    assert pairs < box <= spread * pairs - fixed
+    for at, packs in ((d, native), (d + 1, False)):
+        f = data(at)
+        packed, sparse = packed_and_sparse(kernel, f)
+        assert (packed is not None) == packs, at
+        assert packed is None or packed == sparse
+        assert convolve(kernel, f) == _naive_convolve(kernel, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), G=st.sampled_from(PACKED_GROUPS), magnitude=st.sampled_from([9, 10**12]))
+def test_every_product_with_no_more_slots_than_pairs_packs(data, G, magnitude):
+    # The rule only widens packing: where the box holds no more slots than
+    # there are pairs, the product packs, whatever its slots.
+    def draw():
+        free = st.lists(st.integers(-6, 6), min_size=G.rank, max_size=G.rank)
+        torsion = st.tuples(*[st.integers(0, m - 1) for m in G.moduli])
+        elem = st.builds(lambda x, t: make_element(G, x, t), free, torsion)
+        values = st.integers(-magnitude, magnitude).filter(bool)
+        return data.draw(st.dictionaries(elem, values, min_size=1, max_size=12))
+
+    a, b = draw(), draw()
+    box, pairs = _box_and_pairs(G, a, b)
+    packed = functions_module._packed_product(G, a, b)
+    if box <= pairs:
+        assert packed is not None
+    assert packed is None or packed == functions_module._sparse_product(G, a, b)
+
+
+def test_lowest_terms_returns_a_reduced_dict_itself():
+    x, y = make_element(Z, [0], []), make_element(Z, [1], [])
+    lowest_terms = functions_module.lowest_terms
+    for numerators, denominator in (({x: 3, y: -2}, 5), ({x: 4}, 1), ({}, 1)):
+        assert lowest_terms(numerators, denominator)[0] is numerators
+        assert lowest_terms(numerators, denominator)[1] == denominator
+    for numerators, denominator, want in (({x: 6, y: -4}, 10, ({x: 3, y: -2}, 5)),
+                                          ({x: 3, y: 0}, 5, ({x: 3}, 5)),
+                                          ({x: 0, y: 0}, 1, ({}, 1)),
+                                          ({x: 0}, 7, ({}, 1)),
+                                          ({}, 4, ({}, 1))):
+        before = dict(numerators)
+        out = lowest_terms(numerators, denominator)
+        assert out == want and out[0] is not numerators
+        assert numerators == before
 
 
 class RecordingPacking(functions_module._Packing):
@@ -235,9 +329,6 @@ class RecordingPacking(functions_module._Packing):
     def pack(self, *args):
         self.packs.append((self, args))
         return super().pack(*args)
-
-
-HOST_BYTEORDER = sys.byteorder
 
 
 @pytest.mark.parametrize("per_slot_read", [False, True], ids=["native-read", "per-slot-read"])
