@@ -65,11 +65,13 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int,
                         g: tree.TreeFunction | None = None):
     """The window of a tree document: its ``eval`` vertices, its ``eval`` ball or the default.
 
-    The default ball reaches n beyond the support of f and of g (wave), the
-    farthest a value can be nonzero.  Listed vertices are checked once, by
-    the solvers (``tree._placed``): here a list whose words are all JSON
-    arrays only has them made tuples, and any other list is passed on as
-    it is.
+    The default ball, around the root, reaches as far as a value can be
+    nonzero, which is as far as the weight tables reach beyond the data: n
+    beyond f's support for heat; floor(n/2) beyond f's and floor((n-1)/2)
+    beyond g's for wave.  With no data in reach it is the root alone.
+    Listed vertices are checked once, by the solvers (``tree._placed``):
+    here a list whose words are all JSON arrays only has them made tuples,
+    and any other list is passed on as it is.
     """
     spec = json_object(instance.get("eval", {}), "eval")
     if "vertices" in spec:
@@ -83,9 +85,9 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int,
         center = tree.make_vertex(ball.get("center", []), k)
     if radius is None:
         # Default window: the whole region where the solution can be nonzero.
-        data = f.support() if g is None else f.support() | g.support()
-        support_radius = max((tree.tree_distance(center, y) for y in data), default=0)
-        radius = support_radius + n
+        reach = [(f, n)] if g is None else [(f, n // 2), (g, (n - 1) // 2)]
+        radius = max([0, *(tree.tree_distance(center, y) + steps
+                           for h, steps in reach for y in h.support())])
     # Each layer steps one sphere outward: every neighbour but the parent.
     out = [center]
     frontier = [(center, None)]

@@ -16,17 +16,20 @@ the radialization recurrence of Figà-Talamanca & Nebbia (*Harmonic
 Analysis and Representation Theory for Groups Acting on Homogeneous
 Trees*, 1991); they never enumerate the exponentially large spheres
 themselves, and add the data's integer numerators.  Each hull vertex
-keeps one dict of its sums that are not 0; the zero function's hull is
-the root alone, with none.  The weights are integers, so a solution is
-integer numerators over the data's denominator.  Below the hull a
-vertex's sums are those of its deepest hull prefix, shifted by the
-distance to it, so a value depends only on that (prefix, shift) pair, the
-vertex's hull position (``hull_position``).  ``WeightTable.apply`` and
-``radial_mass`` take the position, not the vertex.  The solvers give each
-window vertex a position id (``_placed``), compute each value once per
-distinct position, read it per vertex by id, and put the solution in
-lowest terms with one gcd.  A ``TreeFunction`` checks its degree once,
-when it is built (``_degree``).
+keeps one dict of its sums that are not 0 and, from the same pass over
+its data, that data grouped by next letter, from which a child is built
+on first use; the zero function's hull is the root alone, with none.
+The weights are integers, so a solution is integer numerators over the
+data's denominator.  Below the hull a vertex's sums are those of its
+deepest hull prefix, shifted by the distance to it, so a value depends
+only on that (prefix, shift) pair, the vertex's hull position
+(``hull_position``).  ``WeightTable.apply`` and ``radial_mass`` take the
+position, not the vertex.  The solvers give each window vertex a
+position id (``_placed``, one loop for every window, placing a vertex
+from its parent's position when the parent is listed first), compute
+each value once per distinct position, read it per vertex by id, and put
+the solution in lowest terms with one gcd.  A ``TreeFunction`` checks
+its degree once, when it is built (``_degree``).
 """
 
 from __future__ import annotations
@@ -129,39 +132,32 @@ class _Hull:
     b's subtree r below b, the sums around b, a child of a, are
     N_b(r) = H_b(r) + N_a(r-1) - H_b(r-2); at the root they are H.  The
     zero function's hull is the root with no sums and no children.  The
-    data in a's subtree, as (word, numerator) pairs, is grouped by its next
-    letter only when a child is first asked for; a letter off the hull has
-    no group in ``below``.
+    pass that adds up the sums also groups the data below a, as (word,
+    numerator) pairs, by its next letter in ``below``; a child is built
+    from its group when first asked for, and a letter off the hull has no
+    group.
     """
 
-    __slots__ = ("depth", "sums", "items", "below", "children")
+    __slots__ = ("depth", "sums", "below", "children")
 
     def __init__(self, items: Iterable[tuple[TreeVertex, int]], depth: int,
                  parent: _Hull | None):
         sums = {} if parent is None else {r + 1: v for r, v in parent.sums.items()}
+        below: dict[int, list[tuple[TreeVertex, int]]] = {}
         for y, v in items:
             r = len(y) - depth
             sums[r] = sums.get(r, 0) + v
             if parent is not None:
                 sums[r + 2] = sums.get(r + 2, 0) - v
-        self.depth, self.items = depth, items
+            if r:
+                below.setdefault(y[depth], []).append((y, v))
+        self.depth, self.below, self.children = depth, below, {}
         self.sums = {r: v for r, v in sums.items() if v}
-        self.below: dict[int, list[tuple[TreeVertex, int]]] | None = None
-        self.children: dict[int, _Hull] = {}
 
     def child(self, c: int) -> _Hull | None:
         """The hull vertex one letter c below this one, built on first use; None off the hull."""
         child = self.children.get(c)
-        if child is not None:
-            return child
-        if self.below is None:
-            self.below = {}
-            for y, v in self.items:
-                if len(y) > self.depth:
-                    self.below.setdefault(y[self.depth], []).append((y, v))
-            self.items = None
-        items = self.below.pop(c, None)
-        if items is not None:
+        if child is None and (items := self.below.pop(c, None)) is not None:
             child = self.children[c] = _Hull(items, self.depth + 1, self)
         return child
 
@@ -186,8 +182,7 @@ def _walk(f: TreeFunction, x: TreeVertex) -> tuple[_Hull, int]:
     """
     node = f.rerooted
     for c in x:
-        child = node.children.get(c) or node.child(c)
-        if child is None:
+        if (child := node.child(c)) is None:
             break
         node = child
     return node, len(x) - node.depth
@@ -197,34 +192,32 @@ def _placed(words: Iterable, k: int,
             fs: Sequence[TreeFunction]) -> tuple[list[TreeVertex], list[tuple[list, list]]]:
     """The window's vertices, and for each of ``fs`` a position id per vertex and the positions.
 
-    This is where a window is checked, once.  In a window of tuples of
-    ints (two type scans), a word p + (c,) listed after its prefix p is a
-    vertex exactly when c is in 1..k and not p's last letter, and it is
-    placed from p: on the hull's child c of p's position if p sits on the
-    hull (shift 0) and that child exists, else at p's position one
-    further down, (node, shift + 1).  That successor is kept per id, so
-    the siblings that share it look up no pair.  Any other word is checked
-    by ``make_vertex``, so a word that is not an array or holds a bad
-    letter raises its error, and walked from the root (``_walk``).  The
-    positions are listed in the order the window first meets them, and id
-    i names ``positions[i]``.  The index of each word's first listing
-    lives for this call only.
+    This is where a window is checked.  A window that is not all tuples
+    of ints (two type scans) is first read word by word by ``make_vertex``,
+    so a word that is not an array or holds a bad letter raises its error.
+    Then a word p + (c,) listed after its prefix p is a vertex exactly when
+    c is in 1..k and not p's last letter, and it is placed from p: on the
+    hull's child c of p's position if p sits on the hull (shift 0) and that
+    child exists, else at p's position one further down, (node, shift + 1).
+    That successor is kept per id, so the siblings that share it look up no
+    pair.  Any other word is checked by ``make_vertex`` and walked from the
+    root (``_walk``).  The positions are listed in the order the window
+    first meets them, and id i names ``positions[i]``.  The index of each
+    word's first listing lives for this call only.
     """
     xs = list(words)
-    if ({tuple}.issuperset(map(type, xs))
+    if not ({tuple}.issuperset(map(type, xs))
             and {int}.issuperset(map(type, chain.from_iterable(xs)))):
-        # Each word's first listing; a prefix listed before the word comes first.
-        first = dict(zip(reversed(xs), range(len(xs) - 1, -1, -1)))
-        parents = []
-        for n, w in enumerate(xs):
-            i = first.get(w[:-1], n) if w else n
-            if i >= n or not 0 < (c := w[-1]) <= k or (len(w) > 1 and c == w[-2]):
-                make_vertex(w, k)  # raises, or returns w itself: a tuple of ints
-                i = None
-            parents.append(i)
-    else:
         xs = [make_vertex(w, k) for w in xs]
-        parents = [None] * len(xs)
+    # Each word's first listing; a prefix listed before the word comes first.
+    first = dict(zip(reversed(xs), range(len(xs) - 1, -1, -1)))
+    parents = []
+    for n, w in enumerate(xs):
+        i = first.get(w[:-1], n) if w else n
+        if i >= n or not 0 < (c := w[-1]) <= k or (len(w) > 1 and c == w[-2]):
+            make_vertex(w, k)  # raises, or returns w itself: a tuple of ints
+            i = None
+        parents.append(i)
     placements = []
     for f in fs:
         ids, positions, successors, seen = [], [], [], {}
@@ -289,17 +282,21 @@ def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
 
 
 def alpha_coeff(j: int, s: int, k: int) -> int:
-    """Coefficient of the s-th harmonic in the j-th power of the drifted path symbol."""
+    """Coefficient of the s-th harmonic in the j-th power of the drifted path symbol.
+
+    With q = k - 1 and a = |s|, it is (-1)^a sum_l C(j, l+a) C(j, l) q^l,
+    times q^a for s < 0: alpha(j, -a, k) = q^a alpha(j, a, k).  Each term
+    is the last times the exact ratio (j-a-l)(j-l) q / ((l+a+1)(l+1)).
+    """
     j, s, k = natural(j, "power j"), integer(s, "harmonic index s"), _degree(k)
     if abs(s) > j:
         raise IndexOutOfRange(f"harmonic index {s} outside [-{j}, {j}]")
-    if s >= 0:
-        return (-1) ** s * sum(
-            comb(j, l + s) * comb(j, l) * (k - 1) ** l for l in range(j - s + 1)
-        )
-    return (-1) ** (-s) * sum(
-        comb(j, l - s) * comb(j, l) * (k - 1) ** (l - s) for l in range(j + s + 1)
-    )
+    a, q = abs(s), k - 1
+    term, total = comb(j, a), 0
+    for l in range(j - a + 1):
+        total += term
+        term = term * (j - a - l) * (j - l) * q // ((l + a + 1) * (l + 1))
+    return (-q if s < 0 else -1) ** a * total
 
 
 class WeightTable(NamedTuple):

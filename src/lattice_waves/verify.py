@@ -150,18 +150,27 @@ def _coset_fixture(which: int):
 _TREE_N_CAP = {2: 12, 3: 12, 4: 8, 5: 6}
 
 
+def _spherical_means(h: tree.TreeFunction, x: tree.TreeVertex) -> list[Fraction]:
+    """The radial profile of h around x, read one support point at a time, not off the hull."""
+    radii = [tree.tree_distance(x, y) for y in h.entries]
+    profile = [Fraction(0)] * (max(radii, default=0) + 1)
+    for r, v in zip(radii, h.entries.values()):
+        profile[r] += v / tree.sphere_size(h.k, r)
+    return profile
+
+
 def _tree_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> Cases:
     """``solve`` against tree stepping, then the radial profile against it, at each eval vertex.
 
-    Heat is also evaluated at the deepest support word w and one letter
-    below it, off the hull.  The wave velocity is balanced with a literal
-    radial mass, one distance per support point, and a closed form that
+    The radial profile is stepped from ``_spherical_means``, so neither
+    witness reads the hull.  Heat is also evaluated at the deepest support
+    word w and one letter below it, off the hull.  The wave velocity is
+    balanced with the radial mass of those means, and a closed form that
     refuses it fails the case.
     """
     from . import oracles, randgen
     heat = kind == "tree-heat"
     step = oracles.radial_step_heat if heat else oracles.radial_step_wave
-    start = lambda h, x: tree.path_reduce(h, x) or [Fraction(0)]
     for i in range(instances):
         k = (2, 3, 4, 5)[i % 4]
         f = randgen.random_tree_function(rng, k)
@@ -173,10 +182,11 @@ def _tree_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> Ca
             x = sorted(f.support())[0] if i % 2 else tree.ROOT
             g = randgen.random_tree_function(rng, k)
             # Cancelling g's radialized mass at x makes the wave solvable there.
-            mass = sum(v if (r := tree.tree_distance(x, y)) == 0 else 2 * v / tree.sphere_size(k, r)
-                       for y, v in g.entries.items())
+            means = _spherical_means(g, x)
+            mass = means[0] + 2 * sum(means[1:])
             g, eval_at = tree.TreeFunction(k, {**g.entries, x: g(x) - mass}), [x]
-        radial = [oracles.trajectory(step, start(f, x), None if heat else start(g, x), k)
+        radial = [oracles.trajectory(step, _spherical_means(f, x),
+                                     None if heat else _spherical_means(g, x), k)
                   for x in eval_at]
         problem = (kind, f, g, k)
         traj = zip(states(problem), *radial)

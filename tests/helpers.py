@@ -2,8 +2,9 @@
 
 The CSV readers parse what ``serialize`` writes, through the wire's own
 row reader; ``eval_vertices_by_word`` is the reference for the window
-check, ``convolve_power`` and ``symbol_eval`` for the kernel tests,
-``reflect``, ``l1_norm`` and ``l2_norm_squared`` for the solution tests, and
+check, ``alpha_two_sums`` for ``tree.alpha_coeff``, ``convolve_power``
+and ``symbol_eval`` for the kernel tests, ``reflect``, ``l1_norm`` and
+``l2_norm_squared`` for the solution tests, and
 ``stepped_weights`` and ``convolved_weights`` for the tree weight tables,
 the latter from the Laurent polynomials of ``line_propagators`` (its wave
 pair by exact doubling, ``_wave_pair``) or, one time step further,
@@ -14,6 +15,7 @@ import cmath
 import csv
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 from lattice_waves import serialize
@@ -59,6 +61,17 @@ def tree_function_from_csv(text: str, k: int) -> TreeFunction:
 def eval_vertices_by_word(words, k: int) -> list[TreeVertex]:
     """An ``eval.vertices`` array read and checked one word at a time, each by ``make_vertex``."""
     return [make_vertex(w, k) for w in array(words, "eval vertices")]
+
+
+def alpha_two_sums(j: int, s: int, k: int) -> int:
+    """``tree.alpha_coeff`` as two sums of binomial products, one per sign of s."""
+    if s >= 0:
+        return (-1) ** s * sum(
+            comb(j, l + s) * comb(j, l) * (k - 1) ** l for l in range(j - s + 1)
+        )
+    return (-1) ** (-s) * sum(
+        comb(j, l - s) * comb(j, l) * (k - 1) ** (l - s) for l in range(j + s + 1)
+    )
 
 
 def convolve_power(f: SupportedFunction, n: int) -> SupportedFunction:

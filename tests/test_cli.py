@@ -250,6 +250,21 @@ class TestRun:
         assert cli.main(["tree-wave", "--problem", write_problem(tmp_path, obj)]) == 2
         assert "NOT_SOLVABLE" in capsys.readouterr().err
 
+    def test_tree_wave_default_window_stops_where_the_tables_do(self, tmp_path, capsys):
+        # With g = 0 the default ball reaches n // 2 beyond f's support, as
+        # far as the tables do: the ball n beyond it prints the same bytes.
+        obj = tree_problem("tree-wave", n=12)
+        obj["f"] = [{"elem": [], "num": "1", "den": "3"}, {"elem": [1, 2], "num": "-2", "den": "5"},
+                    {"elem": [3], "num": "7", "den": "2"}]
+        window = cli._window(obj, cli._read_problem(obj), 12)
+        assert max(map(len, window)) == 2 + 6
+        assert cli.main(["tree-wave", "--problem", write_problem(tmp_path, obj)]) == 0
+        default = capsys.readouterr().out
+        ball = dict(obj, eval={"ball": {"radius": 2 + 12}})
+        assert cli.main(["tree-wave", "--problem", write_problem(tmp_path, ball)]) == 0
+        assert capsys.readouterr().out == default
+        assert len(default.splitlines()) > 2
+
     def test_coset_heat_runs(self, tmp_path, capsys):
         problem = write_problem(tmp_path, COSET_PROBLEM)
         assert cli.main(["coset-heat", "--problem", problem]) == 0

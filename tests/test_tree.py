@@ -13,7 +13,7 @@ from lattice_waves import cayley, oracles, randgen, serialize, tree
 from lattice_waves.errors import IndexOutOfRange, NotSolvable, ShapeMismatch
 
 from helpers import (
-    convolved_weights, line_propagators, stepped_line_propagators, stepped_weights,
+    alpha_two_sums, convolved_weights, line_propagators, stepped_line_propagators, stepped_weights,
 )
 
 
@@ -162,6 +162,14 @@ class TestAlpha:
                     assert tree.alpha_coeff(j, -s, k) == (k - 1) ** s * tree.alpha_coeff(
                         j, s, k
                     )
+
+    def test_one_sum_equals_the_two_sums(self):
+        rng = random.Random(36)
+        for k in range(2, 7):
+            for _ in range(20):
+                j = rng.randint(0, 200)
+                for s in (j, -j, rng.randint(-j, j)):
+                    assert tree.alpha_coeff(j, s, k) == alpha_two_sums(j, s, k), (j, s, k)
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -738,14 +746,22 @@ class TestPrefixPlacement:
                         assert (node.depth, shift) == (depth, len(x) - depth), name
                         assert nodes.setdefault(x[:depth], node) is node, name
                     assert len(set(map(id, nodes.values()))) == len(nodes), name
-                # In a window of int tuples, only a word whose parent came
-                # before it skips make_vertex.
-                seen, by_word = set(), []
-                for w in window:
-                    if name.startswith("a ") or not w or w[:-1] not in seen:
+                # A window not all of int tuples is first read word by word.
+                # Then only a word whose parent came before it skips make_vertex.
+                seen, by_word = set(), list(window) if name.startswith("a ") else []
+                for w in want:
+                    if not w or w[:-1] not in seen:
                         by_word.append(w)
-                    seen.add(tuple(w))
+                    seen.add(w)
                 assert by_placement == by_word, name
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_a_window_of_lists_is_placed_as_the_same_tuples(self, k):
+        windows, f, g, _ = _placement_windows(k)
+        for name in ("shuffled ball", "children before parents", "prefixes absent", "duplicates"):
+            window = windows[name]
+            assert (tree._placed(list(map(list, window)), k, [g, f])
+                    == tree._placed(window, k, [g, f])), name
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_solvers_on_every_window_equal_the_literal_sums(self, k):
