@@ -30,7 +30,7 @@ from .functions import (
     scale,
     trivial_character_sum,
 )
-from .groups import GeneratorSet, GroupElement, adder, identity, natural
+from .groups import GeneratorSet, GroupElement, closure, identity, natural
 
 
 class Kernel(NamedTuple):
@@ -118,17 +118,5 @@ def wave_solve(
 
 
 def ball(S: GeneratorSet, radius: int) -> set[GroupElement]:
-    """The word-metric ball of the given radius around the identity."""
-    radius, step = natural(radius, "radius"), adder(S.group)
-    current = {identity(S.group)}
-    seen = set(current)
-    for _ in range(radius):
-        nxt = set()
-        for x in current:
-            for s in S.elements:
-                y = step(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.add(y)
-        current = nxt
-    return seen
+    """The word-metric ball of the given radius around the identity (``groups.closure``)."""
+    return closure(S.group, S.elements, natural(radius, "radius"))

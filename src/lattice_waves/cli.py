@@ -184,9 +184,8 @@ def _oracle_solution(instance: dict, n: int):
     return next(islice(verify.states(_read_problem(instance)), n, None))
 
 
-def _diff_report(closed, oracle):
-    """Exact max absolute difference and per-vertex mismatches."""
-    keys = closed.support() | oracle.support()
+def _diff_report(closed, oracle, keys):
+    """Exact max absolute difference and per-vertex mismatches over ``keys``."""
     diffs = {x: closed(x) - oracle(x) for x in keys}
     diffs = {x: d for x, d in diffs.items() if d != 0}
     max_diff = max((abs(d) for d in diffs.values()), default=Fraction(0))
@@ -237,12 +236,11 @@ def cmd_compare(args) -> int:
     window = _window(instance, problem, n)
     closed, _header = _closed_form(problem, n, window)
     oracle = next(islice(verify.states(problem), n, None))
-    if window is not None:
-        # The closed form is only evaluated on the requested window;
-        # restrict the oracle to the same vertices, as words of ints, before diffing.
-        xs = [tree.make_vertex(w, oracle.k) for w in window]
-        oracle = tree.TreeFunction(oracle.k, {x: oracle(x) for x in xs})
-    max_diff, diffs = _diff_report(closed, oracle)
+    # The closed form is only evaluated on a requested window, so only the
+    # window's vertices, as words of ints, are compared.
+    keys = (closed.support() | oracle.support() if window is None
+            else {tree.make_vertex(w, oracle.k) for w in window})
+    max_diff, diffs = _diff_report(closed, oracle, keys)
     print(f"kind={kind} n={n} max_abs_diff={max_diff}")
     if diffs:
         for x, d in sorted(diffs.items(), key=str):

@@ -40,7 +40,8 @@ def lowest_terms(numerators: dict, denominator: int) -> tuple[dict, int]:
     already in lowest terms, with gcd 1 and no zero, is returned itself,
     not rebuilt, so its keys are not hashed again: every caller hands over
     a fresh dict of its own (``over_lcm``, ``add``, ``scale``,
-    ``convolve`` and the oracle steps ``_heat`` and ``_wave``).
+    ``convolve``, the tree solvers and the oracle steps ``_heat`` and
+    ``_wave``).
     """
     values = numerators.values()
     g = gcd(denominator, *values)
@@ -231,10 +232,6 @@ def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] |
         return None
     u, v = list(a.values()), list(b.values())
     top_u, top_v = max(max(u), -min(u)), max(max(v), -min(v))
-    # The bound is at least top_u * top_v, and from 2^63 on slots are wider
-    # than 8 bytes: such a widened product is refused before the sums.
-    if widened and top_u * top_v >> 63:
-        return None
     bound = min(top_u * sum(map(abs, v)), sum(map(abs, u)) * top_v)
     packing = _Packing(G, widths, bound)
     if widened and not packing.native:

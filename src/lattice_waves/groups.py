@@ -14,6 +14,8 @@ and wire format read through them, so they accept and reject alike.
 one of a fixed set: a problem kind, a kernel role, a table, a suite.
 The constructors and ``elem_add`` check element shapes; ``adder`` gives
 the solvers and the oracles an unchecked sum for conforming elements.
+``closure`` is the one breadth-first enumeration, of a Cayley ball
+(``cayley.ball``) and of a quotient's finite subgroup H (``quotient``).
 """
 
 from __future__ import annotations
@@ -171,6 +173,23 @@ def adder(G: GroupSpec) -> Callable[[GroupElement, GroupElement], GroupElement]:
             torsion = tuple(map(_int_mod, map(_int_add, a[1], b[1]), moduli))
             return _new_tuple(GroupElement, (tuple(map(_int_add, a[0], b[0])), torsion))
     return add
+
+
+def closure(G: GroupSpec, steps: Sequence[GroupElement], radius: int) -> set[GroupElement]:
+    """The sums in G of at most ``radius`` of ``steps`` (the identity for none), breadth first.
+
+    It stops as soon as a step adds nothing, so on a finite group it ends
+    once the elements ``steps`` generate are exhausted, whatever the radius.
+    """
+    add = adder(G)
+    frontier = {identity(G)}
+    seen = set(frontier)
+    for _ in range(radius):
+        frontier = {y for x in frontier for s in steps if (y := add(x, s)) not in seen}
+        if not frontier:
+            break
+        seen |= frontier
+    return seen
 
 
 def elem_neg(G: GroupSpec, a: GroupElement) -> GroupElement:
@@ -389,17 +408,9 @@ def quotient(G: GroupSpec, H_gens: Sequence[GroupElement]) -> Quotient:
     qspec = GroupSpec(G.rank, tuple(divisors[j] for j in kept))
     order = prod(G.moduli) // prod(divisors)
 
-    # H is the closure of its generators; sorted, it lists H in coordinate order.
-    step = adder(G)
-    frontier = [e]
-    closure = set(frontier)
-    while frontier:
-        x = frontier.pop()
-        for h in gens:
-            y = step(x, h)
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
-    if len(closure) != order:
-        raise AssertionError(f"subgroup closure found {len(closure)} elements, expected {order}")
-    return Quotient(G, qspec, order, tuple(sorted(closure)), columns, inverse_rows)
+    # H is the closure of its generators, reached within |H| steps; sorted, it
+    # lists H in coordinate order.
+    subgroup = closure(G, gens, order)
+    if len(subgroup) != order:
+        raise AssertionError(f"subgroup closure found {len(subgroup)} elements, expected {order}")
+    return Quotient(G, qspec, order, tuple(sorted(subgroup)), columns, inverse_rows)

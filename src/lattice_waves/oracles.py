@@ -23,6 +23,11 @@ shift by each generator of H.  Nothing is shared with the closed-form engine
 beyond the element types, the value form (``Scaled``, ``lowest_terms``, ``add``)
 and the input rules (``require_domain``, ``tree._degree``); the steppers are
 naive and slow by design.
+
+The float quadrature of the Z heat kernel (``quadrature_kernels``) has one
+domain rule, ``quadrature_domain``: Z only, the node count, and the 2^51
+limit past which floats cannot resolve K_n, checked before any node is
+taken; ``verify.quadrature_errors`` reads its tolerance from the same rule.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from operator import add as add_int, mod
 from typing import Callable, Iterator, Sequence
 
 from .cosets import CosetProblem
-from .errors import CosetInconstant, TorsionUnsupported
+from .errors import CosetInconstant, IndexOutOfRange, TorsionUnsupported
 from .functions import Scaled, SupportedFunction, add, lowest_terms, require_domain
 from .groups import GeneratorSet, GroupElement, GroupSpec, integer, natural
 from .tree import TreeFunction, _degree, neighbors
@@ -272,20 +277,38 @@ def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:
     return quadrature_kernels(S, n, [r])[r]
 
 
-def quadrature_kernels(S: GeneratorSet, n: int, rs: Sequence[int]) -> dict[int, float]:
-    """Heat kernel coefficients {r: K_n(r)} on Z by trapezoid quadrature of the symbol power.
+def quadrature_domain(S: GeneratorSet, n: int) -> tuple[int, int, int]:
+    """(n, reach, scale) where the float quadrature of K_n can resolve its integer values.
 
-    S.group must be Z (TorsionUnsupported).  Uses N = 2*n*span + 2 uniform nodes, where
-    span is the largest generator magnitude (so N = 2n+2 for unit generators); the
-    integrand is a trigonometric polynomial of degree at most n*span + |r| < N, for which
-    the uniform trapezoid rule is exact up to floating-point rounding.  The symbol power
-    is taken once per node, and each r summed in node order.
+    S.group must be Z (TorsionUnsupported).  reach = n*span, span the largest
+    generator magnitude, is where K_n ends, and the rule takes N = 2*reach + 2
+    nodes.  Each summand has modulus at most (2k-1)^n and the error stays within
+    a few eps times that, so scale = N*(2k-1)^n sets the tolerance scale*eps.
+    Where scale reaches 2^51, scale*eps is 1/2: IndexOutOfRange.  k >= 2 and
+    3^51 >= 2^51, so the exponent is capped at 51: the verdict is the same, and
+    no power of a large n is taken.
     """
     if S.group != GroupSpec(1, ()):
         raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
-    n, k = natural(n, "time index n"), S.degree
-    span = max(abs(s.free[0]) for s in S.elements)
-    N = 2 * n * span + 2
+    n = natural(n, "time index n")
+    reach = n * max(abs(s.free[0]) for s in S.elements)
+    scale = (2 * reach + 2) * (2 * S.degree - 1) ** min(n, 51)
+    if scale >= 1 << 51:  # scale * eps >= 1/2, eps = 2^-52
+        raise IndexOutOfRange(f"n={n}: float quadrature cannot resolve the integer values of K_n")
+    return n, reach, scale
+
+
+def quadrature_kernels(S: GeneratorSet, n: int, rs: Sequence[int]) -> dict[int, float]:
+    """Heat kernel coefficients {r: K_n(r)} on Z by trapezoid quadrature of the symbol power.
+
+    On the domain of ``quadrature_domain``, with N = 2*reach + 2 uniform nodes
+    (2n+2 for unit generators): the integrand is a trigonometric polynomial of
+    degree at most reach + |r| < N, for which the uniform trapezoid rule is exact
+    up to floating-point rounding.  The symbol power is taken once per node, and
+    each r summed in node order.
+    """
+    n, reach, _ = quadrature_domain(S, n)
+    k, N = S.degree, 2 * reach + 2
     totals = {integer(r, "position r"): 0.0 + 0.0j for r in rs}
     for m in range(N):
         t = 2 * pi * m / N

@@ -20,21 +20,13 @@ from .tree import TreeFunction, make_vertex
 
 
 def standard_generators(G: GroupSpec) -> list[GroupElement]:
-    """The obvious symmetric generating set: +-e_i on free and torsion coordinates."""
-    gens = []
-    for i in range(G.rank):
-        free = [0] * G.rank
-        free[i] = 1
-        s = make_element(G, free, [0] * len(G.moduli))
-        gens += [s, elem_neg(G, s)]
-    for i, m in enumerate(G.moduli):
-        tor = [0] * len(G.moduli)
-        tor[i] = 1
-        s = make_element(G, [0] * G.rank, tor)
-        gens.append(s)
-        neg = elem_neg(G, s)
-        if neg != s:
-            gens.append(neg)
+    """The obvious symmetric generating set: e_i, then -e_i where it differs, on each coordinate."""
+    dim, gens = G.rank + len(G.moduli), []
+    for i in range(dim):
+        unit = [0] * dim
+        unit[i] = 1
+        s = make_element(G, unit[:G.rank], unit[G.rank:])
+        gens += dict.fromkeys([s, elem_neg(G, s)])
     return gens
 
 

@@ -28,21 +28,22 @@ position, not the vertex.  The solvers give each window vertex a
 position id (``_placed``, one loop for every window, placing a vertex
 from its parent's position when the parent is listed first), compute
 each value once per distinct position, read it per vertex by id, and put
-the solution in lowest terms with one gcd.  A ``TreeFunction`` checks
-its degree once, when it is built (``_degree``).
+the solution in lowest terms with ``functions.lowest_terms``; a vertex
+listed twice is one key, in its first listing's place.  A
+``TreeFunction`` checks its degree once, when it is built (``_degree``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
-from math import comb, gcd, lcm
-from operator import add, floordiv
+from itertools import chain
+from math import comb, lcm
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
-from .functions import Scaled, require_domain
+from .functions import Scaled, lowest_terms, require_domain
 from .groups import integer, integers, natural
 
 TreeVertex = tuple[int, ...]
@@ -450,16 +451,6 @@ def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
     return _inverse_abel(k, f), _inverse_abel(k, g)
 
 
-def _solution(k: int, xs: list[TreeVertex], values: list[int], d: int) -> TreeFunction:
-    """The function with value ``values[i]`` / d at ``xs[i]``: one gcd, zeros dropped.
-
-    A vertex listed twice has one value, so the first listing's key order is kept.
-    """
-    g = gcd(d, *values)
-    kept = zip(compress(xs, values), map(floordiv, filter(None, values), repeat(g)))
-    return TreeFunction.trusted(k, dict(kept), d // g)
-
-
 def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> TreeFunction:
     """Heat solution at time n, evaluated at the requested vertices.
 
@@ -472,7 +463,8 @@ def tree_heat_solve(f: TreeFunction, n: int, eval_at: Sequence[TreeVertex]) -> T
     xs, ((ids, positions),) = _placed(eval_at, f.k, [f])
     table = tree_heat_weights(f.k, n)
     values = [table.apply(f, at) for at in positions]
-    return _solution(f.k, xs, list(map(values.__getitem__, ids)), f.denominator)
+    out = dict(zip(xs, map(values.__getitem__, ids)))
+    return TreeFunction.trusted(f.k, *lowest_terms(out, f.denominator))
 
 
 def radial_mass(g: TreeFunction, at: tuple[_Hull, int]) -> Fraction:
@@ -527,4 +519,4 @@ def tree_wave_solve(
         gvalues.append(b * gtable.apply(g, at))
     fvalues = [a * ftable.apply(f, at) for at in fpositions]
     values = map(add, map(fvalues.__getitem__, fids), map(gvalues.__getitem__, gids))
-    return _solution(f.k, xs, list(values), d)
+    return TreeFunction.trusted(f.k, *lowest_terms(dict(zip(xs, values)), d))

@@ -25,9 +25,9 @@ from time import perf_counter
 from typing import Iterator, NamedTuple
 
 from . import cayley, cosets, groups, tree
-from .errors import IndexOutOfRange, NotSolvable, TorsionUnsupported
+from .errors import NotSolvable
 from .functions import trivial_character_sum
-from .groups import GeneratorSet, GroupSpec, make_element, make_group, natural, validate_generators
+from .groups import GeneratorSet, make_element, make_group, natural, validate_generators
 
 Cases = Iterator[str | None]
 
@@ -40,11 +40,7 @@ class CheckResult(NamedTuple):
     seconds: float = 0.0
 
 
-STANDARD_GROUPS = [
-    ("Z", make_group(1, [])),
-    ("Z^2", make_group(2, [])),
-    ("ZxZ4", make_group(1, [4])),
-]
+STANDARD_GROUPS = (make_group(1, []), make_group(2, []), make_group(1, [4]))
 
 
 def _run(name: str, cases: Cases) -> CheckResult:
@@ -101,7 +97,7 @@ def _oracle_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> 
             context = _coset_fixture(i % 3)
             G, size = context.quotient_group, {"max_points": 4}
         else:
-            G, size = STANDARD_GROUPS[i % len(STANDARD_GROUPS)][1], {}
+            G, size = STANDARD_GROUPS[i % len(STANDARD_GROUPS)], {}
             context = randgen.random_symmetric_generators(rng, G)
         f = randgen.random_function(rng, G, **size)
         g = randgen.random_zero_mean_function(rng, G, **size) if kind.endswith("wave") else None
@@ -113,7 +109,7 @@ def _oracle_cases(kind: str, instances: int, rng: random.Random, max_n: int) -> 
 def _kernel_cases(instances: int, rng: random.Random, max_n: int) -> Cases:
     from . import randgen
     for i in range(instances):
-        _, G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
+        G = STANDARD_GROUPS[i % len(STANDARD_GROUPS)]
         S = randgen.random_symmetric_generators(rng, G)
         for n in range(max_n + 1):
             K = cayley.heat_kernel(S, n)
@@ -237,23 +233,15 @@ def _weight_cases(max_n: int) -> Cases:
 
 
 def quadrature_errors(S: GeneratorSet, n: int) -> tuple[float, dict[int, float]]:
-    """(tolerance, {r: |quadrature - K_n(r)|}) for the exact heat kernel K_n of S, on Z only.
+    """(tolerance, {r: |quadrature - K_n(r)|}) for the exact heat kernel K_n of S.
 
-    r runs over the radius-n ball, which holds the support of K_n, and over
-    K_n's own support; beyond n*span the true value is 0.  Each of the
-    N = 2*n*span + 2 quadrature summands has modulus at most (2k-1)^n and the
-    error stays within a few eps times that, so the tolerance is
-    N*eps*(2k-1)^n, at least 1e-9.  Where it reaches 1/2, floats cannot
-    resolve the integer values: IndexOutOfRange.
+    The domain, the reach n*span of K_n and the tolerance scale*eps, at least
+    1e-9, are ``oracles.quadrature_domain``'s.  r runs over the radius-n ball
+    and over K_n's own support, so an entry set beyond the reach is seen; the
+    quadrature is taken within the reach, and beyond it the true value is 0.
     """
     from . import oracles
-    n = natural(n, "time index n")
-    if S.group != GroupSpec(1, ()):
-        raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
-    reach = n * max(abs(s.free[0]) for s in S.elements)
-    scale = (2 * reach + 2) * (2 * S.degree - 1) ** n
-    if scale >= 1 << 51:  # scale * eps >= 1/2, eps = 2^-52
-        raise IndexOutOfRange(f"n={n}: float quadrature cannot resolve the integer values of K_n")
+    n, reach, scale = oracles.quadrature_domain(S, n)
     K = cayley.heat_kernel(S, n).data
     rs = sorted({x.free[0] for x in cayley.ball(S, n)} | {x.free[0] for x in K.numerators})
     approx = oracles.quadrature_kernels(S, n, [r for r in rs if abs(r) <= reach])

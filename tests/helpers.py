@@ -8,11 +8,14 @@ and ``symbol_eval`` for the kernel tests, ``reflect``, ``l1_norm`` and
 ``stepped_weights`` and ``convolved_weights`` for the tree weight tables,
 the latter from the Laurent polynomials of ``line_propagators`` (its wave
 pair by exact doubling, ``_wave_pair``) or, one time step further,
-``stepped_line_propagators``.
+``stepped_line_propagators``.  ``within`` fails a block that runs too
+long, so a call that never returns fails its test instead of hanging it.
 """
 
 import cmath
 import csv
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -26,6 +29,21 @@ from lattice_waves.groups import (
     GeneratorSet, GroupElement, GroupSpec, array, elem_neg, make_element, make_group,
 )
 from lattice_waves.tree import TreeFunction, TreeVertex, make_vertex, sphere_size
+
+
+@contextmanager
+def within(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds`` (SIGALRM, main thread)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def element_from_label(G: GroupSpec, label: str) -> GroupElement:

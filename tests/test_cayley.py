@@ -1,6 +1,7 @@
 """Cayley-graph heat and wave solvers against their kernels and oracles."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from lattice_waves.errors import IndexOutOfRange, NotSolvable, TorsionUnsupporte
 from lattice_waves.functions import SupportedFunction, convolve, delta, trivial_character_sum
 from lattice_waves.groups import identity, make_element, make_group, validate_generators
 
-from helpers import reflect, symbol_eval
+from helpers import reflect, symbol_eval, within
 
 Z = make_group(1, [])
 ZxZ4 = make_group(1, [4])
@@ -172,6 +173,11 @@ class TestSymbol:
 def test_ball_word_metric():
     B = cayley.ball(z_gens(), 3)
     assert sorted(x.free[0] for x in B) == list(range(-3, 4))
+    # On a finite group the ball stops growing once the group is exhausted.
+    Z6 = make_group(0, [6])
+    with within(1):
+        B = cayley.ball(validate_generators(Z6, randgen.standard_generators(Z6)), sys.maxsize)
+    assert sorted(x.torsion for x in B) == [(t,) for t in range(6)]
 
 
 _DELTA_TREE = tree.TreeFunction(3, {(): 1})

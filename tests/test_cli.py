@@ -22,7 +22,7 @@ from lattice_waves.errors import ShapeMismatch, TorsionUnsupported, ZeroDenomina
 from lattice_waves.functions import SupportedFunction, add, delta
 from lattice_waves.groups import make_element, make_group, quotient, validate_generators
 
-from helpers import eval_vertices_by_word, function_from_csv, tree_function_from_csv
+from helpers import eval_vertices_by_word, function_from_csv, tree_function_from_csv, within
 
 
 def write_problem(tmp_path, obj, name="problem.json"):
@@ -373,9 +373,11 @@ class TestCompare:
         problem = write_problem(tmp_path, kernel_problem(heat_problem()["S"], n))
         assert cli.main(["compare", "--problem", problem]) == 0
 
-    def test_kernel_compare_refuses_what_floats_cannot_resolve(self, tmp_path, capsys):
-        problem = write_problem(tmp_path, kernel_problem(heat_problem()["S"], 29))
-        assert cli.main(["compare", "--problem", problem]) == 1
+    @pytest.mark.parametrize("n", [29, 10**12])
+    def test_kernel_compare_refuses_what_floats_cannot_resolve(self, tmp_path, capsys, n):
+        problem = write_problem(tmp_path, kernel_problem(heat_problem()["S"], n))
+        with within(1):
+            assert cli.main(["compare", "--problem", problem]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "INDEX_OUT_OF_RANGE"
 
     @pytest.mark.parametrize("r, expected", [(None, 0), (9, 3), (-7, 3), (10, 3), (40, 3)])
@@ -1233,6 +1235,11 @@ BAD_ARGUMENTS = [
     for entry in sorted(SOLVER_ARGUMENTS)
     for value in [True, 2.0, "x", None, -1, sys.maxsize + 1]
     if entry != "--n" or type(value) is int
+] + [
+    # In range, but past what float quadrature resolves: refused before any node.
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry in ("quadrature_errors", "quadrature_kernel", "quadrature_kernels")
+    for value in [10**12, sys.maxsize]
 ]
 
 
@@ -1245,7 +1252,7 @@ class TestSolverArguments:
         # ValueError or OverflowError from deeper down.
         monkeypatch.chdir(tmp_path)
         want = errors.IndexOutOfRange if type(value) is int else ShapeMismatch
-        with pytest.raises(errors.LatticeWavesError) as raised:
+        with pytest.raises(errors.LatticeWavesError) as raised, within(1):
             SOLVER_ARGUMENTS[entry](value)
         assert type(raised.value) is want
 

@@ -18,7 +18,7 @@ from lattice_waves.errors import (
     ShapeMismatch,
 )
 import lattice_waves
-from lattice_waves import oracles, serialize, tree
+from lattice_waves import oracles, randgen, serialize, tree
 from lattice_waves.functions import SupportedFunction
 from lattice_waves.groups import (
     GroupElement,
@@ -192,6 +192,25 @@ class TestValidateGenerators:
     def test_standard_set_on_z(self):
         S = validate_generators(Z, [make_element(Z, [1], []), make_element(Z, [-1], [])])
         assert S.degree == 2
+        # randgen.standard_generators: e_i then -e_i, coordinate by coordinate,
+        # free ones first, with -e_i left out where it is e_i (a Z2 coordinate).
+        pins = {
+            (0, ()): [],
+            (1, ()): [((1,), ()), ((-1,), ())],
+            (0, (2, 2)): [((), (1, 0)), ((), (0, 1))],
+            (2, (5,)): [((1, 0), (0,)), ((-1, 0), (0,)), ((0, 1), (0,)), ((0, -1), (0,)),
+                        ((0, 0), (1,)), ((0, 0), (4,))],
+            (1, (4, 6, 2)): [((1,), (0, 0, 0)), ((-1,), (0, 0, 0)), ((0,), (1, 0, 0)),
+                             ((0,), (3, 0, 0)), ((0,), (0, 1, 0)), ((0,), (0, 5, 0)),
+                             ((0,), (0, 0, 1))],
+        }
+        for (rank, moduli), want in pins.items():
+            assert randgen.standard_generators(make_group(rank, moduli)) == want
+        for rank, moduli in itertools.product(range(4), [(), (2,), (3,), (2, 2), (4, 6, 2), (5,)]):
+            G = make_group(rank, moduli)
+            gens = randgen.standard_generators(G)
+            degree = 2 * rank + sum(1 if m == 2 else 2 for m in moduli)
+            assert len(gens) == degree and (not gens or validate_generators(G, gens).degree == degree)
 
     def test_identity_rejected(self):
         with pytest.raises(ContainsIdentity):
