@@ -11,7 +11,9 @@ finite and exact.
 Kernels are integer polynomials in one function (``convolve_polynomials``),
 and a solution is a kernel convolved with the data (``convolve``).  This
 module alone knows the packed (Kronecker) layout that computes both, and
-the sparse fallbacks used where that layout would be mostly empty.
+the sparse fallbacks used where that layout would be mostly empty.  On
+torsion, a kernel's layout keeps each axis near its modulus, and partial
+products are folded onto their residues as they are multiplied.
 ``convolve_polynomials`` has two callers, the Cayley heat kernel and the
 Cayley wave kernels; the tree weight tables run their own recurrences.
 """
@@ -23,7 +25,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import comb, gcd, lcm, prod
-from operator import add as add_int, floordiv, gt, mul
+from operator import add as add_int, floordiv, gt, le, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -243,12 +245,13 @@ def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] |
 def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[SupportedFunction]:
     """sum_i row[i] f^{*i} for each row of ``int`` coefficients; f integral.
 
-    Each row is a polynomial in the one function f, evaluated by Horner's
-    rule: in one packed ``int`` (``_packing``) and decoded once, or one
+    Each row is a polynomial in the one function f, evaluated in one packed
+    ``int`` (``_packing``) and decoded once, or by Horner's rule one
     ``convolve`` at a time where the packed box would be mostly empty.
-    sum_i |row[i]| |f|_1^i bounds every coefficient.  A row whose only
-    non-zero coefficient is its last is one big-int power instead, two to
-    five times faster than Horner's rule.  An empty row is the zero
+    sum_i |row[i]| |f|_1^i bounds every coefficient, and every partial
+    product's too: folding torsion never raises the l1 norm.  A row whose
+    only non-zero coefficient is its last is one power (``_power``); the
+    others run Horner's rule (``_horner``).  An empty row is the zero
     polynomial; the rows beside it have length at most 1 (sparse path).
     """
     G = f.group
@@ -266,18 +269,72 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
             out.append(h)
         return out
     # A product of j factors is decoded at j times the corner of f.
-    packing, columns, lo = layout
-    a = packing.pack(columns, list(f.numerators.values()), lo)
+    packing, columns, lo, step = layout
+    values = list(f.numerators.values())
+    # f packed at lo, as its values with their bit offsets.
+    index = packing.index(columns, len(values), lo)
+    terms = [(8 * packing.slot * i, v) for i, v in zip(index, values)]
     for row in rows:
-        if any(row[:-1]):
-            p = 0
-            for j, c in enumerate(reversed(row)):
-                p = p * a + (c << packing.unit_shift([j * v for v in lo]))
+        degree = len(row) - 1
+        if row[-1] and not any(row[:-1]):
+            p = row[-1] * _power(packing, terms, step, degree)
         else:
-            p = row[-1] * a ** (len(row) - 1)
-        corner = [(len(row) - 1) * v for v in lo]
-        out.append(SupportedFunction.trusted(G, packing.unpack(p, corner)))
+            p = _horner(packing, terms, step, lo, row)
+        out.append(SupportedFunction.trusted(G, packing.unpack(p, [degree * v for v in lo])))
     return out
+
+
+def _power(packing: _Packing, terms: list[tuple[int, int]], step: list[int], n: int) -> int:
+    """f^n in ``packing``, for f packed at its corner in a box ``step`` wide.
+
+    ``terms`` are f's values with their bit offsets, summed into one ``int``
+    a.  Where the layout holds the lifted box of a^n, no fold can be needed
+    and this is one big-int power.  Elsewhere it squares and multiplies,
+    and a partial product is folded (``_Packing.room``) only when the next
+    product would outgrow the layout's torsion widths.
+    """
+    a = sum(v << s for s, v in terms)
+    if packing.holds([n * (w - 1) + 1 for w in step]):
+        return a ** n
+    p, widths = a, step
+    for bit in bin(n)[3:]:
+        p, widths = packing.room(p, widths, widths)
+        p, widths = p * p, _grown(widths, widths)
+        if bit == "1":
+            p, widths = packing.room(p, widths, step)
+            p, widths = p * a, _grown(widths, step)
+    return p
+
+
+def _horner(packing: _Packing, terms: list[tuple[int, int]], step: list[int], lo: list[int],
+            row: list[int]) -> int:
+    """sum_i row[i] f^i in ``packing`` by Horner's rule; f is packed at ``lo``, ``step`` wide.
+
+    ``terms`` are f's values with their bit offsets, and each product with
+    f is a sum of shifted copies, one per term: a few linear passes, where
+    a big-int multiply would also pay for the empty slots of f's box.
+    delta_e is then added at the new corner (``_Packing.unit_shifts``).
+    Unless the layout holds the row's lifted box, the partial sum is
+    folded before each product that would outgrow the layout
+    (``_Packing.room``).
+    """
+    folds = not packing.holds([(len(row) - 1) * (w - 1) + 1 for w in step])
+    units = packing.unit_shifts(lo, len(row))
+    p, widths = row[-1], [1] * len(step)
+    for j, c in enumerate(reversed(row[:-1]), 1):
+        if folds:
+            p, widths = packing.room(p, widths, step)
+            widths = _grown(widths, step)
+        q = c << units[j]
+        for s, v in terms:
+            q += v * (p << s)
+        p = q
+    return p
+
+
+def _grown(u: list[int], v: list[int]) -> list[int]:
+    """The widths of the box of a product of factors in boxes ``u`` and ``v`` wide."""
+    return [x + y - 1 for x, y in zip(u, v)]
 
 
 # A packed box may be at most this many times the largest support its
@@ -286,6 +343,19 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
 # ratio of 32 (25 to 60); past it the sparse ``convolve`` is the faster, and
 # the smaller in memory.
 SPREAD = 32
+
+# A kernel layout caps each torsion axis at 2m - 1, what one product of two
+# factors folded onto their residues needs, and folds partial products as it
+# goes (``_Packing.room``) where capping saves at least FOLD_SLOTS slots of
+# the lifted box.  Timed on 290 heat and wave kernels whose box capping
+# shrinks (best of 5, Python 3.11.7): Z2, Z6, Z8, Z2 x Z6, Z3 x Z4, Z x Z_m
+# for m = 4, 5, 6, 8, 12, Z^2 x Z3 and two coset quotients, n = 3 to 100.
+# Of the 215 that save at least 50 slots, folding was faster on 201 and at
+# least 0.88 times as fast on all (the slowest: waves on Z x Z_m saving
+# under 170), 2.2 times faster in the median and 1.08 to 850 times faster
+# from 300 slots on.  Below 50 it won 10 of 75 and fell to 0.51 times as
+# fast, where the fixed cost of folding outweighs the slots saved.
+FOLD_SLOTS = 50
 
 # Where its slots are native (``_Packing.native``), a product whose box holds
 # more slots than it has pairs of support points still packs while box +
@@ -304,19 +374,25 @@ NATIVE_SPREAD, NATIVE_FIXED = 4, 128
 def _packing(G: GroupSpec, support, degree: int, bound: int) -> tuple | None:
     """The layout for products of up to ``degree`` factors on ``support``.
 
-    Returns it with the lifted columns of ``support`` (``_lift``) and the
-    corner they are packed at: that of the box around ``support`` and the
-    identity, which Horner's rule adds to partial products.  None where
-    the products' box holds more than SPREAD slots per element they can
-    reach, as when generators lie far apart.  The box is sized from the
-    input alone, before anything is allocated.
+    Returns it with the lifted columns of ``support`` (``_lift``), the
+    corner they are packed at and the widths of their box: the box around
+    ``support`` and the identity, which Horner's rule adds to partial
+    products.  A torsion axis whose lifted width, degree (w - 1) + 1,
+    exceeds 2m - 1 is capped there where that saves at least FOLD_SLOTS
+    slots; products are then folded as they go (``_power``, ``_horner``).
+    None where the capped box holds more than SPREAD slots per element the
+    products can reach, as when generators lie far apart.  The box is
+    sized from the input alone, before anything is allocated.
     """
+    rank = G.rank
     columns = _lift(G, support)
-    lo, widths = _box([[0, *c] for c in columns])
-    widths = [degree * (w - 1) + 1 for w in widths]
-    if prod(widths) > SPREAD * _reach(G, support, degree, prod(widths[:G.rank])):
+    lo, step = _box([[0, *c] for c in columns])
+    lifted = [degree * (w - 1) + 1 for w in step]
+    capped = lifted[:rank] + [min(w, 2 * m - 1) for w, m in zip(lifted[rank:], G.moduli)]
+    if prod(capped) > SPREAD * _reach(G, support, degree, prod(lifted[:rank])):
         return None
-    return _Packing(G, widths, bound), columns, lo
+    folds = prod(lifted) - prod(capped) >= FOLD_SLOTS
+    return _Packing(G, capped if folds else lifted, bound), columns, lo, step
 
 
 def _reach(G: GroupSpec, support, degree: int, free_box: int) -> int:
@@ -360,16 +436,16 @@ class _Packing:
     e(x) the mixed-radix index of x in the box, evaluated at X = 2^(8*slot)
     (Schonhage, EUROCAM 1982; Harvey, J. Symbolic Comput. 44, 2009).  The
     product of two such ints is then their convolution, done by CPython's
-    big-int multiply.  ``bound`` must bound every coefficient of every
-    product that is decoded, and every value that is packed.
+    big-int multiply.  ``bound`` must bound every value of every product
+    that is read, and every value that is packed.
 
     Every coordinate is lifted to Z (``_lift``), and each factor is packed
     at a lower corner of its own: index 0 is the corner.  If factors lie in
     [lo_i, hi_i] and [lo'_i, hi'_i] along coordinate i, their product lies
     in [lo_i + lo'_i, hi_i + hi'_i], so it is decoded at the sum of the
     corners and needs a box of width (hi_i - lo_i) + (hi'_i - lo'_i) + 1.
-    ``widths`` must hold every product that is decoded.  Lifted torsion
-    is reduced mod m_i when the result is decoded.
+    ``widths`` must hold every product.  Lifted torsion is reduced mod m_i
+    when the result is decoded.
 
     Slots are signed and ``slot`` bytes wide, 2^(8*slot - 1) > bound;
     slots of up to 8 bytes are rounded up to 1, 2, 4 or 8.  Packing writes
@@ -384,9 +460,12 @@ class _Packing:
 
     Torsion coordinates come last, so they vary fastest: each free
     position owns one block of slots, the lifted torsion box.  Where a
-    lifted width exceeds its modulus, decoding folds every block onto its
+    torsion width exceeds its modulus, decoding folds every block onto its
     residues (``_fold``), one Python step per lifted torsion index, and
-    residues that cancel read 0 like empty slots.
+    residues that cancel read 0 like empty slots.  A kernel layout whose
+    torsion widths are capped below the lifted ones (``_packing``) also
+    folds partial products onto their residues as it multiplies, on the
+    packed ``int`` itself (``fold``).
     """
 
     def __init__(self, G: GroupSpec, widths: list[int], bound: int):
@@ -410,12 +489,17 @@ class _Packing:
         """The index of the identity in a function packed at ``corner``."""
         return -sum(map(mul, corner, self.strides))
 
+    def index(self, columns: list[list[int]], count: int, corner: list[int]) -> list[int]:
+        """The slot of each of ``count`` elements, lifted to ``columns``, packed at ``corner``."""
+        index = [self._origin(corner)] * count
+        for column, stride in zip(columns, self.strides):
+            index = list(map(add_int, index, map(mul, column, repeat(stride))))
+        return index
+
     def pack(self, columns: list[list[int]], values: list[int], corner: list[int]) -> int:
         """One factor as an ``int``: ``values`` at the lifted ``columns``, from ``corner``."""
         slot = self.slot
-        index = [self._origin(corner)] * len(values)
-        for column, stride in zip(columns, self.strides):
-            index = list(map(add_int, index, map(mul, column, repeat(stride))))
+        index = self.index(columns, len(values), corner)
         zeros = self.zero * (max(index) + 1)
         buf = bytearray(zeros)
         biased = map(add_int, values, repeat(self.half))
@@ -427,9 +511,61 @@ class _Packing:
                 buf[i * slot:(i + 1) * slot] = c.to_bytes(slot, "little")
         return int.from_bytes(buf, "little") - int.from_bytes(zeros, "little")
 
-    def unit_shift(self, corner: list[int]) -> int:
-        """The bit offset of delta_e in a product decoded at ``corner``."""
-        return 8 * self.slot * self._origin(corner)
+    def unit_shifts(self, lo: list[int], count: int) -> list[int]:
+        """The bit offsets of delta_e in products of 0, ..., count - 1 factors packed at ``lo``.
+
+        A product of j factors is decoded at j lo.  On a torsion axis
+        delta_e goes to the first representative of 0 at or past that
+        corner: once a factor has been folded, 0 itself may lie outside
+        the product's box.
+        """
+        rank, strides, bits = self.rank, self.strides, 8 * self.slot
+        free = -bits * sum(map(mul, lo[:rank], strides))
+        units = [j * free for j in range(count)]
+        for c, m, s in zip(lo[rank:], self.moduli, strides[rank:]):
+            units = [u + bits * s * (-j * c % m) for j, u in enumerate(units)]
+        return units
+
+    def holds(self, widths: list[int]) -> bool:
+        """Whether a box ``widths`` wide fits the layout from its corner."""
+        return all(map(le, widths, self.widths))
+
+    def room(self, p: int, widths: list[int], factor: list[int]) -> tuple[int, list[int]]:
+        """p and the widths of its box, folded first if a product with a ``factor`` box won't fit.
+
+        A folded p spans at most m residues on each torsion axis, so its
+        product with a folded factor, or with one lifted to width at most
+        m, fits a torsion width of 2m - 1.
+        """
+        if self.holds(_grown(widths, factor)):
+            return p, widths
+        rank = self.rank
+        return self.fold(p, widths), widths[:rank] + list(map(min, widths[rank:], self.moduli))
+
+    def fold(self, p: int, widths: list[int]) -> int:
+        """p, in a box ``widths`` wide, with each torsion axis folded onto its residues.
+
+        Along a torsion axis of modulus m, the slots m, m + 1, ... from the
+        corner are added to those m below, which hold the same residues:
+        the corner stays as it was, and each block spans the residues c,
+        ..., c + m - 1 from its corner c.  This is done on the ``int``
+        itself.  With the bias added every slot is non-negative, so a mask
+        lifts the high slots out whole and a shift by m strides adds them
+        back in; ``bound`` bounds the folded values too, so no slot
+        overflows.  Only the slots of p's box are touched.
+        """
+        slot, rank = self.slot, self.rank
+        torsion = self.widths[rank:]
+        slots = sum(map(mul, [w - 1 for w in widths[:rank]], self.strides)) + prod(torsion)
+        bias = int.from_bytes(self.zero * slots, "little")
+        for w, m, stride in zip(torsion, self.moduli, self.strides[rank:]):
+            if w > m:
+                low = m * stride * slot
+                mask = int.from_bytes((bytes(low) + b"\xff" * (w * stride * slot - low))
+                                      * (slots // (w * stride)), "little")
+                high = ((p + bias) & mask) - (bias & mask)
+                p += (high >> 8 * low) - high
+        return p
 
     def unpack(self, p: int, corner: list[int]) -> dict[GroupElement, int]:
         """The non-zero values of a packed product, decoded at ``corner``.
@@ -448,9 +584,9 @@ class _Packing:
             values = [from_bytes(data[i:i + slot], "little") - half
                       for i in range(0, len(data), slot)]
         axes = [range(c, c + w) for c, w in zip(corner, self.widths)]
-        lifted, moduli = self.widths[rank:], self.moduli
-        if any(map(gt, lifted, moduli)):
-            values = _fold(values, lifted, moduli)
+        torsion, moduli = self.widths[rank:], self.moduli
+        if any(map(gt, torsion, moduli)):
+            values = _fold(values, torsion, moduli)
         residues = [[v % m for v in axis[:m]] for axis, m in zip(axes[rank:], moduli)]
         # Slots that hold only the bias, or residues that cancel, read 0 and are skipped.
         keys = compress(product(product(*axes[:rank]), product(*residues)), values)

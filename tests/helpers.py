@@ -9,12 +9,15 @@ and ``symbol_eval`` for the kernel tests, ``reflect``, ``l1_norm`` and
 the latter from the Laurent polynomials of ``line_propagators`` (its wave
 pair by exact doubling, ``_wave_pair``) or, one time step further,
 ``stepped_line_propagators``.  ``within`` fails a block that runs too
-long, so a call that never returns fails its test instead of hanging it.
+long, so a call that never returns fails its test instead of hanging it,
+and ``rewritten`` plants a fault in one line of a real function.
 """
 
 import cmath
 import csv
+import inspect
 import signal
+import textwrap
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +47,21 @@ def within(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def rewritten(module, old, new):
+    """A fault: the real function's source with its one ``old`` replaced by ``new``.
+
+    The source is compiled in a copy of ``module``'s namespace, so the
+    function reads the names it reads at home.
+    """
+    def fault(real):
+        source = textwrap.dedent(inspect.getsource(real))
+        assert source.count(old) == 1
+        namespace = dict(vars(module))
+        exec(source.replace(old, new), namespace)
+        return namespace[real.__name__]
+    return fault
 
 
 def element_from_label(G: GroupSpec, label: str) -> GroupElement:

@@ -9,7 +9,6 @@ import os
 import random
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,9 @@ from lattice_waves.errors import ShapeMismatch, TorsionUnsupported, ZeroDenomina
 from lattice_waves.functions import SupportedFunction, add, delta
 from lattice_waves.groups import make_element, make_group, quotient, validate_generators
 
-from helpers import eval_vertices_by_word, function_from_csv, tree_function_from_csv, within
+from helpers import (
+    eval_vertices_by_word, function_from_csv, rewritten, tree_function_from_csv, within,
+)
 
 
 def write_problem(tmp_path, obj, name="problem.json"):
@@ -491,21 +492,6 @@ def _wave_f_top_plus_1_from_n_2(real):
     return sums
 
 
-def _rewritten(module, old, new):
-    """A fault: the real function's source with its one ``old`` replaced by ``new``.
-
-    The source is compiled in a copy of ``module``'s namespace, so the
-    function reads the names it reads at home.
-    """
-    def fault(real):
-        source = textwrap.dedent(inspect.getsource(real))
-        assert source.count(old) == 1
-        namespace = dict(vars(module))
-        exec(source.replace(old, new), namespace)
-        return namespace[real.__name__]
-    return fault
-
-
 # One planted engine fault per row, and every check it makes fail at
 # ``verify --max-n 3``, with the failing check's case count and detail.
 PLANTED_FAULTS = [
@@ -530,44 +516,44 @@ PLANTED_FAULTS = [
      {"tree-wave-triple": (2, "stepping mismatch n=2"),
       "weight-normalization": (7, "k=2 n=2 got 3")}),
     # Lifted torsion slot j goes to min(j, m - 1), not j mod m.
-    (functions, "_fold", _rewritten(functions, "j % m", "min(j, m - 1)"),
+    (functions, "_fold", rewritten(functions, "j % m", "min(j, m - 1)"),
      {"cayley-heat-oracle": (10, "mismatch at n=2"), "kernel-identities": (10, "K_2 forms differ"),
       "coset-heat-lift": (2, "mismatch at n=2")}),
     # Packed slots one byte short of the coefficient bound.
     (functions._Packing, "__init__",
-     _rewritten(functions, "(bound.bit_length() + 8) // 8", "(bound.bit_length() + 8) // 8 - 1"),
+     rewritten(functions, "(bound.bit_length() + 8) // 8", "(bound.bit_length() + 8) // 8 - 1"),
      {"cayley-heat-oracle": (2, "mismatch at n=2"), "cayley-wave-oracle": (3, "mismatch at n=3"),
       "kernel-identities": (7, "mass wrong at n=3"), "coset-heat-lift": (11, "mismatch at n=3"),
       "quadrature": (42, "n=6 r=0")}),
     # A product decoded at the corner of its first factor, not at the sum of both corners.
-    (functions, "_packed_product", _rewritten(functions, "list(map(add_int, lo_a, lo_b))", "lo_a"),
+    (functions, "_packed_product", rewritten(functions, "list(map(add_int, lo_a, lo_b))", "lo_a"),
      {"cayley-heat-oracle": (6, "mismatch at n=2"), "cayley-wave-oracle": (2, "mismatch at n=2"),
       "kernel-identities": (1, "K_1 forms differ"), "coset-heat-lift": (4, "mismatch at n=0"),
       "coset-wave-lift": (0, "mismatch at n=0")}),
     # Lifted torsion decoded without its reduction mod m.
     (functions._Packing, "unpack",
-     _rewritten(functions, "v % m for v in axis[:m]", "v for v in axis[:m]"),
+     rewritten(functions, "v % m for v in axis[:m]", "v for v in axis[:m]"),
      {"cayley-heat-oracle": (10, "mismatch at n=2"), "kernel-identities": (9, "K_1 forms differ"),
       "coset-heat-lift": (17, "mismatch at n=1")}),
     # The radial mass weighted by (k-1)^(rmax-r+1): the literal velocity shows it.
-    (tree, "radial_mass", _rewritten(tree, "q ** (rmax - r)", "q ** (rmax - r + 1)"),
+    (tree, "radial_mass", rewritten(tree, "q ** (rmax - r)", "q ** (rmax - r + 1)"),
      {"tree-wave-triple": (4, "not solvable n=0")}),
     # Below the hull the data read one radius further out than it is.
-    (tree, "_radius_sums", _rewritten(tree, "r + shift for", "r + shift + 1 for"),
+    (tree, "_radius_sums", rewritten(tree, "r + shift for", "r + shift + 1 for"),
      {"tree-heat-triple": (1, "stepping mismatch n=1")}),
     # A child placed off the hull two letters below its parent's position, not one.
-    (tree, "_placed", _rewritten(tree, "at = node, shift + 1", "at = node, shift + 2"),
+    (tree, "_placed", rewritten(tree, "at = node, shift + 1", "at = node, shift + 2"),
      {"tree-heat-triple": (1, "stepping mismatch n=1")}),
     # Rerooting to a child without subtracting H_b(r-2).
-    (tree._Hull, "__init__", _rewritten(tree, "sums.get(r + 2, 0) - v", "sums.get(r + 2, 0)"),
+    (tree._Hull, "__init__", rewritten(tree, "sums.get(r + 2, 0) - v", "sums.get(r + 2, 0)"),
      {"tree-heat-triple": (2, "stepping mismatch n=2"),
       "tree-wave-triple": (20, "not solvable n=0")}),
     # The radial centre reads p(-1) = 0 past the profile's end, not the even value p(1).
-    (oracles, "_radial_heat", _rewritten(oracles, "p[abs(r - 1)]", "p[r - 1]"),
+    (oracles, "_radial_heat", rewritten(oracles, "p[abs(r - 1)]", "p[r - 1]"),
      {"tree-heat-triple": (1, "radial mismatch n=1"),
       "tree-wave-triple": (2, "radial mismatch n=2")}),
     # The radial wave adds u1 - u0 once, not twice.
-    (oracles, "radial_step_wave", _rewritten(oracles, "2 * (b - a)", "(b - a)"),
+    (oracles, "radial_step_wave", rewritten(oracles, "2 * (b - a)", "(b - a)"),
      {"tree-wave-triple": (2, "radial mismatch n=2")}),
 ]
 

@@ -2,11 +2,12 @@
 
 ``functions.convolve_polynomials`` builds every kernel as a polynomial in
 one function, in one big ``int`` or, where that would be mostly empty,
-with ``convolve``.  The references below are literal constructions on the
-sparse double loop (``sparse_convolve``), which ``convolve`` packs where
-the product's box is small: repeated squaring, the two dict accumulators
-of ``wave_kernels`` over successive powers of A, and the sum of
-coefficient times power.
+with ``convolve``; on torsion, partial products may be folded onto their
+residues as they are multiplied.  The references below are literal
+constructions on the sparse double loop (``sparse_convolve``), which
+``convolve`` packs where the product's box is small: repeated squaring,
+the two dict accumulators of ``wave_kernels`` over successive powers of A,
+and the sum of coefficient times power.
 """
 
 import random
@@ -20,7 +21,7 @@ from lattice_waves import cayley, cosets, functions, randgen
 from lattice_waves.functions import SupportedFunction, convolve_polynomials
 from lattice_waves.groups import GeneratorSet, identity, make_element, make_group, validate_generators
 
-from helpers import convolve_power
+from helpers import convolve_power, rewritten
 
 
 def unit(G):
@@ -149,28 +150,72 @@ def test_wave_kernels_match_sparse_accumulators(name):
 
 
 def packings(G, S, n):
-    """The layouts of K_n and of (F_n, G_n); None where the sparse path runs."""
-    heat = functions._packing(G, cayley._symbol(S, 1 - S.degree, 1).entries, n, 1)
-    wave = functions._packing(G, cayley._symbol(S, -S.degree, 1).entries, n // 2, 1)
+    """The layouts of K_n and of (F_n, G_n) at the kernels' bounds; None for the sparse path."""
+    k = S.degree
+    wave_bound = max(sum(c * (2 * k) ** i for i, c in enumerate(r)) for r in cayley.wave_rows(n))
+    heat = functions._packing(G, cayley._symbol(S, 1 - k, 1).numerators, n, (2 * k - 1) ** n)
+    wave = functions._packing(G, cayley._symbol(S, -k, 1).numerators, n // 2, wave_bound)
     return heat, wave
+
+
+def lifted_widths(G, S, n):
+    """The widths of the box K_n fills lifted to Z."""
+    step = cayley._symbol(S, 1 - S.degree, 1)
+    columns = functions._lift(G, step.numerators)
+    _, widths = functions._box([[0, *c] for c in columns])
+    return [n * (w - 1) + 1 for w in widths]
 
 
 def test_cases_take_the_packed_path():
     # Otherwise the tests above would compare the sparse path with itself.
-    # Past n = 10, lifted torsion widens the boxes of Z6 and of the quotient
-    # past SPREAD times what the kernels can reach, and they go sparse.
+    # Torsion axes are capped at 2m - 1, so lifted torsion alone never
+    # sends a kernel to the sparse path.
     for name, (G, S, ns) in CASES.items():
-        for n in (n for n in ns if n <= 10):
+        for n in ns:
             heat, wave = packings(G, S, n)
             assert heat is not None and (n < 2 or wave is not None), (name, n)
 
 
-def test_wide_lifted_torsion_takes_the_sparse_path():
+def test_wide_lifted_torsion_packs_with_capped_torsion():
     # K_60 on the quotient reaches at most 121 free values times 8 torsion
-    # elements; its lifted box has 121 * 61 * 121 slots.
+    # elements; its lifted box has 121 * 61 * 121 slots, its capped box
+    # 121 * 3 * 7.  Both kernels of both groups fold as they multiply.
     for name in ("Z6", "quotient ZxZ2xZ4"):
         G, S, _ = CASES[name]
-        assert packings(G, S, 60)[0] is None, name
+        for layout in packings(G, S, 60):
+            widths = layout[0].widths
+            assert widths[G.rank:] == [2 * m - 1 for m in G.moduli], name
+
+
+def test_which_kernels_fold():
+    # The quotient's K_10: a lifted box of 21 * 11 * 21 slots, capped to
+    # 21 * 3 * 7.  Z x Z12's K_11 lifts to 23 * 23 <= 23 * (2 * 12 - 1):
+    # no fold can be needed, and the layout keeps the lifted box.
+    G, S = quotient_z_z2_z4()
+    assert packings(G, S, 10)[0][0].widths == [21, 3, 7] != lifted_widths(G, S, 10)
+    G, S, _ = CASES["ZxZ12"]
+    assert packings(G, S, 11)[0][0].widths == lifted_widths(G, S, 11) == [23, 23]
+
+
+def test_torsion_kernels_at_n_1000_match_the_references():
+    # Support at most 6, so the dict references are quick; the packed
+    # kernels fold at every product past the first few.
+    G, S, _ = CASES["Z6"]
+    assert packings(G, S, 1000)[0][0].widths == [11]
+    assert cayley.heat_kernel(S, 1000).data == sparse_heat(S, 1000)
+    Fk, Gk = cayley.wave_kernels(S, 1000)
+    assert (Fk.data, Gk.data) == sparse_wave(S, 1000)
+
+
+# A fold that adds the high slots back one slot short of m strides down.
+FOLD_ONE_SLOT_OFF = rewritten(functions, "high >> 8 * low", "high >> 8 * (low - slot)")
+
+
+def test_a_planted_fold_fault_fails_the_references(monkeypatch):
+    monkeypatch.setattr(functions._Packing, "fold", FOLD_ONE_SLOT_OFF(functions._Packing.fold))
+    G, S = quotient_z_z2_z4()
+    assert cayley.heat_kernel(S, 10).data != sparse_heat(S, 10)
+    assert tuple(K.data for K in cayley.wave_kernels(S, 14)) != sparse_wave(S, 14)
 
 
 # Generators far apart: the packed box would be almost all empty slots
@@ -271,6 +316,19 @@ def test_packed_kernels_match_sparse_for_random_generators(group, seed, n):
     S = randgen.random_symmetric_generators(random.Random(seed), group, max_size=6, span=3)
     assert cayley.heat_kernel(S, n).data == sparse_heat(S, n)
     Fk, Gk = cayley.wave_kernels(S, n)
+    assert (Fk.data, Gk.data) == sparse_wave(S, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.sampled_from(GROUPS[2:]), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14))
+def test_kernels_folded_at_every_capped_layout_match_sparse(group, seed, n):
+    # FOLD_SLOTS = 1 folds wherever a torsion axis is capped, at these small n too.
+    S = randgen.random_symmetric_generators(random.Random(seed), group, max_size=6, span=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(functions, "FOLD_SLOTS", 1)
+        K = cayley.heat_kernel(S, n).data
+        Fk, Gk = cayley.wave_kernels(S, n)
+    assert K == sparse_heat(S, n)
     assert (Fk.data, Gk.data) == sparse_wave(S, n)
 
 
