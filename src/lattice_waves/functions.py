@@ -347,14 +347,15 @@ SPREAD = 32
 # A kernel layout caps each torsion axis at 2m - 1, what one product of two
 # factors folded onto their residues needs, and folds partial products as it
 # goes (``_Packing.room``) where capping saves at least FOLD_SLOTS slots of
-# the lifted box.  Timed on 290 heat and wave kernels whose box capping
-# shrinks (best of 5, Python 3.11.7): Z2, Z6, Z8, Z2 x Z6, Z3 x Z4, Z x Z_m
-# for m = 4, 5, 6, 8, 12, Z^2 x Z3 and two coset quotients, n = 3 to 100.
-# Of the 215 that save at least 50 slots, folding was faster on 201 and at
-# least 0.88 times as fast on all (the slowest: waves on Z x Z_m saving
-# under 170), 2.2 times faster in the median and 1.08 to 850 times faster
-# from 300 slots on.  Below 50 it won 10 of 75 and fell to 0.51 times as
-# fast, where the fixed cost of folding outweighs the slots saved.
+# the lifted box.  Timed on 356 heat and wave kernels whose box capping
+# shrinks, capped against lifted, each decoded by ``_Packing.fold`` (best of
+# 6, Python 3.11.7): Z2, Z6, Z8, Z2 x Z6, Z3 x Z4, Z x Z_m for m = 4, 5, 6,
+# 8, 12, Z^2 x Z3 and two coset quotients, n = 3 to 100.  Saving 1 to 49
+# slots, the capped kernels took 18.9 ms against 14.0 and won none of 90;
+# 50 to 149, 15.6 against 17.8 (33 of 54); 150 to 299, 15.5 against 33.5
+# (31 of 34); from 300 on, capping won all 178, 1.1 to 5600 times faster.
+# Over the kernels saving under 300 slots, thresholds of 50 to 100 came
+# within 1 % of each other.
 FOLD_SLOTS = 50
 
 # Where its slots are native (``_Packing.native``), a product whose box holds
@@ -459,13 +460,12 @@ class _Packing:
     slot on a big-endian host, are written and read one at a time.
 
     Torsion coordinates come last, so they vary fastest: each free
-    position owns one block of slots, the lifted torsion box.  Where a
-    torsion width exceeds its modulus, decoding folds every block onto its
-    residues (``_fold``), one Python step per lifted torsion index, and
+    position owns one block of slots, the torsion box.  One fold reduces
+    torsion, on the packed ``int`` itself (``fold``): decoding folds every
+    block onto its residues where a torsion width exceeds its modulus, and
     residues that cancel read 0 like empty slots.  A kernel layout whose
     torsion widths are capped below the lifted ones (``_packing``) also
-    folds partial products onto their residues as it multiplies, on the
-    packed ``int`` itself (``fold``).
+    folds partial products as it multiplies.
     """
 
     def __init__(self, G: GroupSpec, widths: list[int], bound: int):
@@ -545,36 +545,43 @@ class _Packing:
     def fold(self, p: int, widths: list[int]) -> int:
         """p, in a box ``widths`` wide, with each torsion axis folded onto its residues.
 
-        Along a torsion axis of modulus m, the slots m, m + 1, ... from the
-        corner are added to those m below, which hold the same residues:
-        the corner stays as it was, and each block spans the residues c,
-        ..., c + m - 1 from its corner c.  This is done on the ``int``
-        itself.  With the bias added every slot is non-negative, so a mask
-        lifts the high slots out whole and a shift by m strides adds them
-        back in; ``bound`` bounds the folded values too, so no slot
-        overflows.  Only the slots of p's box are touched.
+        Along a torsion axis of modulus m and width w, the slots m, m + 1,
+        ... from the corner are added to those m below, which hold the same
+        residues, and w falls by m, until w <= m: one pass for a width of at
+        most 2m - 1.  The corner stays as it was, and each block spans the
+        residues c, ..., c + m - 1 from its corner c.  This is done on the
+        ``int`` itself.  With the bias added every slot is non-negative, so
+        a mask lifts the high slots out whole and a shift by m strides adds
+        them back in; ``bound`` bounds every partial sum of lifted values,
+        so no slot overflows.  Only the slots of p's box are touched.
         """
         slot, rank = self.slot, self.rank
         torsion = self.widths[rank:]
         slots = sum(map(mul, [w - 1 for w in widths[:rank]], self.strides)) + prod(torsion)
         bias = int.from_bytes(self.zero * slots, "little")
-        for w, m, stride in zip(torsion, self.moduli, self.strides[rank:]):
-            if w > m:
-                low = m * stride * slot
-                mask = int.from_bytes((bytes(low) + b"\xff" * (w * stride * slot - low))
-                                      * (slots // (w * stride)), "little")
+        for w, top, m, stride in zip(widths[rank:], torsion, self.moduli, self.strides[rank:]):
+            low, size = m * stride * slot, stride * slot
+            while w > m:
+                # The slots [m, w) of every block, padded out to the layout's width.
+                block = bytes(low) + b"\xff" * (w * size - low) + bytes((top - w) * size)
+                mask = int.from_bytes(block * (slots // (top * stride)), "little")
                 high = ((p + bias) & mask) - (bias & mask)
                 p += (high >> 8 * low) - high
+                w -= m
         return p
 
     def unpack(self, p: int, corner: list[int]) -> dict[GroupElement, int]:
         """The non-zero values of a packed product, decoded at ``corner``.
 
-        Lifted torsion is folded onto its residues first where it wraps;
-        then each non-zero slot's key is its free coordinates paired with
-        its residues, both read off the box's axes in slot order.
+        Where a torsion width exceeds its modulus, the ``int`` is folded
+        onto its residues first (``fold``).  Then each non-zero slot's key
+        is its free coordinates paired with its residues, both read off the
+        box's axes in slot order; the slots a fold emptied read 0.
         """
-        slot, rank, biased = self.slot, self.rank, p + self.bias
+        slot, rank = self.slot, self.rank
+        if any(map(gt, self.widths[rank:], self.moduli)):
+            p = self.fold(p, self.widths)
+        biased = p + self.bias
         if self.native:
             data = (biased ^ self.bias).to_bytes(self.size * slot, "little")
             values = memoryview(data).cast("bhiq"[slot.bit_length() - 1]).tolist()
@@ -584,32 +591,10 @@ class _Packing:
             values = [from_bytes(data[i:i + slot], "little") - half
                       for i in range(0, len(data), slot)]
         axes = [range(c, c + w) for c, w in zip(corner, self.widths)]
-        torsion, moduli = self.widths[rank:], self.moduli
-        if any(map(gt, torsion, moduli)):
-            values = _fold(values, torsion, moduli)
-        residues = [[v % m for v in axis[:m]] for axis, m in zip(axes[rank:], moduli)]
+        residues = [[v % m for v in axis] for axis, m in zip(axes[rank:], self.moduli)]
         # Slots that hold only the bias, or residues that cancel, read 0 and are skipped.
         keys = compress(product(product(*axes[:rank]), product(*residues)), values)
         return dict(zip(map(_new_tuple, repeat(GroupElement), keys), filter(None, values)))
-
-
-def _fold(values: list[int], widths: list[int], moduli: tuple[int, ...]) -> list[int]:
-    """Blocks of lifted torsion, ``widths`` across, summed onto their residues mod ``moduli``.
-
-    ``values`` is a whole number of blocks, one per free position, each
-    laid out in mixed radix over ``widths``.  Slot j along a coordinate of
-    width w and modulus m goes to slot j mod m of a block min(w, m) wide.
-    Each lifted index is one extended-slice add over every block at once.
-    """
-    folded = list(map(min, widths, moduli))
-    size, residues = prod(widths), prod(folded)
-    # The folded index of each lifted index, summed over the coordinates.
-    offsets = [[j % m * s for j in range(w)]
-               for w, m, s in zip(widths, moduli, _strides(folded))]
-    out = [0] * (len(values) // size * residues)
-    for i, j in enumerate(map(sum, product(*offsets))):
-        out[j::residues] = map(add_int, out[j::residues], values[i::size])
-    return out
 
 
 def _strides(widths: list[int]) -> list[int]:

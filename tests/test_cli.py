@@ -515,8 +515,9 @@ PLANTED_FAULTS = [
     (tree, "_wave_sums", _wave_f_top_plus_1_from_n_2,
      {"tree-wave-triple": (2, "stepping mismatch n=2"),
       "weight-normalization": (7, "k=2 n=2 got 3")}),
-    # Lifted torsion slot j goes to min(j, m - 1), not j mod m.
-    (functions, "_fold", rewritten(functions, "j % m", "min(j, m - 1)"),
+    # A fold that adds the high slots back one slot short of m strides down.
+    (functions._Packing, "fold",
+     rewritten(functions, "high >> 8 * low", "high >> 8 * (low - slot)"),
      {"cayley-heat-oracle": (10, "mismatch at n=2"), "kernel-identities": (10, "K_2 forms differ"),
       "coset-heat-lift": (2, "mismatch at n=2")}),
     # Packed slots one byte short of the coefficient bound.
@@ -532,7 +533,7 @@ PLANTED_FAULTS = [
       "coset-wave-lift": (0, "mismatch at n=0")}),
     # Lifted torsion decoded without its reduction mod m.
     (functions._Packing, "unpack",
-     rewritten(functions, "v % m for v in axis[:m]", "v for v in axis[:m]"),
+     rewritten(functions, "v % m for v in axis]", "v for v in axis]"),
      {"cayley-heat-oracle": (10, "mismatch at n=2"), "kernel-identities": (9, "K_1 forms differ"),
       "coset-heat-lift": (17, "mismatch at n=1")}),
     # The radial mass weighted by (k-1)^(rmax-r+1): the literal velocity shows it.

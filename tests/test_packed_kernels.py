@@ -99,6 +99,7 @@ ZxZ4 = make_group(1, [4])
 ZxZ12 = make_group(1, [12])
 Z6 = make_group(0, [6])
 Z2 = make_group(0, [2])
+Z3 = make_group(0, [3])
 Z2xZ6 = make_group(0, [2, 6])
 LONG = list(range(25)) + [40, 60]
 
@@ -111,6 +112,9 @@ CASES = {
     "ZxZ12": (ZxZ12, gens(ZxZ12, ([1], [0]), ([0], [1])), LONG),
     "Z6": (Z6, gens(Z6, ([], [1]), ([], [2]), ([], [3])), LONG),
     "Z2, S = {1}": (Z2, validate_generators(Z2, [make_element(Z2, [], [1])]), LONG),
+    # Lifted, not capped, up to n = 24: the decode folds widths of up to 49 slots.
+    "Z3, S = {1, 2}": (
+        Z3, validate_generators(Z3, [make_element(Z3, [], [1]), make_element(Z3, [], [2])]), LONG),
     # Rank 0 with two torsion factors: the decode folds both lifted widths.
     "Z2xZ6": (Z2xZ6, gens(Z2xZ6, ([], [1, 0]), ([], [0, 1])), LONG),
     "quotient ZxZ2xZ4": (*quotient_z_z2_z4(), LONG),
@@ -216,6 +220,18 @@ def test_a_planted_fold_fault_fails_the_references(monkeypatch):
     G, S = quotient_z_z2_z4()
     assert cayley.heat_kernel(S, 10).data != sparse_heat(S, 10)
     assert tuple(K.data for K in cayley.wave_kernels(S, 14)) != sparse_wave(S, 14)
+
+
+def test_a_planted_one_pass_fold_fails_the_references(monkeypatch):
+    # Z3's K_24 keeps its lifted box of 49 slots (capping would save 44 <
+    # FOLD_SLOTS), which the decode folds in 16 passes.
+    G, S, _ = CASES["Z3, S = {1, 2}"]
+    heat, wave = packings(G, S, 24)
+    assert heat[0].widths == lifted_widths(G, S, 24) == [49] and wave[0].widths == [25]
+    one_pass = rewritten(functions, "while w > m", "if w > m")
+    monkeypatch.setattr(functions._Packing, "fold", one_pass(functions._Packing.fold))
+    assert cayley.heat_kernel(S, 24).data != sparse_heat(S, 24)
+    assert tuple(K.data for K in cayley.wave_kernels(S, 24)) != sparse_wave(S, 24)
 
 
 # Generators far apart: the packed box would be almost all empty slots
@@ -326,6 +342,24 @@ def test_kernels_folded_at_every_capped_layout_match_sparse(group, seed, n):
     S = randgen.random_symmetric_generators(random.Random(seed), group, max_size=6, span=3)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(functions, "FOLD_SLOTS", 1)
+        K = cayley.heat_kernel(S, n).data
+        Fk, Gk = cayley.wave_kernels(S, n)
+    assert K == sparse_heat(S, n)
+    assert (Fk.data, Gk.data) == sparse_wave(S, n)
+
+
+LIFTED = [make_group(0, [2]), make_group(0, [3]), make_group(0, [5]), make_group(0, [2, 2]),
+          make_group(1, [3])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.sampled_from(LIFTED), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
+def test_kernels_folded_by_the_decode_alone_match_sparse(group, seed, n):
+    # FOLD_SLOTS above every box: no axis is capped, and the decode folds
+    # each lifted torsion width, many times its modulus at large n.
+    S = randgen.random_symmetric_generators(random.Random(seed), group, max_size=6, span=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(functions, "FOLD_SLOTS", float("inf"))
         K = cayley.heat_kernel(S, n).data
         Fk, Gk = cayley.wave_kernels(S, n)
     assert K == sparse_heat(S, n)
