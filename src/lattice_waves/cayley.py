@@ -1,8 +1,8 @@
 """Closed-form heat and wave solutions on Cayley graphs of abelian groups.
 
 A generator set S carries its group: every function here lives on S.group,
-and data on another group is GroupMismatch (``functions.require_domain``,
-called by ``wave_solve`` before g's mass is read, by ``convolve`` for the rest).
+and data on another group is GroupMismatch (``functions.require_domain``).
+A solver checks the data's domain, n and solvability before any kernel.
 The Laplacian's Fourier symbol pulls back to the finitely supported
 function A = k*delta_e - sum_s delta_s.  Every propagator is an integer
 polynomial in one step: the heat propagator at time n is the n-th
@@ -91,29 +91,29 @@ def wave_kernels(S: GeneratorSet, n: int) -> tuple[Kernel, Kernel]:
 
     Both are polynomials in -A (``wave_rows``), with |-A|_1 = 2k.
     """
-    n = natural(n, "time index n")
     F, Gk = convolve_polynomials(_symbol(S, -S.degree, 1), wave_rows(n))
     return Kernel(F), Kernel(Gk)
 
 
 def heat_solve(f: SupportedFunction, S: GeneratorSet, n: int) -> SupportedFunction:
     """Solution of the heat equation at time n with initial value f."""
+    require_domain(S.group, f)
     return convolve(heat_kernel(S, n).data, f)
 
 
 def wave_solve(
     f: SupportedFunction, g: SupportedFunction, S: GeneratorSet, n: int
 ) -> SupportedFunction:
-    """Solution of the wave equation at time n; requires g to have zero total mass."""
+    """Solution of the wave equation at time n; g's mass must be 0, checked before any kernel."""
     require_domain(S.group, f, g)
-    # Kernels first: they reject a negative n before g's mass is looked at.
-    Fn, Gn = wave_kernels(S, n)
+    n = natural(n, "time index n")
     mass = trivial_character_sum(g)
     if mass != 0:
         raise NotSolvable(
             f"wave equation unsolvable: initial velocity has total mass {mass}",
             detail=mass,
         )
+    Fn, Gn = wave_kernels(S, n)
     return add(convolve(Fn.data, f), convolve(Gn.data, g))
 
 

@@ -143,11 +143,11 @@ def zero(G: GroupSpec) -> SupportedFunction:
     return SupportedFunction(G, {})
 
 
-def delta(G: GroupSpec, x: GroupElement | None = None, value=1) -> SupportedFunction:
-    """Point mass; defaults to the unit mass at the identity."""
+def delta(G: GroupSpec, x: GroupElement | None = None) -> SupportedFunction:
+    """Unit point mass at x; defaults to the identity."""
     if x is None:
         x = identity(G)
-    return SupportedFunction(G, {x: value})
+    return SupportedFunction(G, {x: 1})
 
 
 def require_domain(tag, *fs: Scaled) -> None:
@@ -227,7 +227,7 @@ def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] |
         return None
     columns_a, columns_b = _lift(G, a), _lift(G, b)
     (lo_a, widths_a), (lo_b, widths_b) = _box(columns_a), _box(columns_b)
-    widths = [u + v - 1 for u, v in zip(widths_a, widths_b)]
+    widths = _grown(widths_a, widths_b)
     box, pairs = prod(widths), len(a) * len(b)
     widened = box > pairs
     if widened and box + NATIVE_FIXED > NATIVE_SPREAD * pairs:
@@ -258,7 +258,7 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
     e = identity(G)
     top = max(map(len, rows)) - 1
     norm = sum(map(abs, f.numerators.values()))
-    bound = max(sum(abs(c) * norm**i for i, c in enumerate(row)) for row in rows)
+    bound = max(sum(abs(c) * norm**i for i, c in enumerate(row) if c) for row in rows)
     layout = _packing(G, f.numerators, top, bound) if f.numerators and top else None
     out = []
     if layout is None:

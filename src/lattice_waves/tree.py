@@ -276,10 +276,8 @@ def spherical_mean(f: TreeFunction, x: TreeVertex, r: int) -> Fraction:
 
 def path_reduce(f: TreeFunction, x: TreeVertex) -> list[Fraction]:
     """The radial profile r -> M_f(x,r) for r >= 0, up to the farthest support point from x."""
-    x, d = make_vertex(x, f.k), f.denominator
-    sums = dict(_radius_sums(_walk(f, x)))
-    top = max((tree_distance(x, y) for y in f.numerators), default=-1)
-    return [Fraction(sums.get(r, 0), d * sphere_size(f.k, r)) for r in range(top + 1)]
+    sums = sphere_sums(f, x)
+    return [sums.get(r, _ZERO) / sphere_size(f.k, r) for r in range(max(sums, default=-1) + 1)]
 
 
 def alpha_coeff(j: int, s: int, k: int) -> int:
@@ -497,26 +495,25 @@ def tree_wave_solve(
     on g's hull, and the f term through its position on f's, so each is
     computed once per position the window meets, the mass at the
     position's first vertex.  The window is checked and placed on both
-    hulls (``_placed``) before the weights and any mass, so a malformed
-    window is reported first.  The values are numerators over
-    lcm(d_f, d_g).
+    hulls (``_placed``), then n is read, then every mass, and only then
+    are the weights built: a malformed window is reported before a bad n,
+    and a bad n before a mass.  The values are numerators over lcm(d_f, d_g).
     """
     require_domain(f.k, g)
     xs, ((gids, gpositions), (fids, fpositions)) = _placed(eval_at, f.k, [g, f])
-    ftable, gtable = tree_wave_weights(f.k, n)
-    d = lcm(f.denominator, g.denominator)
-    a, b = d // f.denominator, d // g.denominator
-    gvalues = []
+    n = natural(n, "time index n")
     for j, at in enumerate(gpositions):
-        mass = radial_mass(g, at)
-        if mass:
+        if mass := radial_mass(g, at):
             x = xs[gids.index(j)]
             raise NotSolvable(
                 f"tree wave equation unsolvable at vertex {x}: "
                 f"radialized velocity has total mass {mass}",
                 detail=(x, mass),
             )
-        gvalues.append(b * gtable.apply(g, at))
+    ftable, gtable = tree_wave_weights(f.k, n)
+    d = lcm(f.denominator, g.denominator)
+    a, b = d // f.denominator, d // g.denominator
     fvalues = [a * ftable.apply(f, at) for at in fpositions]
+    gvalues = [b * gtable.apply(g, at) for at in gpositions]
     values = map(add, map(fvalues.__getitem__, fids), map(gvalues.__getitem__, gids))
     return TreeFunction.trusted(f.k, *lowest_terms(dict(zip(xs, values)), d))

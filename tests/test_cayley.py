@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from lattice_waves import cayley, oracles, randgen, tree
-from lattice_waves.errors import IndexOutOfRange, NotSolvable, TorsionUnsupported
+from lattice_waves import cayley, cosets, oracles, randgen, tree
+from lattice_waves.errors import (
+    GroupMismatch, IndexOutOfRange, NotSolvable, ShapeMismatch, TorsionUnsupported,
+)
 from lattice_waves.functions import SupportedFunction, convolve, delta, trivial_character_sum
 from lattice_waves.groups import identity, make_element, make_group, validate_generators
 
@@ -205,3 +207,55 @@ def test_negative_time_index_rejected(name):
     for n in (-1, -2):
         with pytest.raises(IndexOutOfRange):
             call(n)
+
+
+ZZ = make_group(2, [])
+_S_ZZ = validate_generators(ZZ, randgen.standard_generators(ZZ))
+_COSETS = cosets.build_coset_problem(ZxZ4, [make_element(ZxZ4, [0], [2])],
+                                     randgen.standard_generators(ZxZ4))
+# Each request is unsolvable from its data alone: refused before any kernel or table.
+_REFUSALS = {
+    "heat_solve f on Z, S on Z^2": (
+        lambda n: cayley.heat_solve(delta(Z), _S_ZZ, n), GroupMismatch),
+    "wave_solve f, g of mass 1 on Z, S on Z^2": (
+        lambda n: cayley.wave_solve(delta(Z), delta(Z), _S_ZZ, n), GroupMismatch),
+    "wave_solve g of mass 1": (
+        lambda n: cayley.wave_solve(delta(ZZ), delta(ZZ), _S_ZZ, n), NotSolvable),
+    "coset_wave_solve g of mass 1": (
+        lambda n: cosets.coset_wave_solve(delta(_COSETS.quotient_group),
+                                          delta(_COSETS.quotient_group), _COSETS, n),
+        NotSolvable),
+    "tree_wave_solve g of mass 1 at a listed vertex": (
+        lambda n: tree.tree_wave_solve(_DELTA_TREE, _DELTA_TREE, n, [(1,), ()]), NotSolvable),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_unsolvable_request_is_refused_before_any_kernel(name):
+    call, error = _REFUSALS[name]
+    with pytest.raises(error), within(1):
+        call(10**6)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, e) in _REFUSALS.items() if e is NotSolvable))
+def test_a_bad_time_index_is_reported_before_solvability(name):
+    call, _ = _REFUSALS[name]
+    with pytest.raises(IndexOutOfRange):
+        call(-1)
+    with pytest.raises(ShapeMismatch):
+        call(2.0)
+
+
+@pytest.mark.parametrize("window", [[(), (1, 1)], [(), (4,)], [(), 5]])
+def test_a_malformed_window_is_reported_before_a_bad_time_index(window):
+    with pytest.raises(ShapeMismatch):
+        tree.tree_heat_solve(_DELTA_TREE, -1, window)
+    with pytest.raises(ShapeMismatch):
+        tree.tree_wave_solve(_DELTA_TREE, _DELTA_TREE, -1, window)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, e) in _REFUSALS.items() if e is GroupMismatch))
+def test_a_foreign_domain_is_reported_before_a_bad_time_index(name):
+    call, _ = _REFUSALS[name]
+    with pytest.raises(GroupMismatch):
+        call(-1)
