@@ -68,7 +68,8 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int,
     The default ball, around the root, reaches as far as a value can be
     nonzero, which is as far as the weight tables reach beyond the data: n
     beyond f's support for heat; floor(n/2) beyond f's and floor((n-1)/2)
-    beyond g's for wave.  With no data in reach it is the root alone.
+    beyond g's for wave.  With no data in reach it is the root alone.  A
+    wave's g is checked on it before it is built (``tree.require_solvable_ball``).
     Listed vertices are checked once, by the solvers (``tree._placed``):
     here a list whose words are all JSON arrays only has them made tuples,
     and any other list is passed on as it is.
@@ -78,16 +79,16 @@ def _tree_eval_vertices(instance: dict, k: int, f: tree.TreeFunction, n: int,
         words = array(spec["vertices"], "eval vertices")
         return list(map(tuple, words)) if {list}.issuperset(map(type, words)) else words
     center = tree.ROOT
-    radius = None
     if "ball" in spec:
         ball = json_object(spec["ball"], "eval ball")
         radius = natural(required(ball, "radius"), "eval ball radius")
         center = tree.make_vertex(ball.get("center", []), k)
-    if radius is None:
+    else:
         # Default window: the whole region where the solution can be nonzero.
         reach = [(f, n)] if g is None else [(f, n // 2), (g, (n - 1) // 2)]
-        radius = max([0, *(tree.tree_distance(center, y) + steps
-                           for h, steps in reach for y in h.support())])
+        radius = max([0, *(len(y) + steps for h, steps in reach for y in h.support())])
+        if g is not None:
+            tree.require_solvable_ball(g, radius)
     # Each layer steps one sphere outward: every neighbour but the parent.
     out = [center]
     frontier = [(center, None)]

@@ -14,15 +14,16 @@ with the even boundary value p(-1) = p(1) at the centre, in integer
 numerators over the lcm of the list's denominators.
 
 The lifted coset graph's Laplacian is 1/|H| times the sum over the shifts
-h + s, H x S~.  The lifted steppers check that every state is constant on
-cosets of H, and on such a u sum_{h in H} u(x + h + s) = |H| u(x + s): the
-scaled sum over H x S~ is the plain sum over S~, in the same integers.
-The steppers still step on the base group and never read the quotient's
-coordinates; the constancy check compares each torsion block with its
-shift by each generator of H.  Nothing is shared with the closed-form engine
-beyond the element types, the value form (``Scaled``, ``lowest_terms``, ``add``)
-and the input rules (``require_domain``, ``tree._degree``); the steppers are
-naive and slow by design.
+h + s, H x S~.  The lifted steppers check that each state they are given
+is constant on cosets of H; on such a u sum_{h in H} u(x + h + s) =
+|H| u(x + s), so the scaled sum over H x S~ is the plain sum over S~, and
+the step is constant on cosets too, so it is not checked again.  The
+steppers step on the base group and never read the quotient's coordinates;
+the check compares each torsion block with its shift by each generator of
+H.  Nothing is shared with the closed-form engine beyond the element types,
+the value form (``Scaled``, ``lowest_terms``, ``add``) and the input rules
+(``require_domain``, ``tree._degree``); the steppers are naive and slow by
+design.
 
 The float quadrature of the Z heat kernel (``quadrature_kernels``) has one
 domain rule, ``quadrature_domain``: Z only, the node count, and the 2^51
@@ -181,26 +182,16 @@ def _check_coset_constant(u: SupportedFunction, P: CosetProblem) -> None:
                 raise CosetInconstant(f"function is not constant on the coset of {x}")
 
 
-def _lifted_laplacian(P: CosetProblem) -> Laplacian:
-    """The 1/|H|-scaled Laplacian of the lifted graph on coset-constant states: shifts s over S~.
-
-    Its literal form sums u(x + h + s) over H x S~ with divisor |H|; on a u
-    constant on cosets each of the |H| terms of a given s equals u(x + s).
-    """
-    return _group_laplacian(P.base_group, P.coset_reps)
-
-
 def lifted_coset_heat_step(u: SupportedFunction, P: CosetProblem) -> SupportedFunction:
     """One step of the scaled-Laplacian recurrence on the lifted graph.
 
     u(x, n+1) = u(x, n) - (1/|H|) (k |H| u(x, n) - sum_{h in H} sum_i u(x+h+s_i, n)),
     where the s_i run over one representative per distinct coset of S.  u is
-    checked constant on cosets, so the double sum is |H| sum_i u(x+s_i, n).
+    checked constant on cosets, so the double sum is |H| sum_i u(x+s_i, n),
+    and the step, constant on cosets too, is returned unchecked.
     """
     _check_coset_constant(u, P)
-    result = _heat(u, _lifted_laplacian(P))
-    _check_coset_constant(result, P)
-    return result
+    return _heat(u, _group_laplacian(P.base_group, P.coset_reps))
 
 
 def lifted_coset_wave_step(
@@ -209,13 +200,11 @@ def lifted_coset_wave_step(
     """One step of the scaled-Laplacian wave recurrence on the lifted graph.
 
     u(x, n+2) = 2 u(x, n+1) - u(x, n) - (1/|H|)(k |H| u(x, n) - sum_{h,i} u(x+h+s_i, n)),
-    stepped as the sum over S~ alone, as in ``lifted_coset_heat_step``.
+    stepped over S~ alone as in ``lifted_coset_heat_step``; both states are checked, the step not.
     """
     _check_coset_constant(u_prev, P)
     _check_coset_constant(u_curr, P)
-    result = _wave(u_prev, u_curr, _lifted_laplacian(P))
-    _check_coset_constant(result, P)
-    return result
+    return _wave(u_prev, u_curr, _group_laplacian(P.base_group, P.coset_reps))
 
 
 def tree_step_heat(u: TreeFunction) -> TreeFunction:

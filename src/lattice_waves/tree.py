@@ -37,10 +37,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from math import comb, lcm
 from operator import add
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
 from .functions import Scaled, lowest_terms, require_domain
@@ -483,6 +483,32 @@ def radial_mass(g: TreeFunction, at: tuple[_Hull, int]) -> Fraction:
     return Fraction(total, size * g.denominator) if total else _ZERO
 
 
+def _require_massless(g: TreeFunction, positions: Sequence, vertex: Callable) -> None:
+    """NotSolvable at ``vertex(j)``, the first j where g's radial mass at positions[j] is not 0."""
+    for j, at in enumerate(positions):
+        if mass := radial_mass(g, at):
+            x = vertex(j)
+            raise NotSolvable(f"tree wave equation unsolvable at vertex {x}: radialized velocity "
+                              f"has total mass {mass}", detail=(x, mass))
+
+
+def require_solvable_ball(g: TreeFunction, radius: int) -> None:
+    """``tree_wave_solve``'s refusal on the ball of ``radius`` around the root, from witnesses.
+
+    The ball lists vertices by length, then lexicographically.  Its witnesses
+    are each hull vertex a with |a| <= radius and, if |a| < radius, a's first
+    child off the hull, at (a, 1).  Every other vertex is at some (a, s >= 1),
+    comes after that child and has its mass numerator (``radial_mass``).
+    """
+    hull = {ROOT, *(y[:i] for y in g.numerators for i in range(1, len(y) + 1))}
+    xs = [a for a in hull if len(a) <= radius]
+    for a in [a for a in xs if len(a) < radius]:
+        c = next(c for c in count(1) if a[-1:] != (c,) and a + (c,) not in hull)
+        xs += [a + (c,)] if c <= g.k else []
+    xs.sort(key=lambda x: (len(x), x))
+    _require_massless(g, [_walk(g, x) for x in xs], xs.__getitem__)
+
+
 def tree_wave_solve(
     f: TreeFunction, g: TreeFunction, n: int, eval_at: Sequence[TreeVertex]
 ) -> TreeFunction:
@@ -502,14 +528,7 @@ def tree_wave_solve(
     require_domain(f.k, g)
     xs, ((gids, gpositions), (fids, fpositions)) = _placed(eval_at, f.k, [g, f])
     n = natural(n, "time index n")
-    for j, at in enumerate(gpositions):
-        if mass := radial_mass(g, at):
-            x = xs[gids.index(j)]
-            raise NotSolvable(
-                f"tree wave equation unsolvable at vertex {x}: "
-                f"radialized velocity has total mass {mass}",
-                detail=(x, mass),
-            )
+    _require_massless(g, gpositions, lambda j: xs[gids.index(j)])
     ftable, gtable = tree_wave_weights(f.k, n)
     d = lcm(f.denominator, g.denominator)
     a, b = d // f.denominator, d // g.denominator

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,26 @@ SOLVER_PROBLEMS = [
 
 def _without(obj, field):
     return {key: value for key, value in obj.items() if key != field}
+
+
+def _assert_default_window_answers_as_its_ball(doc):
+    """(exit code, stdout, stderr) of ``doc``'s default window, equal to those of its ball.
+
+    The default window decides solvability on witnesses before the ball is
+    built; the same ball listed as ``eval.ball`` is placed and solved whole.
+    """
+    n = doc["n"]
+    reach = ([len(r["elem"]) + n // 2 for r in doc["f"]]
+             + [len(r["elem"]) + (n - 1) // 2 for r in doc["g"]])
+    reports = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for obj in (doc, dict(doc, eval={"ball": {"radius": max([0, *reach])}})):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = cli.main(["tree-wave", "--problem", write_problem(Path(scratch), obj)])
+            reports.append((code, out.getvalue(), err.getvalue()))
+    assert reports[0] == reports[1]
+    return reports[0]
 
 
 class TestRun:
@@ -239,15 +260,21 @@ class TestRun:
 
     def test_tree_wave_default_window_reaches_g(self, tmp_path, capsys):
         # g six letters from f: a window sized from f alone stopped at radius 4
-        # and printed 7 of the trajectory's 13 non-zero values.
+        # and printed 7 of the trajectory's 13 non-zero values.  The default
+        # window is checked before it is built: within radius 5 g's two
+        # points cancel in every radialized mass, so the refusal at g's own
+        # vertex shows that the window reaches g.
         obj = tree_problem("tree-wave", n=4)
         obj["g"] = [{"elem": [1, 2, 1, 2, 1, 2], "num": "1", "den": "1"},
                     {"elem": [1, 2, 1, 2, 1, 3], "num": "-1", "den": "1"}]
         problem = cli._read_problem(obj)
-        window = set(cli._window(obj, problem, 4))
-        assert cli._oracle_solution(obj, 4).support() <= window
-        assert {(1, 2, 1, 2, 1, 2), (1, 2, 1, 2, 1, 3)} <= window
-        # Near g the radialized velocity has non-zero mass.
+        with pytest.raises(errors.NotSolvable) as refused:
+            cli._window(obj, problem, 4)
+        assert refused.value.detail[0] == (1, 2, 1, 2, 1, 2)
+        # The trajectory's non-zero values lie in the ball of the default
+        # radius, g's depth plus (n - 1) // 2.
+        ball = dict(obj, eval={"ball": {"radius": 6 + 1}})
+        assert cli._oracle_solution(obj, 4).support() <= set(cli._window(ball, problem, 4))
         assert cli.main(["tree-wave", "--problem", write_problem(tmp_path, obj)]) == 2
         assert "NOT_SOLVABLE" in capsys.readouterr().err
 
@@ -265,6 +292,47 @@ class TestRun:
         assert cli.main(["tree-wave", "--problem", write_problem(tmp_path, ball)]) == 0
         assert capsys.readouterr().out == default
         assert len(default.splitlines()) > 2
+
+    def test_default_window_refusal_needs_no_ball(self, tmp_path, capsys):
+        # g has mass at the root; the default ball at this n has radius
+        # 500001, and is not built before the refusal.
+        obj = {"kind": "tree-wave", "k": 3, "n": 10**6,
+               "f": [{"elem": [1], "num": "1", "den": "1"}],
+               "g": [{"elem": [1, 2], "num": "1", "den": "3"}]}
+        problem = write_problem(tmp_path, obj)
+        with within(1):
+            assert cli.main(["tree-wave", "--problem", problem]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "NOT_SOLVABLE",
+            "detail": "tree wave equation unsolvable at vertex (): radialized velocity has "
+                      "total mass 1/9"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 4), n=st.integers(0, 7))
+    def test_default_window_answers_as_its_ball(self, data, k, n):
+        word = st.lists(st.integers(1, k), max_size=4).filter(
+            lambda w: all(a != b for a, b in zip(w, w[1:])))
+        rows = st.lists(st.fixed_dictionaries({
+            "elem": word, "num": st.sampled_from(["1", "-1", "2", "-3"]),
+            "den": st.sampled_from(["1", "2", "3"])}), max_size=3)
+        f, g = data.draw(rows), data.draw(rows)
+        # Some of g's values again, negated at words of the same lengths:
+        # masses that cancel at the root and at some other vertices.
+        g += [dict(row, num=str(-int(row["num"])), elem=data.draw(word.filter(
+                   lambda w, m=len(row["elem"]): len(w) == m)))
+              for row in g[:data.draw(st.integers(0, len(g)))]]
+        _assert_default_window_answers_as_its_ball({"kind": "tree-wave", "k": k, "n": n,
+                                                    "f": f, "g": g})
+
+    @pytest.mark.parametrize("k, values", [(3, (-1, 4, -5)), (4, (-1, 5, -9))])
+    def test_default_window_refuses_first_off_the_hull(self, k, values):
+        # g's masses are 0 at the root and at (1), so the first vertex with
+        # one is the root's first child off the hull, (2), not the hull's (1, 2).
+        g = [{"elem": w, "num": str(v), "den": "1"} for w, v in zip([[], [1], [1, 2]], values)]
+        doc = {"kind": "tree-wave", "k": k, "n": 4, "f": [], "g": g}
+        code, out, err = _assert_default_window_answers_as_its_ball(doc)
+        assert code == 2 and json.loads(err)["detail"].startswith(
+            "tree wave equation unsolvable at vertex (2,):")
 
     def test_coset_heat_runs(self, tmp_path, capsys):
         problem = write_problem(tmp_path, COSET_PROBLEM)

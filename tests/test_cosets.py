@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattice_waves import cosets, oracles, randgen
 from lattice_waves.errors import CosetInconstant, SInsideH
 from lattice_waves.functions import SupportedFunction, add
-from lattice_waves.groups import elem_add, identity, make_element, make_group
+from lattice_waves.groups import elem_add, elem_neg, identity, make_element, make_group, quotient
+from lattice_waves.randgen import standard_generators
+
+from helpers import rewritten
 
 ZxZ4 = make_group(1, [4])
 
@@ -180,6 +184,48 @@ def test_coset_check_matches_fiber_definition(make_problem):
         verdict(entries)
     # With H trivial every function is constant on cosets.
     assert verdicts == ({True} if P.H_order == 1 else {True, False})
+
+
+@st.composite
+def coset_problems(draw):
+    """Z x Z_m1 x Z_m2 by a torsion-only H, with a symmetric S that has no element in H."""
+    m1, m2 = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    G = make_group(1, [m1, m2])
+    torsion = st.lists(st.integers(0, 11), min_size=2, max_size=2)
+    H = [make_element(G, [0], t) for t in draw(st.lists(torsion, min_size=1, max_size=2))]
+    quot = quotient(G, H)
+    drawn = draw(st.lists(st.tuples(st.integers(-2, 2), torsion), max_size=3))
+    S = standard_generators(G) + [make_element(G, [a], t) for a, t in drawn]
+    S = [s for x in S for s in (x, elem_neg(G, x)) if quot.project(s) != identity(quot.group)]
+    return cosets.build_coset_problem(G, H, S)
+
+
+def lifted_steps(P, seed):
+    """The lifted heat step of a lifted random g and the wave step of (f, g), f and g lifted."""
+    rng = random.Random(seed)
+    f, g = (cosets.lift(randgen.random_function(rng, P.quotient_group, max_points=4), P)
+            for _ in range(2))
+    return oracles.lifted_coset_heat_step(g, P), oracles.lifted_coset_wave_step(f, g, P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=coset_problems(), seed=st.integers(0, 2**16))
+def test_lifted_steps_are_constant_on_cosets(P, seed):
+    # The lifted steppers check the states they are given, not the steps
+    # they return: a step of a coset-constant state is coset-constant.
+    for u in lifted_steps(P, seed):
+        oracles._check_coset_constant(u, P)
+
+
+def test_a_laplacian_fault_that_breaks_constancy_fails_the_check(monkeypatch):
+    # One shift dropped from the Laplacian's loop in one torsion block only:
+    # dropped from every block, the step would stay constant on cosets.
+    fault = rewritten(oracles, "for s in shifts:", "for s in shifts[t == next(iter(blocks)):]:")
+    monkeypatch.setattr(oracles, "_group_laplacian", fault(oracles._group_laplacian))
+    P = fixture_zxz8xz2()
+    for u in lifted_steps(P, 3):
+        with pytest.raises(CosetInconstant):
+            oracles._check_coset_constant(u, P)
 
 
 @pytest.mark.parametrize(
