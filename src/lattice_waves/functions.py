@@ -344,20 +344,6 @@ def _grown(u: list[int], v: list[int]) -> list[int]:
 # the smaller in memory.
 SPREAD = 32
 
-# A kernel layout caps each torsion axis at 2m - 1, what one product of two
-# factors folded onto their residues needs, and folds partial products as it
-# goes (``_Packing.room``) where capping saves at least FOLD_SLOTS slots of
-# the lifted box.  Timed on 356 heat and wave kernels whose box capping
-# shrinks, capped against lifted, each decoded by ``_Packing.fold`` (best of
-# 6, Python 3.11.7): Z2, Z6, Z8, Z2 x Z6, Z3 x Z4, Z x Z_m for m = 4, 5, 6,
-# 8, 12, Z^2 x Z3 and two coset quotients, n = 3 to 100.  Saving 1 to 49
-# slots, the capped kernels took 18.9 ms against 14.0 and won none of 90;
-# 50 to 149, 15.6 against 17.8 (33 of 54); 150 to 299, 15.5 against 33.5
-# (31 of 34); from 300 on, capping won all 178, 1.1 to 5600 times faster.
-# Over the kernels saving under 300 slots, thresholds of 50 to 100 came
-# within 1 % of each other.
-FOLD_SLOTS = 50
-
 # Where its slots are native (``_Packing.native``), a product whose box holds
 # more slots than it has pairs of support points still packs while box +
 # NATIVE_FIXED <= NATIVE_SPREAD * pairs: the sparse loop against a linear
@@ -378,12 +364,12 @@ def _packing(G: GroupSpec, support, degree: int, bound: int) -> tuple | None:
     Returns it with the lifted columns of ``support`` (``_lift``), the
     corner they are packed at and the widths of their box: the box around
     ``support`` and the identity, which Horner's rule adds to partial
-    products.  A torsion axis whose lifted width, degree (w - 1) + 1,
-    exceeds 2m - 1 is capped there where that saves at least FOLD_SLOTS
-    slots; products are then folded as they go (``_power``, ``_horner``).
-    None where the capped box holds more than SPREAD slots per element the
-    products can reach, as when generators lie far apart.  The box is
-    sized from the input alone, before anything is allocated.
+    products.  Each torsion axis is capped at 2m - 1 slots, or at its
+    lifted width, degree (w - 1) + 1, where that is smaller; products are
+    folded as they go (``_power``, ``_horner``).  None where the box holds
+    more than SPREAD slots per element the products can reach, as when
+    generators lie far apart.  The box is sized from the input alone,
+    before anything is allocated.
     """
     rank = G.rank
     columns = _lift(G, support)
@@ -392,8 +378,7 @@ def _packing(G: GroupSpec, support, degree: int, bound: int) -> tuple | None:
     capped = lifted[:rank] + [min(w, 2 * m - 1) for w, m in zip(lifted[rank:], G.moduli)]
     if prod(capped) > SPREAD * _reach(G, support, degree, prod(lifted[:rank])):
         return None
-    folds = prod(lifted) - prod(capped) >= FOLD_SLOTS
-    return _Packing(G, capped if folds else lifted, bound), columns, lo, step
+    return _Packing(G, capped, bound), columns, lo, step
 
 
 def _reach(G: GroupSpec, support, degree: int, free_box: int) -> int:
@@ -463,9 +448,10 @@ class _Packing:
     position owns one block of slots, the torsion box.  One fold reduces
     torsion, on the packed ``int`` itself (``fold``): decoding folds every
     block onto its residues where a torsion width exceeds its modulus, and
-    residues that cancel read 0 like empty slots.  A kernel layout whose
-    torsion widths are capped below the lifted ones (``_packing``) also
-    folds partial products as it multiplies.
+    residues that cancel read 0 like empty slots.  No torsion width
+    exceeds 2m - 1: a kernel layout (``_packing``) is capped there and
+    folds partial products as it multiplies, and two factors lifted within
+    m residues each (``_lift``) multiply to a span of at most 2m - 1.
     """
 
     def __init__(self, G: GroupSpec, widths: list[int], bound: int):
@@ -545,15 +531,15 @@ class _Packing:
     def fold(self, p: int, widths: list[int]) -> int:
         """p, in a box ``widths`` wide, with each torsion axis folded onto its residues.
 
-        Along a torsion axis of modulus m and width w, the slots m, m + 1,
-        ... from the corner are added to those m below, which hold the same
-        residues, and w falls by m, until w <= m: one pass for a width of at
-        most 2m - 1.  The corner stays as it was, and each block spans the
-        residues c, ..., c + m - 1 from its corner c.  This is done on the
-        ``int`` itself.  With the bias added every slot is non-negative, so
-        a mask lifts the high slots out whole and a shift by m strides adds
-        them back in; ``bound`` bounds every partial sum of lifted values,
-        so no slot overflows.  Only the slots of p's box are touched.
+        Along a torsion axis of modulus m and width w, at most 2m - 1 as
+        in every layout, the slots m, ..., w - 1 from the corner are added
+        to those m below, which hold the same residues: one pass.  The
+        corner stays as it was, and each block spans the residues c, ...,
+        c + m - 1 from its corner c.  This is done on the ``int`` itself.
+        With the bias added every slot is non-negative, so a mask lifts the
+        high slots out whole and a shift by m strides adds them back in;
+        ``bound`` bounds every partial sum of lifted values, so no slot
+        overflows.  Only the slots of p's box are touched.
         """
         slot, rank = self.slot, self.rank
         torsion = self.widths[rank:]
@@ -561,13 +547,12 @@ class _Packing:
         bias = int.from_bytes(self.zero * slots, "little")
         for w, top, m, stride in zip(widths[rank:], torsion, self.moduli, self.strides[rank:]):
             low, size = m * stride * slot, stride * slot
-            while w > m:
+            if w > m:
                 # The slots [m, w) of every block, padded out to the layout's width.
                 block = bytes(low) + b"\xff" * (w * size - low) + bytes((top - w) * size)
                 mask = int.from_bytes(block * (slots // (top * stride)), "little")
                 high = ((p + bias) & mask) - (bias & mask)
                 p += (high >> 8 * low) - high
-                w -= m
         return p
 
     def unpack(self, p: int, corner: list[int]) -> dict[GroupElement, int]:

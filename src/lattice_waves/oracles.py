@@ -26,9 +26,10 @@ the value form (``Scaled``, ``lowest_terms``, ``add``) and the input rules
 design.
 
 The float quadrature of the Z heat kernel (``quadrature_kernels``) has one
-domain rule, ``quadrature_domain``: Z only, the node count, and the 2^51
-limit past which floats cannot resolve K_n, checked before any node is
-taken; ``verify.quadrature_errors`` reads its tolerance from the same rule.
+domain rule, ``quadrature_domain``: Z only, the node count and its budget,
+and the 2^51 limit past which floats cannot resolve K_n, checked before any
+node is taken; ``verify.quadrature_errors`` reads its tolerance from the same
+rule.
 """
 
 from __future__ import annotations
@@ -266,6 +267,13 @@ def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:
     return quadrature_kernels(S, n, [r])[r]
 
 
+# The most nodes the quadrature takes.  Each node costs one power of the
+# symbol and one exponential per r: S = {+-1, +-10^4} at n = 3 is N = 60,002
+# nodes, 3.0 us a node at one r and 11.8 us at 25 r (best of 3, Python
+# 3.11.7), so a full budget at 25 r is about 1.2 s.
+QUADRATURE_NODES = 10**5
+
+
 def quadrature_domain(S: GeneratorSet, n: int) -> tuple[int, int, int]:
     """(n, reach, scale) where the float quadrature of K_n can resolve its integer values.
 
@@ -275,15 +283,20 @@ def quadrature_domain(S: GeneratorSet, n: int) -> tuple[int, int, int]:
     a few eps times that, so scale = N*(2k-1)^n sets the tolerance scale*eps.
     Where scale reaches 2^51, scale*eps is 1/2: IndexOutOfRange.  k >= 2 and
     3^51 >= 2^51, so the exponent is capped at 51: the verdict is the same, and
-    no power of a large n is taken.
+    no power of a large n is taken.  N past QUADRATURE_NODES is IndexOutOfRange
+    too, as for a wide generator span at small n.
     """
     if S.group != GroupSpec(1, ()):
         raise TorsionUnsupported("quadrature diagnostic is restricted to Z")
     n = natural(n, "time index n")
     reach = n * max(abs(s.free[0]) for s in S.elements)
-    scale = (2 * reach + 2) * (2 * S.degree - 1) ** min(n, 51)
+    nodes = 2 * reach + 2
+    scale = nodes * (2 * S.degree - 1) ** min(n, 51)
     if scale >= 1 << 51:  # scale * eps >= 1/2, eps = 2^-52
         raise IndexOutOfRange(f"n={n}: float quadrature cannot resolve the integer values of K_n")
+    if nodes > QUADRATURE_NODES:
+        raise IndexOutOfRange(f"n={n}: float quadrature of K_n would take {nodes} nodes, "
+                              f"past {QUADRATURE_NODES}")
     return n, reach, scale
 
 

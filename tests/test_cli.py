@@ -449,6 +449,18 @@ class TestCompare:
             assert cli.main(["compare", "--problem", problem]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "INDEX_OUT_OF_RANGE"
 
+    @pytest.mark.parametrize("span, n, code, error", [
+        (10**12, 1, 1, "INDEX_OUT_OF_RANGE"), (10**4, 3, 0, None)])
+    def test_kernel_compare_bounds_the_node_count(self, tmp_path, capsys, span, n, code, error):
+        # S = {+-1, +-span}: floats resolve both, but 2*10^12 + 2 nodes are
+        # refused before the first, and 60,002 are taken.
+        S = [{"free": [v], "torsion": []} for v in (1, -1, span, -span)]
+        problem = write_problem(tmp_path, kernel_problem(S, n))
+        with within(1 if code else 10):
+            assert cli.main(["compare", "--problem", problem]) == code
+        err = capsys.readouterr().err
+        assert (json.loads(err)["error"] if err else None) == error
+
     @pytest.mark.parametrize("r, expected", [(None, 0), (9, 3), (-7, 3), (10, 3), (40, 3)])
     def test_kernel_compare_checks_the_whole_reach(self, tmp_path, monkeypatch, capsys, r, expected):
         # S = {+-1, +-3}: K_3 reaches r = 3n = 9, beyond the [-n, n] window.

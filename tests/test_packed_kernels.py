@@ -112,10 +112,10 @@ CASES = {
     "ZxZ12": (ZxZ12, gens(ZxZ12, ([1], [0]), ([0], [1])), LONG),
     "Z6": (Z6, gens(Z6, ([], [1]), ([], [2]), ([], [3])), LONG),
     "Z2, S = {1}": (Z2, validate_generators(Z2, [make_element(Z2, [], [1])]), LONG),
-    # Lifted, not capped, up to n = 24: the decode folds widths of up to 49 slots.
+    # Capped at 5 slots from n = 2 on; K_24's lifted width would be 49.
     "Z3, S = {1, 2}": (
         Z3, validate_generators(Z3, [make_element(Z3, [], [1]), make_element(Z3, [], [2])]), LONG),
-    # Rank 0 with two torsion factors: the decode folds both lifted widths.
+    # Rank 0 with two torsion factors: both axes capped, and folded as it multiplies.
     "Z2xZ6": (Z2xZ6, gens(Z2xZ6, ([], [1, 0]), ([], [0, 1])), LONG),
     "quotient ZxZ2xZ4": (*quotient_z_z2_z4(), LONG),
 }
@@ -222,16 +222,23 @@ def test_a_planted_fold_fault_fails_the_references(monkeypatch):
     assert tuple(K.data for K in cayley.wave_kernels(S, 14)) != sparse_wave(S, 14)
 
 
-def test_a_planted_one_pass_fold_fails_the_references(monkeypatch):
-    # Z3's K_24 keeps its lifted box of 49 slots (capping would save 44 <
-    # FOLD_SLOTS), which the decode folds in 16 passes.
+def test_a_planted_skipped_fold_fails_the_references(monkeypatch):
+    # Z3's K_24 is capped at 5 slots, not its lifted 49, and folds as it
+    # multiplies.  With the fold skipped, as if 2m - 1 slots held m
+    # residues, K_2 and (F_4, G_4), folded once as they are decoded, read
+    # wrong values, and the products of K_24 and (F_24, G_24) outgrow the
+    # layout, which their decode cannot read.
     G, S, _ = CASES["Z3, S = {1, 2}"]
     heat, wave = packings(G, S, 24)
-    assert heat[0].widths == lifted_widths(G, S, 24) == [49] and wave[0].widths == [25]
-    one_pass = rewritten(functions, "while w > m", "if w > m")
-    monkeypatch.setattr(functions._Packing, "fold", one_pass(functions._Packing.fold))
-    assert cayley.heat_kernel(S, 24).data != sparse_heat(S, 24)
-    assert tuple(K.data for K in cayley.wave_kernels(S, 24)) != sparse_wave(S, 24)
+    assert heat[0].widths == wave[0].widths == [5] != lifted_widths(G, S, 24)
+    skipped = rewritten(functions, "if w > m", "if w > 2 * m")
+    monkeypatch.setattr(functions._Packing, "fold", skipped(functions._Packing.fold))
+    assert cayley.heat_kernel(S, 2).data != sparse_heat(S, 2)
+    assert tuple(K.data for K in cayley.wave_kernels(S, 4)) != sparse_wave(S, 4)
+    with pytest.raises(OverflowError):
+        cayley.heat_kernel(S, 24)
+    with pytest.raises(OverflowError):
+        cayley.wave_kernels(S, 24)
 
 
 # Generators far apart: the packed box would be almost all empty slots
@@ -338,32 +345,52 @@ def test_packed_kernels_match_sparse_for_random_generators(group, seed, n):
 @settings(max_examples=40, deadline=None)
 @given(group=st.sampled_from(GROUPS[2:]), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14))
 def test_kernels_folded_at_every_capped_layout_match_sparse(group, seed, n):
-    # FOLD_SLOTS = 1 folds wherever a torsion axis is capped, at these small n too.
+    # Every group here has torsion, and each torsion axis is capped at
+    # 2m - 1: past the first few products, partial products fold.
     S = randgen.random_symmetric_generators(random.Random(seed), group, max_size=6, span=3)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(functions, "FOLD_SLOTS", 1)
-        K = cayley.heat_kernel(S, n).data
-        Fk, Gk = cayley.wave_kernels(S, n)
-    assert K == sparse_heat(S, n)
+    assert cayley.heat_kernel(S, n).data == sparse_heat(S, n)
+    Fk, Gk = cayley.wave_kernels(S, n)
     assert (Fk.data, Gk.data) == sparse_wave(S, n)
 
 
-LIFTED = [make_group(0, [2]), make_group(0, [3]), make_group(0, [5]), make_group(0, [2, 2]),
-          make_group(1, [3])]
+SMALL_MODULI = [make_group(0, [2]), make_group(0, [3]), make_group(0, [5]),
+                make_group(0, [2, 2]), make_group(1, [3])]
 
 
 @settings(max_examples=40, deadline=None)
-@given(group=st.sampled_from(LIFTED), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
-def test_kernels_folded_by_the_decode_alone_match_sparse(group, seed, n):
-    # FOLD_SLOTS above every box: no axis is capped, and the decode folds
-    # each lifted torsion width, many times its modulus at large n.
+@given(group=st.sampled_from(SMALL_MODULI), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(2, 30))
+def test_kernels_on_small_moduli_up_to_n_30_match_sparse(group, seed, n):
+    # Lifted, a torsion width grows to many times its small modulus at
+    # large n; capped at 2m - 1, such kernels fold at nearly every product.
     S = randgen.random_symmetric_generators(random.Random(seed), group, max_size=6, span=3)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(functions, "FOLD_SLOTS", float("inf"))
-        K = cayley.heat_kernel(S, n).data
-        Fk, Gk = cayley.wave_kernels(S, n)
-    assert K == sparse_heat(S, n)
+    assert cayley.heat_kernel(S, n).data == sparse_heat(S, n)
+    Fk, Gk = cayley.wave_kernels(S, n)
     assert (Fk.data, Gk.data) == sparse_wave(S, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.sampled_from(GROUPS + SMALL_MODULI), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(0, 30))
+def test_no_torsion_width_exceeds_2m_minus_1(group, seed, n):
+    # The one-pass fold relies on it: every kernel layout, and every box
+    # of a kernel x data product, is at most 2m - 1 wide on each torsion axis.
+    rng = random.Random(seed)
+    S = randgen.random_symmetric_generators(rng, group, max_size=6, span=3)
+    f = randgen.random_function(rng, group, max_points=5, span=3)
+    widths = []
+
+    class Recorded(functions._Packing):
+        def __init__(self, G, box, bound):
+            widths.append(box[G.rank:])
+            super().__init__(G, box, bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(functions, "_Packing", Recorded)
+        kernels = [cayley.heat_kernel(S, n), *cayley.wave_kernels(S, n)]
+        for K in kernels:
+            functions.convolve(K.data, f)
+    assert all(w <= 2 * m - 1 for box in widths for w, m in zip(box, group.moduli)), widths
 
 
 def literal_polynomial(f, row):
