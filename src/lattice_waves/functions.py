@@ -11,7 +11,10 @@ finite and exact.
 Kernels are integer polynomials in one function (``convolve_polynomials``),
 and a solution is a kernel convolved with the data (``convolve``).  This
 module alone knows the packed (Kronecker) layout that computes both, and
-the sparse fallbacks used where that layout would be mostly empty.  On
+the sparse fallbacks used where that layout would be mostly empty.  Both
+multiply a packed ``int`` by a factor with few points as one shifted copy
+per point (``_copies``): Horner's rule by its step, kernel x data by the
+operand with fewer points; dense factors take the big-int multiply.  On
 torsion, a kernel's layout keeps each axis near its modulus, and partial
 products are folded onto their residues as they are multiplied.
 ``convolve_polynomials`` has two callers, the Cayley heat kernel and the
@@ -30,7 +33,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import GroupMismatch
-from .groups import GroupElement, GroupSpec, adder, elem_neg, identity, make_element
+from .groups import GroupElement, GroupSpec, adder, identity, make_element
 
 _new_tuple = tuple.__new__
 
@@ -185,13 +188,15 @@ def convolve(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
 
     The numerators are convolved over integers and the product put over
     the product of the denominators, in lowest terms; the product of two
-    integral functions is integral.  Both operands are packed, each at its
-    own lower corner, and multiplied as two ``int``s (``_Packing``) where
-    the product's box has no more slots than the operands have pairs of
-    support points, or, with slots of native C integers, where the linear
-    cost model of both paths favours the box (``_packed_product``);
-    elsewhere, as for far-apart supports, a sparse double loop over the
-    pairs accumulates into a dict.
+    integral functions is integral.  Where the product's box has no more
+    slots than the operands have pairs of support points, or, with slots of
+    native C integers, where the linear cost model of both paths favours
+    the box, the product is one packed ``int`` (``_packed_product``,
+    ``_Packing``): the operand with more points is packed at its own lower
+    corner, and the product is one shifted copy of it per point of the
+    other operand, or, where that operand is dense, a big-int multiply by
+    it packed at its corner (``COPIES``).  Elsewhere, as for far-apart
+    supports, a sparse double loop over the pairs accumulates into a dict.
     """
     require_domain(f.tag, g)
     G = f.group
@@ -214,14 +219,20 @@ def _sparse_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int]:
 
 
 def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] | None:
-    """The convolution of two integer functions as one big-int multiply.
+    """The convolution of two integer functions in one packed ``int``.
 
     None for an empty operand, and where the box would cost more than the
     sparse loop over the pairs: where it holds more slots than there are
     pairs, unless the slots are native (``_Packing.native``) and box +
     NATIVE_FIXED <= NATIVE_SPREAD * pairs.  So every product with box <=
     pairs packs.  max|a| sum|b| and sum|a| max|b| each bound every
-    coefficient.
+    coefficient.  Only the operand with more points is packed, and the
+    product is one shifted copy of it per point of the other (``_copies``):
+    a value of +-1 costs no multiply, and the other operand's empty slots
+    cost nothing.  Where the other operand's k points are dense, k^2 >
+    COPIES * the bytes it spans packed, it is packed too and the two are
+    multiplied.  Both give the same ``int``, decoded at the sum of the two
+    corners.
     """
     if not (a and b):
         return None
@@ -238,8 +249,16 @@ def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] |
     packing = _Packing(G, widths, bound)
     if widened and not packing.native:
         return None
-    p = packing.pack(columns_a, u, lo_a) * packing.pack(columns_b, v, lo_b)
-    return packing.unpack(p, list(map(add_int, lo_a, lo_b)))
+    corner = list(map(add_int, lo_a, lo_b))
+    if len(u) < len(v):
+        columns_a, u, lo_a, columns_b, v, lo_b = columns_b, v, lo_b, columns_a, u, lo_a
+        widths_b = widths_a
+    p = packing.pack(columns_a, u, lo_a)
+    # The slots from b's corner to the far corner of its box, sum (w - 1) * stride + 1.
+    span = sum(map(mul, widths_b, packing.strides)) - sum(packing.strides) + 1
+    if len(v) ** 2 > COPIES * span * packing.slot:
+        return packing.unpack(p * packing.pack(columns_b, v, lo_b), corner)
+    return packing.unpack(_copies(p, packing.terms(columns_b, v, lo_b)), corner)
 
 
 def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[SupportedFunction]:
@@ -272,8 +291,7 @@ def convolve_polynomials(f: SupportedFunction, rows: list[list[int]]) -> list[Su
     packing, columns, lo, step = layout
     values = list(f.numerators.values())
     # f packed at lo, as its values with their bit offsets.
-    index = packing.index(columns, len(values), lo)
-    terms = [(8 * packing.slot * i, v) for i, v in zip(index, values)]
+    terms = packing.terms(columns, values, lo)
     for row in rows:
         degree = len(row) - 1
         if row[-1] and not any(row[:-1]):
@@ -311,9 +329,11 @@ def _horner(packing: _Packing, terms: list[tuple[int, int]], step: list[int], lo
     """sum_i row[i] f^i in ``packing`` by Horner's rule; f is packed at ``lo``, ``step`` wide.
 
     ``terms`` are f's values with their bit offsets, and each product with
-    f is a sum of shifted copies, one per term: a few linear passes, where
-    a big-int multiply would also pay for the empty slots of f's box.
-    delta_e is then added at the new corner (``_Packing.unit_shifts``).
+    f is a sum of shifted copies, one per term (``_copies``, the loop that
+    kernel x data shares): a few linear passes, where a big-int multiply
+    would also pay for the empty slots of f's box, and every generator's
+    value in a kernel step is 1, which needs no multiply.  delta_e is
+    added at the new corner as it goes (``_Packing.unit_shifts``).
     Unless the layout holds the row's lifted box, the partial sum is
     folded before each product that would outgrow the layout
     (``_Packing.room``).
@@ -325,11 +345,25 @@ def _horner(packing: _Packing, terms: list[tuple[int, int]], step: list[int], lo
         if folds:
             p, widths = packing.room(p, widths, step)
             widths = _grown(widths, step)
-        q = c << units[j]
-        for s, v in terms:
-            q += v * (p << s)
-        p = q
+        p = _copies(p, terms, c << units[j])
     return p
+
+
+def _copies(p: int, terms: list[tuple[int, int]], q: int = 0) -> int:
+    """q + p times the sum of v 2^s over ``terms`` (s, v), as one shifted copy of p per term.
+
+    Each copy is a linear pass over p, where a big-int multiply would also
+    pay for the empty slots between the terms; a value of 1 or -1 adds or
+    subtracts its copy with no multiply.
+    """
+    for s, v in terms:
+        if v == 1:
+            q += p << s
+        elif v == -1:
+            q -= p << s
+        else:
+            q += v * (p << s)
+    return q
 
 
 def _grown(u: list[int], v: list[int]) -> list[int]:
@@ -354,8 +388,32 @@ SPREAD = 32
 # product about 32 us plus 0.25 us a slot.  The fixed term keeps small
 # products, whose time the packed product's fixed cost sets, on box <= pairs.
 # Wider slots, written and read one at a time, took 0.4 to 1.2 us a slot and
-# keep box <= pairs.
+# keep box <= pairs.  That model was fitted on the big-int multiply.  On
+# shifted copies (``COPIES``), over the 268 products of the benchmark's
+# Cayley decks whose box holds more slots than pairs (passes 1 to 3 at seed
+# 7919, best of 5), the packed product took about 34 us plus 0.35 us a slot
+# and the sparse loop about 1.2 us a pair, a crossover at box + 97 <= 3.4 *
+# pairs, near the constants', which stand.
 NATIVE_SPREAD, NATIVE_FIXED = 4, 128
+
+# The k points of the smaller operand of a packed product are k shifted
+# copies of the larger operand packed (``_copies``) while k^2 <= COPIES *
+# the bytes the smaller operand spans packed; past that both are packed and
+# multiplied.  Copies cost about k passes over the product; the multiply
+# pays for every slot of the smaller operand's span, empty ones included,
+# but Karatsuba grows more slowly than k once that operand is dense.  Fitted
+# on a sweep of 1,254 products (best of 5, Python 3.11.7): Z, Z^2, Z^3 and
+# Z x Z12, the larger operand a box of 168 to 12,000 points, the smaller 5
+# to 800 points spread over 1 to 40 slots a point, slots of 2, 4 and 8
+# bytes.  All of them took 26.7 s by this rule (26.0 s at the faster path of
+# each), 35.0 s by the multiply alone, 28.1 s by copies alone and 31.0 s
+# with a plain cap of 200 points on k; the plain cap was over 10 % slower
+# than the multiply on 93 products, this rule on 5, all with k <= 180 on Z^2
+# and Z^3, where copies were the faster when such shapes were timed again
+# alone.  Of the 1,089 products the benchmark's Cayley decks pack in passes
+# 1 to 3 at seed 7919, 84 take the multiply; copies took 0.89 to 1.14 times
+# as long on those.
+COPIES = 2
 
 
 def _packing(G: GroupSpec, support, degree: int, bound: int) -> tuple | None:
@@ -392,7 +450,11 @@ def _reach(G: GroupSpec, support, degree: int, free_box: int) -> int:
     box times the torsion.
     """
     others = set(support) - {identity(G)}
-    p = sum(1 for x in others if (y := elem_neg(G, x)) in others and y != x) // 2
+    moduli = G.moduli
+    # Each x with -x as a plain (free, torsion) pair, which hashes and compares as x does.
+    negated = [(x, (tuple([-v for v in x.free]),
+                    tuple([-t % m for t, m in zip(x.torsion, moduli)]))) for x in others]
+    p = sum(1 for x, y in negated if y in others and y != x) // 2
     pq = len(others) - p
     ball = sum(comb(p, j) * comb(degree - j + pq, pq) for j in range(min(p, degree) + 1))
     return min(ball, free_box * prod(G.moduli))
@@ -421,9 +483,11 @@ class _Packing:
     A function whose elements lie in a box is the polynomial sum c_x X^e(x),
     e(x) the mixed-radix index of x in the box, evaluated at X = 2^(8*slot)
     (Schonhage, EUROCAM 1982; Harvey, J. Symbolic Comput. 44, 2009).  The
-    product of two such ints is then their convolution, done by CPython's
-    big-int multiply.  ``bound`` must bound every value of every product
-    that is read, and every value that is packed.
+    product of two such ints is then their convolution: a sum of shifted
+    copies of one, a copy per value of the other at its bit offset
+    (``terms``, ``_copies``), or, where both are dense, CPython's big-int
+    multiply.  ``bound`` must bound every value of every product that is
+    read, and every value that is packed.
 
     Every coordinate is lifted to Z (``_lift``), and each factor is packed
     at a lower corner of its own: index 0 is the corner.  If factors lie in
@@ -481,6 +545,12 @@ class _Packing:
         for column, stride in zip(columns, self.strides):
             index = list(map(add_int, index, map(mul, column, repeat(stride))))
         return index
+
+    def terms(self, columns: list[list[int]], values: list[int],
+              corner: list[int]) -> list[tuple[int, int]]:
+        """``values`` at the lifted ``columns``, packed at ``corner``, with their bit offsets."""
+        bits = 8 * self.slot
+        return [(bits * i, v) for i, v in zip(self.index(columns, len(values), corner), values)]
 
     def pack(self, columns: list[list[int]], values: list[int], corner: list[int]) -> int:
         """One factor as an ``int``: ``values`` at the lifted ``columns``, from ``corner``."""

@@ -611,6 +611,11 @@ PLANTED_FAULTS = [
      {"cayley-heat-oracle": (6, "mismatch at n=2"), "cayley-wave-oracle": (2, "mismatch at n=2"),
       "kernel-identities": (1, "K_1 forms differ"), "coset-heat-lift": (4, "mismatch at n=0"),
       "coset-wave-lift": (0, "mismatch at n=0")}),
+    # The shifted copies of kernel x data and of Horner's rule: a copy whose value is -1 added,
+    # not subtracted.
+    (functions, "_copies", rewritten(functions, "q -= p << s", "q += p << s"),
+     {"cayley-heat-oracle": (12, "mismatch at n=0"), "cayley-wave-oracle": (24, "mismatch at n=0"),
+      "kernel-identities": (7, "K_3 forms differ")}),
     # Lifted torsion decoded without its reduction mod m.
     (functions._Packing, "unpack",
      rewritten(functions, "v % m for v in axis]", "v for v in axis]"),

@@ -299,6 +299,83 @@ def test_every_product_with_no_more_slots_than_pairs_packs(data, G, magnitude):
     assert packed is None or packed == functions_module._sparse_product(G, a, b)
 
 
+@pytest.mark.parametrize("G, side, spread, magnitude", [
+    (Z, 30, 200, 10**6), (make_group(2, []), 8, 14, 10**6), (make_group(1, [12]), 8, 12, 100),
+    (make_group(0, [6]), 1, 0, 1), (make_group(0, [2, 4]), 1, 0, 1),
+], ids=["Z", "Z^2", "ZxZ12", "Z6", "Z2xZ4"])
+def test_products_take_shifted_copies_or_the_multiply(monkeypatch, G, side, spread, magnitude):
+    # A full box of points (a kernel) times up to three points spread over
+    # ``spread`` along each free coordinate (data) is one shifted copy of the
+    # kernel per data point; times a second full box it is the multiply
+    # (``COPIES``).  On rank 0 the full box is the whole group.  Either order
+    # of the operands gives the sparse loop's product.
+    rng = random.Random(side)
+    dims = G.rank + len(G.moduli)
+    cells = side ** dims if G.rank else prod(G.moduli)
+
+    def full():
+        return box_function(G, side if G.rank else max(G.moduli),
+                            [rng.choice((-1, 1)) * rng.randint(1, magnitude) for _ in range(cells)])
+
+    def few():
+        points = [make_element(G, [rng.randrange(spread) for _ in range(G.rank)],
+                               [rng.randrange(m) for m in G.moduli]) for _ in range(3)]
+        return SupportedFunction(G, {x: rng.choice((-1, 1, 7)) for x in points})
+
+    calls, copies = [], functions_module._copies
+    monkeypatch.setattr(functions_module, "_copies",
+                        lambda p, terms, q=0: calls.append(len(terms)) or copies(p, terms, q))
+    for f, g, copied in ((full(), few(), True), (full(), full(), False)):
+        for a, b in ((f, g), (g, f)):
+            packed, sparse = packed_and_sparse(a, b)
+            assert packed == sparse
+        assert calls == ([len(g.numerators)] * 2 if copied else []), (copied, calls)
+        calls.clear()
+
+
+def near_the_slot(values, other, bits):
+    """``values`` scaled so that the coefficient bound of their product with ``other`` is just
+    under 2^bits, the most that slots of (bits + 1) / 8 bytes hold."""
+    top_u, top_v = max(map(abs, values)), max(map(abs, other))
+    bound = min(top_u * sum(map(abs, other)), sum(map(abs, values)) * top_v)
+    return [v * max(1, (2**bits - 1) // bound) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rank=st.integers(0, 2),
+       moduli=st.lists(st.integers(2, 7), max_size=2), bits=st.sampled_from([0, 7, 15, 31, 63]))
+def test_packed_product_equals_the_sparse_loop_in_either_order(data, rank, moduli, bits):
+    # Random groups, rank 0 included.  Each operand fills a box of up to 40
+    # elements (49 on rank 0, the whole group), its free coordinates 1, 3 or
+    # 10 apart, with some values left out, so that products land on both
+    # sides of the copies/multiply rule.  Values mix +-1, which the copies
+    # add with no multiply, small values and, for bits > 0, values scaled
+    # to put the coefficient bound just under the slot's.  Wherever the
+    # product packs, in either order, it equals the sparse loop's.
+    G = make_group(rank, moduli or ([] if rank else [5]))
+    torsion = prod(G.moduli)
+
+    def operand(values):
+        most = max(1, int((40 // torsion) ** (1 / rank))) if rank else 1
+        side = data.draw(st.integers(1, most))
+        gap = data.draw(st.sampled_from([1, 1, 3, 10]))
+        axes = [range(0, side * gap, gap)] * rank + [range(m) for m in G.moduli]
+        elems = [make_element(G, c[:rank], c[rank:]) for c in product(*axes)]
+        drawn = data.draw(st.lists(st.one_of(st.just(0), values), min_size=len(elems),
+                                   max_size=len(elems)))
+        return {x: v for x, v in zip(elems, drawn) if v} or {elems[0]: 1}
+
+    units = st.sampled_from([1, -1])
+    a = operand(st.one_of(units, st.integers(-9, 9).filter(bool)))
+    b = operand(st.one_of(units, st.integers(-(2**20), 2**20).filter(bool)))
+    if bits:
+        a = dict(zip(a, near_the_slot(list(a.values()), list(b.values()), bits)))
+    sparse = functions_module._sparse_product(G, a, b)
+    for x, y in ((a, b), (b, a)):
+        packed = functions_module._packed_product(G, x, y)
+        assert packed is None or packed == sparse
+
+
 def test_lowest_terms_returns_a_reduced_dict_itself():
     x, y = make_element(Z, [0], []), make_element(Z, [1], [])
     lowest_terms = functions_module.lowest_terms

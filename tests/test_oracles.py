@@ -44,7 +44,7 @@ def test_oracles_share_no_engine_code():
                         "_integer_form", "integer_form",
                         "_Packing", "_packing", "_reach", "SPREAD",
                         "_lift", "_strides", "pack", "unpack", "fold", "room", "unit_shifts",
-                        "_power", "_horner",
+                        "_power", "_horner", "_copies", "COPIES",
                         "_box", "_origin", "_packed_product", "_sparse_product",
                         "rerooted", "_Hull", "_radius_sums", "sphere_sums", "path_reduce",
                         "spherical_mean", "radial_mass", "hull_position"}

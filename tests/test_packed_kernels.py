@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_waves import cayley, cosets, functions, randgen
 from lattice_waves.functions import SupportedFunction, convolve_polynomials
-from lattice_waves.groups import GeneratorSet, identity, make_element, make_group, validate_generators
+from lattice_waves.groups import (GeneratorSet, elem_neg, identity, make_element, make_group,
+                                  validate_generators)
 
 from helpers import convolve_power, rewritten
 
@@ -291,6 +292,41 @@ def test_reach_bounds_the_support():
         step = cayley._symbol(S, 1 - S.degree, 1)
         for n in ns[:12]:
             assert len(cayley.heat_kernel(S, n).data.entries) <= reach(G, step, n)
+
+
+def negation_reach(G, support, degree):
+    """The ball term of ``_reach``, its +- pairs counted on negations built by ``elem_neg``."""
+    others = set(support) - {identity(G)}
+    p = sum(1 for x in others if (y := elem_neg(G, x)) in others and y != x) // 2
+    q = len(others) - p
+    return sum(comb(p, j) * comb(degree - j + q, q) for j in range(min(p, degree) + 1))
+
+
+def test_reach_counts_the_pairs_that_negations_find():
+    # _reach negates plain coordinate tuples.  On the heat and wave steps of
+    # every group here (self-inverse generators on Z2, Z6 and Z2 x Z6
+    # included), and on random supports, it counts the pairs elem_neg finds.
+    rng = random.Random(43)
+    for G, S, ns in list(CASES.values()) + list(WIDE.values()):
+        k = S.degree
+        supports = [cayley._symbol(S, 1 - k, 1).numerators, cayley._symbol(S, -k, 1).numerators,
+                    randgen.random_function(rng, G, max_points=9, span=3).numerators]
+        for support in supports:
+            for n in ns[:12]:
+                assert functions._reach(G, support, n, 10**100) == negation_reach(G, support, n)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_horner_with_no_unit_value_matches_the_literal_sum(name):
+    # A kernel step's generators all have the value 1, which the shifted
+    # copies add with no multiply.  Here every generator has the value 2,
+    # so every copy but that of a centre of -1 (k = 1) takes the multiply;
+    # the wave rows and a mixed row agree with the literal sum all the same.
+    G, S, _ = CASES[name]
+    step = cayley._symbol(S, -S.degree, 2)
+    assert 1 not in step.numerators.values()
+    rows = [*cayley.wave_rows(7), [3, 0, -1, 2, 1]]
+    assert convolve_polynomials(step, rows) == [literal_polynomial(step, row) for row in rows]
 
 
 def test_zero_sums_from_torsion_folding_are_dropped():

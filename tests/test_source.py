@@ -67,7 +67,8 @@ def test_only_functions_knows_the_packed_layout():
     # The Kronecker layout and its decode live in functions.py; every other
     # module goes through convolve_polynomials or convolve (the tree tables
     # use neither: they run integer recurrences).
-    layout = {"_Packing", "_packing", "unit_shifts", "unpack", "fold", "room", "_power", "_horner"}
+    layout = {"_Packing", "_packing", "unit_shifts", "unpack", "fold", "room", "_power", "_horner",
+              "_copies", "COPIES"}
     named = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "functions.py":
