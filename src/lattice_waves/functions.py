@@ -236,6 +236,8 @@ def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] |
     """
     if not (a and b):
         return None
+    if len(a) < len(b):
+        a, b = b, a
     columns_a, columns_b = _lift(G, a), _lift(G, b)
     (lo_a, widths_a), (lo_b, widths_b) = _box(columns_a), _box(columns_b)
     widths = _grown(widths_a, widths_b)
@@ -250,9 +252,6 @@ def _packed_product(G: GroupSpec, a: dict, b: dict) -> dict[GroupElement, int] |
     if widened and not packing.native:
         return None
     corner = list(map(add_int, lo_a, lo_b))
-    if len(u) < len(v):
-        columns_a, u, lo_a, columns_b, v, lo_b = columns_b, v, lo_b, columns_a, u, lo_a
-        widths_b = widths_a
     p = packing.pack(columns_a, u, lo_a)
     # The slots from b's corner to the far corner of its box, sum (w - 1) * stride + 1.
     span = sum(map(mul, widths_b, packing.strides)) - sum(packing.strides) + 1

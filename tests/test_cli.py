@@ -532,12 +532,20 @@ class TestCompare:
         assert summary == "0/2 checks passed"
 
 
-def _plus_delta_from_n_2(n_at):
-    """A solver fault: the solution plus delta_e once the time index at ``n_at`` is 2."""
+def _plus_delta(u):
+    return add(u, delta(u.group))
+
+
+def _overflow(*args):
+    raise OverflowError("planted")
+
+
+def _from_n_2(n_at, change=_plus_delta):
+    """A solver fault: ``change`` of the solution once the time index at ``n_at`` is 2."""
     def fault(real):
         def solve(*args):
             u = real(*args)
-            return add(u, delta(u.group)) if args[n_at] >= 2 else u
+            return change(u) if args[n_at] >= 2 else u
         return solve
     return fault
 
@@ -575,9 +583,9 @@ def _wave_f_top_plus_1_from_n_2(real):
 # One planted engine fault per row, and every check it makes fail at
 # ``verify --max-n 3``, with the failing check's case count and detail.
 PLANTED_FAULTS = [
-    (cayley, "wave_solve", _plus_delta_from_n_2(3),
+    (cayley, "wave_solve", _from_n_2(3),
      {"cayley-wave-oracle": (2, "mismatch at n=2")}),
-    (cosets, "coset_heat_solve", _plus_delta_from_n_2(2),
+    (cosets, "coset_heat_solve", _from_n_2(2),
      {"coset-heat-lift": (2, "mismatch at n=2")}),
     (cayley, "heat_kernel_binomial", _kernel_plus_delta_from_n_2,
      {"kernel-identities": (2, "K_2 forms differ")}),
@@ -606,11 +614,20 @@ PLANTED_FAULTS = [
      {"cayley-heat-oracle": (2, "mismatch at n=2"), "cayley-wave-oracle": (3, "mismatch at n=3"),
       "kernel-identities": (7, "mass wrong at n=3"), "coset-heat-lift": (11, "mismatch at n=3"),
       "quadrature": (42, "n=6 r=0")}),
-    # A product decoded at the corner of its first factor, not at the sum of both corners.
+    # A product decoded at the corner of the operand with more points, not at the sum of both
+    # corners.
     (functions, "_packed_product", rewritten(functions, "list(map(add_int, lo_a, lo_b))", "lo_a"),
      {"cayley-heat-oracle": (6, "mismatch at n=2"), "cayley-wave-oracle": (2, "mismatch at n=2"),
-      "kernel-identities": (1, "K_1 forms differ"), "coset-heat-lift": (4, "mismatch at n=0"),
+      "kernel-identities": (2, "K_2 forms differ"), "coset-heat-lift": (4, "mismatch at n=0"),
       "coset-wave-lift": (0, "mismatch at n=0")}),
+    # Every shifted copy of kernel x data one slot too far: the product outgrows its box.
+    (functions, "_packed_product",
+     rewritten(functions, "_copies(p, ", "_copies(p << 8 * packing.slot, "),
+     {"cayley-heat-oracle": (1, "OverflowError: int too big to convert"),
+      "cayley-wave-oracle": (3, "OverflowError: int too big to convert"),
+      "kernel-identities": (1, "OverflowError: can't convert negative int to unsigned"),
+      "coset-heat-lift": (4, "OverflowError: int too big to convert"),
+      "coset-wave-lift": (0, "OverflowError: can't convert negative int to unsigned")}),
     # The shifted copies of kernel x data and of Horner's rule: a copy whose value is -1 added,
     # not subtracted.
     (functions, "_copies", rewritten(functions, "q -= p << s", "q += p << s"),
@@ -623,7 +640,8 @@ PLANTED_FAULTS = [
       "coset-heat-lift": (17, "mismatch at n=1")}),
     # The radial mass weighted by (k-1)^(rmax-r+1): the literal velocity shows it.
     (tree, "radial_mass", rewritten(tree, "q ** (rmax - r)", "q ** (rmax - r + 1)"),
-     {"tree-wave-triple": (4, "not solvable n=0")}),
+     {"tree-wave-triple": (4, "NotSolvable: tree wave equation unsolvable at vertex (): "
+                             "radialized velocity has total mass 1/36")}),
     # Below the hull the data read one radius further out than it is.
     (tree, "_radius_sums", rewritten(tree, "r + shift for", "r + shift + 1 for"),
      {"tree-heat-triple": (1, "stepping mismatch n=1")}),
@@ -633,7 +651,8 @@ PLANTED_FAULTS = [
     # Rerooting to a child without subtracting H_b(r-2).
     (tree._Hull, "__init__", rewritten(tree, "sums.get(r + 2, 0) - v", "sums.get(r + 2, 0)"),
      {"tree-heat-triple": (2, "stepping mismatch n=2"),
-      "tree-wave-triple": (20, "not solvable n=0")}),
+      "tree-wave-triple": (20, "NotSolvable: tree wave equation unsolvable at vertex (1,): "
+                               "radialized velocity has total mass 1/16")}),
     # The radial centre reads p(-1) = 0 past the profile's end, not the even value p(1).
     (oracles, "_radial_heat", rewritten(oracles, "p[abs(r - 1)]", "p[r - 1]"),
      {"tree-heat-triple": (1, "radial mismatch n=1"),
@@ -642,6 +661,13 @@ PLANTED_FAULTS = [
     (oracles, "radial_step_wave", rewritten(oracles, "2 * (b - a)", "(b - a)"),
      {"tree-wave-triple": (2, "radial mismatch n=2")}),
 ]
+
+
+def _fault_ids(rows):
+    """A test id per row, its function's name; a second row of one function ends in -2."""
+    names = [name if inspect.ismodule(holder) else f"{holder.__name__}.{name}"
+             for holder, name, *_ in rows]
+    return [f"{x}-{names[:i].count(x) + 1}" if x in names[:i] else x for i, x in enumerate(names)]
 
 
 class TestVerify:
@@ -694,23 +720,44 @@ class TestVerify:
         ]
         assert summary == "10/10 checks passed"
 
-    @pytest.mark.parametrize("module, name, n_at, check", [
-        (cayley, "heat_solve", 2, "cayley-heat-oracle"),
-        (cosets, "coset_wave_solve", 3, "coset-wave-lift"),
-    ], ids=["cayley-heat", "coset-wave"])
+    @pytest.mark.parametrize("module, name, n_at, check, change, detail", [
+        (cayley, "heat_solve", 2, "cayley-heat-oracle", _plus_delta, "mismatch at n=2"),
+        (cosets, "coset_wave_solve", 3, "coset-wave-lift", _plus_delta, "mismatch at n=2"),
+        # A case that raises fails its own check after the cases before it; the suite runs on.
+        (cayley, "wave_solve", 3, "cayley-wave-oracle", _overflow, "OverflowError: planted"),
+    ], ids=["cayley-heat", "coset-wave", "cayley-wave-raises"])
     def test_planted_solver_fault_fails_its_check(self, monkeypatch, capsys, module, name, n_at,
-                                                  check):
-        solve = getattr(module, name)
-
-        def plus_delta_from_n_2(*args):
-            u = solve(*args)
-            return add(u, delta(u.group)) if args[n_at] >= 2 else u
-
-        monkeypatch.setattr(module, name, plus_delta_from_n_2)
+                                                  check, change, detail):
+        monkeypatch.setattr(module, name, _from_n_2(n_at, change)(getattr(module, name)))
         assert cli.main(["verify", "--max-n", "3"]) == 3
-        [failed] = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+        out, err = capsys.readouterr()
+        *checks, summary = out.splitlines()
+        [failed] = [ln for ln in checks if "FAIL" in ln]
         assert failed.startswith(f"{check:<20}  FAIL  cases=2  seconds=")
-        assert failed.endswith("  mismatch at n=2")
+        assert failed.endswith(f"  {detail}")
+        assert (len(checks), summary, err) == (10, "9/10 checks passed", "")
+
+    def test_an_engine_that_raises_fails_each_check_it_reaches(self, monkeypatch, capsys):
+        # Every packed product and Horner step raises; the tree and table checks never pack.
+        monkeypatch.setattr(functions, "_copies", _overflow)
+        assert cli.main(["verify", "--max-n", "3"]) == 3
+        out, err = capsys.readouterr()
+        *checks, summary = out.splitlines()
+        assert [tuple(line.split()[:3]) for line in checks if "FAIL" in line] == [
+            ("cayley-heat-oracle", "FAIL", "cases=1"), ("cayley-wave-oracle", "FAIL", "cases=2"),
+            ("kernel-identities", "FAIL", "cases=1"), ("coset-heat-lift", "FAIL", "cases=4"),
+            ("coset-wave-lift", "FAIL", "cases=0"),
+        ]
+        assert all(line.endswith("  OverflowError: planted") for line in checks if "FAIL" in line)
+        assert (len(checks), summary, err) == (10, "5/10 checks passed", "")
+
+    def test_an_interrupt_is_not_a_failed_check(self):
+        def interrupted():
+            yield None
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            verify._run("interrupted", interrupted())
 
     @pytest.mark.parametrize("module, name, check, cases, detail", [
         (tree, "tree_heat_solve", "tree-heat-triple", 2, "stepping mismatch n=2"),
@@ -738,8 +785,7 @@ class TestVerify:
         assert failed.endswith(f"  {detail}")
 
     @pytest.mark.parametrize("module, name, fault, failures", PLANTED_FAULTS,
-                             ids=[name if inspect.ismodule(holder) else f"{holder.__name__}.{name}"
-                                  for holder, name, *_ in PLANTED_FAULTS])
+                             ids=_fault_ids(PLANTED_FAULTS))
     def test_planted_fault_fails_its_checks(self, monkeypatch, module, name, fault, failures):
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
         results = verify.run_suite("all", max_n=3)
