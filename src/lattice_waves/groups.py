@@ -8,7 +8,9 @@ immutable values.
 ``integer`` is the one rule for every integer read from outside, such as
 a coordinate, a tree-word letter, a rank, a modulus or a tree degree: an
 ``int`` that is not a ``bool``, or a decimal string; ``natural`` holds a
-time index or a radius to 0..sys.maxsize too.  The constructors, solvers
+time index or a radius to 0..sys.maxsize too, and ``integer_column``
+reads a column of values by the same rule at once, or leaves it to
+``integer``.  The constructors, solvers
 and wire format read through them, so they accept and reject alike.
 ``array`` is the rule for an array, ``selector`` for a string that picks
 one of a fixed set: a problem kind, a kernel role, a table, a suite.
@@ -81,6 +83,31 @@ def integer(value, what: str) -> int:
         except ValueError:
             pass
     raise ShapeMismatch(f"{what} must be an integer or a decimal string, got {value!r}")
+
+
+_DECIMAL_CHARACTERS = str.maketrans("", "", "+-0123456789")
+
+
+def integer_column(values: Sequence) -> list[int] | None:
+    """The ints ``integer`` reads from each of ``values``, or None where one needs ``integer``.
+
+    Taken whole where every value is an int or an ASCII string of the form
+    [+-]?[0-9]+: one type scan, one scan of the strings' characters, then
+    ``int`` on each, whose ValueError (a sign doubled or misplaced, no
+    digit) refuses the column too.  None is never an error: ``integer``,
+    value by value, then accepts or refuses as it always does.
+    """
+    types = set(map(type, values))
+    if not {int, str}.issuperset(types):
+        return None
+    try:
+        if str in types:
+            strings = values if types == {str} else map(str, values)  # str(int) is [+-]?[0-9]+
+            if "".join(strings).translate(_DECIMAL_CHARACTERS):
+                return None
+        return list(map(int, values))
+    except ValueError:  # also an int past the interpreter's str <-> int digit limit
+        return None
 
 
 def natural(value, what: str) -> int:

@@ -29,7 +29,8 @@ The float quadrature of the Z heat kernel (``quadrature_kernels``) has one
 domain rule, ``quadrature_domain``: Z only, the node count and its budget,
 and the 2^51 limit past which floats cannot resolve K_n, checked before any
 node is taken; ``verify.quadrature_errors`` reads its tolerance from the same
-rule.
+rule.  ``quadrature_kernels`` adds the work budget, nodes times exponentials a
+node, once it knows its positions r.
 """
 
 from __future__ import annotations
@@ -267,11 +268,13 @@ def quadrature_kernel(S: GeneratorSet, n: int, r: int) -> float:
     return quadrature_kernels(S, n, [r])[r]
 
 
-# The most nodes the quadrature takes.  Each node costs one power of the
-# symbol and one exponential per r: S = {+-1, +-10^4} at n = 3 is N = 60,002
-# nodes, 3.0 us a node at one r and 11.8 us at 25 r (best of 3, Python
-# 3.11.7), so a full budget at 25 r is about 1.2 s.
+# The most nodes the quadrature takes, and the most exponentials: each node
+# takes k for the symbol and one per r.  S = {+-1, +-10^4} at n = 3 is
+# N = 60,002 nodes at 25 r, 1.74 M exponentials in 0.48 s; S = {+-1, ..., +-500}
+# at n = 1 is 1,002 nodes at 1,001 r, 2.0 M in 0.42 s (210-280 ns each, best of
+# 3, Python 3.11.7).  So a full work budget is about a second.
 QUADRATURE_NODES = 10**5
+QUADRATURE_WORK = 4 * 10**6
 
 
 def quadrature_domain(S: GeneratorSet, n: int) -> tuple[int, int, int]:
@@ -307,11 +310,15 @@ def quadrature_kernels(S: GeneratorSet, n: int, rs: Sequence[int]) -> dict[int, 
     (2n+2 for unit generators): the integrand is a trigonometric polynomial of
     degree at most reach + |r| < N, for which the uniform trapezoid rule is exact
     up to floating-point rounding.  The symbol power is taken once per node, and
-    each r summed in node order.
+    each r summed in node order.  Work past QUADRATURE_WORK exponentials, N
+    times k plus the number of r, is IndexOutOfRange before the first node.
     """
     n, reach, _ = quadrature_domain(S, n)
     k, N = S.degree, 2 * reach + 2
     totals = {integer(r, "position r"): 0.0 + 0.0j for r in rs}
+    if (work := N * (k + len(totals))) > QUADRATURE_WORK:
+        raise IndexOutOfRange(f"n={n}: float quadrature of K_n would take {work} exponentials, "
+                              f"past {QUADRATURE_WORK}")
     for m in range(N):
         t = 2 * pi * m / N
         power = (1 - (k - sum(cmath.exp(-1j * t * s.free[0]) for s in S.elements))) ** n

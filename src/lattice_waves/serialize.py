@@ -14,23 +14,34 @@ which reads integers by the one rule of ``groups.integer`` (a JSON
 integer, not a boolean, or a decimal string): the wire and the library
 accept and reject the same values.
 
+Data rows on a group are read a column at a time (``_columns``): one type
+scan per column, then the elements, numerators and denominators each
+built by one comprehension or ``map``.  Rows that a scan refuses go to the
+row reader (``_row_triples``), which raises the error of the first bad
+row; the two readers accept the same rows, with the same values.  Tree
+rows take the row reader.
+
 This is the one module that writes CSV.  Every line ends in ``\\n``: a
 comment line with the run parameters, a column header, then the rows.
 A function's row is its key's integers joined by ';' (a tree word, or an
-element's free then torsion coordinates), then the value's num and den,
-one ``%`` of a template built once per key length and call.
+element's free then torsion coordinates), then the value's num and den.
+A group function's rows are flat tuples, sorted and written by one ``%``
+of one template repeated; a tree function's by one ``%`` per row, of a
+template built once per word length.
 """
 
 from __future__ import annotations
 
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 from math import gcd
-from operator import add, floordiv, mod
+from operator import add, floordiv, itemgetter, mod
 from typing import Any, Callable, Iterable
 
 from .errors import ShapeMismatch, ZeroDenominator
 from .functions import Scaled, SupportedFunction, over_lcm
-from .groups import GroupElement, GroupSpec, Quotient, array, integer, make_element, make_group
+from .groups import (
+    GroupElement, GroupSpec, Quotient, array, integer, integer_column, make_element, make_group,
+)
 from .tree import TreeFunction, WeightTable, _degree, make_vertex
 
 
@@ -84,11 +95,69 @@ def _row_triples(rows: list[dict] | None, key: Callable, what: str) -> Iterable[
     return ((key(required(r, "elem")), required(r, "num"), required(r, "den")) for r in rows)
 
 
+_new_tuple = tuple.__new__
+_FIELDS = itemgetter("elem", "num", "den")
+_COORDINATES = itemgetter("free", "torsion")
+
+
+def _elements(G: GroupSpec, elems: tuple) -> list[GroupElement] | None:
+    """An ``elem`` column as elements of G, or None where one needs ``make_element``.
+
+    Taken whole where every ``elem`` is an object whose ``free`` and
+    ``torsion`` are lists of ints of the group's lengths; the torsion is
+    reduced, as ``make_element`` reduces it.
+    """
+    if not {dict}.issuperset(map(type, elems)):
+        return None
+    try:
+        frees, torsions = zip(*map(_COORDINATES, elems))
+    except KeyError:
+        return None
+    coordinates = frees + torsions
+    if not ({list}.issuperset(map(type, coordinates)) and {G.rank}.issuperset(map(len, frees))
+            and {len(G.moduli)}.issuperset(map(len, torsions))
+            and {int}.issuperset(map(type, chain.from_iterable(coordinates)))):
+        return None
+    moduli = G.moduli
+    if not moduli:
+        return [_new_tuple(GroupElement, (tuple(x), ())) for x in frees]
+    return [_new_tuple(GroupElement, (tuple(x), tuple(map(mod, t, moduli))))
+            for x, t in zip(frees, torsions)]
+
+
+def _columns(G: GroupSpec, rows: list[dict] | None, what: str) -> tuple[list, ...] | None:
+    """(elements, nums, dens) of JSON data rows on G read by columns, or None for the row reader.
+
+    ``rows`` is as for ``_row_triples``.  Every row must be an object with
+    ``elem``, ``num`` and ``den``, the ``elem`` column pass ``_elements``,
+    the ``num`` and ``den`` columns ``groups.integer_column``, and no ``den``
+    be 0.  None sends the rows to the row reader, which raises the error of
+    the first bad row: every check here only refuses, so the two readers
+    accept the same rows, with the same values.
+    """
+    rows = () if rows is None else array(rows, what)
+    if not rows:
+        return [], [], []
+    if not {dict}.issuperset(map(type, rows)):
+        return None
+    try:
+        elems, nums, dens = zip(*map(_FIELDS, rows))
+    except KeyError:
+        return None
+    elems, nums, dens = _elements(G, elems), integer_column(nums), integer_column(dens)
+    if elems is None or nums is None or dens is None or 0 in dens:
+        return None
+    return elems, nums, dens
+
+
 def function_from_rows(
     G: GroupSpec, rows: list[dict] | None, what: str = "data rows"
 ) -> SupportedFunction:
-    triples = _row_triples(rows, lambda elem: element_from_json(G, elem), what)
-    return SupportedFunction.trusted(G, *_summed_rows(triples))
+    columns = _columns(G, rows, what)
+    if columns is None:
+        triples = _row_triples(rows, lambda elem: element_from_json(G, elem), what)
+        return SupportedFunction.trusted(G, *_summed_rows(triples))
+    return SupportedFunction.trusted(G, *over_lcm(zip(*columns)))
 
 
 def tree_function_from_rows(
@@ -103,9 +172,15 @@ def quotient_function_from_rows(
     quot: Quotient, rows: list[dict] | None, what: str = "data rows"
 ) -> SupportedFunction:
     """A function on the quotient from rows at base-group representatives, one per coset."""
-    project = lambda e: quot.project(element_from_json(quot.base, e))
-    triples = list(_row_triples(rows, project, what))
-    values = _summed_rows(triples)
+    columns = _columns(quot.base, rows, what)
+    if columns is None:
+        project = lambda e: quot.project(element_from_json(quot.base, e))
+        triples = list(_row_triples(rows, project, what))
+        values = _summed_rows(triples)
+    else:
+        elems, nums, dens = columns
+        triples = list(zip(map(quot.project, elems), nums, dens))
+        values = over_lcm(triples)
     if len({q for q, _, _ in triples}) != len(triples):
         raise ShapeMismatch("two representatives of the same coset given")
     return SupportedFunction.trusted(quot.group, *values)
@@ -116,37 +191,43 @@ def _comment(header: dict[str, Any]) -> str:
     return "# " + " ".join(f"{key}={val}" for key, val in header.items()) + "\n"
 
 
-def _to_csv(f: Scaled, keys: list, flat_keys: Iterable[tuple], header: dict[str, Any]) -> str:
-    """CSV with a leading comment line recording the run parameters, rows in key order.
-
-    ``keys`` are ``f``'s keys sorted, and ``flat_keys`` each key as a tuple
-    of integers in the same order.  A row is its key's integers joined by
-    ';', then the value's num and den: one ``%`` of a template built once
-    per key length.  Each value is written in lowest terms, num // g and
-    den // g with g the gcd of the two.  Labels hold only integers and ';',
-    so no field needs quoting.  Every line ends in "\\n".
-    """
-    nums = list(map(f.numerators.__getitem__, keys))
+def _lowest_terms(f: Scaled, nums: list[int]) -> Iterable[tuple[int, int]]:
+    """(num // g, den // g) of each of ``nums`` over f's denominator, g the gcd of the two."""
     d = f.denominator
     if d == 1:
-        values = zip(nums, repeat(1))
-    else:
-        g = list(map(gcd, nums, repeat(d)))
-        values = zip(map(floordiv, nums, g), map(floordiv, repeat(d), g))
-    rows = list(map(add, flat_keys, values))
-    templates = {n: ";".join(["%d"] * (n - 2)) + ",%d,%d\n" for n in set(map(len, rows))}
-    body = "".join(map(mod, map(templates.__getitem__, map(len, rows)), rows))
-    return _comment(header) + "vertex,num,den\n" + body
+        return zip(nums, repeat(1))
+    g = list(map(gcd, nums, repeat(d)))
+    return zip(map(floordiv, nums, g), map(floordiv, repeat(d), g))
 
 
 def function_to_csv(f: SupportedFunction, header: dict[str, Any]) -> str:
-    keys = sorted(f.numerators)
-    return _to_csv(f, keys, starmap(add, keys), header)
+    """CSV of a function on a group, rows in element order.
+
+    A row is the element's coordinates, free part first, then the value's
+    num and den in lowest terms: one flat tuple per element, built in the
+    dict's order and then sorted.  The keys are distinct and of one length,
+    so this is the order of ``sorted(f.numerators)``.  The body is one
+    ``%`` of the row template repeated once per row.
+    """
+    values = _lowest_terms(f, list(f.numerators.values()))
+    rows = sorted(map(add, starmap(add, f.numerators), values))
+    template = ";".join(["%d"] * (f.group.rank + len(f.group.moduli))) + ",%d,%d\n"
+    body = (template * len(rows)) % tuple(chain.from_iterable(rows))
+    return _comment(header) + "vertex,num,den\n" + body
 
 
 def tree_function_to_csv(f: TreeFunction, header: dict[str, Any]) -> str:
+    """CSV of a tree function, rows in word order.
+
+    A row is the word's letters, then the value's num and den in lowest
+    terms: one ``%`` of a template built once per word length.
+    """
     keys = sorted(f.numerators)
-    return _to_csv(f, keys, keys, header)
+    nums = list(map(f.numerators.__getitem__, keys))
+    rows = list(map(add, keys, _lowest_terms(f, nums)))
+    templates = {n: ";".join(["%d"] * (n - 2)) + ",%d,%d\n" for n in set(map(len, rows))}
+    body = "".join(map(mod, map(templates.__getitem__, map(len, rows)), rows))
+    return _comment(header) + "vertex,num,den\n" + body
 
 
 def weights_to_csv(tables: Iterable[tuple[str, WeightTable]], header: dict[str, Any]) -> str:

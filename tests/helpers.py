@@ -1,11 +1,14 @@
 """Readers and references that only the tests use.
 
 The CSV readers parse what ``serialize`` writes, through the wire's own
-row reader; ``eval_vertices_by_word`` is the reference for the window
-check, ``alpha_two_sums`` for ``tree.alpha_coeff``, ``convolve_power``
-and ``symbol_eval`` for the kernel tests, ``reflect``, ``l1_norm`` and
-``l2_norm_squared`` for the solution tests, and
-``stepped_weights`` and ``convolved_weights`` for the tree weight tables,
+row reader.  The ``*_by_row`` readers are the references for the wire's
+column reader of group data, each JSON data row read and checked on its
+own, in row order; ``function_to_csv_by_key`` is the one for the group
+CSV writer, a row per sorted key.  ``eval_vertices_by_word`` is the
+reference for the window check, ``alpha_two_sums`` for
+``tree.alpha_coeff``, ``convolve_power`` and ``symbol_eval`` for the
+kernel tests, ``reflect``, ``l1_norm`` and ``l2_norm_squared`` for the
+solution tests, and ``stepped_weights`` and ``convolved_weights`` for the tree weight tables,
 the latter from the Laurent polynomials of ``line_propagators`` (its wave
 pair by exact doubling, ``_wave_pair``) or, one time step further,
 ``stepped_line_propagators``.  ``within`` fails a block that runs too
@@ -26,10 +29,13 @@ from typing import Callable, Iterable, Sequence
 
 from lattice_waves import serialize
 from lattice_waves.cayley import wave_rows
-from lattice_waves.errors import ShapeMismatch, TorsionUnsupported
-from lattice_waves.functions import SupportedFunction, add, convolve, convolve_polynomials, scale
+from lattice_waves.errors import ShapeMismatch, TorsionUnsupported, ZeroDenominator
+from lattice_waves.functions import (
+    SupportedFunction, add, convolve, convolve_polynomials, over_lcm, scale,
+)
 from lattice_waves.groups import (
-    GeneratorSet, GroupElement, GroupSpec, array, elem_neg, make_element, make_group,
+    GeneratorSet, GroupElement, GroupSpec, Quotient, array, elem_neg, integer, make_element,
+    make_group,
 )
 from lattice_waves.tree import TreeFunction, TreeVertex, make_vertex, sphere_size
 
@@ -92,6 +98,56 @@ def function_from_csv(text: str, G: GroupSpec) -> SupportedFunction:
 def tree_function_from_csv(text: str, k: int) -> TreeFunction:
     rows = _csv_rows(text, lambda label: vertex_from_label(k, label))
     return TreeFunction.trusted(k, *serialize._summed_rows(rows))
+
+
+def _value(num, den) -> tuple[int, int]:
+    """A row's num and den as ints: ``den`` first, and non-zero, then ``num``."""
+    den = integer(den, "den")
+    if den == 0:
+        raise ZeroDenominator(f"zero denominator in the rational {num}/{den}")
+    return integer(num, "num"), den
+
+
+def _raw_rows(rows, key, what: str):
+    """(key(elem), num, den) of each data row, lazily: its elem read and keyed, then num, den."""
+    for r in () if rows is None else array(rows, what):
+        x = key(serialize.required(r, "elem"))
+        yield x, serialize.required(r, "num"), serialize.required(r, "den")
+
+
+def function_from_rows_by_row(G: GroupSpec, rows, what: str = "data rows") -> SupportedFunction:
+    """The reference for ``serialize.function_from_rows``: each row read whole, in order."""
+    raw = _raw_rows(rows, lambda elem: serialize.element_from_json(G, elem), what)
+    return SupportedFunction.trusted(G, *over_lcm((x, *_value(num, den)) for x, num, den in raw))
+
+
+def quotient_function_from_rows_by_row(quot: Quotient, rows,
+                                       what: str = "data rows") -> SupportedFunction:
+    """The reference for ``serialize.quotient_function_from_rows``.
+
+    Every row's fields and element are read first, then every value, then
+    the cosets are checked to differ.
+    """
+    project = lambda elem: quot.project(serialize.element_from_json(quot.base, elem))
+    raw = list(_raw_rows(rows, project, what))
+    triples = [(q, *_value(num, den)) for q, num, den in raw]
+    if len({q for q, _, _ in triples}) != len(triples):
+        raise ShapeMismatch("two representatives of the same coset given")
+    return SupportedFunction.trusted(quot.group, *over_lcm(triples))
+
+
+def function_to_csv_by_key(f: SupportedFunction, header: dict) -> str:
+    """The reference for ``serialize.function_to_csv``: keys sorted, one row at a time.
+
+    Each row is the key's coordinates, free part first, joined by ';', then
+    the value's num and den in lowest terms.
+    """
+    lines = ["# " + " ".join(f"{key}={val}" for key, val in header.items()), "vertex,num,den"]
+    for x in sorted(f.numerators):
+        value = Fraction(f.numerators[x], f.denominator)
+        label = ";".join(map(str, x.free + x.torsion))
+        lines.append(f"{label},{value.numerator},{value.denominator}")
+    return "".join(line + "\n" for line in lines)
 
 
 def eval_vertices_by_word(words, k: int) -> list[TreeVertex]:

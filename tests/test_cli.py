@@ -450,11 +450,15 @@ class TestCompare:
         assert json.loads(capsys.readouterr().err)["error"] == "INDEX_OUT_OF_RANGE"
 
     @pytest.mark.parametrize("span, n, code, error", [
-        (10**12, 1, 1, "INDEX_OUT_OF_RANGE"), (10**4, 3, 0, None)])
+        (10**12, 1, 1, "INDEX_OUT_OF_RANGE"), (10**4, 3, 0, None),
+        pytest.param(range(2, 2001), 1, 1, "INDEX_OUT_OF_RANGE", id="2..2000-1-1"),
+    ])
     def test_kernel_compare_bounds_the_node_count(self, tmp_path, capsys, span, n, code, error):
         # S = {+-1, +-span}: floats resolve both, but 2*10^12 + 2 nodes are
-        # refused before the first, and 60,002 are taken.
-        S = [{"free": [v], "torsion": []} for v in (1, -1, span, -span)]
+        # refused before the first, and 60,002 are taken.  S = {+-1, ...,
+        # +-2000} is 4,002 nodes, but of 8,001 exponentials each: refused too.
+        spans = span if isinstance(span, range) else [span]
+        S = [{"free": [c * v], "torsion": []} for v in (1, *spans) for c in (1, -1)]
         problem = write_problem(tmp_path, kernel_problem(S, n))
         with within(1 if code else 10):
             assert cli.main(["compare", "--problem", problem]) == code

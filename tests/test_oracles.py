@@ -11,9 +11,11 @@ from itertools import islice, zip_longest
 import pytest
 
 from lattice_waves import cayley, cosets, oracles, randgen, tree
-from lattice_waves.errors import GroupMismatch, ShapeMismatch, TorsionUnsupported
+from lattice_waves.errors import GroupMismatch, IndexOutOfRange, ShapeMismatch, TorsionUnsupported
 from lattice_waves.functions import SupportedFunction, add, scale
 from lattice_waves.groups import elem_add, make_element, make_group, validate_generators
+
+from helpers import within
 
 Z = make_group(1, [])
 
@@ -351,6 +353,23 @@ class TestQuadrature:
             oracles.quadrature_kernel(S, 3, r)
         with pytest.raises(ShapeMismatch, match="position r must be an integer"):
             oracles.quadrature_kernels(S, 3, [0, r])
+
+    @pytest.mark.parametrize("j, positions, refused", [
+        (200, 1, False), (200, 401, False), (1000, 1, True), (10, 2 * 10**5, True)])
+    def test_work_budget(self, j, positions, refused):
+        # S = {+-1, ..., +-j} at n = 1 takes N = 2j + 2 nodes of 2j exponentials
+        # for the symbol and one per position: past QUADRATURE_WORK in all it is
+        # refused before the first node, whatever the node count alone.
+        S = validate_generators(Z, [make_element(Z, [c * s], []) for s in range(1, j + 1)
+                                    for c in (1, -1)])
+        rs = range(-(positions // 2), positions - positions // 2)
+        work = (2 * j + 2) * (2 * j + positions)
+        assert (work > oracles.QUADRATURE_WORK) == refused
+        if refused:
+            with within(1), pytest.raises(IndexOutOfRange, match=f"take {work} exponentials"):
+                oracles.quadrature_kernels(S, 1, rs)
+        else:
+            assert len(oracles.quadrature_kernels(S, 1, rs)) == positions
 
     def test_torsion_is_refused(self):
         # verify.quadrature_errors refuses first; the library call refuses too.

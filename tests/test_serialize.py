@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 from lattice_waves import randgen, serialize
 from lattice_waves.errors import ShapeMismatch, ZeroDenominator
 from lattice_waves.functions import SupportedFunction
-from lattice_waves.groups import make_element, make_group
+from lattice_waves.groups import make_element, make_group, quotient
 from lattice_waves.tree import TreeFunction
 
-from helpers import element_from_label, function_from_csv, tree_function_from_csv, vertex_from_label
+from helpers import (
+    element_from_label, function_from_csv, function_from_rows_by_row, function_to_csv_by_key,
+    quotient_function_from_rows_by_row, tree_function_from_csv, vertex_from_label,
+)
 
 Z = make_group(1, [])
 ZxZ4 = make_group(1, [4])
@@ -139,23 +142,28 @@ def csv_labels(text):
     return [row.rsplit(",", 2)[0] for row in body.split("\n")[:-1]]
 
 
-LABEL_GROUPS = [make_group(0, []), make_group(0, [6]), Z, make_group(2, [4, 6])]
+# Random groups: rank 0 to 3 and up to three torsion factors, the trivial group included.
+groups = st.builds(make_group, st.integers(0, 3), st.lists(st.integers(2, 12), max_size=3))
 # Small coordinates of either sign, and coordinates of up to 300 digits.
 coordinates = st.one_of(st.integers(-9, 9), st.integers(-(10**300), 10**300))
 
 
 class TestLabels:
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), G=st.sampled_from(LABEL_GROUPS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), G=groups)
     def test_csv_labels_are_element_labels(self, data, G):
-        # The rows' labels come from one template per call: the coordinates,
-        # free part first, joined by ';', and each reads back to its element.
+        # The rows' labels come from one template: the coordinates, free part
+        # first, joined by ';', and each reads back to its element.  Flat rows
+        # sort as the elements do, and the bytes are the row-per-key writer's.
         dim = G.rank + len(G.moduli)
         coords = st.lists(coordinates, min_size=dim, max_size=dim)
         elems = coords.map(lambda c: make_element(G, c[:G.rank], c[G.rank:]))
-        keys = data.draw(st.lists(elems, max_size=8, unique=True))
+        keys = data.draw(st.lists(elems, max_size=40, unique=True))
         f = SupportedFunction(G, {x: data.draw(rationals()) or 1 for x in keys})
-        labels = csv_labels(serialize.function_to_csv(f, {"n": 1}))
+        header = {"kind": "heat", "n": data.draw(st.integers(0, 9))}
+        text = serialize.function_to_csv(f, header)
+        assert text == function_to_csv_by_key(f, header)
+        labels = csv_labels(text)
         assert labels == [";".join(map(str, x.free + x.torsion)) for x in sorted(f.numerators)]
         assert [element_from_label(G, label) for label in labels] == sorted(f.numerators)
 
@@ -185,3 +193,121 @@ class TestLabels:
         [label] = csv_labels(serialize.tree_function_to_csv(TreeFunction(3, {x: 1}), {}))
         assert label == "1;2;1" and vertex_from_label(3, label) == x
         assert vertex_from_label(3, "") == ()
+
+
+# ------------------------------------------------------- the column reader
+
+# Strings that int() reads and groups.integer does not, and malformed signs.
+BAD_STRINGS = ["+-1", "--2", "1-2", "-", "", " 7", "7 ", "1_000", "٣", "1.5", "0x10"]
+
+
+def wire_integer(value):
+    """``value`` as a data row may give it: a JSON integer or a decimal string."""
+    return st.sampled_from([value, str(value)] + ([f"+{value}"] if value >= 0 else []))
+
+
+@st.composite
+def data_rows(draw, G, max_rows=10):
+    """Valid rows on G: reduced coordinates, num and den mixing ints and strings."""
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        free = draw(st.lists(st.integers(-5, 5), min_size=G.rank, max_size=G.rank))
+        torsion = [draw(st.integers(0, m - 1)) for m in G.moduli]
+        num = draw(wire_integer(draw(st.integers(-10**20, 10**20))))
+        den = draw(wire_integer(draw(st.integers(1, 60)) * draw(st.sampled_from([1, -1]))))
+        rows.append({"elem": {"free": free, "torsion": torsion}, "num": num, "den": den})
+    return rows
+
+
+def plant(draw, row, G):
+    """``row`` with one defect, or with one change that the row rules accept."""
+    defect = draw(st.sampled_from([
+        "value", "missing field", "missing part", "elem not an object", "row not an object",
+        "tuple", "wrong length", "unreduced torsion", "coordinate", "zero den",
+    ]))
+    row = json.loads(json.dumps(row))
+    elem = row["elem"]
+    if defect == "value":
+        field = draw(st.sampled_from(["num", "den"]))
+        row[field] = draw(st.sampled_from([True, False, 1.0, 2.5, None, [1], *BAD_STRINGS]))
+    elif defect == "missing field":
+        del row[draw(st.sampled_from(["elem", "num", "den"]))]
+    elif defect == "missing part":
+        del elem[draw(st.sampled_from(["free", "torsion"]))]
+    elif defect == "elem not an object":
+        row["elem"] = draw(st.sampled_from([[], [1], "x", None, 3]))
+    elif defect == "row not an object":
+        return draw(st.sampled_from([[], ["elem"], "row", None, 1]))
+    elif defect == "tuple":
+        part = draw(st.sampled_from(["free", "torsion"]))
+        elem[part] = tuple(elem[part])
+    elif defect == "wrong length":
+        part = draw(st.sampled_from(["free", "torsion"]))
+        elem[part] = elem[part][:-1] if elem[part] and draw(st.booleans()) else elem[part] + [0]
+    elif defect == "unreduced torsion" and G.moduli:
+        i = draw(st.integers(0, len(G.moduli) - 1))
+        elem["torsion"][i] += G.moduli[i] * draw(st.sampled_from([-3, -1, 1, 2, 10**30]))
+    elif defect == "coordinate" and (coords := elem["free"] or elem["torsion"]):
+        coords[0] = draw(st.sampled_from([True, 1.0, None, "3", "-2", "+1", *BAD_STRINGS]))
+    elif defect == "zero den":
+        row["den"] = draw(st.sampled_from([0, "0", "-0", "+0", "000"]))
+    return row
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` gives: its numerators in order and denominator, or its error."""
+    try:
+        f = read(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(f.numerators.items()), f.denominator
+
+
+def with_defect(data, rows, G):
+    """``rows`` as they are, or with one row changed by ``plant``."""
+    if rows and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows = rows[:i] + [plant(data.draw, rows[i], G)] + rows[i + 1:]
+    return data.draw(st.sampled_from([rows, tuple(rows)]))
+
+
+class TestColumnReader:
+    # The column reader gives the row reader's value, or its error class
+    # and message, whatever one row holds.
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data(), G=groups)
+    def test_group_rows_read_as_row_by_row(self, data, G):
+        rows = with_defect(data, data.draw(data_rows(G)), G)
+        assert outcome(serialize.function_from_rows, G, rows, "rows") == outcome(
+            function_from_rows_by_row, G, rows, "rows")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), G=st.builds(lambda rank, m, ms: make_group(rank, [m, *ms]),
+                                       st.integers(0, 2), st.sampled_from([4, 6, 12]),
+                                       st.lists(st.integers(2, 12), max_size=1)))
+    def test_coset_rows_read_as_row_by_row(self, data, G):
+        # H is generated by 2 on the first torsion axis, of even order; a
+        # second row at a representative of an existing row's coset is refused.
+        quot = quotient(G, [make_element(G, [0] * G.rank, [2] + [0] * (len(G.moduli) - 1))])
+        rows = data.draw(data_rows(G))
+        if rows and data.draw(st.booleans()):
+            twin = json.loads(json.dumps(data.draw(st.sampled_from(rows))))
+            twin["elem"]["torsion"][0] += 2
+            rows.insert(data.draw(st.integers(0, len(rows))), twin)
+        rows = with_defect(data, rows, G)
+        assert outcome(serialize.quotient_function_from_rows, quot, rows, "rows") == outcome(
+            quotient_function_from_rows_by_row, quot, rows, "rows")
+
+    @pytest.mark.parametrize("rows", [None, [], {}, "rows", 3], ids=repr)
+    def test_no_rows_or_no_array(self, rows):
+        assert outcome(serialize.function_from_rows, Z, rows, "rows") == outcome(
+            function_from_rows_by_row, Z, rows, "rows")
+
+    def test_values_mix_ints_and_strings(self):
+        rows = [{"elem": {"free": [x], "torsion": [x]}, "num": num, "den": den}
+                for x, num, den in [(1, 1, "2"), (2, "-3", 4), (5, "+7", "-6"), (1, "007", 2)]]
+        f = serialize.function_from_rows(ZxZ4, rows)
+        assert f == function_from_rows_by_row(ZxZ4, rows)
+        assert f.entries == {make_element(ZxZ4, [1], [1]): 4, make_element(ZxZ4, [2], [2]):
+                             Fraction(-3, 4), make_element(ZxZ4, [5], [1]): Fraction(-7, 6)}
+
