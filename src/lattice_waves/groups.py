@@ -343,7 +343,9 @@ def validate_generators(G: GroupSpec, S: Sequence[GroupElement]) -> GeneratorSet
 
     Generation is decided by the Smith Normal Form of the lattice spanned
     by the generators together with the torsion relations: S generates the
-    group iff every invariant factor equals 1.
+    group iff every invariant factor equals 1.  A symmetric S gives dependent
+    rows (s and -s, or 2s = 0), so fewer rows than coordinates always leave a
+    factor 0.
     """
     if not S:
         raise DoesNotGenerate("empty generating set")
@@ -360,7 +362,7 @@ def validate_generators(G: GroupSpec, S: Sequence[GroupElement]) -> GeneratorSet
     dim = G.rank + len(G.moduli)
     if dim > 0:
         factors, _, _ = _smith(_relation_rows(G, (s.free + s.torsion for s in elems)))
-        if len(factors) < dim or any(d != 1 for d in factors):
+        if any(d != 1 for d in factors):
             raise DoesNotGenerate(
                 f"generators span a proper subgroup (invariant factors {factors})"
             )

@@ -26,8 +26,9 @@ comment line with the run parameters, a column header, then the rows.
 A function's row is its key's integers joined by ';' (a tree word, or an
 element's free then torsion coordinates), then the value's num and den.
 A group function's rows are flat tuples, sorted and written by one ``%``
-of one template repeated; a tree function's by one ``%`` per row, of a
-template built once per word length.
+of one template repeated.  A tree function's word labels take one ``%``
+each, of a template built once per word length, and each distinct value's
+``,num,den`` suffix is written once and shared by the rows that hold it.
 """
 
 from __future__ import annotations
@@ -219,14 +220,18 @@ def function_to_csv(f: SupportedFunction, header: dict[str, Any]) -> str:
 def tree_function_to_csv(f: TreeFunction, header: dict[str, Any]) -> str:
     """CSV of a tree function, rows in word order.
 
-    A row is the word's letters, then the value's num and den in lowest
-    terms: one ``%`` of a template built once per word length.
+    A row is the word's letters, by one ``%`` of a template built once per
+    word length, then the value's ``,num,den`` in lowest terms.  Solutions
+    repeat values, so that suffix is reduced and formatted once per
+    distinct numerator and looked up per row.
     """
-    keys = sorted(f.numerators)
-    nums = list(map(f.numerators.__getitem__, keys))
-    rows = list(map(add, keys, _lowest_terms(f, nums)))
-    templates = {n: ";".join(["%d"] * (n - 2)) + ",%d,%d\n" for n in set(map(len, rows))}
-    body = "".join(map(mod, map(templates.__getitem__, map(len, rows)), rows))
+    nums = f.numerators
+    keys = sorted(nums)
+    distinct = list(set(nums.values()))
+    suffixes = dict(zip(distinct, map(",%d,%d\n".__mod__, _lowest_terms(f, distinct))))
+    templates = {n: ";".join(["%d"] * n) for n in set(map(len, keys))}
+    labels = map(mod, map(templates.__getitem__, map(len, keys)), keys)
+    body = "".join(map(add, labels, map(suffixes.__getitem__, map(nums.__getitem__, keys))))
     return _comment(header) + "vertex,num,den\n" + body
 
 

@@ -16,20 +16,23 @@ the radialization recurrence of Figà-Talamanca & Nebbia (*Harmonic
 Analysis and Representation Theory for Groups Acting on Homogeneous
 Trees*, 1991); they never enumerate the exponentially large spheres
 themselves, and add the data's integer numerators.  Each hull vertex
-keeps one dict of its sums that are not 0 and, from the same pass over
-its data, that data grouped by next letter, from which a child is built
-on first use; the zero function's hull is the root alone, with none.
-The weights are integers, so a solution is integer numerators over the
+keeps its sums as one dense row of ints indexed by radius, up to the
+farthest sum that is not 0, and, from the same pass over its data, that
+data grouped by next letter, from which a child is built on first use;
+the zero function's hull is the root alone, with an empty row.  The
+weights are integers, so a solution is integer numerators over the
 data's denominator.  Below the hull a vertex's sums are those of its
 deepest hull prefix, shifted by the distance to it, so a value depends
 only on that (prefix, shift) pair, the vertex's hull position
 (``hull_position``).  ``WeightTable.apply`` and ``radial_mass`` take the
-position, not the vertex.  The solvers give each window vertex a
-position id (``_placed``, one loop for every window, placing a vertex
-from its parent's position when the parent is listed first), compute
-each value once per distinct position, read it per vertex by id, and put
-the solution in lowest terms with ``functions.lowest_terms``; a vertex
-listed twice is one key, in its first listing's place.  A
+position, not the vertex: a value is one dot product of the row with the
+weights from the shift on, and a mass one pass over the row.  The
+solvers give each window vertex a position id (``_placed``, one loop for
+every window, placing a vertex from its parent's position when the
+parent is listed first), compute each value once per distinct position,
+read it per vertex by id, and put the solution in lowest terms with
+``functions.lowest_terms``; a vertex listed twice is one key, in its
+first listing's place.  A
 ``TreeFunction`` checks its degree once, when it is built (``_degree``).
 """
 
@@ -37,10 +40,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count
-from math import comb, lcm
-from operator import add
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, compress, count
+from math import comb, lcm, log2
+from operator import add, mul
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, NotSolvable, ShapeMismatch
 from .functions import Scaled, lowest_terms, require_domain
@@ -128,32 +131,39 @@ def sphere_size(k: int, r: int) -> int:
 class _Hull:
     """The sphere sums around a vertex a of the prefix tree of the support (the hull).
 
-    ``sums`` holds, per radius r, the sum of the data's numerators at
-    distance r from a; a sum of 0 is not stored.  With H_b(r) the data in
-    b's subtree r below b, the sums around b, a child of a, are
-    N_b(r) = H_b(r) + N_a(r-1) - H_b(r-2); at the root they are H.  The
-    zero function's hull is the root with no sums and no children.  The
-    pass that adds up the sums also groups the data below a, as (word,
+    ``row[r]`` is the sum of the data's numerators at distance r from a, a
+    sum of 0 included below the farthest radius whose sum is not 0; the row
+    ends there, so the zero function's row is empty.  With H_b(r) the data
+    in b's subtree r below b, the sums around b, a child of a, are
+    N_b(r) = H_b(r) + N_a(r-1) - H_b(r-2): a's row shifted one slot out,
+    plus b's data at r and minus it at r + 2; at the root they are H.  The
+    zero function's hull is the root with an empty row and no children.
+    The pass that adds up the sums also groups the data below a, as (word,
     numerator) pairs, by its next letter in ``below``; a child is built
     from its group when first asked for, and a letter off the hull has no
     group.
     """
 
-    __slots__ = ("depth", "sums", "below", "children")
+    __slots__ = ("depth", "row", "below", "children")
 
-    def __init__(self, items: Iterable[tuple[TreeVertex, int]], depth: int,
+    def __init__(self, items: Collection[tuple[TreeVertex, int]], depth: int,
                  parent: _Hull | None):
-        sums = {} if parent is None else {r + 1: v for r, v in parent.sums.items()}
+        top = max([len(y) for y, _ in items], default=depth) - depth
+        if parent is None:
+            row = [0] * (top + 1)
+        else:
+            row = [0, *parent.row, *[0] * (top + 2 - len(parent.row))]
         below: dict[int, list[tuple[TreeVertex, int]]] = {}
         for y, v in items:
             r = len(y) - depth
-            sums[r] = sums.get(r, 0) + v
+            row[r] += v
             if parent is not None:
-                sums[r + 2] = sums.get(r + 2, 0) - v
+                row[r + 2] -= v
             if r:
                 below.setdefault(y[depth], []).append((y, v))
-        self.depth, self.below, self.children = depth, below, {}
-        self.sums = {r: v for r, v in sums.items() if v}
+        while row and not row[-1]:
+            row.pop()
+        self.depth, self.row, self.below, self.children = depth, row, below, {}
 
     def child(self, c: int) -> _Hull | None:
         """The hull vertex one letter c below this one, built on first use; None off the hull."""
@@ -249,18 +259,18 @@ def _radius_sums(at: tuple[_Hull, int]) -> Iterable[tuple[int, int]]:
     """(radius, sum of the numerators on that sphere) around a vertex at hull position ``at``.
 
     Sums of 0 are left out.  Below its deepest hull prefix a, a vertex is
-    the shift len(x) - len(a) further from the data than a is: this is the
-    one place that reads a's sums at the shift.
+    the shift len(x) - len(a) further from the data than a is, so a's row
+    is read from radius shift on.
     """
     node, shift = at
-    sums = node.sums
-    return zip([r + shift for r in sums], sums.values()) if shift else sums.items()
+    return compress(zip(count(shift), node.row), node.row)
 
 
 def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
     """Sum of f over each sphere around x that its support meets, a sum of 0 included.
 
-    The hull stores no zero sum, so the radii come from the support.
+    A 0 in the hull's row may be a sphere the support meets or one it
+    misses, so the radii come from the support.
     """
     x, d = make_vertex(x, f.k), f.denominator
     sums, radii = dict(_radius_sums(_walk(f, x))), {tree_distance(x, y) for y in f.numerators}
@@ -313,13 +323,15 @@ class WeightTable(NamedTuple):
         """sum_s weights[s] * (sphere sum of f's numerators at radius s), at hull position ``at``.
 
         ``at`` is a position on f's own hull (``hull_position(f, x)``); the
-        value at x is this over ``f.denominator``.  Data beyond the table's
-        top radius has weight 0 and is skipped.
+        value at x is this over ``f.denominator``.  Sphere s is the row's
+        slot s - shift, so the value is one dot product of the row with the
+        weights from the shift on; data beyond the table's top radius has
+        weight 0 and is left out.
         """
         require_domain(self.k, f)
-        weights = self.weights
-        top = len(weights)
-        return sum(weights[s] * v for s, v in _radius_sums(at) if s < top)
+        node, shift = at
+        row = node.row
+        return sum(map(mul, self.weights[shift:shift + len(row)], row))
 
 
 def _degree(k: int) -> int:
@@ -422,6 +434,30 @@ def _wave_sums(k: int, n: int) -> tuple[list[int], list[int]]:
     return f[:ftop + 1], g[:gtop + 1]
 
 
+# The most bits a weight table may take, as ``_require_table_size`` estimates
+# them.  A table's weights reach about (2k-1)^n, so its n + 1 entries take
+# about n^2 log2(2k-1) / 2 bits: the heat table takes 1.2-1.5 times that and the
+# wave pair 0.7-1.1 times (k = 2, 3, 6 at n = 10^3 and 4*10^3).  Building
+# the table is the small part: at k = 3 and n = 10^4 the heat table takes
+# 0.09 s and 18 MiB.  Writing it out is the large part, since a weight's
+# decimal digits take time quadratic in their count: ``lattice-waves
+# weights`` at k = 3 takes 1.1 s and 71 MB for heat at n = 6,000 (an
+# estimate of 4.2*10^7 bits), 0.5 s for wave, and took 4.4 s for a 46 MB
+# file at n = 10^4 before this budget (Python 3.11.7).  So a full budget is
+# about a second.
+WEIGHT_BITS = 5 * 10**7
+
+
+def _require_table_size(k: int, n: int) -> None:
+    """IndexOutOfRange where the tables at k and n would take past WEIGHT_BITS bits.
+
+    k and n are checked already; nothing of size n is built before this.
+    """
+    if (bits := n * n * log2(2 * k - 1) / 2) > WEIGHT_BITS:
+        raise IndexOutOfRange(f"n={n}: a k={k} weight table would take about {bits:.3g} bits, "
+                              f"past {WEIGHT_BITS}")
+
+
 def tree_heat_weights(k: int, n: int) -> WeightTable:
     """Heat sphere weights for radii 0..n.
 
@@ -430,9 +466,11 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     sphere with mean 1/S(s); equivalently the heat kernel value at any
     vertex at distance s.  For k = 2 the table is the kernel on Z: weight s
     is K_n(s).  Built from its horocycle sums (``_heat_sums``) by the
-    inverse Abel transform (``_inverse_abel``).
+    inverse Abel transform (``_inverse_abel``), once
+    ``_require_table_size`` has found it within WEIGHT_BITS.
     """
     k, n = _degree(k), natural(n, "time index n")
+    _require_table_size(k, n)
     return _inverse_abel(k, _heat_sums(k, n))
 
 
@@ -443,8 +481,10 @@ def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
     the step with center -k, built from their horocycle sums
     (``_wave_sums``) by the inverse Abel transform.  The first table covers
     radii 0..floor(n/2), the second 0..floor((n-1)/2) (empty for n = 0).
+    A pair past WEIGHT_BITS is refused first (``_require_table_size``).
     """
     k, n = _degree(k), natural(n, "time index n")
+    _require_table_size(k, n)
     f, g = _wave_sums(k, n)
     return _inverse_abel(k, f), _inverse_abel(k, g)
 
@@ -470,16 +510,24 @@ def radial_mass(g: TreeFunction, at: tuple[_Hull, int]) -> Fraction:
 
     ``at`` is a position on g's own hull (``hull_position(g, x)``).  The
     sphere sums carry weight 1 at r = 0 and 2/S(r) beyond, added over the
-    one denominator S(rmax), rmax the farthest radius with a sum not 0:
-    S(rmax)/S(r) is (k-1)^(rmax-r) for r >= 1.  A mass of 0 is one shared
-    ``Fraction``.
+    one denominator S(rmax), rmax the radius of the row's last slot:
+    S(rmax)/S(r) is q^(rmax-r) for r >= 1, q = k - 1, so one pass of
+    Horner's rule in q over the row, doubled, gives each sum its weight
+    2 q^(rmax-r).  Radius 0, slot 0 at shift 0, weighs S(rmax) instead of
+    2 q^rmax.  A mass of 0 is one shared ``Fraction``.
     """
-    sums = dict(_radius_sums(at))
-    if not sums:
+    node, shift = at
+    row = node.row
+    if not row:
         return _ZERO
-    rmax, q = max(sums), g.k - 1
+    q, rmax = g.k - 1, len(row) - 1 + shift
     size = sphere_size(g.k, rmax)
-    total = sum(v * (size if r == 0 else 2 * q ** (rmax - r)) for r, v in sums.items())
+    total = 0
+    for v in row:
+        total = total * q + v
+    total *= 2
+    if not shift:
+        total += row[0] * (size - 2 * q ** rmax)
     return Fraction(total, size * g.denominator) if total else _ZERO
 
 

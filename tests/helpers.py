@@ -150,6 +150,19 @@ def function_to_csv_by_key(f: SupportedFunction, header: dict) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def tree_function_to_csv_by_row(f: TreeFunction, header: dict) -> str:
+    """The reference for ``serialize.tree_function_to_csv``: words sorted, one row at a time.
+
+    Each row is the word's letters joined by ';', then the value's num and
+    den in lowest terms.
+    """
+    lines = ["# " + " ".join(f"{key}={val}" for key, val in header.items()), "vertex,num,den"]
+    for w in sorted(f.numerators):
+        value = Fraction(f.numerators[w], f.denominator)
+        lines.append(f"{';'.join(map(str, w))},{value.numerator},{value.denominator}")
+    return "".join(line + "\n" for line in lines)
+
+
 def eval_vertices_by_word(words, k: int) -> list[TreeVertex]:
     """An ``eval.vertices`` array read and checked one word at a time, each by ``make_vertex``."""
     return [make_vertex(w, k) for w in array(words, "eval vertices")]

@@ -642,18 +642,21 @@ PLANTED_FAULTS = [
      rewritten(functions, "v % m for v in axis]", "v for v in axis]"),
      {"cayley-heat-oracle": (10, "mismatch at n=2"), "kernel-identities": (9, "K_1 forms differ"),
       "coset-heat-lift": (17, "mismatch at n=1")}),
-    # The radial mass weighted by (k-1)^(rmax-r+1): the literal velocity shows it.
-    (tree, "radial_mass", rewritten(tree, "q ** (rmax - r)", "q ** (rmax - r + 1)"),
+    # The radial mass at radius 0 corrected by 2(k-1)^(rmax+1), not 2(k-1)^rmax: the literal
+    # velocity shows it.
+    (tree, "radial_mass", rewritten(tree, "q ** rmax)", "q ** (rmax + 1))"),
      {"tree-wave-triple": (4, "NotSolvable: tree wave equation unsolvable at vertex (): "
-                             "radialized velocity has total mass 1/36")}),
-    # Below the hull the data read one radius further out than it is.
-    (tree, "_radius_sums", rewritten(tree, "r + shift for", "r + shift + 1 for"),
-     {"tree-heat-triple": (1, "stepping mismatch n=1")}),
+                             "radialized velocity has total mass 1/27")}),
+    # The data read one radius further out than it is: each slot of the row weighted as the
+    # next sphere's.
+    (tree.WeightTable, "apply", rewritten(tree, "self.weights[shift:", "self.weights[shift + 1:"),
+     {"tree-heat-triple": (0, "stepping mismatch n=0"),
+      "tree-wave-triple": (0, "stepping mismatch n=0")}),
     # A child placed off the hull two letters below its parent's position, not one.
     (tree, "_placed", rewritten(tree, "at = node, shift + 1", "at = node, shift + 2"),
      {"tree-heat-triple": (1, "stepping mismatch n=1")}),
     # Rerooting to a child without subtracting H_b(r-2).
-    (tree._Hull, "__init__", rewritten(tree, "sums.get(r + 2, 0) - v", "sums.get(r + 2, 0)"),
+    (tree._Hull, "__init__", rewritten(tree, "row[r + 2] -= v", "row[r + 2] -= 0"),
      {"tree-heat-triple": (2, "stepping mismatch n=2"),
       "tree-wave-triple": (20, "NotSolvable: tree wave equation unsolvable at vertex (1,): "
                                "radialized velocity has total mass 1/16")}),
@@ -1290,6 +1293,17 @@ class TestExitCodes:
         want = "USAGE" if command == "compare" and "--out" in arguments else error
         assert code == 1 and json.loads(err)["error"] == want
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "weights", "k": 3, "which": "heat", "n": 10**12},
+        dict(tree_problem(n=10**12), eval={"ball": {"radius": 2}}),
+    ], ids=lambda doc: doc["kind"])
+    def test_a_weight_table_past_its_bit_budget_exits_1(self, tmp_path, doc):
+        # Sized from k and n before anything of size n is built.
+        problem = write_problem(tmp_path, doc)
+        with within(1):
+            code, err = _exit_report([doc["kind"], "--problem", problem])
+        assert code == 1 and json.loads(err)["error"] == "INDEX_OUT_OF_RANGE"
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--max-n", "-1"], ["verify", "--max-n", "abc"], ["verify", "--suite", "nope"],
         ["verify", "--max-n", "99999999999999999999"],
@@ -1358,9 +1372,11 @@ BAD_ARGUMENTS = [
     for value in [True, 2.0, "x", None, -1, sys.maxsize + 1]
     if entry != "--n" or type(value) is int
 ] + [
-    # In range, but past what float quadrature resolves: refused before any node.
+    # In range, but past what float quadrature resolves or past the weight tables' bit budget:
+    # refused before any node or table.
     pytest.param(entry, value, id=f"{entry}-{value!r}")
-    for entry in ("quadrature_errors", "quadrature_kernel", "quadrature_kernels")
+    for entry in ("quadrature_errors", "quadrature_kernel", "quadrature_kernels",
+                  "tree_heat_weights", "tree_wave_weights", "tree_heat_solve", "tree_wave_solve")
     for value in [10**12, sys.maxsize]
 ]
 

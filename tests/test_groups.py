@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lattice_waves.errors import (
     ContainsIdentity,
@@ -23,6 +23,7 @@ from lattice_waves.functions import SupportedFunction
 from lattice_waves.groups import (
     GroupElement,
     Quotient,
+    _relation_rows,
     _smith,
     adder,
     elem_add,
@@ -235,6 +236,27 @@ class TestValidateGenerators:
         G = make_group(0, [2])
         S = validate_generators(G, [make_element(G, [], [1])])
         assert S.degree == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rank=st.integers(0, 4),
+           moduli=st.lists(st.integers(2, 6), max_size=2))
+    def test_fewer_rows_than_coordinates_leave_a_zero_factor(self, data, rank, moduli):
+        # s and -s, or s = -s of order 2, are dependent rows modulo the torsion relations, so
+        # the relation matrix of a symmetric set has rank below its row count.  With fewer
+        # rows than coordinates the Smith form then holds a 0, which fails generation.
+        G = make_group(rank, moduli)
+        if G.rank + len(G.moduli) == 0:
+            return
+        picked = data.draw(st.lists(elements(G), min_size=1, max_size=3))
+        S = list(dict.fromkeys(x for s in picked for x in (s, elem_neg(G, s)) if x != identity(G)))
+        if not S:
+            return
+        rows = _relation_rows(G, (s.free + s.torsion for s in S))
+        factors, _, _ = _smith(rows)
+        if len(rows) < G.rank + len(G.moduli):
+            assert 0 in factors
+            with pytest.raises(DoesNotGenerate):
+                validate_generators(G, S)
 
 
 class TestQuotient:

@@ -15,7 +15,8 @@ from lattice_waves.tree import TreeFunction
 
 from helpers import (
     element_from_label, function_from_csv, function_from_rows_by_row, function_to_csv_by_key,
-    quotient_function_from_rows_by_row, tree_function_from_csv, vertex_from_label,
+    quotient_function_from_rows_by_row, tree_function_from_csv, tree_function_to_csv_by_row,
+    vertex_from_label,
 )
 
 Z = make_group(1, [])
@@ -178,6 +179,22 @@ class TestLabels:
         labels = csv_labels(serialize.tree_function_to_csv(f, {}))
         assert labels == [";".join(map(str, x)) for x in sorted(words)]
         assert [vertex_from_label(k, label) for label in labels] == sorted(words)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 12))
+    def test_tree_csv_is_the_row_per_word_writer(self, data, k):
+        # Each distinct value's suffix is written once and shared: values drawn from a few
+        # numerators repeat, some negative; all-integer data has denominator 1; the root word
+        # is drawn as often as any other.
+        letters = data.draw(st.lists(st.lists(st.integers(1, k), max_size=8), max_size=30))
+        words = {tuple(c for i, c in enumerate(w) if not i or c != w[i - 1]) for w in letters}
+        dens = st.just(1) if data.draw(st.booleans()) else st.integers(1, 12)
+        values = st.builds(Fraction, st.integers(-6, 6).filter(bool), dens)
+        if data.draw(st.booleans()):
+            values = st.one_of(values, st.integers(-(10**40), 10**40).filter(bool).map(Fraction))
+        f = TreeFunction(k, {w: data.draw(values) for w in words})
+        header = {"kind": "tree-heat", "n": data.draw(st.integers(0, 9))}
+        assert serialize.tree_function_to_csv(f, header) == tree_function_to_csv_by_row(f, header)
 
     def test_element_label_round_trip(self):
         a = make_element(ZxZ4, [-2], [3])

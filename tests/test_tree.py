@@ -254,6 +254,15 @@ class TestWeights:
                   for table in tables]
         assert masses == [1, 1, n]
 
+    def test_tables_past_the_bit_budget_are_refused(self, monkeypatch):
+        # At k = 3 the estimate n^2 log2(5) / 2 is 976 bits at n = 29 and 1045 at n = 30.
+        monkeypatch.setattr(tree, "WEIGHT_BITS", 1000)
+        assert len(tree.tree_heat_weights(3, 29).weights) == 30
+        assert len(tree.tree_wave_weights(3, 29)[0].weights) == 15
+        for build in (tree.tree_heat_weights, tree.tree_wave_weights):
+            with pytest.raises(IndexOutOfRange, match="past 1000"):
+                build(3, 30)
+
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_degree_below_2_rejected(self, k):
         with pytest.raises(ShapeMismatch):
@@ -539,6 +548,30 @@ class TestRerootedSums:
         assert len(prefixes) == len(set(prefixes))
         assert set(prefixes) <= _support_prefixes(f)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 6))
+    def test_each_row_is_dense_and_apply_is_its_dot_product(self, data, k):
+        # Every hull vertex's row is the literal sums around its word at every radius up to the
+        # farthest that is not 0, zeros between included, and no further.  ``apply`` at each
+        # shift of it, past the table's top too and with tables shorter than the row, is the
+        # literal sum of weights[s] times the sum at radius s - shift.
+        words = lambda lo, hi: st.lists(st.integers(1, k), min_size=lo, max_size=hi).map(_reduced)
+        values = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+        f = tree.TreeFunction(k, data.draw(st.dictionaries(words(0, 7), values, max_size=10)))
+        if data.draw(st.booleans()):
+            f = _antisymmetric(f)
+        for y in f.support():
+            tree.hull_position(f, y)
+        weights = data.draw(st.lists(st.integers(-50, 50), max_size=12))
+        table = tree.WeightTable(k, weights)
+        for node, a in _hull_words(f).items():
+            sums = {r: v for r, v in _literal_sphere_sums(f, a).items() if v}
+            assert [Fraction(v, f.denominator) for v in node.row] == [
+                sums.get(r, 0) for r in range(max(sums, default=-1) + 1)]
+            for shift in range(len(weights) + 2):
+                want = sum(w * sums.get(s - shift, 0) for s, w in enumerate(weights))
+                assert Fraction(table.apply(f, (node, shift)), f.denominator) == want
+
     def test_a_sphere_whose_numerators_cancel_is_listed_but_not_stored(self):
         # delta_(1) - delta_(2): the sphere of radius 1 around the root sums to 0.
         sums = lambda h, x: dict(tree._radius_sums(tree.hull_position(h, x)))
@@ -553,9 +586,9 @@ class TestRerootedSums:
         assert tree.sphere_sums(f, (3, 1)) == {3: 0}
         assert tree.path_reduce(f, (3, 1)) == [0, 0, 0, 0]
         assert sums(f, (3, 1)) == {}
-        # The zero function's hull is the root alone, with no sums.
+        # The zero function's hull is the root alone, with an empty row.
         zero = tree.TreeFunction(3)
-        assert (zero.rerooted.sums, zero.rerooted.children) == ({}, {})
+        assert (zero.rerooted.row, zero.rerooted.children) == ([], {})
         assert tree.sphere_sums(zero, (3, 1)) == {} and tree.path_reduce(zero, (3, 1)) == []
         assert tree.hull_position(zero, (3, 1)) == (zero.rerooted, 2)
 
