@@ -215,9 +215,9 @@ def cmd_run(args) -> int:
         k = integer(required(instance, "k"), "k")
         which = selector(instance.get("which", "heat"), ("heat", "wave"), "weights 'which'")
         if which == "heat":
-            tables = [("heat", tree.tree_heat_weights(k, n))]
+            tables = [("heat", tree.tree_heat_weights(k, n, tree.WRITTEN_WEIGHT_BITS))]
         else:
-            wf, wg = tree.tree_wave_weights(k, n)
+            wf, wg = tree.tree_wave_weights(k, n, tree.WRITTEN_WEIGHT_BITS)
             tables = [("wave-f", wf), ("wave-g", wg)]
         header = {"kind": "weights", "which": which, "n": n, "k": k}
         _write(weights_to_csv(tables, header), args.out)

@@ -17,16 +17,17 @@ Analysis and Representation Theory for Groups Acting on Homogeneous
 Trees*, 1991); they never enumerate the exponentially large spheres
 themselves, and add the data's integer numerators.  Each hull vertex
 keeps its sums as one dense row of ints indexed by radius, up to the
-farthest sum that is not 0, and, from the same pass over its data, that
-data grouped by next letter, from which a child is built on first use;
-the zero function's hull is the root alone, with an empty row.  The
-weights are integers, so a solution is integer numerators over the
-data's denominator.  Below the hull a vertex's sums are those of its
-deepest hull prefix, shifted by the distance to it, so a value depends
-only on that (prefix, shift) pair, the vertex's hull position
+farthest sum that is not 0, or, where that row would be mostly zeros, a
+dict of the sums that are not 0 (``_packed``); and, from the same pass
+over its data, that data grouped by next letter, from which a child is
+built on first use; the zero function's hull is the root alone, with an
+empty row.  The weights are integers, so a solution is integer
+numerators over the data's denominator.  Below the hull a vertex's sums
+are those of its deepest hull prefix, shifted by the distance to it, so
+a value depends only on that (prefix, shift) pair, the vertex's hull position
 (``hull_position``).  ``WeightTable.apply`` and ``radial_mass`` take the
-position, not the vertex: a value is one dot product of the row with the
-weights from the shift on, and a mass one pass over the row.  The
+position, not the vertex: a value is one dot product of a dense row with
+the weights from the shift on, and a mass one pass over the row.  The
 solvers give each window vertex a position id (``_placed``, one loop for
 every window, placing a vertex from its parent's position when the
 parent is listed first), compute each value once per distinct position,
@@ -131,17 +132,21 @@ def sphere_size(k: int, r: int) -> int:
 class _Hull:
     """The sphere sums around a vertex a of the prefix tree of the support (the hull).
 
-    ``row[r]`` is the sum of the data's numerators at distance r from a, a
-    sum of 0 included below the farthest radius whose sum is not 0; the row
-    ends there, so the zero function's row is empty.  With H_b(r) the data
-    in b's subtree r below b, the sums around b, a child of a, are
-    N_b(r) = H_b(r) + N_a(r-1) - H_b(r-2): a's row shifted one slot out,
-    plus b's data at r and minus it at r + 2; at the root they are H.  The
-    zero function's hull is the root with an empty row and no children.
-    The pass that adds up the sums also groups the data below a, as (word,
-    numerator) pairs, by its next letter in ``below``; a child is built
-    from its group when first asked for, and a letter off the hull has no
-    group.
+    ``row`` maps radius r to the sum of the data's numerators at distance r
+    from a.  It is a dense list while that costs at most _DENSE_SLOTS slots
+    per sum that is not 0, plus _DENSE_SLACK (``_packed``): ``row[r]`` for
+    every r up to the farthest sum that is not 0, sums of 0 between
+    included, so the zero function's row is empty.  Past that it is a dict
+    of the sums that are not 0, so a deep, sparse support, such as one point
+    at the root and one thousands of letters below, costs the hull memory
+    linear in its depth.  With H_b(r) the data in b's subtree r below b,
+    the sums around b, a child of a, are N_b(r) = H_b(r) + N_a(r-1) -
+    H_b(r-2): a's row shifted one slot out, plus b's data at r and minus it
+    at r + 2; at the root they are H.  The zero function's hull is the root
+    with an empty row and no children.  The pass that adds up the sums also
+    groups the data below a, as (word, numerator) pairs, by its next letter
+    in ``below``; a child is built from its group when first asked for, and
+    a letter off the hull has no group.
     """
 
     __slots__ = ("depth", "row", "below", "children")
@@ -149,21 +154,29 @@ class _Hull:
     def __init__(self, items: Collection[tuple[TreeVertex, int]], depth: int,
                  parent: _Hull | None):
         top = max([len(y) for y, _ in items], default=depth) - depth
-        if parent is None:
-            row = [0] * (top + 1)
-        else:
-            row = [0, *parent.row, *[0] * (top + 2 - len(parent.row))]
+        prev = [] if parent is None else parent.row
         below: dict[int, list[tuple[TreeVertex, int]]] = {}
-        for y, v in items:
-            r = len(y) - depth
-            row[r] += v
-            if parent is not None:
-                row[r + 2] -= v
-            if r:
-                below.setdefault(y[depth], []).append((y, v))
-        while row and not row[-1]:
-            row.pop()
-        self.depth, self.row, self.below, self.children = depth, row, below, {}
+        if type(prev) is list:
+            if parent is None:
+                row = [0] * (top + 1)
+            else:
+                row = [0, *prev, *[0] * (top + 2 - len(prev))]
+            for y, v in items:
+                r = len(y) - depth
+                row[r] += v
+                if parent is not None:
+                    row[r + 2] -= v
+                if r:
+                    below.setdefault(y[depth], []).append((y, v))
+        else:
+            row = {r + 1: v for r, v in prev.items()}
+            for y, v in items:
+                r = len(y) - depth
+                row[r] = row.get(r, 0) + v
+                row[r + 2] = row.get(r + 2, 0) - v
+                if r:
+                    below.setdefault(y[depth], []).append((y, v))
+        self.depth, self.row, self.below, self.children = depth, _packed(row), below, {}
 
     def child(self, c: int) -> _Hull | None:
         """The hull vertex one letter c below this one, built on first use; None off the hull."""
@@ -171,6 +184,33 @@ class _Hull:
         if child is None and (items := self.below.pop(c, None)) is not None:
             child = self.children[c] = _Hull(items, self.depth + 1, self)
         return child
+
+
+# A hull row stays dense while it has at most _DENSE_SLOTS slots per sum that is not 0, plus
+# _DENSE_SLACK.  A list slot takes 8 bytes, and a dict 35-45 bytes an entry from 8 entries on
+# (224 bytes below that; Python 3.11), so a dense row takes at most about twice what a dict
+# of its sums would, plus 256 bytes.  Every row of a support within 16 letters of the root
+# (radii up to 32) is dense, as are all of the benchmark's tree-solve and oracle-check decks.
+_DENSE_SLOTS = 8
+_DENSE_SLACK = 32
+
+
+def _packed(row: list[int] | dict[int, int]) -> list[int] | dict[int, int]:
+    """A hull row in its kept form: dense without trailing zeros, or a dict of its sums not 0.
+
+    The dense form is kept while its length is at most _DENSE_SLOTS per
+    sum that is not 0, plus _DENSE_SLACK.
+    """
+    if type(row) is list:
+        while row and not row[-1]:
+            row.pop()
+        if len(row) <= _DENSE_SLOTS * (len(row) - row.count(0)) + _DENSE_SLACK:
+            return row
+        return {r: v for r, v in enumerate(row) if v}
+    row = {r: v for r, v in row.items() if v}
+    if (size := max(row, default=-1) + 1) <= _DENSE_SLOTS * len(row) + _DENSE_SLACK:
+        return [row.get(r, 0) for r in range(size)]
+    return row
 
 
 def hull_position(f: TreeFunction, x: Sequence[int]) -> tuple[_Hull, int]:
@@ -263,7 +303,10 @@ def _radius_sums(at: tuple[_Hull, int]) -> Iterable[tuple[int, int]]:
     is read from radius shift on.
     """
     node, shift = at
-    return compress(zip(count(shift), node.row), node.row)
+    row = node.row
+    if type(row) is list:
+        return compress(zip(count(shift), row), row)
+    return zip(map(shift.__add__, row), row.values())
 
 
 def sphere_sums(f: TreeFunction, x: TreeVertex) -> dict[int, Fraction]:
@@ -324,14 +367,18 @@ class WeightTable(NamedTuple):
 
         ``at`` is a position on f's own hull (``hull_position(f, x)``); the
         value at x is this over ``f.denominator``.  Sphere s is the row's
-        slot s - shift, so the value is one dot product of the row with the
-        weights from the shift on; data beyond the table's top radius has
-        weight 0 and is left out.
+        slot s - shift, so a dense row's value is one dot product of the row
+        with the weights from the shift on; a sparse row's sums are weighted
+        one by one.  Data beyond the table's top radius has weight 0 and is
+        left out.
         """
         require_domain(self.k, f)
         node, shift = at
         row = node.row
-        return sum(map(mul, self.weights[shift:shift + len(row)], row))
+        if type(row) is list:
+            return sum(map(mul, self.weights[shift:shift + len(row)], row))
+        w = self.weights
+        return sum([w[s] * v for s, v in _radius_sums(at) if s < len(w)])
 
 
 def _degree(k: int) -> int:
@@ -435,30 +482,34 @@ def _wave_sums(k: int, n: int) -> tuple[list[int], list[int]]:
 
 
 # The most bits a weight table may take, as ``_require_table_size`` estimates
-# them.  A table's weights reach about (2k-1)^n, so its n + 1 entries take
-# about n^2 log2(2k-1) / 2 bits: the heat table takes 1.2-1.5 times that and the
-# wave pair 0.7-1.1 times (k = 2, 3, 6 at n = 10^3 and 4*10^3).  Building
-# the table is the small part: at k = 3 and n = 10^4 the heat table takes
-# 0.09 s and 18 MiB.  Writing it out is the large part, since a weight's
-# decimal digits take time quadratic in their count: ``lattice-waves
-# weights`` at k = 3 takes 1.1 s and 71 MB for heat at n = 6,000 (an
-# estimate of 4.2*10^7 bits), 0.5 s for wave, and took 4.4 s for a 46 MB
-# file at n = 10^4 before this budget (Python 3.11.7).  So a full budget is
-# about a second.
-WEIGHT_BITS = 5 * 10**7
+# them, when it is built for a solve.  A table's weights reach about (2k-1)^n,
+# so its n + 1 entries take about n^2 log2(2k-1) / 2 bits: the heat table takes
+# 1.1-1.5 times that and the wave pair 0.5-1.1 times (k = 2, 3, 8, 100).  At
+# the budget's edge, n = 25,118 for k = 2, 20,752 for k = 3, 15,998 for k = 8
+# and 11,443 for k = 100, building the heat table took 0.43-0.52 s and 70-94
+# MiB, and the wave pair 0.31-0.58 s and 34-71 MiB (Python 3.11.7, one core of
+# a shared 2-core host).
+WEIGHT_BITS = 5 * 10**8
+
+# The most estimated bits of a table that ``lattice-waves weights`` writes out.
+# Writing is the large part there, since a weight's decimal digits take time
+# quadratic in their count: at k = 3 the command took 1.1 s and 71 MB for heat
+# at n = 6,000 (an estimate of 4.2*10^7 bits), 0.5 s for wave, and 4.4 s for a
+# 46 MB file at n = 10^4 (Python 3.11.7).  So a full budget is about a second.
+WRITTEN_WEIGHT_BITS = 5 * 10**7
 
 
-def _require_table_size(k: int, n: int) -> None:
-    """IndexOutOfRange where the tables at k and n would take past WEIGHT_BITS bits.
+def _require_table_size(k: int, n: int, budget: int) -> None:
+    """IndexOutOfRange where the tables at k and n would take past ``budget`` bits.
 
     k and n are checked already; nothing of size n is built before this.
     """
-    if (bits := n * n * log2(2 * k - 1) / 2) > WEIGHT_BITS:
+    if (bits := n * n * log2(2 * k - 1) / 2) > budget:
         raise IndexOutOfRange(f"n={n}: a k={k} weight table would take about {bits:.3g} bits, "
-                              f"past {WEIGHT_BITS}")
+                              f"past {budget}")
 
 
-def tree_heat_weights(k: int, n: int) -> WeightTable:
+def tree_heat_weights(k: int, n: int, budget: int = WEIGHT_BITS) -> WeightTable:
     """Heat sphere weights for radii 0..n.
 
     Weight s is the solution value at the center, after n steps of the
@@ -467,24 +518,25 @@ def tree_heat_weights(k: int, n: int) -> WeightTable:
     vertex at distance s.  For k = 2 the table is the kernel on Z: weight s
     is K_n(s).  Built from its horocycle sums (``_heat_sums``) by the
     inverse Abel transform (``_inverse_abel``), once
-    ``_require_table_size`` has found it within WEIGHT_BITS.
+    ``_require_table_size`` has found it within ``budget`` bits.
     """
     k, n = _degree(k), natural(n, "time index n")
-    _require_table_size(k, n)
+    _require_table_size(k, n, budget)
     return _inverse_abel(k, _heat_sums(k, n))
 
 
-def tree_wave_weights(k: int, n: int) -> tuple[WeightTable, WeightTable]:
+def tree_wave_weights(k: int, n: int,
+                      budget: int = WEIGHT_BITS) -> tuple[WeightTable, WeightTable]:
     """Wave sphere weights: the pair (initial-value table, initial-velocity table).
 
     The propagators are the rows of ``cayley.wave_rows`` in the tree's -A,
     the step with center -k, built from their horocycle sums
     (``_wave_sums``) by the inverse Abel transform.  The first table covers
     radii 0..floor(n/2), the second 0..floor((n-1)/2) (empty for n = 0).
-    A pair past WEIGHT_BITS is refused first (``_require_table_size``).
+    A pair past ``budget`` bits is refused first (``_require_table_size``).
     """
     k, n = _degree(k), natural(n, "time index n")
-    _require_table_size(k, n)
+    _require_table_size(k, n, budget)
     f, g = _wave_sums(k, n)
     return _inverse_abel(k, f), _inverse_abel(k, g)
 
@@ -510,24 +562,30 @@ def radial_mass(g: TreeFunction, at: tuple[_Hull, int]) -> Fraction:
 
     ``at`` is a position on g's own hull (``hull_position(g, x)``).  The
     sphere sums carry weight 1 at r = 0 and 2/S(r) beyond, added over the
-    one denominator S(rmax), rmax the radius of the row's last slot:
-    S(rmax)/S(r) is q^(rmax-r) for r >= 1, q = k - 1, so one pass of
-    Horner's rule in q over the row, doubled, gives each sum its weight
-    2 q^(rmax-r).  Radius 0, slot 0 at shift 0, weighs S(rmax) instead of
-    2 q^rmax.  A mass of 0 is one shared ``Fraction``.
+    one denominator S(rmax), rmax the farthest radius whose sum is not 0:
+    S(rmax)/S(r) is q^(rmax-r) for r >= 1, q = k - 1, so each sum gets
+    weight 2 q^(rmax-r), by one pass of Horner's rule in q over a dense
+    row, doubled, or one power per sum of a sparse one.  Radius 0, slot 0
+    at shift 0, weighs S(rmax) instead of 2 q^rmax.  A mass of 0 is one
+    shared ``Fraction``.
     """
     node, shift = at
     row = node.row
     if not row:
         return _ZERO
-    q, rmax = g.k - 1, len(row) - 1 + shift
+    q = g.k - 1
+    if type(row) is list:
+        top, total, v0 = len(row) - 1, 0, row[0]
+        for v in row:
+            total = total * q + v
+    else:
+        top, v0 = max(row), row.get(0, 0)
+        total = sum([v * q ** (top - r) for r, v in row.items()])
+    rmax = top + shift
     size = sphere_size(g.k, rmax)
-    total = 0
-    for v in row:
-        total = total * q + v
     total *= 2
     if not shift:
-        total += row[0] * (size - 2 * q ** rmax)
+        total += v0 * (size - 2 * q ** rmax)
     return Fraction(total, size * g.denominator) if total else _ZERO
 
 

@@ -1304,6 +1304,18 @@ class TestExitCodes:
             code, err = _exit_report([doc["kind"], "--problem", problem])
         assert code == 1 and json.loads(err)["error"] == "INDEX_OUT_OF_RANGE"
 
+    def test_a_solve_builds_a_table_too_large_for_weights_to_write(self, tmp_path):
+        # At k = 3 the written-table budget ends at n = 6,562 and the built-table budget at
+        # n = 20,752: tree-heat at n = 10^4 answers, and writing its table is refused at once.
+        solve = write_problem(tmp_path, dict(tree_problem(n=10**4), eval={"ball": {"radius": 1}}))
+        weights = write_problem(tmp_path, {"kind": "weights", "k": 3, "which": "heat", "n": 10**4},
+                                "weights.json")
+        assert _exit_report(["tree-heat", "--problem", solve]) == (0, "")
+        with within(1):
+            code, err = _exit_report(["weights", "--problem", weights])
+        assert code == 1 and json.loads(err)["error"] == "INDEX_OUT_OF_RANGE"
+        assert f"past {tree.WRITTEN_WEIGHT_BITS}" in json.loads(err)["detail"]
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--max-n", "-1"], ["verify", "--max-n", "abc"], ["verify", "--suite", "nope"],
         ["verify", "--max-n", "99999999999999999999"],

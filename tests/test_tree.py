@@ -4,7 +4,9 @@ import ast
 import inspect
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,14 +256,23 @@ class TestWeights:
                   for table in tables]
         assert masses == [1, 1, n]
 
-    def test_tables_past_the_bit_budget_are_refused(self, monkeypatch):
+    def test_tables_past_the_bit_budget_are_refused(self):
         # At k = 3 the estimate n^2 log2(5) / 2 is 976 bits at n = 29 and 1045 at n = 30.
-        monkeypatch.setattr(tree, "WEIGHT_BITS", 1000)
-        assert len(tree.tree_heat_weights(3, 29).weights) == 30
-        assert len(tree.tree_wave_weights(3, 29)[0].weights) == 15
+        assert len(tree.tree_heat_weights(3, 29, 1000).weights) == 30
+        assert len(tree.tree_wave_weights(3, 29, 1000)[0].weights) == 15
         for build in (tree.tree_heat_weights, tree.tree_wave_weights):
             with pytest.raises(IndexOutOfRange, match="past 1000"):
-                build(3, 30)
+                build(3, 30, 1000)
+
+    def test_a_solve_builds_tables_up_to_the_build_budget(self):
+        # At k = 3 WEIGHT_BITS ends between n = 20,752 and 20,753: the first table is built,
+        # the second refused before anything of size n.
+        f = tree.TreeFunction(3, {(): 1})
+        assert tree.tree_heat_solve(f, 20752, [(1, 2)]).numerators
+        for solve in (lambda n: tree.tree_heat_solve(f, n, [(1, 2)]),
+                      lambda n: tree.tree_wave_solve(f, tree.TreeFunction(3), n, [(1, 2)])):
+            with pytest.raises(IndexOutOfRange, match=f"past {tree.WEIGHT_BITS}"):
+                solve(20753)
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_degree_below_2_rejected(self, k):
@@ -548,29 +559,62 @@ class TestRerootedSums:
         assert len(prefixes) == len(set(prefixes))
         assert set(prefixes) <= _support_prefixes(f)
 
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), k=st.integers(2, 6))
-    def test_each_row_is_dense_and_apply_is_its_dot_product(self, data, k):
-        # Every hull vertex's row is the literal sums around its word at every radius up to the
-        # farthest that is not 0, zeros between included, and no further.  ``apply`` at each
-        # shift of it, past the table's top too and with tables shorter than the row, is the
-        # literal sum of weights[s] times the sum at radius s - shift.
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 6),
+           bounds=st.sampled_from([(8, 32), (1, 0), (1, 2), (0, 0)]))
+    def test_each_row_is_its_sphere_sums_and_apply_their_weighted_sum(self, data, k, bounds):
+        # Every hull vertex's row is the literal sums around its word: dense at every radius up
+        # to the farthest that is not 0, zeros between included, while that fits the bounds on
+        # dense rows, else a dict of the sums that are not 0.  Tight bounds mix the two forms
+        # along one path, so a child meets a parent of either form.  ``apply`` at each shift,
+        # past the table's top too and with tables shorter than the row, is the literal sum of
+        # weights[s] times the sum at radius s - shift, and ``radial_mass`` the literal mass.
+        slots, slack = bounds
         words = lambda lo, hi: st.lists(st.integers(1, k), min_size=lo, max_size=hi).map(_reduced)
         values = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
         f = tree.TreeFunction(k, data.draw(st.dictionaries(words(0, 7), values, max_size=10)))
         if data.draw(st.booleans()):
             f = _antisymmetric(f)
-        for y in f.support():
-            tree.hull_position(f, y)
         weights = data.draw(st.lists(st.integers(-50, 50), max_size=12))
         table = tree.WeightTable(k, weights)
+        with mock.patch.multiple(tree, _DENSE_SLOTS=slots, _DENSE_SLACK=slack):
+            for y in f.support():
+                tree.hull_position(f, y)
         for node, a in _hull_words(f).items():
             sums = {r: v for r, v in _literal_sphere_sums(f, a).items() if v}
-            assert [Fraction(v, f.denominator) for v in node.row] == [
-                sums.get(r, 0) for r in range(max(sums, default=-1) + 1)]
+            size = max(sums, default=-1) + 1
+            if size <= slots * len(sums) + slack:
+                assert [Fraction(v, f.denominator) for v in node.row] == [
+                    sums.get(r, 0) for r in range(size)]
+            else:
+                assert {r: Fraction(v, f.denominator) for r, v in node.row.items()} == sums
+            # The vertices at (node, shift >= 1) start with a letter off the hull.
+            off = [c for c in range(1, k + 1)
+                   if a[-1:] != (c,) and c not in node.children and c not in node.below]
             for shift in range(len(weights) + 2):
                 want = sum(w * sums.get(s - shift, 0) for s, w in enumerate(weights))
                 assert Fraction(table.apply(f, (node, shift)), f.denominator) == want
+                if off or not shift:
+                    x = a + tuple(off[0] if i % 2 == 0 else off[0] % k + 1 for i in range(shift))
+                    assert tree.hull_position(f, x) == (node, shift)
+                    assert tree.radial_mass(f, (node, shift)) == _literal_radial_mass(f, x)
+
+    def test_a_deep_sparse_support_keeps_the_hull_linear_in_its_depth(self):
+        # Data at the root and 5999 letters below it: around the hull vertex at depth d the sums
+        # are at radii d and 5999 - d, so dense rows at every vertex would hold about
+        # 0.75 * 6000^2 slots (over 200 MB).  Kept as dicts, the hull costs about 800 bytes a
+        # letter.
+        word = (1, 2) * 3000
+        f = tree.TreeFunction(3, {(): 1, word[:-1]: 3})
+        tracemalloc.start()
+        try:
+            u = tree.tree_heat_solve(f, 2, [word])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.entries == {word: -12}
+        assert peak < 2048 * len(word)
+        assert {len(node.row) for node in _hull_words(f)} == {2}
 
     def test_a_sphere_whose_numerators_cancel_is_listed_but_not_stored(self):
         # delta_(1) - delta_(2): the sphere of radius 1 around the root sums to 0.
